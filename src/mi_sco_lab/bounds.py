@@ -25,16 +25,20 @@ from .infotheory import (
     FinitePmf,
     JointPmf,
     coupling_disagreement,
+    entropy_of,
+    mi_of_table,
     mutual_information,
     optimal_coupling,
     pinsker_slack,
+    row_entropies,
     total_variation,
 )
 from .learners import (
+    FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
-    RandomizedResponse,
     SubsampleLearner,
+    _index_in_codebook,
     enumerate_sign_space,
     exact_channel,
     exact_mutual_information,
@@ -124,7 +128,7 @@ def cmi_generalization_bound(cmi: float, m: int,
 
 
 def xu_gap_report(learner, inst: HardInstance, m: int,
-                  budget: int = 1 << 24) -> BoundReport:
+                  budget: int = FULL_ENUM_BUDGET) -> BoundReport:
     """Exact E[gap] vs the MI bound over the enumerated channel."""
     ch = exact_channel(learner, inst, m, budget)
     mi = ch.mutual_information()
@@ -467,14 +471,6 @@ def _group_labels(arr: np.ndarray) -> np.ndarray:
     return np.unique(arr, axis=0, return_inverse=True)[1]
 
 
-def _mi_of_table(table: np.ndarray) -> float:
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    mask = table > 0
-    outer = np.outer(px, py)
-    return max(0.0, float((table[mask] * np.log(table[mask] / outer[mask])).sum()))
-
-
 def _joint_x_output(ch: Channel, x_labels: np.ndarray) -> np.ndarray:
     """Aggregate the channel into a (groups of x) x (codebook) table."""
     xi = _group_labels(x_labels)
@@ -498,7 +494,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated."""
     sums = ch.signs.sum(axis=1, dtype=np.int64)  # (n, d)
     full = _joint_x_output(ch, sums)
-    total = _mi_of_table(full)
+    total = max(0.0, mi_of_table(full))
     d = ch.signs.shape[2]
     per_coord = []
     for t in range(d):
@@ -507,7 +503,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
         col_labels = _group_labels(ch.codebook[:, t])
         collapsed = np.zeros((table_t.shape[0], int(col_labels.max()) + 1))
         np.add.at(collapsed.T, col_labels, table_t.T)
-        per_coord.append(_mi_of_table(collapsed))
+        per_coord.append(max(0.0, mi_of_table(collapsed)))
     rhs = float(sum(per_coord))
     report = make_report("chain_rule", total, rhs, tolerance=1e-9, d=d,
                          m=ch.signs.shape[1])
@@ -520,14 +516,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
 # ---------------------------------------------------------------------------
 
 
-def _row_entropies(counts: np.ndarray, totals: float) -> np.ndarray:
-    probs = counts / totals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0, probs * np.log(probs), 0.0)
-    return -terms.sum(axis=1)
-
-
-def cmi_exact(learner, inst: HardInstance, m: int, budget: int = 1 << 24,
+def cmi_exact(learner, inst: HardInstance, m: int, budget: int = FULL_ENUM_BUDGET,
               chunk_cells: int = 1 << 22) -> float:
     """I(w_S; S | Z) for the pick-one-of-each-pair supersample process.
 
@@ -547,7 +536,7 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = 1 << 24,
         raise BudgetExceededError(
             f"supersample enumeration 2^{2 * m * inst.d} * 2^{m} exceeds budget")
 
-    randomized = isinstance(learner, RandomizedResponse)
+    randomized = not learner.deterministic
     base = learner.base if randomized else learner
     if not base.deterministic:
         raise ValueError("cmi_exact supports deterministic and randomized-response learners")
@@ -558,13 +547,10 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = 1 << 24,
 
     if randomized:
         codebook = reachable_outputs(base, inst, m)
-        lookup = {tuple(row): i for i, row in enumerate(codebook)}
         big_k = codebook.shape[0]
-        # every conditional row is (1-rho) on one atom plus rho/K uniform,
-        # so its entropy is one shared constant
-        mixed_row = np.full(big_k, learner.rho / big_k)
-        mixed_row[0] += 1.0 - learner.rho
-        h_row = float(-(mixed_row[mixed_row > 0] * np.log(mixed_row[mixed_row > 0])).sum())
+        # every conditional row mixes a point mass, so its entropy is one
+        # shared constant
+        h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
 
     total = 0.0
     z_chunk = max(1, chunk_cells // (n_u * m * inst.d))
@@ -576,8 +562,7 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = 1 << 24,
         selected = block[:, row_pick, :]  # (c, n_u, m, d)
         outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d), inst)
         if randomized:
-            ids = np.array([lookup[tuple(row)] for row in outputs],
-                           dtype=np.int64).reshape(c, n_u)
+            ids = _index_in_codebook(outputs, codebook).reshape(c, n_u)
             counts = np.zeros((c, big_k))
         else:
             _, inverse = np.unique(outputs, axis=0, return_inverse=True)
@@ -585,10 +570,9 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = 1 << 24,
             counts = np.zeros((c, int(ids.max()) + 1))
         np.add.at(counts, (np.repeat(np.arange(c), n_u), ids.reshape(-1)), 1.0)
         if randomized:
-            mixed = (1.0 - learner.rho) * (counts / n_u) + learner.rho / big_k
-            contrib = _row_entropies(mixed, 1.0) - h_row
+            contrib = row_entropies(learner.mix(counts / n_u)) - h_row
         else:
-            contrib = _row_entropies(counts, float(n_u))
+            contrib = row_entropies(counts / n_u)
         total += float(z_probs[start:start + z_chunk] @ contrib)
     return max(0.0, total)
 
@@ -605,6 +589,19 @@ def selector_entropy_cap(learner, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _draw_biases_and_signs(rng, size: int, d: int, m: int,
+                           fixed_p: np.ndarray | None = None):
+    """Biases (size, d), uniform unless fixed, and int8 signs (size, m, d)
+    drawn under them: ``uniform`` first, then ``random``."""
+    if fixed_p is None:
+        ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
+    else:
+        ps = np.broadcast_to(fixed_p, (size, d))
+    q_plus = (1.0 + ps) / 2.0
+    u = rng.random(size=(size, m, d))
+    return ps, np.where(u < q_plus[:, None, :], 1, -1).astype(np.int8)
+
+
 def measured_excess_risk(learner, d: int, m: int, trials: int, seed: int,
                          fixed_p: np.ndarray | None = None,
                          learner_seed: int | None = None) -> tuple[float, float]:
@@ -617,13 +614,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int, seed: int,
     geometry = HardInstance.zero(d)
 
     def chunk(rng, size):
-        if fixed_p is None:
-            ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        else:
-            ps = np.broadcast_to(fixed_p, (size, d))
-        q_plus = (1.0 + ps) / 2.0
-        u = rng.random(size=(size, m, d))
-        signs = np.where(u < q_plus[:, None, :], 1, -1).astype(np.int8)
+        ps, signs = _draw_biases_and_signs(rng, size, d, m, fixed_p)
         if learner.deterministic:
             w = learner.fit_batch(signs, geometry)
         else:
@@ -656,7 +647,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
                          *, n_p: int = 4, risk_trials: int = 20000,
                          good_trials: int = 10 ** 5, pilot_trials: int = 10 ** 4,
                          seed: int = 0, learner_seed: int | None = None,
-                         budget: int = 1 << 24) -> CertificateResult:
+                         budget: int = FULL_ENUM_BUDGET) -> CertificateResult:
     """Measured pipeline lower bound vs exact mutual information.
 
     Verifies the accuracy hypothesis first (measured E[Delta_D] <= epsilon;
@@ -941,10 +932,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
     geometry = HardInstance.zero(d)
 
     def chunk(rng, size):
-        p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        q_plus = (1.0 + p) / 2.0
-        u = rng.random(size=(size, m, d))
-        signs = np.where(u < q_plus[:, None, :], 1, -1).astype(np.int8)
+        p, signs = _draw_biases_and_signs(rng, size, d, m)
         w = learner.fit_batch(signs, geometry)
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)

@@ -17,7 +17,7 @@ validated against a strict schema (unknown sections or keys are rejected):
                                # randomized_response
     delta = auto               # quantization step, or auto for 1/m^2
     lam = 0.0                  # regularized_erm weight
-    k = 2                      # subsample size
+    k = 2                      # subsample size, 1 <= k <= m
     rho = 0.5                  # randomized_response flip probability
     base = mean                # base kind for wrapper learners
 
@@ -26,7 +26,7 @@ validated against a strict schema (unknown sections or keys are rejected):
     epsilon = measured         # measured | float in (0, 1/54)
     trials = 100000            # Monte Carlo budget
     quadrature_nodes = 64
-    master_seed = 12345
+    master_seed = 12345        # >= 0
     output_dir = out
 
 Every run writes results.csv (the BoundReport table), experiment-specific
@@ -182,6 +182,8 @@ def load_config(path) -> ExperimentConfig:
     if "base" in lrn:
         params["base"] = lrn["base"].strip().lower()
     learner_seed = _parse_int(lrn["seed"], "seed") if "seed" in lrn else None
+    if learner_seed is not None and learner_seed < 0:
+        raise ConfigError("[learner] seed must be >= 0")
 
     run = parser["run"] if parser.has_section("run") else {}
     m = _parse_int(run.get("m", "4"), "m")
@@ -201,6 +203,8 @@ def load_config(path) -> ExperimentConfig:
     if nodes < 2:
         raise ConfigError("quadrature_nodes must be >= 2")
     master_seed = _parse_int(run.get("master_seed", "12345"), "master_seed")
+    if master_seed < 0:
+        raise ConfigError("master_seed must be >= 0")
     output_dir = run.get("output_dir", "out")
 
     cfg = ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
@@ -210,9 +214,13 @@ def load_config(path) -> ExperimentConfig:
                            quadrature_nodes=nodes, master_seed=master_seed,
                            output_dir=output_dir)
     try:
-        cfg.learner()
+        learner = cfg.learner()
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid learner block: {exc}") from exc
+    if getattr(learner, "k", 1) > m:
+        raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
+    if name == "theorem1" and not learner.deterministic:
+        raise ConfigError(f"theorem1 needs a deterministic learner, not {learner.kind}")
     return cfg
 
 
@@ -526,6 +534,8 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
                 raise ConfigError(
                     f"config names experiment {cfg.name!r}, CLI asked for {experiment!r}")
         if seed is not None:
+            if seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
         if out is not None:
             cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": out})

@@ -33,7 +33,9 @@ __all__ = [
     "optimal_coupling",
     "pinsker_slack",
     "nats_to_bits",
-    "apply_map_x",
+    "entropy_of",
+    "row_entropies",
+    "mi_of_table",
     "PmfValidationError",
 ]
 
@@ -94,11 +96,6 @@ class FinitePmf:
         """Pmf over outcomes (0, 1) with P(1) = q."""
         return cls((0, 1), np.array([1.0 - q, q]))
 
-    def to_debug_text(self) -> str:
-        """One ``outcome<TAB>prob`` line per entry, sorted by outcome id."""
-        order = sorted(range(len(self.outcomes)), key=lambda i: repr(self.outcomes[i]))
-        return "\n".join(f"{self.outcomes[i]}\t{self.probs[i]:.17g}" for i in order)
-
 
 @dataclass(frozen=True)
 class JointPmf:
@@ -148,10 +145,34 @@ def nats_to_bits(x: float) -> float:
     return x / math.log(2.0)
 
 
+def entropy_of(probs: np.ndarray) -> float:
+    """Entropy in nats of a 1-D probability array; zeros are dropped first."""
+    q = probs[probs > 0.0]
+    return float(-(q * np.log(q)).sum())
+
+
+def row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row of a 2-D array of pmfs.
+
+    Zeros stay in the sum as 0 terms, so the pairwise summation differs from
+    :func:`entropy_of` in the last bits; the two forms are kept apart.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(rows > 0.0, rows * np.log(rows), 0.0).sum(axis=1)
+
+
+def mi_of_table(table: np.ndarray) -> float:
+    """Mutual information in nats of a 2-D joint table, unclamped."""
+    px = table.sum(axis=1)
+    py = table.sum(axis=0)
+    outer = np.outer(px, py)
+    mask = table > 0.0
+    return float((table[mask] * np.log(table[mask] / outer[mask])).sum())
+
+
 def entropy(p: FinitePmf) -> float:
     """Shannon entropy in nats; 0 <= H <= log(support size)."""
-    q = p.probs[p.probs > 0.0]
-    return float(-(q * np.log(q)).sum())
+    return entropy_of(p.probs)
 
 
 def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
@@ -175,14 +196,6 @@ def total_variation(p1: FinitePmf, p2: FinitePmf) -> float:
     return float(0.5 * np.abs(p1.probs - p2.probs).sum())
 
 
-def _mi_from_table(table: np.ndarray) -> float:
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    outer = np.outer(px, py)
-    mask = table > 0.0
-    return float((table[mask] * np.log(table[mask] / outer[mask])).sum())
-
-
 def mutual_information(j: JointPmf) -> float:
     """I(X;Y) in nats via the double sum over the joint table.
 
@@ -191,7 +204,7 @@ def mutual_information(j: JointPmf) -> float:
     """
     if j.table.ndim != 2:
         raise PmfValidationError("mutual_information takes a two-variable joint")
-    return max(0.0, _mi_from_table(j.table))
+    return max(0.0, mi_of_table(j.table))
 
 
 def conditional_mutual_information(j: JointPmf) -> float:
@@ -203,7 +216,7 @@ def conditional_mutual_information(j: JointPmf) -> float:
         pz = float(j.table[:, :, k].sum())
         if pz <= 0.0:
             continue
-        total += pz * _mi_from_table(j.table[:, :, k] / pz)
+        total += pz * mi_of_table(j.table[:, :, k] / pz)
     return max(0.0, total)
 
 
@@ -244,24 +257,3 @@ def pinsker_slack(p1: FinitePmf, p2: FinitePmf) -> float:
     if math.isinf(kl):
         return math.inf
     return math.sqrt(max(kl, 0.0) / 2.0) - total_variation(p1, p2)
-
-
-def apply_map_x(j: JointPmf, g) -> JointPmf:
-    """Push a deterministic map on the X alphabet through a two-variable joint.
-
-    Rows with equal g(x) merge; useful for data-processing comparisons.
-    """
-    if j.table.ndim != 2:
-        raise PmfValidationError("apply_map_x takes a two-variable joint")
-    images = []
-    index = {}
-    rows = []
-    for i, x in enumerate(j.alphabets[0]):
-        gx = g(x)
-        if gx not in index:
-            index[gx] = len(images)
-            images.append(gx)
-            rows.append(np.array(j.table[i]))
-        else:
-            rows[index[gx]] = rows[index[gx]] + j.table[i]
-    return JointPmf((tuple(images), j.alphabets[1]), np.stack(rows))

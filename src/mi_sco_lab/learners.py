@@ -8,6 +8,18 @@ instance geometry (dimension), never its bias; tie-breaking is lexicographic
 everywhere (grid rounding breaks ties toward the smaller value), so outputs
 are bit-stable across runs and worker counts.
 
+The learner contract is a set of attributes, with no base class:
+  * ``kind``: the label used in report names;
+  * ``deterministic``: whether the output is a function of the sample;
+  * ``factorized``: whether output coordinate t depends only on column t of
+    the sample; factorized learners also give ``coord_outputs(patterns, inst)``;
+  * ``delta_for(m)``: the quantization step at sample size m, or None;
+  * ``fit(sample, inst, rng=None)``: one output vector;
+  * ``fit_batch(signs, inst)``: outputs for an (n, m, d) sign tensor
+    (deterministic learners).
+A randomized learner instead wraps a deterministic ``base`` and gives
+``mix(base_law)``, its output law given the base's law over the codebook.
+
 Channel enumeration has two routes:
   * full: all 2^(d*m) sign patterns (budget-guarded);
   * factorized: for learners whose coordinate t depends only on column t of
@@ -16,15 +28,16 @@ Channel enumeration has two routes:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .infotheory import entropy_of, mi_of_table, row_entropies
 from .sco import HardInstance, Sample, project_ball
 
 FULL_ENUM_BUDGET = 1 << 24
+NET_BLOCK_ROWS = 1 << 12
 
 
 class BudgetExceededError(RuntimeError):
@@ -48,6 +61,15 @@ def quantize(w: np.ndarray, delta: float) -> np.ndarray:
     return project_ball(round_half_down(w, delta))
 
 
+def _project_rows(w: np.ndarray) -> np.ndarray:
+    """Project each row of an (n, d) array onto the unit ball, in place."""
+    norms = np.linalg.norm(w, axis=1)
+    over = norms > 1.0
+    if np.any(over):
+        w[over] /= norms[over, None]
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Learners
 # ---------------------------------------------------------------------------
@@ -60,7 +82,6 @@ class MeanLearner:
     kind = "mean"
     deterministic = True
     factorized = True
-    mean_based = True
 
     def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
         return s.mean
@@ -68,9 +89,6 @@ class MeanLearner:
     def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
         d = signs.shape[2]
         return signs.mean(axis=1, dtype=float) / math.sqrt(d)
-
-    def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
-        return np.array(zbar, dtype=float)
 
     def coord_outputs(self, patterns: np.ndarray, inst: HardInstance) -> np.ndarray:
         return patterns.mean(axis=1, dtype=float) / math.sqrt(inst.d)
@@ -93,7 +111,6 @@ class QuantizedMeanLearner:
     kind = "quantized_mean"
     deterministic = True
     factorized = True
-    mean_based = True
 
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
@@ -108,9 +125,6 @@ class QuantizedMeanLearner:
     def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
         n, m, d = signs.shape
         return self._quantize_coords(signs.mean(axis=1, dtype=float) / math.sqrt(d), d, m)
-
-    def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
-        return self._quantize_coords(np.asarray(zbar, dtype=float), inst.d, m)
 
     def coord_outputs(self, patterns: np.ndarray, inst: HardInstance) -> np.ndarray:
         n, m = patterns.shape
@@ -128,10 +142,7 @@ def epsilon_net(d: int, m: int) -> np.ndarray:
     axis = np.linspace(-1.0, 1.0, per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    norms = np.linalg.norm(points, axis=1)
-    outside = norms > 1.0
-    points[outside] /= norms[outside, None]
-    return np.unique(points, axis=0)
+    return np.unique(_project_rows(points), axis=0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,6 @@ class EpsilonNetErm:
     kind = "epsilon_net_erm"
     deterministic = True
     factorized = False
-    mean_based = True
 
     def net(self, inst: HardInstance, m: int) -> np.ndarray:
         return epsilon_net(inst.d, m)
@@ -157,10 +167,14 @@ class EpsilonNetErm:
         return self.fit_from_mean(s.mean[None, :], inst, s.m)[0]
 
     def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
+        """Nearest net point per row, in blocks of NET_BLOCK_ROWS rows so the
+        (rows, net size, d) distance temporary stays bounded."""
         net = self.net(inst, m)
         zbar = np.asarray(zbar, dtype=float)
-        diff = zbar[:, None, :] - net[None, :, :]
-        idx = np.argmin((diff * diff).sum(axis=2), axis=1)
+        idx = np.empty(zbar.shape[0], dtype=np.intp)
+        for start in range(0, zbar.shape[0], NET_BLOCK_ROWS):
+            diff = zbar[start:start + NET_BLOCK_ROWS, None, :] - net[None, :, :]
+            idx[start:start + NET_BLOCK_ROWS] = np.argmin((diff * diff).sum(axis=2), axis=1)
         return net[idx]
 
     def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
@@ -187,7 +201,6 @@ class SgdLearner:
     kind = "sgd"
     deterministic = True
     factorized = False
-    mean_based = False
 
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
@@ -201,19 +214,9 @@ class SgdLearner:
         w = np.zeros((n, d))
         acc = np.zeros((n, d))
         for t in range(1, m + 1):
-            w = (1.0 - 1.0 / t) * w + points[:, t - 1, :] / t
-            norms = np.linalg.norm(w, axis=1)
-            over = norms > 1.0
-            if np.any(over):
-                w[over] /= norms[over, None]
+            w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
             acc += w
-        avg = acc / m
-        out = round_half_down(avg, self.delta_for(m))
-        norms = np.linalg.norm(out, axis=1)
-        over = norms > 1.0
-        if np.any(over):
-            out[over] /= norms[over, None]
-        return out
+        return _project_rows(round_half_down(acc / m, self.delta_for(m)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,6 @@ class RegularizedErm:
     kind = "regularized_erm"
     deterministic = True
     factorized = False
-    mean_based = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -241,12 +243,7 @@ class RegularizedErm:
 
     def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
         zbar = np.asarray(zbar, dtype=float) / (1.0 + self.lam)
-        out = round_half_down(zbar, self.delta_for(m))
-        norms = np.linalg.norm(out, axis=1)
-        over = norms > 1.0
-        if np.any(over):
-            out[over] /= norms[over, None]
-        return out
+        return _project_rows(round_half_down(zbar, self.delta_for(m)))
 
     def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
         n, m, d = signs.shape
@@ -262,7 +259,6 @@ class SubsampleLearner:
     base: object
 
     deterministic = True
-    mean_based = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -308,7 +304,6 @@ class RandomizedResponse:
 
     deterministic = False
     factorized = False
-    mean_based = False
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -327,6 +322,11 @@ class RandomizedResponse:
             codebook = reachable_outputs(self.base, inst, s.m)
             return codebook[rng.integers(codebook.shape[0])]
         return self.base.fit(s, inst, rng)
+
+    def mix(self, base_law: np.ndarray) -> np.ndarray:
+        """Output law given the base learner's law over the K codebook atoms
+        (last axis): (1 - rho) * base_law + rho / K."""
+        return (1.0 - self.rho) * base_law + self.rho / base_law.shape[-1]
 
     def delta_for(self, m: int) -> float | None:
         return self.base.delta_for(m)
@@ -411,18 +411,13 @@ class Channel:
 
     def mutual_information(self) -> float:
         """I(output; sample) in nats: H(output) - E_S[H(output | sample)]."""
-        marg = self.output_marginal()
-        h_out = float(-(marg[marg > 0] * np.log(marg[marg > 0])).sum())
+        h_out = self.output_entropy()
         if self.deterministic:
             return max(0.0, h_out)
-        rows = self.cond
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row_ent = -np.where(rows > 0, rows * np.log(rows), 0.0).sum(axis=1)
-        return max(0.0, h_out - float(self.sample_probs @ row_ent))
+        return max(0.0, h_out - float(self.sample_probs @ row_entropies(self.cond)))
 
     def output_entropy(self) -> float:
-        marg = self.output_marginal()
-        return float(-(marg[marg > 0] * np.log(marg[marg > 0])).sum())
+        return entropy_of(self.output_marginal())
 
     def expected_generalization_gap(self, inst: HardInstance) -> float:
         """E[L_D(w_S) - L_S(w_S)], exact over the enumeration.
@@ -446,33 +441,18 @@ class Channel:
             return float(self.sample_probs @ sub[self.output_index])
         return float(self.sample_probs @ (self.cond @ sub))
 
-    def to_csv(self, path) -> None:
-        """Rows (sample_index, output_index, probability): conditional law."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_index", "output_index", "probability"])
-            if self.deterministic:
-                for i, k in enumerate(self.output_index):
-                    writer.writerow([i, int(k), "1"])
-            else:
-                for i in range(self.n_samples):
-                    for k in np.nonzero(self.cond[i] > 0)[0]:
-                        writer.writerow([i, int(k), f"{self.cond[i, k]:.17g}"])
-
 
 def exact_channel(learner, inst: HardInstance, m: int,
                   budget: int = FULL_ENUM_BUDGET) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m)."""
     signs = enumerate_sign_space(m, inst.d, budget)
     probs = sign_space_probs(inst, signs)
-    if isinstance(learner, RandomizedResponse):
-        base_outputs = learner.base.fit_batch(signs, inst)
+    if not learner.deterministic:
         codebook = reachable_outputs(learner.base, inst, m, budget)
-        base_idx = _index_in_codebook(base_outputs, codebook)
-        n, big_k = signs.shape[0], codebook.shape[0]
-        cond = np.full((n, big_k), learner.rho / big_k)
-        cond[np.arange(n), base_idx] += 1.0 - learner.rho
-        return Channel(signs, probs, codebook, cond=cond)
+        base_idx = _index_in_codebook(learner.base.fit_batch(signs, inst), codebook)
+        base_law = np.zeros((signs.shape[0], codebook.shape[0]))
+        base_law[np.arange(signs.shape[0]), base_idx] = 1.0
+        return Channel(signs, probs, codebook, cond=learner.mix(base_law))
     outputs = learner.fit_batch(signs, inst)
     codebook, idx = np.unique(outputs, axis=0, return_inverse=True)
     return Channel(signs, probs, codebook, output_index=idx.astype(np.int64))
@@ -494,7 +474,7 @@ def reachable_outputs(learner, inst: HardInstance, m: int,
     p-independent. Factorized learners use per-coordinate level products;
     others enumerate the sample space.
     """
-    if isinstance(learner, RandomizedResponse):
+    if not learner.deterministic:
         return reachable_outputs(learner.base, inst, m, budget)
     if learner.factorized:
         patterns = enumerate_sign_space(m, 1, budget).reshape(-1, m)
@@ -526,30 +506,15 @@ class CoordinateChannel:
         _, inverse = np.unique(self.values, return_inverse=True)
         marg = np.zeros(inverse.max() + 1)
         np.add.at(marg, inverse, self.probs)
-        marg = marg[marg > 0]
-        return float(-(marg * np.log(marg)).sum())
+        return entropy_of(marg)
 
     def mi_value_vs_sum(self) -> float:
         """I(output coordinate; column sign sum)."""
-        sums = self.patterns.sum(axis=1, dtype=np.int64)
-        return aggregated_mi(sums, self.values, self.probs)
-
-
-def aggregated_mi(xs, ys, probs) -> float:
-    """MI of two discrete variables given per-atom labels and probabilities."""
-    _, xi = np.unique(np.asarray(xs), return_inverse=True)
-    ys = np.asarray(ys)
-    if ys.ndim == 1:
-        _, yi = np.unique(ys, return_inverse=True)
-    else:
-        _, yi = np.unique(ys, axis=0, return_inverse=True)
-    table = np.zeros((xi.max() + 1, yi.max() + 1))
-    np.add.at(table, (xi, yi), probs)
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    mask = table > 0
-    outer = np.outer(px, py)
-    return max(0.0, float((table[mask] * np.log(table[mask] / outer[mask])).sum()))
+        _, xi = np.unique(self.patterns.sum(axis=1, dtype=np.int64), return_inverse=True)
+        _, yi = np.unique(self.values, return_inverse=True)
+        table = np.zeros((xi.max() + 1, yi.max() + 1))
+        np.add.at(table, (xi, yi), self.probs)
+        return max(0.0, mi_of_table(table))
 
 
 def coordinate_channels(learner, inst: HardInstance, m: int) -> list[CoordinateChannel]:

@@ -16,7 +16,6 @@ explicit range LOSS_RANGE = 4 is carried through every bound evaluation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,13 +117,6 @@ def sample_signs(inst: HardInstance, m: int, rng: np.random.Generator,
     return signs[0] if trials == 1 else signs
 
 
-def require_in_ball(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if float(np.linalg.norm(w)) > 1.0 + tol:
-        raise ValueError("parameter lies outside the unit ball")
-    return w
-
-
 def project_ball(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     norm = float(np.linalg.norm(w))
@@ -178,25 +170,3 @@ def empirical_suboptimality(s: Sample, w: np.ndarray) -> float:
 def mean_excess_risk_exact(inst: HardInstance, m: int) -> float:
     """E[Delta_D(zbar)] = (1 - ||p||^2/d) / m, the per-coordinate variance sum."""
     return float((1.0 - (inst.p @ inst.p) / inst.d) / m)
-
-
-def sample_to_csv(s: Sample, path) -> None:
-    """One row per point, columns z_1..z_d holding the integer signs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z_{t + 1}" for t in range(s.d)])
-        for row in s.signs:
-            writer.writerow([int(v) for v in row])
-
-
-def sample_from_csv(path) -> Sample:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header != [f"z_{t + 1}" for t in range(len(header))]:
-            raise ValueError("missing or malformed header row")
-        rows = [[int(v) for v in row] for row in reader]
-    signs = np.asarray(rows, dtype=np.int8)
-    if signs.size == 0 or np.any(np.abs(signs) != 1):
-        raise ValueError("sample entries must be +-1")
-    return Sample.from_signs(signs)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mi_sco_lab.sco import HardInstance, empirical_risk, sample
 
 LN2 = math.log(2.0)
 SEED = 20240801
+REPO = Path(__file__).resolve().parents[1]
 
 
 def timed(fn):
@@ -231,19 +233,11 @@ def test_criterion_10_easy_family(criterion):
 
 
 def test_criterion_11_determinism(criterion, tmp_path):
-    config_template = """[experiment]
-name = {name}
-
-[instance]
-d = 2
-p_mode = uniform
-
-[run]
-m = 4
-trials = 20000
-master_seed = 99
-output_dir = {out}
-"""
+    # the shipped configs at their master_seed 12345: the data-file SHA-256s
+    # that perfbench/reference.json pins for benchmark variant 0
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    pinned = {name: entry["files"]
+              for name, entry in reference["shipped-configs"]["0"].items()}
 
     def run_all(tag, threads):
         old = os.environ.get("MI_SCO_THREADS")
@@ -252,9 +246,7 @@ output_dir = {out}
         try:
             for name in sorted(EXPERIMENTS):
                 out = tmp_path / tag / name
-                cfg = tmp_path / f"{tag}_{name}.ini"
-                cfg.write_text(config_template.format(name=name, out=out))
-                assert run(cfg) == 0
+                assert run(REPO / "configs" / f"{name}.ini", out=str(out)) == 0
                 manifest = json.loads((out / "manifest.json").read_text())
                 digests[name] = manifest["files"]
         finally:
@@ -268,8 +260,8 @@ output_dir = {out}
         serial = run_all("serial", 1)
         rerun = run_all("rerun", 1)
         parallel = run_all("parallel", 4)
-        return serial == rerun == parallel
+        return serial == pinned and serial == rerun == parallel
 
     ok, elapsed = timed(body)
-    criterion(11, "byte-identical CSVs across re-runs and worker counts",
-              ok, elapsed, 300.0)
+    criterion(11, "shipped configs reproduce their pinned SHA-256s across "
+              "re-runs and worker counts", ok, elapsed, 300.0)

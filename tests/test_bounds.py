@@ -306,7 +306,6 @@ class FirstCoordinateSignLearner:
     kind = "first_coordinate_sign"
     deterministic = True
     factorized = False
-    mean_based = False
 
     def fit_batch(self, signs, inst):
         n, m, d = signs.shape

@@ -106,6 +106,45 @@ class TestConfigParsing:
             load_config(path)
 
 
+class TestFailClosed:
+    """Configs that used to pass load_config and then die in a traceback."""
+
+    def assert_rejected(self, capsys, path, out, match, **overrides):
+        if not overrides:
+            with pytest.raises(ConfigError, match=match):
+                load_config(path)
+        assert run(path, **overrides) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("config error:")
+        assert match in printed[0]
+        assert not out.exists()
+
+    def test_theorem1_rejects_randomized_learner(self, tmp_path, capsys):
+        path, out = write_config(
+            tmp_path, name="theorem1",
+            extra="\n[learner]\nkind = randomized_response\nrho = 0.5\nbase = mean")
+        self.assert_rejected(capsys, path, out, "deterministic learner")
+
+    def test_subsample_k_above_m(self, tmp_path, capsys):
+        path, out = write_config(
+            tmp_path, name="theorem1", m=4,
+            extra="\n[learner]\nkind = subsample\nk = 9\nbase = mean")
+        self.assert_rejected(capsys, path, out, "k=9 exceeds m=4")
+
+    def test_negative_master_seed(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, seed=-5)
+        self.assert_rejected(capsys, path, out, "master_seed must be >= 0")
+
+    def test_negative_learner_seed(self, tmp_path, capsys):
+        path, out = write_config(
+            tmp_path, extra="\n[learner]\nkind = quantized_mean\nseed = -1")
+        self.assert_rejected(capsys, path, out, "seed must be >= 0")
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        path, out = write_config(tmp_path)
+        self.assert_rejected(capsys, path, out, "--seed must be >= 0", seed=-5)
+
+
 class TestRun:
     def test_exit_zero_and_outputs(self, tmp_path):
         path, out = write_config(tmp_path)

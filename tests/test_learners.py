@@ -1,12 +1,16 @@
 """Learner behavior, codebooks, and exact channel enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mi_sco_lab.infotheory import JointPmf, mutual_information
+from mi_sco_lab.infotheory import JointPmf, entropy, mutual_information
 from mi_sco_lab.learners import (
+    NET_BLOCK_ROWS,
     BudgetExceededError,
     EpsilonNetErm,
     MeanLearner,
@@ -164,6 +168,46 @@ class TestEpsilonNet:
             inst = HardInstance(d, np.full(d, 0.1))
             ch = exact_channel(learner, inst, m)
             assert ch.output_entropy() <= d * math.log(math.sqrt(m) + 1) + 1e-12
+
+
+def _nearest_one_shot(net, zbar):
+    """Unblocked oracle: one (n, K, d) distance tensor, first minimum wins."""
+    diff = zbar[:, None, :] - net[None, :, :]
+    return net[np.argmin((diff * diff).sum(axis=2), axis=1)]
+
+
+class TestEpsilonNetBlocks:
+    def test_blocked_matches_one_shot_random(self):
+        rng = np.random.default_rng(21)
+        n = 3 * NET_BLOCK_ROWS + 7
+        for d, m in ((1, 4), (2, 9), (3, 16)):
+            zbar = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
+            got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(d), m)
+            np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(d, m), zbar))
+
+    def test_blocked_matches_one_shot_on_ties(self):
+        # +-0.5 sit halfway between net points of the axis (-1, 0, 1)
+        zbar = np.tile([[0.5], [-0.5], [0.0]], (NET_BLOCK_ROWS, 1))
+        got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(1), 4)
+        np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
+        np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
+        # every reachable mean at d=2, m=4, with its exact lattice ties
+        signs = enumerate_sign_space(4, 2)
+        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(2)
+        got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(2), 4)
+        np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(2, 4), zbar))
+
+    def test_peak_memory_bounded(self):
+        n, d, m = 1 << 17, 2, 16
+        zbar = np.random.default_rng(22).uniform(-0.7, 0.7, size=(n, d))
+        one_temporary = n * epsilon_net(d, m).shape[0] * d * 8
+        tracemalloc.start()
+        try:
+            EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(d), m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_temporary / 4
 
 
 class TestSgd:
@@ -327,6 +371,40 @@ class TestChannel:
         oracle = mutual_information(JointPmf.from_table(table))
         assert ch.mutual_information() == pytest.approx(oracle, abs=1e-10)
 
+    @given(d=st.integers(1, 2), m=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_joint_table(self, d, m, data):
+        p = data.draw(st.lists(st.floats(-1 / 3, 1 / 3), min_size=d, max_size=d))
+        learner = data.draw(st.sampled_from(all_learners(m)[:5]))
+        wrap = data.draw(st.sampled_from(["none", "subsample", "randomized_response"]))
+        if wrap == "subsample":
+            learner = SubsampleLearner(k=data.draw(st.integers(1, m)), base=learner)
+        elif wrap == "randomized_response":
+            learner = RandomizedResponse(base=learner, rho=data.draw(st.floats(0.0, 1.0)))
+        inst = HardInstance(d, np.asarray(p))
+        ch = exact_channel(learner, inst, m)
+        if ch.deterministic:
+            law = np.zeros((ch.n_samples, ch.codebook.shape[0]))
+            law[np.arange(ch.n_samples), ch.output_index] = 1.0
+        else:
+            law = ch.cond
+        joint = JointPmf.from_table(ch.sample_probs[:, None] * law)
+        assert abs(ch.mutual_information() - mutual_information(joint)) <= 1e-12
+        assert abs(ch.output_entropy() - entropy(joint.marginal(1))) <= 1e-12
+
+    @given(n=st.integers(1, 6), big_k=st.integers(1, 8), rho=st.floats(0.0, 1.0),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mix_equals_literal_construction(self, n, big_k, rho, data):
+        idx = np.asarray(data.draw(st.lists(st.integers(0, big_k - 1),
+                                            min_size=n, max_size=n)))
+        literal = np.full((n, big_k), rho / big_k)
+        literal[np.arange(n), idx] += 1.0 - rho
+        base_law = np.zeros((n, big_k))
+        base_law[np.arange(n), idx] = 1.0
+        mixed = RandomizedResponse(base=MeanLearner(), rho=rho).mix(base_law)
+        np.testing.assert_array_equal(mixed, literal)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_sign_space(8, 4, budget=1 << 10)
@@ -354,14 +432,6 @@ class TestChannel:
                                                  - emp_risk(s, w))
             assert ch.expected_generalization_gap(inst) == pytest.approx(
                 literal, abs=1e-12)
-
-    def test_channel_csv_export(self, tmp_path):
-        ch = exact_channel(MeanLearner(), HardInstance.zero(1), 2)
-        path = tmp_path / "channel.csv"
-        ch.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample_index,output_index,probability"
-        assert len(lines) == 1 + ch.n_samples
 
 
 class TestCodebookClosure:

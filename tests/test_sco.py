@@ -14,8 +14,6 @@ from mi_sco_lab.sco import (
     mean_excess_risk_exact,
     population_risk,
     sample,
-    sample_from_csv,
-    sample_to_csv,
     suboptimality,
 )
 
@@ -188,24 +186,3 @@ class TestMeanExcessRisk:
         vals = ((zbar - inst.w_star) ** 2).sum(axis=1)
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - mean_excess_risk_exact(inst, m)) <= 3 * se
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        s = sample(HardInstance.uniform_bias(4, np.random.default_rng(1)), 6, seed=18)
-        path = tmp_path / "sample.csv"
-        sample_to_csv(s, path)
-        back = sample_from_csv(path)
-        np.testing.assert_allclose(back.points, s.points, atol=1e-15)
-
-    def test_header_mandatory(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,-1\n-1,1\n")
-        with pytest.raises(ValueError):
-            sample_from_csv(path)
-
-    def test_golden_header(self, tmp_path):
-        s = sample(HardInstance.zero(3), 2, seed=19)
-        path = tmp_path / "sample.csv"
-        sample_to_csv(s, path)
-        assert path.read_text().splitlines()[0] == "z_1,z_2,z_3"
