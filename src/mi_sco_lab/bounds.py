@@ -52,6 +52,7 @@ FINGERPRINT_FLOOR = 1.0 / 27.0
 PILOT_STREAM = 7001
 RISK_STREAM = 7002
 GOOD_STREAM = 7003
+CMI_CHUNK_CELLS = 1 << 22  # cmi_exact's block size; it fixes the float sum order
 
 REPORT_COLUMNS = ("name", "d", "m", "epsilon", "lhs", "rhs", "holds",
                   "slack", "trials", "ci_halfwidth", "seed")
@@ -127,10 +128,9 @@ def cmi_generalization_bound(cmi: float, m: int,
     return loss_range * math.sqrt(2.0 * cmi / m)
 
 
-def xu_gap_report(learner, inst: HardInstance, m: int,
-                  budget: int = FULL_ENUM_BUDGET) -> BoundReport:
+def xu_gap_report(learner, inst: HardInstance, m: int) -> BoundReport:
     """Exact E[gap] vs the MI bound over the enumerated channel."""
-    ch = exact_channel(learner, inst, m, budget)
+    ch = exact_channel(learner, inst, m)
     mi = ch.mutual_information()
     gap = ch.expected_generalization_gap(inst)
     return make_report(f"xu[{learner.kind}]", xu_bound(mi, m), gap,
@@ -405,7 +405,7 @@ def pilot_normalizers(inst: HardInstance, learner, m: int,
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
     def chunk(rng, size):
         signs = sample_signs(inst, m, rng, trials=size)
-        w = learner.fit_batch(signs, inst)
+        w = learner.fit_batch(signs)
         err = math.sqrt(inst.d) * w - inst.p[None, :]
         return (err * err).reshape(size, inst.d)
 
@@ -444,7 +444,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 
     def chunk(rng, size):
         signs = sample_signs(inst, m, rng, trials=size)
-        w = learner.fit_batch(signs, inst)
+        w = learner.fit_batch(signs)
         phat_err = root_d * w - inst.p[None, :]
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
         # sum of signs minus m * p(t)
@@ -516,8 +516,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
 # ---------------------------------------------------------------------------
 
 
-def cmi_exact(learner, inst: HardInstance, m: int, budget: int = FULL_ENUM_BUDGET,
-              chunk_cells: int = 1 << 22) -> float:
+def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     """I(w_S; S | Z) for the pick-one-of-each-pair supersample process.
 
     Z is a pair of independent m-point samples; S takes the first or second
@@ -528,11 +527,11 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = FULL_ENUM_BUDGE
     if isinstance(learner, SubsampleLearner):
         if not 1 <= learner.k <= m:
             raise ValueError("subsample size out of range")
-        return cmi_exact(learner.base, inst, learner.k, budget, chunk_cells)
+        return cmi_exact(learner.base, inst, learner.k)
 
     n_z = 1 << (2 * m * inst.d)
     n_u = 1 << m
-    if n_z * n_u > budget:
+    if n_z * n_u > FULL_ENUM_BUDGET:
         raise BudgetExceededError(
             f"supersample enumeration 2^{2 * m * inst.d} * 2^{m} exceeds budget")
 
@@ -546,21 +545,21 @@ def cmi_exact(learner, inst: HardInstance, m: int, budget: int = FULL_ENUM_BUDGE
     row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
 
     if randomized:
-        codebook = reachable_outputs(base, inst, m)
+        codebook = reachable_outputs(base, inst.d, m)
         big_k = codebook.shape[0]
         # every conditional row mixes a point mass, so its entropy is one
         # shared constant
         h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
 
     total = 0.0
-    z_chunk = max(1, chunk_cells // (n_u * m * inst.d))
-    all_z = enumerate_sign_space(2 * m, inst.d, budget)
+    z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
+    all_z = enumerate_sign_space(2 * m, inst.d)
     z_probs = sign_space_probs(inst, all_z)
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]  # (c, 2m, d)
         c = block.shape[0]
         selected = block[:, row_pick, :]  # (c, n_u, m, d)
-        outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d), inst)
+        outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
         if randomized:
             ids = _index_in_codebook(outputs, codebook).reshape(c, n_u)
             counts = np.zeros((c, big_k))
@@ -607,20 +606,17 @@ def measured_excess_risk(learner, d: int, m: int, trials: int, seed: int,
                          learner_seed: int | None = None) -> tuple[float, float]:
     """Monte Carlo E[Delta_D] with the bias drawn uniformly unless fixed.
 
-    Learners only see the sample (they consume the instance's geometry, never
-    its bias), so one batched fit covers trials with different biases.
-    ``learner_seed`` selects the stream consumed by randomized learners.
+    Learners see only the sample, never the bias, so one batched fit covers
+    trials with different biases. ``learner_seed`` selects the stream
+    consumed by randomized learners.
     """
-    geometry = HardInstance.zero(d)
-
     def chunk(rng, size):
         ps, signs = _draw_biases_and_signs(rng, size, d, m, fixed_p)
         if learner.deterministic:
-            w = learner.fit_batch(signs, geometry)
+            w = learner.fit_batch(signs)
         else:
-            w = np.stack([
-                learner.fit(Sample.from_signs(signs[i]), geometry, rng)
-                for i in range(size)])
+            w = np.stack([learner.fit(Sample.from_signs(signs[i]), rng)
+                          for i in range(size)])
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     path = (RISK_STREAM,) if learner_seed is None else (RISK_STREAM, learner_seed)
@@ -646,8 +642,7 @@ class CertificateResult:
 def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
                          *, n_p: int = 4, risk_trials: int = 20000,
                          good_trials: int = 10 ** 5, pilot_trials: int = 10 ** 4,
-                         seed: int = 0, learner_seed: int | None = None,
-                         budget: int = FULL_ENUM_BUDGET) -> CertificateResult:
+                         seed: int = 0, learner_seed: int | None = None) -> CertificateResult:
     """Measured pipeline lower bound vs exact mutual information.
 
     Verifies the accuracy hypothesis first (measured E[Delta_D] <= epsilon;
@@ -686,7 +681,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
 
     lb = len(best.members) * g_value
     asymptotic = d / (1e6 * m * epsilon) * g_value
-    mi = exact_mutual_information(learner, HardInstance(d, best_p), m, budget)
+    mi = exact_mutual_information(learner, HardInstance(d, best_p), m)
     report = make_report(f"theorem1[{learner.kind}]", mi, lb, tolerance=1e-12,
                          d=d, m=m, epsilon=epsilon, trials=good_trials, seed=seed)
     return CertificateResult(status="ok", epsilon=epsilon, risk_estimate=risk,
@@ -910,7 +905,7 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
         err_acc = 0.0
         for _ in range(2):
             signs = sample_signs(inst, m, rng, trials=inner)
-            w = learner.fit_batch(signs, inst)
+            w = learner.fit_batch(signs)
             phat_err = root_d * w[:, t] - p[t]
             centered = signs[:, :, t].sum(axis=1) - m * p[t]
             halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
@@ -929,11 +924,10 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
     """d * E[Delta_D] equals sum_t E[(phat(t)-p(t))^2] (exact per-trial
     identity, since phat - p = sqrt(d) (w - w*)); checked to float precision."""
     root_d = math.sqrt(d)
-    geometry = HardInstance.zero(d)
 
     def chunk(rng, size):
         p, signs = _draw_biases_and_signs(rng, size, d, m)
-        w = learner.fit_batch(signs, geometry)
+        w = learner.fit_batch(signs)
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

@@ -30,7 +30,8 @@ validated against a strict schema (unknown sections or keys are rejected):
     output_dir = out
 
 Every run writes results.csv (the BoundReport table), experiment-specific
-CSVs, two-column .xy plot data, and manifest.json with per-file checksums.
+CSVs, two-column .xy plot data, and manifest.json with the checksum of each
+file it wrote. Numbers must be finite.
 Exit codes: 0 ok, 1 config/budget error, 2 when --verify sees a failed
 report. MI_SCO_THREADS caps the worker count; outputs are byte-identical
 at any worker count.
@@ -109,9 +110,11 @@ class ExperimentConfig:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        if math.isfinite(value := float(raw)):
+            return value
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+    raise ConfigError(f"{key} must be finite, got {raw!r}")
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -243,6 +246,18 @@ def _write_table(path: Path, header, rows) -> None:
             writer.writerow([bounds._fmt(v) for v in row])
 
 
+class _OutputDir:
+    """``outdir / name`` gives the path and records the name, so the
+    manifest lists only the files this run wrote, never a stale one."""
+
+    def __init__(self, path: Path):
+        self.path, self.names = path, set()
+
+    def __truediv__(self, name: str) -> Path:
+        self.names.add(name)
+        return self.path / name
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
@@ -254,7 +269,7 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     seed = cfg.master_seed
     reports = [bounds.pinsker_suite(1000, seed=seed)]
     match, optimal = bounds.coupling_suite(1000, n_random=100, seed=seed)
@@ -285,7 +300,7 @@ def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: Path) -> list:
     return reports
 
 
-def _exp_fingerprint(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_fingerprint(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports = []
     m_quad = min(cfg.m, 12)
     for est in bounds.ESTIMATOR_MENU:
@@ -322,7 +337,7 @@ def _p_grid(d: int):
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 
-def _exp_xu_check(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports = []
     # the reference case: mean learner, d=1, m=2, p=0
     ch = exact_channel(MeanLearner(), HardInstance.zero(1), 2)
@@ -370,7 +385,7 @@ def _tradeoff_row(learner, inst, m, delta, rho):
     return [inst.d, m, delta, rho, mi, eps, bounds.xu_bound(mi, m), lb]
 
 
-def _exp_tradeoff(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_tradeoff(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     inst = cfg.instance()
     m = cfg.m
     if (1 << (inst.d * m)) > (1 << 20):
@@ -411,7 +426,7 @@ NET_ERM_COLUMNS = ("d", "m", "entropy_nats", "cap_nats", "net_size",
                    "slack_min", "slack_max", "slack_cap")
 
 
-def _exp_net_erm(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     learner = EpsilonNetErm()
     rng = mc.substream(cfg.master_seed, 2)
     rows = []
@@ -433,7 +448,7 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: Path) -> list:
             p = rng.uniform(-P_MAX, P_MAX, size=d)
             s_inst = HardInstance(d, p)
             s = sample(s_inst, m, rng)
-            w = learner.fit(s, s_inst)
+            w = learner.fit(s)
             slacks.append(empirical_risk(s, w) - empirical_risk(s, s.mean))
         rows.append([d, m, ent, cap, net_size, min(slacks), max(slacks),
                      math.sqrt(d / m)])
@@ -457,7 +472,7 @@ CMI_COLUMNS = ("m", "k", "cmi_exact", "cap_nats", "bound_from_cap",
                "bound_from_exact")
 
 
-def _exp_cmi(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_cmi(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports = []
     # enumerable cap checks across the learner menu
     for learner in (MeanLearner(), QuantizedMeanLearner(),
@@ -496,7 +511,7 @@ def _exp_cmi(cfg: ExperimentConfig, outdir: Path) -> list:
     return reports
 
 
-def _exp_theorem1(cfg: ExperimentConfig, outdir: Path) -> list:
+def _exp_theorem1(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     learner = cfg.learner()
     cert = bounds.theorem1_certificate(
         learner, cfg.d, cfg.m, cfg.epsilon,
@@ -543,8 +558,8 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
         print(f"config error: {exc}")
         return 1
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _OutputDir(Path(cfg.output_dir))
+    outdir.path.mkdir(parents=True, exist_ok=True)
     try:
         reports = EXPERIMENTS[cfg.name](cfg, outdir)
     except BudgetExceededError as exc:
@@ -552,16 +567,14 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
         return 1
     bounds.write_reports_csv(reports, outdir / "results.csv")
 
-    files = sorted(p.name for p in outdir.iterdir()
-                   if p.is_file() and p.name != "manifest.json")
     manifest = {
         "artifact_version": __version__,
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "master_seed": cfg.master_seed,
         "wall_clock_seconds": round(time.monotonic() - start, 3),
-        "files": {name: _sha256(outdir / name) for name in files},
+        "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (outdir.path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     if verify and any(not r.holds for r in reports):
         failed = [r.name for r in reports if not r.holds]

@@ -3,8 +3,8 @@
 Every learner maps a sample to a parameter vector drawn from a finite
 codebook (grid quantization at step 1/m^2 unless stated), so the joint law of
 (output, sample) can be enumerated exactly and fed to the information
-machinery. Learners are pure given (sample, seed) and consume only the
-instance geometry (dimension), never its bias; tie-breaking is lexicographic
+machinery. Learners are pure given (sample, seed) and never take the
+instance, so none can read its bias; tie-breaking is lexicographic
 everywhere (grid rounding breaks ties toward the smaller value), so outputs
 are bit-stable across runs and worker counts.
 
@@ -12,18 +12,19 @@ The learner contract is a set of attributes, with no base class:
   * ``kind``: the label used in report names;
   * ``deterministic``: whether the output is a function of the sample;
   * ``factorized``: whether output coordinate t depends only on column t of
-    the sample; factorized learners also give ``coord_outputs(patterns, inst)``;
+    the sample; factorized learners also give ``coord_outputs(patterns, d)``
+    for (n, m) column patterns;
   * ``delta_for(m)``: the quantization step at sample size m, or None;
-  * ``fit(sample, inst, rng=None)``: one output vector;
-  * ``fit_batch(signs, inst)``: outputs for an (n, m, d) sign tensor
+  * ``fit(sample, rng=None)``: one output vector;
+  * ``fit_batch(signs)``: outputs for an (n, m, d) sign tensor
     (deterministic learners).
 A randomized learner instead wraps a deterministic ``base`` and gives
 ``mix(base_law)``, its output law given the base's law over the codebook.
 
 Channel enumeration has two routes:
-  * full: all 2^(d*m) sign patterns (budget-guarded);
+  * full: all 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET);
   * factorized: for learners whose coordinate t depends only on column t of
-    the sample, per-coordinate channels of size 2^m are built and combined.
+    the sample, per-coordinate output entropies over the 2^m column patterns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import entropy_of, mi_of_table, row_entropies
+from .infotheory import entropy_of, row_entropies
 from .sco import HardInstance, Sample, project_ball
 
 FULL_ENUM_BUDGET = 1 << 24
@@ -41,7 +42,7 @@ NET_BLOCK_ROWS = 1 << 12
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured budget."""
+    """Enumeration would exceed FULL_ENUM_BUDGET."""
 
 
 def default_delta(m: int) -> float:
@@ -83,15 +84,15 @@ class MeanLearner:
     deterministic = True
     factorized = True
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
         return s.mean
 
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         d = signs.shape[2]
         return signs.mean(axis=1, dtype=float) / math.sqrt(d)
 
-    def coord_outputs(self, patterns: np.ndarray, inst: HardInstance) -> np.ndarray:
-        return patterns.mean(axis=1, dtype=float) / math.sqrt(inst.d)
+    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
+        return patterns.mean(axis=1, dtype=float) / math.sqrt(d)
 
     def delta_for(self, m: int) -> float | None:
         return None
@@ -119,17 +120,17 @@ class QuantizedMeanLearner:
         lim = 1.0 / math.sqrt(d)
         return np.clip(round_half_down(zbar, self.delta_for(m)), -lim, lim)
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
         return self._quantize_coords(s.mean, s.d, s.m)
 
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         return self._quantize_coords(signs.mean(axis=1, dtype=float) / math.sqrt(d), d, m)
 
-    def coord_outputs(self, patterns: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
         n, m = patterns.shape
-        zbar = patterns.mean(axis=1, dtype=float) / math.sqrt(inst.d)
-        return self._quantize_coords(zbar, inst.d, m)
+        zbar = patterns.mean(axis=1, dtype=float) / math.sqrt(d)
+        return self._quantize_coords(zbar, d, m)
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -160,27 +161,24 @@ class EpsilonNetErm:
     deterministic = True
     factorized = False
 
-    def net(self, inst: HardInstance, m: int) -> np.ndarray:
-        return epsilon_net(inst.d, m)
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
+        return self.fit_from_mean(s.mean[None, :], s.m)[0]
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
-        return self.fit_from_mean(s.mean[None, :], inst, s.m)[0]
-
-    def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
+    def fit_from_mean(self, zbar: np.ndarray, m: int) -> np.ndarray:
         """Nearest net point per row, in blocks of NET_BLOCK_ROWS rows so the
         (rows, net size, d) distance temporary stays bounded."""
-        net = self.net(inst, m)
         zbar = np.asarray(zbar, dtype=float)
+        net = epsilon_net(zbar.shape[1], m)
         idx = np.empty(zbar.shape[0], dtype=np.intp)
         for start in range(0, zbar.shape[0], NET_BLOCK_ROWS):
             diff = zbar[start:start + NET_BLOCK_ROWS, None, :] - net[None, :, :]
             idx[start:start + NET_BLOCK_ROWS] = np.argmin((diff * diff).sum(axis=2), axis=1)
         return net[idx]
 
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
-        return self.fit_from_mean(zbar, inst, m)
+        return self.fit_from_mean(zbar, m)
 
     def delta_for(self, m: int) -> float | None:
         return None
@@ -205,10 +203,10 @@ class SgdLearner:
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
-        return self.fit_batch(s.signs[None, :, :], inst)[0]
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
+        return self.fit_batch(s.signs[None, :, :])[0]
 
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         points = signs.astype(float) / math.sqrt(d)
         w = np.zeros((n, d))
@@ -238,17 +236,13 @@ class RegularizedErm:
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
         return quantize(s.mean / (1.0 + self.lam), self.delta_for(s.m))
 
-    def fit_from_mean(self, zbar: np.ndarray, inst: HardInstance, m: int) -> np.ndarray:
-        zbar = np.asarray(zbar, dtype=float) / (1.0 + self.lam)
-        return _project_rows(round_half_down(zbar, self.delta_for(m)))
-
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
-        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
-        return self.fit_from_mean(zbar, inst, m)
+        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d) / (1.0 + self.lam)
+        return _project_rows(round_half_down(zbar, self.delta_for(m)))
 
 
 @dataclass(frozen=True)
@@ -278,17 +272,17 @@ class SubsampleLearner:
         if not 1 <= self.k <= m:
             raise ValueError(f"k={self.k} out of range for m={m}")
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
         self._check(s.m)
-        return self.base.fit(Sample(s.points[: self.k]), inst, rng)
+        return self.base.fit(Sample(s.points[: self.k]), rng)
 
-    def fit_batch(self, signs: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         self._check(signs.shape[1])
-        return self.base.fit_batch(signs[:, : self.k, :], inst)
+        return self.base.fit_batch(signs[:, : self.k, :])
 
-    def coord_outputs(self, patterns: np.ndarray, inst: HardInstance) -> np.ndarray:
+    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
         self._check(patterns.shape[1])
-        return self.base.coord_outputs(patterns[:, : self.k], inst)
+        return self.base.coord_outputs(patterns[:, : self.k], d)
 
     def delta_for(self, m: int) -> float | None:
         return self.base.delta_for(self.k)
@@ -315,13 +309,13 @@ class RandomizedResponse:
     def kind(self) -> str:
         return f"randomized_response[{self.base.kind}, rho={self.rho}]"
 
-    def fit(self, s: Sample, inst: HardInstance, rng=None) -> np.ndarray:
+    def fit(self, s: Sample, rng=None) -> np.ndarray:
         if rng is None:
             raise ValueError("randomized response needs an rng")
         if rng.random() < self.rho:
-            codebook = reachable_outputs(self.base, inst, s.m)
+            codebook = reachable_outputs(self.base, s.d, s.m)
             return codebook[rng.integers(codebook.shape[0])]
-        return self.base.fit(s, inst, rng)
+        return self.base.fit(s, rng)
 
     def mix(self, base_law: np.ndarray) -> np.ndarray:
         """Output law given the base learner's law over the K codebook atoms
@@ -360,12 +354,12 @@ def make_learner(kind: str, **params):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_sign_space(m: int, d: int, budget: int = FULL_ENUM_BUDGET) -> np.ndarray:
+def enumerate_sign_space(m: int, d: int) -> np.ndarray:
     """All 2^(m*d) sign patterns as an (n, m, d) int8 tensor."""
     cells = m * d
     n = 1 << cells
-    if n > budget:
-        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {budget}")
+    if n > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
     idx = np.arange(n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(cells, dtype=np.int64)[None, :]) & 1
     return (2 * bits - 1).astype(np.int8).reshape(n, m, d)
@@ -442,18 +436,17 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
-def exact_channel(learner, inst: HardInstance, m: int,
-                  budget: int = FULL_ENUM_BUDGET) -> Channel:
+def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m)."""
-    signs = enumerate_sign_space(m, inst.d, budget)
+    signs = enumerate_sign_space(m, inst.d)
     probs = sign_space_probs(inst, signs)
     if not learner.deterministic:
-        codebook = reachable_outputs(learner.base, inst, m, budget)
-        base_idx = _index_in_codebook(learner.base.fit_batch(signs, inst), codebook)
+        codebook = reachable_outputs(learner.base, inst.d, m)
+        base_idx = _index_in_codebook(learner.base.fit_batch(signs), codebook)
         base_law = np.zeros((signs.shape[0], codebook.shape[0]))
         base_law[np.arange(signs.shape[0]), base_idx] = 1.0
         return Channel(signs, probs, codebook, cond=learner.mix(base_law))
-    outputs = learner.fit_batch(signs, inst)
+    outputs = learner.fit_batch(signs)
     codebook, idx = np.unique(outputs, axis=0, return_inverse=True)
     return Channel(signs, probs, codebook, output_index=idx.astype(np.int64))
 
@@ -466,81 +459,46 @@ def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
         raise ValueError("output outside the declared codebook") from exc
 
 
-def reachable_outputs(learner, inst: HardInstance, m: int,
-                      budget: int = FULL_ENUM_BUDGET) -> np.ndarray:
-    """The learner's reachable codebook over supp(D(p)^m), lexicographic.
+def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
+    """The learner's reachable codebook over {+-1}^(m*d), lexicographic.
 
-    Support is all sign patterns for any valid bias, so the set is
-    p-independent. Factorized learners use per-coordinate level products;
-    others enumerate the sample space.
+    Every valid bias gives every sign pattern positive mass, so this is the
+    codebook under any instance. Factorized learners use per-coordinate
+    level products; others enumerate the sample space.
     """
     if not learner.deterministic:
-        return reachable_outputs(learner.base, inst, m, budget)
+        return reachable_outputs(learner.base, d, m)
     if learner.factorized:
-        patterns = enumerate_sign_space(m, 1, budget).reshape(-1, m)
-        levels = np.unique(learner.coord_outputs(patterns, inst))
-        if levels.shape[0] ** inst.d > budget:
+        patterns = enumerate_sign_space(m, 1).reshape(-1, m)
+        levels = np.unique(learner.coord_outputs(patterns, d))
+        if levels.shape[0] ** d > FULL_ENUM_BUDGET:
             raise BudgetExceededError("codebook product grid exceeds budget")
-        grids = np.meshgrid(*([levels] * inst.d), indexing="ij")
+        grids = np.meshgrid(*([levels] * d), indexing="ij")
         return np.unique(np.stack([g.reshape(-1) for g in grids], axis=1), axis=0)
     if isinstance(learner, EpsilonNetErm):
-        return learner.net(inst, m)
-    signs = enumerate_sign_space(m, inst.d, budget)
-    return np.unique(learner.fit_batch(signs, inst), axis=0)
+        return epsilon_net(d, m)
+    signs = enumerate_sign_space(m, d)
+    return np.unique(learner.fit_batch(signs), axis=0)
 
 
-# ---------------------------------------------------------------------------
-# Factorized (per-coordinate) channels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoordinateChannel:
-    """Exact law of (column pattern, output coordinate) for one coordinate."""
-
-    patterns: np.ndarray = field(repr=False)  # (2^m, m) int8
-    probs: np.ndarray = field(repr=False)     # (2^m,)
-    values: np.ndarray = field(repr=False)    # (2^m,) deterministic outputs
-
-    def mutual_information(self) -> float:
-        _, inverse = np.unique(self.values, return_inverse=True)
-        marg = np.zeros(inverse.max() + 1)
-        np.add.at(marg, inverse, self.probs)
-        return entropy_of(marg)
-
-    def mi_value_vs_sum(self) -> float:
-        """I(output coordinate; column sign sum)."""
-        _, xi = np.unique(self.patterns.sum(axis=1, dtype=np.int64), return_inverse=True)
-        _, yi = np.unique(self.values, return_inverse=True)
-        table = np.zeros((xi.max() + 1, yi.max() + 1))
-        np.add.at(table, (xi, yi), self.probs)
-        return max(0.0, mi_of_table(table))
-
-
-def coordinate_channels(learner, inst: HardInstance, m: int) -> list[CoordinateChannel]:
-    if not learner.factorized:
-        raise ValueError(f"{learner.kind} is not coordinate-factorized")
-    patterns = enumerate_sign_space(m, 1).reshape(-1, m)
-    values = learner.coord_outputs(patterns, inst)
-    counts = (patterns > 0).sum(axis=1)
-    out = []
-    for t in range(inst.d):
-        q = (1.0 + inst.p[t]) / 2.0
-        probs = q ** counts * (1.0 - q) ** (m - counts)
-        out.append(CoordinateChannel(patterns, probs, values))
-    return out
-
-
-def exact_mutual_information(learner, inst: HardInstance, m: int,
-                             budget: int = FULL_ENUM_BUDGET) -> float:
+def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
     """I(w_S; S) in nats, via the factorized fast path when available.
 
     For a coordinate-factorized learner the pairs (w_S(t), S column t) are
-    independent across t, so the per-coordinate MIs sum to the exact joint MI.
+    independent across t, so the per-coordinate MIs (output entropies, the
+    learner being deterministic) sum to the exact joint MI.
     """
-    if getattr(learner, "factorized", False):
-        return float(sum(c.mutual_information() for c in coordinate_channels(learner, inst, m)))
-    if (1 << (m * inst.d)) <= budget:
-        return exact_channel(learner, inst, m, budget).mutual_information()
+    if learner.factorized:
+        patterns = enumerate_sign_space(m, 1).reshape(-1, m)
+        _, inverse = np.unique(learner.coord_outputs(patterns, inst.d), return_inverse=True)
+        counts = (patterns > 0).sum(axis=1)
+        total = 0.0
+        for q in (1.0 + inst.p) / 2.0:
+            marg = np.zeros(inverse.max() + 1)
+            np.add.at(marg, inverse, q ** counts * (1.0 - q) ** (m - counts))
+            total += entropy_of(marg)
+        return float(total)
+    if (1 << (m * inst.d)) <= FULL_ENUM_BUDGET:
+        return exact_channel(learner, inst, m).mutual_information()
     raise BudgetExceededError(
         f"2^{m * inst.d} samples exceed budget and {learner.kind} is not factorized")

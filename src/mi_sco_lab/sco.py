@@ -37,7 +37,7 @@ class HardInstance:
         p = np.asarray(self.p, dtype=float).reshape(-1)
         if p.shape[0] != self.d:
             raise ValueError("p must have length d")
-        if np.any(np.abs(p) > P_MAX + 1e-12):
+        if not np.all(np.abs(p) <= P_MAX + 1e-12):  # NaN fails too
             raise ValueError("every bias must lie in [-1/3, 1/3]")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)

@@ -137,7 +137,7 @@ def test_criterion_7_net_erm(criterion):
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s, inst)
+            w = learner.fit(s)
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             ok &= -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
         for d, ms in ((1, (1, 4, 9, 16)), (2, (1, 4, 9))):

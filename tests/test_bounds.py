@@ -285,7 +285,7 @@ class TestAttackStatistics:
         norms = pilot_normalizers(inst, learner, m, trials=20000, seed=6)
         rng = np.random.default_rng(7)
         signs = sample_signs(inst, m, rng, trials=20000)
-        w = learner.fit_batch(signs, inst)
+        w = learner.fit_batch(signs)
         y = (math.sqrt(2) * w[:, 0] - inst.p[0]) / norms[0]
         se = (y ** 2).std(ddof=1) / math.sqrt(len(y))
         assert abs((y ** 2).mean() - 1.0) <= 3 * se
@@ -307,14 +307,14 @@ class FirstCoordinateSignLearner:
     deterministic = True
     factorized = False
 
-    def fit_batch(self, signs, inst):
+    def fit_batch(self, signs):
         n, m, d = signs.shape
         out = np.zeros((n, d))
         out[:, 0] = np.sign(signs[:, :, 0].sum(axis=1)) / (3.0 * math.sqrt(d))
         return out
 
-    def fit(self, s, inst, rng=None):
-        return self.fit_batch(s.signs[None], inst)[0]
+    def fit(self, s, rng=None):
+        return self.fit_batch(s.signs[None])[0]
 
 
 class TestGoodCoordinates:

@@ -144,6 +144,23 @@ class TestFailClosed:
         path, out = write_config(tmp_path)
         self.assert_rejected(capsys, path, out, "--seed must be >= 0", seed=-5)
 
+    def test_non_finite_p_values(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, fixed_p="nan")
+        self.assert_rejected(capsys, path, out, "p_values must be finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta(self, tmp_path, capsys, value):
+        path, out = write_config(
+            tmp_path, name="theorem1",
+            extra=f"\n[learner]\nkind = quantized_mean\ndelta = {value}")
+        self.assert_rejected(capsys, path, out, "delta must be finite")
+
+    def test_non_finite_lam(self, tmp_path, capsys):
+        path, out = write_config(
+            tmp_path, name="theorem1",
+            extra="\n[learner]\nkind = regularized_erm\nlam = nan")
+        self.assert_rejected(capsys, path, out, "lam must be finite")
+
 
 class TestRun:
     def test_exit_zero_and_outputs(self, tmp_path):
@@ -220,6 +237,16 @@ class TestSchemas:
         manifest = json.loads((out / "manifest.json").read_text())
         names = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert set(manifest["files"]) == names
+
+    def test_manifest_skips_stale_files(self, tmp_path):
+        path, out = write_config(tmp_path, name="fingerprint", trials=1000)
+        out.mkdir()
+        (out / "old_results.csv").write_text("stale\n")
+        assert run(path) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "old_results.csv" not in manifest["files"]
+        assert set(manifest["files"]) == {"results.csv", "fingerprint_vs_m.xy"}
+        assert (out / "old_results.csv").read_text() == "stale\n"
 
 
 class TestDeterminism:

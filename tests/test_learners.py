@@ -19,7 +19,6 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
-    coordinate_channels,
     default_delta,
     enumerate_sign_space,
     epsilon_net,
@@ -78,12 +77,12 @@ class TestQuantize:
 class TestMeanLearner:
     def test_repeated_point(self):
         s = Sample.from_signs(np.array([[1, -1], [1, -1]]))
-        np.testing.assert_allclose(MeanLearner().fit(s, HardInstance.zero(2)),
+        np.testing.assert_allclose(MeanLearner().fit(s),
                                    s.points[0])
 
     def test_symmetric_pair_gives_zero(self):
         s = Sample.from_signs(np.array([[1], [-1]]))
-        assert MeanLearner().fit(s, HardInstance.zero(1))[0] == 0.0
+        assert MeanLearner().fit(s)[0] == 0.0
 
     def test_exact_excess_risk_matches_closed_form(self):
         # exact enumeration up to d*m = 16 cells
@@ -95,13 +94,17 @@ class TestMeanLearner:
 
 
 class TestQuantizedMean:
-    def test_factorized_matches_full_channel(self):
-        inst = HardInstance(2, np.array([0.15, -0.25]))
-        m = 3
-        full = exact_channel(QuantizedMeanLearner(), inst, m).mutual_information()
-        fact = sum(c.mutual_information()
-                   for c in coordinate_channels(QuantizedMeanLearner(), inst, m))
-        assert full == pytest.approx(fact, abs=1e-10)
+    @given(d=st.integers(1, 3), m=st.integers(1, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_factorized_matches_full_channel(self, d, m, data):
+        # oracle: the full 2^(d*m) channel, which the factorized route skips
+        p = data.draw(st.lists(st.floats(-1 / 3, 1 / 3), min_size=d, max_size=d))
+        learner = data.draw(st.sampled_from([MeanLearner(), QuantizedMeanLearner()]))
+        if data.draw(st.booleans()):
+            learner = SubsampleLearner(k=data.draw(st.integers(1, m)), base=learner)
+        inst = HardInstance(d, np.asarray(p))
+        full = exact_channel(learner, inst, m).mutual_information()
+        assert abs(exact_mutual_information(learner, inst, m) - full) <= 1e-12
 
     def test_outputs_in_ball(self):
         rng = np.random.default_rng(2)
@@ -111,7 +114,7 @@ class TestQuantizedMean:
             m = int(rng.integers(1, 9))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit(s, inst)
+            w = learner.fit(s)
             assert np.linalg.norm(w) <= 1.0 + 1e-12
 
     def test_quantization_is_data_processing(self):
@@ -147,7 +150,7 @@ class TestEpsilonNet:
 
     def test_all_plus_sample_returns_one(self):
         s = Sample.from_signs(np.ones((4, 1), dtype=int))
-        w = EpsilonNetErm().fit(s, HardInstance.zero(1))
+        w = EpsilonNetErm().fit(s)
         assert w[0] == pytest.approx(1.0)
 
     def test_risk_slack_window(self):
@@ -158,7 +161,7 @@ class TestEpsilonNet:
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit(s, inst)
+            w = learner.fit(s)
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             assert -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
 
@@ -182,19 +185,19 @@ class TestEpsilonNetBlocks:
         n = 3 * NET_BLOCK_ROWS + 7
         for d, m in ((1, 4), (2, 9), (3, 16)):
             zbar = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
-            got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(d), m)
+            got = EpsilonNetErm().fit_from_mean(zbar, m)
             np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(d, m), zbar))
 
     def test_blocked_matches_one_shot_on_ties(self):
         # +-0.5 sit halfway between net points of the axis (-1, 0, 1)
         zbar = np.tile([[0.5], [-0.5], [0.0]], (NET_BLOCK_ROWS, 1))
-        got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(1), 4)
+        got = EpsilonNetErm().fit_from_mean(zbar, 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
         np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
         # every reachable mean at d=2, m=4, with its exact lattice ties
         signs = enumerate_sign_space(4, 2)
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(2)
-        got = EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(2), 4)
+        got = EpsilonNetErm().fit_from_mean(zbar, 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(2, 4), zbar))
 
     def test_peak_memory_bounded(self):
@@ -203,7 +206,7 @@ class TestEpsilonNetBlocks:
         one_temporary = n * epsilon_net(d, m).shape[0] * d * 8
         tracemalloc.start()
         try:
-            EpsilonNetErm().fit_from_mean(zbar, HardInstance.zero(d), m)
+            EpsilonNetErm().fit_from_mean(zbar, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -213,7 +216,7 @@ class TestEpsilonNetBlocks:
 class TestSgd:
     def test_single_step_reaches_data_point(self):
         s = Sample.from_signs(np.array([[1]]))
-        w = SgdLearner().fit(s, HardInstance.zero(1))
+        w = SgdLearner().fit(s)
         assert w[0] == pytest.approx(1.0)
 
     def test_constant_data_converges(self):
@@ -224,7 +227,7 @@ class TestSgd:
             z = np.sign(rng.normal(size=d)).astype(int)
             z[z == 0] = 1
             s = Sample.from_signs(np.tile(z, (m, 1)))
-            w = SgdLearner().fit(s, HardInstance.zero(d))
+            w = SgdLearner().fit(s)
             delta = default_delta(m)
             assert np.linalg.norm(w - s.points[0]) <= 1.0 / m + delta * math.sqrt(d)
 
@@ -238,7 +241,7 @@ class TestSgd:
             n = 400
             for _ in range(n):
                 s = sample(inst, m, seed=rng)
-                w = learner.fit(s, inst)
+                w = learner.fit(s)
                 total += float(w @ w)  # w* = 0
             risks.append(total / n)
         assert risks[0] > risks[1] > risks[2]
@@ -248,25 +251,25 @@ class TestSgd:
         # sgd reads the sample in order; a permuted sample may give another output
         s1 = Sample.from_signs(np.array([[1], [-1], [1], [1]]))
         s2 = Sample.from_signs(np.array([[1], [1], [1], [-1]]))
-        w1 = SgdLearner().fit(s1, HardInstance.zero(1))
-        w2 = SgdLearner().fit(s2, HardInstance.zero(1))
+        w1 = SgdLearner().fit(s1)
+        w2 = SgdLearner().fit(s2)
         assert w1[0] != w2[0]
 
 
 class TestRegularizedErm:
     def test_lambda_zero_is_mean_up_to_delta(self):
         s = sample(HardInstance.zero(3), 5, seed=6)
-        w = RegularizedErm(lam=0.0).fit(s, HardInstance.zero(3))
+        w = RegularizedErm(lam=0.0).fit(s)
         assert np.linalg.norm(w - s.mean) <= default_delta(5) * math.sqrt(3)
 
     def test_heavy_shrinkage_to_zero(self):
         s = sample(HardInstance.zero(2), 4, seed=7)
-        w = RegularizedErm(lam=1e9).fit(s, HardInstance.zero(2))
+        w = RegularizedErm(lam=1e9).fit(s)
         np.testing.assert_allclose(w, 0.0, atol=1e-8)
 
     def test_half_for_unit_lambda(self):
         s = Sample.from_signs(np.array([[1], [1]]))
-        w = RegularizedErm(lam=1.0).fit(s, HardInstance.zero(1))
+        w = RegularizedErm(lam=1.0).fit(s)
         assert w[0] == pytest.approx(0.5)
 
     def test_exact_minimizer_property(self):
@@ -290,25 +293,25 @@ class TestRegularizedErm:
 class TestSubsample:
     def test_k_equals_m_matches_base(self):
         s = sample(HardInstance.zero(2), 4, seed=10)
-        full = MeanLearner().fit(s, HardInstance.zero(2))
-        sub = SubsampleLearner(k=4, base=MeanLearner()).fit(s, HardInstance.zero(2))
+        full = MeanLearner().fit(s)
+        sub = SubsampleLearner(k=4, base=MeanLearner()).fit(s)
         np.testing.assert_allclose(sub, full)
 
     def test_k_one_ignores_rest(self):
         rng = np.random.default_rng(11)
         learner = SubsampleLearner(k=1, base=MeanLearner())
         signs = rng.choice([-1, 1], size=(5, 3))
-        base_out = learner.fit(Sample.from_signs(signs), HardInstance.zero(3))
+        base_out = learner.fit(Sample.from_signs(signs))
         for _ in range(10):
             perm = np.concatenate([[0], 1 + rng.permutation(4)])
             permuted = signs[perm]
-            out = learner.fit(Sample.from_signs(permuted), HardInstance.zero(3))
+            out = learner.fit(Sample.from_signs(permuted))
             np.testing.assert_allclose(out, base_out)
 
     def test_k_out_of_range(self):
         s = sample(HardInstance.zero(1), 2, seed=12)
         with pytest.raises(ValueError):
-            SubsampleLearner(k=3, base=MeanLearner()).fit(s, HardInstance.zero(1))
+            SubsampleLearner(k=3, base=MeanLearner()).fit(s)
 
 
 class TestRandomizedResponse:
@@ -335,7 +338,7 @@ class TestRandomizedResponse:
     def test_fit_needs_rng(self):
         s = sample(HardInstance.zero(1), 2, seed=13)
         with pytest.raises(ValueError):
-            RandomizedResponse(base=MeanLearner(), rho=0.5).fit(s, HardInstance.zero(1))
+            RandomizedResponse(base=MeanLearner(), rho=0.5).fit(s)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -407,15 +410,19 @@ class TestChannel:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_sign_space(8, 4, budget=1 << 10)
+            enumerate_sign_space(8, 4)
 
     def test_exact_mi_dispatches_to_factorized(self):
         inst = HardInstance(7, np.zeros(7))
-        # 2^(7*4) far beyond any full enumeration; factorized path answers
-        mi = exact_mutual_information(QuantizedMeanLearner(), inst, 4,
-                                      budget=1 << 16)
-        per_coord = coordinate_channels(QuantizedMeanLearner(), inst, 4)
-        assert mi == pytest.approx(sum(c.mutual_information() for c in per_coord))
+        # 2^(7*4) is beyond full enumeration; the factorized path answers
+        mi = exact_mutual_information(QuantizedMeanLearner(), inst, 4)
+        # at p = 0 the 16 column patterns are equally likely, so each
+        # coordinate contributes the entropy of its output value counts
+        patterns = enumerate_sign_space(4, 1).reshape(16, 4)
+        _, counts = np.unique(QuantizedMeanLearner().coord_outputs(patterns, 7),
+                              return_counts=True)
+        probs = counts / 16
+        assert mi == pytest.approx(-7 * float(probs @ np.log(probs)), abs=1e-12)
 
     def test_gap_matches_literal_risk_difference(self):
         # oracle: evaluate L_D - L_S term by term from the risk definitions
@@ -439,11 +446,11 @@ class TestCodebookClosure:
     def test_outputs_live_in_codebook(self, learner):
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst, m)}
+        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
         rng = np.random.default_rng(14)
         for _ in range(300):
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s, inst)
+            w = learner.fit(s)
             assert np.linalg.norm(w) <= 1.0 + 1e-12
             assert tuple(w) in codebook
 
@@ -452,9 +459,9 @@ class TestCodebookClosure:
         from mi_sco_lab.sco import sample_signs
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst, m)}
+        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
         signs = sample_signs(inst, m, np.random.default_rng(15), trials=10 ** 5)
-        w = learner.fit_batch(signs, inst)
+        w = learner.fit_batch(signs)
         assert np.all(np.linalg.norm(w, axis=1) <= 1.0 + 1e-12)
         assert all(tuple(row) in codebook for row in w)
 
@@ -462,19 +469,19 @@ class TestCodebookClosure:
         inst = HardInstance(1, np.array([0.2]))
         m = 3
         learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst, m)}
+        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
         rng = np.random.default_rng(16)
         for _ in range(2000):
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s, inst, rng)
+            w = learner.fit(s, rng)
             assert tuple(w) in codebook
 
     def test_determinism_across_runs(self):
         inst = HardInstance(3, np.array([0.2, 0.0, -0.2]))
         for learner in all_learners(5):
             s = sample(inst, 5, seed=99)
-            w1 = learner.fit(s, inst)
-            w2 = learner.fit(sample(inst, 5, seed=99), inst)
+            w1 = learner.fit(s)
+            w2 = learner.fit(sample(inst, 5, seed=99))
             np.testing.assert_array_equal(w1, w2)
 
 

@@ -23,6 +23,10 @@ class TestHardInstance:
         with pytest.raises(ValueError):
             HardInstance(2, np.array([0.5, 0.0]))
 
+    def test_rejects_nan_bias(self):
+        with pytest.raises(ValueError, match="1/3"):
+            HardInstance(1, [math.nan])
+
     def test_optimum_inside_ball(self):
         inst = HardInstance(3, np.full(3, 1 / 3))
         assert np.linalg.norm(inst.w_star) == pytest.approx(1 / 3, abs=1e-12)
