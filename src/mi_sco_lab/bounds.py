@@ -44,6 +44,7 @@ from .learners import (
     exact_mutual_information,
     reachable_outputs,
     sign_space_probs,
+    unique_rows,
 )
 from .sco import LOSS_RANGE, P_MAX, HardInstance, Sample, sample_signs
 
@@ -466,9 +467,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 
 
 def _group_labels(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 1:
-        return np.unique(arr, return_inverse=True)[1]
-    return np.unique(arr, axis=0, return_inverse=True)[1]
+    return unique_rows(arr.reshape(arr.shape[0], -1))[1]
 
 
 def _joint_x_output(ch: Channel, x_labels: np.ndarray) -> np.ndarray:
@@ -561,13 +560,14 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
         selected = block[:, row_pick, :]  # (c, n_u, m, d)
         outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
         if randomized:
-            ids = _index_in_codebook(outputs, codebook).reshape(c, n_u)
-            counts = np.zeros((c, big_k))
+            ids = _index_in_codebook(outputs, codebook)
+            width = big_k
         else:
-            _, inverse = np.unique(outputs, axis=0, return_inverse=True)
-            ids = inverse.reshape(c, n_u)
-            counts = np.zeros((c, int(ids.max()) + 1))
-        np.add.at(counts, (np.repeat(np.arange(c), n_u), ids.reshape(-1)), 1.0)
+            # columns only for the atoms present in this chunk
+            ids = unique_rows(outputs)[1]
+            width = int(ids.max()) + 1
+        cells = np.repeat(np.arange(c) * width, n_u) + ids
+        counts = np.bincount(cells, minlength=c * width).reshape(c, width).astype(float)
         if randomized:
             contrib = row_entropies(learner.mix(counts / n_u)) - h_row
         else:

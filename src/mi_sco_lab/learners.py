@@ -25,10 +25,16 @@ Channel enumeration has two routes:
   * full: all 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET);
   * factorized: for learners whose coordinate t depends only on column t of
     the sample, per-coordinate output entropies over the 2^m column patterns.
+
+Codebooks are found by ``unique_rows``, the one row dedup of the package: it
+gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
+lexicographic order, with the same inverse, from per-column ranks folded into
+integer codes instead of a sort of float rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +45,7 @@ from .sco import HardInstance, Sample, project_ball
 
 FULL_ENUM_BUDGET = 1 << 24
 NET_BLOCK_ROWS = 1 << 12
+CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,6 +67,36 @@ def quantize(w: np.ndarray, delta: float) -> np.ndarray:
     if delta <= 0:
         raise ValueError("delta must be positive")
     return project_ball(round_half_down(w, delta))
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and each row's atom index.
+
+    The atoms, their order and the inverse are those of numpy's row-wise
+    ``np.unique`` (along axis 0, with ``return_inverse``): rows are compared
+    by value, so 0.0 and -0.0 fall in one atom. Each column is ranked among
+    its distinct values, and the ranks are folded left to right into one
+    int64 code per row, re-ranked whenever the next fold could pass
+    CODE_LIMIT; only 1-D arrays are sorted. Each atom's codebook row is its
+    first occurrence in ``rows``, so the bytes are numpy's whenever an atom's
+    rows are bit-identical (numpy picks among rows that differ only in the
+    sign of a zero by its unstable sort). Rows must hold no NaN.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[0]
+    code = np.zeros(n, dtype=np.int64)
+    bound = 1  # every code is below bound
+    for column in rows.T:
+        levels = np.unique(column)
+        if bound * levels.shape[0] > CODE_LIMIT:
+            seen, code = np.unique(code, return_inverse=True)
+            bound = seen.shape[0]
+        code = code * levels.shape[0] + np.searchsorted(levels, column)
+        bound *= levels.shape[0]
+    atoms, inverse = np.unique(code, return_inverse=True)
+    first = np.full(atoms.shape[0], n, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(n))
+    return rows[first], inverse
 
 
 def _project_rows(w: np.ndarray) -> np.ndarray:
@@ -143,7 +180,7 @@ def epsilon_net(d: int, m: int) -> np.ndarray:
     axis = np.linspace(-1.0, 1.0, per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return np.unique(_project_rows(points), axis=0)
+    return unique_rows(_project_rows(points))[0]
 
 
 @dataclass(frozen=True)
@@ -313,7 +350,7 @@ class RandomizedResponse:
         if rng is None:
             raise ValueError("randomized response needs an rng")
         if rng.random() < self.rho:
-            codebook = reachable_outputs(self.base, s.d, s.m)
+            codebook = _shared_codebook(self.base, s.d, s.m)
             return codebook[rng.integers(codebook.shape[0])]
         return self.base.fit(s, rng)
 
@@ -446,17 +483,20 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
         base_law = np.zeros((signs.shape[0], codebook.shape[0]))
         base_law[np.arange(signs.shape[0]), base_idx] = 1.0
         return Channel(signs, probs, codebook, cond=learner.mix(base_law))
-    outputs = learner.fit_batch(signs)
-    codebook, idx = np.unique(outputs, axis=0, return_inverse=True)
-    return Channel(signs, probs, codebook, output_index=idx.astype(np.int64))
+    codebook, idx = unique_rows(learner.fit_batch(signs))
+    return Channel(signs, probs, codebook, output_index=idx)
 
 
 def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    key = {tuple(row): i for i, row in enumerate(codebook)}
-    try:
-        return np.array([key[tuple(row)] for row in outputs], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError("output outside the declared codebook") from exc
+    """Row index in the distinct-row ``codebook`` of each output row."""
+    k = codebook.shape[0]
+    _, inverse = unique_rows(np.concatenate([codebook, outputs]))
+    slot = np.full(int(inverse.max()) + 1, -1, dtype=np.int64)
+    slot[inverse[:k]] = np.arange(k)
+    ids = slot[inverse[k:]]
+    if np.any(ids < 0):
+        raise ValueError("output outside the declared codebook")
+    return ids
 
 
 def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
@@ -473,12 +513,22 @@ def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
         levels = np.unique(learner.coord_outputs(patterns, d))
         if levels.shape[0] ** d > FULL_ENUM_BUDGET:
             raise BudgetExceededError("codebook product grid exceeds budget")
+        # levels are sorted and distinct, so the 'ij' grid is already
+        # lexicographic and distinct
         grids = np.meshgrid(*([levels] * d), indexing="ij")
-        return np.unique(np.stack([g.reshape(-1) for g in grids], axis=1), axis=0)
+        return np.stack([g.reshape(-1) for g in grids], axis=1)
     if isinstance(learner, EpsilonNetErm):
         return epsilon_net(d, m)
-    signs = enumerate_sign_space(m, d)
-    return np.unique(learner.fit_batch(signs), axis=0)
+    return unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_codebook(learner, d: int, m: int) -> np.ndarray:
+    """``reachable_outputs(learner, d, m)``, built once per (learner, d, m) and
+    read-only, since every caller shares it."""
+    codebook = reachable_outputs(learner, d, m)
+    codebook.setflags(write=False)
+    return codebook
 
 
 def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:

@@ -47,6 +47,7 @@ from mi_sco_lab.bounds import (
     xu_bound,
     xu_gap_report,
 )
+from mi_sco_lab.infotheory import entropy_of, row_entropies
 from mi_sco_lab.learners import (
     EpsilonNetErm,
     MeanLearner,
@@ -55,7 +56,10 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
+    enumerate_sign_space,
     exact_channel,
+    reachable_outputs,
+    sign_space_probs,
 )
 from mi_sco_lab.sco import HardInstance, sample, sample_signs
 
@@ -371,7 +375,57 @@ class TestChainRule:
         assert chain_rule_decomposition(ch).report.holds
 
 
+def _cmi_exact_axis0(learner, inst, m):
+    """cmi_exact as written with numpy's row sort, a dict codebook lookup and
+    an ``np.add.at`` count scatter: the oracle for the integer-code route."""
+    if isinstance(learner, SubsampleLearner):
+        return _cmi_exact_axis0(learner.base, inst, learner.k)
+    n_z = 1 << (2 * m * inst.d)
+    n_u = 1 << m
+    randomized = not learner.deterministic
+    base = learner.base if randomized else learner
+    selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
+                  >> np.arange(m, dtype=np.int64)[None, :]) & 1)
+    row_pick = np.arange(m)[None, :] + m * selectors
+    if randomized:
+        codebook = reachable_outputs(base, inst.d, m)
+        key = {tuple(row): i for i, row in enumerate(codebook)}
+        big_k = codebook.shape[0]
+        h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
+    total = 0.0
+    z_chunk = max(1, bounds.CMI_CHUNK_CELLS // (n_u * m * inst.d))
+    all_z = enumerate_sign_space(2 * m, inst.d)
+    z_probs = sign_space_probs(inst, all_z)
+    for start in range(0, n_z, z_chunk):
+        block = all_z[start:start + z_chunk]
+        c = block.shape[0]
+        outputs = base.fit_batch(block[:, row_pick, :].reshape(c * n_u, m, inst.d))
+        if randomized:
+            ids = np.array([key[tuple(row)] for row in outputs]).reshape(c, n_u)
+            counts = np.zeros((c, big_k))
+        else:
+            _, inverse = np.unique(outputs, axis=0, return_inverse=True)
+            ids = inverse.reshape(c, n_u)
+            counts = np.zeros((c, int(ids.max()) + 1))
+        np.add.at(counts, (np.repeat(np.arange(c), n_u), ids.reshape(-1)), 1.0)
+        if randomized:
+            contrib = row_entropies(learner.mix(counts / n_u)) - h_row
+        else:
+            contrib = row_entropies(counts / n_u)
+        total += float(z_probs[start:start + z_chunk] @ contrib)
+    return max(0.0, total)
+
+
 class TestCmi:
+    @pytest.mark.parametrize("learner", [
+        MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(), SgdLearner(),
+        SubsampleLearner(k=1, base=MeanLearner()),
+        RandomizedResponse(base=MeanLearner(), rho=0.5)], ids=lambda l: l.kind)
+    def test_matches_row_sort_oracle(self, learner):
+        for d, m in ((1, 2), (1, 3), (2, 2)):
+            for inst in (HardInstance.zero(d), HardInstance(d, np.full(d, 0.3))):
+                assert cmi_exact(learner, inst, m) == _cmi_exact_axis0(learner, inst, m)
+
     def test_reference_value(self):
         val = cmi_exact(MeanLearner(), HardInstance.zero(1), 2)
         assert val == pytest.approx(0.875 * LN2, abs=1e-12)

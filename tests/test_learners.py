@@ -1,13 +1,17 @@
 """Learner behavior, codebooks, and exact channel enumeration."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mi_sco_lab import learners
+from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.infotheory import JointPmf, entropy, mutual_information
 from mi_sco_lab.learners import (
     NET_BLOCK_ROWS,
@@ -28,8 +32,11 @@ from mi_sco_lab.learners import (
     quantize,
     reachable_outputs,
     sign_space_probs,
+    unique_rows,
 )
 from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mi_sco_lab"
 
 LN2 = math.log(2.0)
 
@@ -340,6 +347,37 @@ class TestRandomizedResponse:
         with pytest.raises(ValueError):
             RandomizedResponse(base=MeanLearner(), rho=0.5).fit(s)
 
+    def test_codebook_built_once(self, monkeypatch):
+        base = QuantizedMeanLearner()
+        learner = RandomizedResponse(base=base, rho=0.5)
+        inst = HardInstance(2, np.array([0.1, -0.3]))
+        samples = [sample(inst, 3, seed=i) for i in range(1000)]
+        builds = []
+        real = learners.reachable_outputs
+
+        def spy(*args):
+            builds.append(args)
+            return real(*args)
+
+        learners._shared_codebook.cache_clear()
+        monkeypatch.setattr(learners, "reachable_outputs", spy)
+        try:
+            rng = np.random.default_rng(17)
+            got = [learner.fit(s, rng) for s in samples]
+        finally:
+            learners._shared_codebook.cache_clear()
+        assert builds == [(base, 2, 3)]
+        codebook = real(base, 2, 3)
+        rng = np.random.default_rng(17)
+        expected = [codebook[rng.integers(codebook.shape[0])] if rng.random() < 0.5
+                    else base.fit(s) for s in samples]
+        assert np.array_equal(np.stack(got), np.stack(expected))
+
+    def test_shared_codebook_is_read_only(self):
+        codebook = learners._shared_codebook(MeanLearner(), 2, 3)
+        with pytest.raises(ValueError):
+            codebook[0, 0] = 1.0
+
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             RandomizedResponse(base=MeanLearner(), rho=1.5)
@@ -483,6 +521,109 @@ class TestCodebookClosure:
             w1 = learner.fit(s)
             w2 = learner.fit(sample(inst, 5, seed=99))
             np.testing.assert_array_equal(w1, w2)
+
+
+def _axis0_channel(learner, d, m):
+    """Codebook, output index and conditional law of ``exact_channel`` built
+    the old way, with numpy's row sort and a dict lookup: the oracle."""
+    signs = enumerate_sign_space(m, d)
+    if learner.deterministic:
+        codebook, idx = np.unique(learner.fit_batch(signs), axis=0, return_inverse=True)
+        return codebook, idx, None
+    codebook = np.unique(reachable_outputs(learner.base, d, m), axis=0)
+    key = {tuple(row): i for i, row in enumerate(codebook)}
+    base_idx = [key[tuple(row)] for row in learner.base.fit_batch(signs)]
+    base_law = np.zeros((signs.shape[0], codebook.shape[0]))
+    base_law[np.arange(signs.shape[0]), base_idx] = 1.0
+    return codebook, None, learner.mix(base_law)
+
+
+_CODEBOOK_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2.5)
+
+
+@st.composite
+def _row_arrays(draw):
+    n = draw(st.integers(0, 48))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cells = st.sampled_from(_CODEBOOK_VALUES)
+        dtype = float
+    else:
+        cells = st.sampled_from((0, 1, -1, 7, -(1 << 62), (1 << 62)))
+        dtype = np.int64
+    return np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)),
+                    dtype=dtype).reshape(n, d)
+
+
+class TestUniqueRows:
+    @given(rows=_row_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_row_unique(self, rows):
+        codebook, inverse = unique_rows(rows)
+        ref_codebook, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert inverse.dtype == ref_inverse.dtype
+        assert np.array_equal(inverse, ref_inverse.reshape(-1))
+        assert codebook.dtype == ref_codebook.dtype
+        assert codebook.shape == ref_codebook.shape
+        assert np.array_equal(codebook, ref_codebook)
+        # each atom's row is its first occurrence, bit for bit
+        first = [int(np.flatnonzero(inverse == a)[0]) for a in range(codebook.shape[0])]
+        assert codebook.tobytes() == rows[first].tobytes()
+        # numpy's representative of an atom mixing 0.0 and -0.0 rows depends
+        # on its unstable sort; wherever an atom's rows are all alike
+        # bit for bit, the bytes are numpy's
+        if codebook[inverse].tobytes() == rows.tobytes():
+            assert codebook.tobytes() == ref_codebook.tobytes()
+
+    def test_re_ranks_before_the_code_overflows(self):
+        # 10,000 levels in each of 5 columns: the plain fold would need
+        # 10000^5 > 2^63 codes
+        rng = np.random.default_rng(18)
+        rows = rng.integers(-10 ** 9, 10 ** 9, size=(20000, 5))
+        rows[1::2] = rows[::2]
+        for arr in (rows, rows / 7.0):
+            codebook, inverse = unique_rows(arr)
+            ref_codebook, ref_inverse = np.unique(arr, axis=0, return_inverse=True)
+            assert codebook.tobytes() == ref_codebook.tobytes()
+            assert np.array_equal(inverse, ref_inverse)
+
+    def test_first_occurrence_keeps_signed_zero(self):
+        rows = np.array([[1.0, -0.0], [0.5, 1.0], [1.0, 0.0]])
+        codebook, inverse = unique_rows(rows)
+        assert inverse.tolist() == [1, 0, 1]
+        assert np.signbit(codebook[1, 1])
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in range(1, 12 // d + 1)])
+    def test_exact_channel_matches_row_sort(self, d, m):
+        inst = HardInstance.zero(d)
+        for learner in _xu_learner_menu(m):
+            ch = exact_channel(learner, inst, m)
+            codebook, idx, cond = _axis0_channel(learner, d, m)
+            assert ch.codebook.tobytes() == codebook.tobytes(), learner.kind
+            if cond is None:
+                assert ch.output_index.dtype == np.int64
+                assert np.array_equal(ch.output_index, idx), learner.kind
+            else:
+                assert np.array_equal(ch.cond, cond), learner.kind
+
+    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(),
+                                         QuantizedMeanLearner(delta=0.3)],
+                             ids=["mean", "quantized_mean", "quantized_mean_0.3"])
+    def test_factorized_codebook_is_sorted_and_distinct(self, learner):
+        for d in (1, 2, 3):
+            for m in range(1, 6):
+                codebook = reachable_outputs(learner, d, m)
+                assert codebook.tobytes() == np.unique(codebook, axis=0).tobytes()
+
+    def test_no_row_sort_in_the_program(self):
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "unique"
+                        and any(kw.arg == "axis" for kw in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found, f"row sort by np.unique(..., axis=...); use unique_rows: {found}"
 
 
 class TestMakeLearner:
