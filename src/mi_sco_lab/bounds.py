@@ -3,8 +3,8 @@
 Contents: the mutual-information generalization bound and its CMI analogue,
 the fingerprinting expectation (quadrature and Monte Carlo), correlation
 lower bounds on mutual information (bounded and sub-Gaussian cases, with the
-explicit clipping constants), the Paley-Zygmund check, the attack statistics
-with their good-coordinate search, the chain-rule decomposition over exact
+explicit clipping constants), the Paley-Zygmund check, the good-coordinate
+search over the attack correlation, the chain-rule decomposition over exact
 channels, exact conditional mutual information under the supersample
 process, and the end-to-end certificate chaining all of the above.
 
@@ -46,7 +46,7 @@ from .learners import (
     sign_space_probs,
     unique_rows,
 )
-from .sco import LOSS_RANGE, P_MAX, HardInstance, Sample, sample_signs
+from .sco import LOSS_RANGE, P_MAX, HardInstance, sample_signs
 
 GOOD_THRESHOLD = 1.0 / 108.0
 FINGERPRINT_FLOOR = 1.0 / 27.0
@@ -169,19 +169,6 @@ def attack_prefactor(p):
     return (1.0 - 9.0 * p * p) / (9.0 - 9.0 * p * p)
 
 
-def fingerprint_statistic(fval: float, p: float, xs) -> float:
-    """Pointwise integrand: prefactor * (f - p) * sum(x_i - p) + (f - p)^2."""
-    if abs(fval) > P_MAX + 1e-12:
-        raise ValueError("estimator value outside [-1/3, 1/3]")
-    if abs(p) >= 1.0:
-        raise ValueError("bias must satisfy |p| < 1")
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(np.abs(xs) == 1.0):
-        raise ValueError("sample entries must be +-1")
-    centered = float((xs - p).sum())
-    return float(attack_prefactor(p) * (fval - p) * centered + (fval - p) ** 2)
-
-
 def _legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(nodes)
     # p = x/3 maps [-1,1] to [-1/3,1/3]; with uniform density the effective
@@ -212,31 +199,6 @@ def fingerprint_quadrature(estimator: SumEstimator, m: int,
     delta = fvals[None, :] - ps[:, None]
     stat = pref * delta * (sums[None, :] - m * ps[:, None]) + delta ** 2
     return float(ws @ (weights * stat).sum(axis=1))
-
-
-def fingerprint_quadrature_table(f_table: np.ndarray, m: int,
-                                 nodes: int = 64) -> float:
-    """Same expectation for an arbitrary estimator table over {+-1}^m.
-
-    ``f_table[i]`` is the value on the i-th pattern of
-    ``enumerate_sign_space(m, 1)``; patterns are enumerated exhaustively
-    (m <= 12)."""
-    if m > 12:
-        raise BudgetExceededError("table quadrature enumerates 2^m patterns; m <= 12")
-    patterns = enumerate_sign_space(m, 1).reshape(-1, m).astype(float)
-    f_table = np.clip(np.asarray(f_table, dtype=float), -P_MAX, P_MAX)
-    if f_table.shape != (patterns.shape[0],):
-        raise ValueError("estimator table must have one value per pattern")
-    ps, ws = _legendre_nodes(nodes)
-    counts = (patterns > 0).sum(axis=1)
-    total = 0.0
-    for p, w in zip(ps, ws):
-        q = (1.0 + p) / 2.0
-        pattern_probs = q ** counts * (1.0 - q) ** (m - counts)
-        delta = f_table - p
-        stat = attack_prefactor(p) * delta * (patterns - p).sum(axis=1) + delta ** 2
-        total += w * float(pattern_probs @ stat)
-    return total
 
 
 def fingerprint_expectation(estimator: SumEstimator, m: int,
@@ -326,11 +288,6 @@ def gm_regime_report(m: int, n_grid: int = 1000) -> BoundReport:
                        tolerance=1e-12, m=m, trials=n_grid)
 
 
-def gm_vacuity_boundary(m: int) -> float:
-    """Largest a with a positive bound: a^2 < 2^20 * 4m / e."""
-    return math.sqrt(2.0 ** 20 * 4.0 * m / math.e)
-
-
 # ---------------------------------------------------------------------------
 # Paley-Zygmund
 # ---------------------------------------------------------------------------
@@ -372,33 +329,8 @@ def paley_zygmund_check(values, probs, theta: float) -> PaleyZygmundCheck:
 
 
 # ---------------------------------------------------------------------------
-# Attack statistics and the good-coordinate search
+# The good-coordinate search
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttackStats:
-    """Normalized attack pair for one coordinate: E[y^2] = 1 by construction."""
-
-    x_p: float
-    y_p: float
-    t: int
-    p: np.ndarray = field(repr=False)
-    normalizer: float = 1.0
-
-
-def attack_statistics(inst: HardInstance, s: Sample, w: np.ndarray, t: int,
-                      normalizer: float) -> AttackStats:
-    """x = prefactor * normalizer * sum_i(sqrt(d) z_i(t) - p(t));
-    y = (sqrt(d) w(t) - p(t)) / normalizer."""
-    if normalizer <= 0.0:
-        raise ValueError("normalizer must be positive (degenerate coordinate)")
-    p_t = float(inst.p[t])
-    root_d = math.sqrt(inst.d)
-    centered = float((root_d * s.points[:, t] - p_t).sum())
-    x = float(attack_prefactor(p_t)) * normalizer * centered
-    y = (root_d * float(w[t]) - p_t) / normalizer
-    return AttackStats(x_p=x, y_p=y, t=t, p=inst.p, normalizer=normalizer)
 
 
 def pilot_normalizers(inst: HardInstance, learner, m: int,
@@ -423,10 +355,6 @@ class GoodSetResult:
     excluded: tuple = ()
     normalizers: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def fraction(self) -> float:
-        return len(self.members) / self.estimates.shape[0]
-
 
 def good_coordinates(inst: HardInstance, learner, m: int,
                      trials: int = 10 ** 5, seed: int = 0,
@@ -436,7 +364,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 
     The product x_p(t) * y_p(t) is computed in its exactly-cancelled form
     prefactor * (phat - p) * sum(sqrt(d) z - p); the pilot normalizers are
-    used only to flag degenerate coordinates (and for AttackStats reporting).
+    used only to flag degenerate coordinates.
     """
     norms = pilot_normalizers(inst, learner, m, pilot_trials, seed)
     excluded = tuple(int(t) for t in np.nonzero(norms < 1e-9)[0])
@@ -557,7 +485,8 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]  # (c, 2m, d)
         c = block.shape[0]
-        selected = block[:, row_pick, :]  # (c, n_u, m, d)
+        # np.take keeps (c, n_u, m, d) C-ordered, so the reshape is a view
+        selected = np.take(block, row_pick, axis=1)
         outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
         if randomized:
             ids = _index_in_codebook(outputs, codebook)
@@ -576,10 +505,9 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     return max(0.0, total)
 
 
-def selector_entropy_cap(learner, m: int) -> float:
-    """k * ln 2 for subsample-k learners (k = m otherwise): the number of
-    selector bits the output can depend on."""
-    k = learner.k if isinstance(learner, SubsampleLearner) else m
+def selector_entropy_cap(k: int, m: int) -> float:
+    """min(k, m) * ln 2 for a learner that reads k of the m sample points:
+    the number of selector bits its output can depend on."""
     return min(k, m) * math.log(2.0)
 
 
@@ -608,15 +536,12 @@ def measured_excess_risk(learner, d: int, m: int, trials: int, seed: int,
 
     Learners see only the sample, never the bias, so one batched fit covers
     trials with different biases. ``learner_seed`` selects the stream
-    consumed by randomized learners.
+    consumed by randomized learners, which draw from the chunk's generator
+    after its signs.
     """
     def chunk(rng, size):
         ps, signs = _draw_biases_and_signs(rng, size, d, m, fixed_p)
-        if learner.deterministic:
-            w = learner.fit_batch(signs)
-        else:
-            w = np.stack([learner.fit(Sample.from_signs(signs[i]), rng)
-                          for i in range(size)])
+        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     path = (RISK_STREAM,) if learner_seed is None else (RISK_STREAM, learner_seed)

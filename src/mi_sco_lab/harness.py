@@ -443,13 +443,11 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         ent = ch.output_entropy()
         net_size = epsilon_net(d, m).shape[0]
         cap = d * math.log(math.sqrt(m) + 1.0)
-        slacks = []
-        for _ in range(100):
-            p = rng.uniform(-P_MAX, P_MAX, size=d)
-            s_inst = HardInstance(d, p)
-            s = sample(s_inst, m, rng)
-            w = learner.fit(s)
-            slacks.append(empirical_risk(s, w) - empirical_risk(s, s.mean))
+        samples = [sample(HardInstance(d, rng.uniform(-P_MAX, P_MAX, size=d)), m, rng)
+                   for _ in range(100)]
+        ws = learner.fit_batch(np.stack([s.signs for s in samples]))
+        slacks = [empirical_risk(s, w) - empirical_risk(s, s.mean)
+                  for s, w in zip(samples, ws)]
         rows.append([d, m, ent, cap, net_size, min(slacks), max(slacks),
                      math.sqrt(d / m)])
         reports.append(bounds.make_report(f"net_entropy_cap[d={d},m={m}]",
@@ -492,7 +490,7 @@ def _exp_cmi(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         learner = SubsampleLearner(k=k, base=MeanLearner())
         inst = HardInstance.zero(1)
         val = bounds.cmi_exact(learner, inst, m)
-        cap = bounds.selector_entropy_cap(learner, m)
+        cap = bounds.selector_entropy_cap(k, m)
         b_cap = bounds.cmi_generalization_bound(cap, m)
         b_exact = bounds.cmi_generalization_bound(val, m)
         rows.append([m, k, val, cap, b_cap, b_exact])

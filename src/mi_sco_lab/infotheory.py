@@ -1,10 +1,9 @@
 """Exact information theory over enumerated finite supports.
 
 Everything here operates on explicit probability tables: entropy, KL
-divergence, total variation, mutual information (two and three variables),
-optimal couplings, and the Pinsker slack. All information quantities are in
-nats; use :func:`nats_to_bits` to convert. Probabilities are 64-bit floats
-with structural tolerance 1e-12 and identity tolerance 1e-10.
+divergence, total variation, mutual information, optimal couplings, and the
+Pinsker slack. All information quantities are in nats. Probabilities are
+64-bit floats with structural tolerance 1e-12 and identity tolerance 1e-10.
 
 Conventions:
   * 0 * log 0 := 0 everywhere.
@@ -25,14 +24,11 @@ IDENTITY_TOL = 1e-10
 __all__ = [
     "FinitePmf",
     "JointPmf",
-    "entropy",
     "kl_divergence",
     "total_variation",
     "mutual_information",
-    "conditional_mutual_information",
     "optimal_coupling",
     "pinsker_slack",
-    "nats_to_bits",
     "entropy_of",
     "row_entropies",
     "mi_of_table",
@@ -78,31 +74,13 @@ class FinitePmf:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    @classmethod
-    def uniform(cls, outcomes) -> "FinitePmf":
-        outcomes = tuple(outcomes)
-        n = len(outcomes)
-        return cls(outcomes, np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, outcome, outcomes) -> "FinitePmf":
-        outcomes = tuple(outcomes)
-        probs = np.zeros(len(outcomes))
-        probs[outcomes.index(outcome)] = 1.0
-        return cls(outcomes, probs)
-
-    @classmethod
-    def bernoulli(cls, q: float) -> "FinitePmf":
-        """Pmf over outcomes (0, 1) with P(1) = q."""
-        return cls((0, 1), np.array([1.0 - q, q]))
-
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Joint pmf over a product of two or three finite alphabets.
+    """Joint pmf over a product of two finite alphabets.
 
-    ``table`` has one axis per alphabet; entry ``table[i, j(, k)]`` is the
-    probability of the outcome tuple. Marginals and conditionals follow.
+    ``table`` has one axis per alphabet; entry ``table[i, j]`` is the
+    probability of the outcome pair.
     """
 
     alphabets: tuple
@@ -111,8 +89,8 @@ class JointPmf:
     def __post_init__(self):
         alphabets = tuple(tuple(a) for a in self.alphabets)
         table = np.asarray(self.table, dtype=float)
-        if table.ndim != len(alphabets) or table.ndim not in (2, 3):
-            raise PmfValidationError("table arity must match the 2 or 3 alphabets")
+        if table.ndim != 2 or len(alphabets) != 2:
+            raise PmfValidationError("a joint takes two alphabets and a 2-D table")
         for ax, alpha in enumerate(alphabets):
             if len(set(alpha)) != len(alpha):
                 raise PmfValidationError(f"axis {ax} outcomes must be distinct")
@@ -129,20 +107,6 @@ class JointPmf:
         """Joint over integer alphabets 0..n-1 per axis."""
         table = np.asarray(table, dtype=float)
         return cls(tuple(tuple(range(n)) for n in table.shape), table)
-
-    def marginal(self, axis: int) -> FinitePmf:
-        axes = tuple(a for a in range(self.table.ndim) if a != axis)
-        return FinitePmf(self.alphabets[axis], self.table.sum(axis=axes))
-
-    def swap(self) -> "JointPmf":
-        """Transpose a two-variable joint."""
-        if self.table.ndim != 2:
-            raise PmfValidationError("swap applies to two-variable joints")
-        return JointPmf((self.alphabets[1], self.alphabets[0]), self.table.T)
-
-
-def nats_to_bits(x: float) -> float:
-    return x / math.log(2.0)
 
 
 def entropy_of(probs: np.ndarray) -> float:
@@ -168,11 +132,6 @@ def mi_of_table(table: np.ndarray) -> float:
     outer = np.outer(px, py)
     mask = table > 0.0
     return float((table[mask] * np.log(table[mask] / outer[mask])).sum())
-
-
-def entropy(p: FinitePmf) -> float:
-    """Shannon entropy in nats; 0 <= H <= log(support size)."""
-    return entropy_of(p.probs)
 
 
 def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
@@ -202,22 +161,7 @@ def mutual_information(j: JointPmf) -> float:
     Agrees with the expectation-of-KL form E_Y[KL(P_{X|Y} || P_X)] to 1e-10;
     symmetric in the two axes; bounded by min(H(X), H(Y)).
     """
-    if j.table.ndim != 2:
-        raise PmfValidationError("mutual_information takes a two-variable joint")
     return max(0.0, mi_of_table(j.table))
-
-
-def conditional_mutual_information(j: JointPmf) -> float:
-    """I(X;Y|Z) = sum_z P(z) * I(X;Y | Z=z) for a three-variable joint."""
-    if j.table.ndim != 3:
-        raise PmfValidationError("conditional MI takes a three-variable joint")
-    total = 0.0
-    for k in range(j.table.shape[2]):
-        pz = float(j.table[:, :, k].sum())
-        if pz <= 0.0:
-            continue
-        total += pz * mi_of_table(j.table[:, :, k] / pz)
-    return max(0.0, total)
 
 
 def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
@@ -243,7 +187,7 @@ def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
 
 def coupling_disagreement(j: JointPmf) -> float:
     """P(X1 != X2) under a coupling represented as a two-variable joint."""
-    if j.table.ndim != 2 or j.table.shape[0] != j.table.shape[1]:
+    if j.table.shape[0] != j.table.shape[1]:
         raise PmfValidationError("disagreement needs a square coupling table")
     return float(j.table.sum() - np.trace(j.table))
 

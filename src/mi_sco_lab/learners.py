@@ -15,10 +15,10 @@ The learner contract is a set of attributes, with no base class:
     the sample; factorized learners also give ``coord_outputs(patterns, d)``
     for (n, m) column patterns;
   * ``delta_for(m)``: the quantization step at sample size m, or None;
-  * ``fit(sample, rng=None)``: one output vector;
-  * ``fit_batch(signs)``: outputs for an (n, m, d) sign tensor
-    (deterministic learners).
-A randomized learner instead wraps a deterministic ``base`` and gives
+  * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
+    the one way a learner computes its output.
+A randomized learner instead wraps a deterministic ``base``; it gives
+``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
 
 Channel enumeration has two routes:
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infotheory import entropy_of, row_entropies
-from .sco import HardInstance, Sample, project_ball
+from .sco import HardInstance
 
 FULL_ENUM_BUDGET = 1 << 24
 NET_BLOCK_ROWS = 1 << 12
@@ -60,13 +60,6 @@ def default_delta(m: int) -> float:
 def round_half_down(x, delta: float):
     """Round to the grid delta*Z, ties toward the smaller grid value."""
     return np.ceil(np.asarray(x, dtype=float) / delta - 0.5) * delta
-
-
-def quantize(w: np.ndarray, delta: float) -> np.ndarray:
-    """Coordinate-wise grid rounding followed by unit-ball projection."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return project_ball(round_half_down(w, delta))
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,9 +114,6 @@ class MeanLearner:
     deterministic = True
     factorized = True
 
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        return s.mean
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         d = signs.shape[2]
         return signs.mean(axis=1, dtype=float) / math.sqrt(d)
@@ -156,9 +146,6 @@ class QuantizedMeanLearner:
     def _quantize_coords(self, zbar: np.ndarray, d: int, m: int) -> np.ndarray:
         lim = 1.0 / math.sqrt(d)
         return np.clip(round_half_down(zbar, self.delta_for(m)), -lim, lim)
-
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        return self._quantize_coords(s.mean, s.d, s.m)
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
@@ -197,9 +184,6 @@ class EpsilonNetErm:
     kind = "epsilon_net_erm"
     deterministic = True
     factorized = False
-
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        return self.fit_from_mean(s.mean[None, :], s.m)[0]
 
     def fit_from_mean(self, zbar: np.ndarray, m: int) -> np.ndarray:
         """Nearest net point per row, in blocks of NET_BLOCK_ROWS rows so the
@@ -240,9 +224,6 @@ class SgdLearner:
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
 
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        return self.fit_batch(s.signs[None, :, :])[0]
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         points = signs.astype(float) / math.sqrt(d)
@@ -272,9 +253,6 @@ class RegularizedErm:
 
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
-
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        return quantize(s.mean / (1.0 + self.lam), self.delta_for(s.m))
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
@@ -309,10 +287,6 @@ class SubsampleLearner:
         if not 1 <= self.k <= m:
             raise ValueError(f"k={self.k} out of range for m={m}")
 
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
-        self._check(s.m)
-        return self.base.fit(Sample(s.points[: self.k]), rng)
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         self._check(signs.shape[1])
         return self.base.fit_batch(signs[:, : self.k, :])
@@ -346,13 +320,22 @@ class RandomizedResponse:
     def kind(self) -> str:
         return f"randomized_response[{self.base.kind}, rho={self.rho}]"
 
-    def fit(self, s: Sample, rng=None) -> np.ndarray:
+    def fit_batch(self, signs: np.ndarray, rng=None) -> np.ndarray:
+        """Base outputs for an (n, m, d) sign tensor, each replaced with
+        probability rho: row by row, ``rng.random()`` and, on a flip,
+        ``rng.integers(K)`` picks a codebook atom. The codebook is built at
+        the first flip only."""
         if rng is None:
             raise ValueError("randomized response needs an rng")
-        if rng.random() < self.rho:
-            codebook = _shared_codebook(self.base, s.d, s.m)
-            return codebook[rng.integers(codebook.shape[0])]
-        return self.base.fit(s, rng)
+        n, m, d = signs.shape
+        out = self.base.fit_batch(signs)
+        codebook = None
+        for i in range(n):
+            if rng.random() < self.rho:
+                if codebook is None:
+                    codebook = _shared_codebook(self.base, d, m)
+                out[i] = codebook[rng.integers(codebook.shape[0])]
+        return out
 
     def mix(self, base_law: np.ndarray) -> np.ndarray:
         """Output law given the base learner's law over the K codebook atoms
@@ -424,10 +407,6 @@ class Channel:
     codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
     output_index: np.ndarray | None = field(repr=False, default=None)
     cond: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def n_samples(self) -> int:
-        return self.signs.shape[0]
 
     @property
     def deterministic(self) -> bool:
@@ -517,8 +496,6 @@ def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
         # lexicographic and distinct
         grids = np.meshgrid(*([levels] * d), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
-    if isinstance(learner, EpsilonNetErm):
-        return epsilon_net(d, m)
     return unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))[0]
 
 

@@ -117,56 +117,9 @@ def sample_signs(inst: HardInstance, m: int, rng: np.random.Generator,
     return signs[0] if trials == 1 else signs
 
 
-def project_ball(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(w))
-    return w / norm if norm > 1.0 else w
-
-
-def loss(w: np.ndarray, z: np.ndarray) -> float:
-    """Squared distance ||w - z||^2; in [0, 4] on ball x sphere."""
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if w.shape != z.shape:
-        raise ValueError("dimension mismatch")
-    diff = w - z
-    return float(diff @ diff)
-
-
-def population_risk(inst: HardInstance, w: np.ndarray) -> float:
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != inst.d:
-        raise ValueError("dimension mismatch")
-    ws = inst.w_star
-    return float(np.sum((w - ws) ** 2, axis=-1) + 1.0 - ws @ ws)
-
-
-def suboptimality(inst: HardInstance, w: np.ndarray) -> float:
-    """Excess population risk Delta_D(w) = ||w - w*||^2."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != inst.d:
-        raise ValueError("dimension mismatch")
-    diff = w - inst.w_star
-    return float(np.sum(diff * diff, axis=-1))
-
-
 def empirical_risk(s: Sample, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
     if w.shape[0] != s.d:
         raise ValueError("dimension mismatch")
     diff = s.points - w
     return float((diff * diff).sum() / s.m)
-
-
-def empirical_suboptimality(s: Sample, w: np.ndarray) -> float:
-    """Delta_S(w) = ||w - zbar||^2; the empirical minimum sits at zbar."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != s.d:
-        raise ValueError("dimension mismatch")
-    diff = w - s.mean
-    return float(diff @ diff)
-
-
-def mean_excess_risk_exact(inst: HardInstance, m: int) -> float:
-    """E[Delta_D(zbar)] = (1 - ||p||^2/d) / m, the per-coordinate variance sum."""
-    return float((1.0 - (inst.p @ inst.p) / inst.d) / m)

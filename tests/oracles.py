@@ -1,0 +1,116 @@
+"""Literal reference forms that tests check the program's closed forms against.
+
+The program computes risks, entropies and the fingerprinting expectation in
+closed or vectorized form; each function here writes one of them out the
+long way, with no caller in the program.
+"""
+
+import numpy as np
+
+from mi_sco_lab.bounds import P_MAX, _legendre_nodes, attack_prefactor
+from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of
+from mi_sco_lab.learners import BudgetExceededError, enumerate_sign_space
+from mi_sco_lab.sco import HardInstance, Sample
+
+# ---------------------------------------------------------------------------
+# Risks of the hard instance
+# ---------------------------------------------------------------------------
+
+
+def loss(w: np.ndarray, z: np.ndarray) -> float:
+    """Squared distance ||w - z||^2; in [0, 4] on ball x sphere."""
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if w.shape != z.shape:
+        raise ValueError("dimension mismatch")
+    diff = w - z
+    return float(diff @ diff)
+
+
+def population_risk(inst: HardInstance, w: np.ndarray) -> float:
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1] != inst.d:
+        raise ValueError("dimension mismatch")
+    ws = inst.w_star
+    return float(np.sum((w - ws) ** 2, axis=-1) + 1.0 - ws @ ws)
+
+
+def suboptimality(inst: HardInstance, w: np.ndarray) -> float:
+    """Excess population risk Delta_D(w) = ||w - w*||^2."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1] != inst.d:
+        raise ValueError("dimension mismatch")
+    diff = w - inst.w_star
+    return float(np.sum(diff * diff, axis=-1))
+
+
+def empirical_suboptimality(s: Sample, w: np.ndarray) -> float:
+    """Delta_S(w) = ||w - zbar||^2; the empirical minimum sits at zbar."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[0] != s.d:
+        raise ValueError("dimension mismatch")
+    diff = w - s.mean
+    return float(diff @ diff)
+
+
+def mean_excess_risk_exact(inst: HardInstance, m: int) -> float:
+    """E[Delta_D(zbar)] = (1 - ||p||^2/d) / m, the per-coordinate variance sum."""
+    return float((1.0 - (inst.p @ inst.p) / inst.d) / m)
+
+
+# ---------------------------------------------------------------------------
+# Fingerprinting
+# ---------------------------------------------------------------------------
+
+
+def fingerprint_statistic(fval: float, p: float, xs) -> float:
+    """Pointwise integrand: prefactor * (f - p) * sum(x_i - p) + (f - p)^2."""
+    if abs(fval) > P_MAX + 1e-12:
+        raise ValueError("estimator value outside [-1/3, 1/3]")
+    if abs(p) >= 1.0:
+        raise ValueError("bias must satisfy |p| < 1")
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.abs(xs) == 1.0):
+        raise ValueError("sample entries must be +-1")
+    centered = float((xs - p).sum())
+    return float(attack_prefactor(p) * (fval - p) * centered + (fval - p) ** 2)
+
+
+def fingerprint_quadrature_table(f_table: np.ndarray, m: int,
+                                 nodes: int = 64) -> float:
+    """``bounds.fingerprint_quadrature`` for an arbitrary estimator table over
+    {+-1}^m, enumerating every pattern instead of the plus-count.
+
+    ``f_table[i]`` is the value on the i-th pattern of
+    ``enumerate_sign_space(m, 1)`` (m <= 12)."""
+    if m > 12:
+        raise BudgetExceededError("table quadrature enumerates 2^m patterns; m <= 12")
+    patterns = enumerate_sign_space(m, 1).reshape(-1, m).astype(float)
+    f_table = np.clip(np.asarray(f_table, dtype=float), -P_MAX, P_MAX)
+    if f_table.shape != (patterns.shape[0],):
+        raise ValueError("estimator table must have one value per pattern")
+    ps, ws = _legendre_nodes(nodes)
+    counts = (patterns > 0).sum(axis=1)
+    total = 0.0
+    for p, w in zip(ps, ws):
+        q = (1.0 + p) / 2.0
+        pattern_probs = q ** counts * (1.0 - q) ** (m - counts)
+        delta = f_table - p
+        stat = attack_prefactor(p) * delta * (patterns - p).sum(axis=1) + delta ** 2
+        total += w * float(pattern_probs @ stat)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Information over explicit tables
+# ---------------------------------------------------------------------------
+
+
+def entropy(p: FinitePmf) -> float:
+    """Shannon entropy in nats; 0 <= H <= log(support size)."""
+    return entropy_of(p.probs)
+
+
+def marginal(j: JointPmf, axis: int) -> FinitePmf:
+    """The marginal pmf of axis 0 or 1 of a two-variable joint."""
+    return FinitePmf(j.alphabets[axis], j.table.sum(axis=1 - axis))

@@ -137,7 +137,7 @@ def test_criterion_7_net_erm(criterion):
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s)
+            w = learner.fit_batch(s.signs[None])[0]
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             ok &= -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
         for d, ms in ((1, (1, 4, 9, 16)), (2, (1, 4, 9))):
@@ -190,7 +190,7 @@ def test_criterion_9_cmi(criterion):
             k = math.isqrt(m)
             learner = SubsampleLearner(k=k, base=MeanLearner())
             val = bounds.cmi_exact(learner, HardInstance.zero(1), m)
-            cap = bounds.selector_entropy_cap(learner, m)
+            cap = bounds.selector_entropy_cap(k, m)
             ok &= val <= cap + 1e-9
             xs.append(math.log(m))
             ys.append(math.log(bounds.cmi_generalization_bound(cap, m)))

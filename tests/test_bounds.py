@@ -13,9 +13,7 @@ from mi_sco_lab.bounds import (
     EST_ZERO,
     ESTIMATOR_MENU,
     FINGERPRINT_FLOOR,
-    AttackStats,
     attack_prefactor,
-    attack_statistics,
     chain_rule_decomposition,
     cmi_exact,
     cmi_generalization_bound,
@@ -23,12 +21,9 @@ from mi_sco_lab.bounds import (
     coupling_suite,
     fingerprint_expectation,
     fingerprint_quadrature,
-    fingerprint_quadrature_table,
-    fingerprint_statistic,
     genbound_chain_report,
     gm,
     gm_regime_report,
-    gm_vacuity_boundary,
     good_coordinates,
     subgaussian_correlation_suite,
     bounded_correlation_suite,
@@ -61,7 +56,8 @@ from mi_sco_lab.learners import (
     reachable_outputs,
     sign_space_probs,
 )
-from mi_sco_lab.sco import HardInstance, sample, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_signs
+from oracles import fingerprint_quadrature_table, fingerprint_statistic
 
 LN2 = math.log(2.0)
 
@@ -216,7 +212,9 @@ class TestGm:
 
     def test_nonvacuous_region_strictly_monotone(self):
         for m in (1, 2, 4):
-            grid = np.linspace(0.0, gm_vacuity_boundary(m) * 0.999, 500)
+            # gm is positive for a^2 < 2^20 * 4m / e
+            vacuity_boundary = math.sqrt(2.0 ** 20 * 4.0 * m / math.e)
+            grid = np.linspace(0.0, vacuity_boundary * 0.999, 500)
             vals = [gm(a, m) for a in grid]
             assert all(vals[i] <= vals[i + 1] + 1e-18 for i in range(len(vals) - 1))
 
@@ -263,23 +261,11 @@ class TestPaleyZygmund:
 
 
 class TestAttackStatistics:
-    def test_output_at_optimum_gives_zero_y(self):
-        inst = HardInstance(2, np.array([0.2, -0.1]))
-        s = sample(inst, 3, seed=4)
-        stats = attack_statistics(inst, s, inst.w_star, 0, normalizer=0.5)
-        assert stats.y_p == pytest.approx(0.0, abs=1e-12)
-
     def test_prefactor_at_zero_bias(self):
         assert attack_prefactor(0.0) == pytest.approx(1 / 9)
 
     def test_prefactor_vanishes_at_endpoints(self):
         assert attack_prefactor(1 / 3) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_zero_normalizer(self):
-        inst = HardInstance.zero(1)
-        s = sample(inst, 2, seed=5)
-        with pytest.raises(ValueError):
-            attack_statistics(inst, s, np.zeros(1), 0, normalizer=0.0)
 
     def test_y_second_moment_normalized(self):
         # with the pilot normalizer, E[y^2] is 1 within 3 sigma
@@ -316,9 +302,6 @@ class FirstCoordinateSignLearner:
         out = np.zeros((n, d))
         out[:, 0] = np.sign(signs[:, :, 0].sum(axis=1)) / (3.0 * math.sqrt(d))
         return out
-
-    def fit(self, s, rng=None):
-        return self.fit_batch(s.signs[None])[0]
 
 
 class TestGoodCoordinates:
@@ -447,7 +430,7 @@ class TestCmi:
         for m, k in ((4, 2), (6, 3)):
             learner = SubsampleLearner(k=k, base=MeanLearner())
             val = cmi_exact(learner, inst, m)
-            assert val <= selector_entropy_cap(learner, m) + 1e-9
+            assert val <= selector_entropy_cap(k, m) + 1e-9
 
     def test_cap_across_menu(self):
         for learner in (MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(),

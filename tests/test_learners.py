@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mi_sco_lab import learners
 from mi_sco_lab.harness import _xu_learner_menu
-from mi_sco_lab.infotheory import JointPmf, entropy, mutual_information
+from mi_sco_lab.infotheory import JointPmf, mutual_information
 from mi_sco_lab.learners import (
     NET_BLOCK_ROWS,
     BudgetExceededError,
@@ -29,12 +29,13 @@ from mi_sco_lab.learners import (
     exact_channel,
     exact_mutual_information,
     make_learner,
-    quantize,
     reachable_outputs,
+    round_half_down,
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample
+from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample, sample_signs
+from oracles import entropy, marginal, population_risk
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mi_sco_lab"
 
@@ -50,18 +51,14 @@ def all_learners(m):
 class TestQuantize:
     def test_grid_point_fixed(self):
         w = np.array([0.5, -0.5])
-        np.testing.assert_allclose(quantize(w, 0.5), w)
+        np.testing.assert_allclose(round_half_down(w, 0.5), w)
 
     def test_round_up(self):
-        assert quantize(np.array([0.26]), 0.5)[0] == pytest.approx(0.5)
+        assert round_half_down(np.array([0.26]), 0.5)[0] == pytest.approx(0.5)
 
     def test_tie_breaks_down(self):
-        assert quantize(np.array([0.25]), 0.5)[0] == pytest.approx(0.0)
-        assert quantize(np.array([-0.25]), 0.5)[0] == pytest.approx(-0.5)
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            quantize(np.zeros(1), 0.0)
+        assert round_half_down(np.array([0.25]), 0.5)[0] == pytest.approx(0.0)
+        assert round_half_down(np.array([-0.25]), 0.5)[0] == pytest.approx(-0.5)
 
     def test_distance_bound_before_projection(self):
         rng = np.random.default_rng(0)
@@ -70,7 +67,7 @@ class TestQuantize:
             delta = float(rng.uniform(0.01, 0.5))
             w = rng.normal(size=d)
             w /= max(1.0, np.linalg.norm(w))
-            rounded = np.ceil(w / delta - 0.5) * delta
+            rounded = round_half_down(w, delta)
             assert np.linalg.norm(rounded - w) <= delta * math.sqrt(d) / 2 + 1e-12
 
     def test_output_in_ball(self):
@@ -78,18 +75,19 @@ class TestQuantize:
         for _ in range(200):
             w = rng.normal(size=3)
             w /= max(1.0, np.linalg.norm(w))
-            assert np.linalg.norm(quantize(w, 0.3)) <= 1.0 + 1e-12
+            rounded = learners._project_rows(round_half_down(w[None, :], 0.3))
+            assert np.linalg.norm(rounded) <= 1.0 + 1e-12
 
 
 class TestMeanLearner:
     def test_repeated_point(self):
         s = Sample.from_signs(np.array([[1, -1], [1, -1]]))
-        np.testing.assert_allclose(MeanLearner().fit(s),
+        np.testing.assert_allclose(MeanLearner().fit_batch(s.signs[None])[0],
                                    s.points[0])
 
     def test_symmetric_pair_gives_zero(self):
         s = Sample.from_signs(np.array([[1], [-1]]))
-        assert MeanLearner().fit(s)[0] == 0.0
+        assert MeanLearner().fit_batch(s.signs[None])[0][0] == 0.0
 
     def test_exact_excess_risk_matches_closed_form(self):
         # exact enumeration up to d*m = 16 cells
@@ -121,7 +119,7 @@ class TestQuantizedMean:
             m = int(rng.integers(1, 9))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit(s)
+            w = learner.fit_batch(s.signs[None])[0]
             assert np.linalg.norm(w) <= 1.0 + 1e-12
 
     def test_quantization_is_data_processing(self):
@@ -157,7 +155,7 @@ class TestEpsilonNet:
 
     def test_all_plus_sample_returns_one(self):
         s = Sample.from_signs(np.ones((4, 1), dtype=int))
-        w = EpsilonNetErm().fit(s)
+        w = EpsilonNetErm().fit_batch(s.signs[None])[0]
         assert w[0] == pytest.approx(1.0)
 
     def test_risk_slack_window(self):
@@ -168,7 +166,7 @@ class TestEpsilonNet:
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit(s)
+            w = learner.fit_batch(s.signs[None])[0]
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             assert -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
 
@@ -223,7 +221,7 @@ class TestEpsilonNetBlocks:
 class TestSgd:
     def test_single_step_reaches_data_point(self):
         s = Sample.from_signs(np.array([[1]]))
-        w = SgdLearner().fit(s)
+        w = SgdLearner().fit_batch(s.signs[None])[0]
         assert w[0] == pytest.approx(1.0)
 
     def test_constant_data_converges(self):
@@ -234,7 +232,7 @@ class TestSgd:
             z = np.sign(rng.normal(size=d)).astype(int)
             z[z == 0] = 1
             s = Sample.from_signs(np.tile(z, (m, 1)))
-            w = SgdLearner().fit(s)
+            w = SgdLearner().fit_batch(s.signs[None])[0]
             delta = default_delta(m)
             assert np.linalg.norm(w - s.points[0]) <= 1.0 / m + delta * math.sqrt(d)
 
@@ -248,7 +246,7 @@ class TestSgd:
             n = 400
             for _ in range(n):
                 s = sample(inst, m, seed=rng)
-                w = learner.fit(s)
+                w = learner.fit_batch(s.signs[None])[0]
                 total += float(w @ w)  # w* = 0
             risks.append(total / n)
         assert risks[0] > risks[1] > risks[2]
@@ -258,25 +256,25 @@ class TestSgd:
         # sgd reads the sample in order; a permuted sample may give another output
         s1 = Sample.from_signs(np.array([[1], [-1], [1], [1]]))
         s2 = Sample.from_signs(np.array([[1], [1], [1], [-1]]))
-        w1 = SgdLearner().fit(s1)
-        w2 = SgdLearner().fit(s2)
+        w1 = SgdLearner().fit_batch(s1.signs[None])[0]
+        w2 = SgdLearner().fit_batch(s2.signs[None])[0]
         assert w1[0] != w2[0]
 
 
 class TestRegularizedErm:
     def test_lambda_zero_is_mean_up_to_delta(self):
         s = sample(HardInstance.zero(3), 5, seed=6)
-        w = RegularizedErm(lam=0.0).fit(s)
+        w = RegularizedErm(lam=0.0).fit_batch(s.signs[None])[0]
         assert np.linalg.norm(w - s.mean) <= default_delta(5) * math.sqrt(3)
 
     def test_heavy_shrinkage_to_zero(self):
         s = sample(HardInstance.zero(2), 4, seed=7)
-        w = RegularizedErm(lam=1e9).fit(s)
+        w = RegularizedErm(lam=1e9).fit_batch(s.signs[None])[0]
         np.testing.assert_allclose(w, 0.0, atol=1e-8)
 
     def test_half_for_unit_lambda(self):
         s = Sample.from_signs(np.array([[1], [1]]))
-        w = RegularizedErm(lam=1.0).fit(s)
+        w = RegularizedErm(lam=1.0).fit_batch(s.signs[None])[0]
         assert w[0] == pytest.approx(0.5)
 
     def test_exact_minimizer_property(self):
@@ -300,25 +298,39 @@ class TestRegularizedErm:
 class TestSubsample:
     def test_k_equals_m_matches_base(self):
         s = sample(HardInstance.zero(2), 4, seed=10)
-        full = MeanLearner().fit(s)
-        sub = SubsampleLearner(k=4, base=MeanLearner()).fit(s)
+        full = MeanLearner().fit_batch(s.signs[None])[0]
+        sub = SubsampleLearner(k=4, base=MeanLearner()).fit_batch(s.signs[None])[0]
         np.testing.assert_allclose(sub, full)
 
     def test_k_one_ignores_rest(self):
         rng = np.random.default_rng(11)
         learner = SubsampleLearner(k=1, base=MeanLearner())
         signs = rng.choice([-1, 1], size=(5, 3))
-        base_out = learner.fit(Sample.from_signs(signs))
+        base_out = learner.fit_batch(signs[None])[0]
         for _ in range(10):
             perm = np.concatenate([[0], 1 + rng.permutation(4)])
             permuted = signs[perm]
-            out = learner.fit(Sample.from_signs(permuted))
+            out = learner.fit_batch(permuted[None])[0]
             np.testing.assert_allclose(out, base_out)
 
     def test_k_out_of_range(self):
         s = sample(HardInstance.zero(1), 2, seed=12)
         with pytest.raises(ValueError):
-            SubsampleLearner(k=3, base=MeanLearner()).fit(s)
+            SubsampleLearner(k=3, base=MeanLearner()).fit_batch(s.signs[None])
+
+
+def _randomized_response_rows(learner, signs, rng):
+    """Randomized response one row at a time, with its own uncached codebook:
+    the oracle for the batched draw of ``RandomizedResponse.fit_batch``."""
+    n, m, d = signs.shape
+    codebook = reachable_outputs(learner.base, d, m)
+    rows = []
+    for i in range(n):
+        w = learner.base.fit_batch(signs[i:i + 1])[0]
+        if rng.random() < learner.rho:
+            w = codebook[rng.integers(codebook.shape[0])]
+        rows.append(w)
+    return np.stack(rows)
 
 
 class TestRandomizedResponse:
@@ -345,13 +357,11 @@ class TestRandomizedResponse:
     def test_fit_needs_rng(self):
         s = sample(HardInstance.zero(1), 2, seed=13)
         with pytest.raises(ValueError):
-            RandomizedResponse(base=MeanLearner(), rho=0.5).fit(s)
+            RandomizedResponse(base=MeanLearner(), rho=0.5).fit_batch(s.signs[None])
 
-    def test_codebook_built_once(self, monkeypatch):
-        base = QuantizedMeanLearner()
-        learner = RandomizedResponse(base=base, rho=0.5)
-        inst = HardInstance(2, np.array([0.1, -0.3]))
-        samples = [sample(inst, 3, seed=i) for i in range(1000)]
+    @staticmethod
+    def _spy_builds(monkeypatch):
+        """Record every codebook build, starting from an empty cache."""
         builds = []
         real = learners.reachable_outputs
 
@@ -361,17 +371,52 @@ class TestRandomizedResponse:
 
         learners._shared_codebook.cache_clear()
         monkeypatch.setattr(learners, "reachable_outputs", spy)
+        return builds
+
+    def test_codebook_built_once(self, monkeypatch):
+        base = QuantizedMeanLearner()
+        learner = RandomizedResponse(base=base, rho=0.5)
+        inst = HardInstance(2, np.array([0.1, -0.3]))
+        signs = np.stack([sample(inst, 3, seed=i).signs for i in range(1000)])
+        builds = self._spy_builds(monkeypatch)
         try:
-            rng = np.random.default_rng(17)
-            got = [learner.fit(s, rng) for s in samples]
+            got = learner.fit_batch(signs, np.random.default_rng(17))
         finally:
             learners._shared_codebook.cache_clear()
         assert builds == [(base, 2, 3)]
-        codebook = real(base, 2, 3)
+        codebook = reachable_outputs(base, 2, 3)
         rng = np.random.default_rng(17)
         expected = [codebook[rng.integers(codebook.shape[0])] if rng.random() < 0.5
-                    else base.fit(s) for s in samples]
-        assert np.array_equal(np.stack(got), np.stack(expected))
+                    else base.fit_batch(row[None])[0] for row in signs]
+        assert np.array_equal(got, np.stack(expected))
+
+    def test_rho_zero_builds_no_codebook(self, monkeypatch):
+        base = SgdLearner()
+        signs = sample_signs(HardInstance.zero(2), 4, np.random.default_rng(18),
+                             trials=500)
+        builds = self._spy_builds(monkeypatch)
+        try:
+            got = RandomizedResponse(base=base, rho=0.0).fit_batch(
+                signs, np.random.default_rng(19))
+        finally:
+            learners._shared_codebook.cache_clear()
+        assert builds == []
+        assert got.tobytes() == base.fit_batch(signs).tobytes()
+
+    @pytest.mark.parametrize("d,m,menu", [
+        (1, 4, "xu"), (2, 4, "xu"), (1, 9, "xu"), (3, 5, "mean")])
+    def test_batch_matches_row_by_row_oracle(self, d, m, menu):
+        bases = ([b for b in _xu_learner_menu(m) if b.deterministic]
+                 if menu == "xu" else [MeanLearner()])
+        signs = sample_signs(HardInstance(d, np.linspace(-0.3, 0.2, d)), m,
+                             np.random.default_rng(20), trials=300)
+        for base in bases:
+            for rho in (0.0, 0.3, 1.0):
+                learner = RandomizedResponse(base=base, rho=rho)
+                got = learner.fit_batch(signs, np.random.default_rng(23))
+                expected = _randomized_response_rows(learner, signs,
+                                                     np.random.default_rng(23))
+                assert got.tobytes() == expected.tobytes(), (base.kind, rho)
 
     def test_shared_codebook_is_read_only(self):
         codebook = learners._shared_codebook(MeanLearner(), 2, 3)
@@ -407,8 +452,8 @@ class TestChannel:
         # channel MI equals mutual_information over the explicit joint table
         inst = HardInstance(1, np.array([0.25]))
         ch = exact_channel(QuantizedMeanLearner(), inst, 3)
-        table = np.zeros((ch.n_samples, ch.codebook.shape[0]))
-        table[np.arange(ch.n_samples), ch.output_index] = ch.sample_probs
+        table = np.zeros((ch.signs.shape[0], ch.codebook.shape[0]))
+        table[np.arange(ch.signs.shape[0]), ch.output_index] = ch.sample_probs
         oracle = mutual_information(JointPmf.from_table(table))
         assert ch.mutual_information() == pytest.approx(oracle, abs=1e-10)
 
@@ -425,13 +470,13 @@ class TestChannel:
         inst = HardInstance(d, np.asarray(p))
         ch = exact_channel(learner, inst, m)
         if ch.deterministic:
-            law = np.zeros((ch.n_samples, ch.codebook.shape[0]))
-            law[np.arange(ch.n_samples), ch.output_index] = 1.0
+            law = np.zeros((ch.signs.shape[0], ch.codebook.shape[0]))
+            law[np.arange(ch.signs.shape[0]), ch.output_index] = 1.0
         else:
             law = ch.cond
         joint = JointPmf.from_table(ch.sample_probs[:, None] * law)
         assert abs(ch.mutual_information() - mutual_information(joint)) <= 1e-12
-        assert abs(ch.output_entropy() - entropy(joint.marginal(1))) <= 1e-12
+        assert abs(ch.output_entropy() - entropy(marginal(joint, 1))) <= 1e-12
 
     @given(n=st.integers(1, 6), big_k=st.integers(1, 8), rho=st.floats(0.0, 1.0),
            data=st.data())
@@ -464,17 +509,15 @@ class TestChannel:
 
     def test_gap_matches_literal_risk_difference(self):
         # oracle: evaluate L_D - L_S term by term from the risk definitions
-        from mi_sco_lab.sco import empirical_risk as emp_risk
-        from mi_sco_lab.sco import population_risk
         inst = HardInstance(2, np.array([0.25, -0.1]))
         for learner in (MeanLearner(), EpsilonNetErm(), SgdLearner()):
             ch = exact_channel(learner, inst, 3)
             literal = 0.0
-            for i in range(ch.n_samples):
+            for i in range(ch.signs.shape[0]):
                 s = Sample.from_signs(ch.signs[i])
                 w = ch.codebook[ch.output_index[i]]
                 literal += ch.sample_probs[i] * (population_risk(inst, w)
-                                                 - emp_risk(s, w))
+                                                 - empirical_risk(s, w))
             assert ch.expected_generalization_gap(inst) == pytest.approx(
                 literal, abs=1e-12)
 
@@ -488,13 +531,12 @@ class TestCodebookClosure:
         rng = np.random.default_rng(14)
         for _ in range(300):
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s)
+            w = learner.fit_batch(s.signs[None])[0]
             assert np.linalg.norm(w) <= 1.0 + 1e-12
             assert tuple(w) in codebook
 
     @pytest.mark.parametrize("learner", all_learners(4), ids=lambda l: l.kind)
     def test_bulk_closure_hundred_thousand(self, learner):
-        from mi_sco_lab.sco import sample_signs
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
         codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
@@ -511,15 +553,15 @@ class TestCodebookClosure:
         rng = np.random.default_rng(16)
         for _ in range(2000):
             s = sample(inst, m, seed=rng)
-            w = learner.fit(s, rng)
+            w = learner.fit_batch(s.signs[None], rng)[0]
             assert tuple(w) in codebook
 
     def test_determinism_across_runs(self):
         inst = HardInstance(3, np.array([0.2, 0.0, -0.2]))
         for learner in all_learners(5):
             s = sample(inst, 5, seed=99)
-            w1 = learner.fit(s)
-            w2 = learner.fit(sample(inst, 5, seed=99))
+            w1 = learner.fit_batch(s.signs[None])[0]
+            w2 = learner.fit_batch(sample(inst, 5, seed=99).signs[None])[0]
             np.testing.assert_array_equal(w1, w2)
 
 

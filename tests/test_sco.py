@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mi_sco_lab.sco import (
-    HardInstance,
-    Sample,
-    empirical_risk,
+from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample
+from oracles import (
     empirical_suboptimality,
     loss,
     mean_excess_risk_exact,
     population_risk,
-    sample,
     suboptimality,
 )
 
