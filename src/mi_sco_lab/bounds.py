@@ -1,6 +1,6 @@
 """Quantitative bounds and their verifiers.
 
-Contents: the mutual-information generalization bound and its CMI analogue,
+Contents: the mutual-information generalization bound (also the CMI bound),
 the fingerprinting expectation (quadrature and Monte Carlo), correlation
 lower bounds on mutual information (bounded and sub-Gaussian cases, with the
 explicit clipping constants), the Paley-Zygmund check, the good-coordinate
@@ -54,6 +54,11 @@ PILOT_STREAM = 7001
 RISK_STREAM = 7002
 GOOD_STREAM = 7003
 CMI_CHUNK_CELLS = 1 << 22  # cmi_exact's block size; it fixes the float sum order
+GM_GRID = 1000  # points of gm_regime_report's scan
+CERTIFICATE_BIASES = 4  # biases theorem1_certificate searches
+MAX_ALPHABET = 16  # largest alphabet of the random pmf pairs
+MAX_SUPPORT = 8  # largest marginal support of the random correlated joints
+SECOND_MOMENT_INNER = 64  # samples per inner batch of second_moment_report
 
 REPORT_COLUMNS = ("name", "d", "m", "epsilon", "lhs", "rhs", "holds",
                   "slack", "trials", "ci_halfwidth", "seed")
@@ -109,24 +114,16 @@ def write_reports_csv(reports, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def xu_bound(mi: float, m: int, loss_range: float = LOSS_RANGE) -> float:
-    """Expected generalization gap bound loss_range * sqrt(2 * mi / m).
+def xu_bound(mi: float, m: int) -> float:
+    """Expected generalization gap bound LOSS_RANGE * sqrt(2 * mi / m).
 
-    The unit-range statement is applied to the rescaled loss f / loss_range
-    and multiplied back, keeping the explicit range in view.
+    The unit-range statement is applied to the rescaled loss f / LOSS_RANGE
+    and multiplied back, keeping the explicit range in view. With the
+    supersample CMI in place of the MI it is the CMI bound (same constant).
     """
-    if mi < 0 or m < 1 or loss_range <= 0:
-        raise ValueError("need mi >= 0, m >= 1, loss_range > 0")
-    return loss_range * math.sqrt(2.0 * mi / m)
-
-
-def cmi_generalization_bound(cmi: float, m: int,
-                             loss_range: float = LOSS_RANGE) -> float:
-    """Supersample analogue loss_range * sqrt(2 * cmi / m) (constant sqrt(2)
-    fixed to mirror the unconditional bound)."""
-    if cmi < 0:
-        raise ValueError("cmi must be >= 0")
-    return loss_range * math.sqrt(2.0 * cmi / m)
+    if mi < 0 or m < 1:
+        raise ValueError("need mi >= 0, m >= 1")
+    return LOSS_RANGE * math.sqrt(2.0 * mi / m)
 
 
 def xu_gap_report(learner, inst: HardInstance, m: int) -> BoundReport:
@@ -275,17 +272,15 @@ def gm(a: float, m: int) -> float:
     return subgaussian_mi_lower_bound(a, 2.0 * math.sqrt(m))
 
 
-def gm_regime_report(m: int, n_grid: int = 1000) -> BoundReport:
+def gm_regime_report(m: int) -> BoundReport:
     """Nondecreasing + midpoint-convex scan of gm on [0, 2^20 * m]."""
-    grid = np.linspace(0.0, 2.0 ** 20 * m, n_grid)
+    grid = np.linspace(0.0, 2.0 ** 20 * m, GM_GRID)
     vals = np.array([gm(a, m) for a in grid])
-    mono = np.diff(vals)
-    worst_mono = float(mono.min()) if mono.size else 0.0
-    mids = np.array([gm(0.5 * (grid[i] + grid[i + 2]), m) for i in range(n_grid - 2)])
-    convex_slack = 0.5 * (vals[:-2] + vals[2:]) - mids
-    worst_convex = float(convex_slack.min()) if convex_slack.size else 0.0
+    worst_mono = float(np.diff(vals).min())
+    mids = np.array([gm(0.5 * (grid[i] + grid[i + 2]), m) for i in range(GM_GRID - 2)])
+    worst_convex = float((0.5 * (vals[:-2] + vals[2:]) - mids).min())
     return make_report(f"gm_regime[m={m}]", min(worst_mono, worst_convex), 0.0,
-                       tolerance=1e-12, m=m, trials=n_grid)
+                       tolerance=1e-12, m=m, trials=GM_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +332,7 @@ def pilot_normalizers(inst: HardInstance, learner, m: int,
                       trials: int = 10 ** 4, seed: int = 0) -> np.ndarray:
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
     def chunk(rng, size):
-        signs = sample_signs(inst, m, rng, trials=size)
+        signs = sample_signs(inst.p, m, rng, size)
         w = learner.fit_batch(signs)
         err = math.sqrt(inst.d) * w - inst.p[None, :]
         return (err * err).reshape(size, inst.d)
@@ -358,9 +353,8 @@ class GoodSetResult:
 
 def good_coordinates(inst: HardInstance, learner, m: int,
                      trials: int = 10 ** 5, seed: int = 0,
-                     pilot_trials: int = 10 ** 4,
-                     threshold: float = GOOD_THRESHOLD) -> GoodSetResult:
-    """Coordinates whose attack correlation clears the threshold at 3 SE.
+                     pilot_trials: int = 10 ** 4) -> GoodSetResult:
+    """Coordinates whose attack correlation clears GOOD_THRESHOLD at 3 SE.
 
     The product x_p(t) * y_p(t) is computed in its exactly-cancelled form
     prefactor * (phat - p) * sum(sqrt(d) z - p); the pilot normalizers are
@@ -372,7 +366,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     pref = attack_prefactor(inst.p)
 
     def chunk(rng, size):
-        signs = sample_signs(inst, m, rng, trials=size)
+        signs = sample_signs(inst.p, m, rng, size)
         w = learner.fit_batch(signs)
         phat_err = root_d * w - inst.p[None, :]
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
@@ -384,7 +378,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     est = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
     members = tuple(int(t) for t in range(inst.d)
-                    if t not in excluded and est[t] - 3.0 * se[t] >= threshold)
+                    if t not in excluded and est[t] - 3.0 * se[t] >= GOOD_THRESHOLD)
     return GoodSetResult(members=members, estimates=est, std_errors=se,
                          excluded=excluded, normalizers=norms)
 
@@ -516,36 +510,21 @@ def selector_entropy_cap(k: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_biases_and_signs(rng, size: int, d: int, m: int,
-                           fixed_p: np.ndarray | None = None):
-    """Biases (size, d), uniform unless fixed, and int8 signs (size, m, d)
-    drawn under them: ``uniform`` first, then ``random``."""
-    if fixed_p is None:
-        ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-    else:
-        ps = np.broadcast_to(fixed_p, (size, d))
-    q_plus = (1.0 + ps) / 2.0
-    u = rng.random(size=(size, m, d))
-    return ps, np.where(u < q_plus[:, None, :], 1, -1).astype(np.int8)
-
-
-def measured_excess_risk(learner, d: int, m: int, trials: int, seed: int,
-                         fixed_p: np.ndarray | None = None,
-                         learner_seed: int | None = None) -> tuple[float, float]:
-    """Monte Carlo E[Delta_D] with the bias drawn uniformly unless fixed.
+def measured_excess_risk(learner, d: int, m: int, trials: int,
+                         seed: int) -> tuple[float, float]:
+    """Monte Carlo E[Delta_D] with one uniform bias drawn per trial.
 
     Learners see only the sample, never the bias, so one batched fit covers
-    trials with different biases. ``learner_seed`` selects the stream
-    consumed by randomized learners, which draw from the chunk's generator
-    after its signs.
+    trials with different biases. Randomized learners draw from the chunk's
+    generator after its signs.
     """
     def chunk(rng, size):
-        ps, signs = _draw_biases_and_signs(rng, size, d, m, fixed_p)
+        ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
+        signs = sample_signs(ps, m, rng, size)
         w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
-    path = (RISK_STREAM,) if learner_seed is None else (RISK_STREAM, learner_seed)
-    values = mc.chunked_trials(chunk, trials, seed, *path, chunk=1 << 12)
+    values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
     return mc.mean_and_se(values)
 
 
@@ -565,20 +544,20 @@ class CertificateResult:
 
 
 def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
-                         *, n_p: int = 4, risk_trials: int = 20000,
+                         *, risk_trials: int = 20000,
                          good_trials: int = 10 ** 5, pilot_trials: int = 10 ** 4,
-                         seed: int = 0, learner_seed: int | None = None) -> CertificateResult:
+                         seed: int = 0) -> CertificateResult:
     """Measured pipeline lower bound vs exact mutual information.
 
     Verifies the accuracy hypothesis first (measured E[Delta_D] <= epsilon;
-    epsilon=None freezes it at the estimate plus 3 SE), then searches sampled
-    biases for the largest certified good set, evaluates the pipeline bound
+    epsilon=None freezes it at the estimate plus 3 SE), then searches
+    CERTIFICATE_BIASES sampled biases for the largest certified good set,
+    evaluates the pipeline bound
     |G| * gm(1/(108e6 sqrt(m) eps)), and checks it against the exact MI at
     the best bias. The asymptotic form d/(1e6 m eps) * gm(...) is reported
     for comparison, never asserted.
     """
-    risk, risk_se = measured_excess_risk(learner, d, m, risk_trials, seed,
-                                         learner_seed=learner_seed)
+    risk, risk_se = measured_excess_risk(learner, d, m, risk_trials, seed)
     if epsilon is None:
         epsilon = risk + 3.0 * risk_se + 1e-12
     if risk - 3.0 * risk_se > epsilon:
@@ -595,7 +574,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
     best = None
     best_p = None
     lbs = []
-    for j in range(n_p):
+    for j in range(CERTIFICATE_BIASES):
         p = prior.uniform(-P_MAX, P_MAX, size=d)
         inst = HardInstance(d, p)
         gs = good_coordinates(inst, learner, m, trials=good_trials,
@@ -645,19 +624,18 @@ def mi_dimension_scan(learner, m: int, p0: float, d_values) -> DimensionScan:
 # ---------------------------------------------------------------------------
 
 
-def _random_pmf_pair(rng: np.random.Generator, max_alphabet: int = 16):
-    k = int(rng.integers(2, max_alphabet + 1))
+def _random_pmf_pair(rng: np.random.Generator):
+    k = int(rng.integers(2, MAX_ALPHABET + 1))
     return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
 
 
-def pinsker_suite(n_pairs: int = 1000, max_alphabet: int = 16,
-                  seed: int = 0) -> BoundReport:
+def pinsker_suite(n_pairs: int = 1000, seed: int = 0) -> BoundReport:
     """TV <= sqrt(KL/2) across random absolutely continuous pairs,
     exercised through the pinsker_slack operation itself."""
     rng = mc.substream(seed, 101)
     worst = math.inf
     for _ in range(n_pairs):
-        a, b = _random_pmf_pair(rng, max_alphabet)
+        a, b = _random_pmf_pair(rng)
         outcomes = tuple(range(len(a)))
         slack = pinsker_slack(FinitePmf(outcomes, a), FinitePmf(outcomes, b))
         worst = min(worst, slack)
@@ -684,8 +662,8 @@ def _northwest_coupling(a: np.ndarray, b: np.ndarray, perm_r, perm_c) -> float:
     return 1.0 - agree
 
 
-def coupling_suite(n_pairs: int = 1000, max_alphabet: int = 16,
-                   n_random: int = 100, seed: int = 0) -> tuple[BoundReport, BoundReport]:
+def coupling_suite(n_pairs: int = 1000, n_random: int = 100,
+                   seed: int = 0) -> tuple[BoundReport, BoundReport]:
     """(a) optimal_coupling disagreement equals TV; (b) no random feasible
     coupling does better. Random couplings come from greedy transport along
     shuffled outcome orders (exact marginals by construction); the search
@@ -694,7 +672,7 @@ def coupling_suite(n_pairs: int = 1000, max_alphabet: int = 16,
     worst_match = math.inf
     worst_opt = math.inf
     for i in range(n_pairs):
-        a, b = _random_pmf_pair(rng, max_alphabet)
+        a, b = _random_pmf_pair(rng)
         outcomes = tuple(range(len(a)))
         p1, p2 = FinitePmf(outcomes, a), FinitePmf(outcomes, b)
         tv = total_variation(p1, p2)
@@ -714,10 +692,10 @@ def coupling_suite(n_pairs: int = 1000, max_alphabet: int = 16,
     return match, optimal
 
 
-def _random_correlated_joint(rng: np.random.Generator, max_support: int = 8):
+def _random_correlated_joint(rng: np.random.Generator):
     """Random joint with |X|<=1, E[X]=0 and E[Y^2]<=1 enforced."""
-    kx = int(rng.integers(2, max_support + 1))
-    ky = int(rng.integers(2, max_support + 1))
+    kx = int(rng.integers(2, MAX_SUPPORT + 1))
+    ky = int(rng.integers(2, MAX_SUPPORT + 1))
     table = rng.dirichlet(np.ones(kx * ky)).reshape(kx, ky)
     xv = rng.uniform(-1.0, 1.0, size=kx)
     px = table.sum(axis=1)
@@ -732,13 +710,12 @@ def _random_correlated_joint(rng: np.random.Generator, max_support: int = 8):
     return table, xv, yv
 
 
-def bounded_correlation_suite(n_joints: int = 1000, max_support: int = 8,
-                 seed: int = 0) -> BoundReport:
+def bounded_correlation_suite(n_joints: int = 1000, seed: int = 0) -> BoundReport:
     """Exact MI >= beta^4/8 over random joints meeting the hypotheses."""
     rng = mc.substream(seed, 103)
     worst = math.inf
     for _ in range(n_joints):
-        table, xv, yv = _random_correlated_joint(rng, max_support)
+        table, xv, yv = _random_correlated_joint(rng)
         beta = float(xv @ table @ yv)
         mi = mutual_information(JointPmf.from_table(table))
         worst = min(worst, mi - corbounded_mi_lower_bound(beta))
@@ -792,11 +769,11 @@ def subgaussian_correlation_suite(n_joints: int = 200, seed: int = 0) -> BoundRe
                        trials=n_joints, seed=seed)
 
 
-def subgaussian_tail_report(inst: HardInstance, m: int, t: int = 0,
+def subgaussian_tail_report(inst: HardInstance, m: int,
                             trials: int = 10 ** 6, seed: int = 0) -> BoundReport:
-    """Empirical tails of sum_i(sqrt(d) z_i(t) - p(t)) vs 2 exp(-tau^2/c^2)
-    at the certified proxy c = 2 sqrt(m)."""
-    p_t = float(inst.p[t])
+    """Empirical tails of sum_i(sqrt(d) z_i(0) - p(0)) vs 2 exp(-tau^2/c^2)
+    at the certified proxy c = 2 sqrt(m), on coordinate 0."""
+    p_t = float(inst.p[0])
     c2 = 4.0 * m
 
     def chunk(rng, size):
@@ -814,10 +791,11 @@ def subgaussian_tail_report(inst: HardInstance, m: int, t: int = 0,
 
 
 def second_moment_report(learner, d: int, m: int, outer: int = 4000,
-                         inner: int = 64, seed: int = 0) -> BoundReport:
+                         seed: int = 0) -> BoundReport:
     """E_{p,t}[(E_S[x_p y_p])^2] <= m * eps within MC error, where eps is the
     measured per-coordinate squared estimation error. Uses two independent
-    inner batches so the squared inner mean is estimated without bias."""
+    inner batches of SECOND_MOMENT_INNER samples so the squared inner mean is
+    estimated without bias."""
     root_d = math.sqrt(d)
     rng = mc.substream(seed, 106)
     prods = np.empty(outer)
@@ -825,11 +803,10 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
     for i in range(outer):
         p = rng.uniform(-P_MAX, P_MAX, size=d)
         t = int(rng.integers(d))
-        inst = HardInstance(d, p)
         halves = []
         err_acc = 0.0
         for _ in range(2):
-            signs = sample_signs(inst, m, rng, trials=inner)
+            signs = sample_signs(p, m, rng, SECOND_MOMENT_INNER)
             w = learner.fit_batch(signs)
             phat_err = root_d * w[:, t] - p[t]
             centered = signs[:, :, t].sum(axis=1) - m * p[t]
@@ -841,7 +818,8 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
     eps_hat, eps_se = mc.mean_and_se(errs)
     tol = 3.0 * (est_se + m * eps_se)
     return make_report("second_moment", m * eps_hat, est, tolerance=tol,
-                       d=d, m=m, trials=outer * inner, ci_halfwidth=tol, seed=seed)
+                       d=d, m=m, trials=outer * SECOND_MOMENT_INNER,
+                       ci_halfwidth=tol, seed=seed)
 
 
 def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
@@ -851,8 +829,8 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
     root_d = math.sqrt(d)
 
     def chunk(rng, size):
-        p, signs = _draw_biases_and_signs(rng, size, d, m)
-        w = learner.fit_batch(signs)
+        p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
+        w = learner.fit_batch(sample_signs(p, m, rng, size))
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

@@ -76,7 +76,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "experiment": {"name"},
     "instance": {"d", "p_mode", "p_values"},
-    "learner": {"kind", "delta", "lam", "k", "rho", "base", "seed"},
+    "learner": {"kind", "delta", "lam", "k", "rho", "base"},
     "run": {"m", "epsilon", "trials", "quadrature_nodes", "master_seed",
             "output_dir"},
 }
@@ -90,7 +90,6 @@ class ExperimentConfig:
     p_values: tuple = ()
     learner_kind: str = "quantized_mean"
     learner_params: dict = None
-    learner_seed: int | None = None  # stream for randomized learners
     m: int = 4
     epsilon: float | None = None  # None: measured
     trials: int = 100000
@@ -184,9 +183,6 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("rho must lie in [0, 1]")
     if "base" in lrn:
         params["base"] = lrn["base"].strip().lower()
-    learner_seed = _parse_int(lrn["seed"], "seed") if "seed" in lrn else None
-    if learner_seed is not None and learner_seed < 0:
-        raise ConfigError("[learner] seed must be >= 0")
 
     run = parser["run"] if parser.has_section("run") else {}
     m = _parse_int(run.get("m", "4"), "m")
@@ -211,8 +207,7 @@ def load_config(path) -> ExperimentConfig:
     output_dir = run.get("output_dir", "out")
 
     cfg = ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
-                           learner_kind=kind, learner_params=params,
-                           learner_seed=learner_seed, m=m,
+                           learner_kind=kind, learner_params=params, m=m,
                            epsilon=epsilon, trials=trials,
                            quadrature_nodes=nodes, master_seed=master_seed,
                            output_dir=output_dir)
@@ -224,6 +219,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
     if name == "theorem1" and not learner.deterministic:
         raise ConfigError(f"theorem1 needs a deterministic learner, not {learner.kind}")
+    if name == "theorem1" and trials < 2:
+        raise ConfigError("theorem1 needs trials >= 2 for a standard error")
     return cfg
 
 
@@ -491,8 +488,8 @@ def _exp_cmi(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         inst = HardInstance.zero(1)
         val = bounds.cmi_exact(learner, inst, m)
         cap = bounds.selector_entropy_cap(k, m)
-        b_cap = bounds.cmi_generalization_bound(cap, m)
-        b_exact = bounds.cmi_generalization_bound(val, m)
+        b_cap = bounds.xu_bound(cap, m)
+        b_exact = bounds.xu_bound(val, m)
         rows.append([m, k, val, cap, b_cap, b_exact])
         reports.append(bounds.make_report(f"cmi_subsample_cap[m={m}]", cap, val,
                                           tolerance=1e-9, m=m))
@@ -514,7 +511,7 @@ def _exp_theorem1(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     cert = bounds.theorem1_certificate(
         learner, cfg.d, cfg.m, cfg.epsilon,
         risk_trials=min(cfg.trials, 20000), good_trials=cfg.trials,
-        seed=cfg.master_seed, learner_seed=cfg.learner_seed)
+        seed=cfg.master_seed)
     reports = [cert.report]
     scan = bounds.mi_dimension_scan(QuantizedMeanLearner(), cfg.m, 0.0,
                                     range(1, 7))

@@ -12,8 +12,7 @@ The learner contract is a set of attributes, with no base class:
   * ``kind``: the label used in report names;
   * ``deterministic``: whether the output is a function of the sample;
   * ``factorized``: whether output coordinate t depends only on column t of
-    the sample; factorized learners also give ``coord_outputs(patterns, d)``
-    for (n, m) column patterns;
+    the sample;
   * ``delta_for(m)``: the quantization step at sample size m, or None;
   * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
     the one way a learner computes its output.
@@ -21,7 +20,7 @@ A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
 
-Channel enumeration has two routes:
+Channel enumeration has two routes, both through ``fit_batch``:
   * full: all 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET);
   * factorized: for learners whose coordinate t depends only on column t of
     the sample, per-coordinate output entropies over the 2^m column patterns.
@@ -34,7 +33,6 @@ integer codes instead of a sort of float rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -118,9 +116,6 @@ class MeanLearner:
         d = signs.shape[2]
         return signs.mean(axis=1, dtype=float) / math.sqrt(d)
 
-    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
-        return patterns.mean(axis=1, dtype=float) / math.sqrt(d)
-
     def delta_for(self, m: int) -> float | None:
         return None
 
@@ -143,18 +138,11 @@ class QuantizedMeanLearner:
     def delta_for(self, m: int) -> float:
         return self.delta if self.delta is not None else default_delta(m)
 
-    def _quantize_coords(self, zbar: np.ndarray, d: int, m: int) -> np.ndarray:
-        lim = 1.0 / math.sqrt(d)
-        return np.clip(round_half_down(zbar, self.delta_for(m)), -lim, lim)
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
-        return self._quantize_coords(signs.mean(axis=1, dtype=float) / math.sqrt(d), d, m)
-
-    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
-        n, m = patterns.shape
-        zbar = patterns.mean(axis=1, dtype=float) / math.sqrt(d)
-        return self._quantize_coords(zbar, d, m)
+        lim = 1.0 / math.sqrt(d)
+        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
+        return np.clip(round_half_down(zbar, self.delta_for(m)), -lim, lim)
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -226,11 +214,12 @@ class SgdLearner:
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
-        points = signs.astype(float) / math.sqrt(d)
+        root_d = math.sqrt(d)
         w = np.zeros((n, d))
         acc = np.zeros((n, d))
         for t in range(1, m + 1):
-            w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
+            point = signs[:, t - 1, :].astype(float) / root_d
+            w = _project_rows((1.0 - 1.0 / t) * w + point / t)
             acc += w
         return _project_rows(round_half_down(acc / m, self.delta_for(m)))
 
@@ -283,17 +272,10 @@ class SubsampleLearner:
     def factorized(self) -> bool:
         return self.base.factorized
 
-    def _check(self, m: int):
-        if not 1 <= self.k <= m:
-            raise ValueError(f"k={self.k} out of range for m={m}")
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        self._check(signs.shape[1])
+        if not 1 <= self.k <= signs.shape[1]:
+            raise ValueError(f"k={self.k} out of range for m={signs.shape[1]}")
         return self.base.fit_batch(signs[:, : self.k, :])
-
-    def coord_outputs(self, patterns: np.ndarray, d: int) -> np.ndarray:
-        self._check(patterns.shape[1])
-        return self.base.coord_outputs(patterns[:, : self.k], d)
 
     def delta_for(self, m: int) -> float | None:
         return self.base.delta_for(self.k)
@@ -324,7 +306,7 @@ class RandomizedResponse:
         """Base outputs for an (n, m, d) sign tensor, each replaced with
         probability rho: row by row, ``rng.random()`` and, on a flip,
         ``rng.integers(K)`` picks a codebook atom. The codebook is built at
-        the first flip only."""
+        the first flip only, once per call."""
         if rng is None:
             raise ValueError("randomized response needs an rng")
         n, m, d = signs.shape
@@ -333,7 +315,7 @@ class RandomizedResponse:
         for i in range(n):
             if rng.random() < self.rho:
                 if codebook is None:
-                    codebook = _shared_codebook(self.base, d, m)
+                    codebook = reachable_outputs(self.base, d, m)
                 out[i] = codebook[rng.integers(codebook.shape[0])]
         return out
 
@@ -375,14 +357,19 @@ def make_learner(kind: str, **params):
 
 
 def enumerate_sign_space(m: int, d: int) -> np.ndarray:
-    """All 2^(m*d) sign patterns as an (n, m, d) int8 tensor."""
+    """All 2^(m*d) sign patterns as an (n, m, d) int8 tensor: pattern i holds
+    bit c of i (as -1 or +1) in flat cell c, so column c is runs of 2^c equal
+    signs, written through a view with no temporary."""
     cells = m * d
     n = 1 << cells
     if n > FULL_ENUM_BUDGET:
         raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
-    idx = np.arange(n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(cells, dtype=np.int64)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8).reshape(n, m, d)
+    out = np.empty((n, cells), dtype=np.int8)
+    for c in range(cells):
+        blocks = out[:, c].reshape(-1, 2, 1 << c)
+        blocks[:, 0] = -1
+        blocks[:, 1] = 1
+    return out.reshape(n, m, d)
 
 
 def sign_space_probs(inst: HardInstance, signs: np.ndarray) -> np.ndarray:
@@ -457,8 +444,7 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     signs = enumerate_sign_space(m, inst.d)
     probs = sign_space_probs(inst, signs)
     if not learner.deterministic:
-        codebook = reachable_outputs(learner.base, inst.d, m)
-        base_idx = _index_in_codebook(learner.base.fit_batch(signs), codebook)
+        codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
         base_law = np.zeros((signs.shape[0], codebook.shape[0]))
         base_law[np.arange(signs.shape[0]), base_idx] = 1.0
         return Channel(signs, probs, codebook, cond=learner.mix(base_law))
@@ -479,33 +465,10 @@ def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 
 
 def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
-    """The learner's reachable codebook over {+-1}^(m*d), lexicographic.
-
-    Every valid bias gives every sign pattern positive mass, so this is the
-    codebook under any instance. Factorized learners use per-coordinate
-    level products; others enumerate the sample space.
-    """
-    if not learner.deterministic:
-        return reachable_outputs(learner.base, d, m)
-    if learner.factorized:
-        patterns = enumerate_sign_space(m, 1).reshape(-1, m)
-        levels = np.unique(learner.coord_outputs(patterns, d))
-        if levels.shape[0] ** d > FULL_ENUM_BUDGET:
-            raise BudgetExceededError("codebook product grid exceeds budget")
-        # levels are sorted and distinct, so the 'ij' grid is already
-        # lexicographic and distinct
-        grids = np.meshgrid(*([levels] * d), indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
+    """A deterministic learner's reachable codebook over {+-1}^(m*d),
+    lexicographic: every valid bias gives every pattern positive mass, so this
+    is the codebook under any instance."""
     return unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_codebook(learner, d: int, m: int) -> np.ndarray:
-    """``reachable_outputs(learner, d, m)``, built once per (learner, d, m) and
-    read-only, since every caller shares it."""
-    codebook = reachable_outputs(learner, d, m)
-    codebook.setflags(write=False)
-    return codebook
 
 
 def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
@@ -516,9 +479,12 @@ def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
     learner being deterministic) sum to the exact joint MI.
     """
     if learner.factorized:
-        patterns = enumerate_sign_space(m, 1).reshape(-1, m)
-        _, inverse = np.unique(learner.coord_outputs(patterns, inst.d), return_inverse=True)
-        counts = (patterns > 0).sum(axis=1)
+        patterns = enumerate_sign_space(m, 1)
+        # every coordinate sees the same column patterns, so column 0 of the
+        # outputs over d equal columns is each coordinate's output
+        outputs = learner.fit_batch(np.broadcast_to(patterns, (1 << m, m, inst.d)))
+        _, inverse = np.unique(outputs[:, 0], return_inverse=True)
+        counts = (patterns[:, :, 0] > 0).sum(axis=1)
         total = 0.0
         for q in (1.0 + inst.p) / 2.0:
             marg = np.zeros(inverse.max() + 1)

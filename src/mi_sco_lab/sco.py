@@ -104,17 +104,17 @@ def sample(inst: HardInstance, m: int, seed) -> Sample:
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    signs = sample_signs(inst, m, rng)
-    return Sample.from_signs(signs)
+    return Sample.from_signs(sample_signs(inst.p, m, rng, 1)[0])
 
 
-def sample_signs(inst: HardInstance, m: int, rng: np.random.Generator,
-                 trials: int = 1) -> np.ndarray:
-    """Sign tensor of shape (m, d) (trials=1) or (trials, m, d)."""
-    q_plus = (1.0 + inst.p) / 2.0
-    u = rng.random(size=(trials, m, inst.d))
-    signs = np.where(u < q_plus, 1, -1).astype(np.int8)
-    return signs[0] if trials == 1 else signs
+def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
+                 trials: int) -> np.ndarray:
+    """int8 signs of shape (trials, m, d) under the bias ``p``: one (d,) bias
+    for every trial, or one (trials, d) bias per trial. Each sign is +1 where
+    a ``rng.random`` uniform falls below (1 + p(t)) / 2."""
+    q_plus = (1.0 + p) / 2.0
+    u = rng.random(size=(trials, m, q_plus.shape[-1]))
+    return np.where(u < q_plus[..., None, :], 1, -1).astype(np.int8)
 
 
 def empirical_risk(s: Sample, w: np.ndarray) -> float:

@@ -1,15 +1,21 @@
 """Literal reference forms that tests check the program's closed forms against.
 
-The program computes risks, entropies and the fingerprinting expectation in
-closed or vectorized form; each function here writes one of them out the
-long way, with no caller in the program.
+The program computes risks, entropies, the fingerprinting expectation, the
+sign-pattern enumeration and SGD's pass in closed, vectorized or low-memory
+form; each function here writes one of them out the long way, with no caller
+in the program.
 """
 
 import numpy as np
 
 from mi_sco_lab.bounds import P_MAX, _legendre_nodes, attack_prefactor
 from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of
-from mi_sco_lab.learners import BudgetExceededError, enumerate_sign_space
+from mi_sco_lab.learners import (
+    BudgetExceededError,
+    _project_rows,
+    enumerate_sign_space,
+    round_half_down,
+)
 from mi_sco_lab.sco import HardInstance, Sample
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,35 @@ def fingerprint_quadrature_table(f_table: np.ndarray, m: int,
         stat = attack_prefactor(p) * delta * (patterns - p).sum(axis=1) + delta ** 2
         total += w * float(pattern_probs @ stat)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Learners and enumeration
+# ---------------------------------------------------------------------------
+
+
+def enumerate_sign_space_shift_mask(m: int, d: int) -> np.ndarray:
+    """``learners.enumerate_sign_space`` as one shift-and-mask over all
+    2^(m*d) indices and m*d bit positions, with its (n, m*d) int64
+    temporaries."""
+    cells = m * d
+    n = 1 << cells
+    idx = np.arange(n, dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(cells, dtype=np.int64)[None, :]) & 1
+    return (2 * bits - 1).astype(np.int8).reshape(n, m, d)
+
+
+def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:
+    """``SgdLearner.fit_batch`` with every point scaled up front, in one
+    (n, m, d) float copy of the signs."""
+    n, m, d = signs.shape
+    points = signs.astype(float) / np.sqrt(d)
+    w = np.zeros((n, d))
+    acc = np.zeros((n, d))
+    for t in range(1, m + 1):
+        w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
+        acc += w
+    return _project_rows(round_half_down(acc / m, learner.delta_for(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,22 +41,19 @@ def timed(fn):
 
 
 def test_criterion_1_pinsker(criterion):
-    rep, elapsed = timed(lambda: bounds.pinsker_suite(1000, max_alphabet=16,
-                                                      seed=SEED))
+    rep, elapsed = timed(lambda: bounds.pinsker_suite(1000, seed=SEED))
     criterion(1, "Pinsker on 1000 random pairs", rep.holds, elapsed, 5.0)
 
 
 def test_criterion_2_coupling(criterion):
     (match, optimal), elapsed = timed(
-        lambda: bounds.coupling_suite(1000, max_alphabet=16, n_random=100,
-                                      seed=SEED))
+        lambda: bounds.coupling_suite(1000, n_random=100, seed=SEED))
     criterion(2, "optimal coupling attains TV; random search never beats it",
               match.holds and optimal.holds, elapsed, 10.0)
 
 
 def test_criterion_3_bounded_correlation(criterion):
-    rep, elapsed = timed(lambda: bounds.bounded_correlation_suite(1000, max_support=8,
-                                                     seed=SEED))
+    rep, elapsed = timed(lambda: bounds.bounded_correlation_suite(1000, seed=SEED))
     criterion(3, "exact MI >= beta^4/8 on 1000 random joints",
               rep.holds and rep.tolerance <= 1e-9, elapsed, 10.0)
 
@@ -159,7 +156,7 @@ def test_criterion_7_net_erm(criterion):
 def test_criterion_8_pipeline(criterion):
     def body():
         cert = bounds.theorem1_certificate(
-            QuantizedMeanLearner(), d=4, m=4, n_p=4, risk_trials=20000,
+            QuantizedMeanLearner(), d=4, m=4, risk_trials=20000,
             good_trials=10 ** 5, pilot_trials=10 ** 4, seed=SEED)
         ok = cert.status == "ok" and cert.report.holds
         scan = bounds.mi_dimension_scan(QuantizedMeanLearner(), 4, 0.0,
@@ -193,7 +190,7 @@ def test_criterion_9_cmi(criterion):
             cap = bounds.selector_entropy_cap(k, m)
             ok &= val <= cap + 1e-9
             xs.append(math.log(m))
-            ys.append(math.log(bounds.cmi_generalization_bound(cap, m)))
+            ys.append(math.log(bounds.xu_bound(cap, m)))
         x = np.asarray(xs)
         y = np.asarray(ys)
         slope = float(((x - x.mean()) @ (y - y.mean()))

@@ -84,22 +84,6 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.learner().k == 2
 
-    def test_learner_seed_key(self, tmp_path):
-        path, _ = write_config(
-            tmp_path, extra="\n[learner]\nkind = randomized_response\n"
-                            "rho = 0.5\nbase = mean\nseed = 31")
-        cfg = load_config(path)
-        assert cfg.learner_seed == 31
-
-    def test_learner_seed_changes_randomized_stream(self, tmp_path):
-        from mi_sco_lab.bounds import measured_excess_risk
-        from mi_sco_lab.learners import MeanLearner, RandomizedResponse
-        rr = RandomizedResponse(base=MeanLearner(), rho=0.8)
-        a = measured_excess_risk(rr, 1, 3, trials=500, seed=1, learner_seed=10)
-        b = measured_excess_risk(rr, 1, 3, trials=500, seed=1, learner_seed=11)
-        c = measured_excess_risk(rr, 1, 3, trials=500, seed=1, learner_seed=10)
-        assert a == c and a != b
-
     def test_invalid_learner_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, extra="\n[learner]\nkind = perceptron")
         with pytest.raises(ConfigError):
@@ -136,9 +120,22 @@ class TestFailClosed:
         self.assert_rejected(capsys, path, out, "master_seed must be >= 0")
 
     def test_negative_learner_seed(self, tmp_path, capsys):
+        # [learner] has no seed key: any value is an unknown key
         path, out = write_config(
             tmp_path, extra="\n[learner]\nkind = quantized_mean\nseed = -1")
-        self.assert_rejected(capsys, path, out, "seed must be >= 0")
+        self.assert_rejected(capsys, path, out, "unknown key 'seed'")
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_theorem1_needs_two_trials(self, tmp_path, capsys, trials):
+        path, out = write_config(tmp_path, name="theorem1", trials=trials)
+        self.assert_rejected(capsys, path, out, "trials")
+
+    def test_theorem1_one_trial_chunk_runs(self, tmp_path, capsys):
+        # 16385 trials leave a last Monte Carlo chunk of one trial
+        path, out = write_config(tmp_path, name="theorem1", trials=16385)
+        assert run(path) == 0
+        assert capsys.readouterr().out == ""
+        assert (out / "results.csv").is_file()
 
     def test_negative_seed_override(self, tmp_path, capsys):
         path, out = write_config(tmp_path)

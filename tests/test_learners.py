@@ -35,7 +35,13 @@ from mi_sco_lab.learners import (
     unique_rows,
 )
 from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample, sample_signs
-from oracles import entropy, marginal, population_risk
+from oracles import (
+    entropy,
+    enumerate_sign_space_shift_mask,
+    marginal,
+    population_risk,
+    sgd_full_copy,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mi_sco_lab"
 
@@ -320,8 +326,8 @@ class TestSubsample:
 
 
 def _randomized_response_rows(learner, signs, rng):
-    """Randomized response one row at a time, with its own uncached codebook:
-    the oracle for the batched draw of ``RandomizedResponse.fit_batch``."""
+    """Randomized response one row at a time, with its own codebook: the
+    oracle for the batched draw of ``RandomizedResponse.fit_batch``."""
     n, m, d = signs.shape
     codebook = reachable_outputs(learner.base, d, m)
     rows = []
@@ -361,7 +367,7 @@ class TestRandomizedResponse:
 
     @staticmethod
     def _spy_builds(monkeypatch):
-        """Record every codebook build, starting from an empty cache."""
+        """Record every codebook build."""
         builds = []
         real = learners.reachable_outputs
 
@@ -369,7 +375,6 @@ class TestRandomizedResponse:
             builds.append(args)
             return real(*args)
 
-        learners._shared_codebook.cache_clear()
         monkeypatch.setattr(learners, "reachable_outputs", spy)
         return builds
 
@@ -379,11 +384,10 @@ class TestRandomizedResponse:
         inst = HardInstance(2, np.array([0.1, -0.3]))
         signs = np.stack([sample(inst, 3, seed=i).signs for i in range(1000)])
         builds = self._spy_builds(monkeypatch)
-        try:
-            got = learner.fit_batch(signs, np.random.default_rng(17))
-        finally:
-            learners._shared_codebook.cache_clear()
+        got = learner.fit_batch(signs, np.random.default_rng(17))
         assert builds == [(base, 2, 3)]
+        learner.fit_batch(signs, np.random.default_rng(17))
+        assert builds == [(base, 2, 3)] * 2
         codebook = reachable_outputs(base, 2, 3)
         rng = np.random.default_rng(17)
         expected = [codebook[rng.integers(codebook.shape[0])] if rng.random() < 0.5
@@ -392,14 +396,10 @@ class TestRandomizedResponse:
 
     def test_rho_zero_builds_no_codebook(self, monkeypatch):
         base = SgdLearner()
-        signs = sample_signs(HardInstance.zero(2), 4, np.random.default_rng(18),
-                             trials=500)
+        signs = sample_signs(np.zeros(2), 4, np.random.default_rng(18), 500)
         builds = self._spy_builds(monkeypatch)
-        try:
-            got = RandomizedResponse(base=base, rho=0.0).fit_batch(
-                signs, np.random.default_rng(19))
-        finally:
-            learners._shared_codebook.cache_clear()
+        got = RandomizedResponse(base=base, rho=0.0).fit_batch(
+            signs, np.random.default_rng(19))
         assert builds == []
         assert got.tobytes() == base.fit_batch(signs).tobytes()
 
@@ -408,8 +408,7 @@ class TestRandomizedResponse:
     def test_batch_matches_row_by_row_oracle(self, d, m, menu):
         bases = ([b for b in _xu_learner_menu(m) if b.deterministic]
                  if menu == "xu" else [MeanLearner()])
-        signs = sample_signs(HardInstance(d, np.linspace(-0.3, 0.2, d)), m,
-                             np.random.default_rng(20), trials=300)
+        signs = sample_signs(np.linspace(-0.3, 0.2, d), m, np.random.default_rng(20), 300)
         for base in bases:
             for rho in (0.0, 0.3, 1.0):
                 learner = RandomizedResponse(base=base, rho=rho)
@@ -417,11 +416,6 @@ class TestRandomizedResponse:
                 expected = _randomized_response_rows(learner, signs,
                                                      np.random.default_rng(23))
                 assert got.tobytes() == expected.tobytes(), (base.kind, rho)
-
-    def test_shared_codebook_is_read_only(self):
-        codebook = learners._shared_codebook(MeanLearner(), 2, 3)
-        with pytest.raises(ValueError):
-            codebook[0, 0] = 1.0
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -495,14 +489,36 @@ class TestChannel:
         with pytest.raises(BudgetExceededError):
             enumerate_sign_space(8, 4)
 
+    @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 12 // d + 1)])
+    def test_enumeration_matches_shift_and_mask(self, d, m):
+        got = enumerate_sign_space(m, d)
+        assert got.dtype == np.int8 and got.shape == (1 << (m * d), m, d)
+        assert got.tobytes() == enumerate_sign_space_shift_mask(m, d).tobytes()
+
+    def test_enumeration_allocates_little_beyond_its_output(self):
+        tracemalloc.start()
+        try:
+            out = enumerate_sign_space(5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, (peak, out.nbytes)
+
+    @pytest.mark.parametrize("d,m", [(1, 9), (2, 5), (3, 4), (4, 3)])
+    def test_sgd_matches_full_copy(self, d, m):
+        signs = enumerate_sign_space(m, d)
+        for learner in (SgdLearner(), SgdLearner(delta=0.3)):
+            got = learner.fit_batch(signs)
+            assert got.tobytes() == sgd_full_copy(learner, signs).tobytes()
+
     def test_exact_mi_dispatches_to_factorized(self):
         inst = HardInstance(7, np.zeros(7))
         # 2^(7*4) is beyond full enumeration; the factorized path answers
         mi = exact_mutual_information(QuantizedMeanLearner(), inst, 4)
         # at p = 0 the 16 column patterns are equally likely, so each
         # coordinate contributes the entropy of its output value counts
-        patterns = enumerate_sign_space(4, 1).reshape(16, 4)
-        _, counts = np.unique(QuantizedMeanLearner().coord_outputs(patterns, 7),
+        patterns = np.repeat(enumerate_sign_space(4, 1), 7, axis=2)
+        _, counts = np.unique(QuantizedMeanLearner().fit_batch(patterns)[:, 0],
                               return_counts=True)
         probs = counts / 16
         assert mi == pytest.approx(-7 * float(probs @ np.log(probs)), abs=1e-12)
@@ -540,7 +556,7 @@ class TestCodebookClosure:
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
         codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
-        signs = sample_signs(inst, m, np.random.default_rng(15), trials=10 ** 5)
+        signs = sample_signs(inst.p, m, np.random.default_rng(15), 10 ** 5)
         w = learner.fit_batch(signs)
         assert np.all(np.linalg.norm(w, axis=1) <= 1.0 + 1e-12)
         assert all(tuple(row) in codebook for row in w)
@@ -549,7 +565,7 @@ class TestCodebookClosure:
         inst = HardInstance(1, np.array([0.2]))
         m = 3
         learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
+        codebook = {tuple(row) for row in reachable_outputs(learner.base, inst.d, m)}
         rng = np.random.default_rng(16)
         for _ in range(2000):
             s = sample(inst, m, seed=rng)
@@ -656,6 +672,23 @@ class TestUniqueRows:
             for m in range(1, 6):
                 codebook = reachable_outputs(learner, d, m)
                 assert codebook.tobytes() == np.unique(codebook, axis=0).tobytes()
+
+    @pytest.mark.parametrize("base", [MeanLearner(), QuantizedMeanLearner(),
+                                      QuantizedMeanLearner(delta=0.3)],
+                             ids=["mean", "quantized_mean", "quantized_mean_0.3"])
+    def test_factorized_codebook_is_the_level_grid(self, base):
+        # a factorized learner reaches every combination of its
+        # per-coordinate levels, so its codebook is their 'ij' grid
+        for d in (1, 2, 3):
+            for m in range(1, 6):
+                columns = np.repeat(enumerate_sign_space(m, 1), d, axis=2)
+                for learner in [base] + [SubsampleLearner(k=k, base=base)
+                                         for k in range(1, m + 1)]:
+                    levels = np.unique(learner.fit_batch(columns)[:, 0])
+                    grids = np.meshgrid(*([levels] * d), indexing="ij")
+                    grid = np.stack([g.reshape(-1) for g in grids], axis=1)
+                    got = reachable_outputs(learner, d, m)
+                    assert got.tobytes() == grid.tobytes(), (learner.kind, d, m)
 
     def test_no_row_sort_in_the_program(self):
         found = []

@@ -5,9 +5,19 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from mi_sco_lab import learners
+from mi_sco_lab.harness import _xu_learner_menu
+from mi_sco_lab.sco import HardInstance
+
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "mi_sco_lab"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# (file, function, parameter) defaults that no program call sets: the CLI's
+# argv, which tests pass to drive the CLI in-process
+UNSET_DEFAULTS_ALLOWED = {("cli.py", "main", "argv")}
 
 
 def _names_used(tree) -> Counter:
@@ -65,8 +75,89 @@ def test_no_test_only_code_in_src():
 
 
 def test_learners_have_one_fit_path():
-    """Learners compute outputs only through ``fit_batch``."""
+    """Learners compute outputs only through ``fit_batch``: no learner class
+    defines ``fit`` or ``coord_outputs``."""
     tree = ast.parse((SRC / "learners.py").read_text())
-    with_fit = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-                and any(isinstance(item, DEFS) and item.name == "fit" for item in node.body)]
-    assert not with_fit, f"learner classes defining fit: {with_fit}"
+    second = [f"{node.name}.{item.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body
+              if isinstance(item, DEFS) and item.name in ("fit", "coord_outputs")]
+    assert not second, f"learner classes with a second output route: {second}"
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, position in a call or None) for every
+    parameter with a default; a method's position skips self or cls."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, FUNCS)
+               and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                           for dec in item.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCS):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        offset = 1 if id(node) in methods else 0
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield node.name, arg.arg, i - offset
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _sets_parameter(call, name, position) -> bool:
+    """Whether ``call`` passes the parameter by keyword or by position; a
+    ``*args`` or ``**kwargs`` argument counts as passing every parameter."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_default_is_set_by_some_call():
+    """Every defaulted parameter of a function or method in ``src/mi_sco_lab``
+    is passed, by keyword or by position, by some call in ``src/`` or
+    ``perfbench/*.py``; a default that no call overrides is a constant.
+
+    Calls match the function by name only, like the guard above. The one
+    exception is ``cli.main(argv)``: the console script calls ``main()``
+    bare, and tests pass ``argv`` to drive the CLI in-process.
+    """
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = list(trees.values()) + [ast.parse(path.read_text(), filename=str(path))
+                                      for path in sorted((REPO / "perfbench").glob("*.py"))]
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(callee, []).append(node)
+    unset = [f"{filename} {fn}({param})"
+             for filename, tree in trees.items()
+             for fn, param, position in _defaulted_parameters(tree)
+             if (filename, fn, param) not in UNSET_DEFAULTS_ALLOWED
+             and not any(_sets_parameter(call, param, position) for call in calls.get(fn, ()))]
+    assert not unset, f"defaults no program call sets; make them constants: {unset}"
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_exact_channel_enumerates_once(monkeypatch, m):
+    """``exact_channel`` enumerates the sign space once per call, for every
+    learner of the xu-check menu, the randomized one included."""
+    real = learners.enumerate_sign_space
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(learners, "enumerate_sign_space", spy)
+    inst = HardInstance.zero(2)
+    for learner in _xu_learner_menu(m):
+        calls.clear()
+        learners.exact_channel(learner, inst, m)
+        assert calls == [(m, 2)], learner.kind

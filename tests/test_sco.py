@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample
+from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample, sample_signs
 from oracles import (
     empirical_suboptimality,
     loss,
@@ -40,6 +40,19 @@ class TestSampling:
         s1 = sample(inst, 10, seed=42)
         s2 = sample(inst, 10, seed=42)
         np.testing.assert_array_equal(s1.points, s2.points)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_sample_signs_is_always_three_dimensional(self, trials):
+        signs = sample_signs(np.array([0.1, -0.2, 0.3]), 4, np.random.default_rng(3), trials)
+        assert signs.shape == (trials, 4, 3) and signs.dtype == np.int8
+
+    def test_sample_signs_per_trial_bias(self):
+        # one (trials, d) bias per trial draws what a shared (d,) bias draws
+        # when every row is that bias
+        p = np.array([0.1, -0.2, 0.3])
+        shared = sample_signs(p, 4, np.random.default_rng(4), 6)
+        per_trial = sample_signs(np.tile(p, (6, 1)), 4, np.random.default_rng(4), 6)
+        assert shared.tobytes() == per_trial.tobytes()
 
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
