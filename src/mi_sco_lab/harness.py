@@ -1,25 +1,25 @@
 """Experiment runner: config parsing, registry, seeding, CSV/plot emission.
 
 Config files are flat key-value text with section headers (INI syntax),
-validated against a strict schema (unknown sections or keys are rejected):
+validated against a strict schema: a section or key outside it is rejected,
+and so is one the named experiment does not read (each ``EXPERIMENTS``
+entry lists the keys its experiment reads). The schema:
 
     [experiment]
-    name = tradeoff            # one of the registry names
+    name = theorem1            # one of the registry names
 
     [instance]
     d = 2                      # dimension >= 1
     p_mode = uniform           # uniform | fixed
     p_values = 0.1, -0.2       # required iff p_mode = fixed
 
-    [learner]
+    [learner]                  # theorem1 only
     kind = quantized_mean      # mean | quantized_mean | epsilon_net_erm |
-                               # sgd | regularized_erm | subsample |
-                               # randomized_response
+                               # sgd | regularized_erm | subsample
     delta = auto               # quantization step, or auto for 1/m^2
     lam = 0.0                  # regularized_erm weight
     k = 2                      # subsample size, 1 <= k <= m
-    rho = 0.5                  # randomized_response flip probability
-    base = mean                # base kind for wrapper learners
+    base = mean                # base kind for subsample
 
     [run]
     m = 4                      # sample size >= 1
@@ -29,6 +29,7 @@ validated against a strict schema (unknown sections or keys are rejected):
     master_seed = 12345        # >= 0
     output_dir = out
 
+A learner parameter its kind does not take is rejected too.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
 file it wrote. Numbers must be finite.
@@ -64,7 +65,7 @@ from .learners import (
     exact_channel,
     make_learner,
 )
-from .sco import P_MAX, HardInstance, empirical_risk, sample
+from .sco import P_MAX, HardInstance, sample_signs
 
 EPSILON_MAX = 1.0 / 54.0
 
@@ -76,7 +77,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "experiment": {"name"},
     "instance": {"d", "p_mode", "p_values"},
-    "learner": {"kind", "delta", "lam", "k", "rho", "base"},
+    "learner": {"kind", "delta", "lam", "k", "base"},
     "run": {"m", "epsilon", "trials", "quadrature_nodes", "master_seed",
             "output_dir"},
 }
@@ -88,8 +89,7 @@ class ExperimentConfig:
     d: int = 2
     p_mode: str = "uniform"
     p_values: tuple = ()
-    learner_kind: str = "quantized_mean"
-    learner_params: dict = None
+    learner: object = None  # built from [learner] for the experiments that read it
     m: int = 4
     epsilon: float | None = None  # None: measured
     trials: int = 100000
@@ -102,9 +102,6 @@ class ExperimentConfig:
             return HardInstance(self.d, np.asarray(self.p_values))
         rng = mc.substream(self.master_seed, 1)
         return HardInstance.uniform_bias(self.d, rng)
-
-    def learner(self):
-        return make_learner(self.learner_kind, **(self.learner_params or {}))
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -133,18 +130,22 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    if not parser.has_option("experiment", "name"):
+        raise ConfigError("missing required key: [experiment] name")
+    name = parser["experiment"]["name"].strip()
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment name: {name!r}")
+    reads = EXPERIMENTS[name][1]
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    if not parser.has_option("experiment", "name"):
-        raise ConfigError("missing required key: [experiment] name")
-    name = parser["experiment"]["name"].strip()
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment name: {name!r}")
+            if key != "name" and key not in reads:
+                raise ConfigError(f"experiment {name!r} does not read {key!r} in [{section}]")
+        if section != "experiment" and not reads & _SCHEMA[section]:
+            raise ConfigError(f"experiment {name!r} reads no key of [{section}]")
 
     inst = parser["instance"] if parser.has_section("instance") else {}
     d = _parse_int(inst.get("d", "2"), "d")
@@ -154,6 +155,8 @@ def load_config(path) -> ExperimentConfig:
     if p_mode not in ("uniform", "fixed"):
         raise ConfigError("p_mode must be uniform or fixed")
     p_values = ()
+    if p_mode == "uniform" and "p_values" in inst:
+        raise ConfigError("p_values needs p_mode = fixed")
     if p_mode == "fixed":
         raw = inst.get("p_values", "")
         if not raw.strip():
@@ -167,20 +170,18 @@ def load_config(path) -> ExperimentConfig:
     lrn = parser["learner"] if parser.has_section("learner") else {}
     kind = lrn.get("kind", "quantized_mean").strip().lower()
     params = {}
-    if "delta" in lrn and lrn["delta"].strip().lower() != "auto":
-        params["delta"] = _parse_float(lrn["delta"], "delta")
-        if params["delta"] <= 0:
-            raise ConfigError("delta must be positive")
+    if "delta" in lrn:
+        params["delta"] = None
+        if lrn["delta"].strip().lower() != "auto":
+            params["delta"] = _parse_float(lrn["delta"], "delta")
+            if params["delta"] <= 0:
+                raise ConfigError("delta must be positive")
     if "lam" in lrn:
         params["lam"] = _parse_float(lrn["lam"], "lam")
         if params["lam"] < 0:
             raise ConfigError("lam must be >= 0")
     if "k" in lrn:
         params["k"] = _parse_int(lrn["k"], "k")
-    if "rho" in lrn:
-        params["rho"] = _parse_float(lrn["rho"], "rho")
-        if not 0.0 <= params["rho"] <= 1.0:
-            raise ConfigError("rho must lie in [0, 1]")
     if "base" in lrn:
         params["base"] = lrn["base"].strip().lower()
 
@@ -206,22 +207,20 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("master_seed must be >= 0")
     output_dir = run.get("output_dir", "out")
 
-    cfg = ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
-                           learner_kind=kind, learner_params=params, m=m,
-                           epsilon=epsilon, trials=trials,
-                           quadrature_nodes=nodes, master_seed=master_seed,
-                           output_dir=output_dir)
-    try:
-        learner = cfg.learner()
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid learner block: {exc}") from exc
-    if getattr(learner, "k", 1) > m:
-        raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
-    if name == "theorem1" and not learner.deterministic:
-        raise ConfigError(f"theorem1 needs a deterministic learner, not {learner.kind}")
+    learner = None
+    if "kind" in reads:
+        try:
+            learner = make_learner(kind, **params)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid learner block: {exc}") from exc
+        if getattr(learner, "k", 1) > m:
+            raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
     if name == "theorem1" and trials < 2:
         raise ConfigError("theorem1 needs trials >= 2 for a standard error")
-    return cfg
+    return ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
+                            learner=learner, m=m, epsilon=epsilon, trials=trials,
+                            quadrature_nodes=nodes, master_seed=master_seed,
+                            output_dir=output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +323,7 @@ def _xu_learner_menu(m: int):
 
 
 def _p_grid(d: int):
-    if d == 1:
-        axes = [np.linspace(-P_MAX, P_MAX, 5)]
-    elif d == 2:
-        axes = [np.linspace(-P_MAX, P_MAX, 5)] * 2
-    else:
-        axes = [np.linspace(-P_MAX, P_MAX, 3)] * d
+    axes = [np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
@@ -440,11 +434,12 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         ent = ch.output_entropy()
         net_size = epsilon_net(d, m).shape[0]
         cap = d * math.log(math.sqrt(m) + 1.0)
-        samples = [sample(HardInstance(d, rng.uniform(-P_MAX, P_MAX, size=d)), m, rng)
-                   for _ in range(100)]
-        ws = learner.fit_batch(np.stack([s.signs for s in samples]))
-        slacks = [empirical_risk(s, w) - empirical_risk(s, s.mean)
-                  for s, w in zip(samples, ws)]
+        signs = np.stack([sample_signs(rng.uniform(-P_MAX, P_MAX, size=d), m, rng, 1)[0]
+                          for _ in range(100)])
+        ws = learner.fit_batch(signs)
+        pts = signs.astype(float) / np.sqrt(d)
+        slacks = [float(((z - w) ** 2).sum() / m - ((z - z.mean(axis=0)) ** 2).sum() / m)
+                  for z, w in zip(pts, ws)]
         rows.append([d, m, ent, cap, net_size, min(slacks), max(slacks),
                      math.sqrt(d / m)])
         reports.append(bounds.make_report(f"net_entropy_cap[d={d},m={m}]",
@@ -507,9 +502,8 @@ def _exp_cmi(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
 
 
 def _exp_theorem1(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
-    learner = cfg.learner()
     cert = bounds.theorem1_certificate(
-        learner, cfg.d, cfg.m, cfg.epsilon,
+        cfg.learner, cfg.d, cfg.m, cfg.epsilon,
         risk_trials=min(cfg.trials, 20000), good_trials=cfg.trials,
         seed=cfg.master_seed)
     reports = [cert.report]
@@ -520,14 +514,18 @@ def _exp_theorem1(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     return reports
 
 
+# each experiment with the config keys it reads, the only keys it accepts
 EXPERIMENTS = {
-    "verify-lemmas": _exp_verify_lemmas,
-    "fingerprint": _exp_fingerprint,
-    "xu-check": _exp_xu_check,
-    "tradeoff": _exp_tradeoff,
-    "net-erm": _exp_net_erm,
-    "cmi": _exp_cmi,
-    "theorem1": _exp_theorem1,
+    "verify-lemmas": (_exp_verify_lemmas, {"d", "p_mode", "p_values", "m", "epsilon", "trials",
+                                           "quadrature_nodes", "master_seed", "output_dir"}),
+    "fingerprint": (_exp_fingerprint, {"m", "trials", "quadrature_nodes", "master_seed",
+                                       "output_dir"}),
+    "xu-check": (_exp_xu_check, {"d", "m", "output_dir"}),
+    "tradeoff": (_exp_tradeoff, {"d", "p_mode", "p_values", "m", "master_seed", "output_dir"}),
+    "net-erm": (_exp_net_erm, {"d", "m", "master_seed", "output_dir"}),
+    "cmi": (_exp_cmi, {"m", "output_dir"}),
+    "theorem1": (_exp_theorem1, {"d", "kind", "delta", "lam", "k", "base", "m", "epsilon",
+                                 "trials", "master_seed", "output_dir"}),
 }
 
 
@@ -544,6 +542,8 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
                 raise ConfigError(
                     f"config names experiment {cfg.name!r}, CLI asked for {experiment!r}")
         if seed is not None:
+            if "master_seed" not in EXPERIMENTS[cfg.name][1]:
+                raise ConfigError(f"experiment {cfg.name!r} does not read --seed")
             if seed < 0:
                 raise ConfigError("--seed must be >= 0")
             cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
@@ -553,10 +553,11 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
         print(f"config error: {exc}")
         return 1
 
+    body, reads = EXPERIMENTS[cfg.name]
     outdir = _OutputDir(Path(cfg.output_dir))
     outdir.path.mkdir(parents=True, exist_ok=True)
     try:
-        reports = EXPERIMENTS[cfg.name](cfg, outdir)
+        reports = body(cfg, outdir)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}")
         return 1
@@ -565,7 +566,7 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
     manifest = {
         "artifact_version": __version__,
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
-        "master_seed": cfg.master_seed,
+        "master_seed": cfg.master_seed if "master_seed" in reads else None,
         "wall_clock_seconds": round(time.monotonic() - start, 3),
         "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
     }

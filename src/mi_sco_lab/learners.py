@@ -13,9 +13,10 @@ The learner contract is a set of attributes, with no base class:
   * ``deterministic``: whether the output is a function of the sample;
   * ``factorized``: whether output coordinate t depends only on column t of
     the sample;
-  * ``delta_for(m)``: the quantization step at sample size m, or None;
   * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
     the one way a learner computes its output.
+The quantizing learners (quantized mean, SGD, regularized ERM) round to the
+step ``delta_for(m)``, 1/m^2 unless their ``delta`` is set.
 A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
@@ -116,9 +117,6 @@ class MeanLearner:
         d = signs.shape[2]
         return signs.mean(axis=1, dtype=float) / math.sqrt(d)
 
-    def delta_for(self, m: int) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
 class QuantizedMeanLearner:
@@ -188,9 +186,6 @@ class EpsilonNetErm:
         n, m, d = signs.shape
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
         return self.fit_from_mean(zbar, m)
-
-    def delta_for(self, m: int) -> float | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -277,9 +272,6 @@ class SubsampleLearner:
             raise ValueError(f"k={self.k} out of range for m={signs.shape[1]}")
         return self.base.fit_batch(signs[:, : self.k, :])
 
-    def delta_for(self, m: int) -> float | None:
-        return self.base.delta_for(self.k)
-
 
 @dataclass(frozen=True)
 class RandomizedResponse:
@@ -324,31 +316,26 @@ class RandomizedResponse:
         (last axis): (1 - rho) * base_law + rho / K."""
         return (1.0 - self.rho) * base_law + self.rho / base_law.shape[-1]
 
-    def delta_for(self, m: int) -> float | None:
-        return self.base.delta_for(m)
+
+LEARNER_KINDS = {
+    "mean": MeanLearner,
+    "quantized_mean": QuantizedMeanLearner,
+    "epsilon_net_erm": EpsilonNetErm,
+    "sgd": SgdLearner,
+    "regularized_erm": RegularizedErm,
+    "subsample": SubsampleLearner,
+}
 
 
 def make_learner(kind: str, **params):
-    """Config-facing factory. Wrapper kinds take base=<kind> plus base params."""
-    kind = kind.strip().lower()
-    if kind == "mean":
-        return MeanLearner()
-    if kind == "quantized_mean":
-        return QuantizedMeanLearner(delta=params.get("delta"))
-    if kind == "epsilon_net_erm":
-        return EpsilonNetErm()
-    if kind == "sgd":
-        return SgdLearner(delta=params.get("delta"))
-    if kind == "regularized_erm":
-        return RegularizedErm(lam=params.get("lam", 0.0), delta=params.get("delta"))
+    """Config-facing factory: the class of ``kind`` called with ``params``, so
+    a parameter the class does not take raises TypeError. A subsample's
+    ``base`` names its base kind (default mean), built with no parameters."""
+    if kind not in LEARNER_KINDS:
+        raise ValueError(f"unknown learner kind: {kind!r}")
     if kind == "subsample":
-        base = make_learner(params.pop("base", "mean"), **{k: v for k, v in params.items() if k != "k"})
-        return SubsampleLearner(k=int(params["k"]), base=base)
-    if kind == "randomized_response":
-        base = make_learner(params.pop("base", "mean"),
-                            **{k: v for k, v in params.items() if k != "rho"})
-        return RandomizedResponse(base=base, rho=float(params["rho"]))
-    raise ValueError(f"unknown learner kind: {kind!r}")
+        params["base"] = make_learner(params.get("base", "mean"))
+    return LEARNER_KINDS[kind](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 The program computes risks, entropies, the fingerprinting expectation, the
 sign-pattern enumeration and SGD's pass in closed, vectorized or low-memory
 form; each function here writes one of them out the long way, with no caller
-in the program.
+in the program. ``Sample``, ``sample`` and ``empirical_risk`` draw and score
+one sample as a point array, where the program works on sign tensors.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +19,71 @@ from mi_sco_lab.learners import (
     enumerate_sign_space,
     round_half_down,
 )
-from mi_sco_lab.sco import HardInstance, Sample
+from mi_sco_lab.sco import HardInstance, sample_signs
+
+# ---------------------------------------------------------------------------
+# Samples of the hard instance
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sample:
+    """m data points in {-1/sqrt(d), +1/sqrt(d)}^d, each on the unit sphere."""
+
+    points: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise ValueError("points must be a nonempty (m, d) array")
+        d = pts.shape[1]
+        if not np.allclose(np.abs(pts), 1.0 / np.sqrt(d), atol=1e-12):
+            raise ValueError("every coordinate must be +-1/sqrt(d)")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def m(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def signs(self) -> np.ndarray:
+        """Integer sign matrix (m, d) with entries +-1."""
+        return np.where(self.points > 0, 1, -1).astype(np.int8)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.points.mean(axis=0)
+
+    @classmethod
+    def from_signs(cls, signs: np.ndarray) -> "Sample":
+        signs = np.asarray(signs)
+        d = signs.shape[1]
+        return cls(signs.astype(float) / np.sqrt(d))
+
+
+def sample(inst: HardInstance, m: int, seed) -> Sample:
+    """Draw m i.i.d. points; coordinate t is +1/sqrt(d) w.p. (1+p(t))/2.
+
+    ``seed`` may be an int or a Generator; a fixed int gives identical samples.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return Sample.from_signs(sample_signs(inst.p, m, rng, 1)[0])
+
+
+def empirical_risk(s: Sample, w: np.ndarray) -> float:
+    w = np.asarray(w, dtype=float)
+    if w.shape[0] != s.d:
+        raise ValueError("dimension mismatch")
+    diff = s.points - w
+    return float((diff * diff).sum() / s.m)
+
 
 # ---------------------------------------------------------------------------
 # Risks of the hard instance

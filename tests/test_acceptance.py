@@ -27,7 +27,8 @@ from mi_sco_lab.learners import (
     epsilon_net,
     exact_channel,
 )
-from mi_sco_lab.sco import HardInstance, empirical_risk, sample
+from mi_sco_lab.sco import HardInstance
+from oracles import empirical_risk, sample
 
 LN2 = math.log(2.0)
 SEED = 20240801

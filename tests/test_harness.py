@@ -1,34 +1,34 @@
 """Config validation, exit codes, output schemas, and reproducibility."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from mi_sco_lab import bounds
 from mi_sco_lab.cli import main
-from mi_sco_lab.harness import ConfigError, ExperimentConfig, load_config, run
+from mi_sco_lab.harness import EXPERIMENTS, ConfigError, ExperimentConfig, load_config, run
 
 
 def write_config(tmp_path, name="tradeoff", extra="", d=1, m=4, trials=2000,
-                 seed=7, out=None, fixed_p="0.1"):
+                 seed=7, out=None, fixed_p="0.1", p_mode="fixed", force=()):
+    """A config for ``name`` that holds only the keys the experiment reads
+    (p_values only in fixed mode), plus the keys named in ``force``;
+    ``extra`` lines go at the end, in [run]."""
     out = out or (tmp_path / "out")
-    text = f"""[experiment]
-name = {name}
-
-[instance]
-d = {d}
-p_mode = fixed
-p_values = {fixed_p}
-
-[run]
-m = {m}
-trials = {trials}
-master_seed = {seed}
-output_dir = {out}
-{extra}
-"""
+    sections = {"instance": {"d": d, "p_mode": p_mode, "p_values": fixed_p},
+                "run": {"m": m, "trials": trials, "master_seed": seed, "output_dir": out}}
+    reads = (EXPERIMENTS[name][1] if name in EXPERIMENTS
+             else set(sections["instance"]) | set(sections["run"]))
+    keep = (reads - ({"p_values"} if p_mode == "uniform" else set())) | set(force)
+    text = f"[experiment]\nname = {name}\n"
+    for section, values in sections.items():
+        lines = [f"{key} = {value}" for key, value in values.items() if key in keep]
+        if lines:
+            text += f"\n[{section}]\n" + "\n".join(lines) + "\n"
     path = tmp_path / "config.ini"
-    path.write_text(text)
+    path.write_text(text + extra + "\n")
     return path, out
 
 
@@ -60,12 +60,12 @@ class TestConfigParsing:
             load_config(path)
 
     def test_epsilon_range_enforced(self, tmp_path):
-        path, _ = write_config(tmp_path, extra="epsilon = 0.1")
+        path, _ = write_config(tmp_path, name="theorem1", extra="epsilon = 0.1")
         with pytest.raises(ConfigError, match="1/54"):
             load_config(path)
 
     def test_epsilon_in_range_accepted(self, tmp_path):
-        path, _ = write_config(tmp_path, extra="epsilon = 0.01")
+        path, _ = write_config(tmp_path, name="theorem1", extra="epsilon = 0.01")
         assert load_config(path).epsilon == pytest.approx(0.01)
 
     def test_p_values_length_checked(self, tmp_path):
@@ -80,12 +80,14 @@ class TestConfigParsing:
 
     def test_learner_block(self, tmp_path):
         path, _ = write_config(
-            tmp_path, extra="\n[learner]\nkind = subsample\nk = 2\nbase = mean")
+            tmp_path, name="theorem1",
+            extra="\n[learner]\nkind = subsample\nk = 2\nbase = mean")
         cfg = load_config(path)
-        assert cfg.learner().k == 2
+        assert cfg.learner.k == 2
 
     def test_invalid_learner_rejected(self, tmp_path):
-        path, _ = write_config(tmp_path, extra="\n[learner]\nkind = perceptron")
+        path, _ = write_config(tmp_path, name="theorem1",
+                               extra="\n[learner]\nkind = perceptron")
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -104,10 +106,12 @@ class TestFailClosed:
         assert not out.exists()
 
     def test_theorem1_rejects_randomized_learner(self, tmp_path, capsys):
+        # randomized response is no config kind
         path, out = write_config(
             tmp_path, name="theorem1",
-            extra="\n[learner]\nkind = randomized_response\nrho = 0.5\nbase = mean")
-        self.assert_rejected(capsys, path, out, "deterministic learner")
+            extra="\n[learner]\nkind = randomized_response\nbase = mean")
+        self.assert_rejected(capsys, path, out,
+                             "unknown learner kind: 'randomized_response'")
 
     def test_subsample_k_above_m(self, tmp_path, capsys):
         path, out = write_config(
@@ -122,7 +126,8 @@ class TestFailClosed:
     def test_negative_learner_seed(self, tmp_path, capsys):
         # [learner] has no seed key: any value is an unknown key
         path, out = write_config(
-            tmp_path, extra="\n[learner]\nkind = quantized_mean\nseed = -1")
+            tmp_path, name="theorem1",
+            extra="\n[learner]\nkind = quantized_mean\nseed = -1")
         self.assert_rejected(capsys, path, out, "unknown key 'seed'")
 
     @pytest.mark.parametrize("trials", [0, 1])
@@ -158,6 +163,31 @@ class TestFailClosed:
             extra="\n[learner]\nkind = regularized_erm\nlam = nan")
         self.assert_rejected(capsys, path, out, "lam must be finite")
 
+    @pytest.mark.parametrize("name, force, extra, match", [
+        ("cmi", (), "\n[learner]\nkind = quantized_mean",
+         "experiment 'cmi' does not read 'kind'"),
+        ("cmi", (), "\n[learner]", "experiment 'cmi' reads no key of"),
+        ("xu-check", ("trials",), "", "experiment 'xu-check' does not read 'trials'"),
+        ("theorem1", ("p_mode",), "", "experiment 'theorem1' does not read 'p_mode'"),
+        ("theorem1", (), "\n[learner]\nkind = sgd\nlam = 1.0",
+         "unexpected keyword argument 'lam'"),
+        ("theorem1", (), "\n[learner]\nkind = mean\ndelta = auto",
+         "unexpected keyword argument 'delta'"),
+        ("theorem1", (), "\n[learner]\nkind = quantized_mean\nrho = 0.5",
+         "unknown key 'rho'"),
+        ("tradeoff", ("p_values",), "", "p_values needs p_mode = fixed"),
+    ])
+    def test_unread_key_rejected(self, tmp_path, capsys, name, force, extra, match):
+        path, out = write_config(tmp_path, name=name, force=force, extra=extra,
+                                 p_mode="uniform" if "p_values" in force else "fixed")
+        self.assert_rejected(capsys, path, out, match)
+
+    @pytest.mark.parametrize("name", ["cmi", "xu-check"])
+    def test_seed_override_unread(self, tmp_path, capsys, name):
+        path, out = write_config(tmp_path, name=name)
+        self.assert_rejected(capsys, path, out, f"experiment {name!r} does not read --seed",
+                             seed=3)
+
 
 class TestRun:
     def test_exit_zero_and_outputs(self, tmp_path):
@@ -172,7 +202,7 @@ class TestRun:
         assert run(tmp_path / "absent.ini") == 1
 
     def test_bad_epsilon_exit_one(self, tmp_path):
-        path, _ = write_config(tmp_path, extra="epsilon = 0.5")
+        path, _ = write_config(tmp_path, name="theorem1", extra="epsilon = 0.5")
         assert run(path) == 1
 
     def test_mismatched_experiment_exit_one(self, tmp_path):
@@ -191,7 +221,8 @@ class TestRun:
             from mi_sco_lab.bounds import make_report
             return [make_report("always_false", 0.0, 1.0)]
 
-        monkeypatch.setitem(harness.EXPERIMENTS, "tradeoff", broken)
+        monkeypatch.setitem(harness.EXPERIMENTS, "tradeoff",
+                            (broken, harness.EXPERIMENTS["tradeoff"][1]))
         path, _ = write_config(tmp_path)
         assert run(path, verify=True) == 2
         assert run(path, verify=False) == 0
@@ -274,13 +305,12 @@ class TestDeterminism:
         assert a == b
 
     def test_seed_changes_results(self, tmp_path):
-        # different seed, different instance draw: uniform mode
+        # theorem1 draws its certificate biases from master_seed
         cfg = """[experiment]
 name = theorem1
 
 [instance]
 d = 1
-p_mode = uniform
 
 [run]
 m = 3
@@ -296,3 +326,31 @@ output_dir = {out}
             assert run(path) == 0
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] != outs[1]
+
+
+# the config field built from several keys
+FIELD_KEYS = {"learner": {"kind", "delta", "lam", "k", "base"}}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_keys_read_equal_keys_declared(tmp_path, monkeypatch, name):
+    """The config keys an experiment's run reads, recorded by a spy on
+    ``ExperimentConfig`` attribute reads (over both p_modes where it reads
+    p_mode), are the keys its registry entry declares, in both directions. ``bounds.cmi_exact`` never
+    sees the config and takes 2 s of the cmi sweep, so it is stubbed."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"name"}
+    read = set()
+    getattribute = ExperimentConfig.__getattribute__
+
+    def spy(self, attr):
+        if attr in fields:
+            read.update(FIELD_KEYS.get(attr, {attr}))
+        return getattribute(self, attr)
+
+    monkeypatch.setattr(bounds, "cmi_exact", lambda learner, inst, m: 0.0)
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", spy)
+    for p_mode in ("fixed", "uniform") if "p_mode" in EXPERIMENTS[name][1] else ("fixed",):
+        path, _ = write_config(tmp_path, name=name, d=1, m=2, trials=100,
+                               p_mode=p_mode, out=tmp_path / p_mode)
+        assert run(path) == 0
+    assert read == EXPERIMENTS[name][1]

@@ -34,12 +34,15 @@ from mi_sco_lab.learners import (
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_signs
 from oracles import (
+    Sample,
+    empirical_risk,
     entropy,
     enumerate_sign_space_shift_mask,
     marginal,
     population_risk,
+    sample,
     sgd_full_copy,
 )
 
@@ -708,9 +711,18 @@ class TestMakeLearner:
         assert make_learner("regularized_erm", lam=2.0).lam == 2.0
         sub = make_learner("subsample", k=2, base="mean")
         assert sub.k == 2 and sub.base.kind == "mean"
-        rr = make_learner("randomized_response", rho=0.3, base="quantized_mean")
-        assert rr.rho == 0.3 and rr.base.kind == "quantized_mean"
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_learner("gradient_boosting")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("sgd", {"lam": 1.0}),
+        ("mean", {"delta": 0.1}),
+        ("epsilon_net_erm", {"delta": None}),
+        ("quantized_mean", {"base": "mean"}),
+        ("regularized_erm", {"k": 2}),
+    ])
+    def test_parameter_the_kind_does_not_take(self, kind, params):
+        with pytest.raises(TypeError):
+            make_learner(kind, **params)

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mi_sco_lab.sco import HardInstance, Sample, empirical_risk, sample, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_signs
 from oracles import (
+    Sample,
+    empirical_risk,
     empirical_suboptimality,
     loss,
     mean_excess_risk_exact,
     population_risk,
+    sample,
     suboptimality,
 )
 
