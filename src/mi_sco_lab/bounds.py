@@ -14,7 +14,6 @@ needed to reproduce the run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -59,9 +58,7 @@ CERTIFICATE_BIASES = 4  # biases theorem1_certificate searches
 MAX_ALPHABET = 16  # largest alphabet of the random pmf pairs
 MAX_SUPPORT = 8  # largest marginal support of the random correlated joints
 SECOND_MOMENT_INNER = 64  # samples per inner batch of second_moment_report
-
-REPORT_COLUMNS = ("name", "d", "m", "epsilon", "lhs", "rhs", "holds",
-                  "slack", "trials", "ci_halfwidth", "seed")
+QUADRATURE_NODES = 64  # Gauss-Legendre nodes over the bias
 
 
 @dataclass(frozen=True)
@@ -89,24 +86,6 @@ def make_report(name: str, lhs: float, rhs: float, tolerance: float = 0.0,
     return BoundReport(name=name, lhs=lhs, rhs=rhs,
                        holds=bool(lhs >= rhs - tolerance),
                        slack=lhs - rhs, tolerance=tolerance, **meta)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([_fmt(getattr(r, col)) for col in REPORT_COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +145,8 @@ def attack_prefactor(p):
     return (1.0 - 9.0 * p * p) / (9.0 - 9.0 * p * p)
 
 
-def _legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     # p = x/3 maps [-1,1] to [-1/3,1/3]; with uniform density the effective
     # weights are w/2 (they sum to one).
     return x / 3.0, w / 2.0
@@ -181,17 +160,17 @@ def _binomial_weights(m: int, q: np.ndarray) -> np.ndarray:
     return comb[None, :] * q ** ks[None, :] * (1.0 - q) ** (m - ks)[None, :]
 
 
-def fingerprint_quadrature(estimator: SumEstimator, m: int,
-                           nodes: int = 64) -> float:
-    """Exact-in-X expectation with Gauss-Legendre integration over the bias.
+def fingerprint_quadrature(estimator: SumEstimator, m: int) -> float:
+    """Exact-in-X expectation with QUADRATURE_NODES-point Gauss-Legendre
+    integration over the bias.
 
     The inner expectation enumerates the plus-count (sufficient for
     sum-based estimators) with exact binomial weights.
     """
-    ps, ws = _legendre_nodes(nodes)
+    ps, ws = _legendre_nodes()
     sums = 2.0 * np.arange(m + 1) - m
     fvals = estimator(sums, m)  # (m+1,)
-    weights = _binomial_weights(m, (1.0 + ps) / 2.0)  # (nodes, m+1)
+    weights = _binomial_weights(m, (1.0 + ps) / 2.0)  # (QUADRATURE_NODES, m+1)
     pref = attack_prefactor(ps)[:, None]
     delta = fvals[None, :] - ps[:, None]
     stat = pref * delta * (sums[None, :] - m * ps[:, None]) + delta ** 2
@@ -199,7 +178,7 @@ def fingerprint_quadrature(estimator: SumEstimator, m: int,
 
 
 def fingerprint_expectation(estimator: SumEstimator, m: int,
-                            mode: str = "quadrature", nodes: int = 64,
+                            mode: str = "quadrature",
                             trials: int = 10 ** 6, seed: int = 0) -> BoundReport:
     """Verify the 1/27 floor for one estimator.
 
@@ -210,7 +189,7 @@ def fingerprint_expectation(estimator: SumEstimator, m: int,
     if mode == "quadrature":
         if m > 12:
             raise BudgetExceededError("quadrature mode supports m <= 12")
-        value = fingerprint_quadrature(estimator, m, nodes)
+        value = fingerprint_quadrature(estimator, m)
         return make_report(name, value, FINGERPRINT_FLOOR, tolerance=1e-6,
                            m=m, seed=seed)
     if mode != "monte_carlo":
@@ -288,23 +267,17 @@ def gm_regime_report(m: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PaleyZygmundCheck:
-    report: BoundReport
-    hypothesis_ok: bool
-
-
 def paley_zygmund_rhs(mean: float, second_moment: float, theta: float) -> float:
     if second_moment <= 0.0:
         return 0.0
     return (1.0 - theta) ** 2 * mean * mean / second_moment
 
 
-def paley_zygmund_check(values, probs, theta: float) -> PaleyZygmundCheck:
+def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
     """P(Z >= theta * E[Z]) vs (1-theta)^2 E[Z]^2 / E[Z^2] over a finite pmf.
 
     Z must be nonnegative for the inequality's hypotheses; mass on negative
-    values is flagged rather than silently accepted.
+    values fails the report (holds=False) rather than being silently accepted.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -312,15 +285,14 @@ def paley_zygmund_check(values, probs, theta: float) -> PaleyZygmundCheck:
     probs = np.asarray(probs, dtype=float)
     if values.shape != probs.shape:
         raise ValueError("values and probs must align")
-    hypothesis_ok = not bool(np.any((values < 0) & (probs > 0)))
     mean = float(probs @ values)
     second = float(probs @ (values * values))
     lhs = float(probs[values >= theta * mean].sum())
     rhs = paley_zygmund_rhs(mean, second, theta)
     report = make_report("paley_zygmund", lhs, rhs, tolerance=1e-12)
-    if not hypothesis_ok:
+    if np.any((values < 0) & (probs > 0)):
         report = replace(report, holds=False)
-    return PaleyZygmundCheck(report=report, hypothesis_ok=hypothesis_ok)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +430,6 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
 
     randomized = not learner.deterministic
     base = learner.base if randomized else learner
-    if not base.deterministic:
-        raise ValueError("cmi_exact supports deterministic and randomized-response learners")
 
     selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
                   >> np.arange(m, dtype=np.int64)[None, :]) & 1)  # (n_u, m)
@@ -508,6 +478,12 @@ def selector_entropy_cap(k: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 # End-to-end certificate
 # ---------------------------------------------------------------------------
+
+
+def pipeline_gm(m: int, eps: float) -> float:
+    """The pipeline's per-coordinate MI floor gm(1/(108e6 sqrt(m) eps), m) at
+    accuracy eps."""
+    return gm(1.0 / (108.0 * 1e6 * math.sqrt(m) * eps), m)
 
 
 def measured_excess_risk(learner, d: int, m: int, trials: int,
@@ -568,8 +544,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
                                  good_set=None, lb=0.0, mean_lb=0.0,
                                  asymptotic_lb=0.0, mi=None, report=report)
 
-    a_star = 1.0 / (108.0 * 1e6 * math.sqrt(m) * epsilon)
-    g_value = gm(a_star, m)
+    g_value = pipeline_gm(m, epsilon)
     prior = mc.substream(seed, 7010)
     best = None
     best_p = None
@@ -594,29 +569,28 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
                              asymptotic_lb=asymptotic, mi=mi, report=report)
 
 
+def ls_slope(x, y) -> float:
+    """Least-squares slope of y on x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(((x - x.mean()) @ (y - y.mean())) / ((x - x.mean()) @ (x - x.mean())))
+
+
 @dataclass(frozen=True)
 class DimensionScan:
     ds: tuple
     mis: tuple
-    slope: float
-    per_coordinate_mi: float
-    report: BoundReport
+    report: BoundReport  # lhs: the slope of MI on d; rhs: 0.9 * the per-coordinate MI
 
 
 def mi_dimension_scan(learner, m: int, p0: float, d_values) -> DimensionScan:
     """Exact MI vs dimension for a factorized learner at constant bias p0."""
-    ds, mis = [], []
-    for d in d_values:
-        inst = HardInstance(d, np.full(d, p0))
-        mis.append(exact_mutual_information(learner, inst, m))
-        ds.append(d)
-    x = np.asarray(ds, dtype=float)
-    y = np.asarray(mis, dtype=float)
-    slope = float(((x - x.mean()) @ (y - y.mean())) / ((x - x.mean()) @ (x - x.mean())))
+    ds = tuple(d_values)
+    mis = tuple(exact_mutual_information(learner, HardInstance(d, np.full(d, p0)), m)
+                for d in ds)
     per_coord = mis[ds.index(1)] if 1 in ds else mis[0] / ds[0]
-    report = make_report("mi_dimension_scan", slope, 0.9 * per_coord, m=m)
-    return DimensionScan(ds=tuple(ds), mis=tuple(mis), slope=slope,
-                         per_coordinate_mi=per_coord, report=report)
+    report = make_report("mi_dimension_scan", ls_slope(ds, mis), 0.9 * per_coord, m=m)
+    return DimensionScan(ds=ds, mis=mis, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +810,6 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
         return d * delta - errs
 
     values = mc.chunked_trials(chunk, trials, seed, 107, chunk=1 << 12)
-    worst = float(np.abs(values).max()) if values.size else 0.0
+    worst = float(np.abs(values).max())
     return make_report("genbound_chain", 1e-9, worst, d=d, m=m,
                        trials=trials, seed=seed)

@@ -24,12 +24,12 @@ entry lists the keys its experiment reads). The schema:
     [run]
     m = 4                      # sample size >= 1
     epsilon = measured         # measured | float in (0, 1/54)
-    trials = 100000            # Monte Carlo budget
-    quadrature_nodes = 64
+    trials = 100000            # Monte Carlo budget, at most MC_KEPT_BYTES of kept values
     master_seed = 12345        # >= 0
     output_dir = out
 
-A learner parameter its kind does not take is rejected too.
+A learner parameter its kind does not take is rejected too, and so is a
+net-erm (d, m) outside d <= m, d*m <= NET_ERM_MAX_CELLS.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
 file it wrote. Numbers must be finite.
@@ -64,10 +64,13 @@ from .learners import (
     epsilon_net,
     exact_channel,
     make_learner,
+    product_grid,
 )
 from .sco import P_MAX, HardInstance, sample_signs
 
 EPSILON_MAX = 1.0 / 54.0
+NET_ERM_MAX_CELLS = 18  # largest d*m of a net-erm case
+MC_KEPT_BYTES = 1 << 30  # largest float64 Monte Carlo value array trials may ask for
 
 
 class ConfigError(ValueError):
@@ -78,8 +81,7 @@ _SCHEMA = {
     "experiment": {"name"},
     "instance": {"d", "p_mode", "p_values"},
     "learner": {"kind", "delta", "lam", "k", "base"},
-    "run": {"m", "epsilon", "trials", "quadrature_nodes", "master_seed",
-            "output_dir"},
+    "run": {"m", "epsilon", "trials", "master_seed", "output_dir"},
 }
 
 
@@ -93,7 +95,6 @@ class ExperimentConfig:
     m: int = 4
     epsilon: float | None = None  # None: measured
     trials: int = 100000
-    quadrature_nodes: int = 64
     master_seed: int = 12345
     output_dir: str = "out"
 
@@ -199,9 +200,10 @@ def load_config(path) -> ExperimentConfig:
     trials = _parse_int(run.get("trials", "100000"), "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    nodes = _parse_int(run.get("quadrature_nodes", "64"), "quadrature_nodes")
-    if nodes < 2:
-        raise ConfigError("quadrature_nodes must be >= 2")
+    # fingerprint keeps trials values per estimator, theorem1 trials * d
+    kept = 8 * trials * (d if name == "theorem1" else 1)
+    if kept > MC_KEPT_BYTES:
+        raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
     master_seed = _parse_int(run.get("master_seed", "12345"), "master_seed")
     if master_seed < 0:
         raise ConfigError("master_seed must be >= 0")
@@ -217,10 +219,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
     if name == "theorem1" and trials < 2:
         raise ConfigError("theorem1 needs trials >= 2 for a standard error")
+    if name == "net-erm" and (m < d or d * m > NET_ERM_MAX_CELLS):
+        raise ConfigError(f"net-erm needs d <= m and d*m <= {NET_ERM_MAX_CELLS}, "
+                          f"got d={d}, m={m}")
     return ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
                             learner=learner, m=m, epsilon=epsilon, trials=trials,
-                            quadrature_nodes=nodes, master_seed=master_seed,
-                            output_dir=output_dir)
+                            master_seed=master_seed, output_dir=output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +238,22 @@ def _write_xy(path: Path, xs, ys) -> None:
             fh.write(f"{float(x):.17g} {float(y):.17g}\n")
 
 
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
 def _write_table(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([bounds._fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
 
 
 class _OutputDir:
@@ -272,8 +286,7 @@ def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports += [match, optimal]
     reports.append(bounds.bounded_correlation_suite(1000, seed=seed))
     reports.append(bounds.subgaussian_correlation_suite(200, seed=seed))
-    reports.append(bounds.fingerprint_expectation(bounds.EST_ZERO, min(cfg.m, 12),
-                                                  nodes=cfg.quadrature_nodes))
+    reports.append(bounds.fingerprint_expectation(bounds.EST_ZERO, min(cfg.m, 12)))
     reports.append(bounds.gm_regime_report(max(cfg.m, 2)))
     inst = cfg.instance()
     reports.append(bounds.subgaussian_tail_report(inst, cfg.m,
@@ -285,8 +298,7 @@ def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports.append(bounds.second_moment_report(QuantizedMeanLearner(), cfg.d, cfg.m,
                                                outer=min(cfg.trials, 2000),
                                                seed=seed))
-    pz = bounds.paley_zygmund_check([0.0, 1.0], [0.5, 0.5], 0.5)
-    reports.append(pz.report)
+    reports.append(bounds.paley_zygmund_check([0.0, 1.0], [0.5, 0.5], 0.5))
     # the concentration-step arithmetic: (1/4)(1/54)^2 / (m eps) >= 1/(1e6 m eps)
     m_eps = cfg.m * (cfg.epsilon if cfg.epsilon else EPSILON_MAX)
     reports.append(bounds.make_report(
@@ -300,15 +312,13 @@ def _exp_fingerprint(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports = []
     m_quad = min(cfg.m, 12)
     for est in bounds.ESTIMATOR_MENU:
-        reports.append(bounds.fingerprint_expectation(
-            est, m_quad, mode="quadrature", nodes=cfg.quadrature_nodes))
+        reports.append(bounds.fingerprint_expectation(est, m_quad, mode="quadrature"))
     for est in (bounds.EST_CLIPPED_MEAN, bounds.EST_SIGN):
         reports.append(bounds.fingerprint_expectation(
             est, cfg.m, mode="monte_carlo", trials=cfg.trials,
             seed=cfg.master_seed))
     ms = list(range(1, 13))
-    vals = [bounds.fingerprint_quadrature(bounds.EST_CLIPPED_MEAN, m,
-                                          cfg.quadrature_nodes) for m in ms]
+    vals = [bounds.fingerprint_quadrature(bounds.EST_CLIPPED_MEAN, m) for m in ms]
     _write_xy(outdir / "fingerprint_vs_m.xy", ms, vals)
     return reports
 
@@ -322,12 +332,6 @@ def _xu_learner_menu(m: int):
     return menu
 
 
-def _p_grid(d: int):
-    axes = [np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=1)
-
-
 def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports = []
     # the reference case: mean learner, d=1, m=2, p=0
@@ -337,21 +341,12 @@ def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     reports.append(bounds.make_report("xu_reference_gap",
                                       ch.expected_generalization_gap(HardInstance.zero(1)),
                                       1.0, tolerance=1e-12, d=1, m=2))
-    worst = math.inf
-    worst_report = None
-    for d in range(1, min(3, cfg.d) + 1):
-        for m in (1, 2, 4):
-            if m > cfg.m or d * m > 12:
-                continue
-            for p in _p_grid(d):
-                inst = HardInstance(d, p)
-                for learner in _xu_learner_menu(m):
-                    rep = bounds.xu_gap_report(learner, inst, m)
-                    if rep.slack < worst:
-                        worst = rep.slack
-                        worst_report = rep
-    if worst_report is not None:
-        reports.append(worst_report)
+    # the tightest case over a bias grid per d <= 3 and m in (1, 2, 4)
+    cases = [(HardInstance(d, p), m) for d in range(1, min(3, cfg.d) + 1)
+             for m in (1, 2, 4) if m <= cfg.m
+             for p in product_grid([np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d)]
+    reports.append(min((bounds.xu_gap_report(learner, inst, m) for inst, m in cases
+                        for learner in _xu_learner_menu(m)), key=lambda r: r.slack))
     ms, gaps, ub = [], [], []
     for m in (1, 2, 4, 8):
         ch = exact_channel(MeanLearner(), HardInstance.zero(1), m)
@@ -363,6 +358,8 @@ def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     return reports
 
 
+REPORT_COLUMNS = ("name", "d", "m", "epsilon", "lhs", "rhs", "holds",
+                  "slack", "trials", "ci_halfwidth", "seed")
 TRADEOFF_COLUMNS = ("d", "m", "delta", "rho", "mi_nats", "excess_risk",
                     "xu_bound", "pipeline_lb")
 
@@ -371,8 +368,7 @@ def _tradeoff_row(learner, inst, m, delta, rho):
     ch = exact_channel(learner, inst, m)
     mi = ch.mutual_information()
     eps = ch.expected_excess_risk(inst)
-    a_star = 1.0 / (108.0 * 1e6 * math.sqrt(m) * eps)
-    lb = inst.d / (1e6 * m * eps) * bounds.gm(a_star, m)
+    lb = inst.d / (1e6 * m * eps) * bounds.pipeline_gm(m, eps)
     return [inst.d, m, delta, rho, mi, eps, bounds.xu_bound(mi, m), lb]
 
 
@@ -422,13 +418,10 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     rng = mc.substream(cfg.master_seed, 2)
     rows = []
     reports = []
-    cases = [(d, m) for d in (1, 2) for m in (1, 4, 9, 16)
-             if d * m <= 18 and m >= d] + [(cfg.d, cfg.m)]
-    seen = set()
+    # load_config holds the configured (d, m) to the same limits
+    cases = dict.fromkeys([(d, m) for d in (1, 2) for m in (1, 4, 9, 16)
+                           if d <= m and d * m <= NET_ERM_MAX_CELLS] + [(cfg.d, cfg.m)])
     for d, m in cases:
-        if (d, m) in seen or d * m > 18 or m < d:
-            continue
-        seen.add((d, m))
         inst = HardInstance.uniform_bias(d, rng)
         ch = exact_channel(learner, inst, m)
         ent = ch.output_entropy()
@@ -490,10 +483,7 @@ def _exp_cmi(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
                                           tolerance=1e-9, m=m))
         xs.append(m)
         ys.append(b_cap)
-    logs = np.log(np.asarray(xs))
-    logb = np.log(np.asarray(ys))
-    slope = float(((logs - logs.mean()) @ (logb - logb.mean()))
-                  / ((logs - logs.mean()) @ (logs - logs.mean())))
+    slope = bounds.ls_slope(np.log(np.asarray(xs)), np.log(np.asarray(ys)))
     reports.append(bounds.make_report("cmi_sweep_slope", 0.1, abs(slope + 0.25),
                                       m=cfg.m))
     _write_table(outdir / "cmi.csv", CMI_COLUMNS, rows)
@@ -517,9 +507,8 @@ def _exp_theorem1(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
 # each experiment with the config keys it reads, the only keys it accepts
 EXPERIMENTS = {
     "verify-lemmas": (_exp_verify_lemmas, {"d", "p_mode", "p_values", "m", "epsilon", "trials",
-                                           "quadrature_nodes", "master_seed", "output_dir"}),
-    "fingerprint": (_exp_fingerprint, {"m", "trials", "quadrature_nodes", "master_seed",
-                                       "output_dir"}),
+                                           "master_seed", "output_dir"}),
+    "fingerprint": (_exp_fingerprint, {"m", "trials", "master_seed", "output_dir"}),
     "xu-check": (_exp_xu_check, {"d", "m", "output_dir"}),
     "tradeoff": (_exp_tradeoff, {"d", "p_mode", "p_values", "m", "master_seed", "output_dir"}),
     "net-erm": (_exp_net_erm, {"d", "m", "master_seed", "output_dir"}),
@@ -561,7 +550,8 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}")
         return 1
-    bounds.write_reports_csv(reports, outdir / "results.csv")
+    _write_table(outdir / "results.csv", REPORT_COLUMNS,
+                 [[getattr(r, col) for col in REPORT_COLUMNS] for r in reports])
 
     manifest = {
         "artifact_version": __version__,

@@ -3,7 +3,7 @@
 Everything here operates on explicit probability tables: entropy, KL
 divergence, total variation, mutual information, optimal couplings, and the
 Pinsker slack. All information quantities are in nats. Probabilities are
-64-bit floats with structural tolerance 1e-12 and identity tolerance 1e-10.
+64-bit floats with structural tolerance 1e-12.
 
 Conventions:
   * 0 * log 0 := 0 everywhere.
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STRUCT_TOL = 1e-12
-IDENTITY_TOL = 1e-10
 
 __all__ = [
     "FinitePmf",

@@ -15,8 +15,9 @@ The learner contract is a set of attributes, with no base class:
     the sample;
   * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
     the one way a learner computes its output.
-The quantizing learners (quantized mean, SGD, regularized ERM) round to the
-step ``delta_for(m)``, 1/m^2 unless their ``delta`` is set.
+The mean-based learners read the sample through ``sample_mean``, and the
+quantizing ones (quantized mean, SGD, regularized ERM) round to the step
+``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
 A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
@@ -43,17 +44,29 @@ from .infotheory import entropy_of, row_entropies
 from .sco import HardInstance
 
 FULL_ENUM_BUDGET = 1 << 24
+DENSE_LAW_BYTES = 1 << 30  # largest (samples x codebook) float64 law exact_channel builds
 NET_BLOCK_ROWS = 1 << 12
 CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed FULL_ENUM_BUDGET."""
+    """Enumeration would exceed FULL_ENUM_BUDGET, or a dense law DENSE_LAW_BYTES."""
 
 
-def default_delta(m: int) -> float:
-    """Default quantization step 1/m^2; risk perturbation O(sqrt(d)/m^2)."""
-    return 1.0 / (m * m)
+def sample_mean(signs: np.ndarray) -> np.ndarray:
+    """(n, d) sample means zbar of an (n, m, d) sign tensor, in points signs/sqrt(d)."""
+    return signs.mean(axis=1, dtype=float) / math.sqrt(signs.shape[2])
+
+
+def grid_step(delta: float | None, m: int) -> float:
+    """Quantization step ``delta``, or 1/m^2 (risk perturbation O(sqrt(d)/m^2))."""
+    return delta if delta is not None else 1.0 / (m * m)
+
+
+def product_grid(axes) -> np.ndarray:
+    """All points of the product of 1-D ``axes``, one per row, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 
 def round_half_down(x, delta: float):
@@ -114,8 +127,7 @@ class MeanLearner:
     factorized = True
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        d = signs.shape[2]
-        return signs.mean(axis=1, dtype=float) / math.sqrt(d)
+        return sample_mean(signs)
 
 
 @dataclass(frozen=True)
@@ -133,14 +145,11 @@ class QuantizedMeanLearner:
     deterministic = True
     factorized = True
 
-    def delta_for(self, m: int) -> float:
-        return self.delta if self.delta is not None else default_delta(m)
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         lim = 1.0 / math.sqrt(d)
-        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
-        return np.clip(round_half_down(zbar, self.delta_for(m)), -lim, lim)
+        return np.clip(round_half_down(sample_mean(signs), grid_step(self.delta, m)),
+                       -lim, lim)
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -149,11 +158,8 @@ def epsilon_net(d: int, m: int) -> np.ndarray:
     deduplicated, in lexicographic order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    per_axis = math.ceil(math.sqrt(m)) + 1
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return unique_rows(_project_rows(points))[0]
+    axis = np.linspace(-1.0, 1.0, math.ceil(math.sqrt(m)) + 1)
+    return unique_rows(_project_rows(product_grid([axis] * d)))[0]
 
 
 @dataclass(frozen=True)
@@ -183,9 +189,7 @@ class EpsilonNetErm:
         return net[idx]
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        n, m, d = signs.shape
-        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
-        return self.fit_from_mean(zbar, m)
+        return self.fit_from_mean(sample_mean(signs), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,6 @@ class SgdLearner:
     deterministic = True
     factorized = False
 
-    def delta_for(self, m: int) -> float:
-        return self.delta if self.delta is not None else default_delta(m)
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
         root_d = math.sqrt(d)
@@ -216,7 +217,7 @@ class SgdLearner:
             point = signs[:, t - 1, :].astype(float) / root_d
             w = _project_rows((1.0 - 1.0 / t) * w + point / t)
             acc += w
-        return _project_rows(round_half_down(acc / m, self.delta_for(m)))
+        return _project_rows(round_half_down(acc / m, grid_step(self.delta, m)))
 
 
 @dataclass(frozen=True)
@@ -235,13 +236,9 @@ class RegularizedErm:
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
 
-    def delta_for(self, m: int) -> float:
-        return self.delta if self.delta is not None else default_delta(m)
-
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        n, m, d = signs.shape
-        zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d) / (1.0 + self.lam)
-        return _project_rows(round_half_down(zbar, self.delta_for(m)))
+        zbar = sample_mean(signs) / (1.0 + self.lam)
+        return _project_rows(round_half_down(zbar, grid_step(self.delta, signs.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -409,9 +406,7 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        d = self.signs.shape[2]
-        zbar = self.signs.mean(axis=1, dtype=float) / math.sqrt(d)  # (n, d)
-        drift = zbar - inst.w_star
+        drift = sample_mean(self.signs) - inst.w_star  # (n, d)
         if self.deterministic:
             w = self.codebook[self.output_index]
             return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
@@ -427,11 +422,16 @@ class Channel:
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
-    """Exhaustive joint law of (sample, output) over supp(D(p)^m)."""
+    """Exhaustive joint law of (sample, output) over supp(D(p)^m); a randomized
+    learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES."""
     signs = enumerate_sign_space(m, inst.d)
     probs = sign_space_probs(inst, signs)
     if not learner.deterministic:
         codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
+        law_bytes = 8 * signs.shape[0] * codebook.shape[0]
+        if law_bytes > DENSE_LAW_BYTES:
+            raise BudgetExceededError(f"dense {signs.shape[0]} x {codebook.shape[0]} law "
+                                      f"needs {law_bytes} bytes, above {DENSE_LAW_BYTES}")
         base_law = np.zeros((signs.shape[0], codebook.shape[0]))
         base_law[np.arange(signs.shape[0]), base_idx] = 1.0
         return Channel(signs, probs, codebook, cond=learner.mix(base_law))
@@ -478,7 +478,4 @@ def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
             np.add.at(marg, inverse, q ** counts * (1.0 - q) ** (m - counts))
             total += entropy_of(marg)
         return float(total)
-    if (1 << (m * inst.d)) <= FULL_ENUM_BUDGET:
-        return exact_channel(learner, inst, m).mutual_information()
-    raise BudgetExceededError(
-        f"2^{m * inst.d} samples exceed budget and {learner.kind} is not factorized")
+    return exact_channel(learner, inst, m).mutual_information()

@@ -17,6 +17,7 @@ from mi_sco_lab.learners import (
     BudgetExceededError,
     _project_rows,
     enumerate_sign_space,
+    grid_step,
     round_half_down,
 )
 from mi_sco_lab.sco import HardInstance, sample_signs
@@ -149,8 +150,7 @@ def fingerprint_statistic(fval: float, p: float, xs) -> float:
     return float(attack_prefactor(p) * (fval - p) * centered + (fval - p) ** 2)
 
 
-def fingerprint_quadrature_table(f_table: np.ndarray, m: int,
-                                 nodes: int = 64) -> float:
+def fingerprint_quadrature_table(f_table: np.ndarray, m: int) -> float:
     """``bounds.fingerprint_quadrature`` for an arbitrary estimator table over
     {+-1}^m, enumerating every pattern instead of the plus-count.
 
@@ -162,7 +162,7 @@ def fingerprint_quadrature_table(f_table: np.ndarray, m: int,
     f_table = np.clip(np.asarray(f_table, dtype=float), -P_MAX, P_MAX)
     if f_table.shape != (patterns.shape[0],):
         raise ValueError("estimator table must have one value per pattern")
-    ps, ws = _legendre_nodes(nodes)
+    ps, ws = _legendre_nodes()
     counts = (patterns > 0).sum(axis=1)
     total = 0.0
     for p, w in zip(ps, ws):
@@ -200,7 +200,7 @@ def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:
     for t in range(1, m + 1):
         w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
         acc += w
-    return _project_rows(round_half_down(acc / m, learner.delta_for(m)))
+    return _project_rows(round_half_down(acc / m, grid_step(learner.delta, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_criterion_8_pipeline(criterion):
         scan = bounds.mi_dimension_scan(QuantizedMeanLearner(), 4, 0.0,
                                         range(1, 7))
         ok &= scan.report.holds
-        ok &= scan.slope >= 0.9 * scan.per_coordinate_mi
+        ok &= scan.report.lhs >= scan.report.rhs
         return ok
 
     ok, elapsed = timed(body)

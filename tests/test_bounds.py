@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mi_sco_lab import bounds
+from mi_sco_lab import bounds, harness
 from mi_sco_lab.bounds import (
     EST_CLIPPED_MEAN,
     EST_SIGN,
@@ -37,7 +37,6 @@ from mi_sco_lab.bounds import (
     subgaussian_mi_lower_bound,
     subgaussian_tail_report,
     theorem1_certificate,
-    write_reports_csv,
     xu_bound,
     xu_gap_report,
 )
@@ -224,21 +223,23 @@ class TestGm:
 
 class TestPaleyZygmund:
     def test_constant_variable(self):
-        chk = paley_zygmund_check([2.0], [1.0], 0.5)
-        assert chk.hypothesis_ok and chk.report.holds
-        assert chk.report.lhs == pytest.approx(1.0)
-        assert chk.report.rhs == pytest.approx(0.25)
+        rep = paley_zygmund_check([2.0], [1.0], 0.5)
+        assert rep.holds
+        assert rep.lhs == pytest.approx(1.0)
+        assert rep.rhs == pytest.approx(0.25)
 
     def test_uniform_zero_one(self):
-        chk = paley_zygmund_check([0.0, 1.0], [0.5, 0.5], 0.5)
-        assert chk.report.lhs == pytest.approx(0.5)
-        assert chk.report.rhs == pytest.approx(0.125)
-        assert chk.report.holds
+        rep = paley_zygmund_check([0.0, 1.0], [0.5, 0.5], 0.5)
+        assert rep.lhs == pytest.approx(0.5)
+        assert rep.rhs == pytest.approx(0.125)
+        assert rep.holds
 
     def test_negative_values_flagged(self):
-        chk = paley_zygmund_check([-1.0, 1.0], [0.5, 0.5], 0.5)
-        assert not chk.hypothesis_ok
-        assert not chk.report.holds
+        # the inequality itself holds here (lhs 0.5 >= rhs 0); only the
+        # negative mass fails the report
+        rep = paley_zygmund_check([-1.0, 1.0], [0.5, 0.5], 0.5)
+        assert rep.lhs >= rep.rhs
+        assert not rep.holds
 
     def test_concentration_step_constants(self):
         # theta = 1/2 with mean 1/54 and second moment m*eps reproduces the
@@ -255,8 +256,7 @@ class TestPaleyZygmund:
             values = rng.uniform(0, 5, size=k)
             probs = rng.dirichlet(np.ones(k))
             theta = float(rng.uniform(0.05, 0.95))
-            chk = paley_zygmund_check(values, probs, theta)
-            assert chk.hypothesis_ok and chk.report.holds
+            assert paley_zygmund_check(values, probs, theta).holds
 
 
 class TestAttackStatistics:
@@ -472,7 +472,7 @@ class TestCertificate:
     def test_dimension_scan_linearity(self):
         scan = mi_dimension_scan(QuantizedMeanLearner(), 4, 0.1, range(1, 7))
         assert scan.report.holds
-        assert scan.slope == pytest.approx(scan.per_coordinate_mi, rel=1e-9)
+        assert scan.report.lhs == pytest.approx(scan.report.rhs / 0.9, rel=1e-9)
 
 
 class TestVerifierSuites:
@@ -513,7 +513,8 @@ class TestReports:
     def test_csv_golden_header(self, tmp_path):
         rep = make_report("demo", 1.0, 0.0, d=2, m=4, trials=10, seed=3)
         path = tmp_path / "reports.csv"
-        write_reports_csv([rep], path)
+        harness._write_table(path, harness.REPORT_COLUMNS,
+                             [[getattr(rep, col) for col in harness.REPORT_COLUMNS]])
         lines = path.read_text().splitlines()
         assert lines[0] == "name,d,m,epsilon,lhs,rhs,holds,slack,trials,ci_halfwidth,seed"
         assert lines[1] == "demo,2,4,,1,0,true,1,10,,3"

@@ -176,11 +176,24 @@ class TestFailClosed:
         ("theorem1", (), "\n[learner]\nkind = quantized_mean\nrho = 0.5",
          "unknown key 'rho'"),
         ("tradeoff", ("p_values",), "", "p_values needs p_mode = fixed"),
+        ("fingerprint", (), "quadrature_nodes = 64", "unknown key 'quadrature_nodes'"),
     ])
     def test_unread_key_rejected(self, tmp_path, capsys, name, force, extra, match):
         path, out = write_config(tmp_path, name=name, force=force, extra=extra,
                                  p_mode="uniform" if "p_values" in force else "fixed")
         self.assert_rejected(capsys, path, out, match)
+
+    @pytest.mark.parametrize("d, m", [(3, 2), (2, 16)])
+    def test_net_erm_case_out_of_range(self, tmp_path, capsys, d, m):
+        # net-erm's cases need d <= m and d*m <= 18
+        path, out = write_config(tmp_path, name="net-erm", d=d, m=m)
+        self.assert_rejected(capsys, path, out, f"got d={d}, m={m}")
+
+    @pytest.mark.parametrize("name, d", [("fingerprint", 1), ("theorem1", 4)])
+    def test_trials_above_kept_bytes(self, tmp_path, capsys, name, d):
+        # load_config raises before any Monte Carlo array is allocated
+        path, out = write_config(tmp_path, name=name, d=d, trials=10 ** 30)
+        self.assert_rejected(capsys, path, out, "Monte Carlo bytes")
 
     @pytest.mark.parametrize("name", ["cmi", "xu-check"])
     def test_seed_override_unread(self, tmp_path, capsys, name):
@@ -213,6 +226,14 @@ class TestRun:
         path, _ = write_config(tmp_path, d=1, m=24,
                                fixed_p="0.1")
         assert run(path) == 1
+
+    def test_tradeoff_dense_law_exit_one(self, tmp_path, capsys):
+        # 2^20 samples fit tradeoff's budget, but randomized response's dense
+        # law would be 2^20 x 1296 float64s (10.1 GiB)
+        path, _ = write_config(tmp_path, d=4, m=5, fixed_p="0.1, 0.2, -0.1, 0.0")
+        assert run(path) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("budget exceeded: dense")
 
     def test_verify_mode_flags_failures(self, tmp_path, monkeypatch):
         from mi_sco_lab import harness

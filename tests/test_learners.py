@@ -23,11 +23,11 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
-    default_delta,
     enumerate_sign_space,
     epsilon_net,
     exact_channel,
     exact_mutual_information,
+    grid_step,
     make_learner,
     reachable_outputs,
     round_half_down,
@@ -242,7 +242,7 @@ class TestSgd:
             z[z == 0] = 1
             s = Sample.from_signs(np.tile(z, (m, 1)))
             w = SgdLearner().fit_batch(s.signs[None])[0]
-            delta = default_delta(m)
+            delta = grid_step(None, m)
             assert np.linalg.norm(w - s.points[0]) <= 1.0 / m + delta * math.sqrt(d)
 
     def test_risk_decreases_with_m(self):
@@ -259,7 +259,7 @@ class TestSgd:
                 total += float(w @ w)  # w* = 0
             risks.append(total / n)
         assert risks[0] > risks[1] > risks[2]
-        assert risks[-1] <= 4.0 / 64 + default_delta(64) * math.sqrt(2) + 0.05
+        assert risks[-1] <= 4.0 / 64 + grid_step(None, 64) * math.sqrt(2) + 0.05
 
     def test_order_dependence_is_real(self):
         # sgd reads the sample in order; a permuted sample may give another output
@@ -274,7 +274,7 @@ class TestRegularizedErm:
     def test_lambda_zero_is_mean_up_to_delta(self):
         s = sample(HardInstance.zero(3), 5, seed=6)
         w = RegularizedErm(lam=0.0).fit_batch(s.signs[None])[0]
-        assert np.linalg.norm(w - s.mean) <= default_delta(5) * math.sqrt(3)
+        assert np.linalg.norm(w - s.mean) <= grid_step(None, 5) * math.sqrt(3)
 
     def test_heavy_shrinkage_to_zero(self):
         s = sample(HardInstance.zero(2), 4, seed=7)
@@ -362,6 +362,16 @@ class TestRandomizedResponse:
                              inst, 3).mutual_information()
                for r in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(mis[i] >= mis[i + 1] - 1e-12 for i in range(4))
+
+    def test_dense_law_budget(self, monkeypatch):
+        # d=2, m=4: 256 samples x 25 quantized means, 51200 bytes of law
+        learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
+        inst = HardInstance.zero(2)
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 51200)
+        assert exact_channel(learner, inst, 4).cond.shape == (256, 25)
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 51199)
+        with pytest.raises(BudgetExceededError, match="51200 bytes"):
+            exact_channel(learner, inst, 4)
 
     def test_fit_needs_rng(self):
         s = sample(HardInstance.zero(1), 2, seed=13)

@@ -47,10 +47,25 @@ def _benchmark_names() -> set:
     return names
 
 
+def _definitions(tree):
+    """(name, node) for every function, class and method, and for every
+    module-level constant, of a module; the node is the definition or the
+    assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS):
+            yield node.name, node
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node
+
+
 def test_no_test_only_code_in_src():
-    """Every function, class and method in ``src/mi_sco_lab`` other than a
-    dunder is referenced by name somewhere in ``src/`` outside its own
-    definition, or in ``perfbench/*.py``.
+    """Every function, class, method and module-level constant in
+    ``src/mi_sco_lab`` other than a dunder is referenced by name somewhere in
+    ``src/`` outside its own definition, or in ``perfbench/*.py``.
 
     The match is by name only, so a test-only name that some used name shares
     slips through: a classmethod ``uniform`` would pass on the strength of
@@ -62,10 +77,7 @@ def test_no_test_only_code_in_src():
     benchmark = _benchmark_names()
     unused = []
     for filename, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, DEFS):
-                continue
-            name = node.name
+        for name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             own = _names_used(node)[name]
