@@ -41,6 +41,8 @@ from .learners import (
     enumerate_sign_space,
     exact_channel,
     exact_mutual_information,
+    lattice_codes,
+    lattice_samples,
     reachable_outputs,
     sign_space_probs,
     unique_rows,
@@ -360,19 +362,13 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 # ---------------------------------------------------------------------------
 
 
-def _group_labels(arr: np.ndarray) -> np.ndarray:
-    return unique_rows(arr.reshape(arr.shape[0], -1))[1]
-
-
 def _joint_x_output(ch: Channel, x_labels: np.ndarray) -> np.ndarray:
-    """Aggregate the channel into a (groups of x) x (codebook) table."""
-    xi = _group_labels(x_labels)
-    big_k = ch.codebook.shape[0]
-    table = np.zeros((int(xi.max()) + 1, big_k))
+    """Aggregate the channel into an (x label) x (codebook) table."""
+    table = np.zeros((int(x_labels.max()) + 1, ch.codebook.shape[0]))
     if ch.deterministic:
-        np.add.at(table, (xi, ch.output_index), ch.sample_probs)
+        np.add.at(table, (x_labels, ch.output_index), ch.sample_probs)
     else:
-        np.add.at(table, xi, ch.sample_probs[:, None] * ch.cond)
+        np.add.at(table, x_labels, ch.sample_probs[:, None] * ch.cond)
     return table
 
 
@@ -384,22 +380,24 @@ class ChainRuleResult:
 
 
 def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
-    """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated."""
-    sums = ch.signs.sum(axis=1, dtype=np.int64)  # (n, d)
-    full = _joint_x_output(ch, sums)
+    """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated.
+
+    A coordinate sum is 2 C_t - m, so the lattice code labels the sum vector
+    and the plus-count C_t labels sum t, both in the order of the sums."""
+    full = _joint_x_output(ch, ch.codes)
     total = max(0.0, mi_of_table(full))
-    d = ch.signs.shape[2]
+    counts = (ch.lattice > 0).sum(axis=1)  # (L, d)
+    _, m, d = ch.lattice.shape
     per_coord = []
     for t in range(d):
-        table_t = _joint_x_output(ch, sums[:, t])
+        table_t = _joint_x_output(ch, counts[:, t][ch.codes])
         # collapse codebook columns to the t-th output coordinate
-        col_labels = _group_labels(ch.codebook[:, t])
+        col_labels = unique_rows(ch.codebook[:, t:t + 1])[1]
         collapsed = np.zeros((table_t.shape[0], int(col_labels.max()) + 1))
         np.add.at(collapsed.T, col_labels, table_t.T)
         per_coord.append(max(0.0, mi_of_table(collapsed)))
     rhs = float(sum(per_coord))
-    report = make_report("chain_rule", total, rhs, tolerance=1e-9, d=d,
-                         m=ch.signs.shape[1])
+    report = make_report("chain_rule", total, rhs, tolerance=1e-9, d=d, m=m)
     return ChainRuleResult(report=report, total_mi=total,
                            per_coordinate=tuple(per_coord))
 
@@ -445,7 +443,7 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     total = 0.0
     z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
     all_z = enumerate_sign_space(2 * m, inst.d)
-    z_probs = sign_space_probs(inst, all_z)
+    z_probs = sign_space_probs(inst, lattice_samples(2 * m, inst.d))[lattice_codes(2 * m, inst.d)]
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]  # (c, 2m, d)
         c = block.shape[0]

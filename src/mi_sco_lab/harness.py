@@ -204,6 +204,9 @@ def load_config(path) -> ExperimentConfig:
     kept = 8 * trials * (d if name == "theorem1" else 1)
     if kept > MC_KEPT_BYTES:
         raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
+    if name == "theorem1" and 8 * mc.CHUNK * m * d > MC_KEPT_BYTES:  # (CHUNK, m, d) uniforms
+        raise ConfigError(f"m={m}, d={d} draws {8 * mc.CHUNK * m * d} uniform bytes per "
+                          f"Monte Carlo chunk, above {MC_KEPT_BYTES}")
     master_seed = _parse_int(run.get("master_seed", "12345"), "master_seed")
     if master_seed < 0:
         raise ConfigError("master_seed must be >= 0")

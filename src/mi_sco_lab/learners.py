@@ -13,6 +13,8 @@ The learner contract is a set of attributes, with no base class:
   * ``deterministic``: whether the output is a function of the sample;
   * ``factorized``: whether output coordinate t depends only on column t of
     the sample;
+  * ``reads_counts``: whether the output bytes depend on the sample only
+    through its per-coordinate plus-counts;
   * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
     the one way a learner computes its output.
 The mean-based learners read the sample through ``sample_mean``, and the
@@ -22,8 +24,10 @@ A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
 
-Channel enumeration has two routes, both through ``fit_batch``:
-  * full: all 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET);
+Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET),
+each known by its lattice code, its plus-counts in base m+1. Three routes:
+  * lattice: a ``reads_counts`` learner, fit once per (m+1)^d lattice point;
+  * full: any other learner, fit on every enumerated pattern;
   * factorized: for learners whose coordinate t depends only on column t of
     the sample, per-coordinate output entropies over the 2^m column patterns.
 
@@ -45,7 +49,7 @@ from .sco import HardInstance
 
 FULL_ENUM_BUDGET = 1 << 24
 DENSE_LAW_BYTES = 1 << 30  # largest (samples x codebook) float64 law exact_channel builds
-NET_BLOCK_ROWS = 1 << 12
+NET_BLOCK_CELLS = 1 << 18  # floats in one distance block of EpsilonNetErm
 CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
 
 
@@ -125,6 +129,7 @@ class MeanLearner:
     kind = "mean"
     deterministic = True
     factorized = True
+    reads_counts = True
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         return sample_mean(signs)
@@ -144,6 +149,7 @@ class QuantizedMeanLearner:
     kind = "quantized_mean"
     deterministic = True
     factorized = True
+    reads_counts = True
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
@@ -176,16 +182,18 @@ class EpsilonNetErm:
     kind = "epsilon_net_erm"
     deterministic = True
     factorized = False
+    reads_counts = True
 
     def fit_from_mean(self, zbar: np.ndarray, m: int) -> np.ndarray:
-        """Nearest net point per row, in blocks of NET_BLOCK_ROWS rows so the
-        (rows, net size, d) distance temporary stays bounded."""
+        """Nearest net point per row, in blocks of rows whose (rows, net size,
+        d) distance temporary holds at most NET_BLOCK_CELLS floats."""
         zbar = np.asarray(zbar, dtype=float)
         net = epsilon_net(zbar.shape[1], m)
+        rows = max(1, NET_BLOCK_CELLS // net.size)
         idx = np.empty(zbar.shape[0], dtype=np.intp)
-        for start in range(0, zbar.shape[0], NET_BLOCK_ROWS):
-            diff = zbar[start:start + NET_BLOCK_ROWS, None, :] - net[None, :, :]
-            idx[start:start + NET_BLOCK_ROWS] = np.argmin((diff * diff).sum(axis=2), axis=1)
+        for start in range(0, zbar.shape[0], rows):
+            diff = zbar[start:start + rows, None, :] - net[None, :, :]
+            idx[start:start + rows] = np.argmin((diff * diff).sum(axis=2), axis=1)
         return net[idx]
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
@@ -207,6 +215,7 @@ class SgdLearner:
     kind = "sgd"
     deterministic = True
     factorized = False
+    reads_counts = False  # the pass reads the points in order
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         n, m, d = signs.shape
@@ -231,6 +240,7 @@ class RegularizedErm:
     kind = "regularized_erm"
     deterministic = True
     factorized = False
+    reads_counts = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -249,6 +259,7 @@ class SubsampleLearner:
     base: object
 
     deterministic = True
+    reads_counts = False  # the first k points, not the counts over all m
 
     def __post_init__(self):
         if self.k < 1:
@@ -280,6 +291,7 @@ class RandomizedResponse:
 
     deterministic = False
     factorized = False
+    reads_counts = False  # exact channels read the base's attribute
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -340,20 +352,42 @@ def make_learner(kind: str, **params):
 # ---------------------------------------------------------------------------
 
 
+def _pattern_count(cells: int) -> int:
+    if 1 << cells > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
+    return 1 << cells
+
+
 def enumerate_sign_space(m: int, d: int) -> np.ndarray:
     """All 2^(m*d) sign patterns as an (n, m, d) int8 tensor: pattern i holds
     bit c of i (as -1 or +1) in flat cell c, so column c is runs of 2^c equal
     signs, written through a view with no temporary."""
     cells = m * d
-    n = 1 << cells
-    if n > FULL_ENUM_BUDGET:
-        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
+    n = _pattern_count(cells)
     out = np.empty((n, cells), dtype=np.int8)
     for c in range(cells):
         blocks = out[:, c].reshape(-1, 2, 1 << c)
         blocks[:, 0] = -1
         blocks[:, 1] = 1
     return out.reshape(n, m, d)
+
+
+def lattice_codes(m: int, d: int) -> np.ndarray:
+    """Each sign pattern's code sum_t C_t (m+1)^(d-1-t), C_t its plus-count in
+    coordinate t, in ``enumerate_sign_space`` order: flat cell c is bit c of
+    the pattern index, so each cell doubles the codes, adding (m+1)^(d-1-c%d)."""
+    code = np.zeros(_pattern_count(m * d), dtype=np.int64)
+    for c in range(m * d):
+        np.add(code[:1 << c], (m + 1) ** (d - 1 - c % d), out=code[1 << c:2 << c])
+    return code
+
+
+def lattice_samples(m: int, d: int) -> np.ndarray:
+    """One canonical sample per lattice code, for the (m+1)^d plus-count
+    vectors C in code order: (L, m, d) signs with C_t plus signs first in column t."""
+    _pattern_count(m * d)  # no lattice is larger than the patterns it indexes
+    counts = product_grid([np.arange(m + 1)] * d)
+    return np.where(np.arange(m)[:, None] < counts[:, None, :], 1, -1)
 
 
 def sign_space_probs(inst: HardInstance, signs: np.ndarray) -> np.ndarray:
@@ -373,7 +407,8 @@ class Channel:
     carries one conditional pmf row per sample.
     """
 
-    signs: np.ndarray = field(repr=False)          # (n, m, d) int8
+    codes: np.ndarray = field(repr=False)          # (n,) lattice code per sign pattern
+    lattice: np.ndarray = field(repr=False)        # (L, m, d) canonical sample per code
     sample_probs: np.ndarray = field(repr=False)   # (n,)
     codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
     output_index: np.ndarray | None = field(repr=False, default=None)
@@ -406,7 +441,7 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        drift = sample_mean(self.signs) - inst.w_star  # (n, d)
+        drift = (sample_mean(self.lattice) - inst.w_star)[self.codes]  # (n, d)
         if self.deterministic:
             w = self.codebook[self.output_index]
             return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
@@ -421,22 +456,37 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
+def _lattice_codebook(learner, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``reads_counts`` learner's codebook and each lattice point's atom, from
+    one fit per point. The points go in the order of their first pattern (plus
+    signs in the lowest cells), so each atom keeps its first pattern's row,
+    signed zeros included."""
+    _, m, d = lattice.shape
+    order = np.argsort(((lattice > 0) << np.arange(m * d).reshape(m, d)).sum(axis=(1, 2)))
+    codebook, inverse = unique_rows(learner.fit_batch(lattice[order]))
+    return codebook, inverse[np.argsort(order)]
+
+
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m); a randomized
     learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES."""
-    signs = enumerate_sign_space(m, inst.d)
-    probs = sign_space_probs(inst, signs)
-    if not learner.deterministic:
-        codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
-        law_bytes = 8 * signs.shape[0] * codebook.shape[0]
-        if law_bytes > DENSE_LAW_BYTES:
-            raise BudgetExceededError(f"dense {signs.shape[0]} x {codebook.shape[0]} law "
-                                      f"needs {law_bytes} bytes, above {DENSE_LAW_BYTES}")
-        base_law = np.zeros((signs.shape[0], codebook.shape[0]))
-        base_law[np.arange(signs.shape[0]), base_idx] = 1.0
-        return Channel(signs, probs, codebook, cond=learner.mix(base_law))
-    codebook, idx = unique_rows(learner.fit_batch(signs))
-    return Channel(signs, probs, codebook, output_index=idx)
+    base = learner if learner.deterministic else learner.base
+    if not base.reads_counts:  # fit before the codes exist, for a lower peak
+        codebook, idx = unique_rows(base.fit_batch(enumerate_sign_space(m, inst.d)))
+    lattice, codes = lattice_samples(m, inst.d), lattice_codes(m, inst.d)
+    if base.reads_counts:
+        codebook, atom = _lattice_codebook(base, lattice)
+        idx = atom[codes]
+    probs = sign_space_probs(inst, lattice)[codes]
+    if learner.deterministic:
+        return Channel(codes, lattice, probs, codebook, output_index=idx)
+    n, big_k = codes.shape[0], codebook.shape[0]
+    if 8 * n * big_k > DENSE_LAW_BYTES:
+        raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "
+                                  f"above {DENSE_LAW_BYTES}")
+    base_law = np.zeros((n, big_k))
+    base_law[np.arange(n), idx] = 1.0
+    return Channel(codes, lattice, probs, codebook, cond=learner.mix(base_law))
 
 
 def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -455,6 +505,8 @@ def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
     """A deterministic learner's reachable codebook over {+-1}^(m*d),
     lexicographic: every valid bias gives every pattern positive mass, so this
     is the codebook under any instance."""
+    if learner.reads_counts:
+        return _lattice_codebook(learner, lattice_samples(m, d))[0]
     return unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))[0]
 
 

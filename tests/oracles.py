@@ -1,24 +1,29 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-sign-pattern enumeration and SGD's pass in closed, vectorized or low-memory
-form; each function here writes one of them out the long way, with no caller
-in the program. ``Sample``, ``sample`` and ``empirical_risk`` draw and score
-one sample as a point array, where the program works on sign tensors.
+sign-pattern enumeration, SGD's pass and exact channels in closed, vectorized,
+lattice-indexed or low-memory form; each function here writes one of them out
+the long way, with no caller in the program. ``Sample``, ``sample`` and
+``empirical_risk`` draw and score one sample as a point array, where the
+program works on sign tensors.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mi_sco_lab.bounds import P_MAX, _legendre_nodes, attack_prefactor
-from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of
+from mi_sco_lab.bounds import P_MAX, _legendre_nodes, attack_prefactor, make_report
+from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of, mi_of_table, row_entropies
 from mi_sco_lab.learners import (
+    DENSE_LAW_BYTES,
     BudgetExceededError,
     _project_rows,
     enumerate_sign_space,
     grid_step,
     round_half_down,
+    sample_mean,
+    sign_space_probs,
+    unique_rows,
 )
 from mi_sco_lab.sco import HardInstance, sample_signs
 
@@ -188,6 +193,101 @@ def enumerate_sign_space_shift_mask(m: int, d: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(cells, dtype=np.int64)[None, :]) & 1
     return (2 * bits - 1).astype(np.int8).reshape(n, m, d)
+
+
+@dataclass(frozen=True)
+class FullChannel:
+    """``learners.Channel`` over the enumerated signs themselves: every
+    learner fit on every pattern, every probability from the pattern's own
+    counts, and the gap from each pattern's own mean."""
+
+    signs: np.ndarray = field(repr=False)          # (n, m, d) int8
+    sample_probs: np.ndarray = field(repr=False)   # (n,)
+    codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
+    output_index: np.ndarray | None = field(repr=False, default=None)
+    cond: np.ndarray | None = field(repr=False, default=None)
+
+    @property
+    def deterministic(self) -> bool:
+        return self.cond is None
+
+    def output_marginal(self) -> np.ndarray:
+        if self.deterministic:
+            marg = np.zeros(self.codebook.shape[0])
+            np.add.at(marg, self.output_index, self.sample_probs)
+            return marg
+        return self.sample_probs @ self.cond
+
+    def mutual_information(self) -> float:
+        h_out = self.output_entropy()
+        if self.deterministic:
+            return max(0.0, h_out)
+        return max(0.0, h_out - float(self.sample_probs @ row_entropies(self.cond)))
+
+    def output_entropy(self) -> float:
+        return entropy_of(self.output_marginal())
+
+    def expected_generalization_gap(self, inst: HardInstance) -> float:
+        drift = sample_mean(self.signs) - inst.w_star  # (n, d)
+        if self.deterministic:
+            w = self.codebook[self.output_index]
+            return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
+        gap = 2.0 * drift @ self.codebook.T  # (n, K)
+        return float(self.sample_probs @ (self.cond * gap).sum(axis=1))
+
+    def expected_excess_risk(self, inst: HardInstance) -> float:
+        sub = ((self.codebook - inst.w_star) ** 2).sum(axis=1)  # (K,)
+        if self.deterministic:
+            return float(self.sample_probs @ sub[self.output_index])
+        return float(self.sample_probs @ (self.cond @ sub))
+
+
+def full_channel(learner, inst: HardInstance, m: int) -> FullChannel:
+    """``learners.exact_channel`` with every learner fit on all 2^(d*m)
+    enumerated sign patterns and deduplicated over all of them."""
+    signs = enumerate_sign_space(m, inst.d)
+    probs = sign_space_probs(inst, signs)
+    if not learner.deterministic:
+        codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
+        if 8 * signs.shape[0] * codebook.shape[0] > DENSE_LAW_BYTES:
+            raise BudgetExceededError("dense law above DENSE_LAW_BYTES")
+        base_law = np.zeros((signs.shape[0], codebook.shape[0]))
+        base_law[np.arange(signs.shape[0]), base_idx] = 1.0
+        return FullChannel(signs, probs, codebook, cond=learner.mix(base_law))
+    codebook, idx = unique_rows(learner.fit_batch(signs))
+    return FullChannel(signs, probs, codebook, output_index=idx)
+
+
+def _group_labels(arr: np.ndarray) -> np.ndarray:
+    return unique_rows(arr.reshape(arr.shape[0], -1))[1]
+
+
+def _joint_sums_output(ch: FullChannel, x_labels: np.ndarray) -> np.ndarray:
+    xi = _group_labels(x_labels)
+    table = np.zeros((int(xi.max()) + 1, ch.codebook.shape[0]))
+    if ch.deterministic:
+        np.add.at(table, (xi, ch.output_index), ch.sample_probs)
+    else:
+        np.add.at(table, xi, ch.sample_probs[:, None] * ch.cond)
+    return table
+
+
+def full_chain_rule(ch: FullChannel):
+    """``bounds.chain_rule_decomposition`` labelling each pattern by its own
+    coordinate sums, grouped by a row dedup over all patterns: (report,
+    total MI, per-coordinate MIs)."""
+    sums = ch.signs.sum(axis=1, dtype=np.int64)  # (n, d)
+    total = max(0.0, mi_of_table(_joint_sums_output(ch, sums)))
+    _, m, d = ch.signs.shape
+    per_coord = []
+    for t in range(d):
+        table_t = _joint_sums_output(ch, sums[:, t])
+        col_labels = _group_labels(ch.codebook[:, t])
+        collapsed = np.zeros((table_t.shape[0], int(col_labels.max()) + 1))
+        np.add.at(collapsed.T, col_labels, table_t.T)
+        per_coord.append(max(0.0, mi_of_table(collapsed)))
+    report = make_report("chain_rule", total, float(sum(per_coord)), tolerance=1e-9, d=d, m=m)
+    return report, total, tuple(per_coord)
 
 
 def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:

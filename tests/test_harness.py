@@ -6,9 +6,16 @@ import os
 
 import pytest
 
-from mi_sco_lab import bounds
+from mi_sco_lab import bounds, mc
 from mi_sco_lab.cli import main
-from mi_sco_lab.harness import EXPERIMENTS, ConfigError, ExperimentConfig, load_config, run
+from mi_sco_lab.harness import (
+    EXPERIMENTS,
+    MC_KEPT_BYTES,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    run,
+)
 
 
 def write_config(tmp_path, name="tradeoff", extra="", d=1, m=4, trials=2000,
@@ -134,6 +141,17 @@ class TestFailClosed:
     def test_theorem1_needs_two_trials(self, tmp_path, capsys, trials):
         path, out = write_config(tmp_path, name="theorem1", trials=trials)
         self.assert_rejected(capsys, path, out, "trials")
+
+    def test_theorem1_chunk_draw_above_budget(self, tmp_path):
+        # parsed only: a run would draw 8 * CHUNK * m * d bytes of uniforms
+        # per Monte Carlo chunk, 1 GiB at d * m = 8192
+        path, _ = write_config(tmp_path, name="theorem1", d=8193, m=1, p_mode="uniform")
+        with pytest.raises(ConfigError, match="m=1, d=8193 draws 1073872896 uniform bytes"):
+            load_config(path)
+        # exactly at the budget is accepted
+        path, _ = write_config(tmp_path, name="theorem1", d=4096, m=2, p_mode="uniform")
+        cfg = load_config(path)
+        assert 8 * mc.CHUNK * cfg.m * cfg.d == MC_KEPT_BYTES
 
     def test_theorem1_one_trial_chunk_runs(self, tmp_path, capsys):
         # 16385 trials leave a last Monte Carlo chunk of one trial

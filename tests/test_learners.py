@@ -3,6 +3,7 @@
 import ast
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mi_sco_lab import learners
+from mi_sco_lab.bounds import chain_rule_decomposition
 from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.infotheory import JointPmf, mutual_information
 from mi_sco_lab.learners import (
-    NET_BLOCK_ROWS,
+    NET_BLOCK_CELLS,
     BudgetExceededError,
     EpsilonNetErm,
     MeanLearner,
@@ -28,6 +30,8 @@ from mi_sco_lab.learners import (
     exact_channel,
     exact_mutual_information,
     grid_step,
+    lattice_codes,
+    lattice_samples,
     make_learner,
     reachable_outputs,
     round_half_down,
@@ -40,6 +44,8 @@ from oracles import (
     empirical_risk,
     entropy,
     enumerate_sign_space_shift_mask,
+    full_chain_rule,
+    full_channel,
     marginal,
     population_risk,
     sample,
@@ -196,15 +202,15 @@ def _nearest_one_shot(net, zbar):
 class TestEpsilonNetBlocks:
     def test_blocked_matches_one_shot_random(self):
         rng = np.random.default_rng(21)
-        n = 3 * NET_BLOCK_ROWS + 7
         for d, m in ((1, 4), (2, 9), (3, 16)):
+            n = 3 * (NET_BLOCK_CELLS // epsilon_net(d, m).size) + 7
             zbar = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
             got = EpsilonNetErm().fit_from_mean(zbar, m)
             np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(d, m), zbar))
 
     def test_blocked_matches_one_shot_on_ties(self):
         # +-0.5 sit halfway between net points of the axis (-1, 0, 1)
-        zbar = np.tile([[0.5], [-0.5], [0.0]], (NET_BLOCK_ROWS, 1))
+        zbar = np.tile([[0.5], [-0.5], [0.0]], (NET_BLOCK_CELLS // epsilon_net(1, 4).size, 1))
         got = EpsilonNetErm().fit_from_mean(zbar, 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
         np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
@@ -459,8 +465,8 @@ class TestChannel:
         # channel MI equals mutual_information over the explicit joint table
         inst = HardInstance(1, np.array([0.25]))
         ch = exact_channel(QuantizedMeanLearner(), inst, 3)
-        table = np.zeros((ch.signs.shape[0], ch.codebook.shape[0]))
-        table[np.arange(ch.signs.shape[0]), ch.output_index] = ch.sample_probs
+        table = np.zeros((ch.codes.shape[0], ch.codebook.shape[0]))
+        table[np.arange(ch.codes.shape[0]), ch.output_index] = ch.sample_probs
         oracle = mutual_information(JointPmf.from_table(table))
         assert ch.mutual_information() == pytest.approx(oracle, abs=1e-10)
 
@@ -477,8 +483,8 @@ class TestChannel:
         inst = HardInstance(d, np.asarray(p))
         ch = exact_channel(learner, inst, m)
         if ch.deterministic:
-            law = np.zeros((ch.signs.shape[0], ch.codebook.shape[0]))
-            law[np.arange(ch.signs.shape[0]), ch.output_index] = 1.0
+            law = np.zeros((ch.codes.shape[0], ch.codebook.shape[0]))
+            law[np.arange(ch.codes.shape[0]), ch.output_index] = 1.0
         else:
             law = ch.cond
         joint = JointPmf.from_table(ch.sample_probs[:, None] * law)
@@ -541,9 +547,10 @@ class TestChannel:
         inst = HardInstance(2, np.array([0.25, -0.1]))
         for learner in (MeanLearner(), EpsilonNetErm(), SgdLearner()):
             ch = exact_channel(learner, inst, 3)
+            signs = enumerate_sign_space(3, inst.d)
             literal = 0.0
-            for i in range(ch.signs.shape[0]):
-                s = Sample.from_signs(ch.signs[i])
+            for i in range(signs.shape[0]):
+                s = Sample.from_signs(signs[i])
                 w = ch.codebook[ch.output_index[i]]
                 literal += ch.sample_probs[i] * (population_risk(inst, w)
                                                  - empirical_risk(s, w))
@@ -712,6 +719,117 @@ class TestUniqueRows:
                         and any(kw.arg == "axis" for kw in node.keywords)):
                     found.append(f"{path.name}:{node.lineno}")
         assert not found, f"row sort by np.unique(..., axis=...); use unique_rows: {found}"
+
+
+REDUCTIONS = ("output_marginal", "mutual_information", "output_entropy")
+INSTANCE_REDUCTIONS = ("expected_generalization_gap", "expected_excess_risk")
+
+
+def _lattice_biases(d):
+    """The 3-point bias grid of the lattice checks."""
+    return (np.zeros(d), np.full(d, 0.3), np.linspace(-1 / 3, 0.25, d))
+
+
+def _assert_bitwise_full_route(ch, full, inst):
+    """The lattice-indexed channel equals the full route bit for bit:
+    probabilities, codebook, index or law, the five reductions and the chain
+    rule."""
+    assert ch.sample_probs.tobytes() == full.sample_probs.tobytes()
+    assert ch.codebook.tobytes() == full.codebook.tobytes()
+    if full.deterministic:
+        assert ch.cond is None
+        assert ch.output_index.dtype == full.output_index.dtype
+        assert ch.output_index.tobytes() == full.output_index.tobytes()
+    else:
+        assert ch.output_index is None
+        assert ch.cond.tobytes() == full.cond.tobytes()
+    for name in REDUCTIONS:
+        got, want = getattr(ch, name)(), getattr(full, name)()
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    for name in INSTANCE_REDUCTIONS:
+        got, want = getattr(ch, name)(inst), getattr(full, name)(inst)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+    chain = chain_rule_decomposition(ch)
+    report, total, per_coordinate = full_chain_rule(full)
+    assert chain.report == report
+    assert np.float64(chain.total_mi).tobytes() == np.float64(total).tobytes()
+    assert np.array(chain.per_coordinate).tobytes() == np.array(per_coordinate).tobytes()
+
+
+# every learner with reads_counts True, with and without parameters
+COUNT_LEARNERS = [MeanLearner(), QuantizedMeanLearner(), QuantizedMeanLearner(delta=0.3),
+                  EpsilonNetErm(), RegularizedErm(), RegularizedErm(lam=0.5, delta=0.2)]
+
+
+@st.composite
+def _signs_and_column_permutation(draw):
+    """An (n, m, d) sign tensor and the same tensor with the m points of every
+    (sample, coordinate) column shuffled independently."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.sampled_from((-1, 1)), min_size=n * m * d, max_size=n * m * d))
+    signs = np.array(cells, dtype=np.int8).reshape(n, m, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = np.argsort(rng.random((n, m, d)), axis=1)
+    return signs, np.take_along_axis(signs, order, axis=1)
+
+
+class TestLatticeRoute:
+    def test_count_learners_are_the_declared_ones(self):
+        menu = all_learners(4) + [RandomizedResponse(base=MeanLearner(), rho=0.5)]
+        assert {l.kind for l in menu if l.reads_counts} == {l.kind for l in COUNT_LEARNERS}
+
+    @given(learner=st.sampled_from(COUNT_LEARNERS), pair=_signs_and_column_permutation())
+    @settings(max_examples=300, deadline=None)
+    def test_count_learner_ignores_point_order(self, learner, pair):
+        signs, shuffled = pair
+        assert learner.reads_counts
+        assert learner.fit_batch(shuffled).tobytes() == learner.fit_batch(signs).tobytes()
+
+    @pytest.mark.parametrize("learner", [SgdLearner(), SubsampleLearner(k=1, base=MeanLearner())],
+                             ids=lambda l: l.kind)
+    def test_order_learner_reads_point_order(self, learner):
+        # one coordinate, the points +1 then -1 and the other way round
+        signs = np.array([[[1], [-1]], [[-1], [1]]], dtype=np.int8)
+        assert not learner.reads_counts
+        out = learner.fit_batch(signs)
+        assert out[0].tobytes() != out[1].tobytes()
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 6)
+                                     if d * m <= 12])
+    def test_codes_count_the_plus_signs(self, d, m):
+        lattice = lattice_samples(m, d)
+        codes = lattice_codes(m, d)
+        counts = (enumerate_sign_space(m, d) > 0).sum(axis=1)
+        assert codes.dtype == np.int64 and lattice.shape == ((m + 1) ** d, m, d)
+        assert codes.tobytes() == (counts @ (m + 1) ** np.arange(d - 1, -1, -1)).tobytes()
+        # the canonical sample of code c has the counts of every pattern with
+        # code c, plus signs first in each column
+        assert (lattice > 0).sum(axis=1)[codes].tobytes() == counts.tobytes()
+        assert np.array_equal(np.sort(lattice, axis=1)[:, ::-1], lattice)
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 13)
+                                     if d * m <= 12])
+    def test_matches_full_route(self, d, m):
+        # the full route's fits do not depend on the bias, so each learner is
+        # fit once and its pattern probabilities recomputed per bias
+        for learner in _xu_learner_menu(m) + [QuantizedMeanLearner(delta=0.3)]:
+            full = full_channel(learner, HardInstance.zero(d), m)
+            for p in _lattice_biases(d):
+                inst = HardInstance(d, p)
+                oracle = replace(full, sample_probs=sign_space_probs(inst, full.signs))
+                _assert_bitwise_full_route(exact_channel(learner, inst, m), oracle, inst)
+
+    def test_matches_full_route_at_2_20_patterns(self):
+        inst = HardInstance(4, np.linspace(-1 / 3, 0.25, 4))
+        learner = QuantizedMeanLearner()
+        _assert_bitwise_full_route(exact_channel(learner, inst, 5),
+                                   full_channel(learner, inst, 5), inst)
+
+    @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
+    def test_reachable_outputs_match_full_route(self, learner):
+        for d, m in ((1, 6), (2, 4), (3, 3), (4, 2)):
+            assert reachable_outputs(learner, d, m).tobytes() == \
+                full_channel(learner, HardInstance.zero(d), m).codebook.tobytes()
 
 
 class TestMakeLearner:

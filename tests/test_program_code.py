@@ -156,10 +156,34 @@ def test_every_default_is_set_by_some_call():
     assert not unset, f"defaults no program call sets; make them constants: {unset}"
 
 
+def test_every_learner_declares_reads_counts():
+    """Every learner class of ``learners`` (a class with ``fit_batch``) sets
+    ``reads_counts`` in its own body to a bool, as it sets ``deterministic``:
+    no learner inherits or omits the route choice of exact channels."""
+    tree = ast.parse((SRC / "learners.py").read_text())
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(isinstance(item, FUNCS) and item.name == "fit_batch"
+                       for item in node.body)]
+    assert ({node.name for node in classes}
+            == {cls.__name__ for cls in learners.LEARNER_KINDS.values()} | {"RandomizedResponse"})
+    missing = [node.name for node in classes
+               if not any(isinstance(item, ast.Assign) and any(
+                   isinstance(t, ast.Name) and t.id == "reads_counts" for t in item.targets)
+                          for item in node.body)]
+    assert not missing, f"learner classes without reads_counts: {missing}"
+    for node in classes:
+        assert isinstance(getattr(learners, node.name).reads_counts, bool), node.name
+
+
+# learners whose output depends on the order of the sample points
+ORDER_LEARNERS = (learners.SgdLearner, learners.SubsampleLearner)
+
+
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_exact_channel_enumerates_once(monkeypatch, m):
-    """``exact_channel`` enumerates the sign space once per call, for every
-    learner of the xu-check menu, the randomized one included."""
+    """``exact_channel`` never enumerates the sign space for a count learner
+    or randomized response over one, and enumerates it once per call for
+    SGD and subsample, the learners that read the order of the points."""
     real = learners.enumerate_sign_space
     calls = []
 
@@ -169,7 +193,11 @@ def test_exact_channel_enumerates_once(monkeypatch, m):
 
     monkeypatch.setattr(learners, "enumerate_sign_space", spy)
     inst = HardInstance.zero(2)
-    for learner in _xu_learner_menu(m):
+    menu = _xu_learner_menu(m)
+    assert {type(l) for l in menu} >= ({learners.SgdLearner, learners.RandomizedResponse}
+                                       | ({learners.SubsampleLearner} if m >= 2 else set()))
+    for learner in menu:
         calls.clear()
         learners.exact_channel(learner, inst, m)
-        assert calls == [(m, 2)], learner.kind
+        expected = [(m, 2)] if isinstance(learner, ORDER_LEARNERS) else []
+        assert calls == expected, learner.kind
