@@ -38,16 +38,18 @@ from .learners import (
     Channel,
     SubsampleLearner,
     _index_in_codebook,
+    _lattice_codebook,
     enumerate_sign_space,
     exact_channel,
     exact_mutual_information,
     lattice_codes,
     lattice_samples,
+    plus_counts,
     reachable_outputs,
     sign_space_probs,
     unique_rows,
 )
-from .sco import LOSS_RANGE, P_MAX, HardInstance, sample_signs
+from .sco import LOSS_RANGE, P_MAX, HardInstance, sample_counts, sample_signs
 
 GOOD_THRESHOLD = 1.0 / 108.0
 FINGERPRINT_FLOOR = 1.0 / 27.0
@@ -302,17 +304,29 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def _draw_and_fit(learner, p: np.ndarray, m: int, rng, size: int):
+    """Outputs (size, d) of ``learner`` on ``size`` samples of m points drawn
+    from ``rng`` under the bias ``p`` ((d,) or (size, d)), and their float
+    coordinate sign sums 2 C - m. A ``reads_counts`` learner is fit on the
+    plus-counts of ``sample_counts``; any other on ``sample_signs`` from the
+    same uniforms, a randomized one drawing from ``rng`` after them."""
+    if learner.reads_counts:
+        counts = sample_counts(p, m, rng, size)
+        return learner.fit_counts(counts, m), 2.0 * counts - m
+    signs = sample_signs(p, m, rng, size)
+    w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+    return w, signs.sum(axis=1, dtype=float)
+
+
 def pilot_normalizers(inst: HardInstance, learner, m: int,
                       trials: int = 10 ** 4, seed: int = 0) -> np.ndarray:
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
     def chunk(rng, size):
-        signs = sample_signs(inst.p, m, rng, size)
-        w = learner.fit_batch(signs)
+        w = _draw_and_fit(learner, inst.p, m, rng, size)[0]
         err = math.sqrt(inst.d) * w - inst.p[None, :]
-        return (err * err).reshape(size, inst.d)
+        return (err * err).reshape(size * inst.d)
 
-    sq = mc.chunked_trials(lambda rng, size: chunk(rng, size).reshape(size * inst.d),
-                           trials, seed, PILOT_STREAM)
+    sq = mc.chunked_trials(chunk, trials, seed, PILOT_STREAM)
     return np.sqrt(sq.reshape(-1, inst.d).mean(axis=0))
 
 
@@ -340,12 +354,11 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     pref = attack_prefactor(inst.p)
 
     def chunk(rng, size):
-        signs = sample_signs(inst.p, m, rng, size)
-        w = learner.fit_batch(signs)
+        w, sums = _draw_and_fit(learner, inst.p, m, rng, size)
         phat_err = root_d * w - inst.p[None, :]
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
         # sum of signs minus m * p(t)
-        centered = signs.sum(axis=1, dtype=float) - m * inst.p[None, :]
+        centered = sums - m * inst.p[None, :]
         return (pref[None, :] * phat_err * centered).reshape(size * inst.d)
 
     values = mc.chunked_trials(chunk, trials, seed, GOOD_STREAM).reshape(-1, inst.d)
@@ -386,7 +399,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     and the plus-count C_t labels sum t, both in the order of the sums."""
     full = _joint_x_output(ch, ch.codes)
     total = max(0.0, mi_of_table(full))
-    counts = (ch.lattice > 0).sum(axis=1)  # (L, d)
+    counts = plus_counts(ch.lattice)  # (L, d)
     _, m, d = ch.lattice.shape
     per_coord = []
     for t in range(d):
@@ -407,58 +420,107 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
 # ---------------------------------------------------------------------------
 
 
+def _selection_counts(start: int, c: int, m: int, d: int, atom: np.ndarray,
+                      every_atom: bool) -> np.ndarray:
+    """(c, width) float counts, for supersamples start to start + c - 1 in
+    ``enumerate_sign_space(2 * m, d)`` order, of the 2^m selections whose
+    half maps to each atom; ``atom`` maps lattice codes to the K atoms. The
+    columns are all K atoms, or with ``every_atom`` False only those some
+    selection of the chunk reaches, in codebook order.
+
+    A selection's code starts as the first halves' code, and choosing the
+    second point of pair i adds (b_i - a_i) times the radix. Where m (m+1)^d
+    < 2^m, each z's histogram over the (m+1)^d codes is built by m shift-adds,
+    pair i adding a copy shifted by its step; otherwise the 2^m codes are
+    built by m doublings and counted one by one.
+    """
+    n_codes, big_k = atom.shape[0], int(atom.max()) + 1
+    z = np.arange(start, start + c, dtype=np.int64)
+    radix = (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    rows = ((z[:, None] >> np.arange(2 * m * d)) & 1).reshape(c, 2 * m, d) @ radix
+    first, step = rows[:, :m].sum(axis=1), rows[:, m:] - rows[:, :m]  # (c,), (c, m)
+    if m * n_codes < 1 << m:
+        # codes sit in the middle third, so a shift never leaves the row
+        hist = np.zeros((c, 3 * n_codes), dtype=np.int64)
+        hist[np.arange(c), n_codes + first] = 1
+        middle = n_codes + np.arange(n_codes)
+        for i in range(m):
+            hist[:, n_codes:2 * n_codes] += np.take_along_axis(
+                hist, middle - step[:, i:i + 1], axis=1)
+        by_atom = np.argsort(atom, kind="stable")
+        counts = np.add.reduceat(hist[:, middle[by_atom]],
+                                 np.searchsorted(atom[by_atom], np.arange(big_k)), axis=1)
+        return (counts if every_atom else counts[:, counts.any(axis=0)]).astype(float)
+    codes = np.empty((1 << m, c), dtype=np.int64)  # selector-major
+    codes[0] = first
+    for i in range(m):
+        np.add(codes[:1 << i], step[:, i], out=codes[1 << i:2 << i])
+    ids, width = atom[codes], big_k
+    if not every_atom:
+        present = np.zeros(big_k, dtype=bool)
+        present[ids] = True
+        ids, width = (np.cumsum(present) - 1)[ids], int(present.sum())
+    cells = ids + np.arange(c) * width
+    return np.bincount(cells.reshape(-1), minlength=c * width).reshape(c, width).astype(float)
+
+
 def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     """I(w_S; S | Z) for the pick-one-of-each-pair supersample process.
 
     Z is a pair of independent m-point samples; S takes the first or second
     element of each pair by an independent fair bit. For a deterministic
     learner the conditional MI reduces to E_Z[H(w_S | Z)]. Subsampling
-    learners reduce exactly to their first k pair columns.
+    learners reduce exactly to their first k pair columns. A ``reads_counts``
+    base is fit once per lattice point, and each selection reads its atom
+    by lattice code; any other base is fit on every selected sign tensor.
     """
     if isinstance(learner, SubsampleLearner):
         if not 1 <= learner.k <= m:
             raise ValueError("subsample size out of range")
         return cmi_exact(learner.base, inst, learner.k)
 
-    n_z = 1 << (2 * m * inst.d)
+    d = inst.d
+    n_z = 1 << (2 * m * d)
     n_u = 1 << m
     if n_z * n_u > FULL_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"supersample enumeration 2^{2 * m * inst.d} * 2^{m} exceeds budget")
+            f"supersample enumeration 2^{2 * m * d} * 2^{m} exceeds budget")
 
     randomized = not learner.deterministic
     base = learner.base if randomized else learner
 
-    selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
-                  >> np.arange(m, dtype=np.int64)[None, :]) & 1)  # (n_u, m)
-    row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
-
+    if base.reads_counts:
+        codebook, atom = _lattice_codebook(base, lattice_samples(m, d))
+    else:
+        selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
+                      >> np.arange(m, dtype=np.int64)[None, :]) & 1)  # (n_u, m)
+        row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
+        all_z = enumerate_sign_space(2 * m, d)
+        if randomized:
+            codebook = reachable_outputs(base, d, m)
     if randomized:
-        codebook = reachable_outputs(base, inst.d, m)
         big_k = codebook.shape[0]
         # every conditional row mixes a point mass, so its entropy is one
         # shared constant
         h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
 
     total = 0.0
-    z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
-    all_z = enumerate_sign_space(2 * m, inst.d)
-    z_probs = sign_space_probs(inst, lattice_samples(2 * m, inst.d))[lattice_codes(2 * m, inst.d)]
+    z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * d))
+    z_probs = sign_space_probs(inst, lattice_samples(2 * m, d))[lattice_codes(2 * m, d)]
     for start in range(0, n_z, z_chunk):
-        block = all_z[start:start + z_chunk]  # (c, 2m, d)
-        c = block.shape[0]
-        # np.take keeps (c, n_u, m, d) C-ordered, so the reshape is a view
-        selected = np.take(block, row_pick, axis=1)
-        outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
-        if randomized:
-            ids = _index_in_codebook(outputs, codebook)
-            width = big_k
+        c = min(z_chunk, n_z - start)
+        # a deterministic base keeps only the atoms present in this chunk
+        if base.reads_counts:
+            counts = _selection_counts(start, c, m, d, atom, every_atom=randomized)
         else:
-            # columns only for the atoms present in this chunk
-            ids = unique_rows(outputs)[1]
-            width = int(ids.max()) + 1
-        cells = np.repeat(np.arange(c) * width, n_u) + ids
-        counts = np.bincount(cells, minlength=c * width).reshape(c, width).astype(float)
+            # np.take keeps (c, n_u, m, d) C-ordered, so the reshape is a view
+            selected = np.take(all_z[start:start + c], row_pick, axis=1)
+            outputs = base.fit_batch(selected.reshape(c * n_u, m, d))
+            ids = (_index_in_codebook(outputs, codebook) if randomized
+                   else unique_rows(outputs)[1])
+            width = big_k if randomized else int(ids.max()) + 1
+            cells = np.repeat(np.arange(c) * width, n_u) + ids
+            counts = np.bincount(cells, minlength=c * width).reshape(c, width).astype(float)
         if randomized:
             contrib = row_entropies(learner.mix(counts / n_u)) - h_row
         else:
@@ -494,8 +556,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
     """
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        signs = sample_signs(ps, m, rng, size)
-        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+        w = _draw_and_fit(learner, ps, m, rng, size)[0]
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
@@ -778,10 +839,9 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
         halves = []
         err_acc = 0.0
         for _ in range(2):
-            signs = sample_signs(p, m, rng, SECOND_MOMENT_INNER)
-            w = learner.fit_batch(signs)
+            w, sums = _draw_and_fit(learner, p, m, rng, SECOND_MOMENT_INNER)
             phat_err = root_d * w[:, t] - p[t]
-            centered = signs[:, :, t].sum(axis=1) - m * p[t]
+            centered = sums[:, t] - m * p[t]
             halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
             err_acc += float(np.mean(phat_err ** 2))
         prods[i] = halves[0] * halves[1]
@@ -802,7 +862,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = learner.fit_batch(sample_signs(p, m, rng, size))
+        w = _draw_and_fit(learner, p, m, rng, size)[0]
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

@@ -15,9 +15,11 @@ The learner contract is a set of attributes, with no base class:
     the sample;
   * ``reads_counts``: whether the output bytes depend on the sample only
     through its per-coordinate plus-counts;
-  * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor,
-    the one way a learner computes its output.
-The mean-based learners read the sample through ``sample_mean``, and the
+  * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor;
+  * ``fit_counts(counts, m)``, for a ``reads_counts`` learner only: the (n, d)
+    outputs for (n, d) plus-counts out of m, the one computation of such a
+    learner, which its ``fit_batch`` calls on the plus-counts of the signs.
+The mean-based learners read the sample through ``count_mean``, and the
 quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 ``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
 A randomized learner instead wraps a deterministic ``base``; it gives
@@ -30,6 +32,13 @@ each known by its lattice code, its plus-counts in base m+1. Three routes:
   * full: any other learner, fit on every enumerated pattern;
   * factorized: for learners whose coordinate t depends only on column t of
     the sample, per-coordinate output entropies over the 2^m column patterns.
+``bounds`` takes the same count route in two more places, and builds no
+sign tensor on it:
+  * the supersample CMI of a ``reads_counts`` learner, or of randomized
+    response over one, maps each selected half's lattice code to its atom;
+  * the Monte Carlo estimators fit a ``reads_counts`` learner on plus-counts
+    from ``sco.sample_counts``; SGD and randomized response get the signs of
+    ``sco.sample_signs``, drawn from the same uniforms.
 
 Codebooks are found by ``unique_rows``, the one row dedup of the package: it
 gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
@@ -57,9 +66,16 @@ class BudgetExceededError(RuntimeError):
     """Enumeration would exceed FULL_ENUM_BUDGET, or a dense law DENSE_LAW_BYTES."""
 
 
-def sample_mean(signs: np.ndarray) -> np.ndarray:
-    """(n, d) sample means zbar of an (n, m, d) sign tensor, in points signs/sqrt(d)."""
-    return signs.mean(axis=1, dtype=float) / math.sqrt(signs.shape[2])
+def plus_counts(signs: np.ndarray) -> np.ndarray:
+    """(n, d) per-coordinate plus-counts of an (n, m, d) sign tensor."""
+    return (signs > 0).sum(axis=1)
+
+
+def count_mean(counts: np.ndarray, m: int) -> np.ndarray:
+    """(n, d) sample means zbar of samples with (n, d) plus-counts out of m,
+    in points signs/sqrt(d): a coordinate's sign sum is 2c - m, exact in
+    floats, so these are the bytes of the mean over the signs themselves."""
+    return (2.0 * counts - m) / m / math.sqrt(counts.shape[1])
 
 
 def grid_step(delta: float | None, m: int) -> float:
@@ -131,8 +147,11 @@ class MeanLearner:
     factorized = True
     reads_counts = True
 
+    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
+        return count_mean(counts, m)
+
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return sample_mean(signs)
+        return self.fit_counts(plus_counts(signs), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -151,11 +170,13 @@ class QuantizedMeanLearner:
     factorized = True
     reads_counts = True
 
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        n, m, d = signs.shape
-        lim = 1.0 / math.sqrt(d)
-        return np.clip(round_half_down(sample_mean(signs), grid_step(self.delta, m)),
+    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
+        lim = 1.0 / math.sqrt(counts.shape[1])
+        return np.clip(round_half_down(count_mean(counts, m), grid_step(self.delta, m)),
                        -lim, lim)
+
+    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
+        return self.fit_counts(plus_counts(signs), signs.shape[1])
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -184,10 +205,10 @@ class EpsilonNetErm:
     factorized = False
     reads_counts = True
 
-    def fit_from_mean(self, zbar: np.ndarray, m: int) -> np.ndarray:
+    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
         """Nearest net point per row, in blocks of rows whose (rows, net size,
         d) distance temporary holds at most NET_BLOCK_CELLS floats."""
-        zbar = np.asarray(zbar, dtype=float)
+        zbar = count_mean(counts, m)
         net = epsilon_net(zbar.shape[1], m)
         rows = max(1, NET_BLOCK_CELLS // net.size)
         idx = np.empty(zbar.shape[0], dtype=np.intp)
@@ -197,7 +218,7 @@ class EpsilonNetErm:
         return net[idx]
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_from_mean(sample_mean(signs), signs.shape[1])
+        return self.fit_counts(plus_counts(signs), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -246,9 +267,12 @@ class RegularizedErm:
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
 
+    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
+        zbar = count_mean(counts, m) / (1.0 + self.lam)
+        return _project_rows(round_half_down(zbar, grid_step(self.delta, m)))
+
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        zbar = sample_mean(signs) / (1.0 + self.lam)
-        return _project_rows(round_half_down(zbar, grid_step(self.delta, signs.shape[1])))
+        return self.fit_counts(plus_counts(signs), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -393,7 +417,7 @@ def lattice_samples(m: int, d: int) -> np.ndarray:
 def sign_space_probs(inst: HardInstance, signs: np.ndarray) -> np.ndarray:
     """Product-measure probability of each sign pattern under D(p)^m."""
     q = (1.0 + inst.p) / 2.0
-    counts = (signs > 0).sum(axis=1)  # (n, d) plus-counts per coordinate
+    counts = plus_counts(signs)
     m = signs.shape[1]
     return np.prod(q[None, :] ** counts * (1.0 - q)[None, :] ** (m - counts), axis=1)
 
@@ -441,7 +465,8 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        drift = (sample_mean(self.lattice) - inst.w_star)[self.codes]  # (n, d)
+        zbar = count_mean(plus_counts(self.lattice), self.lattice.shape[1])
+        drift = (zbar - inst.w_star)[self.codes]  # (n, d)
         if self.deterministic:
             w = self.codebook[self.output_index]
             return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
@@ -463,13 +488,14 @@ def _lattice_codebook(learner, lattice: np.ndarray) -> tuple[np.ndarray, np.ndar
     signed zeros included."""
     _, m, d = lattice.shape
     order = np.argsort(((lattice > 0) << np.arange(m * d).reshape(m, d)).sum(axis=(1, 2)))
-    codebook, inverse = unique_rows(learner.fit_batch(lattice[order]))
+    codebook, inverse = unique_rows(learner.fit_counts(plus_counts(lattice)[order], m))
     return codebook, inverse[np.argsort(order)]
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m); a randomized
-    learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES."""
+    learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES, and
+    is the only array of that size built."""
     base = learner if learner.deterministic else learner.base
     if not base.reads_counts:  # fit before the codes exist, for a lower peak
         codebook, idx = unique_rows(base.fit_batch(enumerate_sign_space(m, inst.d)))
@@ -484,9 +510,11 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     if 8 * n * big_k > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "
                                   f"above {DENSE_LAW_BYTES}")
-    base_law = np.zeros((n, big_k))
-    base_law[np.arange(n), idx] = 1.0
-    return Channel(codes, lattice, probs, codebook, cond=learner.mix(base_law))
+    # each row mixes a point mass: mix of 0 off the base atom, mix of 1 on it
+    on, off = learner.mix(np.eye(2, big_k))[:, 0]
+    cond = np.full((n, big_k), off)
+    cond[np.arange(n), idx] = on
+    return Channel(codes, lattice, probs, codebook, cond=cond)
 
 
 def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:

@@ -56,11 +56,31 @@ class HardInstance:
         return cls(d, rng.uniform(-P_MAX, P_MAX, size=d))
 
 
-def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
-                 trials: int) -> np.ndarray:
-    """int8 signs of shape (trials, m, d) under the bias ``p``: one (d,) bias
-    for every trial, or one (trials, d) bias per trial. Each sign is +1 where
-    a ``rng.random`` uniform falls below (1 + p(t)) / 2."""
+def _plus_draws(p: np.ndarray, m: int, rng: np.random.Generator,
+                trials: int) -> np.ndarray:
+    """(trials, m, d) booleans under the bias ``p``, one (d,) bias for every
+    trial or one (trials, d) bias per trial: a point's coordinate t is plus
+    where its ``rng.random`` uniform falls below (1 + p(t)) / 2."""
     q_plus = (1.0 + p) / 2.0
     u = rng.random(size=(trials, m, q_plus.shape[-1]))
-    return np.where(u < q_plus[..., None, :], 1, -1).astype(np.int8)
+    return u < q_plus[..., None, :]
+
+
+def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
+                 trials: int) -> np.ndarray:
+    """int8 signs of shape (trials, m, d) under the bias ``p``, from
+    ``_plus_draws``."""
+    return np.where(_plus_draws(p, m, rng, trials), 1, -1).astype(np.int8)
+
+
+def sample_counts(p: np.ndarray, m: int, rng: np.random.Generator,
+                  trials: int) -> np.ndarray:
+    """(trials, d) plus-counts of ``trials`` samples of m points under the
+    bias ``p``: those of ``sample_signs`` from the same generator state, which
+    both leave in the same state. Adds up one point at a time, which runs
+    faster than a sum along the middle axis."""
+    plus = _plus_draws(p, m, rng, trials)
+    counts = np.zeros((trials, plus.shape[2]), dtype=np.int64)
+    for point in range(m):
+        counts += plus[:, point]
+    return counts

@@ -1,27 +1,47 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-sign-pattern enumeration, SGD's pass and exact channels in closed, vectorized,
-lattice-indexed or low-memory form; each function here writes one of them out
-the long way, with no caller in the program. ``Sample``, ``sample`` and
+sign-pattern enumeration, SGD's pass, exact channels, the supersample CMI and
+the Monte Carlo estimators in closed, vectorized, lattice-indexed, count-only
+or low-memory form; each function here writes one of them out the long way,
+with no caller in the program. ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array, where the
 program works on sign tensors.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mi_sco_lab.bounds import P_MAX, _legendre_nodes, attack_prefactor, make_report
+from mi_sco_lab import mc
+from mi_sco_lab.bounds import (
+    CMI_CHUNK_CELLS,
+    FULL_ENUM_BUDGET,
+    GOOD_STREAM,
+    GOOD_THRESHOLD,
+    P_MAX,
+    PILOT_STREAM,
+    RISK_STREAM,
+    SECOND_MOMENT_INNER,
+    GoodSetResult,
+    _legendre_nodes,
+    attack_prefactor,
+    make_report,
+)
 from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of, mi_of_table, row_entropies
 from mi_sco_lab.learners import (
     DENSE_LAW_BYTES,
     BudgetExceededError,
+    SubsampleLearner,
+    _index_in_codebook,
     _project_rows,
     enumerate_sign_space,
     grid_step,
+    lattice_codes,
+    lattice_samples,
+    reachable_outputs,
     round_half_down,
-    sample_mean,
     sign_space_probs,
     unique_rows,
 )
@@ -184,6 +204,13 @@ def fingerprint_quadrature_table(f_table: np.ndarray, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def sample_mean(signs: np.ndarray) -> np.ndarray:
+    """(n, d) sample means zbar of an (n, m, d) sign tensor, in points
+    signs/sqrt(d), averaged over the signs themselves: what
+    ``learners.count_mean`` computes from the plus-counts."""
+    return signs.mean(axis=1, dtype=float) / math.sqrt(signs.shape[2])
+
+
 def enumerate_sign_space_shift_mask(m: int, d: int) -> np.ndarray:
     """``learners.enumerate_sign_space`` as one shift-and-mask over all
     2^(m*d) indices and m*d bit positions, with its (n, m*d) int64
@@ -316,3 +343,157 @@ def entropy(p: FinitePmf) -> float:
 def marginal(j: JointPmf, axis: int) -> FinitePmf:
     """The marginal pmf of axis 0 or 1 of a two-variable joint."""
     return FinitePmf(j.alphabets[axis], j.table.sum(axis=1 - axis))
+
+
+# ---------------------------------------------------------------------------
+# Supersample CMI and Monte Carlo on sign tensors
+# ---------------------------------------------------------------------------
+
+
+def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
+    """``bounds.cmi_exact`` with every learner fit on the sign tensor of
+    every selection, and each chunk's atoms found by a row dedup of its
+    outputs (a randomized learner's by lookup in the base codebook)."""
+    if isinstance(learner, SubsampleLearner):
+        if not 1 <= learner.k <= m:
+            raise ValueError("subsample size out of range")
+        return cmi_exact_signs(learner.base, inst, learner.k)
+
+    n_z = 1 << (2 * m * inst.d)
+    n_u = 1 << m
+    if n_z * n_u > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"supersample enumeration 2^{2 * m * inst.d} * 2^{m} exceeds budget")
+
+    randomized = not learner.deterministic
+    base = learner.base if randomized else learner
+
+    selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
+                  >> np.arange(m, dtype=np.int64)[None, :]) & 1)  # (n_u, m)
+    row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
+
+    if randomized:
+        codebook = reachable_outputs(base, inst.d, m)
+        big_k = codebook.shape[0]
+        h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
+
+    total = 0.0
+    z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
+    all_z = enumerate_sign_space(2 * m, inst.d)
+    z_probs = sign_space_probs(inst, lattice_samples(2 * m, inst.d))[lattice_codes(2 * m, inst.d)]
+    for start in range(0, n_z, z_chunk):
+        block = all_z[start:start + z_chunk]  # (c, 2m, d)
+        c = block.shape[0]
+        selected = np.take(block, row_pick, axis=1)
+        outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
+        if randomized:
+            ids = _index_in_codebook(outputs, codebook)
+            width = big_k
+        else:
+            ids = unique_rows(outputs)[1]
+            width = int(ids.max()) + 1
+        cells = np.repeat(np.arange(c) * width, n_u) + ids
+        counts = np.bincount(cells, minlength=c * width).reshape(c, width).astype(float)
+        if randomized:
+            contrib = row_entropies(learner.mix(counts / n_u)) - h_row
+        else:
+            contrib = row_entropies(counts / n_u)
+        total += float(z_probs[start:start + z_chunk] @ contrib)
+    return max(0.0, total)
+
+
+def pilot_normalizers_signs(inst: HardInstance, learner, m: int, trials: int,
+                            seed: int) -> np.ndarray:
+    """``bounds.pilot_normalizers`` with every learner fit on sampled signs."""
+    def chunk(rng, size):
+        signs = sample_signs(inst.p, m, rng, size)
+        w = learner.fit_batch(signs)
+        err = math.sqrt(inst.d) * w - inst.p[None, :]
+        return (err * err).reshape(size * inst.d)
+
+    sq = mc.chunked_trials(chunk, trials, seed, PILOT_STREAM)
+    return np.sqrt(sq.reshape(-1, inst.d).mean(axis=0))
+
+
+def good_coordinates_signs(inst: HardInstance, learner, m: int, trials: int,
+                           seed: int, pilot_trials: int) -> GoodSetResult:
+    """``bounds.good_coordinates`` with every learner fit on sampled signs,
+    and each centered sum summed over the signs."""
+    norms = pilot_normalizers_signs(inst, learner, m, pilot_trials, seed)
+    excluded = tuple(int(t) for t in np.nonzero(norms < 1e-9)[0])
+    root_d = math.sqrt(inst.d)
+    pref = attack_prefactor(inst.p)
+
+    def chunk(rng, size):
+        signs = sample_signs(inst.p, m, rng, size)
+        w = learner.fit_batch(signs)
+        phat_err = root_d * w - inst.p[None, :]
+        centered = signs.sum(axis=1, dtype=float) - m * inst.p[None, :]
+        return (pref[None, :] * phat_err * centered).reshape(size * inst.d)
+
+    values = mc.chunked_trials(chunk, trials, seed, GOOD_STREAM).reshape(-1, inst.d)
+    est = values.mean(axis=0)
+    se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    members = tuple(int(t) for t in range(inst.d)
+                    if t not in excluded and est[t] - 3.0 * se[t] >= GOOD_THRESHOLD)
+    return GoodSetResult(members=members, estimates=est, std_errors=se,
+                         excluded=excluded, normalizers=norms)
+
+
+def measured_excess_risk_signs(learner, d: int, m: int, trials: int,
+                               seed: int) -> tuple[float, float]:
+    """``bounds.measured_excess_risk`` with every learner fit on sampled signs."""
+    def chunk(rng, size):
+        ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
+        signs = sample_signs(ps, m, rng, size)
+        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+        return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
+
+    values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
+    return mc.mean_and_se(values)
+
+
+def second_moment_report_signs(learner, d: int, m: int, outer: int, seed: int):
+    """``bounds.second_moment_report`` with every learner fit on sampled
+    signs, and each centered sum summed over the signs."""
+    root_d = math.sqrt(d)
+    rng = mc.substream(seed, 106)
+    prods = np.empty(outer)
+    errs = np.empty(outer)
+    for i in range(outer):
+        p = rng.uniform(-P_MAX, P_MAX, size=d)
+        t = int(rng.integers(d))
+        halves = []
+        err_acc = 0.0
+        for _ in range(2):
+            signs = sample_signs(p, m, rng, SECOND_MOMENT_INNER)
+            w = learner.fit_batch(signs)
+            phat_err = root_d * w[:, t] - p[t]
+            centered = signs[:, :, t].sum(axis=1) - m * p[t]
+            halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
+            err_acc += float(np.mean(phat_err ** 2))
+        prods[i] = halves[0] * halves[1]
+        errs[i] = err_acc / 2.0
+    est, est_se = mc.mean_and_se(prods)
+    eps_hat, eps_se = mc.mean_and_se(errs)
+    tol = 3.0 * (est_se + m * eps_se)
+    return make_report("second_moment", m * eps_hat, est, tolerance=tol,
+                       d=d, m=m, trials=outer * SECOND_MOMENT_INNER,
+                       ci_halfwidth=tol, seed=seed)
+
+
+def genbound_chain_report_signs(learner, d: int, m: int, trials: int, seed: int):
+    """``bounds.genbound_chain_report`` with every learner fit on sampled signs."""
+    root_d = math.sqrt(d)
+
+    def chunk(rng, size):
+        p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
+        w = learner.fit_batch(sample_signs(p, m, rng, size))
+        delta = ((w - p / root_d) ** 2).sum(axis=1)
+        errs = ((root_d * w - p) ** 2).sum(axis=1)
+        return d * delta - errs
+
+    values = mc.chunked_trials(chunk, trials, seed, 107, chunk=1 << 12)
+    worst = float(np.abs(values).max())
+    return make_report("genbound_chain", 1e-9, worst, d=d, m=m,
+                       trials=trials, seed=seed)

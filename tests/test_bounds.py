@@ -27,6 +27,7 @@ from mi_sco_lab.bounds import (
     subgaussian_correlation_suite,
     bounded_correlation_suite,
     make_report,
+    measured_excess_risk,
     mi_dimension_scan,
     paley_zygmund_check,
     paley_zygmund_rhs,
@@ -55,7 +56,15 @@ from mi_sco_lab.learners import (
     sign_space_probs,
 )
 from mi_sco_lab.sco import HardInstance, sample_signs
-from oracles import fingerprint_quadrature_table, fingerprint_statistic
+from oracles import (
+    cmi_exact_signs,
+    fingerprint_quadrature_table,
+    fingerprint_statistic,
+    genbound_chain_report_signs,
+    good_coordinates_signs,
+    measured_excess_risk_signs,
+    second_moment_report_signs,
+)
 
 LN2 = math.log(2.0)
 
@@ -295,6 +304,7 @@ class FirstCoordinateSignLearner:
     kind = "first_coordinate_sign"
     deterministic = True
     factorized = False
+    reads_counts = False
 
     def fit_batch(self, signs):
         n, m, d = signs.shape
@@ -450,6 +460,60 @@ class TestCmi:
         cmi = cmi_exact(MeanLearner(), inst, 2)
         gap = exact_channel(MeanLearner(), inst, 2).expected_generalization_gap(inst)
         assert gap <= xu_bound(cmi, 2)
+
+
+CMI_MENU = (MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(), SgdLearner(),
+            SubsampleLearner(k=1, base=MeanLearner()),
+            RandomizedResponse(base=MeanLearner(), rho=0.5),
+            RegularizedErm(lam=0.5), QuantizedMeanLearner(delta=0.3))
+# every (d, m) whose supersample has 2^(2dm+m) <= 2^20 cells, but (8, 1) and
+# (9, 1): there both routes build a dense (z x atoms) count matrix, 1 s per
+# learner at (8, 1) and 4 GB at (9, 1); SGD, whose route is the oracle's,
+# only up to 2^16 cells
+CMI_GRID = [(d, m) for d in range(1, 8) for m in range(1, 7) if 2 * d * m + m <= 20]
+
+
+class TestCountRoute:
+    @pytest.mark.parametrize("d,m", CMI_GRID)
+    def test_cmi_matches_sign_route(self, d, m):
+        inst = HardInstance(d, np.linspace(-1 / 3, 0.25, d))
+        for learner in CMI_MENU:
+            if learner.kind == "sgd" and 2 * d * m + m > 16:
+                continue
+            assert cmi_exact(learner, inst, m) == cmi_exact_signs(learner, inst, m), learner.kind
+
+    def test_cmi_matches_sign_route_at_shipped_point(self):
+        # the m = 64 point of the shipped cmi sweep: k = 8 pairs of 2^16 cells
+        inst = HardInstance.zero(1)
+        assert cmi_exact(MeanLearner(), inst, 8) == cmi_exact_signs(MeanLearner(), inst, 8)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("learner", [QuantizedMeanLearner(), EpsilonNetErm(),
+                                         RegularizedErm(lam=0.5), SgdLearner()],
+                             ids=lambda l: l.kind)
+    def test_monte_carlo_matches_sign_route(self, monkeypatch, threads, learner):
+        monkeypatch.setenv("MI_SCO_THREADS", threads)
+        inst = HardInstance(3, np.array([0.1, -0.25, 0.0]))
+        # three Monte Carlo chunks of good_coordinates, two of the pilot
+        args = (inst, learner, 4, 2 * bounds.mc.CHUNK + 5, 3, bounds.mc.CHUNK + 3)
+        got, want = good_coordinates(*args), good_coordinates_signs(*args)
+        assert (got.members, got.excluded) == (want.members, want.excluded)
+        for field in ("estimates", "std_errors", "normalizers"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        # three chunks of 4096 trials each
+        assert measured_excess_risk(learner, 3, 4, 2 * 4096 + 7, 4) == \
+            measured_excess_risk_signs(learner, 3, 4, 2 * 4096 + 7, 4)
+        assert genbound_chain_report(learner, 3, 4, 2 * 4096 + 7, 5) == \
+            genbound_chain_report_signs(learner, 3, 4, 2 * 4096 + 7, 5)
+        assert second_moment_report(learner, 3, 4, 50, 6) == \
+            second_moment_report_signs(learner, 3, 4, 50, 6)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_randomized_risk_matches_sign_route(self, monkeypatch, threads):
+        monkeypatch.setenv("MI_SCO_THREADS", threads)
+        learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
+        assert measured_excess_risk(learner, 2, 4, 2 * 4096 + 7, 7) == \
+            measured_excess_risk_signs(learner, 2, 4, 2 * 4096 + 7, 7)
 
 
 class TestCertificate:

@@ -25,6 +25,7 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
+    count_mean,
     enumerate_sign_space,
     epsilon_net,
     exact_channel,
@@ -204,29 +205,33 @@ class TestEpsilonNetBlocks:
         rng = np.random.default_rng(21)
         for d, m in ((1, 4), (2, 9), (3, 16)):
             n = 3 * (NET_BLOCK_CELLS // epsilon_net(d, m).size) + 7
-            zbar = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
-            got = EpsilonNetErm().fit_from_mean(zbar, m)
-            np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(d, m), zbar))
+            counts = rng.integers(0, m + 1, size=(n, d))
+            got = EpsilonNetErm().fit_counts(counts, m)
+            np.testing.assert_array_equal(
+                got, _nearest_one_shot(epsilon_net(d, m), count_mean(counts, m)))
 
     def test_blocked_matches_one_shot_on_ties(self):
-        # +-0.5 sit halfway between net points of the axis (-1, 0, 1)
-        zbar = np.tile([[0.5], [-0.5], [0.0]], (NET_BLOCK_CELLS // epsilon_net(1, 4).size, 1))
-        got = EpsilonNetErm().fit_from_mean(zbar, 4)
+        # plus-counts 3, 1, 2 of 4 give means +-0.5 and 0; +-0.5 sit halfway
+        # between net points of the axis (-1, 0, 1)
+        counts = np.tile([[3], [1], [2]], (NET_BLOCK_CELLS // epsilon_net(1, 4).size, 1))
+        zbar = count_mean(counts, 4)
+        np.testing.assert_array_equal(zbar[:3, 0], [0.5, -0.5, 0.0])
+        got = EpsilonNetErm().fit_counts(counts, 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
         np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
         # every reachable mean at d=2, m=4, with its exact lattice ties
         signs = enumerate_sign_space(4, 2)
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(2)
-        got = EpsilonNetErm().fit_from_mean(zbar, 4)
+        got = EpsilonNetErm().fit_counts((signs > 0).sum(axis=1), 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(2, 4), zbar))
 
     def test_peak_memory_bounded(self):
         n, d, m = 1 << 17, 2, 16
-        zbar = np.random.default_rng(22).uniform(-0.7, 0.7, size=(n, d))
+        counts = np.random.default_rng(22).integers(0, m + 1, size=(n, d))
         one_temporary = n * epsilon_net(d, m).shape[0] * d * 8
         tracemalloc.start()
         try:
-            EpsilonNetErm().fit_from_mean(zbar, m)
+            EpsilonNetErm().fit_counts(counts, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,6 +383,33 @@ class TestRandomizedResponse:
         monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 51199)
         with pytest.raises(BudgetExceededError, match="51200 bytes"):
             exact_channel(learner, inst, 4)
+
+    def test_dense_law_is_the_peak(self):
+        # d=10, m=1: a 1024 x 1024 law of 8 MiB, and nothing else of its size
+        learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
+        inst = HardInstance.zero(10)
+        exact_channel(learner, inst, 1)  # warm the shared codebook cache
+        tracemalloc.start()
+        try:
+            ch = exact_channel(learner, inst, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ch.cond.shape == (1024, 1024)
+        assert peak <= 1.25 * ch.cond.nbytes
+
+    def test_dense_law_bytes_equal_the_mixed_point_masses(self):
+        for base, rho in ((MeanLearner(), 0.5), (QuantizedMeanLearner(delta=0.3), 0.3),
+                          (RegularizedErm(lam=1e9), 0.7)):
+            # a one-atom codebook too: every output of lam = 1e9 rounds to 0
+            inst = HardInstance(2, np.array([0.1, -0.2]))
+            base_ch = exact_channel(base, inst, 3)
+            n, big_k = base_ch.output_index.shape[0], base_ch.codebook.shape[0]
+            base_law = np.zeros((n, big_k))
+            base_law[np.arange(n), base_ch.output_index] = 1.0
+            learner = RandomizedResponse(base=base, rho=rho)
+            ch = exact_channel(learner, inst, 3)
+            assert ch.cond.tobytes() == learner.mix(base_law).tobytes()
 
     def test_fit_needs_rng(self):
         s = sample(HardInstance.zero(1), 2, seed=13)

@@ -5,9 +5,10 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mi_sco_lab import learners
+from mi_sco_lab import bounds, learners, sco
 from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.sco import HardInstance
 
@@ -96,6 +97,38 @@ def test_learners_have_one_fit_path():
     assert not second, f"learner classes with a second output route: {second}"
 
 
+def _learner_classes(tree):
+    """The learner classes of ``learners``: each class with a ``fit_batch``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, FUNCS) and item.name == "fit_batch"
+                    for item in node.body)]
+
+
+def test_count_learners_fit_through_fit_counts():
+    """Every ``reads_counts = True`` learner class defines ``fit_counts``, and
+    its ``fit_batch`` body is one ``return self.fit_counts(...)``: a count
+    learner has one computation, whatever it is handed."""
+    tree = ast.parse((SRC / "learners.py").read_text())
+    count_classes = [node for node in _learner_classes(tree)
+                     if getattr(learners, node.name).reads_counts]
+    assert {node.name for node in count_classes} == {
+        "MeanLearner", "QuantizedMeanLearner", "EpsilonNetErm", "RegularizedErm"}
+    for node in count_classes:
+        methods = {item.name: item for item in node.body if isinstance(item, FUNCS)}
+        assert "fit_counts" in methods, node.name
+        body = [stmt for stmt in methods["fit_batch"].body
+                if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+        assert len(body) == 1 and isinstance(body[0], ast.Return), node.name
+        call = body[0].value
+        assert (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "fit_counts"
+                and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"), \
+            node.name
+        inner = [n for n in ast.walk(call) if isinstance(n, ast.Call)][1:]
+        assert not any(isinstance(n.func, ast.Attribute) and n.func.attr.startswith("fit")
+                       for n in inner), node.name
+
+
 def _defaulted_parameters(tree):
     """(function name, parameter, position in a call or None) for every
     parameter with a default; a method's position skips self or cls."""
@@ -161,9 +194,7 @@ def test_every_learner_declares_reads_counts():
     ``reads_counts`` in its own body to a bool, as it sets ``deterministic``:
     no learner inherits or omits the route choice of exact channels."""
     tree = ast.parse((SRC / "learners.py").read_text())
-    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-               and any(isinstance(item, FUNCS) and item.name == "fit_batch"
-                       for item in node.body)]
+    classes = _learner_classes(tree)
     assert ({node.name for node in classes}
             == {cls.__name__ for cls in learners.LEARNER_KINDS.values()} | {"RandomizedResponse"})
     missing = [node.name for node in classes
@@ -201,3 +232,61 @@ def test_exact_channel_enumerates_once(monkeypatch, m):
         learners.exact_channel(learner, inst, m)
         expected = [(m, 2)] if isinstance(learner, ORDER_LEARNERS) else []
         assert calls == expected, learner.kind
+
+
+COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
+                  learners.QuantizedMeanLearner(delta=0.3), learners.EpsilonNetErm(),
+                  learners.RegularizedErm(lam=0.5))
+
+
+def _spy_sign_routes(monkeypatch):
+    """Record every sign sampling, sign enumeration and ``fit_batch`` row
+    count, wherever the program looks those names up."""
+    calls = {"sample_signs": [], "enumerate_sign_space": [], "fit_batch_rows": []}
+    for module, name in ((sco, "sample_signs"), (bounds, "sample_signs"),
+                         (learners, "enumerate_sign_space"),
+                         (bounds, "enumerate_sign_space")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    for cls in {type(learner) for learner in COUNT_LEARNERS}:
+        real_fit = cls.fit_batch
+
+        def fit_spy(self, signs, real_fit=real_fit):
+            calls["fit_batch_rows"].append(signs.shape[0])
+            return real_fit(self, signs)
+
+        monkeypatch.setattr(cls, "fit_batch", fit_spy)
+    return calls
+
+
+@pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=lambda l: repr(l))
+def test_count_learners_take_no_sign_route(monkeypatch, learner):
+    """For a count learner (and randomized response over one, in the CMI),
+    ``cmi_exact`` and the Monte Carlo estimators never sample or enumerate
+    signs, and never fit more rows than the (m+1)^d lattice points."""
+    calls = _spy_sign_routes(monkeypatch)
+    d, m = 2, 3
+    inst = HardInstance(d, np.array([0.1, -0.2]))
+    bounds.cmi_exact(learner, inst, m)
+    bounds.cmi_exact(learners.RandomizedResponse(base=learner, rho=0.5), inst, m)
+    bounds.good_coordinates(inst, learner, m, trials=500, seed=1, pilot_trials=300)
+    bounds.measured_excess_risk(learner, d, m, 500, 2)
+    bounds.genbound_chain_report(learner, d, m, 500, 3)
+    bounds.second_moment_report(learner, d, m, 5, 4)
+    assert calls["sample_signs"] == [] and calls["enumerate_sign_space"] == []
+    assert all(rows <= (m + 1) ** d for rows in calls["fit_batch_rows"])
+
+
+def test_sign_route_spy_sees_sgd(monkeypatch):
+    """The spy above does see the sign routes: SGD's CMI enumerates and its
+    Monte Carlo samples signs."""
+    calls = _spy_sign_routes(monkeypatch)
+    inst = HardInstance.zero(2)
+    bounds.cmi_exact(learners.SgdLearner(), inst, 2)
+    bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
+    assert calls["enumerate_sign_space"] and calls["sample_signs"]

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mi_sco_lab.sco import HardInstance, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_counts, sample_signs
 from oracles import (
     Sample,
     empirical_risk,
@@ -30,6 +32,23 @@ class TestHardInstance:
     def test_optimum_inside_ball(self):
         inst = HardInstance(3, np.full(3, 1 / 3))
         assert np.linalg.norm(inst.w_star) == pytest.approx(1 / 3, abs=1e-12)
+
+
+class TestSampleCounts:
+    @given(m=st.integers(1, 16), d=st.integers(1, 8), trials=st.integers(1, 300),
+           per_trial=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_of_the_same_signs(self, m, d, trials, per_trial, seed):
+        # one (d,) bias for every trial, or one (trials, d) bias per trial
+        shape = (trials, d) if per_trial else (d,)
+        p = np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=shape)
+        rng_signs, rng_counts = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = (sample_signs(p, m, rng_signs, trials) > 0).sum(axis=1)
+        counts = sample_counts(p, m, rng_counts, trials)
+        assert counts.shape == (trials, d)
+        np.testing.assert_array_equal(counts, expected)
+        # both leave the generator in the same state
+        assert rng_counts.random() == rng_signs.random()
 
 
 class TestSampling:
