@@ -432,7 +432,13 @@ def _selection_counts(start: int, c: int, m: int, d: int, atom: np.ndarray,
     second point of pair i adds (b_i - a_i) times the radix. Where m (m+1)^d
     < 2^m, each z's histogram over the (m+1)^d codes is built by m shift-adds,
     pair i adding a copy shifted by its step; otherwise the 2^m codes are
-    built by m doublings and counted one by one.
+    built by m doublings and counted one by one. The rule compares the two
+    per-z costs, and timings agree with it: on one 2-core Xeon (numpy 2.4),
+    ``cmi_exact(MeanLearner(), HardInstance.zero(1), m)`` took 0.12 s by
+    shift-adds and 0.54 s by doublings at m = 8, 0.005 s and 0.009 s at
+    m = 6, and tied at m = 5; at d = 3, m = 3 the shift-adds took 2.1 s and
+    the doublings 0.45 s. Under the rule the (c, 3 (m+1)^d) histogram is
+    also smaller than the (2^m, c) codes.
     """
     n_codes, big_k = atom.shape[0], int(atom.max()) + 1
     z = np.arange(start, start + c, dtype=np.int64)

@@ -488,7 +488,7 @@ class TestCountRoute:
         assert cmi_exact(MeanLearner(), inst, 8) == cmi_exact_signs(MeanLearner(), inst, 8)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("learner", [QuantizedMeanLearner(), EpsilonNetErm(),
+    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(),
                                          RegularizedErm(lam=0.5), SgdLearner()],
                              ids=lambda l: l.kind)
     def test_monte_carlo_matches_sign_route(self, monkeypatch, threads, learner):

@@ -388,7 +388,7 @@ class TestRandomizedResponse:
         # d=10, m=1: a 1024 x 1024 law of 8 MiB, and nothing else of its size
         learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
         inst = HardInstance.zero(10)
-        exact_channel(learner, inst, 1)  # warm the shared codebook cache
+        exact_channel(learner, inst, 1)  # a first call imports numpy.ma; keep it out of the peak
         tracemalloc.start()
         try:
             ch = exact_channel(learner, inst, 1)
