@@ -37,15 +37,11 @@ from .learners import (
     BudgetExceededError,
     Channel,
     SubsampleLearner,
-    _index_in_codebook,
-    _lattice_codebook,
-    enumerate_sign_space,
     exact_channel,
     exact_mutual_information,
     lattice_codes,
-    lattice_samples,
-    plus_counts,
-    reachable_outputs,
+    lattice_counts,
+    output_atoms,
     sign_space_probs,
     unique_rows,
 )
@@ -399,8 +395,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     and the plus-count C_t labels sum t, both in the order of the sums."""
     full = _joint_x_output(ch, ch.codes)
     total = max(0.0, mi_of_table(full))
-    counts = plus_counts(ch.lattice)  # (L, d)
-    _, m, d = ch.lattice.shape
+    counts, m, d = ch.counts, ch.m, ch.counts.shape[1]  # (L, d) plus-counts
     per_coord = []
     for t in range(d):
         table_t = _joint_x_output(ch, counts[:, t][ch.codes])
@@ -420,31 +415,33 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
 # ---------------------------------------------------------------------------
 
 
-def _selection_counts(start: int, c: int, m: int, d: int, atom: np.ndarray,
-                      every_atom: bool) -> np.ndarray:
-    """(c, width) float counts, for supersamples start to start + c - 1 in
-    ``enumerate_sign_space(2 * m, d)`` order, of the 2^m selections whose
-    half maps to each atom; ``atom`` maps lattice codes to the K atoms. The
-    columns are all K atoms, or with ``every_atom`` False only those some
+def _selection_counts(start: int, c: int, m: int, atom: np.ndarray, scale: np.ndarray,
+                      radix: np.ndarray, every_atom: bool):
+    """Yields (first row, float counts) in row blocks of at most
+    CMI_CHUNK_CELLS floats: for supersamples start to start + c - 1 in
+    ``enumerate_sign_space(2 * m, d)`` order, the count of the 2^m selections
+    whose half maps to each atom, ``atom`` mapping the sample codes of
+    ``output_atoms`` (weights ``scale`` and ``radix``) to the K atoms. The
+    columns are all K atoms, or with ``every_atom`` False those some
     selection of the chunk reaches, in codebook order.
 
     A selection's code starts as the first halves' code, and choosing the
-    second point of pair i adds (b_i - a_i) times the radix. Where m (m+1)^d
-    < 2^m, each z's histogram over the (m+1)^d codes is built by m shift-adds,
-    pair i adding a copy shifted by its step; otherwise the 2^m codes are
-    built by m doublings and counted one by one. The rule compares the two
-    per-z costs, and timings agree with it: on one 2-core Xeon (numpy 2.4),
+    second point of pair i adds scale[i] (b_i - a_i), b_i and a_i the two
+    points' plus bits times the radix. Where m n_codes < 2^m (lattice codes
+    only), each z's histogram over the codes is built by m shift-adds, pair i
+    adding a copy shifted by its step; otherwise the 2^m codes are built by m
+    doublings and counted one by one. The rule compares the two per-z costs,
+    and timings agree with it: on one 2-core Xeon (numpy 2.4),
     ``cmi_exact(MeanLearner(), HardInstance.zero(1), m)`` took 0.12 s by
     shift-adds and 0.54 s by doublings at m = 8, 0.005 s and 0.009 s at
     m = 6, and tied at m = 5; at d = 3, m = 3 the shift-adds took 2.1 s and
-    the doublings 0.45 s. Under the rule the (c, 3 (m+1)^d) histogram is
-    also smaller than the (2^m, c) codes.
+    the doublings 0.45 s. Under the rule the (c, 3 n_codes) histogram is
+    also smaller than the (2^m, c) codes, and its counts fit in one block.
     """
     n_codes, big_k = atom.shape[0], int(atom.max()) + 1
     z = np.arange(start, start + c, dtype=np.int64)
-    radix = (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    rows = ((z[:, None] >> np.arange(2 * m * d)) & 1).reshape(c, 2 * m, d) @ radix
-    first, step = rows[:, :m].sum(axis=1), rows[:, m:] - rows[:, :m]  # (c,), (c, m)
+    points = ((z[:, None] >> np.arange(2 * m * radix.shape[0])) & 1).reshape(c, 2 * m, -1) @ radix
+    first, step = points[:, :m] @ scale, (points[:, m:] - points[:, :m]) * scale  # (c,), (c, m)
     if m * n_codes < 1 << m:
         # codes sit in the middle third, so a shift never leaves the row
         hist = np.zeros((c, 3 * n_codes), dtype=np.int64)
@@ -456,7 +453,8 @@ def _selection_counts(start: int, c: int, m: int, d: int, atom: np.ndarray,
         by_atom = np.argsort(atom, kind="stable")
         counts = np.add.reduceat(hist[:, middle[by_atom]],
                                  np.searchsorted(atom[by_atom], np.arange(big_k)), axis=1)
-        return (counts if every_atom else counts[:, counts.any(axis=0)]).astype(float)
+        yield 0, (counts if every_atom else counts[:, counts.any(axis=0)]).astype(float)
+        return
     codes = np.empty((1 << m, c), dtype=np.int64)  # selector-major
     codes[0] = first
     for i in range(m):
@@ -466,8 +464,11 @@ def _selection_counts(start: int, c: int, m: int, d: int, atom: np.ndarray,
         present = np.zeros(big_k, dtype=bool)
         present[ids] = True
         ids, width = (np.cumsum(present) - 1)[ids], int(present.sum())
-    cells = ids + np.arange(c) * width
-    return np.bincount(cells.reshape(-1), minlength=c * width).reshape(c, width).astype(float)
+    rows = max(1, CMI_CHUNK_CELLS // width)
+    for row in range(0, c, rows):
+        cells = ids[:, row:row + rows] + np.arange(min(rows, c - row)) * width
+        yield row, np.bincount(cells.reshape(-1), minlength=cells.shape[1] * width).reshape(
+            -1, width).astype(float)
 
 
 def cmi_exact(learner, inst: HardInstance, m: int) -> float:
@@ -476,9 +477,10 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     Z is a pair of independent m-point samples; S takes the first or second
     element of each pair by an independent fair bit. For a deterministic
     learner the conditional MI reduces to E_Z[H(w_S | Z)]. Subsampling
-    learners reduce exactly to their first k pair columns. A ``reads_counts``
-    base is fit once per lattice point, and each selection reads its atom
-    by lattice code; any other base is fit on every selected sign tensor.
+    learners reduce exactly to their first k pair columns. The base is fit
+    once per sample code of ``output_atoms`` (a lattice point of a
+    ``reads_counts`` base, an enumerated pattern of SGD or a subsample), and
+    each selection reads its atom by code, with no sign tensor.
     """
     if isinstance(learner, SubsampleLearner):
         if not 1 <= learner.k <= m:
@@ -494,43 +496,24 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
 
     randomized = not learner.deterministic
     base = learner.base if randomized else learner
-
-    if base.reads_counts:
-        codebook, atom = _lattice_codebook(base, lattice_samples(m, d))
-    else:
-        selectors = ((np.arange(n_u, dtype=np.int64)[:, None]
-                      >> np.arange(m, dtype=np.int64)[None, :]) & 1)  # (n_u, m)
-        row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
-        all_z = enumerate_sign_space(2 * m, d)
-        if randomized:
-            codebook = reachable_outputs(base, d, m)
+    codebook, atom, scale, radix = output_atoms(base, m, d)
     if randomized:
-        big_k = codebook.shape[0]
-        # every conditional row mixes a point mass, so its entropy is one
-        # shared constant
-        h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
+        # every conditional row mixes a point mass, so all share one entropy
+        h_row = entropy_of(learner.mix(np.eye(1, codebook.shape[0])[0]))
 
     total = 0.0
     z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * d))
-    z_probs = sign_space_probs(inst, lattice_samples(2 * m, d))[lattice_codes(2 * m, d)]
+    z_probs = sign_space_probs(inst, lattice_counts(2 * m, d), 2 * m)[lattice_codes(2 * m, d)]
     for start in range(0, n_z, z_chunk):
         c = min(z_chunk, n_z - start)
+        contrib = np.empty(c)
         # a deterministic base keeps only the atoms present in this chunk
-        if base.reads_counts:
-            counts = _selection_counts(start, c, m, d, atom, every_atom=randomized)
-        else:
-            # np.take keeps (c, n_u, m, d) C-ordered, so the reshape is a view
-            selected = np.take(all_z[start:start + c], row_pick, axis=1)
-            outputs = base.fit_batch(selected.reshape(c * n_u, m, d))
-            ids = (_index_in_codebook(outputs, codebook) if randomized
-                   else unique_rows(outputs)[1])
-            width = big_k if randomized else int(ids.max()) + 1
-            cells = np.repeat(np.arange(c) * width, n_u) + ids
-            counts = np.bincount(cells, minlength=c * width).reshape(c, width).astype(float)
-        if randomized:
-            contrib = row_entropies(learner.mix(counts / n_u)) - h_row
-        else:
-            contrib = row_entropies(counts / n_u)
+        for row, counts in _selection_counts(start, c, m, atom, scale, radix,
+                                             every_atom=randomized):
+            counts /= n_u
+            contrib[row:row + counts.shape[0]] = (
+                row_entropies(learner.mix(counts)) - h_row if randomized
+                else row_entropies(counts))
         total += float(z_probs[start:start + z_chunk] @ contrib)
     return max(0.0, total)
 

@@ -26,19 +26,18 @@ A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
 
-Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET),
-each known by its lattice code, its plus-counts in base m+1. Three routes:
-  * lattice: a ``reads_counts`` learner, fit once per (m+1)^d lattice point;
-  * full: any other learner, fit on every enumerated pattern;
-  * factorized: for learners whose coordinate t depends only on column t of
-    the sample, per-coordinate output entropies over the 2^m column patterns.
-``bounds`` takes the same count route in two more places, and builds no
-sign tensor on it:
-  * the supersample CMI of a ``reads_counts`` learner, or of randomized
-    response over one, maps each selected half's lattice code to its atom;
-  * the Monte Carlo estimators fit a ``reads_counts`` learner on plus-counts
-    from ``sco.sample_counts``; SGD and randomized response get the signs of
-    ``sco.sample_signs``, drawn from the same uniforms.
+Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET).
+One code-to-atom map, ``output_atoms``, gives every deterministic learner's
+codebook and the atom of each sample code, which is either
+  * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
+    fit once per (m+1)^d lattice point; or
+  * the pattern index: any other learner, fit once per enumerated pattern.
+``exact_channel``, ``reachable_outputs`` and the supersample CMI of ``bounds``
+all read atoms by code. Factorized learners (coordinate t reads column t
+only) also take per-coordinate entropies over the 2^m column patterns. The
+Monte Carlo estimators fit a ``reads_counts`` learner on the plus-counts of
+``sco.sample_counts``; SGD and randomized response get the signs of
+``sco.sample_signs``, drawn from the same uniforms.
 
 Codebooks are found by ``unique_rows``, the one row dedup of the package: it
 gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
@@ -396,29 +395,35 @@ def enumerate_sign_space(m: int, d: int) -> np.ndarray:
     return out.reshape(n, m, d)
 
 
-def lattice_codes(m: int, d: int) -> np.ndarray:
-    """Each sign pattern's code sum_t C_t (m+1)^(d-1-t), C_t its plus-count in
-    coordinate t, in ``enumerate_sign_space`` order: flat cell c is bit c of
-    the pattern index, so each cell doubles the codes, adding (m+1)^(d-1-c%d)."""
-    code = np.zeros(_pattern_count(m * d), dtype=np.int64)
-    for c in range(m * d):
-        np.add(code[:1 << c], (m + 1) ** (d - 1 - c % d), out=code[1 << c:2 << c])
+def pattern_codes(point_scale: np.ndarray, coord_radix: np.ndarray) -> np.ndarray:
+    """Each sign pattern's sample code sum_i point_scale[i] sum_t plus(i, t)
+    coord_radix[t], in ``enumerate_sign_space`` order: flat cell c = i d + t
+    is bit c of the pattern index, so each cell doubles the codes."""
+    weights = np.outer(point_scale, coord_radix).reshape(-1)
+    code = np.zeros(_pattern_count(weights.shape[0]), dtype=np.int64)
+    for c, weight in enumerate(weights):
+        np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
     return code
 
 
-def lattice_samples(m: int, d: int) -> np.ndarray:
-    """One canonical sample per lattice code, for the (m+1)^d plus-count
-    vectors C in code order: (L, m, d) signs with C_t plus signs first in column t."""
-    _pattern_count(m * d)  # no lattice is larger than the patterns it indexes
-    counts = product_grid([np.arange(m + 1)] * d)
-    return np.where(np.arange(m)[:, None] < counts[:, None, :], 1, -1)
+def lattice_radix(m: int, d: int) -> np.ndarray:
+    """Radix (m+1)^(d-1-t) of coordinate t in the lattice code sum_t C_t (m+1)^(d-1-t)."""
+    return (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def sign_space_probs(inst: HardInstance, signs: np.ndarray) -> np.ndarray:
-    """Product-measure probability of each sign pattern under D(p)^m."""
+def lattice_codes(m: int, d: int) -> np.ndarray:
+    """Each sign pattern's lattice code, in ``enumerate_sign_space`` order."""
+    return pattern_codes(np.ones(m, dtype=np.int64), lattice_radix(m, d))
+
+
+def lattice_counts(m: int, d: int) -> np.ndarray:
+    """The (m+1)^d plus-count vectors C, (L, d) in lattice code order."""
+    return product_grid([np.arange(m + 1)] * d)
+
+
+def sign_space_probs(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
+    """Probability under D(p)^m of each sample with (n, d) plus-counts out of m."""
     q = (1.0 + inst.p) / 2.0
-    counts = plus_counts(signs)
-    m = signs.shape[1]
     return np.prod(q[None, :] ** counts * (1.0 - q)[None, :] ** (m - counts), axis=1)
 
 
@@ -432,7 +437,8 @@ class Channel:
     """
 
     codes: np.ndarray = field(repr=False)          # (n,) lattice code per sign pattern
-    lattice: np.ndarray = field(repr=False)        # (L, m, d) canonical sample per code
+    counts: np.ndarray = field(repr=False)         # (L, d) plus-counts per lattice code
+    m: int
     sample_probs: np.ndarray = field(repr=False)   # (n,)
     codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
     output_index: np.ndarray | None = field(repr=False, default=None)
@@ -465,7 +471,7 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        zbar = count_mean(plus_counts(self.lattice), self.lattice.shape[1])
+        zbar = count_mean(self.counts, self.m)
         drift = (zbar - inst.w_star)[self.codes]  # (n, d)
         if self.deterministic:
             w = self.codebook[self.output_index]
@@ -481,15 +487,23 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
-def _lattice_codebook(learner, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ``reads_counts`` learner's codebook and each lattice point's atom, from
-    one fit per point. The points go in the order of their first pattern (plus
-    signs in the lowest cells), so each atom keeps its first pattern's row,
-    signed zeros included."""
-    _, m, d = lattice.shape
-    order = np.argsort(((lattice > 0) << np.arange(m * d).reshape(m, d)).sum(axis=(1, 2)))
-    codebook, inverse = unique_rows(learner.fit_counts(plus_counts(lattice)[order], m))
-    return codebook, inverse[np.argsort(order)]
+def output_atoms(learner, m: int, d: int):
+    """(codebook, atom, point_scale, coord_radix): a deterministic learner's
+    lexicographic codebook and the atom of each sample code sum_i point_scale[i]
+    sum_t plus(i, t) coord_radix[t]. A ``reads_counts`` learner takes the
+    lattice code (scale 1, radix (m+1)^(d-1-t)), fit per point in its first
+    pattern's order (plus signs lowest), so each atom keeps that pattern's row,
+    signed zeros included; any other the pattern index (scale 2^(i d), radix 2^t)."""
+    _pattern_count(m * d)  # the budget, checked before a weight 2^(i d) can wrap
+    scale, radix = 1 << d * np.arange(m, dtype=np.int64), 1 << np.arange(d, dtype=np.int64)
+    if not learner.reads_counts:
+        codebook, atom = unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))
+        return codebook, atom, scale, radix
+    counts = lattice_counts(m, d)
+    # a first pattern's index sums the scales of its C_t lowest points, times 2^t
+    order = np.argsort(np.concatenate([[0], np.cumsum(scale)])[counts] @ radix)
+    codebook, inverse = unique_rows(learner.fit_counts(counts[order], m))
+    return codebook, inverse[np.argsort(order)], np.ones(m, dtype=np.int64), lattice_radix(m, d)
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
@@ -497,15 +511,12 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES, and
     is the only array of that size built."""
     base = learner if learner.deterministic else learner.base
-    if not base.reads_counts:  # fit before the codes exist, for a lower peak
-        codebook, idx = unique_rows(base.fit_batch(enumerate_sign_space(m, inst.d)))
-    lattice, codes = lattice_samples(m, inst.d), lattice_codes(m, inst.d)
-    if base.reads_counts:
-        codebook, atom = _lattice_codebook(base, lattice)
-        idx = atom[codes]
-    probs = sign_space_probs(inst, lattice)[codes]
+    codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
+    idx = atom[pattern_codes(scale, radix)]
+    counts, codes = lattice_counts(m, inst.d), lattice_codes(m, inst.d)
+    probs = sign_space_probs(inst, counts, m)[codes]
     if learner.deterministic:
-        return Channel(codes, lattice, probs, codebook, output_index=idx)
+        return Channel(codes, counts, m, probs, codebook, output_index=idx)
     n, big_k = codes.shape[0], codebook.shape[0]
     if 8 * n * big_k > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "
@@ -514,28 +525,14 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     on, off = learner.mix(np.eye(2, big_k))[:, 0]
     cond = np.full((n, big_k), off)
     cond[np.arange(n), idx] = on
-    return Channel(codes, lattice, probs, codebook, cond=cond)
-
-
-def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Row index in the distinct-row ``codebook`` of each output row."""
-    k = codebook.shape[0]
-    _, inverse = unique_rows(np.concatenate([codebook, outputs]))
-    slot = np.full(int(inverse.max()) + 1, -1, dtype=np.int64)
-    slot[inverse[:k]] = np.arange(k)
-    ids = slot[inverse[k:]]
-    if np.any(ids < 0):
-        raise ValueError("output outside the declared codebook")
-    return ids
+    return Channel(codes, counts, m, probs, codebook, cond=cond)
 
 
 def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
     """A deterministic learner's reachable codebook over {+-1}^(m*d),
     lexicographic: every valid bias gives every pattern positive mass, so this
     is the codebook under any instance."""
-    if learner.reads_counts:
-        return _lattice_codebook(learner, lattice_samples(m, d))[0]
-    return unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))[0]
+    return output_atoms(learner, m, d)[0]
 
 
 def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:

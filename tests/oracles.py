@@ -34,12 +34,12 @@ from mi_sco_lab.learners import (
     DENSE_LAW_BYTES,
     BudgetExceededError,
     SubsampleLearner,
-    _index_in_codebook,
     _project_rows,
     enumerate_sign_space,
     grid_step,
     lattice_codes,
-    lattice_samples,
+    lattice_counts,
+    plus_counts,
     reachable_outputs,
     round_half_down,
     sign_space_probs,
@@ -273,7 +273,7 @@ def full_channel(learner, inst: HardInstance, m: int) -> FullChannel:
     """``learners.exact_channel`` with every learner fit on all 2^(d*m)
     enumerated sign patterns and deduplicated over all of them."""
     signs = enumerate_sign_space(m, inst.d)
-    probs = sign_space_probs(inst, signs)
+    probs = sign_space_probs(inst, plus_counts(signs), m)
     if not learner.deterministic:
         codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
         if 8 * signs.shape[0] * codebook.shape[0] > DENSE_LAW_BYTES:
@@ -350,6 +350,18 @@ def marginal(j: JointPmf, axis: int) -> FinitePmf:
 # ---------------------------------------------------------------------------
 
 
+def _index_in_codebook(outputs: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """Row index in the distinct-row ``codebook`` of each output row."""
+    k = codebook.shape[0]
+    _, inverse = unique_rows(np.concatenate([codebook, outputs]))
+    slot = np.full(int(inverse.max()) + 1, -1, dtype=np.int64)
+    slot[inverse[:k]] = np.arange(k)
+    ids = slot[inverse[k:]]
+    if np.any(ids < 0):
+        raise ValueError("output outside the declared codebook")
+    return ids
+
+
 def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
     """``bounds.cmi_exact`` with every learner fit on the sign tensor of
     every selection, and each chunk's atoms found by a row dedup of its
@@ -380,7 +392,8 @@ def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
     total = 0.0
     z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
     all_z = enumerate_sign_space(2 * m, inst.d)
-    z_probs = sign_space_probs(inst, lattice_samples(2 * m, inst.d))[lattice_codes(2 * m, inst.d)]
+    z_probs = sign_space_probs(inst, lattice_counts(2 * m, inst.d), 2 * m)[
+        lattice_codes(2 * m, inst.d)]
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]  # (c, 2m, d)
         c = block.shape[0]

@@ -1,6 +1,7 @@
 """Bound formulas, verifier suites, attack statistics, CMI, certificate."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ from mi_sco_lab.learners import (
     SubsampleLearner,
     enumerate_sign_space,
     exact_channel,
+    plus_counts,
     reachable_outputs,
     sign_space_probs,
 )
@@ -387,7 +389,7 @@ def _cmi_exact_axis0(learner, inst, m):
     total = 0.0
     z_chunk = max(1, bounds.CMI_CHUNK_CELLS // (n_u * m * inst.d))
     all_z = enumerate_sign_space(2 * m, inst.d)
-    z_probs = sign_space_probs(inst, all_z)
+    z_probs = sign_space_probs(inst, plus_counts(all_z), 2 * m)
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]
         c = block.shape[0]
@@ -465,11 +467,11 @@ class TestCmi:
 CMI_MENU = (MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(), SgdLearner(),
             SubsampleLearner(k=1, base=MeanLearner()),
             RandomizedResponse(base=MeanLearner(), rho=0.5),
-            RegularizedErm(lam=0.5), QuantizedMeanLearner(delta=0.3))
+            RegularizedErm(lam=0.5), QuantizedMeanLearner(delta=0.3),
+            RandomizedResponse(SgdLearner(), 0.5), SubsampleLearner(k=1, base=SgdLearner()))
 # every (d, m) whose supersample has 2^(2dm+m) <= 2^20 cells, but (8, 1) and
-# (9, 1): there both routes build a dense (z x atoms) count matrix, 1 s per
-# learner at (8, 1) and 4 GB at (9, 1); SGD, whose route is the oracle's,
-# only up to 2^16 cells
+# (9, 1): there the oracle builds a dense (z x atoms) count matrix, 1 s per
+# learner at (8, 1) and 4 GB at (9, 1)
 CMI_GRID = [(d, m) for d in range(1, 8) for m in range(1, 7) if 2 * d * m + m <= 20]
 
 
@@ -478,14 +480,25 @@ class TestCountRoute:
     def test_cmi_matches_sign_route(self, d, m):
         inst = HardInstance(d, np.linspace(-1 / 3, 0.25, d))
         for learner in CMI_MENU:
-            if learner.kind == "sgd" and 2 * d * m + m > 16:
-                continue
             assert cmi_exact(learner, inst, m) == cmi_exact_signs(learner, inst, m), learner.kind
 
     def test_cmi_matches_sign_route_at_shipped_point(self):
         # the m = 64 point of the shipped cmi sweep: k = 8 pairs of 2^16 cells
         inst = HardInstance.zero(1)
         assert cmi_exact(MeanLearner(), inst, 8) == cmi_exact_signs(MeanLearner(), inst, 8)
+
+    def test_cmi_count_matrix_in_row_blocks(self):
+        # d = 8, m = 1: one chunk of 2^16 supersamples over 256 atoms, whose
+        # whole count matrix alone would take 128 MB
+        learner, inst = MeanLearner(), HardInstance.zero(8)
+        cmi_exact(learner, HardInstance.zero(1), 1)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            cmi_exact(learner, inst, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(),

@@ -32,8 +32,9 @@ from mi_sco_lab.learners import (
     exact_mutual_information,
     grid_step,
     lattice_codes,
-    lattice_samples,
+    lattice_counts,
     make_learner,
+    plus_counts,
     reachable_outputs,
     round_half_down,
     sign_space_probs,
@@ -490,7 +491,7 @@ class TestChannel:
     def test_probabilities_sum_to_one(self):
         inst = HardInstance(2, np.array([0.3, -0.2]))
         signs = enumerate_sign_space(3, 2)
-        probs = sign_space_probs(inst, signs)
+        probs = sign_space_probs(inst, plus_counts(signs), 3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_against_infotheory_oracle(self):
@@ -829,15 +830,13 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 6)
                                      if d * m <= 12])
     def test_codes_count_the_plus_signs(self, d, m):
-        lattice = lattice_samples(m, d)
+        lattice = lattice_counts(m, d)
         codes = lattice_codes(m, d)
         counts = (enumerate_sign_space(m, d) > 0).sum(axis=1)
-        assert codes.dtype == np.int64 and lattice.shape == ((m + 1) ** d, m, d)
+        assert codes.dtype == np.int64 and lattice.shape == ((m + 1) ** d, d)
         assert codes.tobytes() == (counts @ (m + 1) ** np.arange(d - 1, -1, -1)).tobytes()
-        # the canonical sample of code c has the counts of every pattern with
-        # code c, plus signs first in each column
-        assert (lattice > 0).sum(axis=1)[codes].tobytes() == counts.tobytes()
-        assert np.array_equal(np.sort(lattice, axis=1)[:, ::-1], lattice)
+        # the lattice point of code c holds the counts of every pattern with code c
+        assert lattice[codes].tobytes() == counts.tobytes()
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 13)
                                      if d * m <= 12])
@@ -848,7 +847,7 @@ class TestLatticeRoute:
             full = full_channel(learner, HardInstance.zero(d), m)
             for p in _lattice_biases(d):
                 inst = HardInstance(d, p)
-                oracle = replace(full, sample_probs=sign_space_probs(inst, full.signs))
+                oracle = replace(full, sample_probs=sign_space_probs(inst, plus_counts(full.signs), m))
                 _assert_bitwise_full_route(exact_channel(learner, inst, m), oracle, inst)
 
     def test_matches_full_route_at_2_20_patterns(self):

@@ -244,8 +244,7 @@ def _spy_sign_routes(monkeypatch):
     count, wherever the program looks those names up."""
     calls = {"sample_signs": [], "enumerate_sign_space": [], "fit_batch_rows": []}
     for module, name in ((sco, "sample_signs"), (bounds, "sample_signs"),
-                         (learners, "enumerate_sign_space"),
-                         (bounds, "enumerate_sign_space")):
+                         (learners, "enumerate_sign_space")):
         real = getattr(module, name)
 
         def spy(*args, real=real, name=name, **kwargs):
@@ -290,3 +289,71 @@ def test_sign_route_spy_sees_sgd(monkeypatch):
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
     assert calls["enumerate_sign_space"] and calls["sample_signs"]
+
+
+@pytest.mark.parametrize("learner", [learners.SgdLearner(),
+                                     learners.RandomizedResponse(learners.SgdLearner(), 0.5)],
+                         ids=lambda l: l.kind)
+def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
+    """``cmi_exact`` fits SGD once, on the 2^(m d) patterns of one sample, at
+    a point whose supersamples take more than one chunk; no selection of a
+    supersample is fit again."""
+    d, m = 2, 4
+    assert 1 << (2 * m * d) > bounds.CMI_CHUNK_CELLS // ((1 << m) * m * d)  # two chunks
+    rows = []
+    real_fit = learners.SgdLearner.fit_batch
+
+    def fit_spy(self, signs):
+        rows.append(signs.shape[0])
+        return real_fit(self, signs)
+
+    monkeypatch.setattr(learners.SgdLearner, "fit_batch", fit_spy)
+    bounds.cmi_exact(learner, HardInstance(d, np.array([0.1, -0.2])), m)
+    assert rows == [1 << (m * d)]
+
+
+def _calls_named(tree, name):
+    """Every call in ``tree`` of ``name``, as a function or as a method."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == name]
+
+
+def _fits_on_enumeration(tree):
+    """``fit_batch`` calls whose argument holds an ``enumerate_sign_space``
+    call, directly or through a name its function assigns from one."""
+    def derived(expr, enumerated):
+        return bool(_calls_named(expr, "enumerate_sign_space")
+                    or {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)} & enumerated)
+
+    found = []
+    for func in (node for node in ast.walk(tree) if isinstance(node, FUNCS)):
+        assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+        enumerated, grown = set(), True
+        while grown:  # names assigned from an enumeration, however indirectly
+            new = {target.id for node in assigns if derived(node.value, enumerated)
+                   for target in node.targets if isinstance(target, ast.Name)}
+            grown, enumerated = bool(new - enumerated), enumerated | new
+        found += [call for call in _calls_named(func, "fit_batch")
+                  if any(derived(arg, enumerated) for arg in call.args)]
+    return found
+
+
+def test_sign_route_only_in_learners():
+    """``enumerate_sign_space`` and ``fit_batch`` on an enumerated tensor have
+    program call sites only in ``learners``, and ``bounds`` holds no
+    sign-route code: it names none of the sign route's helpers, and its one
+    ``fit_batch`` call is ``_draw_and_fit``'s, on sampled signs."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    enumerations = {name for name, tree in trees.items()
+                    if _calls_named(tree, "enumerate_sign_space")}
+    fits = {name for name, tree in trees.items() if _fits_on_enumeration(tree)}
+    assert enumerations == fits == {"learners.py"}
+    bounds_tree = trees["bounds.py"]
+    names = _names_used(bounds_tree)
+    assert not [name for name in ("enumerate_sign_space", "_index_in_codebook", "take",
+                                  "lattice_samples") if names[name]]
+    fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
+               and any(_calls_named(stmt, "fit_batch") for stmt in func.body)]
+    assert fitters == ["_draw_and_fit"]

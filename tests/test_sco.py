@@ -200,11 +200,11 @@ class TestEmpirical:
 class TestMeanExcessRisk:
     def test_mean_of_sample_mean_is_optimum_exact(self):
         # exact enumeration: E[zbar] = w* and E||zbar - w*||^2 = (1-|p|^2/d)/m
-        from mi_sco_lab.learners import enumerate_sign_space, sign_space_probs
+        from mi_sco_lab.learners import enumerate_sign_space, plus_counts, sign_space_probs
         for d, m in ((1, 5), (2, 4), (3, 3)):
             inst = HardInstance(d, np.linspace(-0.25, 0.3, d))
             signs = enumerate_sign_space(m, d)
-            probs = sign_space_probs(inst, signs)
+            probs = sign_space_probs(inst, plus_counts(signs), m)
             zbar = signs.mean(axis=1, dtype=float) / math.sqrt(d)
             np.testing.assert_allclose(probs @ zbar, inst.w_star, atol=1e-12)
             second = probs @ ((zbar - inst.w_star) ** 2).sum(axis=1)
