@@ -37,7 +37,6 @@ from .learners import (
     BudgetExceededError,
     Channel,
     SubsampleLearner,
-    exact_channel,
     exact_mutual_information,
     lattice_codes,
     lattice_counts,
@@ -45,7 +44,16 @@ from .learners import (
     sign_space_probs,
     unique_rows,
 )
-from .sco import LOSS_RANGE, P_MAX, HardInstance, sample_counts, sample_signs
+from .sco import (
+    LOSS_RANGE,
+    P_MAX,
+    HardInstance,
+    counts_of_plus,
+    plus_points,
+    sample_counts,
+    sample_signs,
+    signs_of_plus,
+)
 
 GOOD_THRESHOLD = 1.0 / 108.0
 FINGERPRINT_FLOOR = 1.0 / 27.0
@@ -58,6 +66,7 @@ CERTIFICATE_BIASES = 4  # biases theorem1_certificate searches
 MAX_ALPHABET = 16  # largest alphabet of the random pmf pairs
 MAX_SUPPORT = 8  # largest marginal support of the random correlated joints
 SECOND_MOMENT_INNER = 64  # samples per inner batch of second_moment_report
+SECOND_MOMENT_BLOCK = 1 << 12  # samples per fit of second_moment_report (4x: +3 MB peak RSS)
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes over the bias
 
 
@@ -105,13 +114,14 @@ def xu_bound(mi: float, m: int) -> float:
     return LOSS_RANGE * math.sqrt(2.0 * mi / m)
 
 
-def xu_gap_report(learner, inst: HardInstance, m: int) -> BoundReport:
-    """Exact E[gap] vs the MI bound over the enumerated channel."""
-    ch = exact_channel(learner, inst, m)
+def xu_gap_report(learner, ch: Channel, inst: HardInstance) -> BoundReport:
+    """Exact E[gap] vs the MI bound over ``learner``'s enumerated channel
+    ``ch``, weighed by the bias of ``inst``."""
+    ch = ch.reweighted(inst)
     mi = ch.mutual_information()
     gap = ch.expected_generalization_gap(inst)
-    return make_report(f"xu[{learner.kind}]", xu_bound(mi, m), gap,
-                       d=inst.d, m=m)
+    return make_report(f"xu[{learner.kind}]", xu_bound(mi, ch.m), gap,
+                       d=inst.d, m=ch.m)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +310,17 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw_and_fit(learner, p: np.ndarray, m: int, rng, size: int):
+def _draw_and_fit(learner, p: np.ndarray, m: int, rng, size: int, plus=None):
     """Outputs (size, d) of ``learner`` on ``size`` samples of m points drawn
     from ``rng`` under the bias ``p`` ((d,) or (size, d)), and their float
-    coordinate sign sums 2 C - m. A ``reads_counts`` learner is fit on the
-    plus-counts of ``sample_counts``; any other on ``sample_signs`` from the
-    same uniforms, a randomized one drawing from ``rng`` after them."""
+    coordinate sign sums 2 C - m; ``plus``, if given, holds the samples'
+    (size, m, d) plus booleans, drawn already. A ``reads_counts`` learner is
+    fit on the plus-counts of ``sample_counts``; any other on ``sample_signs``
+    from the same uniforms, a randomized one drawing from ``rng`` after them."""
     if learner.reads_counts:
-        counts = sample_counts(p, m, rng, size)
+        counts = sample_counts(p, m, rng, size) if plus is None else counts_of_plus(plus)
         return learner.fit_counts(counts, m), 2.0 * counts - m
-    signs = sample_signs(p, m, rng, size)
+    signs = sample_signs(p, m, rng, size) if plus is None else signs_of_plus(plus)
     w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
     return w, signs.sum(axis=1, dtype=float)
 
@@ -665,22 +676,32 @@ def pinsker_suite(n_pairs: int = 1000, seed: int = 0) -> BoundReport:
                        trials=n_pairs, seed=seed)
 
 
-def _northwest_coupling(a: np.ndarray, b: np.ndarray, perm_r, perm_c) -> float:
-    """Disagreement probability of the greedy coupling along shuffled axes."""
-    a = a[perm_r].copy()
-    b = b[perm_c].copy()
-    agree = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        mass = min(a[i], b[j])
-        if perm_r[i] == perm_c[j]:
-            agree += mass
-        a[i] -= mass
-        b[j] -= mass
-        if a[i] <= 1e-15:
-            i += 1
-        if j < len(b) and b[j] <= 1e-15:
-            j += 1
+def _northwest_couplings(a: np.ndarray, b: np.ndarray, perm_r: np.ndarray,
+                         perm_c: np.ndarray) -> np.ndarray:
+    """Disagreement probability of the greedy coupling of ``a`` and ``b``
+    along each row's shuffled axes: row r transports ``a[perm_r[r]]`` into
+    ``b[perm_c[r]]`` in order, advancing past a residue of at most 1e-15, and
+    agrees where the permuted labels match. All rows step in lockstep, each
+    with the arithmetic of its own scalar loop, on flat copies of the
+    shuffled masses; ``i`` and ``j`` are the live rows' flat positions."""
+    k = perm_r.shape[1]
+    a, b = a[perm_r].ravel(), b[perm_c].ravel()
+    label_r, label_c = perm_r.ravel(), perm_c.ravel()
+    agree = np.zeros(perm_r.shape[0])
+    rows = np.arange(perm_r.shape[0])
+    i = rows * k
+    j, end = i.copy(), i + k
+    while rows.size:
+        left_a, left_b = a[i], b[j]
+        mass = np.minimum(left_a, left_b)
+        match = label_r[i] == label_c[j]
+        agree[rows[match]] += mass[match]
+        left_a -= mass
+        left_b -= mass
+        a[i], b[j] = left_a, left_b
+        i, j = i + (left_a <= 1e-15), j + (left_b <= 1e-15)
+        live = (i < end) & (j < end)
+        rows, i, j, end = rows[live], i[live], j[live], end[live]
     return 1.0 - agree
 
 
@@ -701,12 +722,11 @@ def coupling_suite(n_pairs: int = 1000, n_random: int = 100,
         disagreement = coupling_disagreement(optimal_coupling(p1, p2))
         worst_match = min(worst_match, -abs(disagreement - tv))
         if i < n_random:
-            k = len(a)
-            for _ in range(n_random):
-                pr = rng.permutation(k)
-                pc = rng.permutation(k)
-                rand_dis = _northwest_coupling(a, b, pr, pc)
-                worst_opt = min(worst_opt, rand_dis - disagreement)
+            # rows 2r and 2r+1: coupling r's row and column orders, the draws
+            # of 2 n_random successive rng.permutation(k) calls
+            perms = rng.permuted(np.tile(np.arange(len(a)), (2 * n_random, 1)), axis=1)
+            rand_dis = _northwest_couplings(a, b, perms[0::2], perms[1::2])
+            worst_opt = min(worst_opt, float((rand_dis - disagreement).min()))
     match = make_report("coupling_matches_tv", worst_match, 0.0, tolerance=1e-12,
                         trials=n_pairs, seed=seed)
     optimal = make_report("coupling_optimality", worst_opt, 0.0, tolerance=1e-12,
@@ -817,24 +837,41 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
     """E_{p,t}[(E_S[x_p y_p])^2] <= m * eps within MC error, where eps is the
     measured per-coordinate squared estimation error. Uses two independent
     inner batches of SECOND_MOMENT_INNER samples so the squared inner mean is
-    estimated without bias."""
+    estimated without bias.
+
+    Each outer iteration draws p, then t, then the two batches' uniforms; the
+    draws of up to SECOND_MOMENT_BLOCK samples are fit as one block, and each
+    batch's means run along its own contiguous row. A randomized learner would
+    draw between the uniforms, so it is refused."""
+    if not learner.deterministic:
+        raise ValueError("second_moment_report needs a deterministic learner")
     root_d = math.sqrt(d)
     rng = mc.substream(seed, 106)
+    pair = 2 * SECOND_MOMENT_INNER  # samples per outer iteration
+    block = max(1, SECOND_MOMENT_BLOCK // pair)  # outer iterations per fit
     prods = np.empty(outer)
     errs = np.empty(outer)
-    for i in range(outer):
-        p = rng.uniform(-P_MAX, P_MAX, size=d)
-        t = int(rng.integers(d))
-        halves = []
-        err_acc = 0.0
-        for _ in range(2):
-            w, sums = _draw_and_fit(learner, p, m, rng, SECOND_MOMENT_INNER)
-            phat_err = root_d * w[:, t] - p[t]
-            centered = sums[:, t] - m * p[t]
-            halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
-            err_acc += float(np.mean(phat_err ** 2))
-        prods[i] = halves[0] * halves[1]
-        errs[i] = err_acc / 2.0
+    for start in range(0, outer, block):
+        n = min(block, outer - start)
+        p = np.empty((n, d))
+        t = np.empty(n, dtype=np.intp)
+        u = np.empty((n, pair, m, d))
+        for i in range(n):
+            p[i] = rng.uniform(-P_MAX, P_MAX, size=d)
+            t[i] = rng.integers(d)
+            rng.random(out=u[i])
+        # one bias per outer iteration, over its 2 * SECOND_MOMENT_INNER * m points
+        plus = plus_points(p, u.reshape(n, pair * m, d)).reshape(n * pair, m, d)
+        w, sums = _draw_and_fit(learner, None, m, None, n * pair, plus=plus)
+        rows = np.arange(n)
+        p_t = p[rows, t][:, None, None]
+        shape = (n, 2, SECOND_MOMENT_INNER)
+        phat_err = root_d * w.reshape(n, pair, d)[rows, :, t].reshape(shape) - p_t
+        centered = sums.reshape(n, pair, d)[rows, :, t].reshape(shape) - m * p_t
+        halves = (attack_prefactor(p_t) * phat_err * centered).mean(axis=2)
+        sq_errs = (phat_err ** 2).mean(axis=2)
+        prods[start:start + n] = halves[:, 0] * halves[:, 1]
+        errs[start:start + n] = (sq_errs[:, 0] + sq_errs[:, 1]) / 2.0
     est, est_se = mc.mean_and_se(prods)
     eps_hat, eps_se = mc.mean_and_se(errs)
     tol = 3.0 * (est_se + m * eps_se)

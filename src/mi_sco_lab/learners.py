@@ -48,7 +48,7 @@ integer codes instead of a sort of float rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -433,13 +433,14 @@ class Channel:
 
     ``cond`` is None for deterministic learners, in which case
     ``output_index`` holds the codebook row per sample; otherwise ``cond``
-    carries one conditional pmf row per sample.
+    carries one conditional pmf row per sample. Neither depends on the bias,
+    which only weighs the samples (``reweighted``).
     """
 
     codes: np.ndarray = field(repr=False)          # (n,) lattice code per sign pattern
     counts: np.ndarray = field(repr=False)         # (L, d) plus-counts per lattice code
     m: int
-    sample_probs: np.ndarray = field(repr=False)   # (n,)
+    sample_probs: np.ndarray | None = field(repr=False)  # (n,); None before ``reweighted``
     codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
     output_index: np.ndarray | None = field(repr=False, default=None)
     cond: np.ndarray | None = field(repr=False, default=None)
@@ -447,6 +448,10 @@ class Channel:
     @property
     def deterministic(self) -> bool:
         return self.cond is None
+
+    def reweighted(self, inst: HardInstance) -> "Channel":
+        """This channel with each sample weighed by its probability under D(p)^m."""
+        return replace(self, sample_probs=sign_space_probs(inst, self.counts, self.m)[self.codes])
 
     def output_marginal(self) -> np.ndarray:
         if self.deterministic:
@@ -512,11 +517,12 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     is the only array of that size built."""
     base = learner if learner.deterministic else learner.base
     codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
-    idx = atom[pattern_codes(scale, radix)]
-    counts, codes = lattice_counts(m, inst.d), lattice_codes(m, inst.d)
-    probs = sign_space_probs(inst, counts, m)[codes]
+    codes = lattice_codes(m, inst.d)
+    # a reads_counts learner's sample codes are the lattice codes themselves
+    idx = atom[codes if base.reads_counts else pattern_codes(scale, radix)]
+    counts = lattice_counts(m, inst.d)
     if learner.deterministic:
-        return Channel(codes, counts, m, probs, codebook, output_index=idx)
+        return Channel(codes, counts, m, None, codebook, output_index=idx).reweighted(inst)
     n, big_k = codes.shape[0], codebook.shape[0]
     if 8 * n * big_k > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "
@@ -525,7 +531,7 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     on, off = learner.mix(np.eye(2, big_k))[:, 0]
     cond = np.full((n, big_k), off)
     cond[np.arange(n), idx] = on
-    return Channel(codes, counts, m, probs, codebook, cond=cond)
+    return Channel(codes, counts, m, None, codebook, cond=cond).reweighted(inst)
 
 
 def reachable_outputs(learner, d: int, m: int) -> np.ndarray:

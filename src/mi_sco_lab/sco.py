@@ -56,31 +56,45 @@ class HardInstance:
         return cls(d, rng.uniform(-P_MAX, P_MAX, size=d))
 
 
+def plus_points(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(trials, m, d) booleans of the (trials, m, d) uniforms ``u`` under the
+    bias ``p``, one (d,) bias for every trial or one (trials, d) bias per
+    trial: a point's coordinate t is plus where its uniform falls below
+    (1 + p(t)) / 2."""
+    q_plus = (1.0 + p) / 2.0
+    return u < q_plus[..., None, :]
+
+
 def _plus_draws(p: np.ndarray, m: int, rng: np.random.Generator,
                 trials: int) -> np.ndarray:
-    """(trials, m, d) booleans under the bias ``p``, one (d,) bias for every
-    trial or one (trials, d) bias per trial: a point's coordinate t is plus
-    where its ``rng.random`` uniform falls below (1 + p(t)) / 2."""
-    q_plus = (1.0 + p) / 2.0
-    u = rng.random(size=(trials, m, q_plus.shape[-1]))
-    return u < q_plus[..., None, :]
+    """``plus_points`` of (trials, m, d) ``rng.random`` uniforms."""
+    return plus_points(p, rng.random(size=(trials, m, np.shape(p)[-1])))
+
+
+def signs_of_plus(plus: np.ndarray) -> np.ndarray:
+    """int8 signs, +1 where ``plus`` holds and -1 elsewhere."""
+    return np.where(plus, 1, -1).astype(np.int8)
+
+
+def counts_of_plus(plus: np.ndarray) -> np.ndarray:
+    """(trials, d) plus-counts of (trials, m, d) plus booleans. Adds up one
+    point at a time, which runs faster than a sum along the middle axis."""
+    counts = np.zeros((plus.shape[0], plus.shape[2]), dtype=np.int64)
+    for point in range(plus.shape[1]):
+        counts += plus[:, point]
+    return counts
 
 
 def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
                  trials: int) -> np.ndarray:
     """int8 signs of shape (trials, m, d) under the bias ``p``, from
     ``_plus_draws``."""
-    return np.where(_plus_draws(p, m, rng, trials), 1, -1).astype(np.int8)
+    return signs_of_plus(_plus_draws(p, m, rng, trials))
 
 
 def sample_counts(p: np.ndarray, m: int, rng: np.random.Generator,
                   trials: int) -> np.ndarray:
     """(trials, d) plus-counts of ``trials`` samples of m points under the
     bias ``p``: those of ``sample_signs`` from the same generator state, which
-    both leave in the same state. Adds up one point at a time, which runs
-    faster than a sum along the middle axis."""
-    plus = _plus_draws(p, m, rng, trials)
-    counts = np.zeros((trials, plus.shape[2]), dtype=np.int64)
-    for point in range(m):
-        counts += plus[:, point]
-    return counts
+    both leave in the same state."""
+    return counts_of_plus(_plus_draws(p, m, rng, trials))

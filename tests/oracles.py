@@ -1,9 +1,10 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-sign-pattern enumeration, SGD's pass, exact channels, the supersample CMI and
-the Monte Carlo estimators in closed, vectorized, lattice-indexed, count-only
-or low-memory form; each function here writes one of them out the long way,
+sign-pattern enumeration, SGD's pass, exact channels, the supersample CMI,
+the Monte Carlo estimators, the random coupling search and the MI-bound
+check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
+or reweighted form; each function here writes one of them out the long way,
 with no caller in the program. ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array, where the
 program works on sign tensors.
@@ -25,17 +26,30 @@ from mi_sco_lab.bounds import (
     RISK_STREAM,
     SECOND_MOMENT_INNER,
     GoodSetResult,
+    _draw_and_fit,
     _legendre_nodes,
+    _random_pmf_pair,
     attack_prefactor,
     make_report,
+    xu_bound,
 )
-from mi_sco_lab.infotheory import FinitePmf, JointPmf, entropy_of, mi_of_table, row_entropies
+from mi_sco_lab.infotheory import (
+    FinitePmf,
+    JointPmf,
+    coupling_disagreement,
+    entropy_of,
+    mi_of_table,
+    optimal_coupling,
+    row_entropies,
+    total_variation,
+)
 from mi_sco_lab.learners import (
     DENSE_LAW_BYTES,
     BudgetExceededError,
     SubsampleLearner,
     _project_rows,
     enumerate_sign_space,
+    exact_channel,
     grid_step,
     lattice_codes,
     lattice_counts,
@@ -510,3 +524,92 @@ def genbound_chain_report_signs(learner, d: int, m: int, trials: int, seed: int)
     worst = float(np.abs(values).max())
     return make_report("genbound_chain", 1e-9, worst, d=d, m=m,
                        trials=trials, seed=seed)
+
+
+def second_moment_report_loop(learner, d: int, m: int, outer: int, seed: int):
+    """``bounds.second_moment_report`` one outer iteration at a time: p, t,
+    then each half's samples drawn and fit by ``_draw_and_fit`` and its means
+    taken as floats."""
+    root_d = math.sqrt(d)
+    rng = mc.substream(seed, 106)
+    prods = np.empty(outer)
+    errs = np.empty(outer)
+    for i in range(outer):
+        p = rng.uniform(-P_MAX, P_MAX, size=d)
+        t = int(rng.integers(d))
+        halves = []
+        err_acc = 0.0
+        for _ in range(2):
+            w, sums = _draw_and_fit(learner, p, m, rng, SECOND_MOMENT_INNER)
+            phat_err = root_d * w[:, t] - p[t]
+            centered = sums[:, t] - m * p[t]
+            halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
+            err_acc += float(np.mean(phat_err ** 2))
+        prods[i] = halves[0] * halves[1]
+        errs[i] = err_acc / 2.0
+    est, est_se = mc.mean_and_se(prods)
+    eps_hat, eps_se = mc.mean_and_se(errs)
+    tol = 3.0 * (est_se + m * eps_se)
+    return make_report("second_moment", m * eps_hat, est, tolerance=tol,
+                       d=d, m=m, trials=outer * SECOND_MOMENT_INNER,
+                       ci_halfwidth=tol, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Couplings and the MI bound, one case at a time
+# ---------------------------------------------------------------------------
+
+
+def northwest_coupling(a: np.ndarray, b: np.ndarray, perm_r, perm_c) -> float:
+    """Disagreement probability of the greedy coupling along shuffled axes,
+    one scalar step at a time."""
+    a = a[perm_r].copy()
+    b = b[perm_c].copy()
+    agree = 0.0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        mass = min(a[i], b[j])
+        if perm_r[i] == perm_c[j]:
+            agree += mass
+        a[i] -= mass
+        b[j] -= mass
+        if a[i] <= 1e-15:
+            i += 1
+        if j < len(b) and b[j] <= 1e-15:
+            j += 1
+    return 1.0 - agree
+
+
+def coupling_suite_pairs(n_pairs: int, n_random: int, seed: int):
+    """``bounds.coupling_suite`` with two ``rng.permutation`` draws and one
+    ``northwest_coupling`` call per random coupling."""
+    rng = mc.substream(seed, 102)
+    worst_match = math.inf
+    worst_opt = math.inf
+    for i in range(n_pairs):
+        a, b = _random_pmf_pair(rng)
+        outcomes = tuple(range(len(a)))
+        p1, p2 = FinitePmf(outcomes, a), FinitePmf(outcomes, b)
+        tv = total_variation(p1, p2)
+        disagreement = coupling_disagreement(optimal_coupling(p1, p2))
+        worst_match = min(worst_match, -abs(disagreement - tv))
+        if i < n_random:
+            k = len(a)
+            for _ in range(n_random):
+                pr = rng.permutation(k)
+                pc = rng.permutation(k)
+                rand_dis = northwest_coupling(a, b, pr, pc)
+                worst_opt = min(worst_opt, rand_dis - disagreement)
+    match = make_report("coupling_matches_tv", worst_match, 0.0, tolerance=1e-12,
+                        trials=n_pairs, seed=seed)
+    optimal = make_report("coupling_optimality", worst_opt, 0.0, tolerance=1e-12,
+                          trials=n_random * n_random, seed=seed)
+    return match, optimal
+
+
+def xu_gap_report_fresh(learner, inst: HardInstance, m: int):
+    """``bounds.xu_gap_report`` on a fresh ``exact_channel`` at ``inst``."""
+    ch = exact_channel(learner, inst, m)
+    mi = ch.mutual_information()
+    gap = ch.expected_generalization_gap(inst)
+    return make_report(f"xu[{learner.kind}]", xu_bound(mi, m), gap, d=inst.d, m=m)

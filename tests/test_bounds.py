@@ -1,5 +1,6 @@
 """Bound formulas, verifier suites, attack statistics, CMI, certificate."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ from mi_sco_lab.bounds import (
     EST_ZERO,
     ESTIMATOR_MENU,
     FINGERPRINT_FLOOR,
+    SECOND_MOMENT_INNER,
+    _northwest_couplings,
     attack_prefactor,
     chain_rule_decomposition,
     cmi_exact,
@@ -60,11 +63,14 @@ from mi_sco_lab.learners import (
 from mi_sco_lab.sco import HardInstance, sample_signs
 from oracles import (
     cmi_exact_signs,
+    coupling_suite_pairs,
     fingerprint_quadrature_table,
     fingerprint_statistic,
     genbound_chain_report_signs,
     good_coordinates_signs,
     measured_excess_risk_signs,
+    northwest_coupling,
+    second_moment_report_loop,
     second_moment_report_signs,
 )
 
@@ -89,10 +95,11 @@ class TestXuBound:
 
     def test_erm_on_bias_grid(self):
         learner = EpsilonNetErm()
+        ch = exact_channel(learner, HardInstance.zero(2), 4)
         for p1 in np.linspace(-1 / 3, 1 / 3, 5):
             for p2 in np.linspace(-1 / 3, 1 / 3, 5):
                 inst = HardInstance(2, np.array([p1, p2]))
-                rep = xu_gap_report(learner, inst, 4)
+                rep = xu_gap_report(learner, ch, inst)
                 assert rep.holds, (p1, p2)
 
 
@@ -579,6 +586,69 @@ class TestVerifierSuites:
 
     def test_genbound_chain(self):
         assert genbound_chain_report(MeanLearner(), 3, 4, trials=4000, seed=21).holds
+
+
+class TestLockstepCoupling:
+    """The lockstep greedy coupling does each row's scalar arithmetic."""
+
+    @staticmethod
+    def _check(a, b, perm_r, perm_c):
+        got = _northwest_couplings(a, b, perm_r, perm_c)
+        want = np.array([northwest_coupling(a, b, r, c) for r, c in zip(perm_r, perm_c)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_random_pmfs(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            a, b = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+            perms = rng.permuted(np.tile(np.arange(k), (60, 1)), axis=1)
+            self._check(a, b, perms[0::2], perms[1::2])
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_exact_ties(self, k):
+        # equal masses: every step empties both cells, so both indices advance
+        rng = np.random.default_rng(k + 1)
+        a = np.full(k, 1.0 / k)
+        perms = rng.permuted(np.tile(np.arange(k), (40, 1)), axis=1)
+        self._check(a, a.copy(), perms[0::2], perms[1::2])
+        self._check(a, a.copy(), np.tile(np.arange(k), (3, 1)), np.tile(np.arange(k), (3, 1)))
+
+    @pytest.mark.parametrize("low, residue", [(0.5, 4e-16), (0.5, 2e-15), (1e-15, 1e-15)])
+    def test_residues_at_the_threshold(self, low, residue):
+        # a leftover of at most 1e-15 is skipped, a larger one is transported;
+        # 2e-15 - 1e-15 leaves exactly 1e-15
+        a = np.array([low + residue, 0.25, 0.75 - low - residue])
+        b = np.array([low, 0.25, 0.75 - low])
+        assert 0.0 < a[0] - b[0] <= 2e-15
+        perms = np.array(list(itertools.permutations(range(3))))
+        rows = np.array([(r, c) for r in range(len(perms)) for c in range(len(perms))])
+        self._check(a, b, perms[rows[:, 0]], perms[rows[:, 1]])
+        self._check(b, a, perms[rows[:, 0]], perms[rows[:, 1]])
+
+    @pytest.mark.parametrize("n_pairs, n_random", [(30, 10), (5, 8), (20, 0), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_suite_matches_per_pair_loop(self, n_pairs, n_random, seed):
+        assert coupling_suite(n_pairs, n_random, seed) == \
+            coupling_suite_pairs(n_pairs, n_random, seed)
+
+
+class TestBlockedSecondMoment:
+    BLOCK = bounds.SECOND_MOMENT_BLOCK // (2 * SECOND_MOMENT_INNER)  # outer iterations per fit
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(),
+                                         RegularizedErm(lam=0.5), SgdLearner()],
+                             ids=lambda l: l.kind)
+    def test_matches_per_iteration_loop(self, monkeypatch, threads, learner):
+        monkeypatch.setenv("MI_SCO_THREADS", threads)
+        for outer in (1, self.BLOCK // 3, 2 * self.BLOCK + 5):
+            assert second_moment_report(learner, 3, 4, outer, 8) == \
+                second_moment_report_loop(learner, 3, 4, outer, 8), outer
+
+    def test_rejects_randomized_learner(self):
+        with pytest.raises(ValueError, match="deterministic"):
+            second_moment_report(RandomizedResponse(MeanLearner(), 0.5), 2, 2, 3, 0)
 
 
 class TestReports:

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mi_sco_lab import bounds, mc
@@ -13,9 +15,17 @@ from mi_sco_lab.harness import (
     MC_KEPT_BYTES,
     ConfigError,
     ExperimentConfig,
+    _exp_xu_check,
+    _OutputDir,
+    _xu_learner_menu,
     load_config,
     run,
 )
+from mi_sco_lab.learners import exact_channel, product_grid
+from mi_sco_lab.sco import P_MAX, HardInstance
+from oracles import xu_gap_report_fresh
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="tradeoff", extra="", d=1, m=4, trials=2000,
@@ -393,3 +403,38 @@ def test_keys_read_equal_keys_declared(tmp_path, monkeypatch, name):
                                p_mode=p_mode, out=tmp_path / p_mode)
         assert run(path) == 0
     assert read == EXPERIMENTS[name][1]
+
+
+def _xu_biases(d):
+    """The xu-check's bias grid at dimension d."""
+    return product_grid([np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d)
+
+
+class TestXuCheck:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reweighted_channel_is_a_fresh_one(self, d, m):
+        for learner in _xu_learner_menu(m):
+            ch = exact_channel(learner, HardInstance.zero(d), m)
+            for p in _xu_biases(d):
+                inst = HardInstance(d, p)
+                got, want = ch.reweighted(inst), exact_channel(learner, inst, m)
+                assert got.sample_probs.tobytes() == want.sample_probs.tobytes()
+                assert got.mutual_information() == want.mutual_information()
+                assert got.expected_generalization_gap(inst) == \
+                    want.expected_generalization_gap(inst)
+                assert got.expected_excess_risk(inst) == want.expected_excess_risk(inst)
+                assert bounds.xu_gap_report(learner, ch, inst) == \
+                    xu_gap_report_fresh(learner, inst, m)
+
+    def test_tightest_report_is_the_first_tie(self, tmp_path):
+        cfg = load_config(REPO / "configs" / "xu-check.ini")
+        got = _exp_xu_check(cfg, _OutputDir(tmp_path))[2]
+        fresh = [xu_gap_report_fresh(learner, HardInstance(d, p), m)
+                 for d in range(1, min(3, cfg.d) + 1) for m in (1, 2, 4) if m <= cfg.m
+                 for p in _xu_biases(d) for learner in _xu_learner_menu(m)]
+        assert got == min(fresh, key=lambda r: r.slack)
+        # every bias of regularized ERM at d = 2, m = 1 ties at slack 0, and
+        # min keeps the first of them in bias-major, learner-minor order
+        assert sum(r.slack == got.slack for r in fresh) > 1
+        assert (got.name, got.d, got.m, got.slack) == ("xu[regularized_erm]", 2, 1, 0.0)

@@ -838,6 +838,25 @@ class TestLatticeRoute:
         # the lattice point of code c holds the counts of every pattern with code c
         assert lattice[codes].tobytes() == counts.tobytes()
 
+    @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
+    def test_builds_each_code_array_once(self, monkeypatch, learner):
+        # a count learner's sample codes are the lattice codes; any other
+        # learner's are the pattern indices, one more array of codes
+        calls = []
+        real = learners.pattern_codes
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learners, "pattern_codes", spy)
+        if learner.reads_counts:
+            _, _, scale, radix = learners.output_atoms(learner, 5, 4)
+            assert real(scale, radix).tobytes() == lattice_codes(5, 4).tobytes()
+        calls.clear()
+        exact_channel(learner, HardInstance.zero(2), 3)
+        assert len(calls) == (1 if learner.reads_counts else 2)
+
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 13)
                                      if d * m <= 12])
     def test_matches_full_route(self, d, m):
