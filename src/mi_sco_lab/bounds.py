@@ -50,8 +50,7 @@ from .sco import (
     HardInstance,
     counts_of_plus,
     plus_points,
-    sample_counts,
-    sample_signs,
+    sample_plus,
     signs_of_plus,
 )
 
@@ -310,26 +309,25 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw_and_fit(learner, p: np.ndarray, m: int, rng, size: int, plus=None):
-    """Outputs (size, d) of ``learner`` on ``size`` samples of m points drawn
-    from ``rng`` under the bias ``p`` ((d,) or (size, d)), and their float
-    coordinate sign sums 2 C - m; ``plus``, if given, holds the samples'
-    (size, m, d) plus booleans, drawn already. A ``reads_counts`` learner is
-    fit on the plus-counts of ``sample_counts``; any other on ``sample_signs``
-    from the same uniforms, a randomized one drawing from ``rng`` after them."""
+def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs (n, d) of ``learner`` on the n samples of (n, m, d) plus
+    booleans ``plus``, and their float coordinate sign sums 2 C - m, C the
+    plus-counts. A ``reads_counts`` learner is fit on C, any other on the
+    signs, a randomized one drawing from ``rng``."""
+    counts, m = counts_of_plus(plus), plus.shape[1]
     if learner.reads_counts:
-        counts = sample_counts(p, m, rng, size) if plus is None else counts_of_plus(plus)
-        return learner.fit_counts(counts, m), 2.0 * counts - m
-    signs = sample_signs(p, m, rng, size) if plus is None else signs_of_plus(plus)
-    w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
-    return w, signs.sum(axis=1, dtype=float)
+        w = learner.fit_counts(counts, m)
+    else:
+        signs = signs_of_plus(plus)
+        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+    return w, 2.0 * counts - m
 
 
 def pilot_normalizers(inst: HardInstance, learner, m: int,
                       trials: int = 10 ** 4, seed: int = 0) -> np.ndarray:
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
     def chunk(rng, size):
-        w = _draw_and_fit(learner, inst.p, m, rng, size)[0]
+        w = _fit_plus(learner, sample_plus(inst.p, m, rng, size), rng)[0]
         err = math.sqrt(inst.d) * w - inst.p[None, :]
         return (err * err).reshape(size * inst.d)
 
@@ -361,7 +359,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     pref = attack_prefactor(inst.p)
 
     def chunk(rng, size):
-        w, sums = _draw_and_fit(learner, inst.p, m, rng, size)
+        w, sums = _fit_plus(learner, sample_plus(inst.p, m, rng, size), rng)
         phat_err = root_d * w - inst.p[None, :]
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
         # sum of signs minus m * p(t)
@@ -385,10 +383,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 def _joint_x_output(ch: Channel, x_labels: np.ndarray) -> np.ndarray:
     """Aggregate the channel into an (x label) x (codebook) table."""
     table = np.zeros((int(x_labels.max()) + 1, ch.codebook.shape[0]))
-    if ch.deterministic:
-        np.add.at(table, (x_labels, ch.output_index), ch.sample_probs)
-    else:
-        np.add.at(table, x_labels, ch.sample_probs[:, None] * ch.cond)
+    np.add.at(table, (x_labels, ch.output_index), ch.sample_probs)
     return table
 
 
@@ -403,7 +398,10 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated.
 
     A coordinate sum is 2 C_t - m, so the lattice code labels the sum vector
-    and the plus-count C_t labels sum t, both in the order of the sums."""
+    and the plus-count C_t labels sum t, both in the order of the sums. The
+    channel must be deterministic."""
+    if not ch.deterministic:
+        raise ValueError("the chain rule takes a deterministic learner's channel")
     full = _joint_x_output(ch, ch.codes)
     total = max(0.0, mi_of_table(full))
     counts, m, d = ch.counts, ch.m, ch.counts.shape[1]  # (L, d) plus-counts
@@ -556,7 +554,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
     """
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _draw_and_fit(learner, ps, m, rng, size)[0]
+        w = _fit_plus(learner, sample_plus(ps, m, rng, size), rng)[0]
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
@@ -669,8 +667,7 @@ def pinsker_suite(n_pairs: int = 1000, seed: int = 0) -> BoundReport:
     worst = math.inf
     for _ in range(n_pairs):
         a, b = _random_pmf_pair(rng)
-        outcomes = tuple(range(len(a)))
-        slack = pinsker_slack(FinitePmf(outcomes, a), FinitePmf(outcomes, b))
+        slack = pinsker_slack(FinitePmf(a), FinitePmf(b))
         worst = min(worst, slack)
     return make_report("pinsker_suite", worst, 0.0, tolerance=1e-12,
                        trials=n_pairs, seed=seed)
@@ -716,8 +713,7 @@ def coupling_suite(n_pairs: int = 1000, n_random: int = 100,
     worst_opt = math.inf
     for i in range(n_pairs):
         a, b = _random_pmf_pair(rng)
-        outcomes = tuple(range(len(a)))
-        p1, p2 = FinitePmf(outcomes, a), FinitePmf(outcomes, b)
+        p1, p2 = FinitePmf(a), FinitePmf(b)
         tv = total_variation(p1, p2)
         disagreement = coupling_disagreement(optimal_coupling(p1, p2))
         worst_match = min(worst_match, -abs(disagreement - tv))
@@ -759,7 +755,7 @@ def bounded_correlation_suite(n_joints: int = 1000, seed: int = 0) -> BoundRepor
     for _ in range(n_joints):
         table, xv, yv = _random_correlated_joint(rng)
         beta = float(xv @ table @ yv)
-        mi = mutual_information(JointPmf.from_table(table))
+        mi = mutual_information(JointPmf(table))
         worst = min(worst, mi - corbounded_mi_lower_bound(beta))
     return make_report("corbounded_mi_suite", worst, 0.0, tolerance=1e-9,
                        trials=n_joints, seed=seed)
@@ -805,7 +801,7 @@ def subgaussian_correlation_suite(n_joints: int = 200, seed: int = 0) -> BoundRe
     for _ in range(n_joints):
         table, xv, yv, c = _subgaussian_construction(rng)
         beta = float(xv @ table @ yv)
-        mi = mutual_information(JointPmf.from_table(table))
+        mi = mutual_information(JointPmf(table))
         worst = min(worst, mi - subgaussian_mi_lower_bound(beta, c))
     return make_report("subgaussian_mi_suite", worst, 0.0, tolerance=1e-12,
                        trials=n_joints, seed=seed)
@@ -862,7 +858,7 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
             rng.random(out=u[i])
         # one bias per outer iteration, over its 2 * SECOND_MOMENT_INNER * m points
         plus = plus_points(p, u.reshape(n, pair * m, d)).reshape(n * pair, m, d)
-        w, sums = _draw_and_fit(learner, None, m, None, n * pair, plus=plus)
+        w, sums = _fit_plus(learner, plus, rng)
         rows = np.arange(n)
         p_t = p[rows, t][:, None, None]
         shape = (n, 2, SECOND_MOMENT_INNER)
@@ -888,7 +884,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _draw_and_fit(learner, p, m, rng, size)[0]
+        w = _fit_plus(learner, sample_plus(p, m, rng, size), rng)[0]
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

@@ -66,7 +66,7 @@ from .learners import (
     make_learner,
     product_grid,
 )
-from .sco import P_MAX, HardInstance, sample_signs
+from .sco import P_MAX, HardInstance, sample_plus, signs_of_plus
 
 EPSILON_MAX = 1.0 / 54.0
 NET_ERM_MAX_CELLS = 18  # largest d*m of a net-erm case
@@ -435,8 +435,8 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         ent = ch.output_entropy()
         net_size = epsilon_net(d, m).shape[0]
         cap = d * math.log(math.sqrt(m) + 1.0)
-        signs = np.stack([sample_signs(rng.uniform(-P_MAX, P_MAX, size=d), m, rng, 1)[0]
-                          for _ in range(100)])
+        signs = signs_of_plus(np.concatenate([sample_plus(rng.uniform(-P_MAX, P_MAX, size=d),
+                                                          m, rng, 1) for _ in range(100)]))
         ws = learner.fit_batch(signs)
         pts = signs.astype(float) / np.sqrt(d)
         slacks = [float(((z - w) ** 2).sum() / m - ((z - z.mean(axis=0)) ** 2).sum() / m)

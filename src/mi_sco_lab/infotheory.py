@@ -3,7 +3,9 @@
 Everything here operates on explicit probability tables: entropy, KL
 divergence, total variation, mutual information, optimal couplings, and the
 Pinsker slack. All information quantities are in nats. Probabilities are
-64-bit floats with structural tolerance 1e-12.
+64-bit floats with structural tolerance 1e-12. Outcomes carry no labels: a
+pmf's outcomes are the indices 0..k-1 of its array, and two pmfs share an
+alphabet when their arrays have the same length.
 
 Conventions:
   * 0 * log 0 := 0 everywhere.
@@ -54,58 +56,32 @@ def _as_prob_array(probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FinitePmf:
-    """Probability mass function over an indexed finite outcome alphabet."""
+    """Probability mass function over the outcomes 0..k-1."""
 
-    outcomes: tuple
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        outcomes = tuple(self.outcomes)
-        if len(set(outcomes)) != len(outcomes):
-            raise PmfValidationError("outcomes must be distinct")
         probs = _as_prob_array(self.probs)
-        if len(outcomes) != probs.shape[0] or probs.ndim != 1:
-            raise PmfValidationError("outcomes and probs must have equal length")
+        if probs.ndim != 1:
+            raise PmfValidationError("a pmf takes a 1-D array")
         probs.setflags(write=False)
-        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Joint pmf over a product of two finite alphabets.
+    """Joint pmf of two finite outcomes; entry ``table[i, j]`` is the
+    probability of the outcome pair (i, j)."""
 
-    ``table`` has one axis per alphabet; entry ``table[i, j]`` is the
-    probability of the outcome pair.
-    """
-
-    alphabets: tuple
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        alphabets = tuple(tuple(a) for a in self.alphabets)
         table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2 or len(alphabets) != 2:
-            raise PmfValidationError("a joint takes two alphabets and a 2-D table")
-        for ax, alpha in enumerate(alphabets):
-            if len(set(alpha)) != len(alpha):
-                raise PmfValidationError(f"axis {ax} outcomes must be distinct")
-            if table.shape[ax] != len(alpha):
-                raise PmfValidationError(f"axis {ax} length mismatch")
-        flat = _as_prob_array(table.reshape(-1))
-        table = flat.reshape(table.shape)
+        if table.ndim != 2:
+            raise PmfValidationError("a joint takes a 2-D table")
+        table = _as_prob_array(table.reshape(-1)).reshape(table.shape)
         table.setflags(write=False)
-        object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "table", table)
-
-    @classmethod
-    def from_table(cls, table) -> "JointPmf":
-        """Joint over integer alphabets 0..n-1 per axis."""
-        table = np.asarray(table, dtype=float)
-        return cls(tuple(tuple(range(n)) for n in table.shape), table)
 
 
 def entropy_of(probs: np.ndarray) -> float:
@@ -138,7 +114,7 @@ def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
 
     Returns math.inf when p1 places mass where p2 has none.
     """
-    if p1.outcomes != p2.outcomes:
+    if p1.probs.shape != p2.probs.shape:
         raise PmfValidationError("KL divergence needs a shared alphabet")
     a, b = p1.probs, p2.probs
     support = a > 0.0
@@ -149,7 +125,7 @@ def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
 
 def total_variation(p1: FinitePmf, p2: FinitePmf) -> float:
     """Half the L1 distance; equals the sup over events of the probability gap."""
-    if p1.outcomes != p2.outcomes:
+    if p1.probs.shape != p2.probs.shape:
         raise PmfValidationError("total variation needs a shared alphabet")
     return float(0.5 * np.abs(p1.probs - p2.probs).sum())
 
@@ -169,7 +145,7 @@ def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
     Diagonal mass min(p1, p2); the residual is the normalized outer product
     of the positive and negative parts of p1 - p2.
     """
-    if p1.outcomes != p2.outcomes:
+    if p1.probs.shape != p2.probs.shape:
         raise PmfValidationError("coupling needs a shared alphabet")
     a, b = p1.probs, p2.probs
     n = len(a)
@@ -181,7 +157,7 @@ def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
         pos = np.clip(diff, 0.0, None)
         neg = np.clip(-diff, 0.0, None)
         table += np.outer(pos, neg) / tv
-    return JointPmf((p1.outcomes, p2.outcomes), table)
+    return JointPmf(table)
 
 
 def coupling_disagreement(j: JointPmf) -> float:

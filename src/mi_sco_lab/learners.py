@@ -35,9 +35,9 @@ codebook and the atom of each sample code, which is either
 ``exact_channel``, ``reachable_outputs`` and the supersample CMI of ``bounds``
 all read atoms by code. Factorized learners (coordinate t reads column t
 only) also take per-coordinate entropies over the 2^m column patterns. The
-Monte Carlo estimators fit a ``reads_counts`` learner on the plus-counts of
-``sco.sample_counts``; SGD and randomized response get the signs of
-``sco.sample_signs``, drawn from the same uniforms.
+Monte Carlo estimators draw plus booleans with ``sco.sample_plus`` and fit a
+``reads_counts`` learner on their plus-counts, SGD and randomized response on
+their signs.
 
 Codebooks are found by ``unique_rows``, the one row dedup of the package: it
 gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .infotheory import entropy_of, row_entropies
-from .sco import HardInstance
+from .sco import HardInstance, counts_of_plus
 
 FULL_ENUM_BUDGET = 1 << 24
 DENSE_LAW_BYTES = 1 << 30  # largest (samples x codebook) float64 law exact_channel builds
@@ -63,11 +63,6 @@ CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never 
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed FULL_ENUM_BUDGET, or a dense law DENSE_LAW_BYTES."""
-
-
-def plus_counts(signs: np.ndarray) -> np.ndarray:
-    """(n, d) per-coordinate plus-counts of an (n, m, d) sign tensor."""
-    return (signs > 0).sum(axis=1)
 
 
 def count_mean(counts: np.ndarray, m: int) -> np.ndarray:
@@ -150,7 +145,7 @@ class MeanLearner:
         return count_mean(counts, m)
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(plus_counts(signs), signs.shape[1])
+        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ class QuantizedMeanLearner:
                        -lim, lim)
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(plus_counts(signs), signs.shape[1])
+        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -217,7 +212,7 @@ class EpsilonNetErm:
         return net[idx]
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(plus_counts(signs), signs.shape[1])
+        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -271,7 +266,7 @@ class RegularizedErm:
         return _project_rows(round_half_down(zbar, grid_step(self.delta, m)))
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(plus_counts(signs), signs.shape[1])
+        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -395,25 +390,19 @@ def enumerate_sign_space(m: int, d: int) -> np.ndarray:
     return out.reshape(n, m, d)
 
 
-def pattern_codes(point_scale: np.ndarray, coord_radix: np.ndarray) -> np.ndarray:
-    """Each sign pattern's sample code sum_i point_scale[i] sum_t plus(i, t)
-    coord_radix[t], in ``enumerate_sign_space`` order: flat cell c = i d + t
-    is bit c of the pattern index, so each cell doubles the codes."""
-    weights = np.outer(point_scale, coord_radix).reshape(-1)
-    code = np.zeros(_pattern_count(weights.shape[0]), dtype=np.int64)
-    for c, weight in enumerate(weights):
-        np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
-    return code
-
-
 def lattice_radix(m: int, d: int) -> np.ndarray:
     """Radix (m+1)^(d-1-t) of coordinate t in the lattice code sum_t C_t (m+1)^(d-1-t)."""
     return (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def lattice_codes(m: int, d: int) -> np.ndarray:
-    """Each sign pattern's lattice code, in ``enumerate_sign_space`` order."""
-    return pattern_codes(np.ones(m, dtype=np.int64), lattice_radix(m, d))
+    """Each sign pattern's lattice code, in ``enumerate_sign_space`` order:
+    flat cell c = i d + t is bit c of the pattern index and adds the radix of
+    coordinate t, so each cell doubles the codes."""
+    code = np.zeros(_pattern_count(m * d), dtype=np.int64)
+    for c, weight in enumerate(np.tile(lattice_radix(m, d), m)):
+        np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
+    return code
 
 
 def lattice_counts(m: int, d: int) -> np.ndarray:
@@ -516,10 +505,10 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES, and
     is the only array of that size built."""
     base = learner if learner.deterministic else learner.base
-    codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
+    codebook, atom = output_atoms(base, m, inst.d)[:2]  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
-    # a reads_counts learner's sample codes are the lattice codes themselves
-    idx = atom[codes if base.reads_counts else pattern_codes(scale, radix)]
+    # the sample code is the lattice code or, for any other learner, the pattern index
+    idx = atom[codes] if base.reads_counts else atom
     counts = lattice_counts(m, inst.d)
     if learner.deterministic:
         return Channel(codes, counts, m, None, codebook, output_index=idx).reweighted(inst)

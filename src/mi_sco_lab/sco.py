@@ -65,9 +65,10 @@ def plus_points(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u < q_plus[..., None, :]
 
 
-def _plus_draws(p: np.ndarray, m: int, rng: np.random.Generator,
+def sample_plus(p: np.ndarray, m: int, rng: np.random.Generator,
                 trials: int) -> np.ndarray:
-    """``plus_points`` of (trials, m, d) ``rng.random`` uniforms."""
+    """(trials, m, d) plus booleans of ``trials`` samples of m points under
+    the bias ``p``: ``plus_points`` of (trials, m, d) ``rng.random`` uniforms."""
     return plus_points(p, rng.random(size=(trials, m, np.shape(p)[-1])))
 
 
@@ -83,18 +84,3 @@ def counts_of_plus(plus: np.ndarray) -> np.ndarray:
     for point in range(plus.shape[1]):
         counts += plus[:, point]
     return counts
-
-
-def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
-                 trials: int) -> np.ndarray:
-    """int8 signs of shape (trials, m, d) under the bias ``p``, from
-    ``_plus_draws``."""
-    return signs_of_plus(_plus_draws(p, m, rng, trials))
-
-
-def sample_counts(p: np.ndarray, m: int, rng: np.random.Generator,
-                  trials: int) -> np.ndarray:
-    """(trials, d) plus-counts of ``trials`` samples of m points under the
-    bias ``p``: those of ``sample_signs`` from the same generator state, which
-    both leave in the same state."""
-    return counts_of_plus(_plus_draws(p, m, rng, trials))

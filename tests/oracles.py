@@ -5,9 +5,9 @@ sign-pattern enumeration, SGD's pass, exact channels, the supersample CMI,
 the Monte Carlo estimators, the random coupling search and the MI-bound
 check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
 or reweighted form; each function here writes one of them out the long way,
-with no caller in the program. ``Sample``, ``sample`` and
-``empirical_risk`` draw and score one sample as a point array, where the
-program works on sign tensors.
+with no caller in the program. ``sample_signs`` draws sign tensors, where
+the program draws plus booleans; ``Sample``, ``sample`` and
+``empirical_risk`` draw and score one sample as a point array.
 """
 
 import math
@@ -26,7 +26,7 @@ from mi_sco_lab.bounds import (
     RISK_STREAM,
     SECOND_MOMENT_INNER,
     GoodSetResult,
-    _draw_and_fit,
+    _fit_plus,
     _legendre_nodes,
     _random_pmf_pair,
     attack_prefactor,
@@ -53,17 +53,34 @@ from mi_sco_lab.learners import (
     grid_step,
     lattice_codes,
     lattice_counts,
-    plus_counts,
     reachable_outputs,
     round_half_down,
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_plus
 
 # ---------------------------------------------------------------------------
 # Samples of the hard instance
 # ---------------------------------------------------------------------------
+
+
+def sample_signs(p: np.ndarray, m: int, rng: np.random.Generator,
+                 trials: int) -> np.ndarray:
+    """int8 signs of shape (trials, m, d) under the bias ``p`` ((d,), or
+    (trials, d) for one bias per trial): a point's coordinate t is +1 where
+    its ``rng.random`` uniform falls below (1 + p(t)) / 2. What
+    ``sco.sample_plus`` draws as plus booleans."""
+    p = np.asarray(p, dtype=float)
+    u = rng.random(size=(trials, m, p.shape[-1]))
+    q_plus = (1.0 + p) / 2.0
+    return np.where(u < q_plus[..., None, :], 1, -1).astype(np.int8)
+
+
+def plus_counts(signs: np.ndarray) -> np.ndarray:
+    """(n, d) per-coordinate plus-counts of an (n, m, d) sign tensor, summed
+    along the points: what ``sco.counts_of_plus`` adds up point by point."""
+    return (signs > 0).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -306,17 +323,14 @@ def _group_labels(arr: np.ndarray) -> np.ndarray:
 def _joint_sums_output(ch: FullChannel, x_labels: np.ndarray) -> np.ndarray:
     xi = _group_labels(x_labels)
     table = np.zeros((int(xi.max()) + 1, ch.codebook.shape[0]))
-    if ch.deterministic:
-        np.add.at(table, (xi, ch.output_index), ch.sample_probs)
-    else:
-        np.add.at(table, xi, ch.sample_probs[:, None] * ch.cond)
+    np.add.at(table, (xi, ch.output_index), ch.sample_probs)
     return table
 
 
 def full_chain_rule(ch: FullChannel):
     """``bounds.chain_rule_decomposition`` labelling each pattern by its own
     coordinate sums, grouped by a row dedup over all patterns: (report,
-    total MI, per-coordinate MIs)."""
+    total MI, per-coordinate MIs) of a deterministic learner's channel."""
     sums = ch.signs.sum(axis=1, dtype=np.int64)  # (n, d)
     total = max(0.0, mi_of_table(_joint_sums_output(ch, sums)))
     _, m, d = ch.signs.shape
@@ -356,7 +370,7 @@ def entropy(p: FinitePmf) -> float:
 
 def marginal(j: JointPmf, axis: int) -> FinitePmf:
     """The marginal pmf of axis 0 or 1 of a two-variable joint."""
-    return FinitePmf(j.alphabets[axis], j.table.sum(axis=1 - axis))
+    return FinitePmf(j.table.sum(axis=1 - axis))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +542,8 @@ def genbound_chain_report_signs(learner, d: int, m: int, trials: int, seed: int)
 
 def second_moment_report_loop(learner, d: int, m: int, outer: int, seed: int):
     """``bounds.second_moment_report`` one outer iteration at a time: p, t,
-    then each half's samples drawn and fit by ``_draw_and_fit`` and its means
-    taken as floats."""
+    then each half's samples drawn by ``sample_plus`` and fit by
+    ``_fit_plus``, and its means taken as floats."""
     root_d = math.sqrt(d)
     rng = mc.substream(seed, 106)
     prods = np.empty(outer)
@@ -540,7 +554,7 @@ def second_moment_report_loop(learner, d: int, m: int, outer: int, seed: int):
         halves = []
         err_acc = 0.0
         for _ in range(2):
-            w, sums = _draw_and_fit(learner, p, m, rng, SECOND_MOMENT_INNER)
+            w, sums = _fit_plus(learner, sample_plus(p, m, rng, SECOND_MOMENT_INNER), rng)
             phat_err = root_d * w[:, t] - p[t]
             centered = sums[:, t] - m * p[t]
             halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
@@ -588,8 +602,7 @@ def coupling_suite_pairs(n_pairs: int, n_random: int, seed: int):
     worst_opt = math.inf
     for i in range(n_pairs):
         a, b = _random_pmf_pair(rng)
-        outcomes = tuple(range(len(a)))
-        p1, p2 = FinitePmf(outcomes, a), FinitePmf(outcomes, b)
+        p1, p2 = FinitePmf(a), FinitePmf(b)
         tv = total_variation(p1, p2)
         disagreement = coupling_disagreement(optimal_coupling(p1, p2))
         worst_match = min(worst_match, -abs(disagreement - tv))

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mi_sco_lab import bounds, harness
 from mi_sco_lab.bounds import (
@@ -16,6 +18,7 @@ from mi_sco_lab.bounds import (
     ESTIMATOR_MENU,
     FINGERPRINT_FLOOR,
     SECOND_MOMENT_INNER,
+    _fit_plus,
     _northwest_couplings,
     attack_prefactor,
     chain_rule_decomposition,
@@ -56,11 +59,10 @@ from mi_sco_lab.learners import (
     SubsampleLearner,
     enumerate_sign_space,
     exact_channel,
-    plus_counts,
     reachable_outputs,
     sign_space_probs,
 )
-from mi_sco_lab.sco import HardInstance, sample_signs
+from mi_sco_lab.sco import HardInstance, sample_plus
 from oracles import (
     cmi_exact_signs,
     coupling_suite_pairs,
@@ -70,6 +72,8 @@ from oracles import (
     good_coordinates_signs,
     measured_excess_risk_signs,
     northwest_coupling,
+    plus_counts,
+    sample_signs,
     second_moment_report_loop,
     second_moment_report_signs,
 )
@@ -375,6 +379,12 @@ class TestChainRule:
         ch = exact_channel(learner, inst, 2)
         assert chain_rule_decomposition(ch).report.holds
 
+    def test_rejects_randomized_channel(self):
+        learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
+        ch = exact_channel(learner, HardInstance.zero(2), 2)
+        with pytest.raises(ValueError, match="deterministic"):
+            chain_rule_decomposition(ch)
+
 
 def _cmi_exact_axis0(learner, inst, m):
     """cmi_exact as written with numpy's row sort, a dict codebook lookup and
@@ -483,6 +493,23 @@ CMI_GRID = [(d, m) for d in range(1, 8) for m in range(1, 7) if 2 * d * m + m <=
 
 
 class TestCountRoute:
+    @given(learner=st.sampled_from(CMI_MENU), n=st.integers(1, 40), m=st.integers(1, 4),
+           d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_plus_matches_sign_route(self, learner, n, m, d, seed):
+        # outputs, sign sums and the generator's final state, from one seed;
+        # d m <= 12, since a flip of randomized response over SGD enumerates
+        # its 2^(d m) patterns
+        p = np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=d)
+        rng, rng_signs = np.random.default_rng(seed), np.random.default_rng(seed)
+        w, sums = _fit_plus(learner, sample_plus(p, m, rng, n), rng)
+        signs = sample_signs(p, m, rng_signs, n)
+        want = (learner.fit_batch(signs) if learner.deterministic
+                else learner.fit_batch(signs, rng_signs))
+        assert w.tobytes() == want.tobytes()
+        assert sums.tobytes() == signs.sum(axis=1, dtype=float).tobytes()
+        assert rng.random() == rng_signs.random()
+
     @pytest.mark.parametrize("d,m", CMI_GRID)
     def test_cmi_matches_sign_route(self, d, m):
         inst = HardInstance(d, np.linspace(-1 / 3, 0.25, d))

@@ -33,14 +33,14 @@ from mi_sco_lab.learners import (
     grid_step,
     lattice_codes,
     lattice_counts,
+    lattice_radix,
     make_learner,
-    plus_counts,
     reachable_outputs,
     round_half_down,
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, sample_signs
+from mi_sco_lab.sco import HardInstance
 from oracles import (
     Sample,
     empirical_risk,
@@ -49,8 +49,10 @@ from oracles import (
     full_chain_rule,
     full_channel,
     marginal,
+    plus_counts,
     population_risk,
     sample,
+    sample_signs,
     sgd_full_copy,
 )
 
@@ -500,7 +502,7 @@ class TestChannel:
         ch = exact_channel(QuantizedMeanLearner(), inst, 3)
         table = np.zeros((ch.codes.shape[0], ch.codebook.shape[0]))
         table[np.arange(ch.codes.shape[0]), ch.output_index] = ch.sample_probs
-        oracle = mutual_information(JointPmf.from_table(table))
+        oracle = mutual_information(JointPmf(table))
         assert ch.mutual_information() == pytest.approx(oracle, abs=1e-10)
 
     @given(d=st.integers(1, 2), m=st.integers(1, 3), data=st.data())
@@ -520,7 +522,7 @@ class TestChannel:
             law[np.arange(ch.codes.shape[0]), ch.output_index] = 1.0
         else:
             law = ch.cond
-        joint = JointPmf.from_table(ch.sample_probs[:, None] * law)
+        joint = JointPmf(ch.sample_probs[:, None] * law)
         assert abs(ch.mutual_information() - mutual_information(joint)) <= 1e-12
         assert abs(ch.output_entropy() - entropy(marginal(joint, 1))) <= 1e-12
 
@@ -765,8 +767,8 @@ def _lattice_biases(d):
 
 def _assert_bitwise_full_route(ch, full, inst):
     """The lattice-indexed channel equals the full route bit for bit:
-    probabilities, codebook, index or law, the five reductions and the chain
-    rule."""
+    probabilities, codebook, index or law, the five reductions and, for a
+    deterministic learner, the chain rule."""
     assert ch.sample_probs.tobytes() == full.sample_probs.tobytes()
     assert ch.codebook.tobytes() == full.codebook.tobytes()
     if full.deterministic:
@@ -782,6 +784,8 @@ def _assert_bitwise_full_route(ch, full, inst):
     for name in INSTANCE_REDUCTIONS:
         got, want = getattr(ch, name)(inst), getattr(full, name)(inst)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+    if not full.deterministic:
+        return
     chain = chain_rule_decomposition(ch)
     report, total, per_coordinate = full_chain_rule(full)
     assert chain.report == report
@@ -841,21 +845,25 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
     def test_builds_each_code_array_once(self, monkeypatch, learner):
         # a count learner's sample codes are the lattice codes; any other
-        # learner's are the pattern indices, one more array of codes
+        # learner's are the pattern indices themselves, so no array is built
+        # beside the lattice codes
         calls = []
-        real = learners.pattern_codes
+        real = learners.lattice_codes
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(learners, "pattern_codes", spy)
+        monkeypatch.setattr(learners, "lattice_codes", spy)
+        _, _, scale, radix = learners.output_atoms(learner, 5, 4)
         if learner.reads_counts:
-            _, _, scale, radix = learners.output_atoms(learner, 5, 4)
-            assert real(scale, radix).tobytes() == lattice_codes(5, 4).tobytes()
-        calls.clear()
+            assert scale.tolist() == [1] * 5
+            assert radix.tobytes() == lattice_radix(5, 4).tobytes()
+        else:
+            # flat cell c = i d + t weighs 2^c, its bit of the pattern index
+            assert np.outer(scale, radix).reshape(-1).tolist() == [1 << c for c in range(20)]
         exact_channel(learner, HardInstance.zero(2), 3)
-        assert len(calls) == (1 if learner.reads_counts else 2)
+        assert calls == [(3, 2)]
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 13)
                                      if d * m <= 12])

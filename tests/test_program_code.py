@@ -240,10 +240,11 @@ COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
 
 
 def _spy_sign_routes(monkeypatch):
-    """Record every sign sampling, sign enumeration and ``fit_batch`` row
-    count, wherever the program looks those names up."""
-    calls = {"sample_signs": [], "enumerate_sign_space": [], "fit_batch_rows": []}
-    for module, name in ((sco, "sample_signs"), (bounds, "sample_signs"),
+    """Record every sign tensor made from sampled plus booleans, sign
+    enumeration and ``fit_batch`` row count, wherever the program looks those
+    names up."""
+    calls = {"signs_of_plus": [], "enumerate_sign_space": [], "fit_batch_rows": []}
+    for module, name in ((sco, "signs_of_plus"), (bounds, "signs_of_plus"),
                          (learners, "enumerate_sign_space")):
         real = getattr(module, name)
 
@@ -277,7 +278,7 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    assert calls["sample_signs"] == [] and calls["enumerate_sign_space"] == []
+    assert calls["signs_of_plus"] == [] and calls["enumerate_sign_space"] == []
     assert all(rows <= (m + 1) ** d for rows in calls["fit_batch_rows"])
 
 
@@ -288,7 +289,7 @@ def test_sign_route_spy_sees_sgd(monkeypatch):
     inst = HardInstance.zero(2)
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
-    assert calls["enumerate_sign_space"] and calls["sample_signs"]
+    assert calls["enumerate_sign_space"] and calls["signs_of_plus"]
 
 
 @pytest.mark.parametrize("learner", [learners.SgdLearner(),
@@ -343,7 +344,7 @@ def test_sign_route_only_in_learners():
     """``enumerate_sign_space`` and ``fit_batch`` on an enumerated tensor have
     program call sites only in ``learners``, and ``bounds`` holds no
     sign-route code: it names none of the sign route's helpers, and its one
-    ``fit_batch`` call is ``_draw_and_fit``'s, on sampled signs."""
+    ``fit_batch`` call is ``_fit_plus``'s, on sampled signs."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     enumerations = {name for name, tree in trees.items()
@@ -356,4 +357,4 @@ def test_sign_route_only_in_learners():
                                   "lattice_samples") if names[name]]
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
                and any(_calls_named(stmt, "fit_batch") for stmt in func.body)]
-    assert fitters == ["_draw_and_fit"]
+    assert fitters == ["_fit_plus"]

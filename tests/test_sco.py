@@ -7,17 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mi_sco_lab.sco import HardInstance, sample_counts, sample_signs
+from mi_sco_lab.sco import HardInstance, counts_of_plus, sample_plus, signs_of_plus
 from oracles import (
     Sample,
     empirical_risk,
     empirical_suboptimality,
     loss,
     mean_excess_risk_exact,
+    plus_counts,
     population_risk,
     sample,
+    sample_signs,
     suboptimality,
 )
+
+
+def _biased_rngs(d, trials, per_trial, seed):
+    """A bias, one (d,) for every trial or one (trials, d) per trial, and two
+    generators in the same state."""
+    shape = (trials, d) if per_trial else (d,)
+    p = np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=shape)
+    return p, np.random.default_rng(seed), np.random.default_rng(seed)
 
 
 class TestHardInstance:
@@ -39,16 +49,23 @@ class TestSampleCounts:
            per_trial=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_counts_of_the_same_signs(self, m, d, trials, per_trial, seed):
-        # one (d,) bias for every trial, or one (trials, d) bias per trial
-        shape = (trials, d) if per_trial else (d,)
-        p = np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=shape)
-        rng_signs, rng_counts = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = (sample_signs(p, m, rng_signs, trials) > 0).sum(axis=1)
-        counts = sample_counts(p, m, rng_counts, trials)
-        assert counts.shape == (trials, d)
+        p, rng_signs, rng_plus = _biased_rngs(d, trials, per_trial, seed)
+        expected = plus_counts(sample_signs(p, m, rng_signs, trials))
+        counts = counts_of_plus(sample_plus(p, m, rng_plus, trials))
+        assert counts.shape == (trials, d) and counts.dtype == np.int64
         np.testing.assert_array_equal(counts, expected)
+
+    @given(m=st.integers(1, 16), d=st.integers(1, 8), trials=st.integers(1, 300),
+           per_trial=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_plus_draws_are_the_oracle_signs(self, m, d, trials, per_trial, seed):
+        p, rng_signs, rng_plus = _biased_rngs(d, trials, per_trial, seed)
+        expected = sample_signs(p, m, rng_signs, trials)
+        signs = signs_of_plus(sample_plus(p, m, rng_plus, trials))
+        assert signs.dtype == expected.dtype == np.int8
+        assert signs.tobytes() == expected.tobytes()
         # both leave the generator in the same state
-        assert rng_counts.random() == rng_signs.random()
+        assert rng_plus.random() == rng_signs.random()
 
 
 class TestSampling:
@@ -65,15 +82,17 @@ class TestSampling:
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_sample_signs_is_always_three_dimensional(self, trials):
-        signs = sample_signs(np.array([0.1, -0.2, 0.3]), 4, np.random.default_rng(3), trials)
-        assert signs.shape == (trials, 4, 3) and signs.dtype == np.int8
+        plus = sample_plus(np.array([0.1, -0.2, 0.3]), 4, np.random.default_rng(3), trials)
+        assert plus.shape == (trials, 4, 3) and plus.dtype == np.bool_
+        assert signs_of_plus(plus).shape == (trials, 4, 3)
+        assert signs_of_plus(plus).dtype == np.int8
 
     def test_sample_signs_per_trial_bias(self):
         # one (trials, d) bias per trial draws what a shared (d,) bias draws
         # when every row is that bias
         p = np.array([0.1, -0.2, 0.3])
-        shared = sample_signs(p, 4, np.random.default_rng(4), 6)
-        per_trial = sample_signs(np.tile(p, (6, 1)), 4, np.random.default_rng(4), 6)
+        shared = sample_plus(p, 4, np.random.default_rng(4), 6)
+        per_trial = sample_plus(np.tile(p, (6, 1)), 4, np.random.default_rng(4), 6)
         assert shared.tobytes() == per_trial.tobytes()
 
     def test_rejects_nonpositive_m(self):
@@ -200,7 +219,7 @@ class TestEmpirical:
 class TestMeanExcessRisk:
     def test_mean_of_sample_mean_is_optimum_exact(self):
         # exact enumeration: E[zbar] = w* and E||zbar - w*||^2 = (1-|p|^2/d)/m
-        from mi_sco_lab.learners import enumerate_sign_space, plus_counts, sign_space_probs
+        from mi_sco_lab.learners import enumerate_sign_space, sign_space_probs
         for d, m in ((1, 5), (2, 4), (3, 3)):
             inst = HardInstance(d, np.linspace(-0.25, 0.3, d))
             signs = enumerate_sign_space(m, d)
