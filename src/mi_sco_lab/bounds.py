@@ -36,11 +36,11 @@ from .learners import (
     FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
-    SubsampleLearner,
     exact_mutual_information,
     lattice_codes,
     lattice_counts,
     output_atoms,
+    reduce_subsample,
     sign_space_probs,
     unique_rows,
 )
@@ -65,6 +65,7 @@ CERTIFICATE_BIASES = 4  # biases theorem1_certificate searches
 MAX_ALPHABET = 16  # largest alphabet of the random pmf pairs
 MAX_SUPPORT = 8  # largest marginal support of the random correlated joints
 SECOND_MOMENT_INNER = 64  # samples per inner batch of second_moment_report
+RISK_CHUNK = 1 << 12  # trials per Monte Carlo chunk of the risk and genbound estimators
 SECOND_MOMENT_BLOCK = 1 << 12  # samples per fit of second_moment_report (4x: +3 MB peak RSS)
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes over the bias
 
@@ -380,11 +381,12 @@ def good_coordinates(inst: HardInstance, learner, m: int,
 # ---------------------------------------------------------------------------
 
 
-def _joint_x_output(ch: Channel, x_labels: np.ndarray) -> np.ndarray:
-    """Aggregate the channel into an (x label) x (codebook) table."""
-    table = np.zeros((int(x_labels.max()) + 1, ch.codebook.shape[0]))
-    np.add.at(table, (x_labels, ch.output_index), ch.sample_probs)
-    return table
+def _joint_table(x_labels, y_labels, weights, width: int) -> np.ndarray:
+    """The (x label) x (y label) table of ``weights``, y labels below
+    ``width``: each cell sums its weights in input order."""
+    rows = int(x_labels.max()) + 1
+    return np.bincount((x_labels * width + y_labels).ravel(), weights.ravel(),
+                       rows * width).reshape(rows, width)
 
 
 @dataclass(frozen=True)
@@ -402,16 +404,17 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     channel must be deterministic."""
     if not ch.deterministic:
         raise ValueError("the chain rule takes a deterministic learner's channel")
-    full = _joint_x_output(ch, ch.codes)
+    big_k = ch.codebook.shape[0]
+    full = _joint_table(ch.codes, ch.output_index, ch.sample_probs, big_k)
     total = max(0.0, mi_of_table(full))
     counts, m, d = ch.counts, ch.m, ch.counts.shape[1]  # (L, d) plus-counts
     per_coord = []
     for t in range(d):
-        table_t = _joint_x_output(ch, counts[:, t][ch.codes])
+        table_t = _joint_table(counts[:, t][ch.codes], ch.output_index, ch.sample_probs, big_k)
         # collapse codebook columns to the t-th output coordinate
         col_labels = unique_rows(ch.codebook[:, t:t + 1])[1]
-        collapsed = np.zeros((table_t.shape[0], int(col_labels.max()) + 1))
-        np.add.at(collapsed.T, col_labels, table_t.T)
+        collapsed = _joint_table(np.arange(table_t.shape[0])[:, None], col_labels, table_t,
+                                 int(col_labels.max()) + 1)
         per_coord.append(max(0.0, mi_of_table(collapsed)))
     rhs = float(sum(per_coord))
     report = make_report("chain_rule", total, rhs, tolerance=1e-9, d=d, m=m)
@@ -485,17 +488,13 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
 
     Z is a pair of independent m-point samples; S takes the first or second
     element of each pair by an independent fair bit. For a deterministic
-    learner the conditional MI reduces to E_Z[H(w_S | Z)]. Subsampling
-    learners reduce exactly to their first k pair columns. The base is fit
+    learner the conditional MI reduces to E_Z[H(w_S | Z)]. A subsample
+    reduces to its base at k (``reduce_subsample``). The base is fit
     once per sample code of ``output_atoms`` (a lattice point of a
     ``reads_counts`` base, an enumerated pattern of SGD or a subsample), and
     each selection reads its atom by code, with no sign tensor.
     """
-    if isinstance(learner, SubsampleLearner):
-        if not 1 <= learner.k <= m:
-            raise ValueError("subsample size out of range")
-        return cmi_exact(learner.base, inst, learner.k)
-
+    learner, m = reduce_subsample(learner, m)
     d = inst.d
     n_z = 1 << (2 * m * d)
     n_u = 1 << m
@@ -557,7 +556,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
         w = _fit_plus(learner, sample_plus(ps, m, rng, size), rng)[0]
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
-    values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
+    values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=RISK_CHUNK)
     return mc.mean_and_se(values)
 
 
@@ -889,7 +888,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs
 
-    values = mc.chunked_trials(chunk, trials, seed, 107, chunk=1 << 12)
+    values = mc.chunked_trials(chunk, trials, seed, 107, chunk=RISK_CHUNK)
     worst = float(np.abs(values).max())
     return make_report("genbound_chain", 1e-9, worst, d=d, m=m,
                        trials=trials, seed=seed)

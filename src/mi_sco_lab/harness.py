@@ -29,7 +29,10 @@ entry lists the keys its experiment reads). The schema:
     output_dir = out
 
 A learner parameter its kind does not take is rejected too, and so is a
-net-erm (d, m) outside d <= m, d*m <= NET_ERM_MAX_CELLS.
+net-erm (d, m) outside d <= m, d*m <= NET_ERM_MAX_CELLS. A theorem1 or
+verify-lemmas (m, d) must keep each Monte Carlo chunk's float64 uniforms
+within MC_KEPT_BYTES, and a theorem1 epsilon_net_erm's net grid within
+learners.NET_BLOCK_CELLS floats.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
 file it wrote. Numbers must be finite.
@@ -53,6 +56,7 @@ import numpy as np
 
 from . import __version__, bounds, mc
 from .learners import (
+    NET_BLOCK_CELLS,
     BudgetExceededError,
     EpsilonNetErm,
     MeanLearner,
@@ -65,6 +69,7 @@ from .learners import (
     exact_channel,
     make_learner,
     product_grid,
+    reduce_subsample,
 )
 from .sco import P_MAX, HardInstance, sample_plus, signs_of_plus
 
@@ -204,8 +209,11 @@ def load_config(path) -> ExperimentConfig:
     kept = 8 * trials * (d if name == "theorem1" else 1)
     if kept > MC_KEPT_BYTES:
         raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
-    if name == "theorem1" and 8 * mc.CHUNK * m * d > MC_KEPT_BYTES:  # (CHUNK, m, d) uniforms
-        raise ConfigError(f"m={m}, d={d} draws {8 * mc.CHUNK * m * d} uniform bytes per "
+    # trials per Monte Carlo chunk or fit block, each drawing (m, d) uniforms
+    chunk = {"theorem1": mc.CHUNK,
+             "verify-lemmas": max(bounds.RISK_CHUNK, bounds.SECOND_MOMENT_BLOCK)}.get(name, 0)
+    if 8 * chunk * m * d > MC_KEPT_BYTES:
+        raise ConfigError(f"m={m}, d={d} draws {8 * chunk * m * d} uniform bytes per "
                           f"Monte Carlo chunk, above {MC_KEPT_BYTES}")
     master_seed = _parse_int(run.get("master_seed", "12345"), "master_seed")
     if master_seed < 0:
@@ -220,6 +228,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"invalid learner block: {exc}") from exc
         if getattr(learner, "k", 1) > m:
             raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
+        # epsilon_net's grid, fit on n points: ceil(sqrt(n)) + 1 per axis, d floats each
+        base, n = reduce_subsample(learner, m)
+        net = (math.ceil(math.sqrt(n)) + 1) ** d * d if base.kind == EpsilonNetErm.kind else 0
+        if net > NET_BLOCK_CELLS:
+            raise ConfigError(f"m={n}, d={d} builds an epsilon net of {net} floats, "
+                              f"above {NET_BLOCK_CELLS}")
     if name == "theorem1" and trials < 2:
         raise ConfigError("theorem1 needs trials >= 2 for a standard error")
     if name == "net-erm" and (m < d or d * m > NET_ERM_MAX_CELLS):

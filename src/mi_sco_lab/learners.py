@@ -11,10 +11,10 @@ are bit-stable across runs and worker counts.
 The learner contract is a set of attributes, with no base class:
   * ``kind``: the label used in report names;
   * ``deterministic``: whether the output is a function of the sample;
-  * ``factorized``: whether output coordinate t depends only on column t of
-    the sample;
   * ``reads_counts``: whether the output bytes depend on the sample only
     through its per-coordinate plus-counts;
+  * ``factorized``: whether the learner reads counts and its output
+    coordinate t depends only on plus-count t;
   * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor;
   * ``fit_counts(counts, m)``, for a ``reads_counts`` learner only: the (n, d)
     outputs for (n, d) plus-counts out of m, the one computation of such a
@@ -25,6 +25,8 @@ quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 A randomized learner instead wraps a deterministic ``base``; it gives
 ``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
 ``mix(base_law)``, its output law given the base's law over the codebook.
+A subsample's output reads only the points S_1..k, so its exact MI and its
+supersample CMI are its base's at k: ``reduce_subsample`` is that rule.
 
 Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET).
 One code-to-atom map, ``output_atoms``, gives every deterministic learner's
@@ -33,8 +35,8 @@ codebook and the atom of each sample code, which is either
     fit once per (m+1)^d lattice point; or
   * the pattern index: any other learner, fit once per enumerated pattern.
 ``exact_channel``, ``reachable_outputs`` and the supersample CMI of ``bounds``
-all read atoms by code. Factorized learners (coordinate t reads column t
-only) also take per-coordinate entropies over the 2^m column patterns. The
+all read atoms by code. A factorized learner's exact MI sums per-coordinate
+entropies; each of the 2^m column patterns weighs its plus-count's atom. The
 Monte Carlo estimators draw plus booleans with ``sco.sample_plus`` and fit a
 ``reads_counts`` learner on their plus-counts, SGD and randomized response on
 their signs.
@@ -277,6 +279,7 @@ class SubsampleLearner:
     base: object
 
     deterministic = True
+    factorized = False  # exact MI reads its base at k (reduce_subsample)
     reads_counts = False  # the first k points, not the counts over all m
 
     def __post_init__(self):
@@ -288,10 +291,6 @@ class SubsampleLearner:
     @property
     def kind(self) -> str:
         return f"subsample[{self.base.kind}, k={self.k}]"
-
-    @property
-    def factorized(self) -> bool:
-        return self.base.factorized
 
     def fit_batch(self, signs: np.ndarray) -> np.ndarray:
         if not 1 <= self.k <= signs.shape[1]:
@@ -444,9 +443,7 @@ class Channel:
 
     def output_marginal(self) -> np.ndarray:
         if self.deterministic:
-            marg = np.zeros(self.codebook.shape[0])
-            np.add.at(marg, self.output_index, self.sample_probs)
-            return marg
+            return np.bincount(self.output_index, self.sample_probs, self.codebook.shape[0])
         return self.sample_probs @ self.cond
 
     def mutual_information(self) -> float:
@@ -487,15 +484,20 @@ def output_atoms(learner, m: int, d: int):
     sum_t plus(i, t) coord_radix[t]. A ``reads_counts`` learner takes the
     lattice code (scale 1, radix (m+1)^(d-1-t)), fit per point in its first
     pattern's order (plus signs lowest), so each atom keeps that pattern's row,
-    signed zeros included; any other the pattern index (scale 2^(i d), radix 2^t)."""
-    _pattern_count(m * d)  # the budget, checked before a weight 2^(i d) can wrap
-    scale, radix = 1 << d * np.arange(m, dtype=np.int64), 1 << np.arange(d, dtype=np.int64)
+    signed zeros included; any other the pattern index (scale 2^(i d), radix 2^t).
+    The budget bounds the (m+1)^d lattice points or the 2^(d m) patterns."""
     if not learner.reads_counts:
+        # enumeration checks the budget before a weight 2^(i d) can wrap
         codebook, atom = unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))
-        return codebook, atom, scale, radix
+        return (codebook, atom, 1 << d * np.arange(m, dtype=np.int64),
+                1 << np.arange(d, dtype=np.int64))
+    if (m + 1) ** d > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
     counts = lattice_counts(m, d)
-    # a first pattern's index sums the scales of its C_t lowest points, times 2^t
-    order = np.argsort(np.concatenate([[0], np.cumsum(scale)])[counts] @ radix)
+    # a first pattern sets bit i d + t iff i < C_t, so two such patterns compare
+    # as their coordinates' top bits (C_t - 1) d + t do, largest first
+    top = np.where(counts > 0, (counts - 1) * d + np.arange(d), -1)  # -1: no plus sign
+    order = np.lexsort(np.sort(top, axis=1).T)  # the last key sorts first
     codebook, inverse = unique_rows(learner.fit_counts(counts[order], m))
     return codebook, inverse[np.argsort(order)], np.ones(m, dtype=np.int64), lattice_radix(m, d)
 
@@ -530,24 +532,28 @@ def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
     return output_atoms(learner, m, d)[0]
 
 
-def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
-    """I(w_S; S) in nats, via the factorized fast path when available.
+def reduce_subsample(learner, m: int):
+    """(learner, m) with every subsample layer replaced by (base, k): a
+    subsample's exact MI and supersample CMI are its base's at k."""
+    if not isinstance(learner, SubsampleLearner):
+        return learner, m
+    if not 1 <= learner.k <= m:
+        raise ValueError(f"subsample size k={learner.k} out of range for m={m}")
+    return reduce_subsample(learner.base, learner.k)
 
-    For a coordinate-factorized learner the pairs (w_S(t), S column t) are
-    independent across t, so the per-coordinate MIs (output entropies, the
-    learner being deterministic) sum to the exact joint MI.
-    """
-    if learner.factorized:
-        patterns = enumerate_sign_space(m, 1)
-        # every coordinate sees the same column patterns, so column 0 of the
-        # outputs over d equal columns is each coordinate's output
-        outputs = learner.fit_batch(np.broadcast_to(patterns, (1 << m, m, inst.d)))
-        _, inverse = np.unique(outputs[:, 0], return_inverse=True)
-        counts = (patterns[:, :, 0] > 0).sum(axis=1)
-        total = 0.0
-        for q in (1.0 + inst.p) / 2.0:
-            marg = np.zeros(inverse.max() + 1)
-            np.add.at(marg, inverse, q ** counts * (1.0 - q) ** (m - counts))
-            total += entropy_of(marg)
-        return float(total)
-    return exact_channel(learner, inst, m).mutual_information()
+
+def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
+    """I(w_S; S) in nats, per coordinate for a factorized learner: its pairs
+    (w_S(t), S column t) are independent across t, so the per-coordinate output
+    entropies sum to the exact MI. It is fit once on the m+1 plus-counts, each
+    repeated across the d columns so that the 1/sqrt(d) scale holds, and the 2^m
+    column patterns weigh their counts' atoms, summed in pattern order."""
+    learner, m = reduce_subsample(learner, m)
+    if not learner.factorized:
+        return exact_channel(learner, inst, m).mutual_information()
+    counts = lattice_codes(m, 1)  # each column pattern's plus-count
+    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], inst.d, axis=1), m)
+    atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
+    total = sum(entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))
+                for q in (1.0 + inst.p) / 2.0)
+    return max(0.0, float(total))

@@ -1,7 +1,8 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-sign-pattern enumeration, SGD's pass, exact channels, the supersample CMI,
+sign-pattern enumeration, SGD's pass, exact channels, the per-coordinate
+MI, the supersample CMI,
 the Monte Carlo estimators, the random coupling search and the MI-bound
 check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
 or reweighted form; each function here writes one of them out the long way,
@@ -626,3 +627,32 @@ def xu_gap_report_fresh(learner, inst: HardInstance, m: int):
     mi = ch.mutual_information()
     gap = ch.expected_generalization_gap(inst)
     return make_report(f"xu[{learner.kind}]", xu_bound(mi, m), gap, d=inst.d, m=m)
+
+
+def factorized_mi_broadcast(learner, inst: HardInstance, m: int) -> float:
+    """``learners.exact_mutual_information``'s per-coordinate route for a
+    coordinate-factorized learner, fit on the 2^m column sign patterns
+    broadcast across the d columns, with an ``np.add.at`` marginal per
+    coordinate and no clamp at 0."""
+    patterns = enumerate_sign_space(m, 1)
+    # every coordinate sees the same column patterns, so column 0 of the
+    # outputs over d equal columns is each coordinate's output
+    outputs = learner.fit_batch(np.broadcast_to(patterns, (1 << m, m, inst.d)))
+    _, inverse = np.unique(outputs[:, 0], return_inverse=True)
+    counts = (patterns[:, :, 0] > 0).sum(axis=1)
+    total = 0.0
+    for q in (1.0 + inst.p) / 2.0:
+        marg = np.zeros(inverse.max() + 1)
+        np.add.at(marg, inverse, q ** counts * (1.0 - q) ** (m - counts))
+        total += entropy_of(marg)
+    return float(total)
+
+
+def first_pattern_order(m: int, d: int) -> np.ndarray:
+    """The (m+1)^d lattice points in the order of their first sign patterns
+    (plus signs on the lowest points), sorted by the pattern indices
+    themselves: sum over t of 2^t times the 2^(i d) of the C_t lowest points.
+    The indices fit int64 for d m <= 62."""
+    scale = 1 << d * np.arange(m, dtype=np.int64)
+    radix = 1 << np.arange(d, dtype=np.int64)
+    return np.argsort(np.concatenate([[0], np.cumsum(scale)])[lattice_counts(m, d)] @ radix)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from mi_sco_lab.harness import (
     load_config,
     run,
 )
-from mi_sco_lab.learners import exact_channel, product_grid
+from mi_sco_lab.learners import NET_BLOCK_CELLS, exact_channel, product_grid
 from mi_sco_lab.sco import P_MAX, HardInstance
 from oracles import xu_gap_report_fresh
 
@@ -162,6 +163,40 @@ class TestFailClosed:
         path, _ = write_config(tmp_path, name="theorem1", d=4096, m=2, p_mode="uniform")
         cfg = load_config(path)
         assert 8 * mc.CHUNK * cfg.m * cfg.d == MC_KEPT_BYTES
+
+    def test_verify_lemmas_chunk_draw_above_budget(self, tmp_path):
+        # parsed only: genbound_chain_report draws 8 * RISK_CHUNK * m * d bytes
+        # of uniforms per Monte Carlo chunk, and second_moment_report as many
+        # per fit block, 1 GiB at d * m = 32768
+        for d, m, drawn in ((32, 1025, 1074790400), (1024, 1024, 34359738368)):
+            path, _ = write_config(tmp_path, name="verify-lemmas", d=d, m=m, p_mode="uniform")
+            with pytest.raises(ConfigError, match=f"m={m}, d={d} draws {drawn} uniform bytes"):
+                load_config(path)
+        # exactly at the budget is accepted
+        path, _ = write_config(tmp_path, name="verify-lemmas", d=32, m=1024, p_mode="uniform")
+        cfg = load_config(path)
+        assert 8 * bounds.RISK_CHUNK * cfg.m * cfg.d == MC_KEPT_BYTES
+        assert bounds.SECOND_MOMENT_BLOCK == bounds.RISK_CHUNK
+
+    @pytest.mark.parametrize("learner", ["kind = epsilon_net_erm",
+                                         "kind = subsample\nbase = epsilon_net_erm\nk = {m}"])
+    def test_theorem1_epsilon_net_above_budget(self, tmp_path, learner):
+        # parsed only: the net's grid has ceil(sqrt(m)) + 1 points per axis,
+        # d floats each: 16^4 * 4 = NET_BLOCK_CELLS at m = 225, 17^4 * 4 at 226
+        for d, m, floats in ((4, 226, 334084), (16, 16, 5 ** 16 * 16)):
+            path, _ = write_config(tmp_path, name="theorem1", d=d, m=m, p_mode="uniform",
+                                   extra="\n[learner]\n" + learner.format(m=m))
+            with pytest.raises(ConfigError, match=f"m={m}, d={d} builds an epsilon net of "
+                                                  f"{floats} floats"):
+                load_config(path)
+        # exactly at the budget is accepted; a subsample fits the net on k points
+        path, _ = write_config(tmp_path, name="theorem1", d=4, m=225, p_mode="uniform",
+                               extra="\n[learner]\n" + learner.format(m=225))
+        assert load_config(path).d == 4
+        assert (math.ceil(math.sqrt(225)) + 1) ** 4 * 4 == NET_BLOCK_CELLS
+        path, _ = write_config(tmp_path, name="theorem1", d=4, m=300, p_mode="uniform",
+                               extra="\n[learner]\nkind = subsample\nbase = epsilon_net_erm\nk = 225")
+        assert load_config(path).m == 300
 
     def test_theorem1_one_trial_chunk_runs(self, tmp_path, capsys):
         # 16385 trials leave a last Monte Carlo chunk of one trial

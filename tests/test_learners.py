@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mi_sco_lab import learners
-from mi_sco_lab.bounds import chain_rule_decomposition
+from mi_sco_lab import bounds, learners
+from mi_sco_lab.bounds import chain_rule_decomposition, cmi_exact, measured_excess_risk
 from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.infotheory import JointPmf, mutual_information
 from mi_sco_lab.learners import (
@@ -35,7 +38,9 @@ from mi_sco_lab.learners import (
     lattice_counts,
     lattice_radix,
     make_learner,
+    product_grid,
     reachable_outputs,
+    reduce_subsample,
     round_half_down,
     sign_space_probs,
     unique_rows,
@@ -46,6 +51,8 @@ from oracles import (
     empirical_risk,
     entropy,
     enumerate_sign_space_shift_mask,
+    factorized_mi_broadcast,
+    first_pattern_order,
     full_chain_rule,
     full_channel,
     marginal,
@@ -149,6 +156,105 @@ class TestQuantizedMean:
             mi_quant = exact_channel(QuantizedMeanLearner(delta=0.75), inst,
                                      m).mutual_information()
             assert mi_quant <= mi_mean + 1e-12
+
+
+FACTORIZED = (MeanLearner(), QuantizedMeanLearner(), QuantizedMeanLearner(delta=0.3))
+
+
+class TestPerCoordinateMi:
+    @pytest.mark.parametrize("learner", FACTORIZED, ids=repr)
+    def test_matches_broadcast_route(self, learner):
+        # the oracle fits the 2^m column patterns broadcast across the d columns
+        rng = np.random.default_rng(11)
+        for d in range(1, 9):
+            for m in range(1, 11):
+                inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
+                want = max(0.0, factorized_mi_broadcast(learner, inst, m))
+                assert exact_mutual_information(learner, inst, m) == want, (d, m)
+
+    def test_matches_broadcast_route_at_shipped_theorem1_point(self):
+        # configs/theorem1.ini: quantized mean, d = 4, m = 4, 100000 trials,
+        # seed 12345, at the certificate's bias and along its d = 1..6 scan
+        learner = QuantizedMeanLearner()
+        cert = bounds.theorem1_certificate(learner, 4, 4, None, risk_trials=20000,
+                                           good_trials=100000, seed=12345)
+        assert cert.mi == factorized_mi_broadcast(learner, HardInstance(4, cert.best_p), 4) > 0
+        for d in range(1, 7):
+            inst = HardInstance.zero(d)
+            assert exact_mutual_information(learner, inst, 4) == \
+                factorized_mi_broadcast(learner, inst, 4) > 0
+
+    def test_clamped_at_zero(self):
+        # every output rounds to 0 at delta = 1: the MI is 0, and the
+        # per-coordinate entropies of a pmf summing to 1 - O(1e-16) add up
+        # to about -1.1e-13
+        inst = HardInstance(16, np.full(16, 0.1))
+        assert factorized_mi_broadcast(QuantizedMeanLearner(delta=1.0), inst, 12) < 0
+        assert exact_mutual_information(QuantizedMeanLearner(delta=1.0), inst, 12) == 0.0
+
+    def test_factorized_learners_read_counts(self):
+        menu = all_learners(4) + [RandomizedResponse(base=MeanLearner(), rho=0.5),
+                                  SubsampleLearner(k=2, base=QuantizedMeanLearner())]
+        assert {l.kind for l in menu if l.factorized} == {"mean", "quantized_mean"}
+        assert all(l.reads_counts for l in menu if l.factorized)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_memory_in_a_fresh_process(self):
+        # the broadcast route peaked at 636 MB here: its plus booleans alone
+        # hold 2^16 * 16 * 300 bytes. VmHWM is the peak resident set of the
+        # child's own image; ru_maxrss would also count the forked test process
+        script = (
+            "import numpy as np\n"
+            "from mi_sco_lab.learners import QuantizedMeanLearner, exact_mutual_information\n"
+            "from mi_sco_lab.sco import HardInstance\n"
+            "inst = HardInstance(300, np.linspace(-1 / 3, 1 / 3, 300))\n"
+            "assert exact_mutual_information(QuantizedMeanLearner(), inst, 16) > 0\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(int(status.split()[0]))\n")
+        path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert int(out.stdout) < 100 * 1024  # kB
+
+
+class TestSubsampleRule:
+    @pytest.mark.parametrize("base", [MeanLearner(), QuantizedMeanLearner(), SgdLearner()],
+                             ids=lambda l: l.kind)
+    def test_mi_is_the_base_at_k(self, base):
+        rng = np.random.default_rng(12)
+        for d, m in ((1, 6), (2, 4), (3, 3)):
+            inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
+            for k in range(1, m + 1):
+                sub = SubsampleLearner(k=k, base=base)
+                mi = exact_mutual_information(sub, inst, m)
+                assert mi == exact_mutual_information(base, inst, k)
+                oracle = (factorized_mi_broadcast(sub, inst, m) if base.factorized
+                          else exact_channel(sub, inst, m).mutual_information())
+                assert abs(mi - oracle) <= 1e-12, (d, m, k)
+
+    def test_cmi_is_the_base_at_k(self):
+        for d, m in ((1, 3), (2, 2)):
+            inst = HardInstance(d, np.linspace(-0.3, 0.2, d))
+            for base in (MeanLearner(), SgdLearner()):
+                for k in range(1, m + 1):
+                    assert cmi_exact(SubsampleLearner(k=k, base=base), inst, m) == \
+                        cmi_exact(base, inst, k)
+
+    def test_nested_subsample_reduces_to_the_innermost_base(self):
+        base = QuantizedMeanLearner()
+        inner = SubsampleLearner(k=2, base=base)
+        assert reduce_subsample(SubsampleLearner(k=3, base=inner), 5) == (base, 2)
+        assert reduce_subsample(base, 5) == (base, 5)
+        with pytest.raises(ValueError, match="k=3 out of range for m=2"):
+            reduce_subsample(SubsampleLearner(k=2, base=SubsampleLearner(k=3, base=base)), 4)
+
+    def test_k_above_m_raises_in_mi_and_cmi(self):
+        sub = SubsampleLearner(k=5, base=MeanLearner())
+        inst = HardInstance.zero(1)
+        with pytest.raises(ValueError, match="k=5 out of range for m=4"):
+            exact_mutual_information(sub, inst, 4)
+        with pytest.raises(ValueError, match="k=5 out of range for m=4"):
+            cmi_exact(sub, inst, 4)
 
 
 class TestEpsilonNet:
@@ -882,6 +988,30 @@ class TestLatticeRoute:
         learner = QuantizedMeanLearner()
         _assert_bitwise_full_route(exact_channel(learner, inst, 5),
                                    full_channel(learner, inst, 5), inst)
+
+    @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=repr)
+    def test_lattice_in_first_pattern_order(self, learner):
+        # beyond the pattern budget: the oracle sorts by the pattern indices
+        for d, m in ((4, 8), (3, 20), (2, 31), (1, 62)):
+            codebook, atom = learners.output_atoms(learner, m, d)[:2]
+            order = first_pattern_order(m, d)
+            want, inverse = unique_rows(learner.fit_counts(lattice_counts(m, d)[order], m))
+            assert codebook.tobytes() == want.tobytes(), (d, m)
+            assert atom.tobytes() == inverse[np.argsort(order)].tobytes(), (d, m)
+
+    def test_budget_bounds_the_lattice_of_a_count_learner(self):
+        # 2^32 sign patterns but 9^4 lattice points: randomized response
+        # builds its base's codebook at the first flip
+        mean, se = measured_excess_risk(RandomizedResponse(QuantizedMeanLearner(), 0.5),
+                                        4, 8, 100, 1)
+        assert 0.0 < mean and 0.0 < se
+        assert reachable_outputs(QuantizedMeanLearner(), 4, 8).shape == (9 ** 4, 4)
+        with pytest.raises(BudgetExceededError, match="4097\\^2 lattice points"):
+            reachable_outputs(MeanLearner(), 2, 4096)
+        for learner in (QuantizedMeanLearner(), SgdLearner(),
+                        RandomizedResponse(QuantizedMeanLearner(), 0.5)):
+            with pytest.raises(BudgetExceededError, match="2\\^32 sign patterns"):
+                exact_channel(learner, HardInstance.zero(4), 8)
 
     @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
     def test_reachable_outputs_match_full_route(self, learner):

@@ -206,6 +206,16 @@ def test_every_learner_declares_reads_counts():
         assert isinstance(getattr(learners, node.name).reads_counts, bool), node.name
 
 
+def test_no_add_at_in_src():
+    """Every exact probability sum in ``src/`` is one ``np.bincount`` over
+    labels and weights: no ``np.add.at`` scatter is left."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "add"]
+    assert not found, f"np.add.at in the program; use np.bincount: {found}"
+
+
 # learners whose output depends on the order of the sample points
 ORDER_LEARNERS = (learners.SgdLearner, learners.SubsampleLearner)
 
@@ -280,6 +290,17 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.second_moment_report(learner, d, m, 5, 4)
     assert calls["signs_of_plus"] == [] and calls["enumerate_sign_space"] == []
     assert all(rows <= (m + 1) ** d for rows in calls["fit_batch_rows"])
+
+
+@pytest.mark.parametrize("learner", COUNT_LEARNERS[:3] + (
+    learners.SubsampleLearner(k=2, base=learners.QuantizedMeanLearner()),), ids=repr)
+def test_factorized_mi_takes_no_sign_route(monkeypatch, learner):
+    """The per-coordinate MI of a factorized learner, a subsample of one
+    included, neither enumerates signs nor calls ``fit_batch``."""
+    calls = _spy_sign_routes(monkeypatch)
+    for d, m in ((1, 6), (3, 5)):
+        assert learners.exact_mutual_information(learner, HardInstance.zero(d), m) > 0
+    assert calls == {"signs_of_plus": [], "enumerate_sign_space": [], "fit_batch_rows": []}
 
 
 def test_sign_route_spy_sees_sgd(monkeypatch):
