@@ -37,6 +37,7 @@ from .learners import (
     BudgetExceededError,
     Channel,
     exact_mutual_information,
+    fit,
     lattice_codes,
     lattice_counts,
     output_atoms,
@@ -51,7 +52,6 @@ from .sco import (
     counts_of_plus,
     plus_points,
     sample_plus,
-    signs_of_plus,
 )
 
 GOOD_THRESHOLD = 1.0 / 108.0
@@ -313,14 +313,10 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
 def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Outputs (n, d) of ``learner`` on the n samples of (n, m, d) plus
     booleans ``plus``, and their float coordinate sign sums 2 C - m, C the
-    plus-counts. A ``reads_counts`` learner is fit on C, any other on the
-    signs, a randomized one drawing from ``rng``."""
+    plus-counts. A ``reads_counts`` learner is fit on C, counted once; any
+    other through ``fit``, a randomized one drawing from ``rng``."""
     counts, m = counts_of_plus(plus), plus.shape[1]
-    if learner.reads_counts:
-        w = learner.fit_counts(counts, m)
-    else:
-        signs = signs_of_plus(plus)
-        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+    w = learner.fit_counts(counts, m) if learner.reads_counts else fit(learner, plus, rng)
     return w, 2.0 * counts - m
 
 
@@ -549,7 +545,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
 
     Learners see only the sample, never the bias, so one batched fit covers
     trials with different biases. Randomized learners draw from the chunk's
-    generator after its signs.
+    generator after its sample.
     """
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
@@ -587,8 +583,10 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
     evaluates the pipeline bound
     |G| * gm(1/(108e6 sqrt(m) eps)), and checks it against the exact MI at
     the best bias. The asymptotic form d/(1e6 m eps) * gm(...) is reported
-    for comparison, never asserted.
+    for comparison, never asserted. The bias-free part of the exact MI is
+    built before any Monte Carlo draw, so an over-budget learner fails first.
     """
+    mi_at = exact_mutual_information(learner, d, m)
     risk, risk_se = measured_excess_risk(learner, d, m, risk_trials, seed)
     if epsilon is None:
         epsilon = risk + 3.0 * risk_se + 1e-12
@@ -616,7 +614,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
 
     lb = len(best.members) * g_value
     asymptotic = d / (1e6 * m * epsilon) * g_value
-    mi = exact_mutual_information(learner, HardInstance(d, best_p), m)
+    mi = mi_at(HardInstance(d, best_p))
     report = make_report(f"theorem1[{learner.kind}]", mi, lb, tolerance=1e-12,
                          d=d, m=m, epsilon=epsilon, trials=good_trials, seed=seed)
     return CertificateResult(status="ok", epsilon=epsilon, risk_estimate=risk,
@@ -642,7 +640,7 @@ class DimensionScan:
 def mi_dimension_scan(learner, m: int, p0: float, d_values) -> DimensionScan:
     """Exact MI vs dimension for a factorized learner at constant bias p0."""
     ds = tuple(d_values)
-    mis = tuple(exact_mutual_information(learner, HardInstance(d, np.full(d, p0)), m)
+    mis = tuple(exact_mutual_information(learner, d, m)(HardInstance(d, np.full(d, p0)))
                 for d in ds)
     per_coord = mis[ds.index(1)] if 1 in ds else mis[0] / ds[0]
     report = make_report("mi_dimension_scan", ls_slope(ds, mis), 0.9 * per_coord, m=m)

@@ -67,11 +67,12 @@ from .learners import (
     SubsampleLearner,
     epsilon_net,
     exact_channel,
+    fit,
     make_learner,
     product_grid,
     reduce_subsample,
 )
-from .sco import P_MAX, HardInstance, sample_plus, signs_of_plus
+from .sco import P_MAX, HardInstance, sample_plus
 
 EPSILON_MAX = 1.0 / 54.0
 NET_ERM_MAX_CELLS = 18  # largest d*m of a net-erm case
@@ -224,12 +225,10 @@ def load_config(path) -> ExperimentConfig:
     if "kind" in reads:
         try:
             learner = make_learner(kind, **params)
+            base, n = reduce_subsample(learner, m)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid learner block: {exc}") from exc
-        if getattr(learner, "k", 1) > m:
-            raise ConfigError(f"subsample k={learner.k} exceeds m={m}")
         # epsilon_net's grid, fit on n points: ceil(sqrt(n)) + 1 per axis, d floats each
-        base, n = reduce_subsample(learner, m)
         net = (math.ceil(math.sqrt(n)) + 1) ** d * d if base.kind == EpsilonNetErm.kind else 0
         if net > NET_BLOCK_CELLS:
             raise ConfigError(f"m={n}, d={d} builds an epsilon net of {net} floats, "
@@ -449,10 +448,10 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
         ent = ch.output_entropy()
         net_size = epsilon_net(d, m).shape[0]
         cap = d * math.log(math.sqrt(m) + 1.0)
-        signs = signs_of_plus(np.concatenate([sample_plus(rng.uniform(-P_MAX, P_MAX, size=d),
-                                                          m, rng, 1) for _ in range(100)]))
-        ws = learner.fit_batch(signs)
-        pts = signs.astype(float) / np.sqrt(d)
+        plus = np.concatenate([sample_plus(rng.uniform(-P_MAX, P_MAX, size=d), m, rng, 1)
+                               for _ in range(100)])
+        ws = fit(learner, plus)
+        pts = np.where(plus, 1.0, -1.0) / np.sqrt(d)
         slacks = [float(((z - w) ** 2).sum() / m - ((z - z.mean(axis=0)) ** 2).sum() / m)
                   for z, w in zip(pts, ws)]
         rows.append([d, m, ent, cap, net_size, min(slacks), max(slacks),

@@ -84,10 +84,18 @@ class JointPmf:
         object.__setattr__(self, "table", table)
 
 
+def _relative_entropy(a: np.ndarray, b) -> float:
+    """sum of a log(a / b) over the support of ``a``, in nats: the one kernel
+    of KL divergence, mutual information (b the product of the marginals) and
+    entropy (b = 1, the negated entropy). ``b`` broadcasts against ``a``."""
+    support = a > 0.0
+    q = a[support]
+    return float((q * np.log(q / np.broadcast_to(b, a.shape)[support])).sum())
+
+
 def entropy_of(probs: np.ndarray) -> float:
     """Entropy in nats of a 1-D probability array; zeros are dropped first."""
-    q = probs[probs > 0.0]
-    return float(-(q * np.log(q)).sum())
+    return -_relative_entropy(probs, 1.0)
 
 
 def row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -102,11 +110,7 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
 
 def mi_of_table(table: np.ndarray) -> float:
     """Mutual information in nats of a 2-D joint table, unclamped."""
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    outer = np.outer(px, py)
-    mask = table > 0.0
-    return float((table[mask] * np.log(table[mask] / outer[mask])).sum())
+    return _relative_entropy(table, np.outer(table.sum(axis=1), table.sum(axis=0)))
 
 
 def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
@@ -117,10 +121,9 @@ def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
     if p1.probs.shape != p2.probs.shape:
         raise PmfValidationError("KL divergence needs a shared alphabet")
     a, b = p1.probs, p2.probs
-    support = a > 0.0
-    if np.any(b[support] == 0.0):
+    if np.any(b[a > 0.0] == 0.0):
         return math.inf
-    return float((a[support] * np.log(a[support] / b[support])).sum())
+    return _relative_entropy(a, b)
 
 
 def total_variation(p1: FinitePmf, p2: FinitePmf) -> float:

@@ -15,31 +15,33 @@ The learner contract is a set of attributes, with no base class:
     through its per-coordinate plus-counts;
   * ``factorized``: whether the learner reads counts and its output
     coordinate t depends only on plus-count t;
-  * ``fit_batch(signs)``: the (n, d) outputs for an (n, m, d) sign tensor;
-  * ``fit_counts(counts, m)``, for a ``reads_counts`` learner only: the (n, d)
-    outputs for (n, d) plus-counts out of m, the one computation of such a
-    learner, which its ``fit_batch`` calls on the plus-counts of the signs.
+  * ``fit_counts(counts, m)``, for a ``reads_counts`` learner: the (n, d)
+    outputs for (n, d) plus-counts out of m, its one computation;
+  * ``fit_batch(plus)``, for SGD, the one learner that reads the order of
+    the points: the (n, d) outputs for (n, m, d) plus booleans.
 The mean-based learners read the sample through ``count_mean``, and the
 quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 ``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
-A randomized learner instead wraps a deterministic ``base``; it gives
-``fit_batch(signs, rng)``, which draws from ``rng`` row by row, and
-``mix(base_law)``, its output law given the base's law over the codebook.
-A subsample's output reads only the points S_1..k, so its exact MI and its
-supersample CMI are its base's at k: ``reduce_subsample`` is that rule.
+Two wrappers hold a deterministic ``base`` and fit nothing themselves: a
+subsample reads only the points S_1..k, and randomized response replaces the
+base's output by a uniform codebook atom with probability ``rho`` (its
+``mix(base_law)`` is its output law given the base's law over the codebook).
+``fit(learner, plus, rng)`` is the one fit on (n, m, d) plus booleans and
+holds both wrapper rules; ``reduce_subsample`` is the subsample rule, so a
+subsample's exact MI and its supersample CMI are its base's at k.
 
-Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET).
-One code-to-atom map, ``output_atoms``, gives every deterministic learner's
-codebook and the atom of each sample code, which is either
+Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET),
+enumerated as plus booleans. One code-to-atom map, ``output_atoms``, gives
+every deterministic learner's codebook and the atom of each sample code,
+which is either
   * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
     fit once per (m+1)^d lattice point; or
   * the pattern index: any other learner, fit once per enumerated pattern.
-``exact_channel``, ``reachable_outputs`` and the supersample CMI of ``bounds``
-all read atoms by code. A factorized learner's exact MI sums per-coordinate
-entropies; each of the 2^m column patterns weighs its plus-count's atom. The
-Monte Carlo estimators draw plus booleans with ``sco.sample_plus`` and fit a
-``reads_counts`` learner on their plus-counts, SGD and randomized response on
-their signs.
+``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
+and randomized response draws from its base's codebook. A factorized
+learner's exact MI sums per-coordinate entropies; each of the 2^m column
+patterns weighs its plus-count's atom. The Monte Carlo estimators draw plus
+booleans with ``sco.sample_plus`` and fit them with ``fit``.
 
 Codebooks are found by ``unique_rows``, the one row dedup of the package: it
 gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
@@ -146,9 +148,6 @@ class MeanLearner:
     def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
         return count_mean(counts, m)
 
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
-
 
 @dataclass(frozen=True)
 class QuantizedMeanLearner:
@@ -170,9 +169,6 @@ class QuantizedMeanLearner:
         lim = 1.0 / math.sqrt(counts.shape[1])
         return np.clip(round_half_down(count_mean(counts, m), grid_step(self.delta, m)),
                        -lim, lim)
-
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -213,9 +209,6 @@ class EpsilonNetErm:
             idx[start:start + rows] = np.argmin((diff * diff).sum(axis=2), axis=1)
         return net[idx]
 
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
-
 
 @dataclass(frozen=True)
 class SgdLearner:
@@ -234,13 +227,13 @@ class SgdLearner:
     factorized = False
     reads_counts = False  # the pass reads the points in order
 
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        n, m, d = signs.shape
+    def fit_batch(self, plus: np.ndarray) -> np.ndarray:
+        n, m, d = plus.shape
         root_d = math.sqrt(d)
         w = np.zeros((n, d))
         acc = np.zeros((n, d))
         for t in range(1, m + 1):
-            point = signs[:, t - 1, :].astype(float) / root_d
+            point = np.where(plus[:, t - 1, :], 1.0, -1.0) / root_d
             w = _project_rows((1.0 - 1.0 / t) * w + point / t)
             acc += w
         return _project_rows(round_half_down(acc / m, grid_step(self.delta, m)))
@@ -267,9 +260,6 @@ class RegularizedErm:
         zbar = count_mean(counts, m) / (1.0 + self.lam)
         return _project_rows(round_half_down(zbar, grid_step(self.delta, m)))
 
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        return self.fit_counts(counts_of_plus(signs > 0), signs.shape[1])
-
 
 @dataclass(frozen=True)
 class SubsampleLearner:
@@ -283,19 +273,12 @@ class SubsampleLearner:
     reads_counts = False  # the first k points, not the counts over all m
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if not self.base.deterministic:
             raise ValueError("subsample wraps deterministic learners")
 
     @property
     def kind(self) -> str:
         return f"subsample[{self.base.kind}, k={self.k}]"
-
-    def fit_batch(self, signs: np.ndarray) -> np.ndarray:
-        if not 1 <= self.k <= signs.shape[1]:
-            raise ValueError(f"k={self.k} out of range for m={signs.shape[1]}")
-        return self.base.fit_batch(signs[:, : self.k, :])
 
 
 @dataclass(frozen=True)
@@ -319,23 +302,6 @@ class RandomizedResponse:
     @property
     def kind(self) -> str:
         return f"randomized_response[{self.base.kind}, rho={self.rho}]"
-
-    def fit_batch(self, signs: np.ndarray, rng=None) -> np.ndarray:
-        """Base outputs for an (n, m, d) sign tensor, each replaced with
-        probability rho: row by row, ``rng.random()`` and, on a flip,
-        ``rng.integers(K)`` picks a codebook atom. The codebook is built at
-        the first flip only, once per call."""
-        if rng is None:
-            raise ValueError("randomized response needs an rng")
-        n, m, d = signs.shape
-        out = self.base.fit_batch(signs)
-        codebook = None
-        for i in range(n):
-            if rng.random() < self.rho:
-                if codebook is None:
-                    codebook = reachable_outputs(self.base, d, m)
-                out[i] = codebook[rng.integers(codebook.shape[0])]
-        return out
 
     def mix(self, base_law: np.ndarray) -> np.ndarray:
         """Output law given the base learner's law over the K codebook atoms
@@ -364,6 +330,41 @@ def make_learner(kind: str, **params):
     return LEARNER_KINDS[kind](**params)
 
 
+def reduce_subsample(learner, m: int):
+    """(learner, m) with every subsample layer replaced by (base, k): a
+    subsample's output reads only its first k points, so its outputs, exact MI
+    and supersample CMI are its base's at k."""
+    if not isinstance(learner, SubsampleLearner):
+        return learner, m
+    if not 1 <= learner.k <= m:
+        raise ValueError(f"subsample size k={learner.k} out of range for m={m}")
+    return reduce_subsample(learner.base, learner.k)
+
+
+def fit(learner, plus: np.ndarray, rng=None) -> np.ndarray:
+    """(n, d) outputs of ``learner`` on the n samples of (n, m, d) plus
+    booleans. A subsample fits its base on its first k points, a
+    ``reads_counts`` learner is fit on the plus-counts and SGD on the points
+    in order. Randomized response fits its base, then row by row draws
+    ``rng.random()`` and, on a flip, ``rng.integers(K)`` for an atom of the
+    base's codebook, built at the first flip only."""
+    if not learner.deterministic:
+        if rng is None:
+            raise ValueError("randomized response needs an rng")
+        out = fit(learner.base, plus)
+        codebook = None
+        for i in range(out.shape[0]):
+            if rng.random() < learner.rho:
+                if codebook is None:
+                    codebook = output_atoms(learner.base, plus.shape[1], plus.shape[2])[0]
+                out[i] = codebook[rng.integers(codebook.shape[0])]
+        return out
+    learner, m = reduce_subsample(learner, plus.shape[1])
+    if learner.reads_counts:
+        return learner.fit_counts(counts_of_plus(plus[:, :m]), m)
+    return learner.fit_batch(plus[:, :m])
+
+
 # ---------------------------------------------------------------------------
 # Exact channels
 # ---------------------------------------------------------------------------
@@ -376,16 +377,14 @@ def _pattern_count(cells: int) -> int:
 
 
 def enumerate_sign_space(m: int, d: int) -> np.ndarray:
-    """All 2^(m*d) sign patterns as an (n, m, d) int8 tensor: pattern i holds
-    bit c of i (as -1 or +1) in flat cell c, so column c is runs of 2^c equal
-    signs, written through a view with no temporary."""
+    """All 2^(m*d) sign patterns as (n, m, d) plus booleans: pattern i is plus
+    in flat cell c where bit c of i is set, so column c is runs of 2^c equal
+    values, written through a view with no temporary."""
     cells = m * d
     n = _pattern_count(cells)
-    out = np.empty((n, cells), dtype=np.int8)
+    out = np.zeros((n, cells), dtype=bool)
     for c in range(cells):
-        blocks = out[:, c].reshape(-1, 2, 1 << c)
-        blocks[:, 0] = -1
-        blocks[:, 1] = 1
+        out[:, c].reshape(-1, 2, 1 << c)[:, 1] = True
     return out.reshape(n, m, d)
 
 
@@ -488,7 +487,7 @@ def output_atoms(learner, m: int, d: int):
     The budget bounds the (m+1)^d lattice points or the 2^(d m) patterns."""
     if not learner.reads_counts:
         # enumeration checks the budget before a weight 2^(i d) can wrap
-        codebook, atom = unique_rows(learner.fit_batch(enumerate_sign_space(m, d)))
+        codebook, atom = unique_rows(fit(learner, enumerate_sign_space(m, d)))
         return (codebook, atom, 1 << d * np.arange(m, dtype=np.int64),
                 1 << np.arange(d, dtype=np.int64))
     if (m + 1) ** d > FULL_ENUM_BUDGET:
@@ -525,35 +524,21 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     return Channel(codes, counts, m, None, codebook, cond=cond).reweighted(inst)
 
 
-def reachable_outputs(learner, d: int, m: int) -> np.ndarray:
-    """A deterministic learner's reachable codebook over {+-1}^(m*d),
-    lexicographic: every valid bias gives every pattern positive mass, so this
-    is the codebook under any instance."""
-    return output_atoms(learner, m, d)[0]
-
-
-def reduce_subsample(learner, m: int):
-    """(learner, m) with every subsample layer replaced by (base, k): a
-    subsample's exact MI and supersample CMI are its base's at k."""
-    if not isinstance(learner, SubsampleLearner):
-        return learner, m
-    if not 1 <= learner.k <= m:
-        raise ValueError(f"subsample size k={learner.k} out of range for m={m}")
-    return reduce_subsample(learner.base, learner.k)
-
-
-def exact_mutual_information(learner, inst: HardInstance, m: int) -> float:
-    """I(w_S; S) in nats, per coordinate for a factorized learner: its pairs
-    (w_S(t), S column t) are independent across t, so the per-coordinate output
-    entropies sum to the exact MI. It is fit once on the m+1 plus-counts, each
-    repeated across the d columns so that the 1/sqrt(d) scale holds, and the 2^m
-    column patterns weigh their counts' atoms, summed in pattern order."""
+def exact_mutual_information(learner, d: int, m: int):
+    """I(w_S; S) in nats as a function of the instance, with all that does not
+    depend on its bias built here, so a budget error comes before any use.
+    A factorized learner's MI sums per-coordinate entropies: its pairs
+    (w_S(t), S column t) are independent across t. It is fit once on the m+1
+    plus-counts, each repeated across the d columns so that the 1/sqrt(d)
+    scale holds, and the 2^m column patterns weigh their counts' atoms, summed
+    in pattern order. Any other learner's channel is reweighted per bias."""
     learner, m = reduce_subsample(learner, m)
     if not learner.factorized:
-        return exact_channel(learner, inst, m).mutual_information()
+        ch = exact_channel(learner, HardInstance.zero(d), m)
+        return lambda inst: ch.reweighted(inst).mutual_information()
     counts = lattice_codes(m, 1)  # each column pattern's plus-count
-    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], inst.d, axis=1), m)
+    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], d, axis=1), m)
     atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
-    total = sum(entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))
-                for q in (1.0 + inst.p) / 2.0)
-    return max(0.0, float(total))
+    return lambda inst: max(0.0, float(sum(
+        entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))
+        for q in (1.0 + inst.p) / 2.0)))

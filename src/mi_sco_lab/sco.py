@@ -72,11 +72,6 @@ def sample_plus(p: np.ndarray, m: int, rng: np.random.Generator,
     return plus_points(p, rng.random(size=(trials, m, np.shape(p)[-1])))
 
 
-def signs_of_plus(plus: np.ndarray) -> np.ndarray:
-    """int8 signs, +1 where ``plus`` holds and -1 elsewhere."""
-    return np.where(plus, 1, -1).astype(np.int8)
-
-
 def counts_of_plus(plus: np.ndarray) -> np.ndarray:
     """(trials, d) plus-counts of (trials, m, d) plus booleans. Adds up one
     point at a time, which runs faster than a sum along the middle axis."""

@@ -6,7 +6,9 @@ MI, the supersample CMI,
 the Monte Carlo estimators, the random coupling search and the MI-bound
 check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
 or reweighted form; each function here writes one of them out the long way,
-with no caller in the program. ``sample_signs`` draws sign tensors, where
+with no caller in the program. The learners' sign route (``fit_signs``,
+``codebook_signs``) fits int8 sign tensors, where the program fits plus
+booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array.
 """
@@ -47,14 +49,14 @@ from mi_sco_lab.infotheory import (
 from mi_sco_lab.learners import (
     DENSE_LAW_BYTES,
     BudgetExceededError,
+    RandomizedResponse,
+    SgdLearner,
     SubsampleLearner,
     _project_rows,
-    enumerate_sign_space,
     exact_channel,
     grid_step,
     lattice_codes,
     lattice_counts,
-    reachable_outputs,
     round_half_down,
     sign_space_probs,
     unique_rows,
@@ -82,6 +84,11 @@ def plus_counts(signs: np.ndarray) -> np.ndarray:
     """(n, d) per-coordinate plus-counts of an (n, m, d) sign tensor, summed
     along the points: what ``sco.counts_of_plus`` adds up point by point."""
     return (signs > 0).sum(axis=1)
+
+
+def signs_of_plus(plus: np.ndarray) -> np.ndarray:
+    """int8 signs, +1 where ``plus`` holds and -1 elsewhere."""
+    return np.where(plus, 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,11 @@ class Sample:
     def signs(self) -> np.ndarray:
         """Integer sign matrix (m, d) with entries +-1."""
         return np.where(self.points > 0, 1, -1).astype(np.int8)
+
+    @property
+    def plus(self) -> np.ndarray:
+        """Plus booleans (m, d): where the point's coordinate is positive."""
+        return self.points > 0
 
     @property
     def mean(self) -> np.ndarray:
@@ -212,10 +224,10 @@ def fingerprint_quadrature_table(f_table: np.ndarray, m: int) -> float:
     {+-1}^m, enumerating every pattern instead of the plus-count.
 
     ``f_table[i]`` is the value on the i-th pattern of
-    ``enumerate_sign_space(m, 1)`` (m <= 12)."""
+    ``enumerate_sign_space_shift_mask(m, 1)`` (m <= 12)."""
     if m > 12:
         raise BudgetExceededError("table quadrature enumerates 2^m patterns; m <= 12")
-    patterns = enumerate_sign_space(m, 1).reshape(-1, m).astype(float)
+    patterns = enumerate_sign_space_shift_mask(m, 1).reshape(-1, m).astype(float)
     f_table = np.clip(np.asarray(f_table, dtype=float), -P_MAX, P_MAX)
     if f_table.shape != (patterns.shape[0],):
         raise ValueError("estimator table must have one value per pattern")
@@ -244,9 +256,9 @@ def sample_mean(signs: np.ndarray) -> np.ndarray:
 
 
 def enumerate_sign_space_shift_mask(m: int, d: int) -> np.ndarray:
-    """``learners.enumerate_sign_space`` as one shift-and-mask over all
-    2^(m*d) indices and m*d bit positions, with its (n, m*d) int64
-    temporaries."""
+    """The patterns of ``learners.enumerate_sign_space`` as an int8 sign
+    tensor, by one shift-and-mask over all 2^(m*d) indices and m*d bit
+    positions, with its (n, m*d) int64 temporaries."""
     cells = m * d
     n = 1 << cells
     idx = np.arange(n, dtype=np.int64)
@@ -304,16 +316,16 @@ class FullChannel:
 def full_channel(learner, inst: HardInstance, m: int) -> FullChannel:
     """``learners.exact_channel`` with every learner fit on all 2^(d*m)
     enumerated sign patterns and deduplicated over all of them."""
-    signs = enumerate_sign_space(m, inst.d)
+    signs = enumerate_sign_space_shift_mask(m, inst.d)
     probs = sign_space_probs(inst, plus_counts(signs), m)
     if not learner.deterministic:
-        codebook, base_idx = unique_rows(learner.base.fit_batch(signs))
+        codebook, base_idx = unique_rows(fit_signs(learner.base, signs))
         if 8 * signs.shape[0] * codebook.shape[0] > DENSE_LAW_BYTES:
             raise BudgetExceededError("dense law above DENSE_LAW_BYTES")
         base_law = np.zeros((signs.shape[0], codebook.shape[0]))
         base_law[np.arange(signs.shape[0]), base_idx] = 1.0
         return FullChannel(signs, probs, codebook, cond=learner.mix(base_law))
-    codebook, idx = unique_rows(learner.fit_batch(signs))
+    codebook, idx = unique_rows(fit_signs(learner, signs))
     return FullChannel(signs, probs, codebook, output_index=idx)
 
 
@@ -347,8 +359,8 @@ def full_chain_rule(ch: FullChannel):
 
 
 def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:
-    """``SgdLearner.fit_batch`` with every point scaled up front, in one
-    (n, m, d) float copy of the signs."""
+    """``SgdLearner.fit_batch`` on an int8 sign tensor, with every point
+    scaled up front, in one (n, m, d) float copy of the signs."""
     n, m, d = signs.shape
     points = signs.astype(float) / np.sqrt(d)
     w = np.zeros((n, d))
@@ -357,6 +369,42 @@ def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:
         w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
         acc += w
     return _project_rows(round_half_down(acc / m, grid_step(learner.delta, m)))
+
+
+def fit_signs(learner, signs: np.ndarray, rng=None) -> np.ndarray:
+    """The learners' sign route: (n, d) outputs on an (n, m, d) int8 sign
+    tensor, one form per class, as each class once fit signs. A count learner
+    is fit on the plus-counts of the signs, SGD on the scaled signs, a
+    subsample's base on its first k points; randomized response fits its
+    base, then row by row draws ``rng.random()`` and, on a flip,
+    ``rng.integers(K)`` for an atom of ``codebook_signs``, built at the first
+    flip. What ``learners.fit`` computes on plus booleans."""
+    n, m, d = signs.shape
+    if isinstance(learner, RandomizedResponse):
+        if rng is None:
+            raise ValueError("randomized response needs an rng")
+        out = fit_signs(learner.base, signs)
+        codebook = None
+        for i in range(n):
+            if rng.random() < learner.rho:
+                if codebook is None:
+                    codebook = codebook_signs(learner.base, d, m)
+                out[i] = codebook[rng.integers(codebook.shape[0])]
+        return out
+    if isinstance(learner, SubsampleLearner):
+        if not 1 <= learner.k <= m:
+            raise ValueError(f"k={learner.k} out of range for m={m}")
+        return fit_signs(learner.base, signs[:, : learner.k, :])
+    if isinstance(learner, SgdLearner):
+        return sgd_full_copy(learner, signs)
+    return learner.fit_counts(plus_counts(signs), m)
+
+
+def codebook_signs(learner, d: int, m: int) -> np.ndarray:
+    """A deterministic learner's codebook, lexicographic: the distinct rows of
+    ``fit_signs`` over all 2^(d*m) sign patterns, each its first pattern's
+    row. What ``learners.output_atoms`` gives as its codebook."""
+    return unique_rows(fit_signs(learner, enumerate_sign_space_shift_mask(m, d)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +462,20 @@ def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
     row_pick = np.arange(m)[None, :] + m * selectors  # rows into the 2m-point block
 
     if randomized:
-        codebook = reachable_outputs(base, inst.d, m)
+        codebook = codebook_signs(base, inst.d, m)
         big_k = codebook.shape[0]
         h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
 
     total = 0.0
     z_chunk = max(1, CMI_CHUNK_CELLS // (n_u * m * inst.d))
-    all_z = enumerate_sign_space(2 * m, inst.d)
+    all_z = enumerate_sign_space_shift_mask(2 * m, inst.d)
     z_probs = sign_space_probs(inst, lattice_counts(2 * m, inst.d), 2 * m)[
         lattice_codes(2 * m, inst.d)]
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]  # (c, 2m, d)
         c = block.shape[0]
         selected = np.take(block, row_pick, axis=1)
-        outputs = base.fit_batch(selected.reshape(c * n_u, m, inst.d))
+        outputs = fit_signs(base, selected.reshape(c * n_u, m, inst.d))
         if randomized:
             ids = _index_in_codebook(outputs, codebook)
             width = big_k
@@ -449,7 +497,7 @@ def pilot_normalizers_signs(inst: HardInstance, learner, m: int, trials: int,
     """``bounds.pilot_normalizers`` with every learner fit on sampled signs."""
     def chunk(rng, size):
         signs = sample_signs(inst.p, m, rng, size)
-        w = learner.fit_batch(signs)
+        w = fit_signs(learner, signs)
         err = math.sqrt(inst.d) * w - inst.p[None, :]
         return (err * err).reshape(size * inst.d)
 
@@ -468,7 +516,7 @@ def good_coordinates_signs(inst: HardInstance, learner, m: int, trials: int,
 
     def chunk(rng, size):
         signs = sample_signs(inst.p, m, rng, size)
-        w = learner.fit_batch(signs)
+        w = fit_signs(learner, signs)
         phat_err = root_d * w - inst.p[None, :]
         centered = signs.sum(axis=1, dtype=float) - m * inst.p[None, :]
         return (pref[None, :] * phat_err * centered).reshape(size * inst.d)
@@ -488,7 +536,7 @@ def measured_excess_risk_signs(learner, d: int, m: int, trials: int,
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
         signs = sample_signs(ps, m, rng, size)
-        w = learner.fit_batch(signs) if learner.deterministic else learner.fit_batch(signs, rng)
+        w = fit_signs(learner, signs, rng)
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=1 << 12)
@@ -509,7 +557,7 @@ def second_moment_report_signs(learner, d: int, m: int, outer: int, seed: int):
         err_acc = 0.0
         for _ in range(2):
             signs = sample_signs(p, m, rng, SECOND_MOMENT_INNER)
-            w = learner.fit_batch(signs)
+            w = fit_signs(learner, signs)
             phat_err = root_d * w[:, t] - p[t]
             centered = signs[:, :, t].sum(axis=1) - m * p[t]
             halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))
@@ -530,7 +578,7 @@ def genbound_chain_report_signs(learner, d: int, m: int, trials: int, seed: int)
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = learner.fit_batch(sample_signs(p, m, rng, size))
+        w = fit_signs(learner, sample_signs(p, m, rng, size))
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs
@@ -634,10 +682,10 @@ def factorized_mi_broadcast(learner, inst: HardInstance, m: int) -> float:
     coordinate-factorized learner, fit on the 2^m column sign patterns
     broadcast across the d columns, with an ``np.add.at`` marginal per
     coordinate and no clamp at 0."""
-    patterns = enumerate_sign_space(m, 1)
+    patterns = enumerate_sign_space_shift_mask(m, 1)
     # every coordinate sees the same column patterns, so column 0 of the
     # outputs over d equal columns is each coordinate's output
-    outputs = learner.fit_batch(np.broadcast_to(patterns, (1 << m, m, inst.d)))
+    outputs = fit_signs(learner, np.broadcast_to(patterns, (1 << m, m, inst.d)))
     _, inverse = np.unique(outputs[:, 0], return_inverse=True)
     counts = (patterns[:, :, 0] > 0).sum(axis=1)
     total = 0.0

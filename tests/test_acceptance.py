@@ -26,6 +26,7 @@ from mi_sco_lab.learners import (
     SubsampleLearner,
     epsilon_net,
     exact_channel,
+    fit,
 )
 from mi_sco_lab.sco import HardInstance
 from oracles import empirical_risk, sample
@@ -135,7 +136,7 @@ def test_criterion_7_net_erm(criterion):
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=rng)
-            w = learner.fit_batch(s.signs[None])[0]
+            w = fit(learner, s.plus[None])[0]
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             ok &= -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
         for d, ms in ((1, (1, 4, 9, 16)), (2, (1, 4, 9))):
@@ -263,3 +264,21 @@ def test_criterion_11_determinism(criterion, tmp_path):
     ok, elapsed = timed(body)
     criterion(11, "shipped configs reproduce their pinned SHA-256s across "
               "re-runs and worker counts", ok, elapsed, 300.0)
+
+
+@pytest.mark.parametrize("workload", ["big-channel", "mc-certificate"])
+def test_benchmark_workload_matches_reference(workload, tmp_path, monkeypatch):
+    # perfbench/workloads.py's own setup, finish and check at variant 0, the
+    # benchmark's other two workloads beside the shipped configs of criterion 11
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    wl = workloads.WORKLOADS[workload]
+    monkeypatch.setenv("MI_SCO_THREADS", str(wl.threads()))
+    reference = workloads.load_reference()[workload]["0"]
+    problems = {}
+    for op, fn in wl.setup(REPO, 0, tmp_path):
+        out, _ = wl.finish(op, fn())
+        problems[op] = wl.check(op, out, reference[op])
+    assert set(problems) == set(reference)
+    assert not any(problems.values()), problems

@@ -57,17 +57,19 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
-    enumerate_sign_space,
     exact_channel,
-    reachable_outputs,
+    fit,
     sign_space_probs,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
 from oracles import (
     cmi_exact_signs,
+    codebook_signs,
     coupling_suite_pairs,
+    enumerate_sign_space_shift_mask,
     fingerprint_quadrature_table,
     fingerprint_statistic,
+    fit_signs,
     genbound_chain_report_signs,
     good_coordinates_signs,
     measured_excess_risk_signs,
@@ -295,8 +297,7 @@ class TestAttackStatistics:
         m = 4
         norms = pilot_normalizers(inst, learner, m, trials=20000, seed=6)
         rng = np.random.default_rng(7)
-        signs = sample_signs(inst.p, m, rng, 20000)
-        w = learner.fit_batch(signs)
+        w = fit(learner, sample_plus(inst.p, m, rng, 20000))
         y = (math.sqrt(2) * w[:, 0] - inst.p[0]) / norms[0]
         se = (y ** 2).std(ddof=1) / math.sqrt(len(y))
         assert abs((y ** 2).mean() - 1.0) <= 3 * se
@@ -312,17 +313,18 @@ class TestAttackStatistics:
 
 @dataclass(frozen=True)
 class FirstCoordinateSignLearner:
-    """Test helper: reacts to coordinate 0, ignores every other coordinate."""
+    """Test helper: reacts to coordinate 0, ignores every other coordinate.
+    It fits plus booleans through ``fit_batch``, as SGD does."""
 
     kind = "first_coordinate_sign"
     deterministic = True
     factorized = False
     reads_counts = False
 
-    def fit_batch(self, signs):
-        n, m, d = signs.shape
+    def fit_batch(self, plus):
+        n, m, d = plus.shape
         out = np.zeros((n, d))
-        out[:, 0] = np.sign(signs[:, :, 0].sum(axis=1)) / (3.0 * math.sqrt(d))
+        out[:, 0] = np.sign(2 * plus[:, :, 0].sum(axis=1) - m) / (3.0 * math.sqrt(d))
         return out
 
 
@@ -399,18 +401,18 @@ def _cmi_exact_axis0(learner, inst, m):
                   >> np.arange(m, dtype=np.int64)[None, :]) & 1)
     row_pick = np.arange(m)[None, :] + m * selectors
     if randomized:
-        codebook = reachable_outputs(base, inst.d, m)
+        codebook = codebook_signs(base, inst.d, m)
         key = {tuple(row): i for i, row in enumerate(codebook)}
         big_k = codebook.shape[0]
         h_row = entropy_of(learner.mix(np.eye(1, big_k)[0]))
     total = 0.0
     z_chunk = max(1, bounds.CMI_CHUNK_CELLS // (n_u * m * inst.d))
-    all_z = enumerate_sign_space(2 * m, inst.d)
+    all_z = enumerate_sign_space_shift_mask(2 * m, inst.d)
     z_probs = sign_space_probs(inst, plus_counts(all_z), 2 * m)
     for start in range(0, n_z, z_chunk):
         block = all_z[start:start + z_chunk]
         c = block.shape[0]
-        outputs = base.fit_batch(block[:, row_pick, :].reshape(c * n_u, m, inst.d))
+        outputs = fit_signs(base, block[:, row_pick, :].reshape(c * n_u, m, inst.d))
         if randomized:
             ids = np.array([key[tuple(row)] for row in outputs]).reshape(c, n_u)
             counts = np.zeros((c, big_k))
@@ -504,9 +506,7 @@ class TestCountRoute:
         rng, rng_signs = np.random.default_rng(seed), np.random.default_rng(seed)
         w, sums = _fit_plus(learner, sample_plus(p, m, rng, n), rng)
         signs = sample_signs(p, m, rng_signs, n)
-        want = (learner.fit_batch(signs) if learner.deterministic
-                else learner.fit_batch(signs, rng_signs))
-        assert w.tobytes() == want.tobytes()
+        assert w.tobytes() == fit_signs(learner, signs, rng_signs).tobytes()
         assert sums.tobytes() == signs.sum(axis=1, dtype=float).tobytes()
         assert rng.random() == rng_signs.random()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mi_sco_lab import bounds, mc
+from mi_sco_lab import bounds, mc, sco
 from mi_sco_lab.cli import main
 from mi_sco_lab.harness import (
     EXPERIMENTS,
@@ -22,7 +22,7 @@ from mi_sco_lab.harness import (
     load_config,
     run,
 )
-from mi_sco_lab.learners import NET_BLOCK_CELLS, exact_channel, product_grid
+from mi_sco_lab.learners import FULL_ENUM_BUDGET, NET_BLOCK_CELLS, exact_channel, product_grid
 from mi_sco_lab.sco import P_MAX, HardInstance
 from oracles import xu_gap_report_fresh
 
@@ -132,10 +132,12 @@ class TestFailClosed:
                              "unknown learner kind: 'randomized_response'")
 
     def test_subsample_k_above_m(self, tmp_path, capsys):
-        path, out = write_config(
-            tmp_path, name="theorem1", m=4,
-            extra="\n[learner]\nkind = subsample\nk = 9\nbase = mean")
-        self.assert_rejected(capsys, path, out, "k=9 exceeds m=4")
+        # k = 0 too: reduce_subsample holds the one 1 <= k <= m rule
+        for k in (9, 0):
+            path, out = write_config(
+                tmp_path, name="theorem1", m=4,
+                extra=f"\n[learner]\nkind = subsample\nk = {k}\nbase = mean")
+            self.assert_rejected(capsys, path, out, f"subsample size k={k} out of range for m=4")
 
     def test_negative_master_seed(self, tmp_path, capsys):
         path, out = write_config(tmp_path, seed=-5)
@@ -197,6 +199,23 @@ class TestFailClosed:
         path, _ = write_config(tmp_path, name="theorem1", d=4, m=300, p_mode="uniform",
                                extra="\n[learner]\nkind = subsample\nbase = epsilon_net_erm\nk = 225")
         assert load_config(path).m == 300
+
+    @pytest.mark.parametrize("kind, d, m, cells", [
+        ("regularized_erm", 4, 8, 32), ("sgd", 4, 8, 32), ("quantized_mean", 2, 25, 25)])
+    def test_theorem1_exact_mi_above_budget_draws_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          kind, d, m, cells):
+        # the exact MI's bias-free part is built before the first Monte Carlo
+        # draw; the factorized route counts its 2^m column patterns
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a Monte Carlo draw before the budget check")
+
+        monkeypatch.setattr(sco, "sample_plus", no_draw)
+        monkeypatch.setattr(bounds, "sample_plus", no_draw)
+        path, _ = write_config(tmp_path, name="theorem1", d=d, m=m, p_mode="uniform",
+                               trials=100000, extra=f"\n[learner]\nkind = {kind}")
+        assert run(path) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"budget exceeded: 2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}"]
 
     def test_theorem1_one_trial_chunk_runs(self, tmp_path, capsys):
         # 16385 trials leave a last Monte Carlo chunk of one trial

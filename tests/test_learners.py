@@ -33,26 +33,28 @@ from mi_sco_lab.learners import (
     epsilon_net,
     exact_channel,
     exact_mutual_information,
+    fit,
     grid_step,
     lattice_codes,
     lattice_counts,
     lattice_radix,
     make_learner,
     product_grid,
-    reachable_outputs,
     reduce_subsample,
     round_half_down,
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance
+from mi_sco_lab.sco import HardInstance, sample_plus
 from oracles import (
     Sample,
+    codebook_signs,
     empirical_risk,
     entropy,
     enumerate_sign_space_shift_mask,
     factorized_mi_broadcast,
     first_pattern_order,
+    fit_signs,
     full_chain_rule,
     full_channel,
     marginal,
@@ -61,6 +63,7 @@ from oracles import (
     sample,
     sample_signs,
     sgd_full_copy,
+    signs_of_plus,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mi_sco_lab"
@@ -108,12 +111,12 @@ class TestQuantize:
 class TestMeanLearner:
     def test_repeated_point(self):
         s = Sample.from_signs(np.array([[1, -1], [1, -1]]))
-        np.testing.assert_allclose(MeanLearner().fit_batch(s.signs[None])[0],
+        np.testing.assert_allclose(fit(MeanLearner(), s.plus[None])[0],
                                    s.points[0])
 
     def test_symmetric_pair_gives_zero(self):
         s = Sample.from_signs(np.array([[1], [-1]]))
-        assert MeanLearner().fit_batch(s.signs[None])[0][0] == 0.0
+        assert fit(MeanLearner(), s.plus[None])[0][0] == 0.0
 
     def test_exact_excess_risk_matches_closed_form(self):
         # exact enumeration up to d*m = 16 cells
@@ -135,7 +138,7 @@ class TestQuantizedMean:
             learner = SubsampleLearner(k=data.draw(st.integers(1, m)), base=learner)
         inst = HardInstance(d, np.asarray(p))
         full = exact_channel(learner, inst, m).mutual_information()
-        assert abs(exact_mutual_information(learner, inst, m) - full) <= 1e-12
+        assert abs(exact_mutual_information(learner, inst.d, m)(inst) - full) <= 1e-12
 
     def test_outputs_in_ball(self):
         rng = np.random.default_rng(2)
@@ -145,7 +148,7 @@ class TestQuantizedMean:
             m = int(rng.integers(1, 9))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit_batch(s.signs[None])[0]
+            w = fit(learner, s.plus[None])[0]
             assert np.linalg.norm(w) <= 1.0 + 1e-12
 
     def test_quantization_is_data_processing(self):
@@ -170,7 +173,7 @@ class TestPerCoordinateMi:
             for m in range(1, 11):
                 inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
                 want = max(0.0, factorized_mi_broadcast(learner, inst, m))
-                assert exact_mutual_information(learner, inst, m) == want, (d, m)
+                assert exact_mutual_information(learner, inst.d, m)(inst) == want, (d, m)
 
     def test_matches_broadcast_route_at_shipped_theorem1_point(self):
         # configs/theorem1.ini: quantized mean, d = 4, m = 4, 100000 trials,
@@ -181,7 +184,7 @@ class TestPerCoordinateMi:
         assert cert.mi == factorized_mi_broadcast(learner, HardInstance(4, cert.best_p), 4) > 0
         for d in range(1, 7):
             inst = HardInstance.zero(d)
-            assert exact_mutual_information(learner, inst, 4) == \
+            assert exact_mutual_information(learner, inst.d, 4)(inst) == \
                 factorized_mi_broadcast(learner, inst, 4) > 0
 
     def test_clamped_at_zero(self):
@@ -190,7 +193,7 @@ class TestPerCoordinateMi:
         # to about -1.1e-13
         inst = HardInstance(16, np.full(16, 0.1))
         assert factorized_mi_broadcast(QuantizedMeanLearner(delta=1.0), inst, 12) < 0
-        assert exact_mutual_information(QuantizedMeanLearner(delta=1.0), inst, 12) == 0.0
+        assert exact_mutual_information(QuantizedMeanLearner(delta=1.0), inst.d, 12)(inst) == 0.0
 
     def test_factorized_learners_read_counts(self):
         menu = all_learners(4) + [RandomizedResponse(base=MeanLearner(), rho=0.5),
@@ -208,7 +211,7 @@ class TestPerCoordinateMi:
             "from mi_sco_lab.learners import QuantizedMeanLearner, exact_mutual_information\n"
             "from mi_sco_lab.sco import HardInstance\n"
             "inst = HardInstance(300, np.linspace(-1 / 3, 1 / 3, 300))\n"
-            "assert exact_mutual_information(QuantizedMeanLearner(), inst, 16) > 0\n"
+            "assert exact_mutual_information(QuantizedMeanLearner(), inst.d, 16)(inst) > 0\n"
             "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
             "print(int(status.split()[0]))\n")
         path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
@@ -226,8 +229,8 @@ class TestSubsampleRule:
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             for k in range(1, m + 1):
                 sub = SubsampleLearner(k=k, base=base)
-                mi = exact_mutual_information(sub, inst, m)
-                assert mi == exact_mutual_information(base, inst, k)
+                mi = exact_mutual_information(sub, inst.d, m)(inst)
+                assert mi == exact_mutual_information(base, inst.d, k)(inst)
                 oracle = (factorized_mi_broadcast(sub, inst, m) if base.factorized
                           else exact_channel(sub, inst, m).mutual_information())
                 assert abs(mi - oracle) <= 1e-12, (d, m, k)
@@ -252,7 +255,7 @@ class TestSubsampleRule:
         sub = SubsampleLearner(k=5, base=MeanLearner())
         inst = HardInstance.zero(1)
         with pytest.raises(ValueError, match="k=5 out of range for m=4"):
-            exact_mutual_information(sub, inst, 4)
+            exact_mutual_information(sub, inst.d, 4)(inst)
         with pytest.raises(ValueError, match="k=5 out of range for m=4"):
             cmi_exact(sub, inst, 4)
 
@@ -280,7 +283,7 @@ class TestEpsilonNet:
 
     def test_all_plus_sample_returns_one(self):
         s = Sample.from_signs(np.ones((4, 1), dtype=int))
-        w = EpsilonNetErm().fit_batch(s.signs[None])[0]
+        w = fit(EpsilonNetErm(), s.plus[None])[0]
         assert w[0] == pytest.approx(1.0)
 
     def test_risk_slack_window(self):
@@ -291,7 +294,7 @@ class TestEpsilonNet:
             m = int(rng.integers(d, 17))
             inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
             s = sample(inst, m, seed=int(rng.integers(1 << 30)))
-            w = learner.fit_batch(s.signs[None])[0]
+            w = fit(learner, s.plus[None])[0]
             slack = empirical_risk(s, w) - empirical_risk(s, s.mean)
             assert -1e-12 <= slack <= math.sqrt(d / m) + 1e-9
 
@@ -329,9 +332,9 @@ class TestEpsilonNetBlocks:
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
         np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
         # every reachable mean at d=2, m=4, with its exact lattice ties
-        signs = enumerate_sign_space(4, 2)
+        signs = enumerate_sign_space_shift_mask(4, 2)
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(2)
-        got = EpsilonNetErm().fit_counts((signs > 0).sum(axis=1), 4)
+        got = EpsilonNetErm().fit_counts(plus_counts(signs), 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(2, 4), zbar))
 
     def test_peak_memory_bounded(self):
@@ -350,7 +353,7 @@ class TestEpsilonNetBlocks:
 class TestSgd:
     def test_single_step_reaches_data_point(self):
         s = Sample.from_signs(np.array([[1]]))
-        w = SgdLearner().fit_batch(s.signs[None])[0]
+        w = fit(SgdLearner(), s.plus[None])[0]
         assert w[0] == pytest.approx(1.0)
 
     def test_constant_data_converges(self):
@@ -361,7 +364,7 @@ class TestSgd:
             z = np.sign(rng.normal(size=d)).astype(int)
             z[z == 0] = 1
             s = Sample.from_signs(np.tile(z, (m, 1)))
-            w = SgdLearner().fit_batch(s.signs[None])[0]
+            w = fit(SgdLearner(), s.plus[None])[0]
             delta = grid_step(None, m)
             assert np.linalg.norm(w - s.points[0]) <= 1.0 / m + delta * math.sqrt(d)
 
@@ -375,7 +378,7 @@ class TestSgd:
             n = 400
             for _ in range(n):
                 s = sample(inst, m, seed=rng)
-                w = learner.fit_batch(s.signs[None])[0]
+                w = fit(learner, s.plus[None])[0]
                 total += float(w @ w)  # w* = 0
             risks.append(total / n)
         assert risks[0] > risks[1] > risks[2]
@@ -385,25 +388,25 @@ class TestSgd:
         # sgd reads the sample in order; a permuted sample may give another output
         s1 = Sample.from_signs(np.array([[1], [-1], [1], [1]]))
         s2 = Sample.from_signs(np.array([[1], [1], [1], [-1]]))
-        w1 = SgdLearner().fit_batch(s1.signs[None])[0]
-        w2 = SgdLearner().fit_batch(s2.signs[None])[0]
+        w1 = fit(SgdLearner(), s1.plus[None])[0]
+        w2 = fit(SgdLearner(), s2.plus[None])[0]
         assert w1[0] != w2[0]
 
 
 class TestRegularizedErm:
     def test_lambda_zero_is_mean_up_to_delta(self):
         s = sample(HardInstance.zero(3), 5, seed=6)
-        w = RegularizedErm(lam=0.0).fit_batch(s.signs[None])[0]
+        w = fit(RegularizedErm(lam=0.0), s.plus[None])[0]
         assert np.linalg.norm(w - s.mean) <= grid_step(None, 5) * math.sqrt(3)
 
     def test_heavy_shrinkage_to_zero(self):
         s = sample(HardInstance.zero(2), 4, seed=7)
-        w = RegularizedErm(lam=1e9).fit_batch(s.signs[None])[0]
+        w = fit(RegularizedErm(lam=1e9), s.plus[None])[0]
         np.testing.assert_allclose(w, 0.0, atol=1e-8)
 
     def test_half_for_unit_lambda(self):
         s = Sample.from_signs(np.array([[1], [1]]))
-        w = RegularizedErm(lam=1.0).fit_batch(s.signs[None])[0]
+        w = fit(RegularizedErm(lam=1.0), s.plus[None])[0]
         assert w[0] == pytest.approx(0.5)
 
     def test_exact_minimizer_property(self):
@@ -427,35 +430,36 @@ class TestRegularizedErm:
 class TestSubsample:
     def test_k_equals_m_matches_base(self):
         s = sample(HardInstance.zero(2), 4, seed=10)
-        full = MeanLearner().fit_batch(s.signs[None])[0]
-        sub = SubsampleLearner(k=4, base=MeanLearner()).fit_batch(s.signs[None])[0]
+        full = fit(MeanLearner(), s.plus[None])[0]
+        sub = fit(SubsampleLearner(k=4, base=MeanLearner()), s.plus[None])[0]
         np.testing.assert_allclose(sub, full)
 
     def test_k_one_ignores_rest(self):
         rng = np.random.default_rng(11)
         learner = SubsampleLearner(k=1, base=MeanLearner())
-        signs = rng.choice([-1, 1], size=(5, 3))
-        base_out = learner.fit_batch(signs[None])[0]
+        plus = rng.choice([-1, 1], size=(5, 3)) > 0
+        base_out = fit(learner, plus[None])[0]
         for _ in range(10):
             perm = np.concatenate([[0], 1 + rng.permutation(4)])
-            permuted = signs[perm]
-            out = learner.fit_batch(permuted[None])[0]
+            permuted = plus[perm]
+            out = fit(learner, permuted[None])[0]
             np.testing.assert_allclose(out, base_out)
 
     def test_k_out_of_range(self):
         s = sample(HardInstance.zero(1), 2, seed=12)
-        with pytest.raises(ValueError):
-            SubsampleLearner(k=3, base=MeanLearner()).fit_batch(s.signs[None])
+        for k in (3, 0):
+            with pytest.raises(ValueError, match=f"subsample size k={k} out of range for m=2"):
+                fit(SubsampleLearner(k=k, base=MeanLearner()), s.plus[None])
 
 
-def _randomized_response_rows(learner, signs, rng):
+def _randomized_response_rows(learner, plus, rng):
     """Randomized response one row at a time, with its own codebook: the
-    oracle for the batched draw of ``RandomizedResponse.fit_batch``."""
-    n, m, d = signs.shape
-    codebook = reachable_outputs(learner.base, d, m)
+    oracle for the batched draw of ``fit``."""
+    n, m, d = plus.shape
+    codebook = codebook_signs(learner.base, d, m)
     rows = []
     for i in range(n):
-        w = learner.base.fit_batch(signs[i:i + 1])[0]
+        w = fit(learner.base, plus[i:i + 1])[0]
         if rng.random() < learner.rho:
             w = codebook[rng.integers(codebook.shape[0])]
         rows.append(w)
@@ -523,57 +527,56 @@ class TestRandomizedResponse:
     def test_fit_needs_rng(self):
         s = sample(HardInstance.zero(1), 2, seed=13)
         with pytest.raises(ValueError):
-            RandomizedResponse(base=MeanLearner(), rho=0.5).fit_batch(s.signs[None])
+            fit(RandomizedResponse(base=MeanLearner(), rho=0.5), s.plus[None])
 
     @staticmethod
     def _spy_builds(monkeypatch):
         """Record every codebook build."""
         builds = []
-        real = learners.reachable_outputs
+        real = learners.output_atoms
 
         def spy(*args):
             builds.append(args)
             return real(*args)
 
-        monkeypatch.setattr(learners, "reachable_outputs", spy)
+        monkeypatch.setattr(learners, "output_atoms", spy)
         return builds
 
     def test_codebook_built_once(self, monkeypatch):
         base = QuantizedMeanLearner()
         learner = RandomizedResponse(base=base, rho=0.5)
         inst = HardInstance(2, np.array([0.1, -0.3]))
-        signs = np.stack([sample(inst, 3, seed=i).signs for i in range(1000)])
+        plus = np.stack([sample(inst, 3, seed=i).plus for i in range(1000)])
         builds = self._spy_builds(monkeypatch)
-        got = learner.fit_batch(signs, np.random.default_rng(17))
-        assert builds == [(base, 2, 3)]
-        learner.fit_batch(signs, np.random.default_rng(17))
-        assert builds == [(base, 2, 3)] * 2
-        codebook = reachable_outputs(base, 2, 3)
+        got = fit(learner, plus, np.random.default_rng(17))
+        assert builds == [(base, 3, 2)]
+        fit(learner, plus, np.random.default_rng(17))
+        assert builds == [(base, 3, 2)] * 2
+        codebook = codebook_signs(base, 2, 3)
         rng = np.random.default_rng(17)
         expected = [codebook[rng.integers(codebook.shape[0])] if rng.random() < 0.5
-                    else base.fit_batch(row[None])[0] for row in signs]
+                    else fit(base, row[None])[0] for row in plus]
         assert np.array_equal(got, np.stack(expected))
 
     def test_rho_zero_builds_no_codebook(self, monkeypatch):
         base = SgdLearner()
-        signs = sample_signs(np.zeros(2), 4, np.random.default_rng(18), 500)
+        plus = sample_plus(np.zeros(2), 4, np.random.default_rng(18), 500)
         builds = self._spy_builds(monkeypatch)
-        got = RandomizedResponse(base=base, rho=0.0).fit_batch(
-            signs, np.random.default_rng(19))
+        got = fit(RandomizedResponse(base=base, rho=0.0), plus, np.random.default_rng(19))
         assert builds == []
-        assert got.tobytes() == base.fit_batch(signs).tobytes()
+        assert got.tobytes() == fit(base, plus).tobytes()
 
     @pytest.mark.parametrize("d,m,menu", [
         (1, 4, "xu"), (2, 4, "xu"), (1, 9, "xu"), (3, 5, "mean")])
     def test_batch_matches_row_by_row_oracle(self, d, m, menu):
         bases = ([b for b in _xu_learner_menu(m) if b.deterministic]
                  if menu == "xu" else [MeanLearner()])
-        signs = sample_signs(np.linspace(-0.3, 0.2, d), m, np.random.default_rng(20), 300)
+        plus = sample_plus(np.linspace(-0.3, 0.2, d), m, np.random.default_rng(20), 300)
         for base in bases:
             for rho in (0.0, 0.3, 1.0):
                 learner = RandomizedResponse(base=base, rho=rho)
-                got = learner.fit_batch(signs, np.random.default_rng(23))
-                expected = _randomized_response_rows(learner, signs,
+                got = fit(learner, plus, np.random.default_rng(23))
+                expected = _randomized_response_rows(learner, plus,
                                                      np.random.default_rng(23))
                 assert got.tobytes() == expected.tobytes(), (base.kind, rho)
 
@@ -598,8 +601,8 @@ class TestChannel:
 
     def test_probabilities_sum_to_one(self):
         inst = HardInstance(2, np.array([0.3, -0.2]))
-        signs = enumerate_sign_space(3, 2)
-        probs = sign_space_probs(inst, plus_counts(signs), 3)
+        plus = enumerate_sign_space(3, 2)
+        probs = sign_space_probs(inst, plus.sum(axis=1), 3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_against_infotheory_oracle(self):
@@ -652,8 +655,8 @@ class TestChannel:
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 12 // d + 1)])
     def test_enumeration_matches_shift_and_mask(self, d, m):
         got = enumerate_sign_space(m, d)
-        assert got.dtype == np.int8 and got.shape == (1 << (m * d), m, d)
-        assert got.tobytes() == enumerate_sign_space_shift_mask(m, d).tobytes()
+        assert got.dtype == np.bool_ and got.shape == (1 << (m * d), m, d)
+        assert got.tobytes() == (enumerate_sign_space_shift_mask(m, d) > 0).tobytes()
 
     def test_enumeration_allocates_little_beyond_its_output(self):
         tracemalloc.start()
@@ -666,19 +669,19 @@ class TestChannel:
 
     @pytest.mark.parametrize("d,m", [(1, 9), (2, 5), (3, 4), (4, 3)])
     def test_sgd_matches_full_copy(self, d, m):
-        signs = enumerate_sign_space(m, d)
+        plus = enumerate_sign_space(m, d)
         for learner in (SgdLearner(), SgdLearner(delta=0.3)):
-            got = learner.fit_batch(signs)
-            assert got.tobytes() == sgd_full_copy(learner, signs).tobytes()
+            got = fit(learner, plus)
+            assert got.tobytes() == sgd_full_copy(learner, signs_of_plus(plus)).tobytes()
 
     def test_exact_mi_dispatches_to_factorized(self):
         inst = HardInstance(7, np.zeros(7))
         # 2^(7*4) is beyond full enumeration; the factorized path answers
-        mi = exact_mutual_information(QuantizedMeanLearner(), inst, 4)
+        mi = exact_mutual_information(QuantizedMeanLearner(), inst.d, 4)(inst)
         # at p = 0 the 16 column patterns are equally likely, so each
         # coordinate contributes the entropy of its output value counts
         patterns = np.repeat(enumerate_sign_space(4, 1), 7, axis=2)
-        _, counts = np.unique(QuantizedMeanLearner().fit_batch(patterns)[:, 0],
+        _, counts = np.unique(fit(QuantizedMeanLearner(), patterns)[:, 0],
                               return_counts=True)
         probs = counts / 16
         assert mi == pytest.approx(-7 * float(probs @ np.log(probs)), abs=1e-12)
@@ -688,7 +691,7 @@ class TestChannel:
         inst = HardInstance(2, np.array([0.25, -0.1]))
         for learner in (MeanLearner(), EpsilonNetErm(), SgdLearner()):
             ch = exact_channel(learner, inst, 3)
-            signs = enumerate_sign_space(3, inst.d)
+            signs = enumerate_sign_space_shift_mask(3, inst.d)
             literal = 0.0
             for i in range(signs.shape[0]):
                 s = Sample.from_signs(signs[i])
@@ -704,11 +707,11 @@ class TestCodebookClosure:
     def test_outputs_live_in_codebook(self, learner):
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
+        codebook = {tuple(row) for row in learners.output_atoms(learner, m, inst.d)[0]}
         rng = np.random.default_rng(14)
         for _ in range(300):
             s = sample(inst, m, seed=rng)
-            w = learner.fit_batch(s.signs[None])[0]
+            w = fit(learner, s.plus[None])[0]
             assert np.linalg.norm(w) <= 1.0 + 1e-12
             assert tuple(w) in codebook
 
@@ -716,9 +719,8 @@ class TestCodebookClosure:
     def test_bulk_closure_hundred_thousand(self, learner):
         inst = HardInstance(2, np.array([0.1, -0.3]))
         m = 4
-        codebook = {tuple(row) for row in reachable_outputs(learner, inst.d, m)}
-        signs = sample_signs(inst.p, m, np.random.default_rng(15), 10 ** 5)
-        w = learner.fit_batch(signs)
+        codebook = {tuple(row) for row in learners.output_atoms(learner, m, inst.d)[0]}
+        w = fit(learner, sample_plus(inst.p, m, np.random.default_rng(15), 10 ** 5))
         assert np.all(np.linalg.norm(w, axis=1) <= 1.0 + 1e-12)
         assert all(tuple(row) in codebook for row in w)
 
@@ -726,32 +728,32 @@ class TestCodebookClosure:
         inst = HardInstance(1, np.array([0.2]))
         m = 3
         learner = RandomizedResponse(base=MeanLearner(), rho=0.5)
-        codebook = {tuple(row) for row in reachable_outputs(learner.base, inst.d, m)}
+        codebook = {tuple(row) for row in learners.output_atoms(learner.base, m, inst.d)[0]}
         rng = np.random.default_rng(16)
         for _ in range(2000):
             s = sample(inst, m, seed=rng)
-            w = learner.fit_batch(s.signs[None], rng)[0]
+            w = fit(learner, s.plus[None], rng)[0]
             assert tuple(w) in codebook
 
     def test_determinism_across_runs(self):
         inst = HardInstance(3, np.array([0.2, 0.0, -0.2]))
         for learner in all_learners(5):
             s = sample(inst, 5, seed=99)
-            w1 = learner.fit_batch(s.signs[None])[0]
-            w2 = learner.fit_batch(sample(inst, 5, seed=99).signs[None])[0]
+            w1 = fit(learner, s.plus[None])[0]
+            w2 = fit(learner, sample(inst, 5, seed=99).plus[None])[0]
             np.testing.assert_array_equal(w1, w2)
 
 
 def _axis0_channel(learner, d, m):
     """Codebook, output index and conditional law of ``exact_channel`` built
     the old way, with numpy's row sort and a dict lookup: the oracle."""
-    signs = enumerate_sign_space(m, d)
+    signs = enumerate_sign_space_shift_mask(m, d)
     if learner.deterministic:
-        codebook, idx = np.unique(learner.fit_batch(signs), axis=0, return_inverse=True)
+        codebook, idx = np.unique(fit_signs(learner, signs), axis=0, return_inverse=True)
         return codebook, idx, None
-    codebook = np.unique(reachable_outputs(learner.base, d, m), axis=0)
+    codebook = np.unique(codebook_signs(learner.base, d, m), axis=0)
     key = {tuple(row): i for i, row in enumerate(codebook)}
-    base_idx = [key[tuple(row)] for row in learner.base.fit_batch(signs)]
+    base_idx = [key[tuple(row)] for row in fit_signs(learner.base, signs)]
     base_law = np.zeros((signs.shape[0], codebook.shape[0]))
     base_law[np.arange(signs.shape[0]), base_idx] = 1.0
     return codebook, None, learner.mix(base_law)
@@ -831,7 +833,7 @@ class TestUniqueRows:
     def test_factorized_codebook_is_sorted_and_distinct(self, learner):
         for d in (1, 2, 3):
             for m in range(1, 6):
-                codebook = reachable_outputs(learner, d, m)
+                codebook = learners.output_atoms(learner, m, d)[0]
                 assert codebook.tobytes() == np.unique(codebook, axis=0).tobytes()
 
     @pytest.mark.parametrize("base", [MeanLearner(), QuantizedMeanLearner(),
@@ -845,10 +847,10 @@ class TestUniqueRows:
                 columns = np.repeat(enumerate_sign_space(m, 1), d, axis=2)
                 for learner in [base] + [SubsampleLearner(k=k, base=base)
                                          for k in range(1, m + 1)]:
-                    levels = np.unique(learner.fit_batch(columns)[:, 0])
+                    levels = np.unique(fit(learner, columns)[:, 0])
                     grids = np.meshgrid(*([levels] * d), indexing="ij")
                     grid = np.stack([g.reshape(-1) for g in grids], axis=1)
-                    got = reachable_outputs(learner, d, m)
+                    got = learners.output_atoms(learner, m, d)[0]
                     assert got.tobytes() == grid.tobytes(), (learner.kind, d, m)
 
     def test_no_row_sort_in_the_program(self):
@@ -905,15 +907,15 @@ COUNT_LEARNERS = [MeanLearner(), QuantizedMeanLearner(), QuantizedMeanLearner(de
 
 
 @st.composite
-def _signs_and_column_permutation(draw):
-    """An (n, m, d) sign tensor and the same tensor with the m points of every
-    (sample, coordinate) column shuffled independently."""
+def _plus_and_column_permutation(draw):
+    """(n, m, d) plus booleans and the same booleans with the m points of
+    every (sample, coordinate) column shuffled independently."""
     n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
-    cells = draw(st.lists(st.sampled_from((-1, 1)), min_size=n * m * d, max_size=n * m * d))
-    signs = np.array(cells, dtype=np.int8).reshape(n, m, d)
+    cells = draw(st.lists(st.booleans(), min_size=n * m * d, max_size=n * m * d))
+    plus = np.array(cells, dtype=bool).reshape(n, m, d)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     order = np.argsort(rng.random((n, m, d)), axis=1)
-    return signs, np.take_along_axis(signs, order, axis=1)
+    return plus, np.take_along_axis(plus, order, axis=1)
 
 
 class TestLatticeRoute:
@@ -921,20 +923,20 @@ class TestLatticeRoute:
         menu = all_learners(4) + [RandomizedResponse(base=MeanLearner(), rho=0.5)]
         assert {l.kind for l in menu if l.reads_counts} == {l.kind for l in COUNT_LEARNERS}
 
-    @given(learner=st.sampled_from(COUNT_LEARNERS), pair=_signs_and_column_permutation())
+    @given(learner=st.sampled_from(COUNT_LEARNERS), pair=_plus_and_column_permutation())
     @settings(max_examples=300, deadline=None)
     def test_count_learner_ignores_point_order(self, learner, pair):
-        signs, shuffled = pair
+        plus, shuffled = pair
         assert learner.reads_counts
-        assert learner.fit_batch(shuffled).tobytes() == learner.fit_batch(signs).tobytes()
+        assert fit(learner, shuffled).tobytes() == fit(learner, plus).tobytes()
 
     @pytest.mark.parametrize("learner", [SgdLearner(), SubsampleLearner(k=1, base=MeanLearner())],
                              ids=lambda l: l.kind)
     def test_order_learner_reads_point_order(self, learner):
         # one coordinate, the points +1 then -1 and the other way round
-        signs = np.array([[[1], [-1]], [[-1], [1]]], dtype=np.int8)
+        plus = np.array([[[True], [False]], [[False], [True]]])
         assert not learner.reads_counts
-        out = learner.fit_batch(signs)
+        out = fit(learner, plus)
         assert out[0].tobytes() != out[1].tobytes()
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 6)
@@ -942,7 +944,7 @@ class TestLatticeRoute:
     def test_codes_count_the_plus_signs(self, d, m):
         lattice = lattice_counts(m, d)
         codes = lattice_codes(m, d)
-        counts = (enumerate_sign_space(m, d) > 0).sum(axis=1)
+        counts = enumerate_sign_space(m, d).sum(axis=1)
         assert codes.dtype == np.int64 and lattice.shape == ((m + 1) ** d, d)
         assert codes.tobytes() == (counts @ (m + 1) ** np.arange(d - 1, -1, -1)).tobytes()
         # the lattice point of code c holds the counts of every pattern with code c
@@ -1005,9 +1007,9 @@ class TestLatticeRoute:
         mean, se = measured_excess_risk(RandomizedResponse(QuantizedMeanLearner(), 0.5),
                                         4, 8, 100, 1)
         assert 0.0 < mean and 0.0 < se
-        assert reachable_outputs(QuantizedMeanLearner(), 4, 8).shape == (9 ** 4, 4)
+        assert learners.output_atoms(QuantizedMeanLearner(), 8, 4)[0].shape == (9 ** 4, 4)
         with pytest.raises(BudgetExceededError, match="4097\\^2 lattice points"):
-            reachable_outputs(MeanLearner(), 2, 4096)
+            learners.output_atoms(MeanLearner(), 4096, 2)
         for learner in (QuantizedMeanLearner(), SgdLearner(),
                         RandomizedResponse(QuantizedMeanLearner(), 0.5)):
             with pytest.raises(BudgetExceededError, match="2\\^32 sign patterns"):
@@ -1016,7 +1018,7 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
     def test_reachable_outputs_match_full_route(self, learner):
         for d, m in ((1, 6), (2, 4), (3, 3), (4, 2)):
-            assert reachable_outputs(learner, d, m).tobytes() == \
+            assert learners.output_atoms(learner, m, d)[0].tobytes() == \
                 full_channel(learner, HardInstance.zero(d), m).codebook.tobytes()
 
 
@@ -1042,3 +1044,48 @@ class TestMakeLearner:
     def test_parameter_the_kind_does_not_take(self, kind, params):
         with pytest.raises(TypeError):
             make_learner(kind, **params)
+
+
+# one learner of every LEARNER_KINDS entry, and randomized response over a
+# count learner and over a subsample, each built for a sample size m
+FIT_LEARNERS = {
+    "mean": lambda m: MeanLearner(),
+    "quantized_mean": lambda m: QuantizedMeanLearner(delta=0.3),
+    "epsilon_net_erm": lambda m: EpsilonNetErm(),
+    "sgd": lambda m: SgdLearner(),
+    "regularized_erm": lambda m: RegularizedErm(lam=0.5),
+    "subsample": lambda m: SubsampleLearner(k=max(1, m // 2), base=SgdLearner()),
+    "randomized_response[quantized_mean]":
+        lambda m: RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5),
+    "randomized_response[subsample]":
+        lambda m: RandomizedResponse(base=SubsampleLearner(k=max(1, m // 2),
+                                                           base=MeanLearner()), rho=0.3),
+}
+
+
+class TestFitProtocol:
+    def test_menu_covers_every_kind(self):
+        assert set(learners.LEARNER_KINDS) <= set(FIT_LEARNERS)
+        assert {type(make(1)) for make in FIT_LEARNERS.values()} == (
+            set(learners.LEARNER_KINDS.values()) | {RandomizedResponse})
+
+    @pytest.mark.parametrize("name", sorted(FIT_LEARNERS))
+    def test_fit_matches_sign_route(self, name):
+        # outputs and the generator's final state, bit for bit: every
+        # enumeration at d m <= 12, then seeded draws, each from one seed
+        cases = [(d, m, None) for d in range(1, 13) for m in range(1, 12 // d + 1)]
+        draws = np.random.default_rng(31)
+        cases += [(int(d), int(m), int(draws.integers(1, 300)))
+                  for d, m in draws.integers(1, [4, 5], size=(20, 2))]
+        for seed, (d, m, n) in enumerate(cases):
+            learner = FIT_LEARNERS[name](m)
+            rng, rng_signs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if n is None:
+                plus = enumerate_sign_space(m, d)
+                signs = signs_of_plus(plus)
+            else:
+                p = np.random.default_rng([seed, d]).uniform(-1 / 3, 1 / 3, size=d)
+                plus, signs = sample_plus(p, m, rng, n), sample_signs(p, m, rng_signs, n)
+            got = fit(learner, plus, rng)
+            assert got.tobytes() == fit_signs(learner, signs, rng_signs).tobytes(), (d, m, n)
+            assert rng.random() == rng_signs.random(), (d, m, n)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mi_sco_lab import bounds, learners, sco
+from mi_sco_lab import bounds, learners
 from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.sco import HardInstance
 
@@ -88,8 +88,8 @@ def test_no_test_only_code_in_src():
 
 
 def test_learners_have_one_fit_path():
-    """Learners compute outputs only through ``fit_batch``: no learner class
-    defines ``fit`` or ``coord_outputs``."""
+    """Learners compute outputs only through ``learners.fit``: no learner
+    class defines ``fit`` or ``coord_outputs``."""
     tree = ast.parse((SRC / "learners.py").read_text())
     second = [f"{node.name}.{item.name}" for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) for item in node.body
@@ -98,35 +98,34 @@ def test_learners_have_one_fit_path():
 
 
 def _learner_classes(tree):
-    """The learner classes of ``learners``: each class with a ``fit_batch``."""
+    """The learner classes of ``learners``: each class whose body sets the
+    contract attribute ``deterministic``."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            and any(isinstance(item, FUNCS) and item.name == "fit_batch"
+            and any(isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "deterministic" for t in item.targets)
                     for item in node.body)]
 
 
 def test_count_learners_fit_through_fit_counts():
-    """Every ``reads_counts = True`` learner class defines ``fit_counts``, and
-    its ``fit_batch`` body is one ``return self.fit_counts(...)``: a count
-    learner has one computation, whatever it is handed."""
+    """Every ``reads_counts = True`` learner class defines ``fit_counts`` and
+    no ``fit_batch``, and its ``fit_counts`` calls no other fit: a count
+    learner has one computation, and ``learners.fit`` hands it the
+    plus-counts. SGD is the one class with ``fit_batch``; the two wrappers
+    define neither method."""
     tree = ast.parse((SRC / "learners.py").read_text())
-    count_classes = [node for node in _learner_classes(tree)
-                     if getattr(learners, node.name).reads_counts]
-    assert {node.name for node in count_classes} == {
+    methods = {node.name: {item.name: item for item in node.body if isinstance(item, FUNCS)}
+               for node in _learner_classes(tree)}
+    count_classes = {name for name in methods if getattr(learners, name).reads_counts}
+    assert count_classes == {
         "MeanLearner", "QuantizedMeanLearner", "EpsilonNetErm", "RegularizedErm"}
-    for node in count_classes:
-        methods = {item.name: item for item in node.body if isinstance(item, FUNCS)}
-        assert "fit_counts" in methods, node.name
-        body = [stmt for stmt in methods["fit_batch"].body
-                if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
-        assert len(body) == 1 and isinstance(body[0], ast.Return), node.name
-        call = body[0].value
-        assert (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "fit_counts"
-                and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"), \
-            node.name
-        inner = [n for n in ast.walk(call) if isinstance(n, ast.Call)][1:]
-        assert not any(isinstance(n.func, ast.Attribute) and n.func.attr.startswith("fit")
-                       for n in inner), node.name
+    for name in count_classes:
+        assert "fit_counts" in methods[name] and "fit_batch" not in methods[name], name
+        calls = [n for n in ast.walk(methods[name]["fit_counts"]) if isinstance(n, ast.Call)]
+        assert not any(isinstance(n.func, (ast.Attribute, ast.Name)) and getattr(
+            n.func, "attr", getattr(n.func, "id", "")).startswith("fit") for n in calls), name
+    assert {name for name in methods if "fit_batch" in methods[name]} == {"SgdLearner"}
+    assert {name for name in methods if not {"fit_batch", "fit_counts"} & set(methods[name])} \
+        == {"SubsampleLearner", "RandomizedResponse"}
 
 
 def _defaulted_parameters(tree):
@@ -190,7 +189,7 @@ def test_every_default_is_set_by_some_call():
 
 
 def test_every_learner_declares_reads_counts():
-    """Every learner class of ``learners`` (a class with ``fit_batch``) sets
+    """Every learner class of ``learners`` (a class that sets ``deterministic``) sets
     ``reads_counts`` in its own body to a bool, as it sets ``deterministic``:
     no learner inherits or omits the route choice of exact channels."""
     tree = ast.parse((SRC / "learners.py").read_text())
@@ -250,67 +249,72 @@ COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
 
 
 def _spy_sign_routes(monkeypatch):
-    """Record every sign tensor made from sampled plus booleans, sign
-    enumeration and ``fit_batch`` row count, wherever the program looks those
-    names up."""
-    calls = {"signs_of_plus": [], "enumerate_sign_space": [], "fit_batch_rows": []}
-    for module, name in ((sco, "signs_of_plus"), (bounds, "signs_of_plus"),
-                         (learners, "enumerate_sign_space")):
-        real = getattr(module, name)
+    """Record every sign enumeration, and the row count of every ``fit`` on
+    plus booleans, wherever the program looks those names up."""
+    calls = {"enumerate_sign_space": [], "fit_rows": []}
+    real_enumerate, real_fit = learners.enumerate_sign_space, learners.fit
 
-        def spy(*args, real=real, name=name, **kwargs):
-            calls[name].append(args)
-            return real(*args, **kwargs)
+    def enumerate_spy(*args):
+        calls["enumerate_sign_space"].append(args)
+        return real_enumerate(*args)
 
-        monkeypatch.setattr(module, name, spy)
-    for cls in {type(learner) for learner in COUNT_LEARNERS}:
-        real_fit = cls.fit_batch
+    def fit_spy(learner, plus, rng=None):
+        calls["fit_rows"].append(plus.shape[0])
+        return real_fit(learner, plus, rng)
 
-        def fit_spy(self, signs, real_fit=real_fit):
-            calls["fit_batch_rows"].append(signs.shape[0])
-            return real_fit(self, signs)
-
-        monkeypatch.setattr(cls, "fit_batch", fit_spy)
+    monkeypatch.setattr(learners, "enumerate_sign_space", enumerate_spy)
+    for module in (learners, bounds):
+        monkeypatch.setattr(module, "fit", fit_spy)
     return calls
 
 
 @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=lambda l: repr(l))
 def test_count_learners_take_no_sign_route(monkeypatch, learner):
     """For a count learner (and randomized response over one, in the CMI),
-    ``cmi_exact`` and the Monte Carlo estimators never sample or enumerate
-    signs, and never fit more rows than the (m+1)^d lattice points."""
+    ``cmi_exact`` and the Monte Carlo estimators never enumerate signs and
+    never call ``fit`` on plus booleans: the exact routes fit no more rows
+    than the (m+1)^d lattice points, and the estimators fit the plus-counts
+    they already hold."""
     calls = _spy_sign_routes(monkeypatch)
+    rows, real_counts = [], type(learner).fit_counts
+
+    def counts_spy(self, counts, m):
+        rows.append(counts.shape[0])
+        return real_counts(self, counts, m)
+
+    monkeypatch.setattr(type(learner), "fit_counts", counts_spy)
     d, m = 2, 3
     inst = HardInstance(d, np.array([0.1, -0.2]))
     bounds.cmi_exact(learner, inst, m)
     bounds.cmi_exact(learners.RandomizedResponse(base=learner, rho=0.5), inst, m)
+    assert rows and all(n <= (m + 1) ** d for n in rows)
     bounds.good_coordinates(inst, learner, m, trials=500, seed=1, pilot_trials=300)
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    assert calls["signs_of_plus"] == [] and calls["enumerate_sign_space"] == []
-    assert all(rows <= (m + 1) ** d for rows in calls["fit_batch_rows"])
+    assert calls == {"enumerate_sign_space": [], "fit_rows": []}
 
 
 @pytest.mark.parametrize("learner", COUNT_LEARNERS[:3] + (
     learners.SubsampleLearner(k=2, base=learners.QuantizedMeanLearner()),), ids=repr)
 def test_factorized_mi_takes_no_sign_route(monkeypatch, learner):
     """The per-coordinate MI of a factorized learner, a subsample of one
-    included, neither enumerates signs nor calls ``fit_batch``."""
+    included, neither enumerates signs nor calls ``fit``."""
     calls = _spy_sign_routes(monkeypatch)
     for d, m in ((1, 6), (3, 5)):
-        assert learners.exact_mutual_information(learner, HardInstance.zero(d), m) > 0
-    assert calls == {"signs_of_plus": [], "enumerate_sign_space": [], "fit_batch_rows": []}
+        assert learners.exact_mutual_information(learner, d, m)(HardInstance.zero(d)) > 0
+    assert calls == {"enumerate_sign_space": [], "fit_rows": []}
 
 
 def test_sign_route_spy_sees_sgd(monkeypatch):
-    """The spy above does see the sign routes: SGD's CMI enumerates and its
-    Monte Carlo samples signs."""
+    """The spy above does see the sign routes: SGD's CMI enumerates and fits
+    the 2^(m d) patterns, and its Monte Carlo fits the sampled booleans."""
     calls = _spy_sign_routes(monkeypatch)
     inst = HardInstance.zero(2)
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
+    assert calls == {"enumerate_sign_space": [(2, 2)], "fit_rows": [1 << 4]}
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
-    assert calls["enumerate_sign_space"] and calls["signs_of_plus"]
+    assert calls["fit_rows"] == [1 << 4, 100]
 
 
 @pytest.mark.parametrize("learner", [learners.SgdLearner(),
@@ -325,9 +329,9 @@ def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
     rows = []
     real_fit = learners.SgdLearner.fit_batch
 
-    def fit_spy(self, signs):
-        rows.append(signs.shape[0])
-        return real_fit(self, signs)
+    def fit_spy(self, plus):
+        rows.append(plus.shape[0])
+        return real_fit(self, plus)
 
     monkeypatch.setattr(learners.SgdLearner, "fit_batch", fit_spy)
     bounds.cmi_exact(learner, HardInstance(d, np.array([0.1, -0.2])), m)
@@ -342,8 +346,9 @@ def _calls_named(tree, name):
 
 
 def _fits_on_enumeration(tree):
-    """``fit_batch`` calls whose argument holds an ``enumerate_sign_space``
-    call, directly or through a name its function assigns from one."""
+    """``fit`` or ``fit_batch`` calls whose argument holds an
+    ``enumerate_sign_space`` call, directly or through a name its function
+    assigns from one."""
     def derived(expr, enumerated):
         return bool(_calls_named(expr, "enumerate_sign_space")
                     or {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)} & enumerated)
@@ -356,16 +361,17 @@ def _fits_on_enumeration(tree):
             new = {target.id for node in assigns if derived(node.value, enumerated)
                    for target in node.targets if isinstance(target, ast.Name)}
             grown, enumerated = bool(new - enumerated), enumerated | new
-        found += [call for call in _calls_named(func, "fit_batch")
+        found += [call for name in ("fit", "fit_batch") for call in _calls_named(func, name)
                   if any(derived(arg, enumerated) for arg in call.args)]
     return found
 
 
 def test_sign_route_only_in_learners():
-    """``enumerate_sign_space`` and ``fit_batch`` on an enumerated tensor have
+    """``enumerate_sign_space`` and a fit on the enumerated patterns have
     program call sites only in ``learners``, and ``bounds`` holds no
-    sign-route code: it names none of the sign route's helpers, and its one
-    ``fit_batch`` call is ``_fit_plus``'s, on sampled signs."""
+    sign-route code: it names none of the sign route's helpers, calls no
+    ``fit_batch``, and its one ``fit`` call is ``_fit_plus``'s, on sampled
+    plus booleans."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     enumerations = {name for name, tree in trees.items()
@@ -376,6 +382,25 @@ def test_sign_route_only_in_learners():
     names = _names_used(bounds_tree)
     assert not [name for name in ("enumerate_sign_space", "_index_in_codebook", "take",
                                   "lattice_samples") if names[name]]
+    assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
-               and any(_calls_named(stmt, "fit_batch") for stmt in func.body)]
+               and any(_calls_named(stmt, "fit") for stmt in func.body)]
     assert fitters == ["_fit_plus"]
+
+
+def test_one_fit_on_plus_booleans():
+    """Outside the learner classes, ``learners.fit`` is the only call that
+    fits on plus booleans: every ``fit_batch`` call in ``src/`` sits in the
+    module function ``learners.fit``. No sample takes another form: ``src/``
+    names no ``int8``."""
+    sites, int8 = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if _calls_named(top, "fit_batch"):
+                sites.add((path.name, top.name))
+        int8 += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "int8"
+                 or isinstance(node, ast.Constant) and node.value == "int8"]
+    assert sites == {("learners.py", "fit")}
+    assert not int8, f"int8 sign tensors in the program: {int8}"
