@@ -427,7 +427,7 @@ def _selection_counts(start: int, c: int, m: int, atom: np.ndarray, scale: np.nd
                       radix: np.ndarray, every_atom: bool):
     """Yields (first row, float counts) in row blocks of at most
     CMI_CHUNK_CELLS floats: for supersamples start to start + c - 1 in
-    ``enumerate_sign_space(2 * m, d)`` order, the count of the 2^m selections
+    pattern order (2 m points), the count of the 2^m selections
     whose half maps to each atom, ``atom`` mapping the sample codes of
     ``output_atoms`` (weights ``scale`` and ``radix``) to the K atoms. The
     columns are all K atoms, or with ``every_atom`` False those some
@@ -487,7 +487,7 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     learner the conditional MI reduces to E_Z[H(w_S | Z)]. A subsample
     reduces to its base at k (``reduce_subsample``). The base is fit
     once per sample code of ``output_atoms`` (a lattice point of a
-    ``reads_counts`` base, an enumerated pattern of SGD or a subsample), and
+    ``reads_counts`` base, a sign pattern of SGD, all fit at once), and
     each selection reads its atom by code, with no sign tensor.
     """
     learner, m = reduce_subsample(learner, m)

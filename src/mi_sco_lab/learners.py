@@ -18,7 +18,8 @@ The learner contract is a set of attributes, with no base class:
   * ``fit_counts(counts, m)``, for a ``reads_counts`` learner: the (n, d)
     outputs for (n, d) plus-counts out of m, its one computation;
   * ``fit_batch(plus)``, for SGD, the one learner that reads the order of
-    the points: the (n, d) outputs for (n, m, d) plus booleans.
+    the points: the (n, d) outputs for (n, m, d) plus booleans; and
+    ``fit_patterns(m, d)``, its outputs on every sign pattern.
 The mean-based learners read the sample through ``count_mean``, and the
 quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 ``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
@@ -30,18 +31,27 @@ base's output by a uniform codebook atom with probability ``rho`` (its
 holds both wrapper rules; ``reduce_subsample`` is the subsample rule, so a
 subsample's exact MI and its supersample CMI are its base's at k.
 
-Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET),
-enumerated as plus booleans. One code-to-atom map, ``output_atoms``, gives
-every deterministic learner's codebook and the atom of each sample code,
-which is either
+Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET)
+in pattern order: pattern i is plus in point j, coordinate t iff bit j d + t
+of i is set. No sign tensor is built. One code-to-atom map, ``output_atoms``,
+gives every deterministic learner's codebook and the atom of each sample
+code, which is either
   * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
     fit once per (m+1)^d lattice point; or
-  * the pattern index: any other learner, fit once per enumerated pattern.
+  * the pattern index: SGD, fit on all patterns at once by prefix recursion,
+    or a subsample, whose atoms are its base's at k, tiled.
+Both pattern routes rest on one fact of the order: the first t points of a
+pattern are the low d t bits of its index. SGD's iterate after t points reads
+only those points, so step t updates the 2^(d t) iterates of the t-point
+prefixes, each row by the float operations of a pass over its own pattern;
+and a subsample's output repeats with period 2^(d k) along the patterns.
 ``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
-and randomized response draws from its base's codebook. A factorized
-learner's exact MI sums per-coordinate entropies; each of the 2^m column
-patterns weighs its plus-count's atom. The Monte Carlo estimators draw plus
-booleans with ``sco.sample_plus`` and fit them with ``fit``.
+and randomized response draws from its base's codebook. A count learner's
+channel keeps each lattice code's atom, so its gap is summed per lattice
+point and gathered by code. A factorized learner's exact MI sums
+per-coordinate entropies; each of the 2^m column patterns weighs its
+plus-count's atom. The Monte Carlo estimators draw plus booleans with
+``sco.sample_plus`` and fit them with ``fit``.
 
 Codebooks are found by ``unique_rows``, the one row dedup of the package: it
 gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
@@ -218,6 +228,16 @@ class SgdLearner:
     update is w <- (1 - 1/t) w + z_t / t and every iterate stays a convex
     combination of data points (inside the ball). The average of the iterates
     is rounded to the 1/m^2 grid for a finite codebook.
+
+    ``_pass`` holds the update once. ``fit_batch`` feeds it one point per
+    sample; ``fit_patterns`` feeds it the 2^d corners, each extending every
+    iterate so far, so step t holds the 2^(d t) iterates of the t-point
+    prefixes. The iterate after t points reads only those points, which in
+    pattern order are the low d t bits of the index, and every row meets the
+    same float operations in the same order as in ``fit_batch`` (the sum of
+    the iterates too adds them in step order, from 0.0): the outputs are bit
+    for bit those of a pass per pattern, with only the last step touching
+    all 2^(d m) rows.
     """
 
     delta: float | None = None
@@ -227,16 +247,28 @@ class SgdLearner:
     factorized = False
     reads_counts = False  # the pass reads the points in order
 
-    def fit_batch(self, plus: np.ndarray) -> np.ndarray:
-        n, m, d = plus.shape
-        root_d = math.sqrt(d)
-        w = np.zeros((n, d))
-        acc = np.zeros((n, d))
+    def _pass(self, points, m: int, d: int) -> np.ndarray:
+        """Outputs after m steps, step t reading the (k, n, d) points
+        ``points(t)``: n = 1 extends every iterate by each of k points, point
+        the slow axis of the new rows; k = 1 gives iterate i point i."""
+        w, acc = np.zeros((1, d)), np.zeros((1, d))
         for t in range(1, m + 1):
-            point = np.where(plus[:, t - 1, :], 1.0, -1.0) / root_d
-            w = _project_rows((1.0 - 1.0 / t) * w + point / t)
-            acc += w
+            z = points(t)
+            w = _project_rows(((1.0 - 1.0 / t) * w[None] + z / t).reshape(-1, d))
+            acc = (acc[None] + w.reshape(z.shape[0], -1, d)).reshape(-1, d)
         return _project_rows(round_half_down(acc / m, grid_step(self.delta, m)))
+
+    def fit_batch(self, plus: np.ndarray) -> np.ndarray:
+        _, m, d = plus.shape
+        root_d = math.sqrt(d)
+        return self._pass(lambda t: np.where(plus[None, :, t - 1], 1.0, -1.0) / root_d, m, d)
+
+    def fit_patterns(self, m: int, d: int) -> np.ndarray:
+        """(2^(d m), d) outputs on every sign pattern, in pattern order: row i
+        is plus in point j, coordinate t iff bit j d + t of i is set."""
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+        corners = np.where(bits > 0, 1.0, -1.0)[:, None] / math.sqrt(d)  # (2^d, 1, d)
+        return self._pass(lambda t: corners, m, d)
 
 
 @dataclass(frozen=True)
@@ -376,27 +408,15 @@ def _pattern_count(cells: int) -> int:
     return 1 << cells
 
 
-def enumerate_sign_space(m: int, d: int) -> np.ndarray:
-    """All 2^(m*d) sign patterns as (n, m, d) plus booleans: pattern i is plus
-    in flat cell c where bit c of i is set, so column c is runs of 2^c equal
-    values, written through a view with no temporary."""
-    cells = m * d
-    n = _pattern_count(cells)
-    out = np.zeros((n, cells), dtype=bool)
-    for c in range(cells):
-        out[:, c].reshape(-1, 2, 1 << c)[:, 1] = True
-    return out.reshape(n, m, d)
-
-
 def lattice_radix(m: int, d: int) -> np.ndarray:
     """Radix (m+1)^(d-1-t) of coordinate t in the lattice code sum_t C_t (m+1)^(d-1-t)."""
     return (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def lattice_codes(m: int, d: int) -> np.ndarray:
-    """Each sign pattern's lattice code, in ``enumerate_sign_space`` order:
-    flat cell c = i d + t is bit c of the pattern index and adds the radix of
-    coordinate t, so each cell doubles the codes."""
+    """Each sign pattern's lattice code, in pattern order: flat cell c = i d + t
+    (point i, coordinate t) is bit c of the pattern index and adds the radix
+    of coordinate t, so each cell doubles the codes."""
     code = np.zeros(_pattern_count(m * d), dtype=np.int64)
     for c, weight in enumerate(np.tile(lattice_radix(m, d), m)):
         np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
@@ -421,7 +441,10 @@ class Channel:
     ``cond`` is None for deterministic learners, in which case
     ``output_index`` holds the codebook row per sample; otherwise ``cond``
     carries one conditional pmf row per sample. Neither depends on the bias,
-    which only weighs the samples (``reweighted``).
+    which only weighs the samples (``reweighted``). ``exact_channel`` sets
+    ``code_atom`` for a ``reads_counts`` learner, whose atom is a function of
+    the lattice code, so the gap takes each code's term once; the risk's term
+    is already one per atom.
     """
 
     codes: np.ndarray = field(repr=False)          # (n,) lattice code per sign pattern
@@ -431,6 +454,7 @@ class Channel:
     codebook: np.ndarray = field(repr=False)       # (K, d) lexicographic
     output_index: np.ndarray | None = field(repr=False, default=None)
     cond: np.ndarray | None = field(repr=False, default=None)
+    code_atom: np.ndarray | None = field(repr=False, default=None)  # (L,) or None
 
     @property
     def deterministic(self) -> bool:
@@ -461,8 +485,11 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        zbar = count_mean(self.counts, self.m)
-        drift = (zbar - inst.w_star)[self.codes]  # (n, d)
+        drift = count_mean(self.counts, self.m) - inst.w_star  # (L, d)
+        if self.code_atom is not None:
+            term = 2.0 * (self.codebook[self.code_atom] * drift).sum(axis=1)
+            return float(self.sample_probs @ term[self.codes])
+        drift = drift[self.codes]  # (n, d)
         if self.deterministic:
             w = self.codebook[self.output_index]
             return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
@@ -484,10 +511,21 @@ def output_atoms(learner, m: int, d: int):
     lattice code (scale 1, radix (m+1)^(d-1-t)), fit per point in its first
     pattern's order (plus signs lowest), so each atom keeps that pattern's row,
     signed zeros included; any other the pattern index (scale 2^(i d), radix 2^t).
+    SGD is fit on every pattern by ``fit_patterns``. A subsample reads only
+    the low d k bits of the index, so its atoms are its base's pattern atoms
+    at k, tiled: each atom's first pattern, and so its row, is the base's.
     The budget bounds the (m+1)^d lattice points or the 2^(d m) patterns."""
     if not learner.reads_counts:
-        # enumeration checks the budget before a weight 2^(i d) can wrap
-        codebook, atom = unique_rows(fit(learner, enumerate_sign_space(m, d)))
+        # the budget comes first, before a weight 2^(i d) can wrap
+        n = _pattern_count(m * d)
+        base, k = reduce_subsample(learner, m)
+        if base is learner:
+            codebook, atom = unique_rows(learner.fit_patterns(m, d))
+        else:
+            codebook, atom = output_atoms(base, k, d)[:2]
+            if base.reads_counts:
+                atom = atom[lattice_codes(k, d)]
+            atom = np.tile(atom, n >> d * k)
         return (codebook, atom, 1 << d * np.arange(m, dtype=np.int64),
                 1 << np.arange(d, dtype=np.int64))
     if (m + 1) ** d > FULL_ENUM_BUDGET:
@@ -512,7 +550,8 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     idx = atom[codes] if base.reads_counts else atom
     counts = lattice_counts(m, inst.d)
     if learner.deterministic:
-        return Channel(codes, counts, m, None, codebook, output_index=idx).reweighted(inst)
+        return Channel(codes, counts, m, None, codebook, output_index=idx,
+                       code_atom=atom if base.reads_counts else None).reweighted(inst)
     n, big_k = codes.shape[0], codebook.shape[0]
     if 8 * n * big_k > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "

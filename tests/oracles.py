@@ -1,7 +1,7 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-sign-pattern enumeration, SGD's pass, exact channels, the per-coordinate
+pattern order of the exact channels, SGD's pass, exact channels, the per-coordinate
 MI, the supersample CMI,
 the Monte Carlo estimators, the random coupling search and the MI-bound
 check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
@@ -255,8 +255,24 @@ def sample_mean(signs: np.ndarray) -> np.ndarray:
     return signs.mean(axis=1, dtype=float) / math.sqrt(signs.shape[2])
 
 
+def enumerate_sign_space(m: int, d: int) -> np.ndarray:
+    """All 2^(m*d) sign patterns as (n, m, d) plus booleans, in the pattern
+    order of the exact channels: pattern i is plus in flat cell c = i d + t
+    where bit c of i is set, so column c is runs of 2^c equal values, written
+    through a view with no temporary. Past FULL_ENUM_BUDGET patterns it
+    raises, as the program's exact routes do."""
+    cells = m * d
+    if 1 << cells > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
+    n = 1 << cells
+    out = np.zeros((n, cells), dtype=bool)
+    for c in range(cells):
+        out[:, c].reshape(-1, 2, 1 << c)[:, 1] = True
+    return out.reshape(n, m, d)
+
+
 def enumerate_sign_space_shift_mask(m: int, d: int) -> np.ndarray:
-    """The patterns of ``learners.enumerate_sign_space`` as an int8 sign
+    """The patterns of ``enumerate_sign_space`` as an int8 sign
     tensor, by one shift-and-mask over all 2^(m*d) indices and m*d bit
     positions, with its (n, m*d) int64 temporaries."""
     cells = m * d

@@ -29,7 +29,6 @@ from mi_sco_lab.learners import (
     SgdLearner,
     SubsampleLearner,
     count_mean,
-    enumerate_sign_space,
     epsilon_net,
     exact_channel,
     exact_mutual_information,
@@ -51,6 +50,7 @@ from oracles import (
     codebook_signs,
     empirical_risk,
     entropy,
+    enumerate_sign_space,
     enumerate_sign_space_shift_mask,
     factorized_mi_broadcast,
     first_pattern_order,
@@ -651,6 +651,8 @@ class TestChannel:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             enumerate_sign_space(8, 4)
+        with pytest.raises(BudgetExceededError, match="2\\^32 sign patterns"):
+            learners.output_atoms(SgdLearner(), 8, 4)
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 12 // d + 1)])
     def test_enumeration_matches_shift_and_mask(self, d, m):
@@ -1020,6 +1022,111 @@ class TestLatticeRoute:
         for d, m in ((1, 6), (2, 4), (3, 3), (4, 2)):
             assert learners.output_atoms(learner, m, d)[0].tobytes() == \
                 full_channel(learner, HardInstance.zero(d), m).codebook.tobytes()
+
+
+# every (d, m) with d m <= 14
+SMALL_SHAPES = [(d, m) for d in range(1, 15) for m in range(1, 14 // d + 1)]
+
+
+class TestPrefixRoutes:
+    """The exact routes that do no per-pattern work against the sign route:
+    SGD by prefix recursion, subsamples by tiling, and the count learners'
+    gap per lattice point, all bit for bit."""
+
+    @pytest.mark.parametrize("d,m", SMALL_SHAPES)
+    def test_sgd_atoms_match_sign_route(self, d, m):
+        signs = enumerate_sign_space_shift_mask(m, d)
+        for delta in (None, 0.05, 0.3):
+            learner = SgdLearner(delta=delta)
+            want, want_atom = unique_rows(fit_signs(learner, signs))
+            got, atom = learners.output_atoms(learner, m, d)[:2]
+            assert got.tobytes() == want.tobytes(), (delta, d, m)
+            assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
+
+    @pytest.mark.parametrize("d,m", [(1, 16), (2, 9), (3, 6), (4, 4), (8, 2), (13, 1)])
+    def test_sgd_monte_carlo_fit_matches_sign_route(self, d, m):
+        rng = np.random.default_rng([d, m])
+        for delta in (None, 0.05, 0.3):
+            plus = sample_plus(rng.uniform(-1 / 3, 1 / 3, d), m, rng, 500)
+            got = fit(SgdLearner(delta=delta), plus)
+            assert got.tobytes() == fit_signs(SgdLearner(delta=delta),
+                                              signs_of_plus(plus)).tobytes(), (delta, d, m)
+
+    @pytest.mark.parametrize("kind", sorted(learners.LEARNER_KINDS))
+    def test_subsample_atoms_match_sign_route(self, kind):
+        base = make_learner(kind, **({"k": 1} if kind == "subsample" else {}))
+        for d, m in ((d, m) for d, m in SMALL_SHAPES if d * m <= 12):
+            signs = enumerate_sign_space_shift_mask(m, d)
+            for k in range(1, m + 1):
+                learner = SubsampleLearner(k=k, base=base)
+                want, want_atom = unique_rows(fit_signs(learner, signs))
+                got, atom = learners.output_atoms(learner, m, d)[:2]
+                assert got.tobytes() == want.tobytes(), (d, m, k)
+                assert atom.tobytes() == want_atom.tobytes(), (d, m, k)
+
+    @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=repr)
+    def test_count_gap_and_risk_match_full_channel(self, learner):
+        # the epsilon net grows as (ceil(sqrt(m)) + 1)^d: both routes take
+        # seconds per point beyond d = 6
+        rng = np.random.default_rng(23)
+        for d, m in SMALL_SHAPES:
+            if isinstance(learner, EpsilonNetErm) and d > 6:
+                continue
+            inst = HardInstance(d, rng.uniform(-1 / 3, 1 / 3, d))
+            ch, want = exact_channel(learner, inst, m), full_channel(learner, inst, m)
+            assert ch.code_atom is not None
+            assert ch.expected_generalization_gap(inst) == \
+                want.expected_generalization_gap(inst), (d, m)
+            assert ch.expected_excess_risk(inst) == want.expected_excess_risk(inst), (d, m)
+
+    @pytest.mark.parametrize("d,m", [(4, 5), (2, 8)])
+    def test_sgd_projects_each_prefix_once(self, monkeypatch, d, m):
+        """Step t projects the 2^(d t) iterates of the t-point prefixes, and
+        the final projection the 2^(d m) outputs; a pass per pattern would
+        project m 2^(d m) rows."""
+        rows, real = [], learners._project_rows
+
+        def spy(w):
+            rows.append(w.shape[0])
+            return real(w)
+
+        monkeypatch.setattr(learners, "_project_rows", spy)
+        exact_channel(SgdLearner(), HardInstance.zero(d), m)
+        assert rows == [1 << (d * t) for t in range(1, m + 1)] + [1 << (d * m)]
+
+    def test_count_gap_memory_per_lattice_point(self):
+        # the per-pattern route built three (2^20, 4) float arrays (104 MiB)
+        inst = HardInstance(4, np.array([0.1, -0.2, 0.3, 0.0]))
+        ch = exact_channel(QuantizedMeanLearner(), inst, 5)
+        tracemalloc.start()
+        try:
+            ch.expected_generalization_gap(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
+    def test_tiled_subsample_checks_budget_first(self, monkeypatch):
+        # the budget comes before the subsample is reduced or any fit
+        calls = []
+        for owner, name in ((learners, "reduce_subsample"), (learners, "lattice_codes"),
+                            (SgdLearner, "fit_patterns")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="2\\^25 sign patterns"):
+                exact_channel(SubsampleLearner(1, SgdLearner()), HardInstance.zero(5), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 1 << 16, peak
+
+    def test_tiled_subsample_k_above_m_raises(self):
+        for base in (SgdLearner(), QuantizedMeanLearner()):
+            for learner in (SubsampleLearner(k=5, base=base),
+                            RandomizedResponse(SubsampleLearner(k=5, base=base), 0.5)):
+                with pytest.raises(ValueError, match="k=5 out of range for m=4"):
+                    exact_channel(learner, HardInstance.zero(2), 4)
 
 
 class TestMakeLearner:

@@ -215,31 +215,39 @@ def test_no_add_at_in_src():
     assert not found, f"np.add.at in the program; use np.bincount: {found}"
 
 
-# learners whose output depends on the order of the sample points
-ORDER_LEARNERS = (learners.SgdLearner, learners.SubsampleLearner)
+def _spy_pattern_fits(monkeypatch):
+    """Record every fit on all sign patterns, ``SgdLearner.fit_patterns``,
+    as (m, d, rows built)."""
+    calls, real = [], learners.SgdLearner.fit_patterns
+
+    def spy(self, m, d):
+        out = real(self, m, d)
+        calls.append((m, d, out.shape[0]))
+        return out
+
+    monkeypatch.setattr(learners.SgdLearner, "fit_patterns", spy)
+    return calls
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_exact_channel_enumerates_once(monkeypatch, m):
-    """``exact_channel`` never enumerates the sign space for a count learner
-    or randomized response over one, and enumerates it once per call for
-    SGD and subsample, the learners that read the order of the points."""
-    real = learners.enumerate_sign_space
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(learners, "enumerate_sign_space", spy)
+    """``exact_channel`` builds no per-pattern outputs for a count learner,
+    randomized response over one, or a subsample of one, and builds SGD's
+    2^(m d) outputs exactly once per call, a subsample of SGD its base's
+    2^(k d), whatever wraps it."""
+    calls = _spy_pattern_fits(monkeypatch)
     inst = HardInstance.zero(2)
     menu = _xu_learner_menu(m)
     assert {type(l) for l in menu} >= ({learners.SgdLearner, learners.RandomizedResponse}
                                        | ({learners.SubsampleLearner} if m >= 2 else set()))
-    for learner in menu:
+    sgd_k = learners.SubsampleLearner(k=max(1, m // 2), base=learners.SgdLearner())
+    for learner in menu + [learners.RandomizedResponse(learners.SgdLearner(), 0.5), sgd_k,
+                           learners.RandomizedResponse(sgd_k, 0.5)]:
         calls.clear()
         learners.exact_channel(learner, inst, m)
-        expected = [(m, 2)] if isinstance(learner, ORDER_LEARNERS) else []
+        base, k = learners.reduce_subsample(
+            learner if learner.deterministic else learner.base, m)
+        expected = [(k, 2, 1 << (2 * k))] if isinstance(base, learners.SgdLearner) else []
         assert calls == expected, learner.kind
 
 
@@ -249,20 +257,15 @@ COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
 
 
 def _spy_sign_routes(monkeypatch):
-    """Record every sign enumeration, and the row count of every ``fit`` on
-    plus booleans, wherever the program looks those names up."""
-    calls = {"enumerate_sign_space": [], "fit_rows": []}
-    real_enumerate, real_fit = learners.enumerate_sign_space, learners.fit
-
-    def enumerate_spy(*args):
-        calls["enumerate_sign_space"].append(args)
-        return real_enumerate(*args)
+    """Record every fit on all sign patterns, and the row count of every
+    ``fit`` on plus booleans, wherever the program looks those names up."""
+    calls = {"fit_patterns": _spy_pattern_fits(monkeypatch), "fit_rows": []}
+    real_fit = learners.fit
 
     def fit_spy(learner, plus, rng=None):
         calls["fit_rows"].append(plus.shape[0])
         return real_fit(learner, plus, rng)
 
-    monkeypatch.setattr(learners, "enumerate_sign_space", enumerate_spy)
     for module in (learners, bounds):
         monkeypatch.setattr(module, "fit", fit_spy)
     return calls
@@ -292,7 +295,7 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    assert calls == {"enumerate_sign_space": [], "fit_rows": []}
+    assert calls == {"fit_patterns": [], "fit_rows": []}
 
 
 @pytest.mark.parametrize("learner", COUNT_LEARNERS[:3] + (
@@ -303,39 +306,42 @@ def test_factorized_mi_takes_no_sign_route(monkeypatch, learner):
     calls = _spy_sign_routes(monkeypatch)
     for d, m in ((1, 6), (3, 5)):
         assert learners.exact_mutual_information(learner, d, m)(HardInstance.zero(d)) > 0
-    assert calls == {"enumerate_sign_space": [], "fit_rows": []}
+    assert calls == {"fit_patterns": [], "fit_rows": []}
 
 
 def test_sign_route_spy_sees_sgd(monkeypatch):
-    """The spy above does see the sign routes: SGD's CMI enumerates and fits
-    the 2^(m d) patterns, and its Monte Carlo fits the sampled booleans."""
+    """The spy above does see the sign routes: SGD's CMI builds the outputs
+    of the 2^(m d) patterns once, and its Monte Carlo fits the 100 sampled
+    booleans through ``fit``."""
     calls = _spy_sign_routes(monkeypatch)
     inst = HardInstance.zero(2)
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
-    assert calls == {"enumerate_sign_space": [(2, 2)], "fit_rows": [1 << 4]}
+    assert calls == {"fit_patterns": [(2, 2, 1 << 4)], "fit_rows": []}
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
-    assert calls["fit_rows"] == [1 << 4, 100]
+    assert calls == {"fit_patterns": [(2, 2, 1 << 4)], "fit_rows": [100]}
 
 
 @pytest.mark.parametrize("learner", [learners.SgdLearner(),
                                      learners.RandomizedResponse(learners.SgdLearner(), 0.5)],
                          ids=lambda l: l.kind)
 def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
-    """``cmi_exact`` fits SGD once, on the 2^(m d) patterns of one sample, at
-    a point whose supersamples take more than one chunk; no selection of a
-    supersample is fit again."""
+    """``cmi_exact`` builds SGD's outputs once, on the 2^(m d) patterns of one
+    sample, at a point whose supersamples take more than one chunk; no
+    selection of a supersample is fit again, and nothing goes through the
+    per-sample ``fit_batch``."""
     d, m = 2, 4
     assert 1 << (2 * m * d) > bounds.CMI_CHUNK_CELLS // ((1 << m) * m * d)  # two chunks
-    rows = []
-    real_fit = learners.SgdLearner.fit_batch
+    calls = _spy_pattern_fits(monkeypatch)
+    batch = []
+    real_batch = learners.SgdLearner.fit_batch
 
-    def fit_spy(self, plus):
-        rows.append(plus.shape[0])
-        return real_fit(self, plus)
+    def batch_spy(self, plus):
+        batch.append(plus.shape[0])
+        return real_batch(self, plus)
 
-    monkeypatch.setattr(learners.SgdLearner, "fit_batch", fit_spy)
+    monkeypatch.setattr(learners.SgdLearner, "fit_batch", batch_spy)
     bounds.cmi_exact(learner, HardInstance(d, np.array([0.1, -0.2])), m)
-    assert rows == [1 << (m * d)]
+    assert calls == [(m, d, 1 << (m * d))] and batch == []
 
 
 def _calls_named(tree, name):
@@ -345,42 +351,27 @@ def _calls_named(tree, name):
                  else getattr(node.func, "attr", None)) == name]
 
 
-def _fits_on_enumeration(tree):
-    """``fit`` or ``fit_batch`` calls whose argument holds an
-    ``enumerate_sign_space`` call, directly or through a name its function
-    assigns from one."""
-    def derived(expr, enumerated):
-        return bool(_calls_named(expr, "enumerate_sign_space")
-                    or {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)} & enumerated)
-
-    found = []
-    for func in (node for node in ast.walk(tree) if isinstance(node, FUNCS)):
-        assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
-        enumerated, grown = set(), True
-        while grown:  # names assigned from an enumeration, however indirectly
-            new = {target.id for node in assigns if derived(node.value, enumerated)
-                   for target in node.targets if isinstance(target, ast.Name)}
-            grown, enumerated = bool(new - enumerated), enumerated | new
-        found += [call for name in ("fit", "fit_batch") for call in _calls_named(func, name)
-                  if any(derived(arg, enumerated) for arg in call.args)]
-    return found
-
-
 def test_sign_route_only_in_learners():
-    """``enumerate_sign_space`` and a fit on the enumerated patterns have
-    program call sites only in ``learners``, and ``bounds`` holds no
-    sign-route code: it names none of the sign route's helpers, calls no
-    ``fit_batch``, and its one ``fit`` call is ``_fit_plus``'s, on sampled
-    plus booleans."""
+    """No sign tensor is built in ``src/``: it never names
+    ``enumerate_sign_space``, the oracle in ``tests/oracles.py``. The one fit
+    on all sign patterns, ``fit_patterns``, is called only by
+    ``learners.output_atoms``, and ``bounds`` holds no sign-route code: it
+    names none of the sign route's helpers, calls no ``fit_batch``, and its
+    one ``fit`` call is ``_fit_plus``'s, on sampled plus booleans."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    enumerations = {name for name, tree in trees.items()
-                    if _calls_named(tree, "enumerate_sign_space")}
-    fits = {name for name, tree in trees.items() if _fits_on_enumeration(tree)}
-    assert enumerations == fits == {"learners.py"}
+    named = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             == "enumerate_sign_space"
+             or isinstance(node, ast.alias) and node.name == "enumerate_sign_space"]
+    assert not named, f"the program names the sign enumeration: {named}"
+    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+             if _calls_named(top, "fit_patterns")}
+    assert sites == {("learners.py", "output_atoms")}
     bounds_tree = trees["bounds.py"]
     names = _names_used(bounds_tree)
-    assert not [name for name in ("enumerate_sign_space", "_index_in_codebook", "take",
+    assert not [name for name in ("fit_patterns", "_index_in_codebook", "take",
                                   "lattice_samples") if names[name]]
     assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)

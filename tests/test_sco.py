@@ -218,7 +218,8 @@ class TestEmpirical:
 class TestMeanExcessRisk:
     def test_mean_of_sample_mean_is_optimum_exact(self):
         # exact enumeration: E[zbar] = w* and E||zbar - w*||^2 = (1-|p|^2/d)/m
-        from mi_sco_lab.learners import enumerate_sign_space, sign_space_probs
+        from mi_sco_lab.learners import sign_space_probs
+        from oracles import enumerate_sign_space
         for d, m in ((1, 5), (2, 4), (3, 3)):
             inst = HardInstance(d, np.linspace(-0.25, 0.3, d))
             signs = signs_of_plus(enumerate_sign_space(m, d))
