@@ -43,7 +43,6 @@ from .learners import (
     output_atoms,
     reduce_subsample,
     sign_space_probs,
-    unique_rows,
 )
 from .sco import (
     LOSS_RANGE,
@@ -408,7 +407,7 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     for t in range(d):
         table_t = _joint_table(counts[:, t][ch.codes], ch.output_index, ch.sample_probs, big_k)
         # collapse codebook columns to the t-th output coordinate
-        col_labels = unique_rows(ch.codebook[:, t:t + 1])[1]
+        col_labels = np.unique(ch.codebook[:, t], return_inverse=True)[1]
         collapsed = _joint_table(np.arange(table_t.shape[0])[:, None], col_labels, table_t,
                                  int(col_labels.max()) + 1)
         per_coord.append(max(0.0, mi_of_table(collapsed)))
@@ -458,9 +457,7 @@ def _selection_counts(start: int, c: int, m: int, atom: np.ndarray, scale: np.nd
         for i in range(m):
             hist[:, n_codes:2 * n_codes] += np.take_along_axis(
                 hist, middle - step[:, i:i + 1], axis=1)
-        by_atom = np.argsort(atom, kind="stable")
-        counts = np.add.reduceat(hist[:, middle[by_atom]],
-                                 np.searchsorted(atom[by_atom], np.arange(big_k)), axis=1)
+        counts = hist[:, n_codes:2 * n_codes] @ (atom[:, None] == np.arange(big_k))
         yield 0, (counts if every_atom else counts[:, counts.any(axis=0)]).astype(float)
         return
     codes = np.empty((1 << m, c), dtype=np.int64)  # selector-major
@@ -539,6 +536,11 @@ def pipeline_gm(m: int, eps: float) -> float:
     return gm(1.0 / (108.0 * 1e6 * math.sqrt(m) * eps), m)
 
 
+def pipeline_asymptotic_lb(d: int, m: int, eps: float) -> float:
+    """The pipeline bound's asymptotic form d/(1e6 m eps) * pipeline_gm(m, eps)."""
+    return d / (1e6 * m * eps) * pipeline_gm(m, eps)
+
+
 def measured_excess_risk(learner, d: int, m: int, trials: int,
                          seed: int) -> tuple[float, float]:
     """Monte Carlo E[Delta_D] with one uniform bias drawn per trial.
@@ -582,7 +584,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
     CERTIFICATE_BIASES sampled biases for the largest certified good set,
     evaluates the pipeline bound
     |G| * gm(1/(108e6 sqrt(m) eps)), and checks it against the exact MI at
-    the best bias. The asymptotic form d/(1e6 m eps) * gm(...) is reported
+    the best bias. The asymptotic form ``pipeline_asymptotic_lb`` is reported
     for comparison, never asserted. The bias-free part of the exact MI is
     built before any Monte Carlo draw, so an over-budget learner fails first.
     """
@@ -613,7 +615,7 @@ def theorem1_certificate(learner, d: int, m: int, epsilon: float | None = None,
             best, best_p = gs, p
 
     lb = len(best.members) * g_value
-    asymptotic = d / (1e6 * m * epsilon) * g_value
+    asymptotic = pipeline_asymptotic_lb(d, m, epsilon)
     mi = mi_at(HardInstance(d, best_p))
     report = make_report(f"theorem1[{learner.kind}]", mi, lb, tolerance=1e-12,
                          d=d, m=m, epsilon=epsilon, trials=good_trials, seed=seed)

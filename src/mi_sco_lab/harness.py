@@ -93,16 +93,18 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; ``load_config`` holds the defaults of absent keys."""
+
     name: str
-    d: int = 2
-    p_mode: str = "uniform"
-    p_values: tuple = ()
-    learner: object = None  # built from [learner] for the experiments that read it
-    m: int = 4
-    epsilon: float | None = None  # None: measured
-    trials: int = 100000
-    master_seed: int = 12345
-    output_dir: str = "out"
+    d: int
+    p_mode: str
+    p_values: tuple
+    learner: object  # built from [learner] for the experiments that read it, else None
+    m: int
+    epsilon: float | None  # None: measured
+    trials: int
+    master_seed: int
+    output_dir: str
 
     def instance(self) -> HardInstance:
         if self.p_mode == "fixed":
@@ -185,8 +187,6 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError("delta must be positive")
     if "lam" in lrn:
         params["lam"] = _parse_float(lrn["lam"], "lam")
-        if params["lam"] < 0:
-            raise ConfigError("lam must be >= 0")
     if "k" in lrn:
         params["k"] = _parse_int(lrn["k"], "k")
     if "base" in lrn:
@@ -389,8 +389,8 @@ def _tradeoff_row(learner, inst, m, delta, rho):
     ch = exact_channel(learner, inst, m)
     mi = ch.mutual_information()
     eps = ch.expected_excess_risk(inst)
-    lb = inst.d / (1e6 * m * eps) * bounds.pipeline_gm(m, eps)
-    return [inst.d, m, delta, rho, mi, eps, bounds.xu_bound(mi, m), lb]
+    return [inst.d, m, delta, rho, mi, eps, bounds.xu_bound(mi, m),
+            bounds.pipeline_asymptotic_lb(inst.d, m, eps)]
 
 
 def _exp_tradeoff(cfg: ExperimentConfig, outdir: _OutputDir) -> list:

@@ -37,7 +37,7 @@ of i is set. No sign tensor is built. One code-to-atom map, ``output_atoms``,
 gives every deterministic learner's codebook and the atom of each sample
 code, which is either
   * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
-    fit once per (m+1)^d lattice point; or
+    fit once per (m+1)^d lattice point, in lattice code order; or
   * the pattern index: SGD, fit on all patterns at once by prefix recursion,
     or a subsample, whose atoms are its base's at k, tiled.
 Both pattern routes rest on one fact of the order: the first t points of a
@@ -53,10 +53,11 @@ per-coordinate entropies; each of the 2^m column patterns weighs its
 plus-count's atom. The Monte Carlo estimators draw plus booleans with
 ``sco.sample_plus`` and fit them with ``fit``.
 
-Codebooks are found by ``unique_rows``, the one row dedup of the package: it
-gives the atoms of numpy's row-wise ``np.unique`` (along axis 0) in the same
-lexicographic order, with the same inverse, from per-column ranks folded into
-integer codes instead of a sort of float rows.
+Codebooks are found by value with ``unique_rows``, the one row dedup of the
+package: it gives the atoms of numpy's row-wise ``np.unique`` (along axis 0)
+in the same lexicographic order, with the same inverse, from per-column ranks
+folded into integer codes instead of a sort of float rows; each atom keeps
+the row of its first occurrence.
 """
 
 from __future__ import annotations
@@ -111,13 +112,13 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its distinct values, and the ranks are folded left to right into one
     int64 code per row, re-ranked whenever the next fold could pass
     CODE_LIMIT; only 1-D arrays are sorted. Each atom's codebook row is its
-    first occurrence in ``rows``, so the bytes are numpy's whenever an atom's
-    rows are bit-identical (numpy picks among rows that differ only in the
-    sign of a zero by its unstable sort). Rows must hold no NaN.
+    first occurrence in ``rows``, the index ``np.unique`` returns for its
+    code, so the bytes are numpy's whenever an atom's rows are bit-identical
+    (numpy picks among rows that differ only in the sign of a zero by its
+    unstable sort). Rows must hold no NaN.
     """
     rows = np.asarray(rows)
-    n = rows.shape[0]
-    code = np.zeros(n, dtype=np.int64)
+    code = np.zeros(rows.shape[0], dtype=np.int64)
     bound = 1  # every code is below bound
     for column in rows.T:
         levels = np.unique(column)
@@ -126,9 +127,7 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             bound = seen.shape[0]
         code = code * levels.shape[0] + np.searchsorted(levels, column)
         bound *= levels.shape[0]
-    atoms, inverse = np.unique(code, return_inverse=True)
-    first = np.full(atoms.shape[0], n, dtype=np.intp)
-    np.minimum.at(first, inverse, np.arange(n))
+    first, inverse = np.unique(code, return_index=True, return_inverse=True)[1:]
     return rows[first], inverse
 
 
@@ -508,9 +507,8 @@ def output_atoms(learner, m: int, d: int):
     """(codebook, atom, point_scale, coord_radix): a deterministic learner's
     lexicographic codebook and the atom of each sample code sum_i point_scale[i]
     sum_t plus(i, t) coord_radix[t]. A ``reads_counts`` learner takes the
-    lattice code (scale 1, radix (m+1)^(d-1-t)), fit per point in its first
-    pattern's order (plus signs lowest), so each atom keeps that pattern's row,
-    signed zeros included; any other the pattern index (scale 2^(i d), radix 2^t).
+    lattice code (scale 1, radix (m+1)^(d-1-t)), fit once per lattice point in
+    code order; any other the pattern index (scale 2^(i d), radix 2^t).
     SGD is fit on every pattern by ``fit_patterns``. A subsample reads only
     the low d k bits of the index, so its atoms are its base's pattern atoms
     at k, tiled: each atom's first pattern, and so its row, is the base's.
@@ -530,13 +528,8 @@ def output_atoms(learner, m: int, d: int):
                 1 << np.arange(d, dtype=np.int64))
     if (m + 1) ** d > FULL_ENUM_BUDGET:
         raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
-    counts = lattice_counts(m, d)
-    # a first pattern sets bit i d + t iff i < C_t, so two such patterns compare
-    # as their coordinates' top bits (C_t - 1) d + t do, largest first
-    top = np.where(counts > 0, (counts - 1) * d + np.arange(d), -1)  # -1: no plus sign
-    order = np.lexsort(np.sort(top, axis=1).T)  # the last key sorts first
-    codebook, inverse = unique_rows(learner.fit_counts(counts[order], m))
-    return codebook, inverse[np.argsort(order)], np.ones(m, dtype=np.int64), lattice_radix(m, d)
+    codebook, atom = unique_rows(learner.fit_counts(lattice_counts(m, d), m))
+    return codebook, atom, np.ones(m, dtype=np.int64), lattice_radix(m, d)
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:

@@ -245,6 +245,13 @@ class TestFailClosed:
             extra="\n[learner]\nkind = regularized_erm\nlam = nan")
         self.assert_rejected(capsys, path, out, "lam must be finite")
 
+    def test_negative_lam(self, tmp_path, capsys):
+        # RegularizedErm holds the one lam >= 0 rule
+        path, out = write_config(
+            tmp_path, name="theorem1",
+            extra="\n[learner]\nkind = regularized_erm\nlam = -0.5")
+        self.assert_rejected(capsys, path, out, "invalid learner block: lam must be >= 0")
+
     @pytest.mark.parametrize("name, force, extra, match", [
         ("cmi", (), "\n[learner]\nkind = quantized_mean",
          "experiment 'cmi' does not read 'kind'"),
@@ -282,6 +289,40 @@ class TestFailClosed:
         path, out = write_config(tmp_path, name=name)
         self.assert_rejected(capsys, path, out, f"experiment {name!r} does not read --seed",
                              seed=3)
+
+
+# accepted configs, 300 trials each: every experiment at three (d, m), and
+# theorem1 with every learner kind, every subsample base and both epsilon modes
+SWEEP_LEARNERS = ("kind = mean", "kind = quantized_mean\ndelta = 0.25",
+                  "kind = epsilon_net_erm", "kind = sgd\ndelta = auto",
+                  "kind = regularized_erm\nlam = 0", "kind = regularized_erm\nlam = 1.5\ndelta = 0.1",
+                  *(f"kind = subsample\nk = 1\nbase = {base}" for base in
+                    ("mean", "quantized_mean", "epsilon_net_erm", "sgd", "regularized_erm")))
+SWEEP = [(name, d, m, extra) for name in sorted(EXPERIMENTS)
+         for extra in ([f"\n[learner]\n{lrn}" for lrn in SWEEP_LEARNERS]
+                       if name == "theorem1" else [""])
+         for d, m in ((1, 1), (2, 3), (3, 4))]
+SWEEP += [("theorem1", 2, 3, f"epsilon = {eps}{extra}")
+          for eps in ("0.01", "measured") for extra in ("", "\n\n[learner]\nkind = sgd")]
+
+
+@pytest.mark.parametrize("name, d, m, extra", SWEEP,
+                         ids=lambda v: str(v).replace("\n[learner]\n", "").replace(" = ", "=")
+                         .replace("\n", ","))
+def test_accepted_config_runs_or_exits_in_one_line(tmp_path, capsys, name, d, m, extra):
+    """Every config load_config accepts runs under --verify to exit 0, or to
+    exit 1 or 2 with one printed line, and raises nothing. theorem1 exits 2
+    at m = 1, where mi_dimension_scan reads holds=False, and at epsilon =
+    0.01, which the measured risk exceeds."""
+    path, _ = write_config(tmp_path, name=name, d=d, m=m, trials=300, p_mode="uniform",
+                           extra=extra)
+    load_config(path)
+    code = run(path, verify=True)
+    printed = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2)
+    assert len(printed) == (code != 0)
+    if code == 2:
+        assert printed[0].startswith("verification failed: ")
 
 
 class TestRun:

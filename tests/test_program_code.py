@@ -395,3 +395,25 @@ def test_one_fit_on_plus_booleans():
                  or isinstance(node, ast.Constant) and node.value == "int8"]
     assert sites == {("learners.py", "fit")}
     assert not int8, f"int8 sign tensors in the program: {int8}"
+
+
+def test_codebooks_grouped_by_value():
+    """Codebooks and per-atom sums group by value with numpy's own
+    primitives: ``src/`` holds no ufunc scatter (``.at``), ``reduceat`` or
+    ``lexsort``; ``output_atoms`` and ``_selection_counts`` sort nothing
+    themselves; and the chain rule labels an output coordinate with
+    ``np.unique``, not ``unique_rows``."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("at", "reduceat", "lexsort")]
+    assert not found, f"scatter or reduceat in the program: {found}"
+    funcs = {(name, func.name): func for name, tree in trees.items()
+             for func in tree.body if isinstance(func, FUNCS)}
+    for site in (("learners.py", "output_atoms"), ("bounds.py", "_selection_counts")):
+        assert not [call for word in ("sort", "argsort", "searchsorted")
+                    for call in _calls_named(funcs[site], word)], site
+    chain_rule = funcs["bounds.py", "chain_rule_decomposition"]
+    assert not _calls_named(chain_rule, "unique_rows")
+    assert _calls_named(chain_rule, "unique")
