@@ -42,13 +42,21 @@ class PmfValidationError(ValueError):
 
 
 def _as_prob_array(probs) -> np.ndarray:
-    arr = np.asarray(probs, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise PmfValidationError("probabilities must be finite")
-    if np.any(arr < -STRUCT_TOL):
-        raise PmfValidationError(f"negative probability: min={arr.min()}")
-    arr = np.clip(arr, 0.0, None)
+    """A float copy of ``probs``, checked: finite, no entry below -STRUCT_TOL
+    (entries between it and 0, and -0.0, clipped to +0.0) and a sum within
+    STRUCT_TOL of 1. One min and one sum decide it; NaN or an infinity leaves
+    one of them non-finite, and only then is every entry tested. A min of 0
+    may hide a -0.0 elsewhere, so a min <= 0 clips."""
+    arr = np.array(probs, dtype=float)
+    low = arr.min() if arr.size else 0.0
     total = arr.sum()
+    if not (math.isfinite(low) and math.isfinite(total)) and not np.isfinite(arr).all():
+        raise PmfValidationError("probabilities must be finite")
+    if low <= 0.0:
+        if low < -STRUCT_TOL:
+            raise PmfValidationError(f"negative probability: min={low}")
+        arr = np.clip(arr, 0.0, None)
+        total = arr.sum()
     if abs(total - 1.0) > STRUCT_TOL:
         raise PmfValidationError(f"probabilities sum to {total!r}, not 1")
     return arr

@@ -18,8 +18,10 @@ The learner contract is a set of attributes, with no base class:
   * ``fit_counts(counts, m)``, for a ``reads_counts`` learner: the (n, d)
     outputs for (n, d) plus-counts out of m, its one computation;
   * ``fit_batch(plus)``, for SGD, the one learner that reads the order of
-    the points: the (n, d) outputs for (n, m, d) plus booleans; and
-    ``fit_patterns(m, d)``, its outputs on every sign pattern.
+    the points: the (n, d) outputs for (n, m, d) plus booleans;
+    ``fit_patterns(m, d)``, its outputs on every sign pattern; and
+    ``column_levels(m, d)``, one coordinate's levels per column pattern, or
+    None where its shell test fails.
 The mean-based learners read the sample through ``count_mean``, and the
 quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 ``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
@@ -38,18 +40,26 @@ gives every deterministic learner's codebook and the atom of each sample
 code, which is either
   * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
     fit once per (m+1)^d lattice point, in lattice code order; or
-  * the pattern index: SGD, fit on all patterns at once by prefix recursion,
-    or a subsample, whose atoms are its base's at k, tiled.
-Both pattern routes rest on one fact of the order: the first t points of a
-pattern are the low d t bits of its index. SGD's iterate after t points reads
-only those points, so step t updates the 2^(d t) iterates of the t-point
-prefixes, each row by the float operations of a pass over its own pattern;
-and a subsample's output repeats with period 2^(d k) along the patterns.
+  * the pattern index: SGD, from one coordinate's 2^m column patterns, or a
+    subsample, whose atoms are its base's at k, tiled.
+SGD's update acts on each coordinate alone but for the in-loop projection.
+Its column pass runs the update once over the 2^m columns of one coordinate
+and tests at each step that no projection can fire; then each pattern's
+output is its d column levels, projected at the end, and only the K^d tuples
+of the K distinct levels are projected and grouped. Where the test fails
+(within the budget, at (d, m) = (6, 3) and (6, 4)), SGD is fit on all
+patterns at once by prefix recursion. That route and the subsample's rest on
+one fact of the order: the first t points of a pattern are the low d t bits
+of its index. SGD's iterate after t points reads only those points, so step
+t updates the 2^(d t) iterates of the t-point prefixes, each row by the float
+operations of a pass over its own pattern; and a subsample's output repeats
+with period 2^(d k) along the patterns.
 ``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
 and randomized response draws from its base's codebook. A count learner's
 channel keeps each lattice code's atom, so its gap is summed per lattice
-point and gathered by code. A factorized learner's exact MI sums
-per-coordinate entropies; each of the 2^m column patterns weighs its
+point and gathered by code; any other deterministic channel sums its gap
+terms in blocks of GAP_BLOCK_ROWS patterns. A factorized learner's exact MI
+sums per-coordinate entropies; each of the 2^m column patterns weighs its
 plus-count's atom. The Monte Carlo estimators draw plus booleans with
 ``sco.sample_plus`` and fit them with ``fit``.
 
@@ -73,6 +83,7 @@ from .sco import HardInstance, counts_of_plus
 FULL_ENUM_BUDGET = 1 << 24
 DENSE_LAW_BYTES = 1 << 30  # largest (samples x codebook) float64 law exact_channel builds
 NET_BLOCK_CELLS = 1 << 18  # floats in one distance block of EpsilonNetErm
+GAP_BLOCK_ROWS = 1 << 14  # patterns per block of a deterministic pattern channel's gap
 CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
 
 
@@ -228,7 +239,7 @@ class SgdLearner:
     combination of data points (inside the ball). The average of the iterates
     is rounded to the 1/m^2 grid for a finite codebook.
 
-    ``_pass`` holds the update once. ``fit_batch`` feeds it one point per
+    ``_levels`` holds the update once. ``fit_batch`` feeds it one point per
     sample; ``fit_patterns`` feeds it the 2^d corners, each extending every
     iterate so far, so step t holds the 2^(d t) iterates of the t-point
     prefixes. The iterate after t points reads only those points, which in
@@ -237,6 +248,14 @@ class SgdLearner:
     the iterates too adds them in step order, from 0.0): the outputs are bit
     for bit those of a pass per pattern, with only the last step touching
     all 2^(d m) rows.
+
+    Every operation of the update but the in-loop projection acts on each
+    coordinate alone. ``column_levels`` feeds the same update the two corner
+    values of one coordinate, so step t holds the 2^t iterates of its column
+    prefixes, and tests at each step that no projection can fire in a pass
+    over all patterns. Where none fires, each output row is the tuple of its
+    d column levels, projected once at the end; where the test fails, the
+    exact channel takes ``fit_patterns``.
     """
 
     delta: float | None = None
@@ -246,16 +265,24 @@ class SgdLearner:
     factorized = False
     reads_counts = False  # the pass reads the points in order
 
-    def _pass(self, points, m: int, d: int) -> np.ndarray:
-        """Outputs after m steps, step t reading the (k, n, d) points
-        ``points(t)``: n = 1 extends every iterate by each of k points, point
-        the slow axis of the new rows; k = 1 gives iterate i point i."""
+    def _levels(self, points, m: int, d: int, project) -> np.ndarray | None:
+        """Rounded iterate averages before the final projection, after m
+        steps, step t reading the (k, n, d) points ``points(t)``: n = 1
+        extends every iterate by each of k points, point the slow axis of the
+        new rows; k = 1 gives iterate i point i. ``project`` takes each
+        step's new iterates, in place, or returns None to stop the pass."""
         w, acc = np.zeros((1, d)), np.zeros((1, d))
         for t in range(1, m + 1):
             z = points(t)
-            w = _project_rows(((1.0 - 1.0 / t) * w[None] + z / t).reshape(-1, d))
+            w = project(((1.0 - 1.0 / t) * w[None] + z / t).reshape(-1, d))
+            if w is None:
+                return None
             acc = (acc[None] + w.reshape(z.shape[0], -1, d)).reshape(-1, d)
-        return _project_rows(round_half_down(acc / m, grid_step(self.delta, m)))
+        return round_half_down(acc / m, grid_step(self.delta, m))
+
+    def _pass(self, points, m: int, d: int) -> np.ndarray:
+        """Outputs after m steps, each step's iterates projected."""
+        return _project_rows(self._levels(points, m, d, _project_rows))
 
     def fit_batch(self, plus: np.ndarray) -> np.ndarray:
         _, m, d = plus.shape
@@ -268,6 +295,25 @@ class SgdLearner:
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
         corners = np.where(bits > 0, 1.0, -1.0)[:, None] / math.sqrt(d)  # (2^d, 1, d)
         return self._pass(lambda t: corners, m, d)
+
+    def column_levels(self, m: int, d: int) -> np.ndarray | None:
+        """(2^m,) levels of one output coordinate before the final projection,
+        one per column pattern (plus in point i iff bit i of the column code
+        is set), or None where an in-loop projection may fire.
+
+        The shell test: at each step, the row that holds the largest |w| in
+        every coordinate is a reachable iterate (each coordinate on the same
+        column), and no reachable row's norm exceeds its norm, since float
+        rounding is monotone. Where that norm is at most 1 at every step, no
+        row is projected inside the pass, and each output of ``fit_patterns``
+        is its d column levels, projected, bit for bit."""
+        def in_shell(w):
+            top = np.full((1, d), np.abs(w).max())  # the largest |w| in every coordinate
+            return w if np.linalg.norm(top, axis=1)[0] <= 1.0 else None
+
+        corners = (np.array([-1.0, 1.0]) / math.sqrt(d))[:, None, None]  # (2, 1, 1)
+        levels = self._levels(lambda t: corners, m, 1, in_shell)
+        return None if levels is None else levels[:, 0]
 
 
 @dataclass(frozen=True)
@@ -488,10 +534,14 @@ class Channel:
         if self.code_atom is not None:
             term = 2.0 * (self.codebook[self.code_atom] * drift).sum(axis=1)
             return float(self.sample_probs @ term[self.codes])
+        if self.deterministic:  # a pattern's term reads only its row: blocks keep the bytes
+            term = np.empty(self.codes.shape[0])
+            for start in range(0, term.shape[0], GAP_BLOCK_ROWS):
+                rows = slice(start, start + GAP_BLOCK_ROWS)
+                w = np.take(self.codebook, self.output_index[rows], axis=0)
+                term[rows] = 2.0 * (w * np.take(drift, self.codes[rows], axis=0)).sum(axis=1)
+            return float(self.sample_probs @ term)
         drift = drift[self.codes]  # (n, d)
-        if self.deterministic:
-            w = self.codebook[self.output_index]
-            return float(self.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
         gap = 2.0 * drift @ self.codebook.T  # (n, K)
         return float(self.sample_probs @ (self.cond * gap).sum(axis=1))
 
@@ -503,22 +553,52 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
+def _column_atoms(column: np.ndarray, m: int, d: int):
+    """(codebook, atom per pattern) of outputs that are the final projection
+    of each pattern's d column levels, from the (2^m,) ``column`` levels.
+
+    The K distinct levels are ranked by value (0.0 and -0.0 in one), each
+    kept as the bytes of its first column code. A tuple of levels has as its
+    first pattern the one whose every column is its level's first code: the
+    pattern index interleaves the column bits, so it grows with each column
+    code. Only the K^d first-pattern rows are projected and grouped; all rows
+    of an atom then hold the same bytes, those of its first pattern's row.
+    Each pattern gathers its atom by its level-tuple code, the levels read in
+    base K: pattern i read as (2,)^(d m) bits, most significant first, puts
+    point j, coordinate t on axis (m-1-j) d + d-1-t, and each coordinate's
+    level table broadcasts on its m axes; K^d <= 2^(d m) <= FULL_ENUM_BUDGET
+    fits int32."""
+    _, first, level = np.unique(column, return_index=True, return_inverse=True)
+    k = first.shape[0]
+    codebook, tuple_atom = unique_rows(_project_rows(product_grid([column[first]] * d)))
+    level = level.astype(np.int32).reshape((2,) * m)
+    code = np.zeros((2,) * (d * m), dtype=np.int32)
+    for t in range(d):
+        code += (level.reshape([2 if s == d - 1 - t else 1 for _ in range(m) for s in range(d)])
+                 * k ** (d - 1 - t))
+    return codebook, tuple_atom[code.reshape(-1)]
+
+
 def output_atoms(learner, m: int, d: int):
     """(codebook, atom, point_scale, coord_radix): a deterministic learner's
     lexicographic codebook and the atom of each sample code sum_i point_scale[i]
     sum_t plus(i, t) coord_radix[t]. A ``reads_counts`` learner takes the
     lattice code (scale 1, radix (m+1)^(d-1-t)), fit once per lattice point in
     code order; any other the pattern index (scale 2^(i d), radix 2^t).
-    SGD is fit on every pattern by ``fit_patterns``. A subsample reads only
-    the low d k bits of the index, so its atoms are its base's pattern atoms
-    at k, tiled: each atom's first pattern, and so its row, is the base's.
+    SGD's atoms come from its column levels where ``column_levels`` answers,
+    with the bytes of ``unique_rows`` over ``fit_patterns``, the route taken
+    only where it declines. A subsample reads only the low d k bits of the
+    index, so its atoms are its base's pattern atoms at k, tiled: each atom's
+    first pattern, and so its row, is the base's.
     The budget bounds the (m+1)^d lattice points or the 2^(d m) patterns."""
     if not learner.reads_counts:
         # the budget comes first, before a weight 2^(i d) can wrap
         n = _pattern_count(m * d)
         base, k = reduce_subsample(learner, m)
         if base is learner:
-            codebook, atom = unique_rows(learner.fit_patterns(m, d))
+            column = learner.column_levels(m, d)
+            codebook, atom = (unique_rows(learner.fit_patterns(m, d)) if column is None
+                              else _column_atoms(column, m, d))
         else:
             codebook, atom = output_atoms(base, k, d)[:2]
             if base.reads_counts:

@@ -56,6 +56,46 @@ class TestFinitePmf:
         with pytest.raises(PmfValidationError):
             FinitePmf(np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for probs in ([1.0, bad], [bad, 0.5, 0.5], [bad]):
+            with pytest.raises(PmfValidationError, match="probabilities must be finite"):
+                FinitePmf(np.array(probs))
+        with pytest.raises(PmfValidationError, match="probabilities must be finite"):
+            JointPmf(np.array([[0.5, 0.0], [bad, 0.5]]))
+
+    def test_clips_negatives_within_tolerance(self):
+        pmf = FinitePmf(np.array([-1e-13, 0.5, 0.5 + 1e-13]))
+        assert pmf.probs[0] == 0.0 and not np.signbit(pmf.probs[0])
+        assert pmf.probs.tobytes() == np.array([0.0, 0.5, 0.5 + 1e-13]).tobytes()
+        # a -0.0 becomes +0.0 wherever it sits, also when the min reads +0.0
+        for probs in ([-0.0, 0.5, 0.5], [0.0, -0.0, 1.0], [0.5, 0.0, -0.0, 0.5]):
+            got = FinitePmf(np.array(probs)).probs
+            assert got.tobytes() == np.abs(np.array(probs)).tobytes()
+            assert not np.signbit(got).any()
+        table = JointPmf(np.array([[0.5, -0.0], [0.0, 0.5]])).table
+        assert not np.signbit(table).any()
+
+    def test_rejects_negatives_beyond_tolerance(self):
+        with pytest.raises(PmfValidationError, match=r"negative probability: min=-1e-11"):
+            FinitePmf(np.array([-1e-11, 0.5, 0.5 + 1e-11]))
+
+    def test_rejects_sum_beyond_tolerance(self):
+        too_much = r"probabilities sum to \S*1\.000000000002\S*, not 1"
+        with pytest.raises(PmfValidationError, match=too_much):
+            FinitePmf(np.array([0.5, 0.5 + 2e-12]))
+        with pytest.raises(PmfValidationError, match=r"probabilities sum to \S*0\.0\S*, not 1"):
+            FinitePmf(np.array([]))
+
+    def test_keeps_a_copy_and_never_freezes_the_input(self):
+        for raw in (np.array([0.25, 0.75]), np.array([[0.25, 0.25], [0.25, 0.25]])):
+            pmf = FinitePmf(raw) if raw.ndim == 1 else JointPmf(raw)
+            held = pmf.probs if raw.ndim == 1 else pmf.table
+            assert raw.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(raw, held)
+            raw[0] = 0.5
+            assert held.reshape(-1)[0] == 0.25
+
 
 class TestEntropy:
     def test_point_mass_zero(self):

@@ -1026,6 +1026,7 @@ class TestLatticeRoute:
 
 # every (d, m) with d m <= 14
 SMALL_SHAPES = [(d, m) for d in range(1, 15) for m in range(1, 14 // d + 1)]
+SHELL_SHAPES = [(d, m) for d in range(1, 21) for m in range(1, 20 // d + 1)]
 
 
 class TestPrefixRoutes:
@@ -1033,15 +1034,21 @@ class TestPrefixRoutes:
     SGD by prefix recursion, subsamples by tiling, and the count learners'
     gap per lattice point, all bit for bit."""
 
-    @pytest.mark.parametrize("d,m", SMALL_SHAPES)
+    @pytest.mark.parametrize("d,m", SHELL_SHAPES)
     def test_sgd_atoms_match_sign_route(self, d, m):
-        signs = enumerate_sign_space_shift_mask(m, d)
+        """The column route of ``output_atoms`` and the fallback route,
+        ``unique_rows`` over ``fit_patterns``, against the sign route up to
+        d m = 14; beyond it, where the sign tensor and its int64 temporaries
+        grow past 100 MiB, the column route against the fallback."""
+        signs = enumerate_sign_space_shift_mask(m, d) if d * m <= 14 else None
         for delta in (None, 0.05, 0.3):
             learner = SgdLearner(delta=delta)
-            want, want_atom = unique_rows(fit_signs(learner, signs))
-            got, atom = learners.output_atoms(learner, m, d)[:2]
-            assert got.tobytes() == want.tobytes(), (delta, d, m)
-            assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
+            fallback = unique_rows(learner.fit_patterns(m, d))
+            want, want_atom = fallback if signs is None else unique_rows(fit_signs(learner, signs))
+            for got, atom in (learners.output_atoms(learner, m, d)[:2], fallback):
+                assert got.tobytes() == want.tobytes(), (delta, d, m)
+                assert atom.dtype == want_atom.dtype, (delta, d, m)
+                assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
 
     @pytest.mark.parametrize("d,m", [(1, 16), (2, 9), (3, 6), (4, 4), (8, 2), (13, 1)])
     def test_sgd_monte_carlo_fit_matches_sign_route(self, d, m):
@@ -1054,15 +1061,18 @@ class TestPrefixRoutes:
 
     @pytest.mark.parametrize("kind", sorted(learners.LEARNER_KINDS))
     def test_subsample_atoms_match_sign_route(self, kind):
-        base = make_learner(kind, **({"k": 1} if kind == "subsample" else {}))
+        bases = [make_learner(kind, **({"k": 1} if kind == "subsample" else {}))]
+        if kind == "sgd":
+            bases += [SgdLearner(delta=0.05), SgdLearner(delta=0.3)]
         for d, m in ((d, m) for d, m in SMALL_SHAPES if d * m <= 12):
             signs = enumerate_sign_space_shift_mask(m, d)
             for k in range(1, m + 1):
-                learner = SubsampleLearner(k=k, base=base)
-                want, want_atom = unique_rows(fit_signs(learner, signs))
-                got, atom = learners.output_atoms(learner, m, d)[:2]
-                assert got.tobytes() == want.tobytes(), (d, m, k)
-                assert atom.tobytes() == want_atom.tobytes(), (d, m, k)
+                for base in bases:
+                    learner = SubsampleLearner(k=k, base=base)
+                    want, want_atom = unique_rows(fit_signs(learner, signs))
+                    got, atom = learners.output_atoms(learner, m, d)[:2]
+                    assert got.tobytes() == want.tobytes(), (d, m, k, base)
+                    assert atom.tobytes() == want_atom.tobytes(), (d, m, k, base)
 
     @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=repr)
     def test_count_gap_and_risk_match_full_channel(self, learner):
@@ -1081,9 +1091,11 @@ class TestPrefixRoutes:
 
     @pytest.mark.parametrize("d,m", [(4, 5), (2, 8)])
     def test_sgd_projects_each_prefix_once(self, monkeypatch, d, m):
-        """Step t projects the 2^(d t) iterates of the t-point prefixes, and
-        the final projection the 2^(d m) outputs; a pass per pattern would
-        project m 2^(d m) rows."""
+        """On the fallback route, ``fit_patterns``, step t projects the
+        2^(d t) iterates of the t-point prefixes, and the final projection the
+        2^(d m) outputs; a pass per pattern would project m 2^(d m) rows. The
+        column route of ``exact_channel`` projects only the K^d first-pattern
+        rows, K the distinct column levels, once."""
         rows, real = [], learners._project_rows
 
         def spy(w):
@@ -1091,8 +1103,11 @@ class TestPrefixRoutes:
             return real(w)
 
         monkeypatch.setattr(learners, "_project_rows", spy)
-        exact_channel(SgdLearner(), HardInstance.zero(d), m)
+        SgdLearner().fit_patterns(m, d)
         assert rows == [1 << (d * t) for t in range(1, m + 1)] + [1 << (d * m)]
+        rows.clear()
+        exact_channel(SgdLearner(), HardInstance.zero(d), m)
+        assert rows == [np.unique(SgdLearner().column_levels(m, d)).shape[0] ** d]
 
     def test_count_gap_memory_per_lattice_point(self):
         # the per-pattern route built three (2^20, 4) float arrays (104 MiB)
@@ -1127,6 +1142,77 @@ class TestPrefixRoutes:
                             RandomizedResponse(SubsampleLearner(k=5, base=base), 0.5)):
                 with pytest.raises(ValueError, match="k=5 out of range for m=4"):
                     exact_channel(learner, HardInstance.zero(2), 4)
+
+
+class TestColumnRoute:
+    """Where SGD's column pass answers and where it declines, the fallback
+    at (6, 3), the column route's memory, and the blocked gap of a pattern
+    channel against its one-shot sum. Its atoms are checked bit for bit in
+    ``TestPrefixRoutes``."""
+
+    def test_shell_test_is_conservative(self, monkeypatch):
+        """Wherever the column pass answers, no row of ``fit_patterns`` is
+        projected inside the pass; where it declines, at (6, 3), its test row
+        is reachable and some row is."""
+        over, real = [], learners._project_rows
+
+        def spy(w):
+            over.append(bool((np.linalg.norm(w, axis=1) > 1.0).any()))
+            return real(w)
+
+        declined = []
+        for d, m in [(d, m) for d, m in SHELL_SHAPES if d * m <= 16] + [(6, 3)]:
+            answered = SgdLearner().column_levels(m, d) is not None
+            monkeypatch.setattr(learners, "_project_rows", spy)
+            over.clear()
+            SgdLearner().fit_patterns(m, d)
+            monkeypatch.setattr(learners, "_project_rows", real)
+            assert len(over) == m + 1
+            assert any(over[:m]) != answered, (d, m)
+            if not answered:
+                declined.append((d, m))
+        assert declined == [(6, 3)]
+
+    def test_declines_within_the_budget_only_at_6_3_and_6_4(self):
+        # at d = 1 every iterate is a convex combination of +-1, so the pass
+        # never declines there; at m = 24 it peaks at 640 MiB (traced)
+        declined = [(d, m) for d in range(2, 25) for m in range(1, 24 // d + 1)
+                    if SgdLearner().column_levels(m, d) is None]
+        assert declined == [(6, 3), (6, 4)]
+
+    def test_fallback_outside_the_shell_matches_sign_route(self):
+        d, m = 6, 3
+        assert SgdLearner().column_levels(m, d) is None
+        want, want_atom = unique_rows(fit_signs(SgdLearner(),
+                                                enumerate_sign_space_shift_mask(m, d)))
+        got, atom = learners.output_atoms(SgdLearner(), m, d)[:2]
+        assert got.tobytes() == want.tobytes() and atom.tobytes() == want_atom.tobytes()
+
+    def test_atoms_peak_memory(self):
+        # the fallback route peaks at 160 MiB here: (2^20, 4) float outputs
+        # and their dedup
+        tracemalloc.start()
+        try:
+            learners.output_atoms(SgdLearner(), 5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+
+    @pytest.mark.parametrize("d,m,block", [(2, 3, None), (4, 5, None), (3, 4, 1000)])
+    def test_blocked_gap_matches_one_shot(self, monkeypatch, d, m, block):
+        if block is not None:
+            monkeypatch.setattr(learners, "GAP_BLOCK_ROWS", block)
+        inst = HardInstance(d, np.random.default_rng([d, m]).uniform(-1 / 3, 1 / 3, d))
+        n = 1 << (d * m)
+        assert (n < learners.GAP_BLOCK_ROWS) == (d * m == 6)
+        assert n % learners.GAP_BLOCK_ROWS != 0 or n // learners.GAP_BLOCK_ROWS >= 64
+        for learner in (SgdLearner(), SgdLearner(delta=0.3), SubsampleLearner(2, SgdLearner())):
+            ch = exact_channel(learner, inst, m)
+            drift = (count_mean(ch.counts, m) - inst.w_star)[ch.codes]
+            w = ch.codebook[ch.output_index]
+            want = float(ch.sample_probs @ (2.0 * (w * drift).sum(axis=1)))
+            assert ch.expected_generalization_gap(inst) == want, learner.kind
 
 
 class TestMakeLearner:

@@ -215,27 +215,37 @@ def test_no_add_at_in_src():
     assert not found, f"np.add.at in the program; use np.bincount: {found}"
 
 
-def _spy_pattern_fits(monkeypatch):
-    """Record every fit on all sign patterns, ``SgdLearner.fit_patterns``,
-    as (m, d, rows built)."""
-    calls, real = [], learners.SgdLearner.fit_patterns
+def _spy_sgd_exact_fits(monkeypatch):
+    """Record SGD's exact fits: each column pass, ``SgdLearner.column_levels``,
+    as ("column", m, d, whether its shell test passed), and each fit on all
+    sign patterns, ``SgdLearner.fit_patterns``, as ("patterns", m, d, rows
+    built)."""
+    calls = []
+    real_column, real_patterns = (learners.SgdLearner.column_levels,
+                                  learners.SgdLearner.fit_patterns)
 
-    def spy(self, m, d):
-        out = real(self, m, d)
-        calls.append((m, d, out.shape[0]))
+    def column_spy(self, m, d):
+        out = real_column(self, m, d)
+        calls.append(("column", m, d, out is not None))
         return out
 
-    monkeypatch.setattr(learners.SgdLearner, "fit_patterns", spy)
+    def patterns_spy(self, m, d):
+        out = real_patterns(self, m, d)
+        calls.append(("patterns", m, d, out.shape[0]))
+        return out
+
+    monkeypatch.setattr(learners.SgdLearner, "column_levels", column_spy)
+    monkeypatch.setattr(learners.SgdLearner, "fit_patterns", patterns_spy)
     return calls
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_exact_channel_enumerates_once(monkeypatch, m):
     """``exact_channel`` builds no per-pattern outputs for a count learner,
-    randomized response over one, or a subsample of one, and builds SGD's
-    2^(m d) outputs exactly once per call, a subsample of SGD its base's
-    2^(k d), whatever wraps it."""
-    calls = _spy_pattern_fits(monkeypatch)
+    randomized response over one, or a subsample of one. For SGD it runs one
+    column pass per call, a subsample of SGD at its k, whatever wraps it, and
+    fits no pattern where the shell test passes, as it does at d = 2."""
+    calls = _spy_sgd_exact_fits(monkeypatch)
     inst = HardInstance.zero(2)
     menu = _xu_learner_menu(m)
     assert {type(l) for l in menu} >= ({learners.SgdLearner, learners.RandomizedResponse}
@@ -247,8 +257,16 @@ def test_exact_channel_enumerates_once(monkeypatch, m):
         learners.exact_channel(learner, inst, m)
         base, k = learners.reduce_subsample(
             learner if learner.deterministic else learner.base, m)
-        expected = [(k, 2, 1 << (2 * k))] if isinstance(base, learners.SgdLearner) else []
+        expected = [("column", k, 2, True)] if isinstance(base, learners.SgdLearner) else []
         assert calls == expected, learner.kind
+
+
+def test_exact_channel_falls_back_once_outside_the_shell(monkeypatch):
+    """Where the shell test fails, at (d, m) = (6, 3), SGD's channel runs the
+    column pass, then fits the 2^(d m) patterns exactly once."""
+    calls = _spy_sgd_exact_fits(monkeypatch)
+    learners.exact_channel(learners.SgdLearner(), HardInstance.zero(6), 3)
+    assert calls == [("column", 3, 6, False), ("patterns", 3, 6, 1 << 18)]
 
 
 COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
@@ -259,7 +277,7 @@ COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
 def _spy_sign_routes(monkeypatch):
     """Record every fit on all sign patterns, and the row count of every
     ``fit`` on plus booleans, wherever the program looks those names up."""
-    calls = {"fit_patterns": _spy_pattern_fits(monkeypatch), "fit_rows": []}
+    calls = {"sgd_exact": _spy_sgd_exact_fits(monkeypatch), "fit_rows": []}
     real_fit = learners.fit
 
     def fit_spy(learner, plus, rng=None):
@@ -295,7 +313,7 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    assert calls == {"fit_patterns": [], "fit_rows": []}
+    assert calls == {"sgd_exact": [], "fit_rows": []}
 
 
 @pytest.mark.parametrize("learner", COUNT_LEARNERS[:3] + (
@@ -306,32 +324,32 @@ def test_factorized_mi_takes_no_sign_route(monkeypatch, learner):
     calls = _spy_sign_routes(monkeypatch)
     for d, m in ((1, 6), (3, 5)):
         assert learners.exact_mutual_information(learner, d, m)(HardInstance.zero(d)) > 0
-    assert calls == {"fit_patterns": [], "fit_rows": []}
+    assert calls == {"sgd_exact": [], "fit_rows": []}
 
 
 def test_sign_route_spy_sees_sgd(monkeypatch):
-    """The spy above does see the sign routes: SGD's CMI builds the outputs
-    of the 2^(m d) patterns once, and its Monte Carlo fits the 100 sampled
-    booleans through ``fit``."""
+    """The spy above does see the sign routes: SGD's CMI runs one column
+    pass, and its Monte Carlo fits the 100 sampled booleans through
+    ``fit``."""
     calls = _spy_sign_routes(monkeypatch)
     inst = HardInstance.zero(2)
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
-    assert calls == {"fit_patterns": [(2, 2, 1 << 4)], "fit_rows": []}
+    assert calls == {"sgd_exact": [("column", 2, 2, True)], "fit_rows": []}
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
-    assert calls == {"fit_patterns": [(2, 2, 1 << 4)], "fit_rows": [100]}
+    assert calls == {"sgd_exact": [("column", 2, 2, True)], "fit_rows": [100]}
 
 
 @pytest.mark.parametrize("learner", [learners.SgdLearner(),
                                      learners.RandomizedResponse(learners.SgdLearner(), 0.5)],
                          ids=lambda l: l.kind)
 def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
-    """``cmi_exact`` builds SGD's outputs once, on the 2^(m d) patterns of one
-    sample, at a point whose supersamples take more than one chunk; no
-    selection of a supersample is fit again, and nothing goes through the
-    per-sample ``fit_batch``."""
+    """``cmi_exact`` builds SGD's atoms once, from one column pass over the
+    2^m column patterns of one sample, at a point whose supersamples take
+    more than one chunk; no pattern is fit, no selection of a supersample is
+    fit again, and nothing goes through the per-sample ``fit_batch``."""
     d, m = 2, 4
     assert 1 << (2 * m * d) > bounds.CMI_CHUNK_CELLS // ((1 << m) * m * d)  # two chunks
-    calls = _spy_pattern_fits(monkeypatch)
+    calls = _spy_sgd_exact_fits(monkeypatch)
     batch = []
     real_batch = learners.SgdLearner.fit_batch
 
@@ -341,7 +359,7 @@ def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
 
     monkeypatch.setattr(learners.SgdLearner, "fit_batch", batch_spy)
     bounds.cmi_exact(learner, HardInstance(d, np.array([0.1, -0.2])), m)
-    assert calls == [(m, d, 1 << (m * d))] and batch == []
+    assert calls == [("column", m, d, True)] and batch == []
 
 
 def _calls_named(tree, name):
@@ -354,8 +372,10 @@ def _calls_named(tree, name):
 def test_sign_route_only_in_learners():
     """No sign tensor is built in ``src/``: it never names
     ``enumerate_sign_space``, the oracle in ``tests/oracles.py``. The one fit
-    on all sign patterns, ``fit_patterns``, is called only by
-    ``learners.output_atoms``, and ``bounds`` holds no sign-route code: it
+    on all sign patterns, ``fit_patterns``, and SGD's column pass,
+    ``column_levels``, are called only by ``learners.output_atoms``, which
+    takes the patterns only where the column pass declines, and ``bounds``
+    holds no sign-route code: it
     names none of the sign route's helpers, calls no ``fit_batch``, and its
     one ``fit`` call is ``_fit_plus``'s, on sampled plus booleans."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
@@ -366,13 +386,14 @@ def test_sign_route_only_in_learners():
              == "enumerate_sign_space"
              or isinstance(node, ast.alias) and node.name == "enumerate_sign_space"]
     assert not named, f"the program names the sign enumeration: {named}"
-    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
-             if _calls_named(top, "fit_patterns")}
-    assert sites == {("learners.py", "output_atoms")}
+    for method in ("fit_patterns", "column_levels"):
+        sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+                 if _calls_named(top, method)}
+        assert sites == {("learners.py", "output_atoms")}, method
     bounds_tree = trees["bounds.py"]
     names = _names_used(bounds_tree)
-    assert not [name for name in ("fit_patterns", "_index_in_codebook", "take",
-                                  "lattice_samples") if names[name]]
+    assert not [name for name in ("fit_patterns", "column_levels", "_index_in_codebook",
+                                  "take", "lattice_samples") if names[name]]
     assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
                and any(_calls_named(stmt, "fit") for stmt in func.body)]
