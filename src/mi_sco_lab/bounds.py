@@ -484,7 +484,7 @@ def cmi_exact(learner, inst: HardInstance, m: int) -> float:
     learner the conditional MI reduces to E_Z[H(w_S | Z)]. A subsample
     reduces to its base at k (``reduce_subsample``). The base is fit
     once per sample code of ``output_atoms`` (a lattice point of a
-    ``reads_counts`` base, a sign pattern of SGD, all fit at once), and
+    ``reads_counts`` base, a column-tuple code of SGD, all fit at once), and
     each selection reads its atom by code, with no sign tensor.
     """
     learner, m = reduce_subsample(learner, m)

@@ -36,26 +36,31 @@ subsample's exact MI and its supersample CMI are its base's at k.
 Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET)
 in pattern order: pattern i is plus in point j, coordinate t iff bit j d + t
 of i is set. No sign tensor is built. One code-to-atom map, ``output_atoms``,
-gives every deterministic learner's codebook and the atom of each sample
-code, which is either
-  * the lattice code, plus-counts in base m+1: a ``reads_counts`` learner,
-    fit once per (m+1)^d lattice point, in lattice code order; or
-  * the pattern index: SGD, from one coordinate's 2^m column patterns, or a
-    subsample, whose atoms are its base's at k, tiled.
+gives every deterministic learner's codebook and its atoms indexed by one
+sample code, sum_i scale[i] sum_t plus(i, t) radix[t], built for every
+pattern by ``sample_codes``; no consumer needs to know which learner it
+holds. The code is
+  * the lattice code, plus-counts in base m+1 (scale 1): a ``reads_counts``
+    learner, fit once per (m+1)^d lattice point, in lattice code order;
+  * the column-tuple code, sum_t col_t 2^(m (d-1-t)) with col_t the column
+    code of coordinate t (scale 2^i): SGD, from one coordinate's 2^m column
+    patterns, or, where its shell test fails, the pattern index itself;
+  * its base's code at k with zero weight on points k+1..m: a subsample,
+    whose codebook and atoms are its base's at k.
 SGD's update acts on each coordinate alone but for the in-loop projection.
 Its column pass runs the update once over the 2^m columns of one coordinate
 and tests at each step that no projection can fire; then each pattern's
 output is its d column levels, projected at the end, and only the K^d tuples
 of the K distinct levels are projected and grouped. Where the test fails
 (within the budget, at (d, m) = (6, 3) and (6, 4)), SGD is fit on all
-patterns at once by prefix recursion. That route and the subsample's rest on
-one fact of the order: the first t points of a pattern are the low d t bits
-of its index. SGD's iterate after t points reads only those points, so step
-t updates the 2^(d t) iterates of the t-point prefixes, each row by the float
-operations of a pass over its own pattern; and a subsample's output repeats
-with period 2^(d k) along the patterns.
+patterns at once by prefix recursion. That route rests on one fact of the
+order: the first t points of a pattern are the low d t bits of its index.
+SGD's iterate after t points reads only those points, so step t updates the
+2^(d t) iterates of the t-point prefixes, each row by the float operations
+of a pass over its own pattern.
 ``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
-and randomized response draws from its base's codebook. A count learner's
+and randomized response draws from its base's codebook (a subsample's is its
+base's at k, so it needs no pattern budget at m). A count learner's
 channel keeps each lattice code's atom, so its gap is summed per lattice
 point and gathered by code; any other deterministic channel sums its gap
 terms in blocks of GAP_BLOCK_ROWS patterns. A factorized learner's exact MI
@@ -109,9 +114,14 @@ def product_grid(axes) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 
-def round_half_down(x, delta: float):
-    """Round to the grid delta*Z, ties toward the smaller grid value."""
-    return np.ceil(np.asarray(x, dtype=float) / delta - 0.5) * delta
+def round_half_down(x, delta: float) -> np.ndarray:
+    """Round to the grid delta*Z, ties toward the smaller grid value: the
+    quotient is a fresh array, and the shift, ceil and scale run in place."""
+    q = np.divide(x, delta, out=np.empty(np.shape(x)))
+    q -= 0.5
+    np.ceil(q, out=q)
+    q *= delta
+    return q
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -458,14 +468,20 @@ def lattice_radix(m: int, d: int) -> np.ndarray:
     return (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def lattice_codes(m: int, d: int) -> np.ndarray:
-    """Each sign pattern's lattice code, in pattern order: flat cell c = i d + t
-    (point i, coordinate t) is bit c of the pattern index and adds the radix
-    of coordinate t, so each cell doubles the codes."""
-    code = np.zeros(_pattern_count(m * d), dtype=np.int64)
-    for c, weight in enumerate(np.tile(lattice_radix(m, d), m)):
+def sample_codes(scale: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """Each sign pattern's sample code sum_i scale[i] sum_t plus(i, t) radix[t],
+    in pattern order: flat cell c = i d + t (point i, coordinate t) is bit c of
+    the pattern index and adds scale[i] radix[t], so each cell doubles the
+    codes. The budget bounds the 2^(d m) patterns before any is built."""
+    code = np.zeros(_pattern_count(scale.shape[0] * radix.shape[0]), dtype=np.int64)
+    for c, weight in enumerate(np.outer(scale, radix).reshape(-1)):
         np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
     return code
+
+
+def lattice_codes(m: int, d: int) -> np.ndarray:
+    """Each sign pattern's lattice code, its plus-counts read in base m+1."""
+    return sample_codes(np.ones(m, dtype=np.int64), lattice_radix(m, d))
 
 
 def lattice_counts(m: int, d: int) -> np.ndarray:
@@ -554,8 +570,11 @@ class Channel:
 
 
 def _column_atoms(column: np.ndarray, m: int, d: int):
-    """(codebook, atom per pattern) of outputs that are the final projection
-    of each pattern's d column levels, from the (2^m,) ``column`` levels.
+    """(codebook, atom per column-tuple code) of outputs that are the final
+    projection of each pattern's d column levels, from the (2^m,) ``column``
+    levels. The column-tuple code sum_t col_t 2^(m (d-1-t)) holds coordinate
+    t's column code col_t (plus in point i iff bit i is set) as digit t, the
+    first coordinate most significant.
 
     The K distinct levels are ranked by value (0.0 and -0.0 in one), each
     kept as the bytes of its first column code. A tuple of levels has as its
@@ -563,64 +582,60 @@ def _column_atoms(column: np.ndarray, m: int, d: int):
     pattern index interleaves the column bits, so it grows with each column
     code. Only the K^d first-pattern rows are projected and grouped; all rows
     of an atom then hold the same bytes, those of its first pattern's row.
-    Each pattern gathers its atom by its level-tuple code, the levels read in
-    base K: pattern i read as (2,)^(d m) bits, most significant first, puts
-    point j, coordinate t on axis (m-1-j) d + d-1-t, and each coordinate's
-    level table broadcasts on its m axes; K^d <= 2^(d m) <= FULL_ENUM_BUDGET
-    fits int32."""
+    Each column-tuple code takes the atom of its level-tuple code, the level
+    ranks of its digits read in base K, built by d - 1 outer sums;
+    K^d <= 2^(d m) <= FULL_ENUM_BUDGET fits int32."""
     _, first, level = np.unique(column, return_index=True, return_inverse=True)
     k = first.shape[0]
     codebook, tuple_atom = unique_rows(_project_rows(product_grid([column[first]] * d)))
-    level = level.astype(np.int32).reshape((2,) * m)
-    code = np.zeros((2,) * (d * m), dtype=np.int32)
-    for t in range(d):
-        code += (level.reshape([2 if s == d - 1 - t else 1 for _ in range(m) for s in range(d)])
-                 * k ** (d - 1 - t))
-    return codebook, tuple_atom[code.reshape(-1)]
+    level = code = level.astype(np.int32)
+    for _ in range(d - 1):
+        code = np.add.outer(code * k, level).reshape(-1)
+    return codebook, tuple_atom[code]
 
 
 def output_atoms(learner, m: int, d: int):
-    """(codebook, atom, point_scale, coord_radix): a deterministic learner's
-    lexicographic codebook and the atom of each sample code sum_i point_scale[i]
-    sum_t plus(i, t) coord_radix[t]. A ``reads_counts`` learner takes the
-    lattice code (scale 1, radix (m+1)^(d-1-t)), fit once per lattice point in
-    code order; any other the pattern index (scale 2^(i d), radix 2^t).
-    SGD's atoms come from its column levels where ``column_levels`` answers,
-    with the bytes of ``unique_rows`` over ``fit_patterns``, the route taken
-    only where it declines. A subsample reads only the low d k bits of the
-    index, so its atoms are its base's pattern atoms at k, tiled: each atom's
-    first pattern, and so its row, is the base's.
-    The budget bounds the (m+1)^d lattice points or the 2^(d m) patterns."""
-    if not learner.reads_counts:
-        # the budget comes first, before a weight 2^(i d) can wrap
-        n = _pattern_count(m * d)
-        base, k = reduce_subsample(learner, m)
-        if base is learner:
-            column = learner.column_levels(m, d)
-            codebook, atom = (unique_rows(learner.fit_patterns(m, d)) if column is None
-                              else _column_atoms(column, m, d))
-        else:
-            codebook, atom = output_atoms(base, k, d)[:2]
-            if base.reads_counts:
-                atom = atom[lattice_codes(k, d)]
-            atom = np.tile(atom, n >> d * k)
-        return (codebook, atom, 1 << d * np.arange(m, dtype=np.int64),
+    """(codebook, atom, scale, radix): a deterministic learner's lexicographic
+    codebook and the atom of each sample code sum_i scale[i] sum_t plus(i, t)
+    radix[t] (``sample_codes``), the only index of its atoms.
+      * A ``reads_counts`` learner takes the lattice code (scale 1, radix
+        (m+1)^(d-1-t)), fit once per lattice point in code order; the budget
+        bounds the (m+1)^d lattice points.
+      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))) where
+        ``column_levels`` answers, with the bytes of ``unique_rows`` over
+        ``fit_patterns``, the route taken only where it declines, indexed by
+        pattern (scale 2^(i d), radix 2^t); the budget bounds its 2^(d m)
+        patterns.
+      * A subsample reads only its first k points, so it takes its base's
+        codebook, atoms and radix at k, and the base's scale with zero weight
+        on the other m - k points; it builds nothing of size 2^(d m)."""
+    if learner.reads_counts:
+        if (m + 1) ** d > FULL_ENUM_BUDGET:
+            raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
+        codebook, atom = unique_rows(learner.fit_counts(lattice_counts(m, d), m))
+        return codebook, atom, np.ones(m, dtype=np.int64), lattice_radix(m, d)
+    base, k = reduce_subsample(learner, m)
+    if base is not learner:
+        codebook, atom, scale, radix = output_atoms(base, k, d)
+        return codebook, atom, np.concatenate([scale, np.zeros(m - k, dtype=np.int64)]), radix
+    _pattern_count(m * d)  # before a weight 2^(d m - 1) could wrap
+    column = learner.column_levels(m, d)
+    if column is None:
+        return (*unique_rows(learner.fit_patterns(m, d)), 1 << d * np.arange(m, dtype=np.int64),
                 1 << np.arange(d, dtype=np.int64))
-    if (m + 1) ** d > FULL_ENUM_BUDGET:
-        raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
-    codebook, atom = unique_rows(learner.fit_counts(lattice_counts(m, d), m))
-    return codebook, atom, np.ones(m, dtype=np.int64), lattice_radix(m, d)
+    return (*_column_atoms(column, m, d), 1 << np.arange(m, dtype=np.int64),
+            1 << m * np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m); a randomized
     learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES, and
-    is the only array of that size built."""
+    is the only array of that size built. Each pattern reads its atom by its
+    sample code; a count learner's is the lattice code, built once."""
     base = learner if learner.deterministic else learner.base
-    codebook, atom = output_atoms(base, m, inst.d)[:2]  # fit first: lower peak
+    codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
-    # the sample code is the lattice code or, for any other learner, the pattern index
-    idx = atom[codes] if base.reads_counts else atom
+    idx = atom[codes if base.reads_counts else sample_codes(scale, radix)]
     counts = lattice_counts(m, inst.d)
     if learner.deterministic:
         return Channel(codes, counts, m, None, codebook, output_index=idx,

@@ -41,6 +41,7 @@ from mi_sco_lab.learners import (
     product_grid,
     reduce_subsample,
     round_half_down,
+    sample_codes,
     sign_space_probs,
     unique_rows,
 )
@@ -952,28 +953,56 @@ class TestLatticeRoute:
         # the lattice point of code c holds the counts of every pattern with code c
         assert lattice[codes].tobytes() == counts.tobytes()
 
-    @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner()], ids=lambda l: l.kind)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sample_codes_are_weighted_plus_sums(self, data):
+        d = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 12 // d))
+        weight = st.one_of(st.just(0), st.integers(0, 1 << 20))
+        scale = np.array(data.draw(st.lists(weight, min_size=m, max_size=m)), dtype=np.int64)
+        radix = np.array(data.draw(st.lists(weight, min_size=d, max_size=d)), dtype=np.int64)
+        plus = enumerate_sign_space(m, d)
+        want = (plus * np.outer(scale, radix)).sum(axis=(1, 2), dtype=np.int64)
+        got = sample_codes(scale, radix)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("learner", COUNT_LEARNERS + [SgdLearner(),
+                                                         SubsampleLearner(2, MeanLearner())],
+                             ids=lambda l: l.kind)
     def test_builds_each_code_array_once(self, monkeypatch, learner):
-        # a count learner's sample codes are the lattice codes; any other
-        # learner's are the pattern indices themselves, so no array is built
-        # beside the lattice codes
+        # the lattice codes are built once, and beside them a second code
+        # array only for a learner whose sample code is not the lattice code;
+        # output_atoms builds no code array
         calls = []
-        real = learners.lattice_codes
+        real = learners.sample_codes
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(scale, radix):
+            calls.append((scale.tolist(), radix.tolist()))
+            return real(scale, radix)
 
-        monkeypatch.setattr(learners, "lattice_codes", spy)
+        monkeypatch.setattr(learners, "sample_codes", spy)
         _, _, scale, radix = learners.output_atoms(learner, 5, 4)
         if learner.reads_counts:
             assert scale.tolist() == [1] * 5
             assert radix.tobytes() == lattice_radix(5, 4).tobytes()
+        elif isinstance(learner, SgdLearner):
+            # flat cell c = i d + t weighs 2^(i + 5 (3 - t)): bit i of the
+            # column code of coordinate t, coordinate 0 most significant
+            assert np.outer(scale, radix).reshape(-1).tolist() == [
+                1 << (i + 5 * (3 - t)) for i in range(5) for t in range(4)]
         else:
-            # flat cell c = i d + t weighs 2^c, its bit of the pattern index
-            assert np.outer(scale, radix).reshape(-1).tolist() == [1 << c for c in range(20)]
+            # the base's lattice code at k = 2; the other points weigh 0
+            assert scale.tolist() == [1, 1, 0, 0, 0]
+            assert radix.tobytes() == lattice_radix(2, 4).tobytes()
+        assert calls == []
         exact_channel(learner, HardInstance.zero(2), 3)
-        assert calls == [(3, 2)]
+        lattice = ([1, 1, 1], [4, 1])
+        if learner.reads_counts:
+            assert calls == [lattice]
+        elif isinstance(learner, SgdLearner):
+            assert calls == [lattice, ([1, 2, 4], [8, 1])]
+        else:
+            assert calls == [lattice, ([1, 1, 0], [3, 1])]
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 13) for m in range(1, 13)
                                      if d * m <= 12])
@@ -1024,6 +1053,13 @@ class TestLatticeRoute:
                 full_channel(learner, HardInstance.zero(d), m).codebook.tobytes()
 
 
+def pattern_atoms(learner, m, d):
+    """(codebook, atom per sign pattern, in pattern order) of
+    ``output_atoms``: each pattern reads its atom by its sample code."""
+    codebook, atom, scale, radix = learners.output_atoms(learner, m, d)
+    return codebook, atom[sample_codes(scale, radix)]
+
+
 # every (d, m) with d m <= 14
 SMALL_SHAPES = [(d, m) for d in range(1, 15) for m in range(1, 14 // d + 1)]
 SHELL_SHAPES = [(d, m) for d in range(1, 21) for m in range(1, 20 // d + 1)]
@@ -1031,21 +1067,24 @@ SHELL_SHAPES = [(d, m) for d in range(1, 21) for m in range(1, 20 // d + 1)]
 
 class TestPrefixRoutes:
     """The exact routes that do no per-pattern work against the sign route:
-    SGD by prefix recursion, subsamples by tiling, and the count learners'
-    gap per lattice point, all bit for bit."""
+    SGD by column-tuple codes and by prefix recursion, subsamples by zero
+    point weights, and the count learners' gap per lattice point, all bit
+    for bit. A route's per-pattern atoms are its atoms read by each
+    pattern's sample code (``pattern_atoms``)."""
 
     @pytest.mark.parametrize("d,m", SHELL_SHAPES)
     def test_sgd_atoms_match_sign_route(self, d, m):
-        """The column route of ``output_atoms`` and the fallback route,
-        ``unique_rows`` over ``fit_patterns``, against the sign route up to
-        d m = 14; beyond it, where the sign tensor and its int64 temporaries
-        grow past 100 MiB, the column route against the fallback."""
+        """The per-pattern atoms of ``output_atoms`` (column-tuple codes, or
+        at (6, 3) the pattern index) and the fallback route, ``unique_rows``
+        over ``fit_patterns``, against the sign route up to d m = 14; beyond
+        it, where the sign tensor and its int64 temporaries grow past
+        100 MiB, ``output_atoms`` against the fallback."""
         signs = enumerate_sign_space_shift_mask(m, d) if d * m <= 14 else None
         for delta in (None, 0.05, 0.3):
             learner = SgdLearner(delta=delta)
             fallback = unique_rows(learner.fit_patterns(m, d))
             want, want_atom = fallback if signs is None else unique_rows(fit_signs(learner, signs))
-            for got, atom in (learners.output_atoms(learner, m, d)[:2], fallback):
+            for got, atom in (pattern_atoms(learner, m, d), fallback):
                 assert got.tobytes() == want.tobytes(), (delta, d, m)
                 assert atom.dtype == want_atom.dtype, (delta, d, m)
                 assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
@@ -1070,7 +1109,7 @@ class TestPrefixRoutes:
                 for base in bases:
                     learner = SubsampleLearner(k=k, base=base)
                     want, want_atom = unique_rows(fit_signs(learner, signs))
-                    got, atom = learners.output_atoms(learner, m, d)[:2]
+                    got, atom = pattern_atoms(learner, m, d)
                     assert got.tobytes() == want.tobytes(), (d, m, k, base)
                     assert atom.tobytes() == want_atom.tobytes(), (d, m, k, base)
 
@@ -1122,11 +1161,10 @@ class TestPrefixRoutes:
         assert peak < 16 << 20, peak
 
     def test_tiled_subsample_checks_budget_first(self, monkeypatch):
-        # the budget comes before the subsample is reduced or any fit
+        # a subsample's atoms are its base's at k, so no 2^(d m) array is
+        # built before exact_channel's code build checks the budget
         calls = []
-        for owner, name in ((learners, "reduce_subsample"), (learners, "lattice_codes"),
-                            (SgdLearner, "fit_patterns")):
-            monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(SgdLearner, "fit_patterns", lambda *args: calls.append(args))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match="2\\^25 sign patterns"):
@@ -1135,6 +1173,33 @@ class TestPrefixRoutes:
         finally:
             tracemalloc.stop()
         assert calls == [] and peak < 1 << 16, peak
+
+    @pytest.mark.parametrize("base", [SgdLearner(), QuantizedMeanLearner()], ids=lambda l: l.kind)
+    def test_randomized_response_over_subsample_beyond_the_budget(self, base):
+        # 2^32 sign patterns, but randomized response draws from the codebook
+        # of the base at k = 2, 2^8 patterns
+        learner = RandomizedResponse(SubsampleLearner(2, base), 0.5)
+        mean, se = measured_excess_risk(learner, 4, 8, 100, 1)
+        assert 0.0 < mean and 0.0 < se
+        codebook = learners.output_atoms(learner.base, 8, 4)[0]
+        assert codebook.tobytes() == learners.output_atoms(base, 2, 4)[0].tobytes()
+        rng = np.random.default_rng(5)
+        out = fit(learner, sample_plus(np.zeros(4), 8, rng, 200), rng)
+        assert {row.tobytes() for row in out} <= {row.tobytes() for row in codebook}
+
+    @pytest.mark.parametrize("base", [SgdLearner(), QuantizedMeanLearner()], ids=lambda l: l.kind)
+    def test_subsample_atoms_beyond_the_budget_allocate_only_the_base(self, base):
+        # at (d, m) = (4, 8) a per-pattern array would hold 2^32 entries
+        learners.output_atoms(base, 2, 4)  # numpy's first-call allocations
+        peaks = []
+        for learner, m in ((base, 2), (SubsampleLearner(2, base), 8)):
+            tracemalloc.start()
+            try:
+                learners.output_atoms(learner, m, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 12), peaks
 
     def test_tiled_subsample_k_above_m_raises(self):
         for base in (SgdLearner(), QuantizedMeanLearner()):
@@ -1185,8 +1250,19 @@ class TestColumnRoute:
         assert SgdLearner().column_levels(m, d) is None
         want, want_atom = unique_rows(fit_signs(SgdLearner(),
                                                 enumerate_sign_space_shift_mask(m, d)))
-        got, atom = learners.output_atoms(SgdLearner(), m, d)[:2]
+        got, atom = pattern_atoms(SgdLearner(), m, d)
         assert got.tobytes() == want.tobytes() and atom.tobytes() == want_atom.tobytes()
+
+    def test_column_pass_peak_memory(self):
+        # the rounding divides into one fresh array and works in place; out
+        # of place its temporaries take the peak to 5.0 times the output
+        tracemalloc.start()
+        try:
+            out = SgdLearner().column_levels(20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * out.nbytes, peak / out.nbytes
 
     def test_atoms_peak_memory(self):
         # the fallback route peaks at 160 MiB here: (2^20, 4) float outputs

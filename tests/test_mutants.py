@@ -1,0 +1,163 @@
+"""Mutation suite: each named mutant rewrites a program function, and its
+paired check, which passes on the program, must fail under it.
+
+A mutant is a source rewrite of one function or method: its text, as
+``inspect.getsource`` gives it, with each ``old`` replaced by ``new``,
+compiled against its module's globals and monkeypatched over the original
+wherever the package binds it. Every ``old`` must occur exactly once, so a
+refactor that moves a mutated line fails here instead of leaving a mutant
+that changes nothing. Each check is cheap and reads the program only through
+its public functions.
+"""
+
+import __future__
+import inspect
+import math
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+import mi_sco_lab
+from mi_sco_lab import bounds, learners
+from mi_sco_lab.learners import (
+    Channel,
+    MeanLearner,
+    QuantizedMeanLearner,
+    RandomizedResponse,
+    count_mean,
+    exact_channel,
+)
+from mi_sco_lab.sco import HardInstance
+
+
+@dataclass(frozen=True)
+class Mutant:
+    owner: object  # the module or class that holds the function
+    name: str
+    edits: tuple  # (old, new) source replacements
+    check: Callable[[], None]  # passes on the program; fails under the mutant
+
+
+def mutated(mutant: Mutant):
+    """The mutant's function: the original's source with its edits applied,
+    compiled against the original's module globals."""
+    func = inspect.getattr_static(mutant.owner, mutant.name)
+    source = textwrap.dedent(inspect.getsource(func))
+    for old, new in mutant.edits:
+        assert source.count(old) == 1, (mutant.name, old)
+        source = source.replace(old, new)
+    namespace = {}
+    code = compile(source, inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, vars(inspect.getmodule(func)), namespace)
+    return namespace[mutant.name]
+
+
+def apply(monkeypatch, mutant: Mutant) -> None:
+    """Patch the mutant over the original at its owner and, for a module
+    function, at every package module that imported it by name."""
+    original = inspect.getattr_static(mutant.owner, mutant.name)
+    func = mutated(mutant)
+    owners = [mutant.owner]
+    if inspect.ismodule(mutant.owner):
+        owners += [module for name, module in sorted(sys.modules.items())
+                   if name.startswith(mi_sco_lab.__name__ + ".") and module is not mutant.owner
+                   and vars(module).get(mutant.name) is original]
+    for owner in owners:
+        monkeypatch.setattr(owner, mutant.name, func)
+
+
+def _rho_one_carries_nothing():
+    inst = HardInstance(1, np.array([0.2]))
+    ch = exact_channel(RandomizedResponse(MeanLearner(), 1.0), inst, 2)
+    assert ch.mutual_information() == pytest.approx(0.0, abs=1e-12)
+
+
+def _mean_gap_closed_form():
+    # the mean learner's gap is 2 E||zbar - w*||^2 = 2 (1 - p^2) / m at d = 1
+    inst, m = HardInstance(1, np.array([0.2])), 3
+    gap = exact_channel(MeanLearner(), inst, m).expected_generalization_gap(inst)
+    assert gap == pytest.approx(2.0 * (1.0 - 0.2 ** 2) / m, rel=1e-12)
+
+
+def _xu_bound_holds_at_one_point():
+    # at d = m = 1 the mean's gap, 2, exceeds sqrt(2 ln 2) but not 4 sqrt(2 ln 2)
+    inst = HardInstance.zero(1)
+    ch = exact_channel(MeanLearner(), inst, 1)
+    assert ch.expected_generalization_gap(inst) <= bounds.xu_bound(ch.mutual_information(), 1)
+
+
+def _sample_mean_is_w_star():
+    inst, m = HardInstance(2, np.array([0.3, -0.1])), 3
+    ch = exact_channel(MeanLearner(), inst, m)
+    np.testing.assert_allclose(ch.sample_probs @ count_mean(ch.counts, m)[ch.codes],
+                               inst.w_star, rtol=0.0, atol=1e-12)
+
+
+def _ties_round_down():
+    assert learners.round_half_down(np.array([0.25, -0.25, 0.75]), 0.5).tolist() == \
+        [0.0, -0.5, 0.5]
+
+
+def _chain_rule_tight_for_factorized():
+    # a factorized learner's output coordinates read independent counts
+    inst = HardInstance(2, np.array([0.3, -0.2]))
+    result = bounds.chain_rule_decomposition(exact_channel(QuantizedMeanLearner(), inst, 3))
+    assert math.fsum(result.per_coordinate) == pytest.approx(result.total_mi, rel=1e-9)
+
+
+def _mean_cmi_closed_form():
+    # at d = m = 1 the selected point is unknown given Z iff the pair differs
+    q = 0.6
+    got = bounds.cmi_exact(MeanLearner(), HardInstance(1, np.array([2 * q - 1])), 1)
+    assert got == pytest.approx(2 * q * (1 - q) * math.log(2.0), rel=1e-12)
+
+
+MUTANTS = {
+    "rho ignored": Mutant(
+        RandomizedResponse, "mix",
+        (("(1.0 - self.rho) * base_law + self.rho / base_law.shape[-1]", "1.0 * base_law"),),
+        _rho_one_carries_nothing),
+    "gap without its factor 2": Mutant(
+        Channel, "expected_generalization_gap",
+        (("term = 2.0 * (self.codebook", "term = (self.codebook"),
+         ("term[rows] = 2.0 * (w", "term[rows] = (w"),
+         ("gap = 2.0 * drift", "gap = drift")),
+        _mean_gap_closed_form),
+    "xu_bound without LOSS_RANGE": Mutant(
+        bounds, "xu_bound",
+        (("return LOSS_RANGE * math.sqrt", "return math.sqrt"),),
+        _xu_bound_holds_at_one_point),
+    "bias sign flipped in sign_space_probs": Mutant(
+        learners, "sign_space_probs",
+        (("q = (1.0 + inst.p)", "q = (1.0 - inst.p)"),),
+        _sample_mean_is_w_star),
+    "ties rounded up": Mutant(
+        learners, "round_half_down",
+        (("q -= 0.5", "q += 0.5"), ("np.ceil(q, out=q)", "np.floor(q, out=q)")),
+        _ties_round_down),
+    "chain-rule coordinate counted twice": Mutant(
+        bounds, "chain_rule_decomposition",
+        (("for t in range(d):", "for t in [0, *range(d)]:"),),
+        _chain_rule_tight_for_factorized),
+    "CMI selector bit ignored": Mutant(
+        bounds, "_selection_counts",
+        (("(points[:, m:] - points[:, :m]) * scale", "0 * points[:, :m] * scale"),),
+        _mean_cmi_closed_form),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_check_passes_on_the_program(name):
+    MUTANTS[name].check()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_check_fails_under_the_mutant(monkeypatch, name):
+    apply(monkeypatch, MUTANTS[name])
+    with pytest.raises(AssertionError):
+        MUTANTS[name].check()
