@@ -18,10 +18,8 @@ The learner contract is a set of attributes, with no base class:
   * ``fit_counts(counts, m)``, for a ``reads_counts`` learner: the (n, d)
     outputs for (n, d) plus-counts out of m, its one computation;
   * ``fit_batch(plus)``, for SGD, the one learner that reads the order of
-    the points: the (n, d) outputs for (n, m, d) plus booleans;
-    ``fit_patterns(m, d)``, its outputs on every sign pattern; and
-    ``column_levels(m, d)``, one coordinate's levels per column pattern, or
-    None where its shell test fails.
+    the points: the (n, d) outputs for (n, m, d) plus booleans; and
+    ``column_levels(m, d)``, one coordinate's levels per column pattern.
 The mean-based learners read the sample through ``count_mean``, and the
 quantizing ones (quantized mean, SGD, regularized ERM) round to the step
 ``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
@@ -44,20 +42,16 @@ holds. The code is
     learner, fit once per (m+1)^d lattice point, in lattice code order;
   * the column-tuple code, sum_t col_t 2^(m (d-1-t)) with col_t the column
     code of coordinate t (scale 2^i): SGD, from one coordinate's 2^m column
-    patterns, or, where its shell test fails, the pattern index itself;
+    patterns;
   * its base's code at k with zero weight on points k+1..m: a subsample,
     whose codebook and atoms are its base's at k.
 SGD's update acts on each coordinate alone but for the in-loop projection.
-Its column pass runs the update once over the 2^m columns of one coordinate
-and tests at each step that no projection can fire; then each pattern's
-output is its d column levels, projected at the end, and only the K^d tuples
-of the K distinct levels are projected and grouped. Where the test fails
-(within the budget, at (d, m) = (6, 3) and (6, 4)), SGD is fit on all
-patterns at once by prefix recursion. That route rests on one fact of the
-order: the first t points of a pattern are the low d t bits of its index.
-SGD's iterate after t points reads only those points, so step t updates the
-2^(d t) iterates of the t-point prefixes, each row by the float operations
-of a pass over its own pattern.
+Its column pass runs the update once over the 2^m columns of one coordinate,
+with no projection inside the pass; then each pattern's output is its d
+column levels, projected at the end, and only the K^d tuples of the K
+distinct levels are projected and grouped. Within the budget these are the
+bytes of a projected pass per pattern: where that pass projects a row before
+its end, at (d, m) = (6, 3) and (6, 4), the row's output comes out the same.
 ``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
 and randomized response draws from its base's codebook (a subsample's is its
 base's at k, so it needs no pattern budget at m). A count learner's
@@ -250,22 +244,13 @@ class SgdLearner:
     is rounded to the 1/m^2 grid for a finite codebook.
 
     ``_levels`` holds the update once. ``fit_batch`` feeds it one point per
-    sample; ``fit_patterns`` feeds it the 2^d corners, each extending every
-    iterate so far, so step t holds the 2^(d t) iterates of the t-point
-    prefixes. The iterate after t points reads only those points, which in
-    pattern order are the low d t bits of the index, and every row meets the
-    same float operations in the same order as in ``fit_batch`` (the sum of
-    the iterates too adds them in step order, from 0.0): the outputs are bit
-    for bit those of a pass per pattern, with only the last step touching
-    all 2^(d m) rows.
-
-    Every operation of the update but the in-loop projection acts on each
-    coordinate alone. ``column_levels`` feeds the same update the two corner
-    values of one coordinate, so step t holds the 2^t iterates of its column
-    prefixes, and tests at each step that no projection can fire in a pass
-    over all patterns. Where none fires, each output row is the tuple of its
-    d column levels, projected once at the end; where the test fails, the
-    exact channel takes ``fit_patterns``.
+    sample and projects each step's iterates. ``column_levels`` feeds it the
+    two corner values of one coordinate, so step t holds the 2^t iterates of
+    its column prefixes, and projects nothing inside the pass: every
+    operation of the update but the in-loop projection acts on each
+    coordinate alone, and within the budget that projection changes no
+    output bit (``output_atoms``). Beyond the budget it decides exact
+    half-grid ties, so ``fit_batch`` keeps it.
     """
 
     delta: float | None = None
@@ -275,55 +260,31 @@ class SgdLearner:
     factorized = False
     reads_counts = False  # the pass reads the points in order
 
-    def _levels(self, points, m: int, d: int, project) -> np.ndarray | None:
+    def _levels(self, points, m: int, d: int, project) -> np.ndarray:
         """Rounded iterate averages before the final projection, after m
         steps, step t reading the (k, n, d) points ``points(t)``: n = 1
         extends every iterate by each of k points, point the slow axis of the
         new rows; k = 1 gives iterate i point i. ``project`` takes each
-        step's new iterates, in place, or returns None to stop the pass."""
+        step's new iterates."""
         w, acc = np.zeros((1, d)), np.zeros((1, d))
         for t in range(1, m + 1):
             z = points(t)
             w = project(((1.0 - 1.0 / t) * w[None] + z / t).reshape(-1, d))
-            if w is None:
-                return None
             acc = (acc[None] + w.reshape(z.shape[0], -1, d)).reshape(-1, d)
         return round_half_down(acc / m, grid_step(self.delta, m))
-
-    def _pass(self, points, m: int, d: int) -> np.ndarray:
-        """Outputs after m steps, each step's iterates projected."""
-        return _project_rows(self._levels(points, m, d, _project_rows))
 
     def fit_batch(self, plus: np.ndarray) -> np.ndarray:
         _, m, d = plus.shape
         root_d = math.sqrt(d)
-        return self._pass(lambda t: np.where(plus[None, :, t - 1], 1.0, -1.0) / root_d, m, d)
+        return _project_rows(self._levels(
+            lambda t: np.where(plus[None, :, t - 1], 1.0, -1.0) / root_d, m, d, _project_rows))
 
-    def fit_patterns(self, m: int, d: int) -> np.ndarray:
-        """(2^(d m), d) outputs on every sign pattern, in pattern order: row i
-        is plus in point j, coordinate t iff bit j d + t of i is set."""
-        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
-        corners = np.where(bits > 0, 1.0, -1.0)[:, None] / math.sqrt(d)  # (2^d, 1, d)
-        return self._pass(lambda t: corners, m, d)
-
-    def column_levels(self, m: int, d: int) -> np.ndarray | None:
+    def column_levels(self, m: int, d: int) -> np.ndarray:
         """(2^m,) levels of one output coordinate before the final projection,
         one per column pattern (plus in point i iff bit i of the column code
-        is set), or None where an in-loop projection may fire.
-
-        The shell test: at each step, the row that holds the largest |w| in
-        every coordinate is a reachable iterate (each coordinate on the same
-        column), and no reachable row's norm exceeds its norm, since float
-        rounding is monotone. Where that norm is at most 1 at every step, no
-        row is projected inside the pass, and each output of ``fit_patterns``
-        is its d column levels, projected, bit for bit."""
-        def in_shell(w):
-            top = np.full((1, d), np.abs(w).max())  # the largest |w| in every coordinate
-            return w if np.linalg.norm(top, axis=1)[0] <= 1.0 else None
-
+        is set), with no projection inside the pass."""
         corners = (np.array([-1.0, 1.0]) / math.sqrt(d))[:, None, None]  # (2, 1, 1)
-        levels = self._levels(lambda t: corners, m, 1, in_shell)
-        return None if levels is None else levels[:, 0]
+        return self._levels(lambda t: corners, m, 1, lambda w: w)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -601,11 +562,10 @@ def output_atoms(learner, m: int, d: int):
       * A ``reads_counts`` learner takes the lattice code (scale 1, radix
         (m+1)^(d-1-t)), fit once per lattice point in code order; the budget
         bounds the (m+1)^d lattice points.
-      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))) where
-        ``column_levels`` answers, with the bytes of ``unique_rows`` over
-        ``fit_patterns``, the route taken only where it declines, indexed by
-        pattern (scale 2^(i d), radix 2^t); the budget bounds its 2^(d m)
-        patterns.
+      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))):
+        each output is the final projection of its d column levels, the
+        bytes of a projected pass per pattern at every (d, m) within the
+        budget, which bounds its 2^(d m) patterns.
       * A subsample reads only its first k points, so it takes its base's
         codebook, atoms and radix at k, and the base's scale with zero weight
         on the other m - k points; it builds nothing of size 2^(d m)."""
@@ -619,11 +579,7 @@ def output_atoms(learner, m: int, d: int):
         codebook, atom, scale, radix = output_atoms(base, k, d)
         return codebook, atom, np.concatenate([scale, np.zeros(m - k, dtype=np.int64)]), radix
     _pattern_count(m * d)  # before a weight 2^(d m - 1) could wrap
-    column = learner.column_levels(m, d)
-    if column is None:
-        return (*unique_rows(learner.fit_patterns(m, d)), 1 << d * np.arange(m, dtype=np.int64),
-                1 << np.arange(d, dtype=np.int64))
-    return (*_column_atoms(column, m, d), 1 << np.arange(m, dtype=np.int64),
+    return (*_column_atoms(learner.column_levels(m, d), m, d), 1 << np.arange(m, dtype=np.int64),
             1 << m * np.arange(d - 1, -1, -1, dtype=np.int64))
 
 

@@ -1,7 +1,8 @@
 """Literal reference forms that tests check the program's closed forms against.
 
 The program computes risks, entropies, the fingerprinting expectation, the
-pattern order of the exact channels, SGD's pass, exact channels, the per-coordinate
+pattern order of the exact channels, SGD's pass and its outputs on every
+pattern, exact channels, the per-coordinate
 MI, the supersample CMI,
 the Monte Carlo estimators, the random coupling search and the MI-bound
 check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
@@ -385,6 +386,42 @@ def sgd_full_copy(learner, signs: np.ndarray) -> np.ndarray:
         w = _project_rows((1.0 - 1.0 / t) * w + points[:, t - 1, :] / t)
         acc += w
     return _project_rows(round_half_down(acc / m, grid_step(learner.delta, m)))
+
+
+def sgd_patterns(learner, m: int, d: int) -> np.ndarray:
+    """SGD's (2^(d m), d) outputs on every sign pattern, in pattern order
+    (row i is plus in point j, coordinate t iff bit j d + t of i is set), by
+    prefix recursion. The first t points of a pattern are the low d t bits of
+    its index, so step t extends each of the 2^(d (t-1)) prefix iterates by
+    the 2^d corners, and every row meets the float operations of
+    ``SgdLearner.fit_batch`` on its own pattern, each step's iterates
+    projected (the sum of the iterates too adds them in step order, from
+    0.0). What ``learners.output_atoms`` gives for SGD, pattern by pattern."""
+    bit = 1 << np.arange(d, dtype=np.int32)
+    corners = np.where(np.arange(1 << d, dtype=np.int32)[:, None] & bit, 1.0, -1.0)
+    corners = corners[:, None] / math.sqrt(d)  # (2^d, 1, d)
+    w, acc = np.zeros((1, d)), np.zeros((1, d))
+    for t in range(1, m + 1):
+        w = _project_rows(((1.0 - 1.0 / t) * w[None] + corners / t).reshape(-1, d))
+        acc = (acc[None] + w.reshape(1 << d, -1, d)).reshape(-1, d)
+    return _project_rows(round_half_down(acc / m, grid_step(learner.delta, m)))
+
+
+def sgd_shell_exit(m: int, d: int):
+    """The first step t <= m at which SGD's shell test fails, or None: one
+    coordinate's column pass, unprojected, and at each step the row that
+    holds its largest |w| in every coordinate, whose norm must stay at most
+    1. That row is a reachable iterate (each coordinate on the same column),
+    and no reachable row's norm exceeds its norm, since float rounding is
+    monotone: before the step returned, a projected pass projects no row.
+    Each step keeps one row per distinct iterate, which changes no maximum."""
+    corners = (np.array([-1.0, 1.0]) / math.sqrt(d))[:, None]
+    w = np.zeros(1)
+    for t in range(1, m + 1):
+        w = np.unique(((1.0 - 1.0 / t) * w[None] + corners / t).reshape(-1))
+        if np.linalg.norm(np.full((1, d), np.abs(w).max()), axis=1)[0] > 1.0:
+            return t
+    return None
 
 
 def fit_signs(learner, signs: np.ndarray, rng=None) -> np.ndarray:

@@ -19,6 +19,7 @@ from mi_sco_lab.bounds import chain_rule_decomposition, cmi_exact, measured_exce
 from mi_sco_lab.harness import _xu_learner_menu
 from mi_sco_lab.infotheory import JointPmf, mutual_information
 from mi_sco_lab.learners import (
+    FULL_ENUM_BUDGET,
     NET_BLOCK_CELLS,
     BudgetExceededError,
     EpsilonNetErm,
@@ -46,6 +47,7 @@ from mi_sco_lab.learners import (
     unique_rows,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
+import oracles
 from oracles import (
     Sample,
     codebook_signs,
@@ -64,6 +66,8 @@ from oracles import (
     sample,
     sample_signs,
     sgd_full_copy,
+    sgd_patterns,
+    sgd_shell_exit,
     signs_of_plus,
 )
 
@@ -1074,20 +1078,20 @@ class TestPrefixRoutes:
 
     @pytest.mark.parametrize("d,m", SHELL_SHAPES)
     def test_sgd_atoms_match_sign_route(self, d, m):
-        """The per-pattern atoms of ``output_atoms`` (column-tuple codes, or
-        at (6, 3) the pattern index) and the fallback route, ``unique_rows``
-        over ``fit_patterns``, against the sign route up to d m = 14; beyond
-        it, where the sign tensor and its int64 temporaries grow past
-        100 MiB, ``output_atoms`` against the fallback."""
+        """The per-pattern atoms of ``output_atoms`` (column-tuple codes)
+        against ``unique_rows`` over one oracle per shape: the sign route up
+        to d m = 14; beyond it, where the sign tensor and its int64
+        temporaries grow past 100 MiB, the prefix oracle ``sgd_patterns``,
+        itself checked against the sign route at (6, 3)."""
         signs = enumerate_sign_space_shift_mask(m, d) if d * m <= 14 else None
         for delta in (None, 0.05, 0.3):
             learner = SgdLearner(delta=delta)
-            fallback = unique_rows(learner.fit_patterns(m, d))
-            want, want_atom = fallback if signs is None else unique_rows(fit_signs(learner, signs))
-            for got, atom in (pattern_atoms(learner, m, d), fallback):
-                assert got.tobytes() == want.tobytes(), (delta, d, m)
-                assert atom.dtype == want_atom.dtype, (delta, d, m)
-                assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
+            want, want_atom = unique_rows(sgd_patterns(learner, m, d) if signs is None
+                                          else fit_signs(learner, signs))
+            got, atom = pattern_atoms(learner, m, d)
+            assert got.tobytes() == want.tobytes(), (delta, d, m)
+            assert atom.dtype == want_atom.dtype, (delta, d, m)
+            assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
 
     @pytest.mark.parametrize("d,m", [(1, 16), (2, 9), (3, 6), (4, 4), (8, 2), (13, 1)])
     def test_sgd_monte_carlo_fit_matches_sign_route(self, d, m):
@@ -1129,24 +1133,20 @@ class TestPrefixRoutes:
             assert ch.expected_excess_risk(inst) == want.expected_excess_risk(inst), (d, m)
 
     @pytest.mark.parametrize("d,m", [(4, 5), (2, 8)])
-    def test_sgd_projects_each_prefix_once(self, monkeypatch, d, m):
-        """On the fallback route, ``fit_patterns``, step t projects the
-        2^(d t) iterates of the t-point prefixes, and the final projection the
-        2^(d m) outputs; a pass per pattern would project m 2^(d m) rows. The
-        column route of ``exact_channel`` projects only the K^d first-pattern
-        rows, K the distinct column levels, once."""
+    def test_sgd_column_route_projects_once(self, monkeypatch, d, m):
+        """SGD's exact channel projects only the K^d first-pattern rows, K
+        the distinct column levels, once: its column pass projects nothing,
+        where a pass per pattern would project (m + 1) 2^(d m) rows."""
         rows, real = [], learners._project_rows
 
         def spy(w):
             rows.append(w.shape[0])
             return real(w)
 
+        levels = np.unique(SgdLearner().column_levels(m, d)).shape[0]
         monkeypatch.setattr(learners, "_project_rows", spy)
-        SgdLearner().fit_patterns(m, d)
-        assert rows == [1 << (d * t) for t in range(1, m + 1)] + [1 << (d * m)]
-        rows.clear()
         exact_channel(SgdLearner(), HardInstance.zero(d), m)
-        assert rows == [np.unique(SgdLearner().column_levels(m, d)).shape[0] ** d]
+        assert rows == [levels ** d]
 
     def test_count_gap_memory_per_lattice_point(self):
         # the per-pattern route built three (2^20, 4) float arrays (104 MiB)
@@ -1162,9 +1162,15 @@ class TestPrefixRoutes:
 
     def test_tiled_subsample_checks_budget_first(self, monkeypatch):
         # a subsample's atoms are its base's at k, so no 2^(d m) array is
-        # built before exact_channel's code build checks the budget
-        calls = []
-        monkeypatch.setattr(SgdLearner, "fit_patterns", lambda *args: calls.append(args))
+        # built before exact_channel's code build checks the budget: the one
+        # column pass is its base's at k
+        calls, real = [], SgdLearner.column_levels
+
+        def spy(self, m, d):
+            calls.append((m, d))
+            return real(self, m, d)
+
+        monkeypatch.setattr(SgdLearner, "column_levels", spy)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match="2\\^25 sign patterns"):
@@ -1172,7 +1178,7 @@ class TestPrefixRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [] and peak < 1 << 16, peak
+        assert calls == [(1, 5)] and peak < 1 << 16, peak
 
     @pytest.mark.parametrize("base", [SgdLearner(), QuantizedMeanLearner()], ids=lambda l: l.kind)
     def test_randomized_response_over_subsample_beyond_the_budget(self, base):
@@ -1210,48 +1216,92 @@ class TestPrefixRoutes:
 
 
 class TestColumnRoute:
-    """Where SGD's column pass answers and where it declines, the fallback
-    at (6, 3), the column route's memory, and the blocked gap of a pattern
-    channel against its one-shot sum. Its atoms are checked bit for bit in
-    ``TestPrefixRoutes``."""
+    """SGD's column route against the projected pass where the shell test
+    (``sgd_shell_exit``) fails; the column route's memory; and the blocked
+    gap of a pattern channel against its one-shot sum. Its atoms are checked
+    bit for bit in ``TestPrefixRoutes``."""
 
     def test_shell_test_is_conservative(self, monkeypatch):
-        """Wherever the column pass answers, no row of ``fit_patterns`` is
-        projected inside the pass; where it declines, at (6, 3), its test row
-        is reachable and some row is."""
-        over, real = [], learners._project_rows
+        """The prefix oracle projects no row inside the pass before the
+        step where the shell test (``sgd_shell_exit``) fails, and some row
+        at that step: it fails nowhere but at step 3 of (6, 3)."""
+        over, real = [], oracles._project_rows
 
         def spy(w):
             over.append(bool((np.linalg.norm(w, axis=1) > 1.0).any()))
             return real(w)
 
+        monkeypatch.setattr(oracles, "_project_rows", spy)
         declined = []
         for d, m in [(d, m) for d, m in SHELL_SHAPES if d * m <= 16] + [(6, 3)]:
-            answered = SgdLearner().column_levels(m, d) is not None
-            monkeypatch.setattr(learners, "_project_rows", spy)
             over.clear()
-            SgdLearner().fit_patterns(m, d)
-            monkeypatch.setattr(learners, "_project_rows", real)
+            sgd_patterns(SgdLearner(), m, d)
             assert len(over) == m + 1
-            assert any(over[:m]) != answered, (d, m)
-            if not answered:
-                declined.append((d, m))
-        assert declined == [(6, 3)]
+            exit_step = sgd_shell_exit(m, d)
+            first = next((t for t in range(1, m + 1) if over[t - 1]), None)
+            assert first == exit_step, (d, m)
+            if exit_step is not None:
+                declined.append((d, m, exit_step))
+        assert declined == [(6, 3, 3)]
 
     def test_declines_within_the_budget_only_at_6_3_and_6_4(self):
-        # at d = 1 every iterate is a convex combination of +-1, so the pass
-        # never declines there; at m = 24 it peaks at 640 MiB (traced)
-        declined = [(d, m) for d in range(2, 25) for m in range(1, 24 // d + 1)
-                    if SgdLearner().column_levels(m, d) is None]
-        assert declined == [(6, 3), (6, 4)]
+        """The shell test over every (d, m) whose 2^(d m) patterns fit the
+        budget fails only at (6, 3) and (6, 4), both first at step 3: the two
+        points checked against the projected pass below."""
+        cells = FULL_ENUM_BUDGET.bit_length() - 1
+        exits = {(d, m): sgd_shell_exit(m, d)
+                 for d in range(1, cells + 1) for m in range(1, cells // d + 1)}
+        assert {shape: t for shape, t in exits.items() if t is not None} == \
+            {(6, 3): 3, (6, 4): 3}
 
-    def test_fallback_outside_the_shell_matches_sign_route(self):
+    def test_prefix_oracle_outside_the_shell_matches_sign_route(self):
+        """At (6, 3), where the projected pass projects rows at step 3, the
+        prefix oracle gives every pattern's row of the sign route bit for
+        bit; ``test_sgd_atoms_match_sign_route[6-3]`` holds the column route
+        to the oracle."""
         d, m = 6, 3
-        assert SgdLearner().column_levels(m, d) is None
-        want, want_atom = unique_rows(fit_signs(SgdLearner(),
-                                                enumerate_sign_space_shift_mask(m, d)))
-        got, atom = pattern_atoms(SgdLearner(), m, d)
-        assert got.tobytes() == want.tobytes() and atom.tobytes() == want_atom.tobytes()
+        signs = enumerate_sign_space_shift_mask(m, d)
+        for delta in (None, 0.05, 0.3):
+            learner = SgdLearner(delta=delta)
+            assert sgd_patterns(learner, m, d).tobytes() == \
+                fit_signs(learner, signs).tobytes(), delta
+
+    def test_column_route_at_6_4_matches_projected_pass(self, monkeypatch):
+        """At (6, 4) the projected pass projects rows inside the pass only at
+        step 3, and there only the 64 three-point prefixes that are constant
+        in each coordinate: the first three steps are the prefix oracle's at
+        m = 3, and at step 4 no row can leave the ball. On the 4,096 patterns
+        that extend those prefixes, ``fit`` gives the final projection of
+        each pattern's d column levels, the column route's row, bit for bit;
+        every other pattern meets no projection before the final one."""
+        d, m = 6, 4
+        assert sgd_shell_exit(m, d) == 3
+        projected, iterates, real = [], [], oracles._project_rows
+
+        def spy(w):
+            projected.append(np.flatnonzero(np.linalg.norm(w, axis=1) > 1.0))
+            iterates.append(real(w))
+            return iterates[-1]
+
+        monkeypatch.setattr(oracles, "_project_rows", spy)
+        sgd_patterns(SgdLearner(), 3, d)
+        corner = np.arange(1 << d)  # plus in coordinate t iff bit t is set
+        constant = corner * (1 + (1 << d) + (1 << 2 * d))  # the same corner at points 0..2
+        assert [rows.tolist() for rows in projected[:3]] == [[], [], constant.tolist()]
+        # a step-4 row is (3/4) w + z/4 with w a step-3 row; by monotone
+        # rounding its norm is largest where each z_t takes the sign of w_t
+        w = iterates[2]
+        extended = (1.0 - 1.0 / 4) * w + np.where(w > 0, 1.0, -1.0) / math.sqrt(d) / 4
+        assert (np.linalg.norm(extended, axis=1) <= 1.0).all()
+        bits = (corner[:, None] >> np.arange(d)) & 1 > 0
+        plus = np.empty((1 << 2 * d, m, d), dtype=bool)
+        plus[:, :3] = np.repeat(bits, 1 << d, axis=0)[:, None, :]
+        plus[:, 3] = np.tile(bits, (1 << d, 1))
+        column_code = (plus * (1 << np.arange(m))[:, None]).sum(axis=1)  # (n, d)
+        for delta in (None, 0.05, 0.3):
+            learner = SgdLearner(delta=delta)
+            want = learners._project_rows(learner.column_levels(m, d)[column_code])
+            assert fit(learner, plus).tobytes() == want.tobytes(), delta
 
     def test_column_pass_peak_memory(self):
         # the rounding divides into one fresh array and works in place; out

@@ -28,10 +28,14 @@ from mi_sco_lab.learners import (
     MeanLearner,
     QuantizedMeanLearner,
     RandomizedResponse,
+    SgdLearner,
     count_mean,
     exact_channel,
+    fit,
+    grid_step,
 )
-from mi_sco_lab.sco import HardInstance
+from mi_sco_lab.sco import HardInstance, sample_plus
+from oracles import fit_signs, signs_of_plus
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,20 @@ def _mean_cmi_closed_form():
     assert got == pytest.approx(2 * q * (1 - q) * math.log(2.0), rel=1e-12)
 
 
+def _sgd_ties_keep_the_in_loop_projection():
+    # exact half-grid ties beyond the budget: the all-plus sample at
+    # (d, m) = (100, 15) averages 22.5 steps of 1/225 in every coordinate,
+    # and at (1600, 1) with step 0.05 every point +-1/40 is half a step; the
+    # in-loop projection pulls each just below its tie, as the sign route does
+    for learner, plus, want in (
+            (SgdLearner(), np.ones((1, 15, 100), dtype=bool), 22 * grid_step(None, 15)),
+            (SgdLearner(delta=0.05),
+             sample_plus(np.zeros(1600), 1, np.random.default_rng(0), 8), 0.0)):
+        out = fit(learner, plus)
+        assert (out == want).all()
+        assert out.tobytes() == fit_signs(learner, signs_of_plus(plus)).tobytes()
+
+
 MUTANTS = {
     "rho ignored": Mutant(
         RandomizedResponse, "mix",
@@ -148,6 +166,10 @@ MUTANTS = {
         bounds, "_selection_counts",
         (("(points[:, m:] - points[:, :m]) * scale", "0 * points[:, :m] * scale"),),
         _mean_cmi_closed_form),
+    "SGD pass without its in-loop projection": Mutant(
+        SgdLearner, "fit_batch",
+        (("m, d, _project_rows))", "m, d, lambda w: w))"),),
+        _sgd_ties_keep_the_in_loop_projection),
 }
 
 

@@ -216,26 +216,15 @@ def test_no_add_at_in_src():
 
 
 def _spy_sgd_exact_fits(monkeypatch):
-    """Record SGD's exact fits: each column pass, ``SgdLearner.column_levels``,
-    as ("column", m, d, whether its shell test passed), and each fit on all
-    sign patterns, ``SgdLearner.fit_patterns``, as ("patterns", m, d, rows
-    built)."""
-    calls = []
-    real_column, real_patterns = (learners.SgdLearner.column_levels,
-                                  learners.SgdLearner.fit_patterns)
+    """Record SGD's exact fits, its column passes
+    (``SgdLearner.column_levels``), each as ("column", m, d)."""
+    calls, real_column = [], learners.SgdLearner.column_levels
 
     def column_spy(self, m, d):
-        out = real_column(self, m, d)
-        calls.append(("column", m, d, out is not None))
-        return out
-
-    def patterns_spy(self, m, d):
-        out = real_patterns(self, m, d)
-        calls.append(("patterns", m, d, out.shape[0]))
-        return out
+        calls.append(("column", m, d))
+        return real_column(self, m, d)
 
     monkeypatch.setattr(learners.SgdLearner, "column_levels", column_spy)
-    monkeypatch.setattr(learners.SgdLearner, "fit_patterns", patterns_spy)
     return calls
 
 
@@ -243,8 +232,7 @@ def _spy_sgd_exact_fits(monkeypatch):
 def test_exact_channel_enumerates_once(monkeypatch, m):
     """``exact_channel`` builds no per-pattern outputs for a count learner,
     randomized response over one, or a subsample of one. For SGD it runs one
-    column pass per call, a subsample of SGD at its k, whatever wraps it, and
-    fits no pattern where the shell test passes, as it does at d = 2."""
+    column pass per call, a subsample of SGD at its k, whatever wraps it."""
     calls = _spy_sgd_exact_fits(monkeypatch)
     inst = HardInstance.zero(2)
     menu = _xu_learner_menu(m)
@@ -257,16 +245,17 @@ def test_exact_channel_enumerates_once(monkeypatch, m):
         learners.exact_channel(learner, inst, m)
         base, k = learners.reduce_subsample(
             learner if learner.deterministic else learner.base, m)
-        expected = [("column", k, 2, True)] if isinstance(base, learners.SgdLearner) else []
+        expected = [("column", k, 2)] if isinstance(base, learners.SgdLearner) else []
         assert calls == expected, learner.kind
 
 
-def test_exact_channel_falls_back_once_outside_the_shell(monkeypatch):
-    """Where the shell test fails, at (d, m) = (6, 3), SGD's channel runs the
-    column pass, then fits the 2^(d m) patterns exactly once."""
+def test_exact_channel_takes_the_column_pass_outside_the_shell(monkeypatch):
+    """Where a projected pass projects rows before its end, at
+    (d, m) = (6, 3), SGD's channel too runs the one column pass and nothing
+    else."""
     calls = _spy_sgd_exact_fits(monkeypatch)
     learners.exact_channel(learners.SgdLearner(), HardInstance.zero(6), 3)
-    assert calls == [("column", 3, 6, False), ("patterns", 3, 6, 1 << 18)]
+    assert calls == [("column", 3, 6)]
 
 
 COUNT_LEARNERS = (learners.MeanLearner(), learners.QuantizedMeanLearner(),
@@ -334,9 +323,9 @@ def test_sign_route_spy_sees_sgd(monkeypatch):
     calls = _spy_sign_routes(monkeypatch)
     inst = HardInstance.zero(2)
     bounds.cmi_exact(learners.SgdLearner(), inst, 2)
-    assert calls == {"sgd_exact": [("column", 2, 2, True)], "fit_rows": []}
+    assert calls == {"sgd_exact": [("column", 2, 2)], "fit_rows": []}
     bounds.measured_excess_risk(learners.SgdLearner(), 2, 2, 100, 1)
-    assert calls == {"sgd_exact": [("column", 2, 2, True)], "fit_rows": [100]}
+    assert calls == {"sgd_exact": [("column", 2, 2)], "fit_rows": [100]}
 
 
 @pytest.mark.parametrize("learner", [learners.SgdLearner(),
@@ -359,7 +348,7 @@ def test_sgd_cmi_fits_each_pattern_once(monkeypatch, learner):
 
     monkeypatch.setattr(learners.SgdLearner, "fit_batch", batch_spy)
     bounds.cmi_exact(learner, HardInstance(d, np.array([0.1, -0.2])), m)
-    assert calls == [("column", m, d, True)] and batch == []
+    assert calls == [("column", m, d)] and batch == []
 
 
 def _calls_named(tree, name):
@@ -371,11 +360,11 @@ def _calls_named(tree, name):
 
 def test_sign_route_only_in_learners():
     """No sign tensor is built in ``src/``: it never names
-    ``enumerate_sign_space``, the oracle in ``tests/oracles.py``. The one fit
-    on all sign patterns, ``fit_patterns``, and SGD's column pass,
-    ``column_levels``, are called only by ``learners.output_atoms``, which
-    takes the patterns only where the column pass declines, and ``bounds``
-    holds no sign-route code: it
+    ``enumerate_sign_space``, the oracle in ``tests/oracles.py``. SGD has
+    one exact route: ``src/`` names neither the fit on all sign patterns,
+    ``fit_patterns``, nor the shell test, ``in_shell``, both oracles now, and
+    SGD's column pass, ``column_levels``, is called only by
+    ``learners.output_atoms``. ``bounds`` holds no sign-route code: it
     names none of the sign route's helpers, calls no ``fit_batch``, and its
     one ``fit`` call is ``_fit_plus``'s, on sampled plus booleans."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
@@ -386,10 +375,13 @@ def test_sign_route_only_in_learners():
              == "enumerate_sign_space"
              or isinstance(node, ast.alias) and node.name == "enumerate_sign_space"]
     assert not named, f"the program names the sign enumeration: {named}"
-    for method in ("fit_patterns", "column_levels"):
-        sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
-                 if _calls_named(top, method)}
-        assert sites == {("learners.py", "output_atoms")}, method
+    gone = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            in ("fit_patterns", "in_shell")]
+    assert not gone, f"the program names a second exact SGD route: {gone}"
+    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+             if _calls_named(top, "column_levels")}
+    assert sites == {("learners.py", "output_atoms")}
     bounds_tree = trees["bounds.py"]
     names = _names_used(bounds_tree)
     assert not [name for name in ("fit_patterns", "column_levels", "_index_in_codebook",
