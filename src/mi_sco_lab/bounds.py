@@ -1,12 +1,12 @@
-"""Quantitative bounds and their verifiers.
-
-Contents: the mutual-information generalization bound (also the CMI bound),
-the fingerprinting expectation (quadrature and Monte Carlo), correlation
-lower bounds on mutual information (bounded and sub-Gaussian cases, with the
+"""Quantitative bounds and their verifiers, in this order: the
+mutual-information generalization bound (also the CMI bound), the
+fingerprinting expectation (quadrature and Monte Carlo), correlation lower
+bounds on mutual information (bounded and sub-Gaussian cases, with the
 explicit clipping constants), the Paley-Zygmund check, the good-coordinate
 search over the attack correlation, the chain-rule decomposition over exact
 channels, exact conditional mutual information under the supersample
-process, and the end-to-end certificate chaining all of the above.
+process, the end-to-end certificate chaining all of the above, and the
+randomized verifier suites.
 
 All verdicts are BoundReports: lhs >= rhs - tolerance, with the metadata
 needed to reproduce the run.
@@ -96,11 +96,6 @@ def make_report(name: str, lhs: float, rhs: float, tolerance: float = 0.0,
                        slack=lhs - rhs, tolerance=tolerance, **meta)
 
 
-# ---------------------------------------------------------------------------
-# Generalization bounds from information
-# ---------------------------------------------------------------------------
-
-
 def xu_bound(mi: float, m: int) -> float:
     """Expected generalization gap bound LOSS_RANGE * sqrt(2 * mi / m).
 
@@ -121,11 +116,6 @@ def xu_gap_report(learner, ch: Channel, inst: HardInstance) -> BoundReport:
     gap = ch.expected_generalization_gap(inst)
     return make_report(f"xu[{learner.kind}]", xu_bound(mi, ch.m), gap,
                        d=inst.d, m=ch.m)
-
-
-# ---------------------------------------------------------------------------
-# Fingerprinting
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -169,6 +159,13 @@ def _binomial_weights(m: int, q: np.ndarray) -> np.ndarray:
     return comb[None, :] * q ** ks[None, :] * (1.0 - q) ** (m - ks)[None, :]
 
 
+def _fingerprint_statistic(fvals, sums, p, m: int):
+    """The attack statistic prefactor(p) (f - p) (sums - m p) + (f - p)^2 of
+    estimates ``fvals`` at sign sums ``sums`` and bias ``p``, broadcast."""
+    delta = fvals - p
+    return attack_prefactor(p) * delta * (sums - m * p) + delta ** 2
+
+
 def fingerprint_quadrature(estimator: SumEstimator, m: int) -> float:
     """Exact-in-X expectation with QUADRATURE_NODES-point Gauss-Legendre
     integration over the bias.
@@ -178,11 +175,8 @@ def fingerprint_quadrature(estimator: SumEstimator, m: int) -> float:
     """
     ps, ws = _legendre_nodes()
     sums = 2.0 * np.arange(m + 1) - m
-    fvals = estimator(sums, m)  # (m+1,)
     weights = _binomial_weights(m, (1.0 + ps) / 2.0)  # (QUADRATURE_NODES, m+1)
-    pref = attack_prefactor(ps)[:, None]
-    delta = fvals[None, :] - ps[:, None]
-    stat = pref * delta * (sums[None, :] - m * ps[:, None]) + delta ** 2
+    stat = _fingerprint_statistic(estimator(sums, m)[None, :], sums[None, :], ps[:, None], m)
     return float(ws @ (weights * stat).sum(axis=1))
 
 
@@ -206,20 +200,13 @@ def fingerprint_expectation(estimator: SumEstimator, m: int,
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=size)
-        plus = rng.binomial(m, (1.0 + p) / 2.0)
-        sums = 2.0 * plus - m
-        delta = estimator(sums, m) - p
-        return attack_prefactor(p) * delta * (sums - m * p) + delta ** 2
+        sums = 2.0 * rng.binomial(m, (1.0 + p) / 2.0) - m
+        return _fingerprint_statistic(estimator(sums, m), sums, p, m)
 
     values = mc.chunked_trials(chunk, trials, seed, 1)
     est, se = mc.mean_and_se(values)
     return make_report(name, est, FINGERPRINT_FLOOR, tolerance=3.0 * se,
                        m=m, trials=trials, ci_halfwidth=3.0 * se, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Correlation -> mutual information lower bounds
-# ---------------------------------------------------------------------------
 
 
 def corbounded_mi_lower_bound(beta: float) -> float:
@@ -271,11 +258,6 @@ def gm_regime_report(m: int) -> BoundReport:
                        tolerance=1e-12, m=m, trials=GM_GRID)
 
 
-# ---------------------------------------------------------------------------
-# Paley-Zygmund
-# ---------------------------------------------------------------------------
-
-
 def paley_zygmund_rhs(mean: float, second_moment: float, theta: float) -> float:
     if second_moment <= 0.0:
         return 0.0
@@ -302,11 +284,6 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
     if np.any((values < 0) & (probs > 0)):
         report = replace(report, holds=False)
     return report
-
-
-# ---------------------------------------------------------------------------
-# The good-coordinate search
-# ---------------------------------------------------------------------------
 
 
 def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -371,11 +348,6 @@ def good_coordinates(inst: HardInstance, learner, m: int,
                          excluded=excluded, normalizers=norms)
 
 
-# ---------------------------------------------------------------------------
-# Chain rule over exact channels
-# ---------------------------------------------------------------------------
-
-
 def _joint_table(x_labels, y_labels, weights, width: int) -> np.ndarray:
     """The (x label) x (y label) table of ``weights``, y labels below
     ``width``: each cell sums its weights in input order."""
@@ -417,33 +389,23 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
                            per_coordinate=tuple(per_coord))
 
 
-# ---------------------------------------------------------------------------
-# Exact conditional mutual information (supersample process)
-# ---------------------------------------------------------------------------
-
-
 def _selection_counts(start: int, c: int, m: int, atom: np.ndarray, scale: np.ndarray,
                       radix: np.ndarray, every_atom: bool):
     """Yields (first row, float counts) in row blocks of at most
     CMI_CHUNK_CELLS floats: for supersamples start to start + c - 1 in
-    pattern order (2 m points), the count of the 2^m selections
-    whose half maps to each atom, ``atom`` mapping the sample codes of
-    ``output_atoms`` (weights ``scale`` and ``radix``) to the K atoms. The
-    columns are all K atoms, or with ``every_atom`` False those some
-    selection of the chunk reaches, in codebook order.
+    pattern order (2 m points), the count of the 2^m selections whose half
+    maps to each atom, ``atom`` mapping the sample codes of ``output_atoms``
+    (weights ``scale`` and ``radix``) to the K atoms. The columns are all K
+    atoms, or with ``every_atom`` False those some selection of the chunk
+    reaches, in codebook order.
 
     A selection's code starts as the first halves' code, and choosing the
     second point of pair i adds scale[i] (b_i - a_i), b_i and a_i the two
     points' plus bits times the radix. Where m n_codes < 2^m (lattice codes
-    only), each z's histogram over the codes is built by m shift-adds, pair i
-    adding a copy shifted by its step; otherwise the 2^m codes are built by m
-    doublings and counted one by one. The rule compares the two per-z costs,
-    and timings agree with it: on one 2-core Xeon (numpy 2.4),
-    ``cmi_exact(MeanLearner(), HardInstance.zero(1), m)`` took 0.12 s by
-    shift-adds and 0.54 s by doublings at m = 8, 0.005 s and 0.009 s at
-    m = 6, and tied at m = 5; at d = 3, m = 3 the shift-adds took 2.1 s and
-    the doublings 0.45 s. Under the rule the (c, 3 n_codes) histogram is
-    also smaller than the (2^m, c) codes, and its counts fit in one block.
+    only), each z's histogram over the codes is built by m shift-adds;
+    otherwise the 2^m codes are built by m doublings and counted one by one.
+    The rule compares the two per-z costs, and under it the (c, 3 n_codes)
+    histogram is smaller than the (2^m, c) codes and fits one block.
     """
     n_codes, big_k = atom.shape[0], int(atom.max()) + 1
     z = np.arange(start, start + c, dtype=np.int64)
@@ -477,16 +439,12 @@ def _selection_counts(start: int, c: int, m: int, atom: np.ndarray, scale: np.nd
 
 
 def cmi_exact(learner, inst: HardInstance, m: int) -> float:
-    """I(w_S; S | Z) for the pick-one-of-each-pair supersample process.
-
-    Z is a pair of independent m-point samples; S takes the first or second
-    element of each pair by an independent fair bit. For a deterministic
-    learner the conditional MI reduces to E_Z[H(w_S | Z)]. A subsample
-    reduces to its base at k (``reduce_subsample``). The base is fit
-    once per sample code of ``output_atoms`` (a lattice point of a
-    ``reads_counts`` base, a column-tuple code of SGD, all fit at once), and
-    each selection reads its atom by code, with no sign tensor.
-    """
+    """I(w_S; S | Z) for the pick-one-of-each-pair supersample process: Z is
+    a pair of independent m-point samples, and S takes the first or second
+    point of each pair by a fair bit. For a deterministic learner it is
+    E_Z[H(w_S | Z)]. A subsample is its base at k (``reduce_subsample``); the
+    base's atoms come once from ``output_atoms``, and each selection reads its
+    atom by sample code."""
     learner, m = reduce_subsample(learner, m)
     d = inst.d
     n_z = 1 << (2 * m * d)
@@ -523,11 +481,6 @@ def selector_entropy_cap(k: int, m: int) -> float:
     """min(k, m) * ln 2 for a learner that reads k of the m sample points:
     the number of selector bits its output can depend on."""
     return min(k, m) * math.log(2.0)
-
-
-# ---------------------------------------------------------------------------
-# End-to-end certificate
-# ---------------------------------------------------------------------------
 
 
 def pipeline_gm(m: int, eps: float) -> float:
@@ -649,27 +602,28 @@ def mi_dimension_scan(learner, m: int, p0: float, d_values) -> DimensionScan:
     return DimensionScan(ds=ds, mis=mis, report=report)
 
 
-# ---------------------------------------------------------------------------
-# Randomized verifier suites
-# ---------------------------------------------------------------------------
-
-
 def _random_pmf_pair(rng: np.random.Generator):
     k = int(rng.integers(2, MAX_ALPHABET + 1))
     return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
 
 
+def _worst_slack(name: str, stream: int, draws: int, seed: int, tolerance: float,
+                 slack) -> BoundReport:
+    """Report ``name``: the least ``slack(rng)`` of ``draws`` draws from
+    substream ``stream``, against 0. The running min starts at inf, so a NaN
+    draw is skipped; ``min`` over a generator would return a first NaN."""
+    rng = mc.substream(seed, stream)
+    worst = math.inf
+    for _ in range(draws):
+        worst = min(worst, slack(rng))
+    return make_report(name, worst, 0.0, tolerance=tolerance, trials=draws, seed=seed)
+
+
 def pinsker_suite(n_pairs: int = 1000, seed: int = 0) -> BoundReport:
     """TV <= sqrt(KL/2) across random absolutely continuous pairs,
     exercised through the pinsker_slack operation itself."""
-    rng = mc.substream(seed, 101)
-    worst = math.inf
-    for _ in range(n_pairs):
-        a, b = _random_pmf_pair(rng)
-        slack = pinsker_slack(FinitePmf(a), FinitePmf(b))
-        worst = min(worst, slack)
-    return make_report("pinsker_suite", worst, 0.0, tolerance=1e-12,
-                       trials=n_pairs, seed=seed)
+    return _worst_slack("pinsker_suite", 101, n_pairs, seed, 1e-12,
+                        lambda rng: pinsker_slack(*map(FinitePmf, _random_pmf_pair(rng))))
 
 
 def _northwest_couplings(a: np.ndarray, b: np.ndarray, perm_r: np.ndarray,
@@ -747,17 +701,17 @@ def _random_correlated_joint(rng: np.random.Generator):
     return table, xv, yv
 
 
+def _correlation_slack(floor, table, xv, yv, *proxy) -> float:
+    """Exact MI of the joint ``table`` minus ``floor`` at its E[XY] (and
+    ``proxy``), X and Y taking the values ``xv`` and ``yv``."""
+    return mutual_information(JointPmf(table)) - floor(float(xv @ table @ yv), *proxy)
+
+
 def bounded_correlation_suite(n_joints: int = 1000, seed: int = 0) -> BoundReport:
     """Exact MI >= beta^4/8 over random joints meeting the hypotheses."""
-    rng = mc.substream(seed, 103)
-    worst = math.inf
-    for _ in range(n_joints):
-        table, xv, yv = _random_correlated_joint(rng)
-        beta = float(xv @ table @ yv)
-        mi = mutual_information(JointPmf(table))
-        worst = min(worst, mi - corbounded_mi_lower_bound(beta))
-    return make_report("corbounded_mi_suite", worst, 0.0, tolerance=1e-9,
-                       trials=n_joints, seed=seed)
+    return _worst_slack("corbounded_mi_suite", 103, n_joints, seed, 1e-9, lambda rng:
+                        _correlation_slack(corbounded_mi_lower_bound,
+                                           *_random_correlated_joint(rng)))
 
 
 def _subgaussian_construction(rng: np.random.Generator):
@@ -780,30 +734,17 @@ def _subgaussian_construction(rng: np.random.Generator):
         c = big_r / math.sqrt(math.log(2.0))
     s = float(rng.uniform(0.3, 1.0))
     gamma = float(rng.uniform(0.0, 0.45))
-    yv = np.array([-s, s])
-    table = np.zeros((len(xv), 2))
-    sign_x = np.sign(xv)
-    for i, sg in enumerate(sign_x):
-        if sg == 0:
-            table[i] = px[i] * 0.5
-        else:
-            hit = 1 if sg > 0 else 0
-            table[i, hit] = px[i] * (1.0 - gamma)
-            table[i, 1 - hit] = px[i] * gamma
-    return table, xv, yv, c
+    # Y = s sign(X) with probability 1 - gamma, a fair sign where X = 0
+    down = np.where(xv > 0, gamma, np.where(xv < 0, 1.0 - gamma, 0.5))
+    up = np.where(xv > 0, 1.0 - gamma, np.where(xv < 0, gamma, 0.5))
+    return np.stack([px * down, px * up], axis=1), xv, np.array([-s, s]), c
 
 
 def subgaussian_correlation_suite(n_joints: int = 200, seed: int = 0) -> BoundReport:
     """Exact MI >= the sub-Gaussian correlation floor on certified joints."""
-    rng = mc.substream(seed, 104)
-    worst = math.inf
-    for _ in range(n_joints):
-        table, xv, yv, c = _subgaussian_construction(rng)
-        beta = float(xv @ table @ yv)
-        mi = mutual_information(JointPmf(table))
-        worst = min(worst, mi - subgaussian_mi_lower_bound(beta, c))
-    return make_report("subgaussian_mi_suite", worst, 0.0, tolerance=1e-12,
-                       trials=n_joints, seed=seed)
+    return _worst_slack("subgaussian_mi_suite", 104, n_joints, seed, 1e-12, lambda rng:
+                        _correlation_slack(subgaussian_mi_lower_bound,
+                                           *_subgaussian_construction(rng)))
 
 
 def subgaussian_tail_report(inst: HardInstance, m: int,

@@ -1,44 +1,13 @@
 """Experiment runner: config parsing, registry, seeding, CSV/plot emission.
 
-Config files are flat key-value text with section headers (INI syntax),
-validated against a strict schema: a section or key outside it is rejected,
-and so is one the named experiment does not read (each ``EXPERIMENTS``
-entry lists the keys its experiment reads). The schema:
-
-    [experiment]
-    name = theorem1            # one of the registry names
-
-    [instance]
-    d = 2                      # dimension >= 1
-    p_mode = uniform           # uniform | fixed
-    p_values = 0.1, -0.2       # required iff p_mode = fixed
-
-    [learner]                  # theorem1 only
-    kind = quantized_mean      # mean | quantized_mean | epsilon_net_erm |
-                               # sgd | regularized_erm | subsample
-    delta = auto               # quantization step, or auto for 1/m^2
-    lam = 0.0                  # regularized_erm weight
-    k = 2                      # subsample size, 1 <= k <= m
-    base = mean                # base kind for subsample
-
-    [run]
-    m = 4                      # sample size >= 1
-    epsilon = measured         # measured | float in (0, 1/54)
-    trials = 100000            # Monte Carlo budget, at most MC_KEPT_BYTES of kept values
-    master_seed = 12345        # >= 0
-    output_dir = out
-
-A learner parameter its kind does not take is rejected too, and so is a
-net-erm (d, m) outside d <= m, d*m <= NET_ERM_MAX_CELLS. A theorem1 or
-verify-lemmas (m, d) must keep each Monte Carlo chunk's float64 uniforms
-within MC_KEPT_BYTES, and a theorem1 epsilon_net_erm's net grid within
-learners.NET_BLOCK_CELLS floats.
+Config files are INI text checked against a strict schema (``_SCHEMA``): a
+section or key outside it is rejected, and so is one the named experiment
+does not read (each ``EXPERIMENTS`` entry lists the keys it reads). README.md
+states the keys, their values and every limit ``load_config`` enforces.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
-file it wrote. Numbers must be finite.
-Exit codes: 0 ok, 1 config/budget error, 2 when --verify sees a failed
-report. MI_SCO_THREADS caps the worker count; outputs are byte-identical
-at any worker count.
+file it wrote. Exit codes: 0 ok, 1 config or budget error, 2 when --verify
+sees a failed report.
 """
 
 from __future__ import annotations
@@ -68,6 +37,7 @@ from .learners import (
     epsilon_net,
     exact_channel,
     fit,
+    grid_step,
     make_learner,
     product_grid,
     reduce_subsample,
@@ -243,11 +213,6 @@ def load_config(path) -> ExperimentConfig:
                             master_seed=master_seed, output_dir=output_dir)
 
 
-# ---------------------------------------------------------------------------
-# Output helpers
-# ---------------------------------------------------------------------------
-
-
 def _write_xy(path: Path, xs, ys) -> None:
     with open(path, "w") as fh:
         for x, y in zip(xs, ys):
@@ -288,11 +253,6 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Experiments
-# ---------------------------------------------------------------------------
 
 
 def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
@@ -349,14 +309,14 @@ def _xu_learner_menu(m: int):
 
 
 def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
-    reports = []
-    # the reference case: mean learner, d=1, m=2, p=0
-    ch = exact_channel(MeanLearner(), HardInstance.zero(1), 2)
-    reports.append(bounds.make_report("xu_reference_mi", ch.mutual_information(),
-                                      1.5 * math.log(2.0), tolerance=1e-12, d=1, m=2))
-    reports.append(bounds.make_report("xu_reference_gap",
-                                      ch.expected_generalization_gap(HardInstance.zero(1)),
-                                      1.0, tolerance=1e-12, d=1, m=2))
+    # the mean learner at d = 1, p = 0 for the plot; m = 2 is the reference case
+    zero = HardInstance.zero(1)
+    mean_channels = {m: exact_channel(MeanLearner(), zero, m) for m in (1, 2, 4, 8)}
+    ch = mean_channels[2]
+    reports = [bounds.make_report("xu_reference_mi", ch.mutual_information(),
+                                  1.5 * math.log(2.0), tolerance=1e-12, d=1, m=2),
+               bounds.make_report("xu_reference_gap", ch.expected_generalization_gap(zero),
+                                  1.0, tolerance=1e-12, d=1, m=2)]
     # the tightest case over a bias grid per d <= 3 and m in (1, 2, 4): one
     # channel per (learner, d, m), reweighted per bias; min keeps the first of
     # tied reports in bias-major, learner-minor order
@@ -368,14 +328,10 @@ def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
                        for p in product_grid([np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d)
                        for learner, ch in channels]
     reports.append(min(xu_reports, key=lambda r: r.slack))
-    ms, gaps, ub = [], [], []
-    for m in (1, 2, 4, 8):
-        ch = exact_channel(MeanLearner(), HardInstance.zero(1), m)
-        ms.append(m)
-        gaps.append(ch.expected_generalization_gap(HardInstance.zero(1)))
-        ub.append(bounds.xu_bound(ch.mutual_information(), m))
-    _write_xy(outdir / "xu_gap_vs_m.xy", ms, gaps)
-    _write_xy(outdir / "xu_bound_vs_m.xy", ms, ub)
+    _write_xy(outdir / "xu_gap_vs_m.xy", mean_channels,
+              [ch.expected_generalization_gap(zero) for ch in mean_channels.values()])
+    _write_xy(outdir / "xu_bound_vs_m.xy", mean_channels,
+              [bounds.xu_bound(ch.mutual_information(), m) for m, ch in mean_channels.items()])
     return reports
 
 
@@ -401,19 +357,16 @@ def _exp_tradeoff(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     # reachable means form a lattice of spacing 2/(m*sqrt(d)); quantizers at
     # or below that spacing are injective on it, so every coarser quantizer
     # factors through them and MI is monotone along the sweep
-    fine = 2.0 / (m * math.ceil(math.sqrt(inst.d)))
-    deltas = [4.0 / m, 2.0 / m, fine, 1.0 / (m * m)] if inst.d == 1 \
-        else [2.0 / m, fine, 1.0 / (m * m)]
+    fine, step = 2.0 / (m * math.ceil(math.sqrt(inst.d))), grid_step(None, m)
+    deltas = [4.0 / m, 2.0 / m, fine, step] if inst.d == 1 else [2.0 / m, fine, step]
     deltas = sorted(set(deltas), reverse=True)
-    rows = []
-    for delta in deltas:
-        rows.append(_tradeoff_row(QuantizedMeanLearner(delta=delta), inst, m,
-                                  delta, 0.0))
+    rows = [_tradeoff_row(QuantizedMeanLearner(delta=delta), inst, m, delta, 0.0)
+            for delta in deltas]
     rhos = [0.0, 0.25, 0.5, 0.75, 1.0]
-    for rho in rhos:
-        learner = (RandomizedResponse(base=QuantizedMeanLearner(), rho=rho)
-                   if rho > 0 else QuantizedMeanLearner())
-        rows.append(_tradeoff_row(learner, inst, m, 1.0 / (m * m), rho))
+    # rho = 0 is the base itself, QuantizedMeanLearner() at step: that delta's row
+    rows.append(rows[deltas.index(step)])
+    rows += [_tradeoff_row(RandomizedResponse(base=QuantizedMeanLearner(), rho=rho),
+                           inst, m, step, rho) for rho in rhos[1:]]
     _write_table(outdir / "tradeoff.csv", TRADEOFF_COLUMNS, rows)
     mi_by_delta = [r[4] for r in rows[: len(deltas)]]
     _write_xy(outdir / "mi_vs_delta.xy", deltas, mi_by_delta)
@@ -439,9 +392,8 @@ def _exp_net_erm(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
     rng = mc.substream(cfg.master_seed, 2)
     rows = []
     reports = []
-    # load_config holds the configured (d, m) to the same limits
-    cases = dict.fromkeys([(d, m) for d in (1, 2) for m in (1, 4, 9, 16)
-                           if d <= m and d * m <= NET_ERM_MAX_CELLS] + [(cfg.d, cfg.m)])
+    # the defaults meet load_config's d <= m, d*m <= NET_ERM_MAX_CELLS
+    cases = dict.fromkeys([(1, 1), (1, 4), (1, 9), (1, 16), (2, 4), (2, 9), (cfg.d, cfg.m)])
     for d, m in cases:
         inst = HardInstance.uniform_bias(d, rng)
         ch = exact_channel(learner, inst, m)

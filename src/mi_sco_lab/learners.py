@@ -1,72 +1,31 @@
 """Discrete-output learners and exact enumeration of their output channels.
 
-Every learner maps a sample to a parameter vector drawn from a finite
-codebook (grid quantization at step 1/m^2 unless stated), so the joint law of
-(output, sample) can be enumerated exactly and fed to the information
-machinery. Learners are pure given (sample, seed) and never take the
-instance, so none can read its bias; tie-breaking is lexicographic
-everywhere (grid rounding breaks ties toward the smaller value), so outputs
-are bit-stable across runs and worker counts.
+Every learner maps a sample to a parameter vector in a finite codebook, so
+the joint law of (output, sample) can be enumerated exactly. Learners are
+pure given (sample, seed) and never take the instance, so none can read its
+bias; grid rounding breaks ties toward the smaller value, so outputs are
+bit-stable across runs and worker counts.
 
 The learner contract is a set of attributes, with no base class:
   * ``kind``: the label used in report names;
   * ``deterministic``: whether the output is a function of the sample;
   * ``reads_counts``: whether the output bytes depend on the sample only
-    through its per-coordinate plus-counts;
-  * ``factorized``: whether the learner reads counts and its output
-    coordinate t depends only on plus-count t;
-  * ``fit_counts(counts, m)``, for a ``reads_counts`` learner: the (n, d)
-    outputs for (n, d) plus-counts out of m, its one computation;
-  * ``fit_batch(plus)``, for SGD, the one learner that reads the order of
-    the points: the (n, d) outputs for (n, m, d) plus booleans; and
-    ``column_levels(m, d)``, one coordinate's levels per column pattern.
-The mean-based learners read the sample through ``count_mean``, and the
-quantizing ones (quantized mean, SGD, regularized ERM) round to the step
-``grid_step(delta, m)``, 1/m^2 unless their ``delta`` is set.
-Two wrappers hold a deterministic ``base`` and fit nothing themselves: a
-subsample reads only the points S_1..k, and randomized response replaces the
-base's output by a uniform codebook atom with probability ``rho`` (its
-``mix(base_law)`` is its output law given the base's law over the codebook).
-``fit(learner, plus, rng)`` is the one fit on (n, m, d) plus booleans and
-holds both wrapper rules; ``reduce_subsample`` is the subsample rule, so a
-subsample's exact MI and its supersample CMI are its base's at k.
+    through its per-coordinate plus-counts; such a learner defines
+    ``fit_counts(counts, m)``, the (n, d) outputs for (n, d) plus-counts;
+  * ``factorized``: whether it reads counts and output coordinate t reads
+    only plus-count t.
+SGD, the one learner that reads the points in order, defines
+``fit_batch(plus)`` on (n, m, d) plus booleans and ``column_levels``. Two
+wrappers hold a deterministic ``base`` and fit nothing: a subsample reads only
+the points S_1..k (``reduce_subsample``), and randomized response replaces the
+base's output by a uniform codebook atom with probability ``rho``. ``fit`` is
+the one fit on plus booleans and applies both wrapper rules.
 
 Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET)
-in pattern order: pattern i is plus in point j, coordinate t iff bit j d + t
-of i is set. No sign tensor is built. One code-to-atom map, ``output_atoms``,
-gives every deterministic learner's codebook and its atoms indexed by one
-sample code, sum_i scale[i] sum_t plus(i, t) radix[t], built for every
-pattern by ``sample_codes``; no consumer needs to know which learner it
-holds. The code is
-  * the lattice code, plus-counts in base m+1 (scale 1): a ``reads_counts``
-    learner, fit once per (m+1)^d lattice point, in lattice code order;
-  * the column-tuple code, sum_t col_t 2^(m (d-1-t)) with col_t the column
-    code of coordinate t (scale 2^i): SGD, from one coordinate's 2^m column
-    patterns;
-  * its base's code at k with zero weight on points k+1..m: a subsample,
-    whose codebook and atoms are its base's at k.
-SGD's update acts on each coordinate alone but for the in-loop projection.
-Its column pass runs the update once over the 2^m columns of one coordinate,
-with no projection inside the pass; then each pattern's output is its d
-column levels, projected at the end, and only the K^d tuples of the K
-distinct levels are projected and grouped. Within the budget these are the
-bytes of a projected pass per pattern: where that pass projects a row before
-its end, at (d, m) = (6, 3) and (6, 4), the row's output comes out the same.
-``exact_channel`` and the supersample CMI of ``bounds`` read atoms by code,
-and randomized response draws from its base's codebook (a subsample's is its
-base's at k, so it needs no pattern budget at m). A count learner's
-channel keeps each lattice code's atom, so its gap is summed per lattice
-point and gathered by code; any other deterministic channel sums its gap
-terms in blocks of GAP_BLOCK_ROWS patterns. A factorized learner's exact MI
-sums per-coordinate entropies; each of the 2^m column patterns weighs its
-plus-count's atom. The Monte Carlo estimators draw plus booleans with
-``sco.sample_plus`` and fit them with ``fit``.
-
-Codebooks are found by value with ``unique_rows``, the one row dedup of the
-package: it gives the atoms of numpy's row-wise ``np.unique`` (along axis 0)
-in the same lexicographic order, with the same inverse, from per-column ranks
-folded into integer codes instead of a sort of float rows; each atom keeps
-the row of its first occurrence.
+in pattern order, pattern i plus in point j, coordinate t iff bit j d + t of
+i is set, and build no sign tensor: ``output_atoms`` indexes every
+deterministic learner's atoms by one sample code, which ``sample_codes``
+builds for every pattern.
 """
 
 from __future__ import annotations
@@ -80,7 +39,7 @@ from .infotheory import entropy_of, row_entropies
 from .sco import HardInstance, counts_of_plus
 
 FULL_ENUM_BUDGET = 1 << 24
-DENSE_LAW_BYTES = 1 << 30  # largest (samples x codebook) float64 law exact_channel builds
+DENSE_LAW_BYTES = 1 << 30  # a dense (samples x codebook) law with its MI's and gap's temporaries
 NET_BLOCK_CELLS = 1 << 18  # floats in one distance block of EpsilonNetErm
 GAP_BLOCK_ROWS = 1 << 14  # patterns per block of a deterministic pattern channel's gap
 CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
@@ -119,18 +78,15 @@ def round_half_down(x, delta: float) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order and each row's atom index.
+    """Distinct rows in lexicographic order and each row's atom index: the
+    atoms, order and inverse of ``np.unique(rows, axis=0)``, rows compared by
+    value (0.0 and -0.0 in one atom), with no sort of float rows.
 
-    The atoms, their order and the inverse are those of numpy's row-wise
-    ``np.unique`` (along axis 0, with ``return_inverse``): rows are compared
-    by value, so 0.0 and -0.0 fall in one atom. Each column is ranked among
-    its distinct values, and the ranks are folded left to right into one
-    int64 code per row, re-ranked whenever the next fold could pass
-    CODE_LIMIT; only 1-D arrays are sorted. Each atom's codebook row is its
-    first occurrence in ``rows``, the index ``np.unique`` returns for its
-    code, so the bytes are numpy's whenever an atom's rows are bit-identical
-    (numpy picks among rows that differ only in the sign of a zero by its
-    unstable sort). Rows must hold no NaN.
+    Each column is ranked among its distinct values and the ranks folded
+    into one int64 code per row, re-ranked before a fold could pass
+    CODE_LIMIT. Each atom keeps the row of its first occurrence, numpy's own
+    choice unless an atom's rows differ in the sign of a zero. Rows must hold
+    no NaN.
     """
     rows = np.asarray(rows)
     code = np.zeros(rows.shape[0], dtype=np.int64)
@@ -153,11 +109,6 @@ def _project_rows(w: np.ndarray) -> np.ndarray:
     if np.any(over):
         w[over] /= norms[over, None]
     return w
-
-
-# ---------------------------------------------------------------------------
-# Learners
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -243,14 +194,12 @@ class SgdLearner:
     combination of data points (inside the ball). The average of the iterates
     is rounded to the 1/m^2 grid for a finite codebook.
 
-    ``_levels`` holds the update once. ``fit_batch`` feeds it one point per
-    sample and projects each step's iterates. ``column_levels`` feeds it the
-    two corner values of one coordinate, so step t holds the 2^t iterates of
-    its column prefixes, and projects nothing inside the pass: every
-    operation of the update but the in-loop projection acts on each
-    coordinate alone, and within the budget that projection changes no
-    output bit (``output_atoms``). Beyond the budget it decides exact
-    half-grid ties, so ``fit_batch`` keeps it.
+    ``_levels`` holds the update once. ``fit_batch`` feeds it each sample's
+    points and projects every step; ``column_levels`` feeds it one
+    coordinate's two corner values and projects nothing inside the pass,
+    which within the budget changes no output bit (``output_atoms``). Beyond
+    the budget the in-loop projection decides exact half-grid ties, so
+    ``fit_batch`` keeps it.
     """
 
     delta: float | None = None
@@ -413,11 +362,6 @@ def fit(learner, plus: np.ndarray, rng=None) -> np.ndarray:
     return learner.fit_batch(plus[:, :m])
 
 
-# ---------------------------------------------------------------------------
-# Exact channels
-# ---------------------------------------------------------------------------
-
-
 def _pattern_count(cells: int) -> int:
     if 1 << cells > FULL_ENUM_BUDGET:
         raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
@@ -431,9 +375,9 @@ def lattice_radix(m: int, d: int) -> np.ndarray:
 
 def sample_codes(scale: np.ndarray, radix: np.ndarray) -> np.ndarray:
     """Each sign pattern's sample code sum_i scale[i] sum_t plus(i, t) radix[t],
-    in pattern order: flat cell c = i d + t (point i, coordinate t) is bit c of
-    the pattern index and adds scale[i] radix[t], so each cell doubles the
-    codes. The budget bounds the 2^(d m) patterns before any is built."""
+    in pattern order: cell c = i d + t, bit c of the pattern index, adds
+    scale[i] radix[t], so each cell doubles the codes. The budget bounds the
+    2^(d m) patterns before any is built."""
     code = np.zeros(_pattern_count(scale.shape[0] * radix.shape[0]), dtype=np.int64)
     for c, weight in enumerate(np.outer(scale, radix).reshape(-1)):
         np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
@@ -458,15 +402,13 @@ def sign_space_probs(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class Channel:
-    """Exact joint law of (sample, learner output) over an enumerated space.
+    """Exact joint law of (sample, learner output) over the sign patterns.
 
-    ``cond`` is None for deterministic learners, in which case
-    ``output_index`` holds the codebook row per sample; otherwise ``cond``
-    carries one conditional pmf row per sample. Neither depends on the bias,
-    which only weighs the samples (``reweighted``). ``exact_channel`` sets
-    ``code_atom`` for a ``reads_counts`` learner, whose atom is a function of
-    the lattice code, so the gap takes each code's term once; the risk's term
-    is already one per atom.
+    A deterministic channel's ``output_index`` holds each pattern's codebook
+    row; a randomized one's ``cond`` holds one conditional pmf row per
+    pattern. Neither depends on the bias, which only weighs the samples
+    (``reweighted``). ``code_atom``, set for a count learner, maps each
+    lattice code to its atom, so the gap takes each code's term once.
     """
 
     codes: np.ndarray = field(repr=False)          # (n,) lattice code per sign pattern
@@ -532,20 +474,16 @@ class Channel:
 
 def _column_atoms(column: np.ndarray, m: int, d: int):
     """(codebook, atom per column-tuple code) of outputs that are the final
-    projection of each pattern's d column levels, from the (2^m,) ``column``
-    levels. The column-tuple code sum_t col_t 2^(m (d-1-t)) holds coordinate
-    t's column code col_t (plus in point i iff bit i is set) as digit t, the
-    first coordinate most significant.
+    projection of each pattern's d levels from the (2^m,) ``column`` levels;
+    the column-tuple code sum_t col_t 2^(m (d-1-t)) has coordinate t's column
+    code as digit t.
 
-    The K distinct levels are ranked by value (0.0 and -0.0 in one), each
-    kept as the bytes of its first column code. A tuple of levels has as its
-    first pattern the one whose every column is its level's first code: the
-    pattern index interleaves the column bits, so it grows with each column
-    code. Only the K^d first-pattern rows are projected and grouped; all rows
-    of an atom then hold the same bytes, those of its first pattern's row.
-    Each column-tuple code takes the atom of its level-tuple code, the level
-    ranks of its digits read in base K, built by d - 1 outer sums;
-    K^d <= 2^(d m) <= FULL_ENUM_BUDGET fits int32."""
+    Only the K^d tuples of the K distinct levels (0.0 and -0.0 in one, each
+    the bytes of its first column code) are projected and grouped. The
+    pattern index interleaves the column bits, so a tuple of first codes is
+    its atom's first pattern, and the bytes are those of a fit per pattern.
+    Each code takes the atom of its level ranks read in base K, built by
+    d - 1 outer sums; K^d <= FULL_ENUM_BUDGET fits int32."""
     _, first, level = np.unique(column, return_index=True, return_inverse=True)
     k = first.shape[0]
     codebook, tuple_atom = unique_rows(_project_rows(product_grid([column[first]] * d)))
@@ -559,16 +497,16 @@ def output_atoms(learner, m: int, d: int):
     """(codebook, atom, scale, radix): a deterministic learner's lexicographic
     codebook and the atom of each sample code sum_i scale[i] sum_t plus(i, t)
     radix[t] (``sample_codes``), the only index of its atoms.
-      * A ``reads_counts`` learner takes the lattice code (scale 1, radix
-        (m+1)^(d-1-t)), fit once per lattice point in code order; the budget
-        bounds the (m+1)^d lattice points.
-      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))):
-        each output is the final projection of its d column levels, the
-        bytes of a projected pass per pattern at every (d, m) within the
-        budget, which bounds its 2^(d m) patterns.
-      * A subsample reads only its first k points, so it takes its base's
-        codebook, atoms and radix at k, and the base's scale with zero weight
-        on the other m - k points; it builds nothing of size 2^(d m)."""
+      * A count learner takes the lattice code, its plus-counts in base m+1
+        (scale 1), and is fit once per lattice point; the budget bounds the
+        (m+1)^d points.
+      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))) from
+        one column pass (``_column_atoms``); within the budget, which bounds
+        its 2^(d m) patterns, these are the bytes of a projected pass per
+        pattern.
+      * A subsample takes its base's codebook, atoms and radix at k, and the
+        base's scale with zero weight on points k+1..m, so it builds nothing
+        of size 2^(d m)."""
     if learner.reads_counts:
         if (m + 1) ** d > FULL_ENUM_BUDGET:
             raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
@@ -584,10 +522,10 @@ def output_atoms(learner, m: int, d: int):
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
-    """Exhaustive joint law of (sample, output) over supp(D(p)^m); a randomized
-    learner's dense (samples x codebook) law must fit in DENSE_LAW_BYTES, and
-    is the only array of that size built. Each pattern reads its atom by its
-    sample code; a count learner's is the lattice code, built once."""
+    """Exhaustive joint law of (sample, output) over supp(D(p)^m), each
+    pattern reading its atom by its sample code. A randomized learner's dense
+    (samples x codebook) law is the only array of its size built here, and it
+    must fit in DENSE_LAW_BYTES with the temporaries its MI and gap build."""
     base = learner if learner.deterministic else learner.base
     codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
@@ -597,9 +535,13 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
         return Channel(codes, counts, m, None, codebook, output_index=idx,
                        code_atom=atom if base.reads_counts else None).reweighted(inst)
     n, big_k = codes.shape[0], codebook.shape[0]
-    if 8 * n * big_k > DENSE_LAW_BYTES:
-        raise BudgetExceededError(f"dense {n} x {big_k} law needs {8 * n * big_k} bytes, "
-                                  f"above {DENSE_LAW_BYTES}")
+    # per cell the law and the two temporaries of its size that the MI (with a
+    # one-byte mask) and the gap build; per sample the gap's two d-float
+    # drifts and four more floats
+    need = n * (25 * big_k + 16 * inst.d + 32)
+    if need > DENSE_LAW_BYTES:
+        raise BudgetExceededError(f"dense {n} x {big_k} law with its temporaries needs "
+                                  f"{need} bytes, above {DENSE_LAW_BYTES}")
     # each row mixes a point mass: mix of 0 off the base atom, mix of 1 on it
     on, off = learner.mix(np.eye(2, big_k))[:, 0]
     cond = np.full((n, big_k), off)
@@ -610,18 +552,19 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
 def exact_mutual_information(learner, d: int, m: int):
     """I(w_S; S) in nats as a function of the instance, with all that does not
     depend on its bias built here, so a budget error comes before any use.
-    A factorized learner's MI sums per-coordinate entropies: its pairs
-    (w_S(t), S column t) are independent across t. It is fit once on the m+1
-    plus-counts, each repeated across the d columns so that the 1/sqrt(d)
-    scale holds, and the 2^m column patterns weigh their counts' atoms, summed
-    in pattern order. Any other learner's channel is reweighted per bias."""
+    A factorized learner's MI sums per-coordinate entropies, its pairs
+    (w_S(t), S column t) being independent across t: it is fit once on the
+    m+1 plus-counts (repeated across the d columns for the 1/sqrt(d) scale),
+    and each of the 2^m column patterns adds its count's binomial weight,
+    computed once per count, to its count's atom in pattern order. Any other
+    learner's channel is reweighted per bias."""
     learner, m = reduce_subsample(learner, m)
     if not learner.factorized:
         ch = exact_channel(learner, HardInstance.zero(d), m)
         return lambda inst: ch.reweighted(inst).mutual_information()
-    counts = lattice_codes(m, 1)  # each column pattern's plus-count
-    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], d, axis=1), m)
+    counts, ks = lattice_codes(m, 1), np.arange(m + 1)  # each column pattern's plus-count
+    levels = learner.fit_counts(np.repeat(ks[:, None], d, axis=1), m)
     atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
     return lambda inst: max(0.0, float(sum(
-        entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))
+        entropy_of(np.bincount(atom, (q ** ks * (1.0 - q) ** (m - ks))[counts]))
         for q in (1.0 + inst.p) / 2.0)))

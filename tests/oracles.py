@@ -2,12 +2,11 @@
 
 The program computes risks, entropies, the fingerprinting expectation, the
 pattern order of the exact channels, SGD's pass and its outputs on every
-pattern, exact channels, the per-coordinate
-MI, the supersample CMI,
-the Monte Carlo estimators, the random coupling search and the MI-bound
-check in closed, vectorized, lattice-indexed, count-only, blocked, lockstep
-or reweighted form; each function here writes one of them out the long way,
-with no caller in the program. The learners' sign route (``fit_signs``,
+pattern, exact channels, the per-coordinate MI, the supersample CMI, the
+Monte Carlo estimators, the random coupling search, the sub-Gaussian joint
+construction and the MI-bound check in closed, vectorized, lattice-indexed,
+count-only, blocked, lockstep or reweighted form; each function here writes
+one of them out the long way, with no caller in the program. The learners' sign route (``fit_signs``,
 ``codebook_signs``) fits int8 sign tensors, where the program fits plus
 booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
@@ -58,6 +57,7 @@ from mi_sco_lab.learners import (
     grid_step,
     lattice_codes,
     lattice_counts,
+    reduce_subsample,
     round_half_down,
     sign_space_probs,
     unique_rows,
@@ -757,3 +757,44 @@ def first_pattern_order(m: int, d: int) -> np.ndarray:
     scale = 1 << d * np.arange(m, dtype=np.int64)
     radix = 1 << np.arange(d, dtype=np.int64)
     return np.argsort(np.concatenate([[0], np.cumsum(scale)])[lattice_counts(m, d)] @ radix)
+
+
+def factorized_mi_patterns(learner, inst: HardInstance, m: int) -> float:
+    """``learners.exact_mutual_information``'s per-coordinate route with the
+    binomial weight q^c (1 - q)^(m - c) evaluated for each of the 2^m column
+    patterns, not once per plus-count c."""
+    learner, m = reduce_subsample(learner, m)
+    counts = lattice_codes(m, 1)
+    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], inst.d, axis=1), m)
+    atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
+    return max(0.0, float(sum(
+        entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))
+        for q in (1.0 + inst.p) / 2.0)))
+
+
+def subgaussian_construction_rows(rng: np.random.Generator):
+    """``bounds._subgaussian_construction`` with its (x values, 2) table
+    filled one row at a time."""
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, 7))
+        r = float(rng.uniform(0.2, 1.0))
+        xv = r * (2.0 * np.arange(k + 1) - k)
+        px = np.array([math.comb(k, int(j)) for j in range(k + 1)], dtype=float) / 2 ** k
+        c = r * math.sqrt(2.0 * k)
+    else:
+        kx = int(rng.integers(2, 9))
+        xv = rng.uniform(-1.0, 1.0, size=kx)
+        px = rng.dirichlet(np.ones(kx))
+        xv = xv - float(px @ xv)
+        c = float(np.abs(xv).max()) / math.sqrt(math.log(2.0))
+    s = float(rng.uniform(0.3, 1.0))
+    gamma = float(rng.uniform(0.0, 0.45))
+    table = np.zeros((len(xv), 2))
+    for i, sg in enumerate(np.sign(xv)):
+        if sg == 0:
+            table[i] = px[i] * 0.5
+        else:
+            hit = 1 if sg > 0 else 0
+            table[i, hit] = px[i] * (1.0 - gamma)
+            table[i, 1 - hit] = px[i] * gamma
+    return table, xv, np.array([-s, s]), c

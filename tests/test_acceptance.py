@@ -266,6 +266,28 @@ def test_criterion_11_determinism(criterion, tmp_path):
               "re-runs and worker counts", ok, elapsed, 300.0)
 
 
+def quantized_mean_ties_and_chain_rule() -> bool:
+    """Criterion 12's check. The quantized mean at (d, m) = (4, 3) has its
+    plus-count means on exact half steps of its 1/9 grid (-4.5, -1.5, 1.5 and
+    4.5 steps), so its levels show that each tie rounds down; and its exact
+    channel meets the chain rule with equality, as a factorized learner's
+    must."""
+    learner, d, m = QuantizedMeanLearner(), 4, 3
+    # sample c has its first c points plus in every coordinate
+    plus = np.broadcast_to((np.arange(m)[None, :] < np.arange(m + 1)[:, None])[:, :, None],
+                           (m + 1, m, d))
+    ok = fit(learner, plus)[:, 0].tolist() == [-1 / 2, -2 / 9, 1 / 9, 4 / 9]
+    ch = exact_channel(learner, HardInstance(d, np.array([0.1, -0.2, 0.3, 0.0])), m)
+    report = bounds.chain_rule_decomposition(ch).report
+    return ok and report.holds and report.lhs - report.rhs == 0.0
+
+
+def test_criterion_12_ties_and_chain_rule(criterion):
+    ok, elapsed = timed(quantized_mean_ties_and_chain_rule)
+    criterion(12, "quantized mean at d=4,m=3: ties round down; chain rule tight",
+              ok, elapsed, 10.0)
+
+
 @pytest.mark.parametrize("workload", ["big-channel", "mc-certificate"])
 def test_benchmark_workload_matches_reference(workload, tmp_path, monkeypatch):
     # perfbench/workloads.py's own setup, finish and check at variant 0, the

@@ -78,6 +78,7 @@ from oracles import (
     sample_signs,
     second_moment_report_loop,
     second_moment_report_signs,
+    subgaussian_construction_rows,
 )
 
 LN2 = math.log(2.0)
@@ -602,6 +603,22 @@ class TestVerifierSuites:
     def test_subgaussian_correlation_suite(self):
         rep = subgaussian_correlation_suite(100, seed=18)
         assert rep.holds
+
+    def test_subgaussian_construction_matches_row_loop(self):
+        # the two-column table from np.where columns, bitwise the row loop's
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                got = bounds._subgaussian_construction(rng)
+                want = subgaussian_construction_rows(oracle_rng)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:3], want[:3]))
+                assert got[3] == want[3]
+
+    def test_worst_slack_skips_a_nan_draw(self):
+        # the running min starts at inf: a NaN draw, first or later, never wins
+        draws = iter([math.nan, 0.5, math.nan, 0.25])
+        rep = bounds._worst_slack("demo", 101, 4, 0, 0.0, lambda rng: next(draws))
+        assert (rep.lhs, rep.trials, rep.seed) == (0.25, 4, 0)
 
     def test_subgaussian_tails(self):
         inst = HardInstance(1, np.array([0.2]))

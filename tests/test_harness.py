@@ -22,7 +22,8 @@ from mi_sco_lab.harness import (
     load_config,
     run,
 )
-from mi_sco_lab.learners import FULL_ENUM_BUDGET, NET_BLOCK_CELLS, exact_channel, product_grid
+from mi_sco_lab.learners import (FULL_ENUM_BUDGET, NET_BLOCK_CELLS, MeanLearner,
+                                 QuantizedMeanLearner, exact_channel, product_grid)
 from mi_sco_lab.sco import P_MAX, HardInstance
 from oracles import xu_gap_report_fresh
 
@@ -350,10 +351,14 @@ class TestRun:
                                fixed_p="0.1")
         assert run(path) == 1
 
-    def test_tradeoff_dense_law_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("d, m, fixed_p", [(4, 5, "0.1, 0.2, -0.1, 0.0"), (2, 10, "0.1, 0.2")],
+                             ids=["d4-m5", "d2-m10"])
+    def test_tradeoff_dense_law_exit_one(self, tmp_path, capsys, d, m, fixed_p):
         # 2^20 samples fit tradeoff's budget, but randomized response's dense
-        # law would be 2^20 x 1296 float64s (10.1 GiB)
-        path, _ = write_config(tmp_path, d=4, m=5, fixed_p="0.1, 0.2, -0.1, 0.0")
+        # law would be 2^20 x 1296 float64s (10.1 GiB) at (4, 5); at (2, 10)
+        # its 2^20 x 121 law (0.95 GiB) fits 1 GiB, but not with the two
+        # temporaries of its size that its MI and gap build
+        path, _ = write_config(tmp_path, d=d, m=m, fixed_p=fixed_p)
         assert run(path) == 1
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 1 and printed[0].startswith("budget exceeded: dense")
@@ -533,3 +538,35 @@ class TestXuCheck:
         # min keeps the first of them in bias-major, learner-minor order
         assert sum(r.slack == got.slack for r in fresh) > 1
         assert (got.name, got.d, got.m, got.slack) == ("xu[regularized_erm]", 2, 1, 0.0)
+
+
+def _spy_channels(monkeypatch):
+    """Record (learner, d, m) of every exact channel the harness builds."""
+    from mi_sco_lab import harness
+
+    calls, real = [], harness.exact_channel
+    monkeypatch.setattr(harness, "exact_channel",
+                        lambda learner, inst, m: calls.append((learner, inst.d, m))
+                        or real(learner, inst, m))
+    return calls
+
+
+class TestChannelsBuiltOnce:
+    def test_xu_check_builds_the_mean_plot_channels_once(self, tmp_path, monkeypatch):
+        # the reference case (m = 2) is the plot's m = 2 channel; the menu
+        # builds the d = 1 mean learner again at m = 1, 2 and 4
+        calls = _spy_channels(monkeypatch)
+        _exp_xu_check(load_config(REPO / "configs" / "xu-check.ini"), _OutputDir(tmp_path))
+        mean = [m for learner, d, m in calls if learner == MeanLearner() and d == 1]
+        assert sorted(mean) == [1, 1, 2, 2, 4, 4, 8]
+
+    def test_tradeoff_rho_zero_row_is_its_delta_row(self, tmp_path, monkeypatch):
+        # QuantizedMeanLearner() steps 1/m^2 = grid_step(None, m), as the
+        # delta = 1/m^2 row does, so the rho = 0 row builds no channel of its own
+        calls = _spy_channels(monkeypatch)
+        path, out = write_config(tmp_path, d=2, m=4, fixed_p="0.1, -0.2")
+        assert run(path) == 0
+        rows = (out / "tradeoff.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) - 1 == 7
+        assert QuantizedMeanLearner() not in [learner for learner, _, _ in calls]
+        assert rows.index(rows[-5]) == 2  # rho = 0 repeats the delta = 1/16 row

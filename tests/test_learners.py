@@ -56,6 +56,7 @@ from oracles import (
     enumerate_sign_space,
     enumerate_sign_space_shift_mask,
     factorized_mi_broadcast,
+    factorized_mi_patterns,
     first_pattern_order,
     fit_signs,
     full_chain_rule,
@@ -191,6 +192,19 @@ class TestPerCoordinateMi:
             inst = HardInstance.zero(d)
             assert exact_mutual_information(learner, inst.d, 4)(inst) == \
                 factorized_mi_broadcast(learner, inst, 4) > 0
+
+    @given(d=st.integers(1, 12), m=st.integers(1, 16), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weights_per_count_match_weights_per_pattern(self, d, m, data):
+        # each pattern gathers its count's weight, the same pow and product
+        # the oracle evaluates per pattern, and bincount adds them in order
+        p = data.draw(st.lists(st.floats(-1 / 3, 1 / 3), min_size=d, max_size=d))
+        learner = data.draw(st.sampled_from(FACTORIZED))
+        if data.draw(st.booleans()):
+            learner = SubsampleLearner(k=data.draw(st.integers(1, m)), base=learner)
+        inst = HardInstance(d, np.asarray(p))
+        got = exact_mutual_information(learner, d, m)(inst)
+        assert got.hex() == factorized_mi_patterns(learner, inst, m).hex()
 
     def test_clamped_at_zero(self):
         # every output rounds to 0 at delta = 1: the MI is 0, and the
@@ -493,14 +507,44 @@ class TestRandomizedResponse:
         assert all(mis[i] >= mis[i + 1] - 1e-12 for i in range(4))
 
     def test_dense_law_budget(self, monkeypatch):
-        # d=2, m=4: 256 samples x 25 quantized means, 51200 bytes of law
+        # d=2, m=4: 256 samples x 25 quantized means. The law and the two
+        # temporaries of its size, with a one-byte mask, take 25 bytes per
+        # cell, the gap's drifts and four more floats 16 d + 32 per sample:
+        # 256 * (25 * 25 + 64) = 176,384 bytes
         learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
         inst = HardInstance.zero(2)
-        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 51200)
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 176384)
         assert exact_channel(learner, inst, 4).cond.shape == (256, 25)
-        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 51199)
-        with pytest.raises(BudgetExceededError, match="51200 bytes"):
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 176383)
+        with pytest.raises(BudgetExceededError, match="176384 bytes"):
             exact_channel(learner, inst, 4)
+
+    @pytest.mark.parametrize("base, d, m", [
+        (QuantizedMeanLearner(), 2, 4), (EpsilonNetErm(), 3, 4),
+        (SubsampleLearner(k=2, base=SgdLearner()), 2, 6), (RegularizedErm(lam=1e9), 1, 12)],
+        ids=lambda v: getattr(v, "kind", v))
+    def test_dense_route_peak_within_the_budget(self, monkeypatch, base, d, m):
+        # at the least budget the check accepts, read from its own message,
+        # the channel, its MI, gap and risk together stay within it; the MI
+        # and the gap each hold two temporaries of the law's size beside it
+        learner = RandomizedResponse(base=base, rho=0.5)
+        inst = HardInstance(d, np.linspace(-0.2, 0.3, d))
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 0)
+        with pytest.raises(BudgetExceededError, match="law with its temporaries") as err:
+            exact_channel(learner, inst, m)
+        need = int(str(err.value).split(" needs ")[1].split()[0])
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", need)
+        exact_channel(learner, inst, m).mutual_information()  # imports stay out of the peak
+        tracemalloc.start()
+        try:
+            ch = exact_channel(learner, inst, m)
+            ch.mutual_information()
+            ch.expected_generalization_gap(inst)
+            ch.expected_excess_risk(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 3 * ch.cond.nbytes < peak <= need
 
     def test_dense_law_is_the_peak(self):
         # d=10, m=1: a 1024 x 1024 law of 8 MiB, and nothing else of its size

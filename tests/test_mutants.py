@@ -36,6 +36,7 @@ from mi_sco_lab.learners import (
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
 from oracles import fit_signs, signs_of_plus
+from test_acceptance import quantized_mean_ties_and_chain_rule
 
 
 @dataclass(frozen=True)
@@ -183,3 +184,11 @@ def test_check_fails_under_the_mutant(monkeypatch, name):
     apply(monkeypatch, MUTANTS[name])
     with pytest.raises(AssertionError):
         MUTANTS[name].check()
+
+
+@pytest.mark.parametrize("name", ["ties rounded up", "chain-rule coordinate counted twice"])
+def test_acceptance_criterion_12_fails_under_the_mutant(monkeypatch, name):
+    # neither mutant moves a shipped byte or fails a shipped --verify report
+    assert quantized_mean_ties_and_chain_rule()
+    apply(monkeypatch, MUTANTS[name])
+    assert not quantized_mean_ties_and_chain_rule()
