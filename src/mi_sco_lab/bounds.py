@@ -50,6 +50,7 @@ from .sco import (
     HardInstance,
     counts_of_plus,
     plus_points,
+    sample_counts,
     sample_plus,
 )
 
@@ -296,11 +297,21 @@ def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     return w, 2.0 * counts - m
 
 
+def _fit_sample(learner, p, m: int, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_fit_plus`` on ``sample_plus(p, m, rng, size)``. A ``reads_counts``
+    learner is fit on ``sample_counts`` of the same uniforms, so its
+    (size, m, d) plus booleans are never built."""
+    if not learner.reads_counts:
+        return _fit_plus(learner, sample_plus(p, m, rng, size), rng)
+    counts = sample_counts(p, m, rng, size)
+    return learner.fit_counts(counts, m), 2.0 * counts - m
+
+
 def pilot_normalizers(inst: HardInstance, learner, m: int,
                       trials: int = 10 ** 4, seed: int = 0) -> np.ndarray:
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
     def chunk(rng, size):
-        w = _fit_plus(learner, sample_plus(inst.p, m, rng, size), rng)[0]
+        w = _fit_sample(learner, inst.p, m, rng, size)[0]
         err = math.sqrt(inst.d) * w - inst.p[None, :]
         return (err * err).reshape(size * inst.d)
 
@@ -332,7 +343,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     pref = attack_prefactor(inst.p)
 
     def chunk(rng, size):
-        w, sums = _fit_plus(learner, sample_plus(inst.p, m, rng, size), rng)
+        w, sums = _fit_sample(learner, inst.p, m, rng, size)
         phat_err = root_d * w - inst.p[None, :]
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
         # sum of signs minus m * p(t)
@@ -340,8 +351,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
         return (pref[None, :] * phat_err * centered).reshape(size * inst.d)
 
     values = mc.chunked_trials(chunk, trials, seed, GOOD_STREAM).reshape(-1, inst.d)
-    est = values.mean(axis=0)
-    se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    est, se = mc.mean_and_se(values)
     members = tuple(int(t) for t in range(inst.d)
                     if t not in excluded and est[t] - 3.0 * se[t] >= GOOD_THRESHOLD)
     return GoodSetResult(members=members, estimates=est, std_errors=se,
@@ -504,7 +514,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
     """
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _fit_plus(learner, sample_plus(ps, m, rng, size), rng)[0]
+        w = _fit_sample(learner, ps, m, rng, size)[0]
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=RISK_CHUNK)
@@ -824,7 +834,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _fit_plus(learner, sample_plus(p, m, rng, size), rng)[0]
+        w = _fit_sample(learner, p, m, rng, size)[0]
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

@@ -319,10 +319,12 @@ def _exp_xu_check(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
                                   1.0, tolerance=1e-12, d=1, m=2)]
     # the tightest case over a bias grid per d <= 3 and m in (1, 2, 4): one
     # channel per (learner, d, m), reweighted per bias; min keeps the first of
-    # tied reports in bias-major, learner-minor order
+    # tied reports in bias-major, learner-minor order; the d = 1 mean learner
+    # takes its plot channel
     xu_reports = []
     for d, m in ((d, m) for d in range(1, min(3, cfg.d) + 1) for m in (1, 2, 4) if m <= cfg.m):
-        channels = [(learner, exact_channel(learner, HardInstance.zero(d), m))
+        channels = [(learner, mean_channels[m] if d == 1 and learner == MeanLearner()
+                     else exact_channel(learner, HardInstance.zero(d), m))
                     for learner in _xu_learner_menu(m)]
         xu_reports += [bounds.xu_gap_report(learner, ch, HardInstance(d, p))
                        for p in product_grid([np.linspace(-P_MAX, P_MAX, 5 if d <= 2 else 3)] * d)

@@ -22,6 +22,7 @@ import numpy as np
 
 LOSS_RANGE = 4.0
 P_MAX = 1.0 / 3.0
+DRAW_BLOCK_FLOATS = 1 << 16  # uniforms per draw of sample_counts (512 KB)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,34 @@ def sample_plus(p: np.ndarray, m: int, rng: np.random.Generator,
     """(trials, m, d) plus booleans of ``trials`` samples of m points under
     the bias ``p``: ``plus_points`` of (trials, m, d) ``rng.random`` uniforms."""
     return plus_points(p, rng.random(size=(trials, m, np.shape(p)[-1])))
+
+
+def sample_counts(p: np.ndarray, m: int, rng: np.random.Generator,
+                  trials: int) -> np.ndarray:
+    """(trials, d) plus-counts of ``trials`` samples of m points under the
+    bias ``p``, shared (d,) or per-trial (trials, d): exactly
+    ``counts_of_plus(sample_plus(p, m, rng, trials))``, and the generator is
+    left in the same state.
+
+    The uniforms are those ``sample_plus`` draws, in the same C order:
+    ``rng.random(out=...)`` fills one reused buffer with as many whole
+    trials as DRAW_BLOCK_FLOATS uniforms hold, or with one trial where its
+    m d uniforms are more (``harness.load_config`` keeps m d below the
+    constant). Each block is compared in place into one reused boolean
+    buffer and counted, so no (trials, m, d) array is built."""
+    p = np.asarray(p)
+    d = p.shape[-1]
+    q_plus = (1.0 + p) / 2.0
+    rows = max(1, DRAW_BLOCK_FLOATS // (m * d))  # trials per draw
+    u = np.empty((min(rows, trials), m, d))
+    plus = np.empty(u.shape, dtype=bool)
+    counts = np.empty((trials, d), dtype=np.int64)
+    for start in range(0, trials, rows):
+        n = min(rows, trials - start)
+        q = q_plus if q_plus.ndim == 1 else q_plus[start:start + n, None, :]
+        block = rng.random(out=u[:n])
+        counts[start:start + n] = counts_of_plus(np.less(block, q, out=plus[:n]))
+    return counts
 
 
 def counts_of_plus(plus: np.ndarray) -> np.ndarray:

@@ -695,6 +695,36 @@ class TestBlockedSecondMoment:
             second_moment_report(RandomizedResponse(MeanLearner(), 0.5), 2, 2, 3, 0)
 
 
+class TestMonteCarloMemory:
+    """Each Monte Carlo value is held once: at one worker, the tracemalloc
+    peak of a run stays below 1.5 times its value array."""
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        fn()  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_good_coordinates(self, monkeypatch):
+        # 500,000 trials of d = 8 values: 30.5 MiB
+        monkeypatch.setenv("MI_SCO_THREADS", "1")
+        inst = HardInstance(8, np.linspace(-0.3, 0.3, 8))
+        peak = self.peak_bytes(lambda: good_coordinates(inst, QuantizedMeanLearner(), 8,
+                                                        trials=500_000, seed=1))
+        assert peak < 1.5 * 500_000 * 8 * 8
+
+    def test_monte_carlo_fingerprint(self, monkeypatch):
+        # 10^6 trials of one value: 7.6 MiB
+        monkeypatch.setenv("MI_SCO_THREADS", "1")
+        peak = self.peak_bytes(lambda: fingerprint_expectation(
+            EST_CLIPPED_MEAN, 100, mode="monte_carlo", trials=10 ** 6, seed=2))
+        assert peak < 1.5 * 10 ** 6 * 8
+
+
 class TestReports:
     def test_make_report_direction(self):
         assert make_report("x", 1.0, 0.5).holds

@@ -206,12 +206,14 @@ class TestFailClosed:
     def test_theorem1_exact_mi_above_budget_draws_nothing(self, tmp_path, capsys, monkeypatch,
                                                           kind, d, m, cells):
         # the exact MI's bias-free part is built before the first Monte Carlo
-        # draw; the factorized route counts its 2^m column patterns
+        # draw; the factorized route counts its 2^m column patterns. Count
+        # learners draw through sample_counts, every other through sample_plus
         def no_draw(*args, **kwargs):
             raise AssertionError("a Monte Carlo draw before the budget check")
 
-        monkeypatch.setattr(sco, "sample_plus", no_draw)
-        monkeypatch.setattr(bounds, "sample_plus", no_draw)
+        for name in ("sample_plus", "sample_counts"):
+            monkeypatch.setattr(sco, name, no_draw)
+            monkeypatch.setattr(bounds, name, no_draw)
         path, _ = write_config(tmp_path, name="theorem1", d=d, m=m, p_mode="uniform",
                                trials=100000, extra=f"\n[learner]\nkind = {kind}")
         assert run(path) == 1
@@ -553,12 +555,13 @@ def _spy_channels(monkeypatch):
 
 class TestChannelsBuiltOnce:
     def test_xu_check_builds_the_mean_plot_channels_once(self, tmp_path, monkeypatch):
-        # the reference case (m = 2) is the plot's m = 2 channel; the menu
-        # builds the d = 1 mean learner again at m = 1, 2 and 4
+        # the reference case (m = 2) is the plot's m = 2 channel, and the
+        # bias-grid menu takes the d = 1 mean learner's channels at m = 1, 2
+        # and 4 from the plot too
         calls = _spy_channels(monkeypatch)
         _exp_xu_check(load_config(REPO / "configs" / "xu-check.ini"), _OutputDir(tmp_path))
         mean = [m for learner, d, m in calls if learner == MeanLearner() and d == 1]
-        assert sorted(mean) == [1, 1, 2, 2, 4, 4, 8]
+        assert sorted(mean) == [1, 2, 4, 8]
 
     def test_tradeoff_rho_zero_row_is_its_delta_row(self, tmp_path, monkeypatch):
         # QuantizedMeanLearner() steps 1/m^2 = grid_step(None, m), as the

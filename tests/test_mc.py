@@ -1,0 +1,73 @@
+"""The chunked Monte Carlo kernels against their plain numpy forms."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mi_sco_lab import mc
+
+
+def _concatenated(fn, n_trials, seed, path, chunk):
+    """Every chunk's values, concatenated in chunk order."""
+    parts = [fn(mc.substream(seed, *path, c), min(chunk, n_trials - c * chunk))
+             for c in range((n_trials + chunk - 1) // chunk)]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+class TestChunkedTrials:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n_trials", [0, 1, 16, 2 * 16 + 5])
+    def test_matches_concatenated_chunks(self, monkeypatch, threads, k, n_trials):
+        monkeypatch.setenv(mc.THREADS_ENV, threads)
+
+        def fn(rng, size):
+            return rng.random(size * k)
+
+        got = mc.chunked_trials(fn, n_trials, 3, 11, chunk=16)
+        want = _concatenated(fn, n_trials, 3, (11,), 16)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_keeps_the_chunks_dtype(self, monkeypatch, threads):
+        monkeypatch.setenv(mc.THREADS_ENV, threads)
+
+        def fn(rng, size):
+            return rng.integers(0, 9, size=2 * size)
+
+        got = mc.chunked_trials(fn, 50, 4, chunk=16)
+        want = _concatenated(fn, 50, 4, (), 16)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+class TestMeanAndSe:
+    @given(n=st.integers(1, 300), d=st.sampled_from([None, 1, 2, 5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if d is None else (n, d)
+        # a large offset against a small spread, where the SE cancels most
+        values = rng.uniform(-1e3, 1e3) + rng.standard_normal(shape) * rng.uniform(1e-6, 10)
+        mean = values.mean(axis=0)
+        se = (values.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
+              else np.zeros(shape[1:]))
+        got_mean, got_se = mc.mean_and_se(values.copy())
+        if d is None:
+            assert type(got_mean) is float and type(got_se) is float
+            assert (got_mean, got_se) == (float(mean), float(se))
+        else:
+            assert got_mean.tobytes() == mean.tobytes() and got_se.tobytes() == se.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (2, 1), (1, 3), (2, 3)])
+    def test_one_and_two_values(self, shape):
+        values = np.arange(math.prod(shape), dtype=float).reshape(shape) * 0.3 - 0.1
+        mean = values.mean(axis=0)
+        se = (values.std(axis=0, ddof=1) / math.sqrt(shape[0]) if shape[0] > 1
+              else np.zeros(shape[1:]))
+        got_mean, got_se = mc.mean_and_se(values.copy())
+        assert np.asarray(got_mean).tobytes() == mean.tobytes()
+        assert np.asarray(got_se).tobytes() == se.tobytes()

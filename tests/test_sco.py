@@ -1,13 +1,15 @@
 """Closed forms and sampling statistics for the hard instance family."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mi_sco_lab.sco import HardInstance, counts_of_plus, sample_plus
+from mi_sco_lab import sco
+from mi_sco_lab.sco import HardInstance, counts_of_plus, sample_counts, sample_plus
 from oracles import (
     Sample,
     empirical_risk,
@@ -67,6 +69,42 @@ class TestSampleCounts:
         assert signs_of_plus(plus).tobytes() == expected.tobytes()
         # both leave the generator in the same state
         assert rng_plus.random() == rng_signs.random()
+
+    # sample_counts against counts_of_plus(sample_plus(...)), bit for bit,
+    # with both generators left in the same state
+    @staticmethod
+    def assert_counts_of_plus(p, m, trials, seed):
+        rng, rng_plus = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = sample_counts(p, m, rng, trials)
+        assert counts.shape == (trials, np.shape(p)[-1]) and counts.dtype == np.int64
+        assert counts.tobytes() == counts_of_plus(sample_plus(p, m, rng_plus, trials)).tobytes()
+        assert rng.random() == rng_plus.random()
+
+    @given(m=st.integers(1, 12), d=st.integers(1, 6), trials=st.integers(0, 40),
+           block=st.integers(1, 100), per_trial=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_sample_counts_at_every_block_size(self, m, d, trials, block, per_trial, seed):
+        # a block below m d draws one trial at a time
+        p = _biased_rngs(d, trials, per_trial, seed)[0]
+        with mock.patch.object(sco, "DRAW_BLOCK_FLOATS", block):
+            self.assert_counts_of_plus(p, m, trials, seed)
+
+    @pytest.mark.parametrize("per_trial", [False, True])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("m, d", [(8, 8), (3, 5), (300, 2)])
+    def test_sample_counts_around_one_block(self, m, d, offset, per_trial):
+        # block - 1, block and block + 1 trials, block the trials per draw
+        trials = sco.DRAW_BLOCK_FLOATS // (m * d) + offset
+        p = _biased_rngs(d, trials, per_trial, 7)[0]
+        self.assert_counts_of_plus(p, m, trials, 8)
+
+    @pytest.mark.parametrize("per_trial", [False, True])
+    def test_sample_counts_of_one_trial_above_a_block(self, per_trial):
+        # m d = DRAW_BLOCK_FLOATS + 2: one trial per draw
+        d, trials = 3, 2
+        m = (sco.DRAW_BLOCK_FLOATS + 2) // d
+        p = _biased_rngs(d, trials, per_trial, 9)[0]
+        self.assert_counts_of_plus(p, m, trials, 10)
 
 
 class TestSampling:
