@@ -10,6 +10,13 @@ randomized verifier suites.
 
 All verdicts are BoundReports: lhs >= rhs - tolerance, with the metadata
 needed to reproduce the run.
+
+The Monte Carlo estimators fit learners through ``_fit_sample`` and
+``_fit_plus``. A factorized learner (mean, quantized mean) reads its outputs
+and an estimator's elementwise statistic from its (m+1, d) level table, with
+the bytes of a fit per sample; ``_count_statistic`` says why, and why
+``RegularizedErm`` and ``EpsilonNetErm`` are fit per sample. SGD, subsamples
+and randomized response are fit on plus booleans through ``learners.fit``.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .learners import (
     FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
+    count_levels,
     exact_mutual_information,
     fit,
     lattice_codes,
@@ -287,33 +295,69 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
     return report
 
 
+def _outputs(w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The statistic that keeps the outputs w."""
+    return w
+
+
+def _count_statistic(learner, counts: np.ndarray, m: int, stat) -> np.ndarray:
+    """``stat(w, sums)`` of a ``reads_counts`` learner at (n, d) plus-counts
+    C out of m: w its (n, d) outputs, sums the float sign sums 2 C - m.
+    ``stat`` must work elementwise, column t reading only column t of w and
+    sums and (d,) operands such as a shared bias.
+
+    A factorized learner takes the table route: its output coordinate t is
+    level (C_t, t) of ``count_levels``, so ``stat`` runs once on the (m+1,
+    d) levels and each trial's values are read from that table by its
+    counts. Each value passes through the same IEEE operations, in the same
+    order, on the same operands as on the per-sample route, so its bytes do
+    not move. Any other count learner is fit per sample: ``RegularizedErm``
+    projects whole rows and ``EpsilonNetErm`` picks the nearest net point,
+    so neither output coordinate reads one count alone."""
+    if not learner.factorized:
+        return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
+    ks = np.arange(m + 1)[:, None]
+    table = stat(count_levels(learner, m, counts.shape[1]), 2.0 * ks - m)
+    return np.take_along_axis(table, counts, axis=0)
+
+
 def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Outputs (n, d) of ``learner`` on the n samples of (n, m, d) plus
     booleans ``plus``, and their float coordinate sign sums 2 C - m, C the
-    plus-counts. A ``reads_counts`` learner is fit on C, counted once; any
-    other through ``fit``, a randomized one drawing from ``rng``."""
+    plus-counts. A ``reads_counts`` learner's outputs come from
+    ``_count_statistic`` on C, counted once (a factorized one's read from its
+    level table); any other's through ``fit``, a randomized one drawing from
+    ``rng``."""
     counts, m = counts_of_plus(plus), plus.shape[1]
-    w = learner.fit_counts(counts, m) if learner.reads_counts else fit(learner, plus, rng)
+    w = (_count_statistic(learner, counts, m, _outputs) if learner.reads_counts
+         else fit(learner, plus, rng))
     return w, 2.0 * counts - m
 
 
-def _fit_sample(learner, p, m: int, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_fit_plus`` on ``sample_plus(p, m, rng, size)``. A ``reads_counts``
-    learner is fit on ``sample_counts`` of the same uniforms, so its
-    (size, m, d) plus booleans are never built."""
+def _fit_sample(learner, p, m: int, rng, size: int, stat=_outputs) -> np.ndarray:
+    """``stat(w, sums)`` of the outputs and sign sums of ``_fit_plus`` on
+    ``sample_plus(p, m, rng, size)``; by default the (size, d) outputs. A
+    ``reads_counts`` learner takes ``_count_statistic`` on ``sample_counts``
+    of the same uniforms, so its (size, m, d) plus booleans are never built,
+    and a factorized one evaluates ``stat`` on its (m+1, d) level table
+    only: ``stat`` must then work elementwise, reading a shared (d,) bias at
+    most, as ``_count_statistic`` says."""
     if not learner.reads_counts:
-        return _fit_plus(learner, sample_plus(p, m, rng, size), rng)
-    counts = sample_counts(p, m, rng, size)
-    return learner.fit_counts(counts, m), 2.0 * counts - m
+        return stat(*_fit_plus(learner, sample_plus(p, m, rng, size), rng))
+    return _count_statistic(learner, sample_counts(p, m, rng, size), m, stat)
 
 
 def pilot_normalizers(inst: HardInstance, learner, m: int,
                       trials: int = 10 ** 4, seed: int = 0) -> np.ndarray:
     """Frozen estimates of sqrt(E[(phat(t) - p(t))^2]) from a dedicated stream."""
+    root_d = math.sqrt(inst.d)
+
+    def squared_error(w, sums):
+        err = root_d * w - inst.p
+        return err * err
+
     def chunk(rng, size):
-        w = _fit_sample(learner, inst.p, m, rng, size)[0]
-        err = math.sqrt(inst.d) * w - inst.p[None, :]
-        return (err * err).reshape(size * inst.d)
+        return _fit_sample(learner, inst.p, m, rng, size, squared_error).reshape(size * inst.d)
 
     sq = mc.chunked_trials(chunk, trials, seed, PILOT_STREAM)
     return np.sqrt(sq.reshape(-1, inst.d).mean(axis=0))
@@ -342,13 +386,13 @@ def good_coordinates(inst: HardInstance, learner, m: int,
     root_d = math.sqrt(inst.d)
     pref = attack_prefactor(inst.p)
 
-    def chunk(rng, size):
-        w, sums = _fit_sample(learner, inst.p, m, rng, size)
-        phat_err = root_d * w - inst.p[None, :]
+    def attack(w, sums):
         # sqrt(d) * z_i(t) is just the sign, so the centered sum is
         # sum of signs minus m * p(t)
-        centered = sums - m * inst.p[None, :]
-        return (pref[None, :] * phat_err * centered).reshape(size * inst.d)
+        return pref * (root_d * w - inst.p) * (sums - m * inst.p)
+
+    def chunk(rng, size):
+        return _fit_sample(learner, inst.p, m, rng, size, attack).reshape(size * inst.d)
 
     values = mc.chunked_trials(chunk, trials, seed, GOOD_STREAM).reshape(-1, inst.d)
     est, se = mc.mean_and_se(values)
@@ -514,7 +558,7 @@ def measured_excess_risk(learner, d: int, m: int, trials: int,
     """
     def chunk(rng, size):
         ps = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _fit_sample(learner, ps, m, rng, size)[0]
+        w = _fit_sample(learner, ps, m, rng, size)
         return ((w - ps / math.sqrt(d)) ** 2).sum(axis=1)
 
     values = mc.chunked_trials(chunk, trials, seed, RISK_STREAM, chunk=RISK_CHUNK)
@@ -834,7 +878,7 @@ def genbound_chain_report(learner, d: int, m: int, trials: int = 20000,
 
     def chunk(rng, size):
         p = rng.uniform(-P_MAX, P_MAX, size=(size, d))
-        w = _fit_sample(learner, p, m, rng, size)[0]
+        w = _fit_sample(learner, p, m, rng, size)
         delta = ((w - p / root_d) ** 2).sum(axis=1)
         errs = ((root_d * w - p) ** 2).sum(axis=1)
         return d * delta - errs

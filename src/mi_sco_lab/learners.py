@@ -13,7 +13,7 @@ The learner contract is a set of attributes, with no base class:
     through its per-coordinate plus-counts; such a learner defines
     ``fit_counts(counts, m)``, the (n, d) outputs for (n, d) plus-counts;
   * ``factorized``: whether it reads counts and output coordinate t reads
-    only plus-count t.
+    only plus-count t, so ``count_levels`` holds every output it can give.
 SGD, the one learner that reads the points in order, defines
 ``fit_batch(plus)`` on (n, m, d) plus booleans and ``column_levels``. Two
 wrappers hold a deterministic ``base`` and fit nothing: a subsample reads only
@@ -525,7 +525,8 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     """Exhaustive joint law of (sample, output) over supp(D(p)^m), each
     pattern reading its atom by its sample code. A randomized learner's dense
     (samples x codebook) law is the only array of its size built here, and it
-    must fit in DENSE_LAW_BYTES with the temporaries its MI and gap build."""
+    must fit in DENSE_LAW_BYTES with the temporaries its MI and gap build and
+    the (L, d) lattice arrays that weigh the samples."""
     base = learner if learner.deterministic else learner.base
     codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
@@ -537,8 +538,9 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     n, big_k = codes.shape[0], codebook.shape[0]
     # per cell the law and the two temporaries of its size that the MI (with a
     # one-byte mask) and the gap build; per sample the gap's two d-float
-    # drifts and four more floats
-    need = n * (25 * big_k + 16 * inst.d + 32)
+    # drifts and four more floats; per lattice count the kept int64 counts
+    # and the three temporaries of their size that ``sign_space_probs`` builds
+    need = n * (25 * big_k + 16 * inst.d + 32) + 32 * counts.size
     if need > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law with its temporaries needs "
                                   f"{need} bytes, above {DENSE_LAW_BYTES}")
@@ -549,12 +551,21 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     return Channel(codes, counts, m, None, codebook, cond=cond).reweighted(inst)
 
 
+def count_levels(learner, m: int, d: int) -> np.ndarray:
+    """(m+1, d) outputs of a ``reads_counts`` learner on the m+1 samples
+    whose d plus-counts all equal c, c = 0..m. For a factorized learner
+    every output coordinate is the same elementwise float function of its own
+    plus-count (and of d and m), so level (c, t) holds the bytes of
+    coordinate t of its output on any sample with C_t = c."""
+    return learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], d, axis=1), m)
+
+
 def exact_mutual_information(learner, d: int, m: int):
     """I(w_S; S) in nats as a function of the instance, with all that does not
     depend on its bias built here, so a budget error comes before any use.
     A factorized learner's MI sums per-coordinate entropies, its pairs
     (w_S(t), S column t) being independent across t: it is fit once on the
-    m+1 plus-counts (repeated across the d columns for the 1/sqrt(d) scale),
+    m+1 plus-counts (``count_levels``, d columns for the 1/sqrt(d) scale),
     and each of the 2^m column patterns adds its count's binomial weight,
     computed once per count, to its count's atom in pattern order. Any other
     learner's channel is reweighted per bias."""
@@ -563,8 +574,7 @@ def exact_mutual_information(learner, d: int, m: int):
         ch = exact_channel(learner, HardInstance.zero(d), m)
         return lambda inst: ch.reweighted(inst).mutual_information()
     counts, ks = lattice_codes(m, 1), np.arange(m + 1)  # each column pattern's plus-count
-    levels = learner.fit_counts(np.repeat(ks[:, None], d, axis=1), m)
-    atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
+    atom = np.unique(count_levels(learner, m, d)[:, 0], return_inverse=True)[1][counts]
     return lambda inst: max(0.0, float(sum(
         entropy_of(np.bincount(atom, (q ** ks * (1.0 - q) ** (m - ks))[counts]))
         for q in (1.0 + inst.p) / 2.0)))

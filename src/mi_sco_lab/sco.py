@@ -85,26 +85,37 @@ def sample_counts(p: np.ndarray, m: int, rng: np.random.Generator,
     trials as DRAW_BLOCK_FLOATS uniforms hold, or with one trial where its
     m d uniforms are more (``harness.load_config`` keeps m d below the
     constant). Each block is compared in place into one reused boolean
-    buffer and counted, so no (trials, m, d) array is built."""
+    buffer and counted, so no (trials, m, d) array is built. A shared bias
+    is compared against one reused block of thresholds, one per uniform,
+    which numpy runs as one flat loop instead of a loop of d per point."""
     p = np.asarray(p)
     d = p.shape[-1]
     q_plus = (1.0 + p) / 2.0
     rows = max(1, DRAW_BLOCK_FLOATS // (m * d))  # trials per draw
     u = np.empty((min(rows, trials), m, d))
     plus = np.empty(u.shape, dtype=bool)
-    counts = np.empty((trials, d), dtype=np.int64)
+    counts = np.empty((trials, d), dtype=_count_dtype(m))
+    shared = q_plus.ndim == 1
+    if shared:
+        q_plus = np.broadcast_to(q_plus, u.shape).copy()
     for start in range(0, trials, rows):
         n = min(rows, trials - start)
-        q = q_plus if q_plus.ndim == 1 else q_plus[start:start + n, None, :]
+        q = q_plus[:n] if shared else q_plus[start:start + n, None, :]
         block = rng.random(out=u[:n])
         counts[start:start + n] = counts_of_plus(np.less(block, q, out=plus[:n]))
     return counts
 
 
+def _count_dtype(m: int):
+    """The dtype of plus-counts out of m points: uint8 while every count
+    fits (m <= 255), int64 beyond. One byte per count is added up, held and
+    read as an index faster than eight."""
+    return np.uint8 if m <= 255 else np.int64
+
+
 def counts_of_plus(plus: np.ndarray) -> np.ndarray:
-    """(trials, d) plus-counts of (trials, m, d) plus booleans. Adds up one
-    point at a time, which runs faster than a sum along the middle axis."""
-    counts = np.zeros((plus.shape[0], plus.shape[2]), dtype=np.int64)
-    for point in range(plus.shape[1]):
-        counts += plus[:, point]
-    return counts
+    """(trials, d) plus-counts of (trials, m, d) plus booleans, of
+    ``_count_dtype(m)``: ``einsum`` sums each trial's points over the
+    booleans' bytes, faster than adding one point at a time or a ``sum``
+    along the middle axis."""
+    return np.einsum("imt->it", plus.view(np.uint8), dtype=_count_dtype(plus.shape[1]))

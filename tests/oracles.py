@@ -11,6 +11,8 @@ one of them out the long way, with no caller in the program. The learners' sign 
 booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array.
+``count_statistic_per_sample`` fits a factorized learner on every sample's
+plus-counts, where the program reads its outputs from its level table.
 """
 
 import math
@@ -543,6 +545,13 @@ def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
             contrib = row_entropies(counts / n_u)
         total += float(z_probs[start:start + z_chunk] @ contrib)
     return max(0.0, total)
+
+
+def count_statistic_per_sample(learner, counts: np.ndarray, m: int, stat) -> np.ndarray:
+    """``bounds._count_statistic`` with every count learner, factorized ones
+    too, fit on each sample's (n, d) plus-counts, and ``stat`` evaluated on
+    the (n, d) outputs and sign sums."""
+    return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
 
 
 def pilot_normalizers_signs(inst: HardInstance, learner, m: int, trials: int,

@@ -61,10 +61,11 @@ from mi_sco_lab.learners import (
     fit,
     sign_space_probs,
 )
-from mi_sco_lab.sco import HardInstance, sample_plus
+from mi_sco_lab.sco import P_MAX, HardInstance, sample_plus
 from oracles import (
     cmi_exact_signs,
     codebook_signs,
+    count_statistic_per_sample,
     coupling_suite_pairs,
     enumerate_sign_space_shift_mask,
     fingerprint_quadrature_table,
@@ -562,6 +563,68 @@ class TestCountRoute:
         learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
         assert measured_excess_risk(learner, 2, 4, 2 * 4096 + 7, 7) == \
             measured_excess_risk_signs(learner, 2, 4, 2 * 4096 + 7, 7)
+
+
+def _report_bytes(rep) -> bytes:
+    """The bytes of a report's floats: -0.0 and 0.0 differ here."""
+    return np.array([rep.lhs, rep.rhs, rep.slack, rep.tolerance,
+                     np.nan if rep.ci_halfwidth is None else rep.ci_halfwidth]).tobytes()
+
+
+def _estimator_bytes(inst: HardInstance, learner, m: int, trials: int, risk_trials: int,
+                     outer: int, seed: int) -> dict:
+    """The bytes of every Monte Carlo estimator that fits ``learner`` on
+    sampled counts, at ``inst`` where it takes a bias; the good set's
+    normalizers are ``pilot_normalizers``'."""
+    gs = good_coordinates(inst, learner, m, trials, seed, pilot_trials=trials)
+    return {
+        "good": (gs.members, gs.excluded, gs.estimates.tobytes(), gs.std_errors.tobytes(),
+                 gs.normalizers.tobytes()),
+        "risk": np.array(measured_excess_risk(learner, inst.d, m, risk_trials, seed)).tobytes(),
+        "genbound": _report_bytes(genbound_chain_report(learner, inst.d, m, risk_trials, seed)),
+        "second_moment": _report_bytes(second_moment_report(learner, inst.d, m, outer, seed)),
+    }
+
+
+FACTORIZED = st.one_of(st.just(MeanLearner()),
+                       st.builds(QuantizedMeanLearner, st.none() | st.floats(1e-3, 1.0)))
+UNIFORMS = 1 << 18  # uniforms an estimator may draw per example
+
+
+class TestLevelTable:
+    @given(learner=FACTORIZED, d=st.integers(1, 24), m=st.integers(1, 300),
+           biases=st.lists(st.sampled_from([0.0, P_MAX, -P_MAX]) | st.floats(-P_MAX, P_MAX),
+                           min_size=24, max_size=24),
+           trials=st.integers(2, 2 * bounds.mc.CHUNK + 5),
+           threads=st.sampled_from(["1", "2"]), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_sample_route(self, learner, d, m, biases, trials, threads, seed):
+        # each estimator with a factorized learner's outputs and statistic
+        # read from its level table, against every sample fit on its own
+        # counts, bytewise; up to three chunks where m d is small
+        inst = HardInstance(d, np.array(biases[:d]))
+        samples = UNIFORMS // (m * d)
+        trials = max(2, min(trials, samples))
+        outer = max(1, min(trials // 1000, samples // (2 * SECOND_MOMENT_INNER)))
+        args = (inst, learner, m, trials, max(2, trials // 4), outer, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("MI_SCO_THREADS", threads)
+            got = _estimator_bytes(*args)
+            patch.setattr(bounds, "_count_statistic", count_statistic_per_sample)
+            assert got == _estimator_bytes(*args)
+
+    def test_table_route_is_taken(self, monkeypatch):
+        # the mean learner is fit on its m + 1 levels only, once per chunk
+        rows, real = [], MeanLearner.fit_counts
+
+        def spy(self, counts, m):
+            rows.append(counts.shape)
+            return real(self, counts, m)
+
+        monkeypatch.setattr(MeanLearner, "fit_counts", spy)
+        pilot_normalizers(HardInstance(3, np.array([0.1, 0.0, -0.2])), MeanLearner(), 5,
+                          2 * bounds.mc.CHUNK + 1, 0)
+        assert rows == [(6, 3)] * 3
 
 
 class TestCertificate:

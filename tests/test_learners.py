@@ -509,24 +509,28 @@ class TestRandomizedResponse:
     def test_dense_law_budget(self, monkeypatch):
         # d=2, m=4: 256 samples x 25 quantized means. The law and the two
         # temporaries of its size, with a one-byte mask, take 25 bytes per
-        # cell, the gap's drifts and four more floats 16 d + 32 per sample:
-        # 256 * (25 * 25 + 64) = 176,384 bytes
+        # cell, the gap's drifts and four more floats 16 d + 32 per sample,
+        # and the lattice counts with three temporaries of their size 32 d
+        # per lattice point: 256 * (25 * 25 + 64) + 25 * 32 * 2 = 177,984 bytes
         learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
         inst = HardInstance.zero(2)
-        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 176384)
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 177984)
         assert exact_channel(learner, inst, 4).cond.shape == (256, 25)
-        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 176383)
-        with pytest.raises(BudgetExceededError, match="176384 bytes"):
+        monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 177983)
+        with pytest.raises(BudgetExceededError, match="177984 bytes"):
             exact_channel(learner, inst, 4)
 
     @pytest.mark.parametrize("base, d, m", [
         (QuantizedMeanLearner(), 2, 4), (EpsilonNetErm(), 3, 4),
-        (SubsampleLearner(k=2, base=SgdLearner()), 2, 6), (RegularizedErm(lam=1e9), 1, 12)],
+        (SubsampleLearner(k=2, base=SgdLearner()), 2, 6), (RegularizedErm(lam=1e9), 1, 12),
+        (RegularizedErm(lam=1e9), 12, 1), (QuantizedMeanLearner(), 10, 1), (SgdLearner(), 14, 1)],
         ids=lambda v: getattr(v, "kind", v))
     def test_dense_route_peak_within_the_budget(self, monkeypatch, base, d, m):
         # at the least budget the check accepts, read from its own message,
         # the channel, its MI, gap and risk together stay within it; the MI
-        # and the gap each hold two temporaries of the law's size beside it
+        # and the gap each hold two temporaries of the law's size beside it.
+        # At m = 1 the lattice has a point per sample, and with one atom its
+        # (L, d) arrays, not the law, set the peak
         learner = RandomizedResponse(base=base, rho=0.5)
         inst = HardInstance(d, np.linspace(-0.2, 0.3, d))
         monkeypatch.setattr(learners, "DENSE_LAW_BYTES", 0)

@@ -35,7 +35,7 @@ from mi_sco_lab.learners import (
     grid_step,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
-from oracles import fit_signs, signs_of_plus
+from oracles import fit_signs, pilot_normalizers_signs, signs_of_plus
 from test_acceptance import quantized_mean_ties_and_chain_rule
 
 
@@ -136,6 +136,14 @@ def _sgd_ties_keep_the_in_loop_projection():
         assert out.tobytes() == fit_signs(learner, signs_of_plus(plus)).tobytes()
 
 
+def _level_table_matches_the_sign_route():
+    # the mean learner's pilot, its squared errors read from its level table,
+    # against a fit on every sampled sign tensor; a flipped count negates the
+    # output, which the nonzero biases see
+    args = (HardInstance(2, np.array([0.2, -0.1])), MeanLearner(), 3, 100, 1)
+    assert bounds.pilot_normalizers(*args).tobytes() == pilot_normalizers_signs(*args).tobytes()
+
+
 MUTANTS = {
     "rho ignored": Mutant(
         RandomizedResponse, "mix",
@@ -171,6 +179,11 @@ MUTANTS = {
         SgdLearner, "fit_batch",
         (("m, d, _project_rows))", "m, d, lambda w: w))"),),
         _sgd_ties_keep_the_in_loop_projection),
+    "level table read at the flipped count": Mutant(
+        bounds, "_count_statistic",
+        (("np.take_along_axis(table, counts, axis=0)",
+          "np.take_along_axis(table, m - counts, axis=0)"),),
+        _level_table_matches_the_sign_route),
 }
 
 

@@ -55,7 +55,7 @@ class TestSampleCounts:
         p, rng_signs, rng_plus = _biased_rngs(d, trials, per_trial, seed)
         expected = plus_counts(sample_signs(p, m, rng_signs, trials))
         counts = counts_of_plus(sample_plus(p, m, rng_plus, trials))
-        assert counts.shape == (trials, d) and counts.dtype == np.int64
+        assert counts.shape == (trials, d) and counts.dtype == np.uint8  # m <= 255
         np.testing.assert_array_equal(counts, expected)
 
     @given(m=st.integers(1, 16), d=st.integers(1, 8), trials=st.integers(1, 300),
@@ -76,7 +76,8 @@ class TestSampleCounts:
     def assert_counts_of_plus(p, m, trials, seed):
         rng, rng_plus = np.random.default_rng(seed), np.random.default_rng(seed)
         counts = sample_counts(p, m, rng, trials)
-        assert counts.shape == (trials, np.shape(p)[-1]) and counts.dtype == np.int64
+        assert counts.shape == (trials, np.shape(p)[-1])
+        assert counts.dtype == (np.uint8 if m <= 255 else np.int64)
         assert counts.tobytes() == counts_of_plus(sample_plus(p, m, rng_plus, trials)).tobytes()
         assert rng.random() == rng_plus.random()
 
@@ -97,6 +98,12 @@ class TestSampleCounts:
         trials = sco.DRAW_BLOCK_FLOATS // (m * d) + offset
         p = _biased_rngs(d, trials, per_trial, 7)[0]
         self.assert_counts_of_plus(p, m, trials, 8)
+
+    @pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.int64)])
+    def test_count_dtype_holds_every_count(self, m, dtype):
+        # an all-plus sample counts m in every coordinate
+        counts = counts_of_plus(np.ones((2, m, 3), dtype=bool))
+        assert counts.dtype == dtype and (counts == m).all()
 
     @pytest.mark.parametrize("per_trial", [False, True])
     def test_sample_counts_of_one_trial_above_a_block(self, per_trial):
