@@ -9,14 +9,8 @@ process, the end-to-end certificate chaining all of the above, and the
 randomized verifier suites.
 
 All verdicts are BoundReports: lhs >= rhs - tolerance, with the metadata
-needed to reproduce the run.
-
-The Monte Carlo estimators fit learners through ``_fit_sample`` and
-``_fit_plus``. A factorized learner (mean, quantized mean) reads its outputs
-and an estimator's elementwise statistic from its (m+1, d) level table, with
-the bytes of a fit per sample; ``_count_statistic`` says why, and why
-``RegularizedErm`` and ``EpsilonNetErm`` are fit per sample. SGD, subsamples
-and randomized response are fit on plus booleans through ``learners.fit``.
+needed to reproduce the run. The Monte Carlo estimators fit learners
+through ``_fit_sample``, a count learner through ``learners.count_statistic``.
 """
 
 from __future__ import annotations
@@ -43,9 +37,10 @@ from .learners import (
     FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
-    count_levels,
+    count_statistic,
     exact_mutual_information,
     fit,
+    keep_outputs,
     lattice_codes,
     lattice_counts,
     output_atoms,
@@ -295,56 +290,24 @@ def paley_zygmund_check(values, probs, theta: float) -> BoundReport:
     return report
 
 
-def _outputs(w: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The statistic that keeps the outputs w."""
-    return w
+def _fit_sample(learner, p, m: int, rng, size: int, stat=keep_outputs) -> np.ndarray:
+    """``stat(w, sums)``, as ``count_statistic`` defines it, of ``learner`` on
+    ``sample_plus(p, m, rng, size)``; by default the outputs. A count learner
+    reads ``sample_counts`` of the same uniforms, so no (size, m, d) booleans
+    are built; any other is fit through ``fit``, drawing from ``rng``."""
+    if learner.reads_counts:
+        return count_statistic(learner, sample_counts(p, m, rng, size), m, stat)
+    plus = sample_plus(p, m, rng, size)
+    return stat(fit(learner, plus, rng), 2.0 * counts_of_plus(plus) - m)
 
 
-def _count_statistic(learner, counts: np.ndarray, m: int, stat) -> np.ndarray:
-    """``stat(w, sums)`` of a ``reads_counts`` learner at (n, d) plus-counts
-    C out of m: w its (n, d) outputs, sums the float sign sums 2 C - m.
-    ``stat`` must work elementwise, column t reading only column t of w and
-    sums and (d,) operands such as a shared bias.
+def _coordinate_trials(inst: HardInstance, learner, m: int, stat, trials: int, seed: int,
+                       stream: int) -> np.ndarray:
+    """(trials, d) values of ``_fit_sample``'s ``stat`` at the bias of ``inst``."""
+    def chunk(rng, size):
+        return _fit_sample(learner, inst.p, m, rng, size, stat).reshape(size * inst.d)
 
-    A factorized learner takes the table route: its output coordinate t is
-    level (C_t, t) of ``count_levels``, so ``stat`` runs once on the (m+1,
-    d) levels and each trial's values are read from that table by its
-    counts. Each value passes through the same IEEE operations, in the same
-    order, on the same operands as on the per-sample route, so its bytes do
-    not move. Any other count learner is fit per sample: ``RegularizedErm``
-    projects whole rows and ``EpsilonNetErm`` picks the nearest net point,
-    so neither output coordinate reads one count alone."""
-    if not learner.factorized:
-        return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
-    ks = np.arange(m + 1)[:, None]
-    table = stat(count_levels(learner, m, counts.shape[1]), 2.0 * ks - m)
-    return np.take_along_axis(table, counts, axis=0)
-
-
-def _fit_plus(learner, plus: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs (n, d) of ``learner`` on the n samples of (n, m, d) plus
-    booleans ``plus``, and their float coordinate sign sums 2 C - m, C the
-    plus-counts. A ``reads_counts`` learner's outputs come from
-    ``_count_statistic`` on C, counted once (a factorized one's read from its
-    level table); any other's through ``fit``, a randomized one drawing from
-    ``rng``."""
-    counts, m = counts_of_plus(plus), plus.shape[1]
-    w = (_count_statistic(learner, counts, m, _outputs) if learner.reads_counts
-         else fit(learner, plus, rng))
-    return w, 2.0 * counts - m
-
-
-def _fit_sample(learner, p, m: int, rng, size: int, stat=_outputs) -> np.ndarray:
-    """``stat(w, sums)`` of the outputs and sign sums of ``_fit_plus`` on
-    ``sample_plus(p, m, rng, size)``; by default the (size, d) outputs. A
-    ``reads_counts`` learner takes ``_count_statistic`` on ``sample_counts``
-    of the same uniforms, so its (size, m, d) plus booleans are never built,
-    and a factorized one evaluates ``stat`` on its (m+1, d) level table
-    only: ``stat`` must then work elementwise, reading a shared (d,) bias at
-    most, as ``_count_statistic`` says."""
-    if not learner.reads_counts:
-        return stat(*_fit_plus(learner, sample_plus(p, m, rng, size), rng))
-    return _count_statistic(learner, sample_counts(p, m, rng, size), m, stat)
+    return mc.chunked_trials(chunk, trials, seed, stream).reshape(-1, inst.d)
 
 
 def pilot_normalizers(inst: HardInstance, learner, m: int,
@@ -356,11 +319,8 @@ def pilot_normalizers(inst: HardInstance, learner, m: int,
         err = root_d * w - inst.p
         return err * err
 
-    def chunk(rng, size):
-        return _fit_sample(learner, inst.p, m, rng, size, squared_error).reshape(size * inst.d)
-
-    sq = mc.chunked_trials(chunk, trials, seed, PILOT_STREAM)
-    return np.sqrt(sq.reshape(-1, inst.d).mean(axis=0))
+    sq = _coordinate_trials(inst, learner, m, squared_error, trials, seed, PILOT_STREAM)
+    return np.sqrt(sq.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -391,10 +351,7 @@ def good_coordinates(inst: HardInstance, learner, m: int,
         # sum of signs minus m * p(t)
         return pref * (root_d * w - inst.p) * (sums - m * inst.p)
 
-    def chunk(rng, size):
-        return _fit_sample(learner, inst.p, m, rng, size, attack).reshape(size * inst.d)
-
-    values = mc.chunked_trials(chunk, trials, seed, GOOD_STREAM).reshape(-1, inst.d)
+    values = _coordinate_trials(inst, learner, m, attack, trials, seed, GOOD_STREAM)
     est, se = mc.mean_and_se(values)
     members = tuple(int(t) for t in range(inst.d)
                     if t not in excluded and est[t] - 3.0 * se[t] >= GOOD_THRESHOLD)
@@ -852,7 +809,7 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
             rng.random(out=u[i])
         # one bias per outer iteration, over its 2 * SECOND_MOMENT_INNER * m points
         plus = plus_points(p, u.reshape(n, pair * m, d)).reshape(n * pair, m, d)
-        w, sums = _fit_plus(learner, plus, rng)
+        w, sums = fit(learner, plus), 2.0 * counts_of_plus(plus) - m
         rows = np.arange(n)
         p_t = p[rows, t][:, None, None]
         shape = (n, 2, SECOND_MOMENT_INNER)

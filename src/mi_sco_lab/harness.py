@@ -180,9 +180,9 @@ def load_config(path) -> ExperimentConfig:
     kept = 8 * trials * (d if name == "theorem1" else 1)
     if kept > MC_KEPT_BYTES:
         raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
-    # trials per Monte Carlo chunk or fit block, each drawing (m, d) uniforms
-    chunk = {"theorem1": mc.CHUNK,
-             "verify-lemmas": max(bounds.RISK_CHUNK, bounds.SECOND_MOMENT_BLOCK)}.get(name, 0)
+    # samples drawing (m, d) uniforms at once: a second-moment block; theorem1's
+    # SGD or subsample chunk, where the rule also bounds the pilot's 10^4 x d values
+    chunk = {"theorem1": mc.CHUNK, "verify-lemmas": bounds.SECOND_MOMENT_BLOCK}.get(name, 0)
     if 8 * chunk * m * d > MC_KEPT_BYTES:
         raise ConfigError(f"m={m}, d={d} draws {8 * chunk * m * d} uniform bytes per "
                           f"Monte Carlo chunk, above {MC_KEPT_BYTES}")

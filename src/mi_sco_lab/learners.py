@@ -13,7 +13,7 @@ The learner contract is a set of attributes, with no base class:
     through its per-coordinate plus-counts; such a learner defines
     ``fit_counts(counts, m)``, the (n, d) outputs for (n, d) plus-counts;
   * ``factorized``: whether it reads counts and output coordinate t reads
-    only plus-count t, so ``count_levels`` holds every output it can give.
+    only plus-count t, so ``count_statistic`` reads it from its level table.
 SGD, the one learner that reads the points in order, defines
 ``fit_batch(plus)`` on (n, m, d) plus booleans and ``column_levels``. Two
 wrappers hold a deterministic ``base`` and fit nothing: a subsample reads only
@@ -340,8 +340,8 @@ def reduce_subsample(learner, m: int):
 
 def fit(learner, plus: np.ndarray, rng=None) -> np.ndarray:
     """(n, d) outputs of ``learner`` on the n samples of (n, m, d) plus
-    booleans. A subsample fits its base on its first k points, a
-    ``reads_counts`` learner is fit on the plus-counts and SGD on the points
+    booleans. A subsample fits its base on its first k points, a count
+    learner reads its plus-counts (``count_statistic``) and SGD the points
     in order. Randomized response fits its base, then row by row draws
     ``rng.random()`` and, on a flip, ``rng.integers(K)`` for an atom of the
     base's codebook, built at the first flip only."""
@@ -358,7 +358,7 @@ def fit(learner, plus: np.ndarray, rng=None) -> np.ndarray:
         return out
     learner, m = reduce_subsample(learner, plus.shape[1])
     if learner.reads_counts:
-        return learner.fit_counts(counts_of_plus(plus[:, :m]), m)
+        return count_statistic(learner, counts_of_plus(plus[:, :m]), m)
     return learner.fit_batch(plus[:, :m])
 
 
@@ -394,10 +394,18 @@ def lattice_counts(m: int, d: int) -> np.ndarray:
     return product_grid([np.arange(m + 1)] * d)
 
 
-def sign_space_probs(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
-    """Probability under D(p)^m of each sample with (n, d) plus-counts out of m."""
+def count_probs(inst: HardInstance, m: int) -> np.ndarray:
+    """(m+1, d) table: entry (c, t) is q_t^c (1 - q_t)^(m - c), q = (1 + p)/2,
+    the probability under D(p)^m of any one column t of m signs with c plus."""
     q = (1.0 + inst.p) / 2.0
-    return np.prod(q[None, :] ** counts * (1.0 - q)[None, :] ** (m - counts), axis=1)
+    ks = np.arange(m + 1)[:, None]
+    return q ** ks * (1.0 - q) ** (m - ks)
+
+
+def sign_space_probs(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
+    """Probability under D(p)^m of each sample with (n, d) plus-counts out of
+    m: the product over t of its ``count_probs`` entries (C_t, t)."""
+    return np.prod(np.take_along_axis(count_probs(inst, m), counts, axis=0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -498,8 +506,8 @@ def output_atoms(learner, m: int, d: int):
     codebook and the atom of each sample code sum_i scale[i] sum_t plus(i, t)
     radix[t] (``sample_codes``), the only index of its atoms.
       * A count learner takes the lattice code, its plus-counts in base m+1
-        (scale 1), and is fit once per lattice point; the budget bounds the
-        (m+1)^d points.
+        (scale 1), and its outputs at every lattice point (``count_statistic``);
+        the budget bounds the (m+1)^d points.
       * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))) from
         one column pass (``_column_atoms``); within the budget, which bounds
         its 2^(d m) patterns, these are the bytes of a projected pass per
@@ -510,7 +518,7 @@ def output_atoms(learner, m: int, d: int):
     if learner.reads_counts:
         if (m + 1) ** d > FULL_ENUM_BUDGET:
             raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
-        codebook, atom = unique_rows(learner.fit_counts(lattice_counts(m, d), m))
+        codebook, atom = unique_rows(count_statistic(learner, lattice_counts(m, d), m))
         return codebook, atom, np.ones(m, dtype=np.int64), lattice_radix(m, d)
     base, k = reduce_subsample(learner, m)
     if base is not learner:
@@ -539,7 +547,7 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     # per cell the law and the two temporaries of its size that the MI (with a
     # one-byte mask) and the gap build; per sample the gap's two d-float
     # drifts and four more floats; per lattice count the kept int64 counts
-    # and the three temporaries of their size that ``sign_space_probs`` builds
+    # and three words more, above the one gathered float of ``sign_space_probs``
     need = n * (25 * big_k + 16 * inst.d + 32) + 32 * counts.size
     if need > DENSE_LAW_BYTES:
         raise BudgetExceededError(f"dense {n} x {big_k} law with its temporaries needs "
@@ -553,28 +561,48 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
 
 def count_levels(learner, m: int, d: int) -> np.ndarray:
     """(m+1, d) outputs of a ``reads_counts`` learner on the m+1 samples
-    whose d plus-counts all equal c, c = 0..m. For a factorized learner
-    every output coordinate is the same elementwise float function of its own
-    plus-count (and of d and m), so level (c, t) holds the bytes of
-    coordinate t of its output on any sample with C_t = c."""
+    whose d plus-counts all equal c, c = 0..m: its level table."""
     return learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], d, axis=1), m)
+
+
+def keep_outputs(w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The statistic that keeps the outputs w."""
+    return w
+
+
+def count_statistic(learner, counts: np.ndarray, m: int, stat=keep_outputs) -> np.ndarray:
+    """``stat(w, sums)`` of a ``reads_counts`` learner at (n, d) plus-counts
+    C out of m, w its outputs and sums the float sign sums 2 C - m: the one
+    route from a count learner's counts to its outputs. ``stat`` must work
+    elementwise, column t reading only column t of w and sums and (d,)
+    operands such as a shared bias.
+
+    A factorized learner's output coordinate t is the same float function of
+    C_t alone (and of d and m), so ``stat`` runs once on its ``count_levels``
+    and each sample reads level (C_t, t): the same IEEE operations, in the
+    same order, on the same operands as a fit on its own counts, so no byte
+    moves. Any other learner is fit per sample: ``RegularizedErm`` projects
+    whole rows and ``EpsilonNetErm`` picks the nearest net point."""
+    if not learner.factorized:
+        return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
+    ks = np.arange(m + 1)[:, None]
+    table = stat(count_levels(learner, m, counts.shape[1]), 2.0 * ks - m)
+    return np.take_along_axis(table, counts, axis=0)
 
 
 def exact_mutual_information(learner, d: int, m: int):
     """I(w_S; S) in nats as a function of the instance, with all that does not
     depend on its bias built here, so a budget error comes before any use.
     A factorized learner's MI sums per-coordinate entropies, its pairs
-    (w_S(t), S column t) being independent across t: it is fit once on the
-    m+1 plus-counts (``count_levels``, d columns for the 1/sqrt(d) scale),
-    and each of the 2^m column patterns adds its count's binomial weight,
-    computed once per count, to its count's atom in pattern order. Any other
-    learner's channel is reweighted per bias."""
+    (w_S(t), S column t) being independent across t: each of the 2^m column
+    patterns adds its count's ``count_probs`` weight to the atom of its
+    count's level (``count_levels`` at d columns: the 1/sqrt(d) scale), in
+    pattern order. Any other learner's channel is reweighted per bias."""
     learner, m = reduce_subsample(learner, m)
     if not learner.factorized:
         ch = exact_channel(learner, HardInstance.zero(d), m)
         return lambda inst: ch.reweighted(inst).mutual_information()
-    counts, ks = lattice_codes(m, 1), np.arange(m + 1)  # each column pattern's plus-count
+    counts = lattice_codes(m, 1)  # each column pattern's plus-count
     atom = np.unique(count_levels(learner, m, d)[:, 0], return_inverse=True)[1][counts]
     return lambda inst: max(0.0, float(sum(
-        entropy_of(np.bincount(atom, (q ** ks * (1.0 - q) ** (m - ks))[counts]))
-        for q in (1.0 + inst.p) / 2.0)))
+        entropy_of(np.bincount(atom, probs[counts])) for probs in count_probs(inst, m).T)))

@@ -28,12 +28,15 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
+    """``MI_SCO_THREADS`` (1 if not an integer) within 1 and the CPUs this
+    process may use: ``chunked_trials`` starts a thread per worker."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
         n = int(raw)
     except ValueError:
         n = 1
-    return max(1, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(n, cpus or 1))
 
 
 def chunked_trials(fn, n_trials: int, master_seed: int, *path: int,

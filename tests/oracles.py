@@ -12,7 +12,10 @@ booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array.
 ``count_statistic_per_sample`` fits a factorized learner on every sample's
-plus-counts, where the program reads its outputs from its level table.
+plus-counts, where the program reads its outputs from its level table, and
+``sign_space_probs_elementwise`` and ``count_probs_per_coordinate`` write the
+pattern probability once per sample or per coordinate, where the program
+gathers it from one (m+1, d) table.
 """
 
 import math
@@ -31,7 +34,6 @@ from mi_sco_lab.bounds import (
     RISK_STREAM,
     SECOND_MOMENT_INNER,
     GoodSetResult,
-    _fit_plus,
     _legendre_nodes,
     _random_pmf_pair,
     attack_prefactor,
@@ -56,6 +58,7 @@ from mi_sco_lab.learners import (
     SubsampleLearner,
     _project_rows,
     exact_channel,
+    fit,
     grid_step,
     lattice_codes,
     lattice_counts,
@@ -64,7 +67,7 @@ from mi_sco_lab.learners import (
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, sample_plus
+from mi_sco_lab.sco import HardInstance, counts_of_plus, sample_plus
 
 # ---------------------------------------------------------------------------
 # Samples of the hard instance
@@ -547,11 +550,26 @@ def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
     return max(0.0, total)
 
 
-def count_statistic_per_sample(learner, counts: np.ndarray, m: int, stat) -> np.ndarray:
-    """``bounds._count_statistic`` with every count learner, factorized ones
+def count_statistic_per_sample(learner, counts: np.ndarray, m: int,
+                               stat=lambda w, sums: w) -> np.ndarray:
+    """``learners.count_statistic`` with every count learner, factorized ones
     too, fit on each sample's (n, d) plus-counts, and ``stat`` evaluated on
-    the (n, d) outputs and sign sums."""
+    the (n, d) outputs and sign sums; by default the outputs."""
     return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
+
+
+def sign_space_probs_elementwise(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
+    """``learners.sign_space_probs`` with q^C (1 - q)^(m - C) evaluated for
+    each of the (n, d) plus-counts, not gathered from the (m+1, d) table."""
+    q = (1.0 + inst.p) / 2.0
+    return np.prod(q[None, :] ** counts * (1.0 - q)[None, :] ** (m - counts), axis=1)
+
+
+def count_probs_per_coordinate(inst: HardInstance, m: int) -> np.ndarray:
+    """``learners.count_probs`` one coordinate at a time, each a scalar q
+    raised to the m+1 counts: the weights the factorized exact MI read."""
+    ks = np.arange(m + 1)
+    return np.stack([q ** ks * (1.0 - q) ** (m - ks) for q in (1.0 + inst.p) / 2.0], axis=1)
 
 
 def pilot_normalizers_signs(inst: HardInstance, learner, m: int, trials: int,
@@ -653,8 +671,8 @@ def genbound_chain_report_signs(learner, d: int, m: int, trials: int, seed: int)
 
 def second_moment_report_loop(learner, d: int, m: int, outer: int, seed: int):
     """``bounds.second_moment_report`` one outer iteration at a time: p, t,
-    then each half's samples drawn by ``sample_plus`` and fit by
-    ``_fit_plus``, and its means taken as floats."""
+    then each half's samples drawn by ``sample_plus`` and fit by ``fit``,
+    and its means taken as floats."""
     root_d = math.sqrt(d)
     rng = mc.substream(seed, 106)
     prods = np.empty(outer)
@@ -665,7 +683,8 @@ def second_moment_report_loop(learner, d: int, m: int, outer: int, seed: int):
         halves = []
         err_acc = 0.0
         for _ in range(2):
-            w, sums = _fit_plus(learner, sample_plus(p, m, rng, SECOND_MOMENT_INNER), rng)
+            plus = sample_plus(p, m, rng, SECOND_MOMENT_INNER)
+            w, sums = fit(learner, plus), 2.0 * counts_of_plus(plus) - m
             phat_err = root_d * w[:, t] - p[t]
             centered = sums[:, t] - m * p[t]
             halves.append(float(np.mean(attack_prefactor(p[t]) * phat_err * centered)))

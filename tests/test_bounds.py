@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mi_sco_lab import bounds, harness
+from mi_sco_lab import bounds, harness, learners
 from mi_sco_lab.bounds import (
     EST_CLIPPED_MEAN,
     EST_SIGN,
@@ -18,7 +18,7 @@ from mi_sco_lab.bounds import (
     ESTIMATOR_MENU,
     FINGERPRINT_FLOOR,
     SECOND_MOMENT_INNER,
-    _fit_plus,
+    _fit_sample,
     _northwest_couplings,
     attack_prefactor,
     chain_rule_decomposition,
@@ -500,13 +500,14 @@ class TestCountRoute:
     @given(learner=st.sampled_from(CMI_MENU), n=st.integers(1, 40), m=st.integers(1, 4),
            d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_fit_plus_matches_sign_route(self, learner, n, m, d, seed):
+    def test_fit_sample_matches_sign_route(self, learner, n, m, d, seed):
         # outputs, sign sums and the generator's final state, from one seed;
         # d m <= 12, since a flip of randomized response over SGD enumerates
         # its 2^(d m) patterns
         p = np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=d)
-        rng, rng_signs = np.random.default_rng(seed), np.random.default_rng(seed)
-        w, sums = _fit_plus(learner, sample_plus(p, m, rng, n), rng)
+        rng, rng_sums, rng_signs = (np.random.default_rng(seed) for _ in range(3))
+        w = _fit_sample(learner, p, m, rng, n)
+        sums = _fit_sample(learner, p, m, rng_sums, n, lambda w, sums: sums)
         signs = sample_signs(p, m, rng_signs, n)
         assert w.tobytes() == fit_signs(learner, signs, rng_signs).tobytes()
         assert sums.tobytes() == signs.sum(axis=1, dtype=float).tobytes()
@@ -610,7 +611,8 @@ class TestLevelTable:
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("MI_SCO_THREADS", threads)
             got = _estimator_bytes(*args)
-            patch.setattr(bounds, "_count_statistic", count_statistic_per_sample)
+            for module in (learners, bounds):
+                patch.setattr(module, "count_statistic", count_statistic_per_sample)
             assert got == _estimator_bytes(*args)
 
     def test_table_route_is_taken(self, monkeypatch):

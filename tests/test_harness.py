@@ -168,9 +168,8 @@ class TestFailClosed:
         assert 8 * mc.CHUNK * cfg.m * cfg.d == MC_KEPT_BYTES
 
     def test_verify_lemmas_chunk_draw_above_budget(self, tmp_path):
-        # parsed only: genbound_chain_report draws 8 * RISK_CHUNK * m * d bytes
-        # of uniforms per Monte Carlo chunk, and second_moment_report as many
-        # per fit block, 1 GiB at d * m = 32768
+        # parsed only: second_moment_report draws 8 * SECOND_MOMENT_BLOCK * m * d
+        # bytes of uniforms per fit block, 1 GiB at d * m = 32768
         for d, m, drawn in ((32, 1025, 1074790400), (1024, 1024, 34359738368)):
             path, _ = write_config(tmp_path, name="verify-lemmas", d=d, m=m, p_mode="uniform")
             with pytest.raises(ConfigError, match=f"m={m}, d={d} draws {drawn} uniform bytes"):
@@ -178,8 +177,7 @@ class TestFailClosed:
         # exactly at the budget is accepted
         path, _ = write_config(tmp_path, name="verify-lemmas", d=32, m=1024, p_mode="uniform")
         cfg = load_config(path)
-        assert 8 * bounds.RISK_CHUNK * cfg.m * cfg.d == MC_KEPT_BYTES
-        assert bounds.SECOND_MOMENT_BLOCK == bounds.RISK_CHUNK
+        assert 8 * bounds.SECOND_MOMENT_BLOCK * cfg.m * cfg.d == MC_KEPT_BYTES
 
     @pytest.mark.parametrize("learner", ["kind = epsilon_net_erm",
                                          "kind = subsample\nbase = epsilon_net_erm\nk = {m}"])

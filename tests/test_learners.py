@@ -30,6 +30,7 @@ from mi_sco_lab.learners import (
     SgdLearner,
     SubsampleLearner,
     count_mean,
+    count_probs,
     epsilon_net,
     exact_channel,
     exact_mutual_information,
@@ -39,6 +40,7 @@ from mi_sco_lab.learners import (
     lattice_counts,
     lattice_radix,
     make_learner,
+    output_atoms,
     product_grid,
     reduce_subsample,
     round_half_down,
@@ -46,11 +48,13 @@ from mi_sco_lab.learners import (
     sign_space_probs,
     unique_rows,
 )
-from mi_sco_lab.sco import HardInstance, sample_plus
+from mi_sco_lab.sco import P_MAX, HardInstance, counts_of_plus, sample_plus
 import oracles
 from oracles import (
     Sample,
     codebook_signs,
+    count_probs_per_coordinate,
+    count_statistic_per_sample,
     empirical_risk,
     entropy,
     enumerate_sign_space,
@@ -69,6 +73,7 @@ from oracles import (
     sgd_full_copy,
     sgd_patterns,
     sgd_shell_exit,
+    sign_space_probs_elementwise,
     signs_of_plus,
 )
 
@@ -1456,3 +1461,46 @@ class TestFitProtocol:
             got = fit(learner, plus, rng)
             assert got.tobytes() == fit_signs(learner, signs, rng_signs).tobytes(), (d, m, n)
             assert rng.random() == rng_signs.random(), (d, m, n)
+
+
+FACTORIZED_DRAWN = st.one_of(st.just(MeanLearner()),
+                             st.builds(QuantizedMeanLearner, st.none() | st.floats(1e-3, 1.0)))
+LATTICE_CAP = 1 << 14  # lattice points per drawn output_atoms case
+
+
+class TestOneCountRoute:
+    """A factorized learner's outputs, read from its level table by
+    ``count_statistic``, against a fit on every sample's own counts, and the
+    (m+1, d) probability table against the forms it replaced, all bytewise
+    (``tobytes()``, so -0.0 and 0.0 differ)."""
+
+    @given(learner=FACTORIZED_DRAWN, d=st.integers(1, 6), m=st.integers(1, 40),
+           n=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_matches_per_sample_fit(self, learner, d, m, n, seed):
+        rng = np.random.default_rng(seed)
+        plus = rng.random((n, m, d)) < rng.random(d)
+        want = count_statistic_per_sample(learner, counts_of_plus(plus), m)
+        assert fit(learner, plus).tobytes() == want.tobytes()
+
+    @given(learner=FACTORIZED_DRAWN, d=st.integers(1, 6), m=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_atoms_match_per_sample_fit(self, learner, d, m):
+        m = max(1, min(m, round(LATTICE_CAP ** (1.0 / d)) - 1))
+        codebook, atom = output_atoms(learner, m, d)[:2]
+        want_codebook, want_atom = unique_rows(
+            count_statistic_per_sample(learner, lattice_counts(m, d), m))
+        assert codebook.tobytes() == want_codebook.tobytes()
+        assert atom.tobytes() == want_atom.tobytes()
+
+    @given(d=st.integers(1, 6), m=st.integers(1, 40), n=st.integers(0, 60),
+           biases=st.lists(st.sampled_from([0.0, P_MAX, -P_MAX]) | st.floats(-P_MAX, P_MAX),
+                           min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_probabilities_match_elementwise_forms(self, d, m, n, biases, seed):
+        inst = HardInstance(d, np.array(biases[:d]))
+        counts = np.random.default_rng(seed).integers(0, m + 1, size=(n, d))
+        assert (sign_space_probs(inst, counts, m).tobytes()
+                == sign_space_probs_elementwise(inst, counts, m).tobytes())
+        assert count_probs(inst, m).tobytes() == count_probs_per_coordinate(inst, m).tobytes()

@@ -1,6 +1,7 @@
 """The chunked Monte Carlo kernels against their plain numpy forms."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -71,3 +72,19 @@ class TestMeanAndSe:
         got_mean, got_se = mc.mean_and_se(values.copy())
         assert np.asarray(got_mean).tobytes() == mean.tobytes()
         assert np.asarray(got_se).tobytes() == se.tobytes()
+
+
+class TestWorkerCount:
+    def test_capped_at_the_usable_cpus(self, monkeypatch):
+        # worker_count only reads the setting, so no thread starts here
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        monkeypatch.setenv(mc.THREADS_ENV, str(10 ** 6))
+        assert mc.worker_count() == cpus
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        assert mc.worker_count() == 1
+
+    @pytest.mark.parametrize("raw", ["", "0", "-3", "two"])
+    def test_at_least_one(self, monkeypatch, raw):
+        monkeypatch.setenv(mc.THREADS_ENV, raw)
+        assert mc.worker_count() == 1

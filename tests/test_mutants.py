@@ -159,8 +159,8 @@ MUTANTS = {
         bounds, "xu_bound",
         (("return LOSS_RANGE * math.sqrt", "return math.sqrt"),),
         _xu_bound_holds_at_one_point),
-    "bias sign flipped in sign_space_probs": Mutant(
-        learners, "sign_space_probs",
+    "bias sign flipped in count_probs": Mutant(
+        learners, "count_probs",
         (("q = (1.0 + inst.p)", "q = (1.0 - inst.p)"),),
         _sample_mean_is_w_star),
     "ties rounded up": Mutant(
@@ -180,7 +180,7 @@ MUTANTS = {
         (("m, d, _project_rows))", "m, d, lambda w: w))"),),
         _sgd_ties_keep_the_in_loop_projection),
     "level table read at the flipped count": Mutant(
-        bounds, "_count_statistic",
+        learners, "count_statistic",
         (("np.take_along_axis(table, counts, axis=0)",
           "np.take_along_axis(table, m - counts, axis=0)"),),
         _level_table_matches_the_sign_route),

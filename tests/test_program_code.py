@@ -282,16 +282,23 @@ def _spy_sign_routes(monkeypatch):
 def test_count_learners_take_no_sign_route(monkeypatch, learner):
     """For a count learner (and randomized response over one, in the CMI),
     ``cmi_exact`` and the Monte Carlo estimators never enumerate signs and
-    never call ``fit`` on plus booleans: the exact routes fit no more rows
-    than the (m+1)^d lattice points, and the estimators fit the plus-counts
-    they already hold."""
-    calls = _spy_sign_routes(monkeypatch)
-    rows, real_counts = [], type(learner).fit_counts
+    never reach ``fit_batch``: every output comes from ``fit_counts``. A
+    factorized learner's ``fit_counts`` sees at most its m+1 count levels
+    per call; any other's exact route fits no more rows than the (m+1)^d
+    lattice points."""
+    calls = _spy_sgd_exact_fits(monkeypatch)
+    batch, rows = [], []
+    real_batch, real_counts = learners.SgdLearner.fit_batch, type(learner).fit_counts
+
+    def batch_spy(self, plus):
+        batch.append(plus.shape[0])
+        return real_batch(self, plus)
 
     def counts_spy(self, counts, m):
         rows.append(counts.shape[0])
         return real_counts(self, counts, m)
 
+    monkeypatch.setattr(learners.SgdLearner, "fit_batch", batch_spy)
     monkeypatch.setattr(type(learner), "fit_counts", counts_spy)
     d, m = 2, 3
     inst = HardInstance(d, np.array([0.1, -0.2]))
@@ -302,7 +309,9 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    assert calls == {"sgd_exact": [], "fit_rows": []}
+    if learner.factorized:
+        assert set(rows) == {m + 1}
+    assert calls == [] and batch == []
 
 
 @pytest.mark.parametrize("learner", COUNT_LEARNERS[:3] + (
@@ -365,8 +374,9 @@ def test_sign_route_only_in_learners():
     ``fit_patterns``, nor the shell test, ``in_shell``, both oracles now, and
     SGD's column pass, ``column_levels``, is called only by
     ``learners.output_atoms``. ``bounds`` holds no sign-route code: it
-    names none of the sign route's helpers, calls no ``fit_batch``, and its
-    one ``fit`` call is ``_fit_plus``'s, on sampled plus booleans."""
+    names none of the sign route's helpers, calls no ``fit_batch``, and
+    calls ``fit`` only on sampled plus booleans: in ``_fit_sample`` and in
+    ``second_moment_report``'s blocks."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     named = [f"{name}:{node.lineno}" for name, tree in trees.items()
@@ -389,7 +399,31 @@ def test_sign_route_only_in_learners():
     assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
                and any(_calls_named(stmt, "fit") for stmt in func.body)]
-    assert fitters == ["_fit_plus"]
+    assert fitters == ["_fit_sample", "second_moment_report"]
+
+
+def test_one_count_route():
+    """A count learner's plus-counts turn into outputs in one place,
+    ``learners.count_statistic``: ``src/`` calls ``fit_counts`` only there and
+    in ``count_levels``, and ``bounds`` names neither ``fit_counts`` nor
+    ``factorized`` and defines no count route of its own. The pattern
+    probability q^c (1 - q)^(m - c) is written once, in
+    ``learners.count_probs``: no other power in ``learners`` has an exponent
+    m - c."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+             if _calls_named(top, "fit_counts")}
+    assert sites == {("learners.py", "count_levels"), ("learners.py", "count_statistic")}
+    names = _names_used(trees["bounds.py"])
+    assert not names["fit_counts"] and not names["factorized"]
+    defined = {name for name, _ in _definitions(trees["bounds.py"])}
+    assert not defined & {"_count_statistic", "_fit_plus", "keep_outputs"}
+    powers = [top.name for top in trees["learners.py"].body for node in ast.walk(top)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub)
+              and getattr(node.right.left, "id", None) == "m"]
+    assert powers == ["count_probs"]
 
 
 def test_one_fit_on_plus_booleans():
