@@ -604,7 +604,8 @@ class DimensionScan:
 
 
 def mi_dimension_scan(learner, m: int, p0: float, d_values) -> DimensionScan:
-    """Exact MI vs dimension for a factorized learner at constant bias p0."""
+    """Exact MI vs dimension at constant bias p0, for a learner whose outputs
+    are its levels (no row map), so its MI adds up over coordinates."""
     ds = tuple(d_values)
     mis = tuple(exact_mutual_information(learner, d, m)(HardInstance(d, np.full(d, p0)))
                 for d in ds)
@@ -787,9 +788,10 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
     estimated without bias.
 
     Each outer iteration draws p, then t, then the two batches' uniforms; the
-    draws of up to SECOND_MOMENT_BLOCK samples are fit as one block, and each
-    batch's means run along its own contiguous row. A randomized learner would
-    draw between the uniforms, so it is refused."""
+    draws of up to SECOND_MOMENT_BLOCK samples are fit as one block (a count
+    learner from the block's plus-counts, which also give the sign sums), and
+    each batch's means run along its own contiguous row. A randomized learner
+    would draw between the uniforms, so it is refused."""
     if not learner.deterministic:
         raise ValueError("second_moment_report needs a deterministic learner")
     root_d = math.sqrt(d)
@@ -809,7 +811,9 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
             rng.random(out=u[i])
         # one bias per outer iteration, over its 2 * SECOND_MOMENT_INNER * m points
         plus = plus_points(p, u.reshape(n, pair * m, d)).reshape(n * pair, m, d)
-        w, sums = fit(learner, plus), 2.0 * counts_of_plus(plus) - m
+        counts = counts_of_plus(plus)
+        w = count_statistic(learner, counts, m) if learner.reads_counts else fit(learner, plus)
+        sums = 2.0 * counts - m
         rows = np.arange(n)
         p_t = p[rows, t][:, None, None]
         shape = (n, 2, SECOND_MOMENT_INNER)

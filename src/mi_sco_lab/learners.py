@@ -6,20 +6,29 @@ pure given (sample, seed) and never take the instance, so none can read its
 bias; grid rounding breaks ties toward the smaller value, so outputs are
 bit-stable across runs and worker counts.
 
-The learner contract is a set of attributes, with no base class:
-  * ``kind``: the label used in report names;
-  * ``deterministic``: whether the output is a function of the sample;
-  * ``reads_counts``: whether the output bytes depend on the sample only
-    through its per-coordinate plus-counts; such a learner defines
-    ``fit_counts(counts, m)``, the (n, d) outputs for (n, d) plus-counts;
-  * ``factorized``: whether it reads counts and output coordinate t reads
-    only plus-count t, so ``count_statistic`` reads it from its level table.
-SGD, the one learner that reads the points in order, defines
-``fit_batch(plus)`` on (n, m, d) plus booleans and ``column_levels``. Two
-wrappers hold a deterministic ``base`` and fit nothing: a subsample reads only
-the points S_1..k (``reduce_subsample``), and randomized response replaces the
-base's output by a uniform codebook atom with probability ``rho``. ``fit`` is
-the one fit on plus booleans and applies both wrapper rules.
+The learner protocol is a set of attributes, with no base class. Every
+learner has a ``kind``, the label used in report names, and
+``deterministic``, whether its output is a function of the sample. A
+deterministic base learner is one coordinate's levels and one optional row
+map, the same for every coordinate:
+  * ``reads_counts``: whether coordinate t's level is indexed by its
+    plus-count C_t, so the output bytes depend on the sample only through
+    its plus-counts; otherwise by its column pattern, the code
+    sum_i 2^i plus(i, t) (SGD, the one learner that reads the points in
+    order);
+  * ``levels(m, d)``: the 1-D levels of one output coordinate at scale
+    1/sqrt(d), m+1 of them for a count learner and 2^m for SGD;
+  * ``finish(rows, m)``: the outputs on (n, d) rows of levels, or None where
+    the outputs are the levels (the mean and the quantized mean). RERM and
+    SGD project the rows onto the ball, the epsilon-net ERM takes the
+    nearest net point.
+SGD also defines ``fit_batch(plus)`` on (n, m, d) plus booleans, whose
+in-loop projection decides exact half-grid ties beyond the budget. Two
+wrappers hold a deterministic ``base`` and fit nothing: a subsample reads
+only the points S_1..k (``reduce_subsample``), and randomized response
+replaces the base's output by a uniform codebook atom with probability
+``rho``. ``fit`` is the one fit on plus booleans and applies both wrapper
+rules.
 
 Exact channels run over the 2^(d*m) sign patterns (at most FULL_ENUM_BUDGET)
 in pattern order, pattern i plus in point j, coordinate t iff bit j d + t of
@@ -49,11 +58,11 @@ class BudgetExceededError(RuntimeError):
     """Enumeration would exceed FULL_ENUM_BUDGET, or a dense law DENSE_LAW_BYTES."""
 
 
-def count_mean(counts: np.ndarray, m: int) -> np.ndarray:
-    """(n, d) sample means zbar of samples with (n, d) plus-counts out of m,
-    in points signs/sqrt(d): a coordinate's sign sum is 2c - m, exact in
-    floats, so these are the bytes of the mean over the signs themselves."""
-    return (2.0 * counts - m) / m / math.sqrt(counts.shape[1])
+def mean_levels(m: int, d: int) -> np.ndarray:
+    """(m+1,) sample means of one coordinate at plus-counts c = 0..m out of
+    m, in points signs/sqrt(d): the sign sum is 2c - m, exact in floats, so
+    these are the bytes of the mean over the signs themselves."""
+    return (2.0 * np.arange(m + 1) - m) / m / math.sqrt(d)
 
 
 def grid_step(delta: float | None, m: int) -> float:
@@ -117,11 +126,9 @@ class MeanLearner:
 
     kind = "mean"
     deterministic = True
-    factorized = True
     reads_counts = True
-
-    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
-        return count_mean(counts, m)
+    levels = staticmethod(mean_levels)
+    finish = None
 
 
 @dataclass(frozen=True)
@@ -130,20 +137,19 @@ class QuantizedMeanLearner:
 
     Each coordinate is clipped to [-1/sqrt(d), 1/sqrt(d)] (the range of every
     reachable mean), which keeps the output in the ball without a joint
-    projection, so the learner stays exactly coordinate-factorized.
+    projection, so the outputs are the levels, with no row map.
     """
 
     delta: float | None = None  # None: 1/m^2 at fit time
 
     kind = "quantized_mean"
     deterministic = True
-    factorized = True
     reads_counts = True
+    finish = None
 
-    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
-        lim = 1.0 / math.sqrt(counts.shape[1])
-        return np.clip(round_half_down(count_mean(counts, m), grid_step(self.delta, m)),
-                       -lim, lim)
+    def levels(self, m: int, d: int) -> np.ndarray:
+        lim = 1.0 / math.sqrt(d)
+        return np.clip(round_half_down(mean_levels(m, d), grid_step(self.delta, m)), -lim, lim)
 
 
 def epsilon_net(d: int, m: int) -> np.ndarray:
@@ -169,13 +175,12 @@ class EpsilonNetErm:
 
     kind = "epsilon_net_erm"
     deterministic = True
-    factorized = False
     reads_counts = True
+    levels = staticmethod(mean_levels)
 
-    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
-        """Nearest net point per row, in blocks of rows whose (rows, net size,
-        d) distance temporary holds at most NET_BLOCK_CELLS floats."""
-        zbar = count_mean(counts, m)
+    def finish(self, zbar: np.ndarray, m: int) -> np.ndarray:
+        """Nearest net point per row of means, in blocks of rows whose (rows,
+        net size, d) distance temporary holds at most NET_BLOCK_CELLS floats."""
         net = epsilon_net(zbar.shape[1], m)
         rows = max(1, NET_BLOCK_CELLS // net.size)
         idx = np.empty(zbar.shape[0], dtype=np.intp)
@@ -194,22 +199,21 @@ class SgdLearner:
     combination of data points (inside the ball). The average of the iterates
     is rounded to the 1/m^2 grid for a finite codebook.
 
-    ``_levels`` holds the update once. ``fit_batch`` feeds it each sample's
-    points and projects every step; ``column_levels`` feeds it one
-    coordinate's two corner values and projects nothing inside the pass,
-    which within the budget changes no output bit (``output_atoms``). Beyond
-    the budget the in-loop projection decides exact half-grid ties, so
-    ``fit_batch`` keeps it.
+    ``_pass`` holds the update once. ``fit_batch`` feeds it each sample's
+    points and projects every step; ``levels`` feeds it one coordinate's two
+    corner values and projects nothing inside the pass, which within the
+    budget changes no output bit (``output_atoms``). Beyond the budget the
+    in-loop projection decides exact half-grid ties, so ``fit_batch`` keeps
+    it.
     """
 
     delta: float | None = None
 
     kind = "sgd"
     deterministic = True
-    factorized = False
     reads_counts = False  # the pass reads the points in order
 
-    def _levels(self, points, m: int, d: int, project) -> np.ndarray:
+    def _pass(self, points, m: int, d: int, project) -> np.ndarray:
         """Rounded iterate averages before the final projection, after m
         steps, step t reading the (k, n, d) points ``points(t)``: n = 1
         extends every iterate by each of k points, point the slow axis of the
@@ -225,15 +229,16 @@ class SgdLearner:
     def fit_batch(self, plus: np.ndarray) -> np.ndarray:
         _, m, d = plus.shape
         root_d = math.sqrt(d)
-        return _project_rows(self._levels(
+        return _project_rows(self._pass(
             lambda t: np.where(plus[None, :, t - 1], 1.0, -1.0) / root_d, m, d, _project_rows))
 
-    def column_levels(self, m: int, d: int) -> np.ndarray:
-        """(2^m,) levels of one output coordinate before the final projection,
-        one per column pattern (plus in point i iff bit i of the column code
-        is set), with no projection inside the pass."""
+    def levels(self, m: int, d: int) -> np.ndarray:
+        """One level per column pattern, with no projection inside the pass."""
         corners = (np.array([-1.0, 1.0]) / math.sqrt(d))[:, None, None]  # (2, 1, 1)
-        return self._levels(lambda t: corners, m, 1, lambda w: w)[:, 0]
+        return self._pass(lambda t: corners, m, 1, lambda w: w)[:, 0]
+
+    def finish(self, rows: np.ndarray, m: int) -> np.ndarray:
+        return _project_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -246,16 +251,17 @@ class RegularizedErm:
 
     kind = "regularized_erm"
     deterministic = True
-    factorized = False
     reads_counts = True
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
 
-    def fit_counts(self, counts: np.ndarray, m: int) -> np.ndarray:
-        zbar = count_mean(counts, m) / (1.0 + self.lam)
-        return _project_rows(round_half_down(zbar, grid_step(self.delta, m)))
+    def levels(self, m: int, d: int) -> np.ndarray:
+        return round_half_down(mean_levels(m, d) / (1.0 + self.lam), grid_step(self.delta, m))
+
+    def finish(self, rows: np.ndarray, m: int) -> np.ndarray:
+        return _project_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,6 @@ class SubsampleLearner:
     base: object
 
     deterministic = True
-    factorized = False  # exact MI reads its base at k (reduce_subsample)
     reads_counts = False  # the first k points, not the counts over all m
 
     def __post_init__(self):
@@ -287,7 +292,6 @@ class RandomizedResponse:
     rho: float
 
     deterministic = False
-    factorized = False
     reads_counts = False  # exact channels read the base's attribute
 
     def __post_init__(self):
@@ -362,15 +366,10 @@ def fit(learner, plus: np.ndarray, rng=None) -> np.ndarray:
     return learner.fit_batch(plus[:, :m])
 
 
-def _pattern_count(cells: int) -> int:
-    if 1 << cells > FULL_ENUM_BUDGET:
-        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
-    return 1 << cells
-
-
-def lattice_radix(m: int, d: int) -> np.ndarray:
-    """Radix (m+1)^(d-1-t) of coordinate t in the lattice code sum_t C_t (m+1)^(d-1-t)."""
-    return (m + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+def code_radix(n: int, d: int) -> np.ndarray:
+    """Radix n^(d-1-t) of coordinate t in the code sum_t c_t n^(d-1-t) of d
+    indices c_t below n."""
+    return n ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def sample_codes(scale: np.ndarray, radix: np.ndarray) -> np.ndarray:
@@ -378,7 +377,10 @@ def sample_codes(scale: np.ndarray, radix: np.ndarray) -> np.ndarray:
     in pattern order: cell c = i d + t, bit c of the pattern index, adds
     scale[i] radix[t], so each cell doubles the codes. The budget bounds the
     2^(d m) patterns before any is built."""
-    code = np.zeros(_pattern_count(scale.shape[0] * radix.shape[0]), dtype=np.int64)
+    cells = scale.shape[0] * radix.shape[0]
+    if 1 << cells > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"2^{cells} sign patterns exceed budget {FULL_ENUM_BUDGET}")
+    code = np.zeros(1 << cells, dtype=np.int64)
     for c, weight in enumerate(np.outer(scale, radix).reshape(-1)):
         np.add(code[:1 << c], weight, out=code[1 << c:2 << c])
     return code
@@ -386,7 +388,7 @@ def sample_codes(scale: np.ndarray, radix: np.ndarray) -> np.ndarray:
 
 def lattice_codes(m: int, d: int) -> np.ndarray:
     """Each sign pattern's lattice code, its plus-counts read in base m+1."""
-    return sample_codes(np.ones(m, dtype=np.int64), lattice_radix(m, d))
+    return sample_codes(np.ones(m, dtype=np.int64), code_radix(m + 1, d))
 
 
 def lattice_counts(m: int, d: int) -> np.ndarray:
@@ -457,7 +459,7 @@ class Channel:
         The quadratic risks telescope: L_D(w) - L_S(w, S) = 2 w . (zbar - w*),
         so the constant-output gap is exactly zero in floating point too.
         """
-        drift = count_mean(self.counts, self.m) - inst.w_star  # (L, d)
+        drift = mean_levels(self.m, self.counts.shape[1])[self.counts] - inst.w_star  # (L, d)
         if self.code_atom is not None:
             term = 2.0 * (self.codebook[self.code_atom] * drift).sum(axis=1)
             return float(self.sample_probs @ term[self.codes])
@@ -480,21 +482,24 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
-def _column_atoms(column: np.ndarray, m: int, d: int):
-    """(codebook, atom per column-tuple code) of outputs that are the final
-    projection of each pattern's d levels from the (2^m,) ``column`` levels;
-    the column-tuple code sum_t col_t 2^(m (d-1-t)) has coordinate t's column
-    code as digit t.
+def _column_atoms(learner, m: int, d: int):
+    """(codebook, atom per level-tuple code) of a deterministic base learner:
+    its outputs (``finish``) on each pattern's d ``levels``, the level-tuple
+    code sum_t c_t n^(d-1-t) having coordinate t's level index c_t among the
+    n levels as digit t.
 
     Only the K^d tuples of the K distinct levels (0.0 and -0.0 in one, each
-    the bytes of its first column code) are projected and grouped. The
-    pattern index interleaves the column bits, so a tuple of first codes is
-    its atom's first pattern, and the bytes are those of a fit per pattern.
-    Each code takes the atom of its level ranks read in base K, built by
-    d - 1 outer sums; K^d <= FULL_ENUM_BUDGET fits int32."""
-    _, first, level = np.unique(column, return_index=True, return_inverse=True)
+    the bytes of its first index) are finished and grouped. A count
+    learner's levels never fall as the count grows, and SGD's pattern index
+    interleaves the column bits, so a tuple of first indices is its atom's
+    first pattern, and the bytes are those of a fit per pattern. Each code
+    takes the atom of its level ranks read in base K, built by d - 1 outer
+    sums; K^d <= FULL_ENUM_BUDGET fits int32."""
+    levels = learner.levels(m, d)
+    _, first, level = np.unique(levels, return_index=True, return_inverse=True)
     k = first.shape[0]
-    codebook, tuple_atom = unique_rows(_project_rows(product_grid([column[first]] * d)))
+    rows = product_grid([levels[first]] * d)
+    codebook, tuple_atom = unique_rows(rows if learner.finish is None else learner.finish(rows, m))
     level = code = level.astype(np.int32)
     for _ in range(d - 1):
         code = np.add.outer(code * k, level).reshape(-1)
@@ -504,29 +509,28 @@ def _column_atoms(column: np.ndarray, m: int, d: int):
 def output_atoms(learner, m: int, d: int):
     """(codebook, atom, scale, radix): a deterministic learner's lexicographic
     codebook and the atom of each sample code sum_i scale[i] sum_t plus(i, t)
-    radix[t] (``sample_codes``), the only index of its atoms.
-      * A count learner takes the lattice code, its plus-counts in base m+1
-        (scale 1), and its outputs at every lattice point (``count_statistic``);
-        the budget bounds the (m+1)^d points.
-      * SGD takes the column-tuple code (scale 2^i, radix 2^(m (d-1-t))) from
-        one column pass (``_column_atoms``); within the budget, which bounds
-        its 2^(d m) patterns, these are the bytes of a projected pass per
-        pattern.
-      * A subsample takes its base's codebook, atoms and radix at k, and the
-        base's scale with zero weight on points k+1..m, so it builds nothing
-        of size 2^(d m)."""
-    if learner.reads_counts:
-        if (m + 1) ** d > FULL_ENUM_BUDGET:
-            raise BudgetExceededError(f"{m + 1}^{d} lattice points exceed budget {FULL_ENUM_BUDGET}")
-        codebook, atom = unique_rows(count_statistic(learner, lattice_counts(m, d), m))
-        return codebook, atom, np.ones(m, dtype=np.int64), lattice_radix(m, d)
+    radix[t] (``sample_codes``), the only index of its atoms. Coordinate t's
+    level index is sum_i scale[i] plus(i, t): its plus-count for a count
+    learner (scale 1), its column pattern for SGD (scale 2^i). Radix
+    n^(d-1-t), n the number of levels, reads the d indices as one code, and
+    the atoms come from ``_column_atoms``; the budget bounds the n^d codes,
+    the (m+1)^d lattice points or the 2^(d m) patterns, before any is built.
+    Within it these are the bytes of a fit per pattern.
+
+    A subsample takes its base's codebook, atoms and radix at k, and the
+    base's scale with zero weight on points k+1..m, so it builds nothing of
+    size 2^(d m)."""
     base, k = reduce_subsample(learner, m)
     if base is not learner:
         codebook, atom, scale, radix = output_atoms(base, k, d)
         return codebook, atom, np.concatenate([scale, np.zeros(m - k, dtype=np.int64)]), radix
-    _pattern_count(m * d)  # before a weight 2^(d m - 1) could wrap
-    return (*_column_atoms(learner.column_levels(m, d), m, d), 1 << np.arange(m, dtype=np.int64),
-            1 << m * np.arange(d - 1, -1, -1, dtype=np.int64))
+    if learner.reads_counts:
+        n, what, scale = m + 1, f"{m + 1}^{d} lattice points", np.ones(m, dtype=np.int64)
+    else:
+        n, what, scale = 1 << m, f"2^{m * d} sign patterns", 1 << np.arange(m, dtype=np.int64)
+    if n ** d > FULL_ENUM_BUDGET:
+        raise BudgetExceededError(f"{what} exceed budget {FULL_ENUM_BUDGET}")
+    return (*_column_atoms(learner, m, d), scale, code_radix(n, d))
 
 
 def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
@@ -559,12 +563,6 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     return Channel(codes, counts, m, None, codebook, cond=cond).reweighted(inst)
 
 
-def count_levels(learner, m: int, d: int) -> np.ndarray:
-    """(m+1, d) outputs of a ``reads_counts`` learner on the m+1 samples
-    whose d plus-counts all equal c, c = 0..m: its level table."""
-    return learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], d, axis=1), m)
-
-
 def keep_outputs(w: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """The statistic that keeps the outputs w."""
     return w
@@ -577,32 +575,33 @@ def count_statistic(learner, counts: np.ndarray, m: int, stat=keep_outputs) -> n
     elementwise, column t reading only column t of w and sums and (d,)
     operands such as a shared bias.
 
-    A factorized learner's output coordinate t is the same float function of
-    C_t alone (and of d and m), so ``stat`` runs once on its ``count_levels``
-    and each sample reads level (C_t, t): the same IEEE operations, in the
-    same order, on the same operands as a fit on its own counts, so no byte
-    moves. Any other learner is fit per sample: ``RegularizedErm`` projects
-    whole rows and ``EpsilonNetErm`` picks the nearest net point."""
-    if not learner.factorized:
-        return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
-    ks = np.arange(m + 1)[:, None]
-    table = stat(count_levels(learner, m, counts.shape[1]), 2.0 * ks - m)
+    Each sample's row reads level C_t in coordinate t: the same IEEE
+    operations, in the same order, on the same operands as a fit on its own
+    counts, so no byte moves. With no row map, output coordinate t is that
+    level, so ``stat`` runs once on the (m+1, 1) levels, broadcast against
+    any (d,) operand, and each sample reads entry (C_t, t) of that table;
+    otherwise ``finish`` maps the gathered rows (``RegularizedErm`` projects
+    whole rows, ``EpsilonNetErm`` picks the nearest net point)."""
+    levels = learner.levels(m, counts.shape[1])
+    if learner.finish is not None:
+        return stat(learner.finish(levels[counts], m), 2.0 * counts - m)
+    table = stat(levels[:, None], 2.0 * np.arange(m + 1)[:, None] - m)
     return np.take_along_axis(table, counts, axis=0)
 
 
 def exact_mutual_information(learner, d: int, m: int):
     """I(w_S; S) in nats as a function of the instance, with all that does not
     depend on its bias built here, so a budget error comes before any use.
-    A factorized learner's MI sums per-coordinate entropies, its pairs
+    With no row map the MI sums per-coordinate entropies, the pairs
     (w_S(t), S column t) being independent across t: each of the 2^m column
     patterns adds its count's ``count_probs`` weight to the atom of its
-    count's level (``count_levels`` at d columns: the 1/sqrt(d) scale), in
-    pattern order. Any other learner's channel is reweighted per bias."""
+    count's level (``levels`` at d: the 1/sqrt(d) scale), in pattern order.
+    Any other learner's channel is reweighted per bias."""
     learner, m = reduce_subsample(learner, m)
-    if not learner.factorized:
+    if not learner.deterministic or learner.finish is not None:
         ch = exact_channel(learner, HardInstance.zero(d), m)
         return lambda inst: ch.reweighted(inst).mutual_information()
     counts = lattice_codes(m, 1)  # each column pattern's plus-count
-    atom = np.unique(count_levels(learner, m, d)[:, 0], return_inverse=True)[1][counts]
+    atom = np.unique(learner.levels(m, d), return_inverse=True)[1][counts]
     return lambda inst: max(0.0, float(sum(
         entropy_of(np.bincount(atom, probs[counts])) for probs in count_probs(inst, m).T)))

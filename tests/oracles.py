@@ -11,8 +11,10 @@ one of them out the long way, with no caller in the program. The learners' sign 
 booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
 ``empirical_risk`` draw and score one sample as a point array.
-``count_statistic_per_sample`` fits a factorized learner on every sample's
-plus-counts, where the program reads its outputs from its level table, and
+``fit_counts_per_sample`` fits a count learner on every sample's plus-counts,
+its mean computed from the sample's own counts (``count_mean``), where the
+program gathers one coordinate's levels and maps whole rows;
+``count_statistic_per_sample`` evaluates a statistic on those outputs, and
 ``sign_space_probs_elementwise`` and ``count_probs_per_coordinate`` write the
 pattern probability once per sample or per coordinate, where the program
 gathers it from one (m+1, d) table.
@@ -53,10 +55,15 @@ from mi_sco_lab.infotheory import (
 from mi_sco_lab.learners import (
     DENSE_LAW_BYTES,
     BudgetExceededError,
+    EpsilonNetErm,
+    MeanLearner,
+    QuantizedMeanLearner,
     RandomizedResponse,
+    RegularizedErm,
     SgdLearner,
     SubsampleLearner,
     _project_rows,
+    epsilon_net,
     exact_channel,
     fit,
     grid_step,
@@ -455,7 +462,7 @@ def fit_signs(learner, signs: np.ndarray, rng=None) -> np.ndarray:
         return fit_signs(learner.base, signs[:, : learner.k, :])
     if isinstance(learner, SgdLearner):
         return sgd_full_copy(learner, signs)
-    return learner.fit_counts(plus_counts(signs), m)
+    return fit_counts_per_sample(learner, plus_counts(signs), m)
 
 
 def codebook_signs(learner, d: int, m: int) -> np.ndarray:
@@ -550,12 +557,41 @@ def cmi_exact_signs(learner, inst: HardInstance, m: int) -> float:
     return max(0.0, total)
 
 
+def count_mean(counts: np.ndarray, m: int) -> np.ndarray:
+    """(n, d) sample means of samples with (n, d) plus-counts out of m, in
+    points signs/sqrt(d), each from its own counts: the sign sum is 2C - m."""
+    return (2.0 * counts - m) / m / math.sqrt(counts.shape[1])
+
+
+def fit_counts_per_sample(learner, counts: np.ndarray, m: int) -> np.ndarray:
+    """(n, d) outputs of a count learner on (n, d) plus-counts out of m, one
+    formula per class, each row from its own sample mean: what
+    ``learners.count_statistic`` gathers from ``levels`` and ``finish``. The
+    epsilon-net ERM takes the first nearest net point, 256 rows at a time."""
+    zbar = count_mean(counts, m)
+    if isinstance(learner, MeanLearner):
+        return zbar
+    if isinstance(learner, QuantizedMeanLearner):
+        lim = 1.0 / math.sqrt(counts.shape[1])
+        return np.clip(round_half_down(zbar, grid_step(learner.delta, m)), -lim, lim)
+    if isinstance(learner, RegularizedErm):
+        zbar = zbar / (1.0 + learner.lam)
+        return _project_rows(round_half_down(zbar, grid_step(learner.delta, m)))
+    assert isinstance(learner, EpsilonNetErm), learner
+    net = epsilon_net(counts.shape[1], m)
+    out = np.empty_like(zbar)
+    for start in range(0, zbar.shape[0], 256):
+        diff = zbar[start:start + 256, None, :] - net[None, :, :]
+        out[start:start + 256] = net[np.argmin((diff * diff).sum(axis=2), axis=1)]
+    return out
+
+
 def count_statistic_per_sample(learner, counts: np.ndarray, m: int,
                                stat=lambda w, sums: w) -> np.ndarray:
-    """``learners.count_statistic`` with every count learner, factorized ones
-    too, fit on each sample's (n, d) plus-counts, and ``stat`` evaluated on
-    the (n, d) outputs and sign sums; by default the outputs."""
-    return stat(learner.fit_counts(counts, m), 2.0 * counts - m)
+    """``learners.count_statistic`` with every count learner fit on each
+    sample's (n, d) plus-counts (``fit_counts_per_sample``), and ``stat``
+    evaluated on the (n, d) outputs and sign sums; by default the outputs."""
+    return stat(fit_counts_per_sample(learner, counts, m), 2.0 * counts - m)
 
 
 def sign_space_probs_elementwise(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
@@ -793,7 +829,8 @@ def factorized_mi_patterns(learner, inst: HardInstance, m: int) -> float:
     patterns, not once per plus-count c."""
     learner, m = reduce_subsample(learner, m)
     counts = lattice_codes(m, 1)
-    levels = learner.fit_counts(np.repeat(np.arange(m + 1)[:, None], inst.d, axis=1), m)
+    levels = fit_counts_per_sample(
+        learner, np.repeat(np.arange(m + 1)[:, None], inst.d, axis=1), m)
     atom = np.unique(levels[:, 0], return_inverse=True)[1][counts]
     return max(0.0, float(sum(
         entropy_of(np.bincount(atom, q ** counts * (1.0 - q) ** (m - counts)))

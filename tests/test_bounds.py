@@ -316,11 +316,12 @@ class TestAttackStatistics:
 @dataclass(frozen=True)
 class FirstCoordinateSignLearner:
     """Test helper: reacts to coordinate 0, ignores every other coordinate.
-    It fits plus booleans through ``fit_batch``, as SGD does."""
+    Its coordinates are not one function of their levels, so it has neither
+    ``levels`` nor ``finish`` and builds no exact channel; the Monte Carlo
+    estimators fit its plus booleans through ``fit_batch``, as SGD's."""
 
     kind = "first_coordinate_sign"
     deterministic = True
-    factorized = False
     reads_counts = False
 
     def fit_batch(self, plus):
@@ -616,17 +617,18 @@ class TestLevelTable:
             assert got == _estimator_bytes(*args)
 
     def test_table_route_is_taken(self, monkeypatch):
-        # the mean learner is fit on its m + 1 levels only, once per chunk
-        rows, real = [], MeanLearner.fit_counts
+        # the mean learner's m + 1 levels are built once per chunk, at the
+        # sample's d
+        calls, real = [], MeanLearner.levels
 
-        def spy(self, counts, m):
-            rows.append(counts.shape)
-            return real(self, counts, m)
+        def spy(self, m, d):
+            calls.append((m, d))
+            return real(m, d)
 
-        monkeypatch.setattr(MeanLearner, "fit_counts", spy)
+        monkeypatch.setattr(MeanLearner, "levels", spy)
         pilot_normalizers(HardInstance(3, np.array([0.1, 0.0, -0.2])), MeanLearner(), 5,
                           2 * bounds.mc.CHUNK + 1, 0)
-        assert rows == [(6, 3)] * 3
+        assert calls == [(5, 3)] * 3
 
 
 class TestCertificate:

@@ -29,8 +29,9 @@ from mi_sco_lab.learners import (
     RegularizedErm,
     SgdLearner,
     SubsampleLearner,
-    count_mean,
+    code_radix,
     count_probs,
+    count_statistic,
     epsilon_net,
     exact_channel,
     exact_mutual_information,
@@ -38,7 +39,6 @@ from mi_sco_lab.learners import (
     grid_step,
     lattice_codes,
     lattice_counts,
-    lattice_radix,
     make_learner,
     output_atoms,
     product_grid,
@@ -53,6 +53,7 @@ import oracles
 from oracles import (
     Sample,
     codebook_signs,
+    count_mean,
     count_probs_per_coordinate,
     count_statistic_per_sample,
     empirical_risk,
@@ -62,6 +63,7 @@ from oracles import (
     factorized_mi_broadcast,
     factorized_mi_patterns,
     first_pattern_order,
+    fit_counts_per_sample,
     fit_signs,
     full_chain_rule,
     full_channel,
@@ -219,11 +221,12 @@ class TestPerCoordinateMi:
         assert factorized_mi_broadcast(QuantizedMeanLearner(delta=1.0), inst, 12) < 0
         assert exact_mutual_information(QuantizedMeanLearner(delta=1.0), inst.d, 12)(inst) == 0.0
 
-    def test_factorized_learners_read_counts(self):
-        menu = all_learners(4) + [RandomizedResponse(base=MeanLearner(), rho=0.5),
-                                  SubsampleLearner(k=2, base=QuantizedMeanLearner())]
-        assert {l.kind for l in menu if l.factorized} == {"mean", "quantized_mean"}
-        assert all(l.reads_counts for l in menu if l.factorized)
+    def test_learners_without_a_row_map_read_counts(self):
+        # the per-coordinate MI indexes the levels by plus-count
+        menu = all_learners(4) + [SubsampleLearner(k=2, base=QuantizedMeanLearner())]
+        bases = [l for l in menu if hasattr(l, "levels")]
+        assert {l.kind for l in bases if l.finish is None} == {"mean", "quantized_mean"}
+        assert all(l.reads_counts for l in bases if l.finish is None)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_peak_memory_in_a_fresh_process(self):
@@ -255,7 +258,7 @@ class TestSubsampleRule:
                 sub = SubsampleLearner(k=k, base=base)
                 mi = exact_mutual_information(sub, inst.d, m)(inst)
                 assert mi == exact_mutual_information(base, inst.d, k)(inst)
-                oracle = (factorized_mi_broadcast(sub, inst, m) if base.factorized
+                oracle = (factorized_mi_broadcast(sub, inst, m) if base.finish is None
                           else exact_channel(sub, inst, m).mutual_information())
                 assert abs(mi - oracle) <= 1e-12, (d, m, k)
 
@@ -341,10 +344,9 @@ class TestEpsilonNetBlocks:
         rng = np.random.default_rng(21)
         for d, m in ((1, 4), (2, 9), (3, 16)):
             n = 3 * (NET_BLOCK_CELLS // epsilon_net(d, m).size) + 7
-            counts = rng.integers(0, m + 1, size=(n, d))
-            got = EpsilonNetErm().fit_counts(counts, m)
-            np.testing.assert_array_equal(
-                got, _nearest_one_shot(epsilon_net(d, m), count_mean(counts, m)))
+            zbar = count_mean(rng.integers(0, m + 1, size=(n, d)), m)
+            got = EpsilonNetErm().finish(zbar, m)
+            np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(d, m), zbar))
 
     def test_blocked_matches_one_shot_on_ties(self):
         # plus-counts 3, 1, 2 of 4 give means +-0.5 and 0; +-0.5 sit halfway
@@ -352,22 +354,22 @@ class TestEpsilonNetBlocks:
         counts = np.tile([[3], [1], [2]], (NET_BLOCK_CELLS // epsilon_net(1, 4).size, 1))
         zbar = count_mean(counts, 4)
         np.testing.assert_array_equal(zbar[:3, 0], [0.5, -0.5, 0.0])
-        got = EpsilonNetErm().fit_counts(counts, 4)
+        got = EpsilonNetErm().finish(zbar, 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(1, 4), zbar))
         np.testing.assert_array_equal(got[:3, 0], [0.0, -1.0, 0.0])
         # every reachable mean at d=2, m=4, with its exact lattice ties
         signs = enumerate_sign_space_shift_mask(4, 2)
         zbar = signs.mean(axis=1, dtype=float) / math.sqrt(2)
-        got = EpsilonNetErm().fit_counts(plus_counts(signs), 4)
+        got = EpsilonNetErm().finish(count_mean(plus_counts(signs), 4), 4)
         np.testing.assert_array_equal(got, _nearest_one_shot(epsilon_net(2, 4), zbar))
 
     def test_peak_memory_bounded(self):
         n, d, m = 1 << 17, 2, 16
-        counts = np.random.default_rng(22).integers(0, m + 1, size=(n, d))
+        zbar = count_mean(np.random.default_rng(22).integers(0, m + 1, size=(n, d)), m)
         one_temporary = n * epsilon_net(d, m).shape[0] * d * 8
         tracemalloc.start()
         try:
-            EpsilonNetErm().fit_counts(counts, m)
+            EpsilonNetErm().finish(zbar, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1041,7 +1043,7 @@ class TestLatticeRoute:
         _, _, scale, radix = learners.output_atoms(learner, 5, 4)
         if learner.reads_counts:
             assert scale.tolist() == [1] * 5
-            assert radix.tobytes() == lattice_radix(5, 4).tobytes()
+            assert radix.tobytes() == code_radix(6, 4).tobytes()
         elif isinstance(learner, SgdLearner):
             # flat cell c = i d + t weighs 2^(i + 5 (3 - t)): bit i of the
             # column code of coordinate t, coordinate 0 most significant
@@ -1050,7 +1052,7 @@ class TestLatticeRoute:
         else:
             # the base's lattice code at k = 2; the other points weigh 0
             assert scale.tolist() == [1, 1, 0, 0, 0]
-            assert radix.tobytes() == lattice_radix(2, 4).tobytes()
+            assert radix.tobytes() == code_radix(3, 4).tobytes()
         assert calls == []
         exact_channel(learner, HardInstance.zero(2), 3)
         lattice = ([1, 1, 1], [4, 1])
@@ -1085,7 +1087,8 @@ class TestLatticeRoute:
         for d, m in ((4, 8), (3, 20), (2, 31), (1, 62)):
             codebook, atom = learners.output_atoms(learner, m, d)[:2]
             order = first_pattern_order(m, d)
-            want, inverse = unique_rows(learner.fit_counts(lattice_counts(m, d)[order], m))
+            want, inverse = unique_rows(
+                fit_counts_per_sample(learner, lattice_counts(m, d)[order], m))
             assert codebook.tobytes() == want.tobytes(), (d, m)
             assert atom.tobytes() == inverse[np.argsort(order)].tobytes(), (d, m)
 
@@ -1196,7 +1199,7 @@ class TestPrefixRoutes:
             rows.append(w.shape[0])
             return real(w)
 
-        levels = np.unique(SgdLearner().column_levels(m, d)).shape[0]
+        levels = np.unique(SgdLearner().levels(m, d)).shape[0]
         monkeypatch.setattr(learners, "_project_rows", spy)
         exact_channel(SgdLearner(), HardInstance.zero(d), m)
         assert rows == [levels ** d]
@@ -1217,13 +1220,13 @@ class TestPrefixRoutes:
         # a subsample's atoms are its base's at k, so no 2^(d m) array is
         # built before exact_channel's code build checks the budget: the one
         # column pass is its base's at k
-        calls, real = [], SgdLearner.column_levels
+        calls, real = [], SgdLearner.levels
 
         def spy(self, m, d):
             calls.append((m, d))
             return real(self, m, d)
 
-        monkeypatch.setattr(SgdLearner, "column_levels", spy)
+        monkeypatch.setattr(SgdLearner, "levels", spy)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match="2\\^25 sign patterns"):
@@ -1353,7 +1356,7 @@ class TestColumnRoute:
         column_code = (plus * (1 << np.arange(m))[:, None]).sum(axis=1)  # (n, d)
         for delta in (None, 0.05, 0.3):
             learner = SgdLearner(delta=delta)
-            want = learners._project_rows(learner.column_levels(m, d)[column_code])
+            want = learners._project_rows(learner.levels(m, d)[column_code])
             assert fit(learner, plus).tobytes() == want.tobytes(), delta
 
     def test_column_pass_peak_memory(self):
@@ -1361,7 +1364,7 @@ class TestColumnRoute:
         # of place its temporaries take the peak to 5.0 times the output
         tracemalloc.start()
         try:
-            out = SgdLearner().column_levels(20, 1)
+            out = SgdLearner().levels(20, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1468,11 +1471,43 @@ FACTORIZED_DRAWN = st.one_of(st.just(MeanLearner()),
 LATTICE_CAP = 1 << 14  # lattice points per drawn output_atoms case
 
 
+@st.composite
+def _count_learners(draw, d, m):
+    """The quantized mean and RERM, and the mean or the net ERM, at (d, m):
+    lam in [0, 3], and delta None, any step, or a step that puts a
+    reachable mean, or its shrunk value, on a rounding tie (2|zbar|,
+    2|zbar|/(1 + lam), 2/m, 4/m)."""
+    zbar = abs(2 * draw(st.integers(0, m)) - m) / m / math.sqrt(d)
+    lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))
+    ties = [2 / m, 4 / m] + ([2 * zbar, 2 * zbar / (1 + lam)] if zbar else [])
+    delta = draw(st.none() | st.sampled_from(ties) | st.floats(1e-3, 1.0))
+    return [QuantizedMeanLearner(delta), RegularizedErm(lam, delta),
+            draw(st.sampled_from([MeanLearner(), EpsilonNetErm()]))]
+
+
 class TestOneCountRoute:
-    """A factorized learner's outputs, read from its level table by
-    ``count_statistic``, against a fit on every sample's own counts, and the
-    (m+1, d) probability table against the forms it replaced, all bytewise
+    """A count learner's outputs, gathered from its levels by
+    ``count_statistic`` and its atoms from their tuples, against a fit on
+    every sample's own counts (``fit_counts_per_sample``), and the (m+1, d)
+    probability table against the forms it replaced, all bytewise
     (``tobytes()``, so -0.0 and 0.0 differ)."""
+
+    @given(d=st.integers(1, 4), m=st.integers(1, 10), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_count_learner_matches_the_per_sample_oracle(self, d, m, data):
+        counts = lattice_counts(m, d)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        plus = rng.random((50, m, d)) < rng.random(d)
+        for learner in data.draw(_count_learners(d, m)):
+            want = fit_counts_per_sample(learner, counts, m)
+            assert count_statistic(learner, counts, m).tobytes() == want.tobytes()
+            # the atoms of every lattice code, against the distinct lattice outputs
+            codebook, atom = output_atoms(learner, m, d)[:2]
+            want_codebook, want_atom = unique_rows(want)
+            assert codebook.tobytes() == want_codebook.tobytes()
+            assert atom.tobytes() == want_atom.tobytes()
+            assert fit(learner, plus).tobytes() == \
+                fit_counts_per_sample(learner, counts_of_plus(plus), m).tobytes()
 
     @given(learner=FACTORIZED_DRAWN, d=st.integers(1, 6), m=st.integers(1, 40),
            n=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))

@@ -29,13 +29,12 @@ from mi_sco_lab.learners import (
     QuantizedMeanLearner,
     RandomizedResponse,
     SgdLearner,
-    count_mean,
     exact_channel,
     fit,
     grid_step,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
-from oracles import fit_signs, pilot_normalizers_signs, signs_of_plus
+from oracles import count_mean, fit_signs, pilot_normalizers_signs, signs_of_plus
 from test_acceptance import quantized_mean_ties_and_chain_rule
 
 

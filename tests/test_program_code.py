@@ -106,26 +106,37 @@ def _learner_classes(tree):
                     for item in node.body)]
 
 
-def test_count_learners_fit_through_fit_counts():
-    """Every ``reads_counts = True`` learner class defines ``fit_counts`` and
-    no ``fit_batch``, and its ``fit_counts`` calls no other fit: a count
-    learner has one computation, and ``learners.fit`` hands it the
-    plus-counts. SGD is the one class with ``fit_batch``; the two wrappers
-    define neither method."""
-    tree = ast.parse((SRC / "learners.py").read_text())
-    methods = {node.name: {item.name: item for item in node.body if isinstance(item, FUNCS)}
-               for node in _learner_classes(tree)}
-    count_classes = {name for name in methods if getattr(learners, name).reads_counts}
-    assert count_classes == {
-        "MeanLearner", "QuantizedMeanLearner", "EpsilonNetErm", "RegularizedErm"}
-    for name in count_classes:
-        assert "fit_counts" in methods[name] and "fit_batch" not in methods[name], name
-        calls = [n for n in ast.walk(methods[name]["fit_counts"]) if isinstance(n, ast.Call)]
-        assert not any(isinstance(n.func, (ast.Attribute, ast.Name)) and getattr(
-            n.func, "attr", getattr(n.func, "id", "")).startswith("fit") for n in calls), name
-    assert {name for name in methods if "fit_batch" in methods[name]} == {"SgdLearner"}
-    assert {name for name in methods if not {"fit_batch", "fit_counts"} & set(methods[name])} \
-        == {"SubsampleLearner", "RandomizedResponse"}
+def test_one_learner_protocol():
+    """The learner protocol of the ``learners`` docstring. Every learner class
+    (a class that sets ``deterministic``) sets ``reads_counts`` to a bool in
+    its own body, and every base learner (all but the two wrappers) defines
+    one coordinate's ``levels`` and its row map ``finish``, a method or
+    None. SGD alone defines ``fit_batch``; no class defines ``fit_counts``
+    or ``column_levels``, and ``src/`` never names ``factorized`` or
+    ``count_levels``. Every base learner's exact atoms come from one route:
+    ``output_atoms`` is the only caller of ``_column_atoms``."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = {node.name: vars(getattr(learners, node.name))
+               for node in _learner_classes(trees["learners.py"])}
+    assert set(classes) == ({cls.__name__ for cls in learners.LEARNER_KINDS.values()}
+                            | {"RandomizedResponse"})
+    assert all(isinstance(own.get("reads_counts"), bool) for own in classes.values())
+    for name in set(classes) - {"SubsampleLearner", "RandomizedResponse"}:
+        own = classes[name]
+        assert "levels" in own and "finish" in own, name
+        assert own["finish"] is None or callable(own["finish"]), name
+    assert {name for name, own in classes.items() if "fit_batch" in own} == {"SgdLearner"}
+    assert not [f"{node.name}.{item.name}" for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) for item in node.body
+                if isinstance(item, FUNCS) and item.name in ("fit_counts", "column_levels")]
+    named = [f"{path.name}:{n + 1}" for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines())
+             if re.search(r"\b(factorized|count_levels)\b", line)]
+    assert not named, f"src/ names the old learner flags: {named}"
+    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+             if _calls_named(top, "_column_atoms")}
+    assert sites == {("learners.py", "output_atoms")}
 
 
 def _defaulted_parameters(tree):
@@ -188,23 +199,6 @@ def test_every_default_is_set_by_some_call():
     assert not unset, f"defaults no program call sets; make them constants: {unset}"
 
 
-def test_every_learner_declares_reads_counts():
-    """Every learner class of ``learners`` (a class that sets ``deterministic``) sets
-    ``reads_counts`` in its own body to a bool, as it sets ``deterministic``:
-    no learner inherits or omits the route choice of exact channels."""
-    tree = ast.parse((SRC / "learners.py").read_text())
-    classes = _learner_classes(tree)
-    assert ({node.name for node in classes}
-            == {cls.__name__ for cls in learners.LEARNER_KINDS.values()} | {"RandomizedResponse"})
-    missing = [node.name for node in classes
-               if not any(isinstance(item, ast.Assign) and any(
-                   isinstance(t, ast.Name) and t.id == "reads_counts" for t in item.targets)
-                          for item in node.body)]
-    assert not missing, f"learner classes without reads_counts: {missing}"
-    for node in classes:
-        assert isinstance(getattr(learners, node.name).reads_counts, bool), node.name
-
-
 def test_no_add_at_in_src():
     """Every exact probability sum in ``src/`` is one ``np.bincount`` over
     labels and weights: no ``np.add.at`` scatter is left."""
@@ -216,15 +210,15 @@ def test_no_add_at_in_src():
 
 
 def _spy_sgd_exact_fits(monkeypatch):
-    """Record SGD's exact fits, its column passes
-    (``SgdLearner.column_levels``), each as ("column", m, d)."""
-    calls, real_column = [], learners.SgdLearner.column_levels
+    """Record SGD's exact fits, its column passes (``SgdLearner.levels``),
+    each as ("column", m, d)."""
+    calls, real_column = [], learners.SgdLearner.levels
 
     def column_spy(self, m, d):
         calls.append(("column", m, d))
         return real_column(self, m, d)
 
-    monkeypatch.setattr(learners.SgdLearner, "column_levels", column_spy)
+    monkeypatch.setattr(learners.SgdLearner, "levels", column_spy)
     return calls
 
 
@@ -282,35 +276,40 @@ def _spy_sign_routes(monkeypatch):
 def test_count_learners_take_no_sign_route(monkeypatch, learner):
     """For a count learner (and randomized response over one, in the CMI),
     ``cmi_exact`` and the Monte Carlo estimators never enumerate signs and
-    never reach ``fit_batch``: every output comes from ``fit_counts``. A
-    factorized learner's ``fit_counts`` sees at most its m+1 count levels
-    per call; any other's exact route fits no more rows than the (m+1)^d
-    lattice points."""
+    never reach ``fit_batch``: every output comes from its m+1 ``levels``,
+    built at the sample's (m, d), and a row map's exact route maps no more
+    rows than the (m+1)^d lattice points."""
     calls = _spy_sgd_exact_fits(monkeypatch)
-    batch, rows = [], []
-    real_batch, real_counts = learners.SgdLearner.fit_batch, type(learner).fit_counts
+    batch, levels, rows = [], [], []
+    real_batch, real_levels, real_finish = (learners.SgdLearner.fit_batch, learner.levels,
+                                            learner.finish)
 
     def batch_spy(self, plus):
         batch.append(plus.shape[0])
         return real_batch(self, plus)
 
-    def counts_spy(self, counts, m):
-        rows.append(counts.shape[0])
-        return real_counts(self, counts, m)
+    def levels_spy(self, m, d):
+        levels.append((m, d))
+        return real_levels(m, d)
+
+    def finish_spy(self, w, m):
+        rows.append(w.shape[0])
+        return real_finish(w, m)
 
     monkeypatch.setattr(learners.SgdLearner, "fit_batch", batch_spy)
-    monkeypatch.setattr(type(learner), "fit_counts", counts_spy)
+    monkeypatch.setattr(type(learner), "levels", levels_spy)
+    if real_finish is not None:
+        monkeypatch.setattr(type(learner), "finish", finish_spy)
     d, m = 2, 3
     inst = HardInstance(d, np.array([0.1, -0.2]))
     bounds.cmi_exact(learner, inst, m)
     bounds.cmi_exact(learners.RandomizedResponse(base=learner, rho=0.5), inst, m)
-    assert rows and all(n <= (m + 1) ** d for n in rows)
+    assert levels == [(m, d)] * 2 and all(n <= (m + 1) ** d for n in rows)
     bounds.good_coordinates(inst, learner, m, trials=500, seed=1, pilot_trials=300)
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
     bounds.second_moment_report(learner, d, m, 5, 4)
-    if learner.factorized:
-        assert set(rows) == {m + 1}
+    assert set(levels) == {(m, d)} and bool(rows) == (real_finish is not None)
     assert calls == [] and batch == []
 
 
@@ -371,12 +370,12 @@ def test_sign_route_only_in_learners():
     """No sign tensor is built in ``src/``: it never names
     ``enumerate_sign_space``, the oracle in ``tests/oracles.py``. SGD has
     one exact route: ``src/`` names neither the fit on all sign patterns,
-    ``fit_patterns``, nor the shell test, ``in_shell``, both oracles now, and
-    SGD's column pass, ``column_levels``, is called only by
-    ``learners.output_atoms``. ``bounds`` holds no sign-route code: it
-    names none of the sign route's helpers, calls no ``fit_batch``, and
-    calls ``fit`` only on sampled plus booleans: in ``_fit_sample`` and in
-    ``second_moment_report``'s blocks."""
+    ``fit_patterns``, nor the shell test, ``in_shell``, both oracles now;
+    SGD's column pass is its ``levels``, which ``_column_atoms`` reads
+    (``test_one_learner_protocol``). ``bounds`` holds no sign-route code:
+    it names none of the sign route's helpers nor a learner's ``levels``,
+    calls no ``fit_batch``, and calls ``fit`` only on sampled plus booleans:
+    in ``_fit_sample`` and in ``second_moment_report``'s blocks."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     named = [f"{name}:{node.lineno}" for name, tree in trees.items()
@@ -389,12 +388,9 @@ def test_sign_route_only_in_learners():
             if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
             in ("fit_patterns", "in_shell")]
     assert not gone, f"the program names a second exact SGD route: {gone}"
-    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
-             if _calls_named(top, "column_levels")}
-    assert sites == {("learners.py", "output_atoms")}
     bounds_tree = trees["bounds.py"]
     names = _names_used(bounds_tree)
-    assert not [name for name in ("fit_patterns", "column_levels", "_index_in_codebook",
+    assert not [name for name in ("fit_patterns", "levels", "_index_in_codebook",
                                   "take", "lattice_samples") if names[name]]
     assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
@@ -404,19 +400,23 @@ def test_sign_route_only_in_learners():
 
 def test_one_count_route():
     """A count learner's plus-counts turn into outputs in one place,
-    ``learners.count_statistic``: ``src/`` calls ``fit_counts`` only there and
-    in ``count_levels``, and ``bounds`` names neither ``fit_counts`` nor
-    ``factorized`` and defines no count route of its own. The pattern
-    probability q^c (1 - q)^(m - c) is written once, in
-    ``learners.count_probs``: no other power in ``learners`` has an exponent
-    m - c."""
+    ``learners.count_statistic``: outside the learner classes ``src/`` maps
+    rows of levels (``finish``) only there and in ``_column_atoms``, the
+    exact atoms, and reads ``levels`` only in those two and in
+    ``exact_mutual_information``; ``bounds`` names neither and defines no
+    count route of its own. The pattern probability q^c (1 - q)^(m - c) is
+    written once, in ``learners.count_probs``: no other power in
+    ``learners`` has an exponent m - c."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
-             if _calls_named(top, "fit_counts")}
-    assert sites == {("learners.py", "count_levels"), ("learners.py", "count_statistic")}
+    for method, callers in (("finish", {"_column_atoms", "count_statistic"}),
+                            ("levels", {"_column_atoms", "count_statistic",
+                                        "exact_mutual_information"})):
+        sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+                 if not isinstance(top, ast.ClassDef) and _calls_named(top, method)}
+        assert sites == {("learners.py", caller) for caller in callers}, method
     names = _names_used(trees["bounds.py"])
-    assert not names["fit_counts"] and not names["factorized"]
+    assert not names["finish"] and not names["levels"]
     defined = {name for name, _ in _definitions(trees["bounds.py"])}
     assert not defined & {"_count_statistic", "_fit_plus", "keep_outputs"}
     powers = [top.name for top in trees["learners.py"].body for node in ast.walk(top)
