@@ -10,7 +10,9 @@ randomized verifier suites.
 
 All verdicts are BoundReports: lhs >= rhs - tolerance, with the metadata
 needed to reproduce the run. The Monte Carlo estimators fit learners
-through ``_fit_sample``, a count learner through ``learners.count_statistic``.
+through ``_fit_sample``, a count learner through ``learners.count_statistic``;
+the good-coordinate search and its pilot keep the plus-counts of a learner
+whose outputs are its levels and reduce them with its ``level_table``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .learners import (
     keep_outputs,
     lattice_codes,
     lattice_counts,
+    level_table,
     output_atoms,
     reduce_subsample,
     sign_space_probs,
@@ -302,12 +305,20 @@ def _fit_sample(learner, p, m: int, rng, size: int, stat=keep_outputs) -> np.nda
 
 
 def _coordinate_trials(inst: HardInstance, learner, m: int, stat, trials: int, seed: int,
-                       stream: int) -> np.ndarray:
-    """(trials, d) values of ``_fit_sample``'s ``stat`` at the bias of ``inst``."""
+                       stream: int) -> tuple:
+    """``mc.mean_and_se``'s arguments for the (trials, d) values of
+    ``_fit_sample``'s ``stat`` at the bias of ``inst``: the (trials, d)
+    plus-counts and the ``level_table`` they read, one byte per value while
+    m <= 255, for a learner whose outputs are its levels; else the values
+    and None."""
+    table = level_table(learner, m, inst.d, stat)
+
     def chunk(rng, size):
+        if table is not None:
+            return sample_counts(inst.p, m, rng, size).reshape(size * inst.d)
         return _fit_sample(learner, inst.p, m, rng, size, stat).reshape(size * inst.d)
 
-    return mc.chunked_trials(chunk, trials, seed, stream).reshape(-1, inst.d)
+    return mc.chunked_trials(chunk, trials, seed, stream).reshape(-1, inst.d), table
 
 
 def pilot_normalizers(inst: HardInstance, learner, m: int,
@@ -319,8 +330,9 @@ def pilot_normalizers(inst: HardInstance, learner, m: int,
         err = root_d * w - inst.p
         return err * err
 
-    sq = _coordinate_trials(inst, learner, m, squared_error, trials, seed, PILOT_STREAM)
-    return np.sqrt(sq.mean(axis=0))
+    mean, _ = mc.mean_and_se(*_coordinate_trials(inst, learner, m, squared_error, trials,
+                                                 seed, PILOT_STREAM))
+    return np.sqrt(mean)
 
 
 @dataclass(frozen=True)
@@ -351,8 +363,8 @@ def good_coordinates(inst: HardInstance, learner, m: int,
         # sum of signs minus m * p(t)
         return pref * (root_d * w - inst.p) * (sums - m * inst.p)
 
-    values = _coordinate_trials(inst, learner, m, attack, trials, seed, GOOD_STREAM)
-    est, se = mc.mean_and_se(values)
+    est, se = mc.mean_and_se(*_coordinate_trials(inst, learner, m, attack, trials, seed,
+                                                 GOOD_STREAM))
     members = tuple(int(t) for t in range(inst.d)
                     if t not in excluded and est[t] - 3.0 * se[t] >= GOOD_THRESHOLD)
     return GoodSetResult(members=members, estimates=est, std_errors=se,

@@ -6,7 +6,8 @@ does not read (each ``EXPERIMENTS`` entry lists the keys it reads). README.md
 states the keys, their values and every limit ``load_config`` enforces.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
-file it wrote. Exit codes: 0 ok, 1 config or budget error, 2 when --verify
+file it wrote, the Monte Carlo worker count and the Python and numpy
+versions. Exit codes: 0 ok, 1 config or budget error, 2 when --verify
 sees a failed report.
 """
 
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,7 +178,9 @@ def load_config(path) -> ExperimentConfig:
     trials = _parse_int(run.get("trials", "100000"), "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    # fingerprint keeps trials values per estimator, theorem1 trials * d
+    # fingerprint keeps trials values per estimator, theorem1 trials * d, at
+    # most 8 bytes each: theorem1's search keeps one-byte plus-counts for a
+    # learner with no row map while m <= 255, so there the rule is an upper bound
     kept = 8 * trials * (d if name == "theorem1" else 1)
     if kept > MC_KEPT_BYTES:
         raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
@@ -533,6 +537,9 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "master_seed": cfg.master_seed if "master_seed" in reads else None,
         "wall_clock_seconds": round(time.monotonic() - start, 3),
+        "threads": mc.worker_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
     }
     (outdir.path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -568,6 +568,19 @@ def keep_outputs(w: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return w
 
 
+def level_table(learner, m: int, d: int, stat=keep_outputs) -> np.ndarray | None:
+    """The (m+1, d) table of ``stat(w, sums)``, as ``count_statistic``
+    defines it, of a ``reads_counts`` learner with no row map: entry (c, t)
+    is its statistic in coordinate t at plus-count C_t = c, so a sample's
+    row reads entry (C_t, t). ``stat`` runs once, on the (m+1, 1) levels and
+    sign sums 2c - m, broadcast against any (d,) operand. None for any other
+    learner, whose outputs are not one coordinate's levels."""
+    if not learner.reads_counts or learner.finish is not None:
+        return None
+    table = stat(learner.levels(m, d)[:, None], 2.0 * np.arange(m + 1)[:, None] - m)
+    return np.broadcast_to(table, (m + 1, d))
+
+
 def count_statistic(learner, counts: np.ndarray, m: int, stat=keep_outputs) -> np.ndarray:
     """``stat(w, sums)`` of a ``reads_counts`` learner at (n, d) plus-counts
     C out of m, w its outputs and sums the float sign sums 2 C - m: the one
@@ -577,16 +590,15 @@ def count_statistic(learner, counts: np.ndarray, m: int, stat=keep_outputs) -> n
 
     Each sample's row reads level C_t in coordinate t: the same IEEE
     operations, in the same order, on the same operands as a fit on its own
-    counts, so no byte moves. With no row map, output coordinate t is that
-    level, so ``stat`` runs once on the (m+1, 1) levels, broadcast against
-    any (d,) operand, and each sample reads entry (C_t, t) of that table;
-    otherwise ``finish`` maps the gathered rows (``RegularizedErm`` projects
-    whole rows, ``EpsilonNetErm`` picks the nearest net point)."""
+    counts, so no byte moves. With no row map each sample reads its entries
+    of the ``level_table``; otherwise ``finish`` maps the gathered rows
+    (``RegularizedErm`` projects whole rows, ``EpsilonNetErm`` picks the
+    nearest net point)."""
+    table = level_table(learner, m, counts.shape[1], stat)
+    if table is not None:
+        return np.take_along_axis(table, counts, axis=0)
     levels = learner.levels(m, counts.shape[1])
-    if learner.finish is not None:
-        return stat(learner.finish(levels[counts], m), 2.0 * counts - m)
-    table = stat(levels[:, None], 2.0 * np.arange(m + 1)[:, None] - m)
-    return np.take_along_axis(table, counts, axis=0)
+    return stat(learner.finish(levels[counts], m), 2.0 * counts - m)
 
 
 def exact_mutual_information(learner, d: int, m: int):

@@ -75,6 +75,7 @@ from oracles import (
     good_coordinates_signs,
     measured_excess_risk_signs,
     northwest_coupling,
+    pilot_normalizers_signs,
     plus_counts,
     sample_signs,
     second_moment_report_loop,
@@ -560,6 +561,25 @@ class TestCountRoute:
             second_moment_report_signs(learner, 3, 4, 50, 6)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("d, m", [(1, 4), (2, 300), (3, 5)])
+    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner()],
+                             ids=lambda l: l.kind)
+    def test_level_table_search_matches_sign_route(self, monkeypatch, threads, d, m, learner):
+        # the good set and its pilot reduced from plus-counts and the level
+        # table: one column whole (d = 1), int64 counts (m > 255), and two
+        # blocks and one row of the reduction over two Monte Carlo chunks
+        monkeypatch.setenv("MI_SCO_THREADS", threads)
+        inst = HardInstance(d, np.array([0.15, -0.3, 0.0])[:d])
+        trials = 2 * bounds.mc.GATHER_ROWS + 1 if m > 255 else bounds.mc.CHUNK + 3
+        args = (inst, learner, m, trials, 9, bounds.mc.GATHER_ROWS + 2)
+        got, want = good_coordinates(*args), good_coordinates_signs(*args)
+        assert (got.members, got.excluded) == (want.members, want.excluded)
+        for field in ("estimates", "std_errors", "normalizers"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert pilot_normalizers(*args[:4], 9).tobytes() == \
+            pilot_normalizers_signs(*args[:4], 9).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_randomized_risk_matches_sign_route(self, monkeypatch, threads):
         monkeypatch.setenv("MI_SCO_THREADS", threads)
         learner = RandomizedResponse(base=QuantizedMeanLearner(), rho=0.5)
@@ -614,11 +634,13 @@ class TestLevelTable:
             got = _estimator_bytes(*args)
             for module in (learners, bounds):
                 patch.setattr(module, "count_statistic", count_statistic_per_sample)
+            # no level table: the good set and its pilot fit every sample
+            patch.setattr(bounds, "level_table", lambda *_: None)
             assert got == _estimator_bytes(*args)
 
     def test_table_route_is_taken(self, monkeypatch):
-        # the mean learner's m + 1 levels are built once per chunk, at the
-        # sample's d
+        # the mean learner's m + 1 levels are built once per estimator
+        # call, at the sample's d, not once per chunk
         calls, real = [], MeanLearner.levels
 
         def spy(self, m, d):
@@ -628,7 +650,7 @@ class TestLevelTable:
         monkeypatch.setattr(MeanLearner, "levels", spy)
         pilot_normalizers(HardInstance(3, np.array([0.1, 0.0, -0.2])), MeanLearner(), 5,
                           2 * bounds.mc.CHUNK + 1, 0)
-        assert calls == [(5, 3)] * 3
+        assert calls == [(5, 3)]
 
 
 class TestCertificate:
@@ -764,7 +786,9 @@ class TestBlockedSecondMoment:
 
 class TestMonteCarloMemory:
     """Each Monte Carlo value is held once: at one worker, the tracemalloc
-    peak of a run stays below 1.5 times its value array."""
+    peak of a run stays below 1.5 times its array of 8-byte values; a
+    good-coordinate search whose outputs are the levels keeps one-byte
+    plus-counts, below 0.25 times."""
 
     @staticmethod
     def peak_bytes(fn) -> int:
@@ -777,10 +801,19 @@ class TestMonteCarloMemory:
             tracemalloc.stop()
 
     def test_good_coordinates(self, monkeypatch):
-        # 500,000 trials of d = 8 values: 30.5 MiB
+        # 500,000 trials of d = 8 values: 30.5 MiB as floats, 3.8 MiB as
+        # plus-counts
         monkeypatch.setenv("MI_SCO_THREADS", "1")
         inst = HardInstance(8, np.linspace(-0.3, 0.3, 8))
         peak = self.peak_bytes(lambda: good_coordinates(inst, QuantizedMeanLearner(), 8,
+                                                        trials=500_000, seed=1))
+        assert peak < 0.25 * 500_000 * 8 * 8
+
+    def test_good_coordinates_with_a_row_map(self, monkeypatch):
+        # a learner with a row map keeps its 30.5 MiB of float values
+        monkeypatch.setenv("MI_SCO_THREADS", "1")
+        inst = HardInstance(8, np.linspace(-0.3, 0.3, 8))
+        peak = self.peak_bytes(lambda: good_coordinates(inst, RegularizedErm(lam=0.5), 8,
                                                         trials=500_000, seed=1))
         assert peak < 1.5 * 500_000 * 8 * 8
 

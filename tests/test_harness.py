@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,17 @@ class TestSchemas:
         manifest = json.loads((out / "manifest.json").read_text())
         names = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert set(manifest["files"]) == names
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        # outside the checksummed files: the worker count, Python and numpy
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        path, out = write_config(tmp_path)
+        assert run(path) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == 1
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert "manifest.json" not in manifest["files"]
 
     def test_manifest_skips_stale_files(self, tmp_path):
         path, out = write_config(tmp_path, name="fingerprint", trials=1000)

@@ -73,6 +73,24 @@ class TestMeanAndSe:
         assert np.asarray(got_mean).tobytes() == mean.tobytes()
         assert np.asarray(got_se).tobytes() == se.tobytes()
 
+    @given(blocks=st.integers(0, 3), edge=st.integers(-2, 2), d=st.integers(1, 12),
+           levels=st.integers(1, 300), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_and_table_match_the_gathered_values(self, blocks, edge, d, levels, wide,
+                                                        seed):
+        # n runs from 1 to three blocks and one row, near the block edges;
+        # uint8 counts below 256 levels, int64 counts (as beyond m = 255)
+        n = max(1, blocks * mc.GATHER_ROWS + edge)
+        rng = np.random.default_rng(seed)
+        dtype = np.int64 if wide or levels > 256 else np.uint8
+        counts = rng.integers(0, levels, size=(n, d)).astype(dtype)
+        # a large offset against a small spread, where the SE cancels most
+        table = rng.uniform(-1e3, 1e3) + rng.standard_normal((levels, d)) * rng.uniform(1e-6, 10)
+        want_mean, want_se = mc.mean_and_se(np.take_along_axis(table, counts, axis=0))
+        got_mean, got_se = mc.mean_and_se(counts, table)
+        assert got_mean.tobytes() == want_mean.tobytes()
+        assert got_se.tobytes() == want_se.tobytes()
+
 
 class TestWorkerCount:
     def test_capped_at_the_usable_cpus(self, monkeypatch):

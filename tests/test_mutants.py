@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import mi_sco_lab
-from mi_sco_lab import bounds, learners
+from mi_sco_lab import bounds, learners, mc
 from mi_sco_lab.learners import (
     Channel,
     MeanLearner,
@@ -34,7 +34,7 @@ from mi_sco_lab.learners import (
     grid_step,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
-from oracles import count_mean, fit_signs, pilot_normalizers_signs, signs_of_plus
+from oracles import count_mean, fit_signs, good_coordinates_signs, signs_of_plus
 from test_acceptance import quantized_mean_ties_and_chain_rule
 
 
@@ -136,11 +136,24 @@ def _sgd_ties_keep_the_in_loop_projection():
 
 
 def _level_table_matches_the_sign_route():
-    # the mean learner's pilot, its squared errors read from its level table,
-    # against a fit on every sampled sign tensor; a flipped count negates the
-    # output, which the nonzero biases see
-    args = (HardInstance(2, np.array([0.2, -0.1])), MeanLearner(), 3, 100, 1)
-    assert bounds.pilot_normalizers(*args).tobytes() == pilot_normalizers_signs(*args).tobytes()
+    # the mean learner's outputs, read from its level table, against a fit on
+    # every sampled sign tensor; at odd m a flipped count never reads its own
+    # level
+    plus = sample_plus(np.array([0.2, -0.1]), 3, np.random.default_rng(1), 100)
+    assert fit(MeanLearner(), plus).tobytes() == \
+        fit_signs(MeanLearner(), signs_of_plus(plus)).tobytes()
+
+
+def _good_set_matches_the_sign_route():
+    # the mean learner's good-coordinate search over two blocks and one row
+    # of the counts-plus-table reduction, against a fit on every sampled sign
+    # tensor; a flipped count reads the attack at the opposite sign sum,
+    # which the nonzero biases see, and a dropped carry loses a block's sum
+    args = (HardInstance(2, np.array([0.2, -0.1])), MeanLearner(), 3,
+            2 * mc.GATHER_ROWS + 1, 1, 100)
+    got, want = bounds.good_coordinates(*args), good_coordinates_signs(*args)
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert got.std_errors.tobytes() == want.std_errors.tobytes()
 
 
 MUTANTS = {
@@ -183,6 +196,15 @@ MUTANTS = {
         (("np.take_along_axis(table, counts, axis=0)",
           "np.take_along_axis(table, m - counts, axis=0)"),),
         _level_table_matches_the_sign_route),
+    "flipped count in the reduction's gather": Mutant(
+        mc, "_column_sums",
+        (("np.multiply(counts[start:start + k], d,",
+          "np.multiply(table.shape[0] - 1 - counts[start:start + k], d,"),),
+        _good_set_matches_the_sign_route),
+    "block accumulator not carried": Mutant(
+        mc, "_column_sums",
+        (("block[0] = sums", "block[0] = 0.0"),),
+        _good_set_matches_the_sign_route),
 }
 
 

@@ -374,8 +374,9 @@ def test_sign_route_only_in_learners():
     SGD's column pass is its ``levels``, which ``_column_atoms`` reads
     (``test_one_learner_protocol``). ``bounds`` holds no sign-route code:
     it names none of the sign route's helpers nor a learner's ``levels``,
-    calls no ``fit_batch``, and calls ``fit`` only on sampled plus booleans:
-    in ``_fit_sample`` and in ``second_moment_report``'s blocks."""
+    calls no ``fit_batch``, calls ``fit`` only on sampled plus booleans: in
+    ``_fit_sample`` and in ``second_moment_report``'s blocks, and reads a
+    ``level_table`` only in ``_coordinate_trials``, at sampled plus-counts."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     named = [f"{name}:{node.lineno}" for name, tree in trees.items()
@@ -396,25 +397,34 @@ def test_sign_route_only_in_learners():
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
                and any(_calls_named(stmt, "fit") for stmt in func.body)]
     assert fitters == ["_fit_sample", "second_moment_report"]
+    tables = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
+              and any(_calls_named(stmt, "level_table") for stmt in func.body)]
+    assert tables == ["_coordinate_trials"]
 
 
 def test_one_count_route():
     """A count learner's plus-counts turn into outputs in one place,
     ``learners.count_statistic``: outside the learner classes ``src/`` maps
     rows of levels (``finish``) only there and in ``_column_atoms``, the
-    exact atoms, and reads ``levels`` only in those two and in
-    ``exact_mutual_information``; ``bounds`` names neither and defines no
-    count route of its own. The pattern probability q^c (1 - q)^(m - c) is
-    written once, in ``learners.count_probs``: no other power in
-    ``learners`` has an exponent m - c."""
+    exact atoms, and reads ``levels`` only in those two, in
+    ``level_table`` and in ``exact_mutual_information``; ``bounds`` names
+    neither and defines no count route of its own. The (m+1, d) level table
+    is written once, in ``learners.level_table``, which only
+    ``count_statistic`` and ``bounds._coordinate_trials`` call. The pattern
+    probability q^c (1 - q)^(m - c) is written once, in
+    ``learners.count_probs``: no other power in ``learners`` has an exponent
+    m - c."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     for method, callers in (("finish", {"_column_atoms", "count_statistic"}),
-                            ("levels", {"_column_atoms", "count_statistic",
+                            ("levels", {"_column_atoms", "count_statistic", "level_table",
                                         "exact_mutual_information"})):
         sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
                  if not isinstance(top, ast.ClassDef) and _calls_named(top, method)}
         assert sites == {("learners.py", caller) for caller in callers}, method
+    sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
+             if _calls_named(top, "level_table")}
+    assert sites == {("learners.py", "count_statistic"), ("bounds.py", "_coordinate_trials")}
     names = _names_used(trees["bounds.py"])
     assert not names["finish"] and not names["levels"]
     defined = {name for name, _ in _definitions(trees["bounds.py"])}
