@@ -9,10 +9,12 @@ process, the end-to-end certificate chaining all of the above, and the
 randomized verifier suites.
 
 All verdicts are BoundReports: lhs >= rhs - tolerance, with the metadata
-needed to reproduce the run. The Monte Carlo estimators fit learners
+needed to reproduce the run. The Monte Carlo estimators fit learners only
 through ``_fit_sample``, a count learner through ``learners.count_statistic``;
 the good-coordinate search and its pilot keep the plus-counts of a learner
-whose outputs are its levels and reduce them with its ``level_table``.
+whose outputs are its levels and reduce them with its ``level_table``, and
+the second-moment report, which takes only such a learner, reads that
+table at its coordinate's plus-counts.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ MAX_ALPHABET = 16  # largest alphabet of the random pmf pairs
 MAX_SUPPORT = 8  # largest marginal support of the random correlated joints
 SECOND_MOMENT_INNER = 64  # samples per inner batch of second_moment_report
 RISK_CHUNK = 1 << 12  # trials per Monte Carlo chunk of the risk and genbound estimators
-SECOND_MOMENT_BLOCK = 1 << 12  # samples per fit of second_moment_report (4x: +3 MB peak RSS)
+SECOND_MOMENT_BLOCK = 1 << 12  # samples per block of second_moment_report (4x: +3 MB peak RSS)
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes over the bias
 
 
@@ -799,17 +801,20 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
     inner batches of SECOND_MOMENT_INNER samples so the squared inner mean is
     estimated without bias.
 
-    Each outer iteration draws p, then t, then the two batches' uniforms; the
-    draws of up to SECOND_MOMENT_BLOCK samples are fit as one block (a count
-    learner from the block's plus-counts, which also give the sign sums), and
-    each batch's means run along its own contiguous row. A randomized learner
-    would draw between the uniforms, so it is refused."""
-    if not learner.deterministic:
-        raise ValueError("second_moment_report needs a deterministic learner")
+    The learner's outputs must be its levels (the mean, the quantized mean):
+    any learner with no ``level_table`` is refused. Each outer iteration
+    draws p, then t, then the two batches' uniforms, in blocks of up to
+    SECOND_MOMENT_BLOCK samples. Only coordinate t's uniforms are compared,
+    and their plus-counts give the outputs, entry (C_t, t) of the level
+    table, and the sign sums 2 C_t - m; each batch's means run along its own
+    contiguous row."""
+    table = level_table(learner, m, d)
+    if table is None:
+        raise ValueError("second_moment_report needs a learner whose outputs are its levels")
     root_d = math.sqrt(d)
     rng = mc.substream(seed, 106)
     pair = 2 * SECOND_MOMENT_INNER  # samples per outer iteration
-    block = max(1, SECOND_MOMENT_BLOCK // pair)  # outer iterations per fit
+    block = max(1, SECOND_MOMENT_BLOCK // pair)  # outer iterations per block
     prods = np.empty(outer)
     errs = np.empty(outer)
     for start in range(0, outer, block):
@@ -821,16 +826,13 @@ def second_moment_report(learner, d: int, m: int, outer: int = 4000,
             p[i] = rng.uniform(-P_MAX, P_MAX, size=d)
             t[i] = rng.integers(d)
             rng.random(out=u[i])
-        # one bias per outer iteration, over its 2 * SECOND_MOMENT_INNER * m points
-        plus = plus_points(p, u.reshape(n, pair * m, d)).reshape(n * pair, m, d)
-        counts = counts_of_plus(plus)
-        w = count_statistic(learner, counts, m) if learner.reads_counts else fit(learner, plus)
-        sums = 2.0 * counts - m
         rows = np.arange(n)
         p_t = p[rows, t][:, None, None]
-        shape = (n, 2, SECOND_MOMENT_INNER)
-        phat_err = root_d * w.reshape(n, pair, d)[rows, :, t].reshape(shape) - p_t
-        centered = sums.reshape(n, pair, d)[rows, :, t].reshape(shape) - m * p_t
+        # coordinate t of each outer iteration's bias, over its 2 * SECOND_MOMENT_INNER * m points
+        plus = plus_points(p_t[:, 0], u[rows, :, :, t].reshape(n, pair * m, 1))
+        counts = counts_of_plus(plus.reshape(n * pair, m, 1)).reshape(n, 2, SECOND_MOMENT_INNER)
+        phat_err = root_d * table[counts, t[:, None, None]] - p_t
+        centered = (2.0 * counts - m) - m * p_t
         halves = (attack_prefactor(p_t) * phat_err * centered).mean(axis=2)
         sq_errs = (phat_err ** 2).mean(axis=2)
         prods[start:start + n] = halves[:, 0] * halves[:, 1]

@@ -107,9 +107,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # one line: a parse error spans several
+        raise ConfigError(f"malformed config: {' '.join(str(exc).split())}") from exc
 
     if not parser.has_option("experiment", "name"):
         raise ConfigError("missing required key: [experiment] name")
@@ -356,10 +356,10 @@ def _tradeoff_row(learner, inst, m, delta, rho):
 
 
 def _exp_tradeoff(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
-    inst = cfg.instance()
     m = cfg.m
-    if (1 << (inst.d * m)) > (1 << 20):
+    if cfg.d * m > 20:  # before the bias is drawn, and with no 2^(d*m) integer
         raise BudgetExceededError("tradeoff sweep needs 2^(d*m) <= 2^20")
+    inst = cfg.instance()
     # reachable means form a lattice of spacing 2/(m*sqrt(d)); quantizers at
     # or below that spacing are injective on it, so every coarser quantizer
     # factors through them and MI is monotone along the sweep
@@ -523,7 +523,11 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
 
     body, reads = EXPERIMENTS[cfg.name]
     outdir = _OutputDir(Path(cfg.output_dir))
-    outdir.path.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, a file at output_dir or above it
+        print(f"config error: cannot create output_dir {cfg.output_dir!r}: {exc.strerror}")
+        return 1
     try:
         reports = body(cfg, outdir)
     except BudgetExceededError as exc:

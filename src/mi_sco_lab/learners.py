@@ -604,16 +604,18 @@ def count_statistic(learner, counts: np.ndarray, m: int, stat=keep_outputs) -> n
 def exact_mutual_information(learner, d: int, m: int):
     """I(w_S; S) in nats as a function of the instance, with all that does not
     depend on its bias built here, so a budget error comes before any use.
-    With no row map the MI sums per-coordinate entropies, the pairs
-    (w_S(t), S column t) being independent across t: each of the 2^m column
-    patterns adds its count's ``count_probs`` weight to the atom of its
-    count's level (``levels`` at d: the 1/sqrt(d) scale), in pattern order.
-    Any other learner's channel is reweighted per bias."""
+    For a learner whose outputs are its levels (a ``level_table``) the MI
+    sums per-coordinate entropies, the pairs (w_S(t), S column t) being
+    independent across t: each of the 2^m column patterns adds its count's
+    ``count_probs`` weight to the atom of its count's level (the table at
+    d: the 1/sqrt(d) scale), in pattern order. Any other learner's channel
+    is reweighted per bias."""
     learner, m = reduce_subsample(learner, m)
-    if not learner.deterministic or learner.finish is not None:
+    table = level_table(learner, m, d)
+    if table is None:
         ch = exact_channel(learner, HardInstance.zero(d), m)
         return lambda inst: ch.reweighted(inst).mutual_information()
     counts = lattice_codes(m, 1)  # each column pattern's plus-count
-    atom = np.unique(learner.levels(m, d), return_inverse=True)[1][counts]
+    atom = np.unique(table[:, 0], return_inverse=True)[1][counts]
     return lambda inst: max(0.0, float(sum(
         entropy_of(np.bincount(atom, probs[counts])) for probs in count_probs(inst, m).T)))

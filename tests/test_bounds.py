@@ -59,6 +59,7 @@ from mi_sco_lab.learners import (
     SubsampleLearner,
     exact_channel,
     fit,
+    level_table,
     sign_space_probs,
 )
 from mi_sco_lab.sco import P_MAX, HardInstance, sample_plus
@@ -557,8 +558,9 @@ class TestCountRoute:
             measured_excess_risk_signs(learner, 3, 4, 2 * 4096 + 7, 4)
         assert genbound_chain_report(learner, 3, 4, 2 * 4096 + 7, 5) == \
             genbound_chain_report_signs(learner, 3, 4, 2 * 4096 + 7, 5)
-        assert second_moment_report(learner, 3, 4, 50, 6) == \
-            second_moment_report_signs(learner, 3, 4, 50, 6)
+        if level_table(learner, 4, 3) is not None:  # the report's only learners
+            assert second_moment_report(learner, 3, 4, 50, 6) == \
+                second_moment_report_signs(learner, 3, 4, 50, 6)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("d, m", [(1, 4), (2, 300), (3, 5)])
@@ -594,17 +596,16 @@ def _report_bytes(rep) -> bytes:
 
 
 def _estimator_bytes(inst: HardInstance, learner, m: int, trials: int, risk_trials: int,
-                     outer: int, seed: int) -> dict:
-    """The bytes of every Monte Carlo estimator that fits ``learner`` on
-    sampled counts, at ``inst`` where it takes a bias; the good set's
-    normalizers are ``pilot_normalizers``'."""
+                     seed: int) -> dict:
+    """The bytes of every Monte Carlo estimator that takes any learner and
+    fits ``learner`` on sampled counts, at ``inst`` where it takes a bias;
+    the good set's normalizers are ``pilot_normalizers``'."""
     gs = good_coordinates(inst, learner, m, trials, seed, pilot_trials=trials)
     return {
         "good": (gs.members, gs.excluded, gs.estimates.tobytes(), gs.std_errors.tobytes(),
                  gs.normalizers.tobytes()),
         "risk": np.array(measured_excess_risk(learner, inst.d, m, risk_trials, seed)).tobytes(),
         "genbound": _report_bytes(genbound_chain_report(learner, inst.d, m, risk_trials, seed)),
-        "second_moment": _report_bytes(second_moment_report(learner, inst.d, m, outer, seed)),
     }
 
 
@@ -623,15 +624,19 @@ class TestLevelTable:
     def test_matches_per_sample_route(self, learner, d, m, biases, trials, threads, seed):
         # each estimator with a factorized learner's outputs and statistic
         # read from its level table, against every sample fit on its own
-        # counts, bytewise; up to three chunks where m d is small
+        # counts, bytewise; up to three chunks where m d is small. The
+        # second-moment report takes only a level table, so its per-sample
+        # route is the oracle's fit on every sampled sign tensor
         inst = HardInstance(d, np.array(biases[:d]))
         samples = UNIFORMS // (m * d)
         trials = max(2, min(trials, samples))
         outer = max(1, min(trials // 1000, samples // (2 * SECOND_MOMENT_INNER)))
-        args = (inst, learner, m, trials, max(2, trials // 4), outer, seed)
+        args = (inst, learner, m, trials, max(2, trials // 4), seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("MI_SCO_THREADS", threads)
             got = _estimator_bytes(*args)
+            assert _report_bytes(second_moment_report(learner, d, m, outer, seed)) == \
+                _report_bytes(second_moment_report_signs(learner, d, m, outer, seed))
             for module in (learners, bounds):
                 patch.setattr(module, "count_statistic", count_statistic_per_sample)
             # no level table: the good set and its pilot fit every sample
@@ -767,21 +772,25 @@ class TestLockstepCoupling:
 
 
 class TestBlockedSecondMoment:
-    BLOCK = bounds.SECOND_MOMENT_BLOCK // (2 * SECOND_MOMENT_INNER)  # outer iterations per fit
+    BLOCK = bounds.SECOND_MOMENT_BLOCK // (2 * SECOND_MOMENT_INNER)  # outer iterations per block
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(), EpsilonNetErm(),
-                                         RegularizedErm(lam=0.5), SgdLearner()],
-                             ids=lambda l: l.kind)
+    @pytest.mark.parametrize("learner", [MeanLearner(), QuantizedMeanLearner(),
+                                         QuantizedMeanLearner(delta=0.3)], ids=repr)
     def test_matches_per_iteration_loop(self, monkeypatch, threads, learner):
         monkeypatch.setenv("MI_SCO_THREADS", threads)
-        for outer in (1, self.BLOCK // 3, 2 * self.BLOCK + 5):
-            assert second_moment_report(learner, 3, 4, outer, 8) == \
-                second_moment_report_loop(learner, 3, 4, outer, 8), outer
+        for d, m in ((3, 4), (1, 1), (2, 300)):
+            for outer in (1, self.BLOCK // 3, 2 * self.BLOCK + 5):
+                assert second_moment_report(learner, d, m, outer, 8) == \
+                    second_moment_report_loop(learner, d, m, outer, 8), (d, m, outer)
 
-    def test_rejects_randomized_learner(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            second_moment_report(RandomizedResponse(MeanLearner(), 0.5), 2, 2, 3, 0)
+    @pytest.mark.parametrize("learner", [RegularizedErm(lam=0.5), EpsilonNetErm(), SgdLearner(),
+                                         SubsampleLearner(k=1, base=MeanLearner()),
+                                         RandomizedResponse(MeanLearner(), 0.5)], ids=repr)
+    def test_rejects_learner_without_level_table(self, learner):
+        assert level_table(learner, 2, 2) is None
+        with pytest.raises(ValueError, match="outputs are its levels"):
+            second_moment_report(learner, 2, 2, 3, 0)
 
 
 class TestMonteCarloMemory:

@@ -170,7 +170,7 @@ class TestFailClosed:
 
     def test_verify_lemmas_chunk_draw_above_budget(self, tmp_path):
         # parsed only: second_moment_report draws 8 * SECOND_MOMENT_BLOCK * m * d
-        # bytes of uniforms per fit block, 1 GiB at d * m = 32768
+        # bytes of uniforms per block, 1 GiB at d * m = 32768
         for d, m, drawn in ((32, 1025, 1074790400), (1024, 1024, 34359738368)):
             path, _ = write_config(tmp_path, name="verify-lemmas", d=d, m=m, p_mode="uniform")
             with pytest.raises(ConfigError, match=f"m={m}, d={d} draws {drawn} uniform bytes"):
@@ -292,6 +292,31 @@ class TestFailClosed:
         self.assert_rejected(capsys, path, out, f"experiment {name!r} does not read --seed",
                              seed=3)
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path, out = write_config(tmp_path)
+        path.write_bytes(path.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        self.assert_rejected(capsys, path, out, "malformed config: 'utf-8' codec can't decode")
+
+    def test_parse_error_in_one_line(self, tmp_path, capsys):
+        # configparser's message lists each bad line on a line of its own
+        path, out = write_config(tmp_path, extra="no value here")
+        self.assert_rejected(capsys, path, out,
+                             "malformed config: Source contains parsing errors: ")
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("override", [False, True], ids=["output_dir", "--out"])
+    def test_output_dir_at_or_under_a_file(self, tmp_path, capsys, below, override):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        path, _ = write_config(tmp_path, out=tmp_path / "unused" if override else out)
+        args = ["tradeoff", "--config", str(path)] + (["--out", str(out)] if override else [])
+        assert main(args) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert printed[0].startswith(f"config error: cannot create output_dir {str(out)!r}: ")
+        assert blocker.read_text() == "kept\n" and not (tmp_path / "unused").exists()
+
 
 # accepted configs, 300 trials each: every experiment at three (d, m), and
 # theorem1 with every learner kind, every subsample base and both epsilon modes
@@ -351,6 +376,24 @@ class TestRun:
         path, _ = write_config(tmp_path, d=1, m=24,
                                fixed_p="0.1")
         assert run(path) == 1
+
+    def test_tradeoff_large_d_draws_no_bias(self, tmp_path, capsys, monkeypatch):
+        # the bias at d = 10^11 would take 745 GiB: d*m is checked first
+        def no_draw(self):
+            raise AssertionError("the bias was drawn")
+
+        monkeypatch.setattr(ExperimentConfig, "instance", no_draw)
+        path, _ = write_config(tmp_path, d=10 ** 11, m=1, p_mode="uniform")
+        assert run(path) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "budget exceeded: tradeoff sweep needs 2^(d*m) <= 2^20"]
+
+    def test_tradeoff_large_m_builds_no_power(self, tmp_path, capsys):
+        # 2^(d*m) at m = 10^18 is an integer of 10^18 bits: d*m is compared as is
+        path, _ = write_config(tmp_path, d=1, m=10 ** 18)
+        assert run(path) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "budget exceeded: tradeoff sweep needs 2^(d*m) <= 2^20"]
 
     @pytest.mark.parametrize("d, m, fixed_p", [(4, 5, "0.1, 0.2, -0.1, 0.0"), (2, 10, "0.1, 0.2")],
                              ids=["d4-m5", "d2-m10"])

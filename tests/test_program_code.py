@@ -275,10 +275,11 @@ def _spy_sign_routes(monkeypatch):
 @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=lambda l: repr(l))
 def test_count_learners_take_no_sign_route(monkeypatch, learner):
     """For a count learner (and randomized response over one, in the CMI),
-    ``cmi_exact`` and the Monte Carlo estimators never enumerate signs and
-    never reach ``fit_batch``: every output comes from its m+1 ``levels``,
-    built at the sample's (m, d), and a row map's exact route maps no more
-    rows than the (m+1)^d lattice points."""
+    ``cmi_exact`` and the Monte Carlo estimators (the second-moment report
+    for a learner whose outputs are its levels, the only ones it takes)
+    never enumerate signs and never reach ``fit_batch``: every output comes
+    from its m+1 ``levels``, built at the sample's (m, d), and a row map's
+    exact route maps no more rows than the (m+1)^d lattice points."""
     calls = _spy_sgd_exact_fits(monkeypatch)
     batch, levels, rows = [], [], []
     real_batch, real_levels, real_finish = (learners.SgdLearner.fit_batch, learner.levels,
@@ -308,7 +309,8 @@ def test_count_learners_take_no_sign_route(monkeypatch, learner):
     bounds.good_coordinates(inst, learner, m, trials=500, seed=1, pilot_trials=300)
     bounds.measured_excess_risk(learner, d, m, 500, 2)
     bounds.genbound_chain_report(learner, d, m, 500, 3)
-    bounds.second_moment_report(learner, d, m, 5, 4)
+    if learners.level_table(learner, m, d) is not None:
+        bounds.second_moment_report(learner, d, m, 5, 4)
     assert set(levels) == {(m, d)} and bool(rows) == (real_finish is not None)
     assert calls == [] and batch == []
 
@@ -374,9 +376,9 @@ def test_sign_route_only_in_learners():
     SGD's column pass is its ``levels``, which ``_column_atoms`` reads
     (``test_one_learner_protocol``). ``bounds`` holds no sign-route code:
     it names none of the sign route's helpers nor a learner's ``levels``,
-    calls no ``fit_batch``, calls ``fit`` only on sampled plus booleans: in
-    ``_fit_sample`` and in ``second_moment_report``'s blocks, and reads a
-    ``level_table`` only in ``_coordinate_trials``, at sampled plus-counts."""
+    calls no ``fit_batch``, calls ``fit`` only on sampled plus booleans, in
+    ``_fit_sample``, and reads a ``level_table`` only at sampled plus-counts,
+    in ``_coordinate_trials`` and ``second_moment_report``."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     named = [f"{name}:{node.lineno}" for name, tree in trees.items()
@@ -396,35 +398,38 @@ def test_sign_route_only_in_learners():
     assert not _calls_named(bounds_tree, "fit_batch")
     fitters = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
                and any(_calls_named(stmt, "fit") for stmt in func.body)]
-    assert fitters == ["_fit_sample", "second_moment_report"]
+    assert fitters == ["_fit_sample"]
     tables = [func.name for func in ast.walk(bounds_tree) if isinstance(func, FUNCS)
               and any(_calls_named(stmt, "level_table") for stmt in func.body)]
-    assert tables == ["_coordinate_trials"]
+    assert tables == ["_coordinate_trials", "second_moment_report"]
 
 
 def test_one_count_route():
     """A count learner's plus-counts turn into outputs in one place,
     ``learners.count_statistic``: outside the learner classes ``src/`` maps
     rows of levels (``finish``) only there and in ``_column_atoms``, the
-    exact atoms, and reads ``levels`` only in those two, in
-    ``level_table`` and in ``exact_mutual_information``; ``bounds`` names
-    neither and defines no count route of its own. The (m+1, d) level table
-    is written once, in ``learners.level_table``, which only
-    ``count_statistic`` and ``bounds._coordinate_trials`` call. The pattern
+    exact atoms, and reads ``levels`` only in those two and in
+    ``level_table``; ``bounds`` names neither and defines no count route of
+    its own. The (m+1, d) level table is written once, in
+    ``learners.level_table``, the one test for a learner whose outputs are
+    its levels, which only ``count_statistic``,
+    ``exact_mutual_information``, ``bounds._coordinate_trials`` and
+    ``bounds.second_moment_report`` call. The pattern
     probability q^c (1 - q)^(m - c) is written once, in
     ``learners.count_probs``: no other power in ``learners`` has an exponent
     m - c."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     for method, callers in (("finish", {"_column_atoms", "count_statistic"}),
-                            ("levels", {"_column_atoms", "count_statistic", "level_table",
-                                        "exact_mutual_information"})):
+                            ("levels", {"_column_atoms", "count_statistic", "level_table"})):
         sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
                  if not isinstance(top, ast.ClassDef) and _calls_named(top, method)}
         assert sites == {("learners.py", caller) for caller in callers}, method
     sites = {(name, top.name) for name, tree in trees.items() for top in tree.body
              if _calls_named(top, "level_table")}
-    assert sites == {("learners.py", "count_statistic"), ("bounds.py", "_coordinate_trials")}
+    assert sites == {("learners.py", "count_statistic"),
+                     ("learners.py", "exact_mutual_information"),
+                     ("bounds.py", "_coordinate_trials"), ("bounds.py", "second_moment_report")}
     names = _names_used(trees["bounds.py"])
     assert not names["finish"] and not names["levels"]
     defined = {name for name, _ in _definitions(trees["bounds.py"])}
