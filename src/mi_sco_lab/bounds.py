@@ -26,8 +26,6 @@ import numpy as np
 
 from . import mc
 from .infotheory import (
-    FinitePmf,
-    JointPmf,
     coupling_disagreement,
     entropy_of,
     mi_of_table,
@@ -649,7 +647,7 @@ def pinsker_suite(n_pairs: int = 1000, seed: int = 0) -> BoundReport:
     """TV <= sqrt(KL/2) across random absolutely continuous pairs,
     exercised through the pinsker_slack operation itself."""
     return _worst_slack("pinsker_suite", 101, n_pairs, seed, 1e-12,
-                        lambda rng: pinsker_slack(*map(FinitePmf, _random_pmf_pair(rng))))
+                        lambda rng: pinsker_slack(*_random_pmf_pair(rng)))
 
 
 def _northwest_couplings(a: np.ndarray, b: np.ndarray, perm_r: np.ndarray,
@@ -692,9 +690,8 @@ def coupling_suite(n_pairs: int = 1000, n_random: int = 100,
     worst_opt = math.inf
     for i in range(n_pairs):
         a, b = _random_pmf_pair(rng)
-        p1, p2 = FinitePmf(a), FinitePmf(b)
-        tv = total_variation(p1, p2)
-        disagreement = coupling_disagreement(optimal_coupling(p1, p2))
+        tv = total_variation(a, b)
+        disagreement = coupling_disagreement(optimal_coupling(a, b))
         worst_match = min(worst_match, -abs(disagreement - tv))
         if i < n_random:
             # rows 2r and 2r+1: coupling r's row and column orders, the draws
@@ -730,7 +727,7 @@ def _random_correlated_joint(rng: np.random.Generator):
 def _correlation_slack(floor, table, xv, yv, *proxy) -> float:
     """Exact MI of the joint ``table`` minus ``floor`` at its E[XY] (and
     ``proxy``), X and Y taking the values ``xv`` and ``yv``."""
-    return mutual_information(JointPmf(table)) - floor(float(xv @ table @ yv), *proxy)
+    return mutual_information(table) - floor(float(xv @ table @ yv), *proxy)
 
 
 def bounded_correlation_suite(n_joints: int = 1000, seed: int = 0) -> BoundReport:

@@ -528,25 +528,28 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
     except OSError as exc:  # say, a file at output_dir or above it
         print(f"config error: cannot create output_dir {cfg.output_dir!r}: {exc.strerror}")
         return 1
+    config_sha256 = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     try:
         reports = body(cfg, outdir)
+        _write_table(outdir / "results.csv", REPORT_COLUMNS,
+                     [[getattr(r, col) for col in REPORT_COLUMNS] for r in reports])
+        manifest = {
+            "artifact_version": __version__,
+            "config_sha256": config_sha256,
+            "master_seed": cfg.master_seed if "master_seed" in reads else None,
+            "wall_clock_seconds": round(time.monotonic() - start, 3),
+            "threads": mc.worker_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
+        }
+        (outdir.path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}")
         return 1
-    _write_table(outdir / "results.csv", REPORT_COLUMNS,
-                 [[getattr(r, col) for col in REPORT_COLUMNS] for r in reports])
-
-    manifest = {
-        "artifact_version": __version__,
-        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
-        "master_seed": cfg.master_seed if "master_seed" in reads else None,
-        "wall_clock_seconds": round(time.monotonic() - start, 3),
-        "threads": mc.worker_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
-    }
-    (outdir.path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:  # say, a directory at a name the run writes
+        print(f"config error: cannot write {exc.filename!r} in output_dir: {exc.strerror}")
+        return 1
 
     if verify and any(not r.holds for r in reports):
         failed = [r.name for r in reports if not r.holds]

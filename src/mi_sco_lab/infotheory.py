@@ -1,11 +1,13 @@
 """Exact information theory over enumerated finite supports.
 
-Everything here operates on explicit probability tables: entropy, KL
-divergence, total variation, mutual information, optimal couplings, and the
-Pinsker slack. All information quantities are in nats. Probabilities are
-64-bit floats with structural tolerance 1e-12. Outcomes carry no labels: a
-pmf's outcomes are the indices 0..k-1 of its array, and two pmfs share an
-alphabet when their arrays have the same length.
+Everything here operates on explicit probability tables, plain numpy float
+arrays: entropy, KL divergence, total variation, mutual information, optimal
+couplings, and the Pinsker slack. All information quantities are in nats.
+Outcomes carry no labels: a pmf's outcomes are the indices 0..k-1 of its
+array, and a joint's entry ``table[i, j]`` is the probability of the outcome
+pair (i, j). Nothing here validates its input: callers pass pmfs that are
+valid by construction, and the two pmfs of a pair over one alphabet (arrays
+of one length).
 
 Conventions:
   * 0 * log 0 := 0 everywhere.
@@ -16,80 +18,20 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-STRUCT_TOL = 1e-12
-
 __all__ = [
-    "FinitePmf",
-    "JointPmf",
     "kl_divergence",
     "total_variation",
     "mutual_information",
     "optimal_coupling",
+    "coupling_disagreement",
     "pinsker_slack",
     "entropy_of",
     "row_entropies",
     "mi_of_table",
-    "PmfValidationError",
 ]
-
-
-class PmfValidationError(ValueError):
-    """Raised when a pmf or joint table violates its structural invariants."""
-
-
-def _as_prob_array(probs) -> np.ndarray:
-    """A float copy of ``probs``, checked: finite, no entry below -STRUCT_TOL
-    (entries between it and 0, and -0.0, clipped to +0.0) and a sum within
-    STRUCT_TOL of 1. One min and one sum decide it; NaN or an infinity leaves
-    one of them non-finite, and only then is every entry tested. A min of 0
-    may hide a -0.0 elsewhere, so a min <= 0 clips."""
-    arr = np.array(probs, dtype=float)
-    low = arr.min() if arr.size else 0.0
-    total = arr.sum()
-    if not (math.isfinite(low) and math.isfinite(total)) and not np.isfinite(arr).all():
-        raise PmfValidationError("probabilities must be finite")
-    if low <= 0.0:
-        if low < -STRUCT_TOL:
-            raise PmfValidationError(f"negative probability: min={low}")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-    if abs(total - 1.0) > STRUCT_TOL:
-        raise PmfValidationError(f"probabilities sum to {total!r}, not 1")
-    return arr
-
-
-@dataclass(frozen=True)
-class FinitePmf:
-    """Probability mass function over the outcomes 0..k-1."""
-
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        probs = _as_prob_array(self.probs)
-        if probs.ndim != 1:
-            raise PmfValidationError("a pmf takes a 1-D array")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Joint pmf of two finite outcomes; entry ``table[i, j]`` is the
-    probability of the outcome pair (i, j)."""
-
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2:
-            raise PmfValidationError("a joint takes a 2-D table")
-        table = _as_prob_array(table.reshape(-1)).reshape(table.shape)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
 
 
 def _relative_entropy(a: np.ndarray, b) -> float:
@@ -121,46 +63,38 @@ def mi_of_table(table: np.ndarray) -> float:
     return _relative_entropy(table, np.outer(table.sum(axis=1), table.sum(axis=0)))
 
 
-def kl_divergence(p1: FinitePmf, p2: FinitePmf) -> float:
-    """KL(p1 || p2) in nats over a shared alphabet.
+def kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
+    """KL(a || b) in nats.
 
-    Returns math.inf when p1 places mass where p2 has none.
+    Returns math.inf when ``a`` places mass where ``b`` has none.
     """
-    if p1.probs.shape != p2.probs.shape:
-        raise PmfValidationError("KL divergence needs a shared alphabet")
-    a, b = p1.probs, p2.probs
     if np.any(b[a > 0.0] == 0.0):
         return math.inf
     return _relative_entropy(a, b)
 
 
-def total_variation(p1: FinitePmf, p2: FinitePmf) -> float:
+def total_variation(a: np.ndarray, b: np.ndarray) -> float:
     """Half the L1 distance; equals the sup over events of the probability gap."""
-    if p1.probs.shape != p2.probs.shape:
-        raise PmfValidationError("total variation needs a shared alphabet")
-    return float(0.5 * np.abs(p1.probs - p2.probs).sum())
+    return float(0.5 * np.abs(a - b).sum())
 
 
-def mutual_information(j: JointPmf) -> float:
+def mutual_information(table: np.ndarray) -> float:
     """I(X;Y) in nats via the double sum over the joint table.
 
     Agrees with the expectation-of-KL form E_Y[KL(P_{X|Y} || P_X)] to 1e-10;
     symmetric in the two axes; bounded by min(H(X), H(Y)).
     """
-    return max(0.0, mi_of_table(j.table))
+    return max(0.0, mi_of_table(table))
 
 
-def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
-    """A coupling of (p1, p2) attaining P(X1 != X2) = TV(p1, p2).
+def optimal_coupling(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k, k) table of a coupling of (a, b) attaining
+    P(X1 != X2) = TV(a, b).
 
-    Diagonal mass min(p1, p2); the residual is the normalized outer product
-    of the positive and negative parts of p1 - p2.
+    Diagonal mass min(a, b); the residual is the normalized outer product
+    of the positive and negative parts of a - b.
     """
-    if p1.probs.shape != p2.probs.shape:
-        raise PmfValidationError("coupling needs a shared alphabet")
-    a, b = p1.probs, p2.probs
-    n = len(a)
-    table = np.zeros((n, n))
+    table = np.zeros((len(a), len(a)))
     np.fill_diagonal(table, np.minimum(a, b))
     diff = a - b
     tv = 0.5 * np.abs(diff).sum()
@@ -168,22 +102,20 @@ def optimal_coupling(p1: FinitePmf, p2: FinitePmf) -> JointPmf:
         pos = np.clip(diff, 0.0, None)
         neg = np.clip(-diff, 0.0, None)
         table += np.outer(pos, neg) / tv
-    return JointPmf(table)
+    return table
 
 
-def coupling_disagreement(j: JointPmf) -> float:
-    """P(X1 != X2) under a coupling represented as a two-variable joint."""
-    if j.table.shape[0] != j.table.shape[1]:
-        raise PmfValidationError("disagreement needs a square coupling table")
-    return float(j.table.sum() - np.trace(j.table))
+def coupling_disagreement(table: np.ndarray) -> float:
+    """P(X1 != X2) under a coupling given as its square joint table."""
+    return float(table.sum() - np.trace(table))
 
 
-def pinsker_slack(p1: FinitePmf, p2: FinitePmf) -> float:
-    """sqrt(KL(p1||p2)/2) - TV(p1, p2); nonnegative up to 1e-12.
+def pinsker_slack(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(KL(a||b)/2) - TV(a, b); nonnegative up to 1e-12.
 
     Infinite divergence yields +inf slack.
     """
-    kl = kl_divergence(p1, p2)
+    kl = kl_divergence(a, b)
     if math.isinf(kl):
         return math.inf
-    return math.sqrt(max(kl, 0.0) / 2.0) - total_variation(p1, p2)
+    return math.sqrt(max(kl, 0.0) / 2.0) - total_variation(a, b)

@@ -43,8 +43,6 @@ from mi_sco_lab.bounds import (
     xu_bound,
 )
 from mi_sco_lab.infotheory import (
-    FinitePmf,
-    JointPmf,
     coupling_disagreement,
     entropy_of,
     mi_of_table,
@@ -477,14 +475,14 @@ def codebook_signs(learner, d: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def entropy(p: FinitePmf) -> float:
-    """Shannon entropy in nats; 0 <= H <= log(support size)."""
-    return entropy_of(p.probs)
+def entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats of a 1-D pmf; 0 <= H <= log(support size)."""
+    return entropy_of(p)
 
 
-def marginal(j: JointPmf, axis: int) -> FinitePmf:
-    """The marginal pmf of axis 0 or 1 of a two-variable joint."""
-    return FinitePmf(j.table.sum(axis=1 - axis))
+def marginal(table: np.ndarray, axis: int) -> np.ndarray:
+    """The marginal pmf of axis 0 or 1 of a two-variable joint table."""
+    return table.sum(axis=1 - axis)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +766,8 @@ def coupling_suite_pairs(n_pairs: int, n_random: int, seed: int):
     worst_opt = math.inf
     for i in range(n_pairs):
         a, b = _random_pmf_pair(rng)
-        p1, p2 = FinitePmf(a), FinitePmf(b)
-        tv = total_variation(p1, p2)
-        disagreement = coupling_disagreement(optimal_coupling(p1, p2))
+        tv = total_variation(a, b)
+        disagreement = coupling_disagreement(optimal_coupling(a, b))
         worst_match = min(worst_match, -abs(disagreement - tv))
         if i < n_random:
             k = len(a)

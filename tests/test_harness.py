@@ -317,6 +317,19 @@ class TestFailClosed:
         assert printed[0].startswith(f"config error: cannot create output_dir {str(out)!r}: ")
         assert blocker.read_text() == "kept\n" and not (tmp_path / "unused").exists()
 
+    @pytest.mark.parametrize("name", ["results.csv", "tradeoff.csv", "manifest.json"])
+    def test_directory_at_a_written_name(self, tmp_path, capsys, name):
+        # output_dir exists, but a name the run writes is a directory: the
+        # experiment body writes tradeoff.csv, run writes the other two
+        path, out = write_config(tmp_path)
+        (out / name).mkdir(parents=True)
+        assert main(["tradeoff", "--config", str(path)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert printed[0].startswith(
+            f"config error: cannot write {str(out / name)!r} in output_dir: ")
+        assert (out / name).is_dir() and not any((out / name).iterdir())
+
 
 # accepted configs, 300 trials each: every experiment at three (d, m), and
 # theorem1 with every learner kind, every subsample base and both epsilon modes

@@ -16,13 +16,15 @@ import math
 import sys
 import textwrap
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pytest
 
 import mi_sco_lab
-from mi_sco_lab import bounds, learners, mc
+from mi_sco_lab import bounds, infotheory, learners, mc
+from mi_sco_lab.harness import run
 from mi_sco_lab.learners import (
     Channel,
     MeanLearner,
@@ -156,6 +158,13 @@ def _good_set_matches_the_sign_route():
     assert got.std_errors.tobytes() == want.std_errors.tobytes()
 
 
+def _coupling_disagreement_is_tv():
+    # the residual of the optimal coupling, divided by TV, puts exactly TV off
+    # the diagonal; undivided it puts TV^2 there
+    match, _ = bounds.coupling_suite(100, n_random=1, seed=12345)
+    assert match.holds
+
+
 MUTANTS = {
     "rho ignored": Mutant(
         RandomizedResponse, "mix",
@@ -201,6 +210,10 @@ MUTANTS = {
         (("np.multiply(counts[start:start + k], d,",
           "np.multiply(table.shape[0] - 1 - counts[start:start + k], d,"),),
         _good_set_matches_the_sign_route),
+    "coupling residual not divided by TV": Mutant(
+        infotheory, "optimal_coupling",
+        (("table += np.outer(pos, neg) / tv", "table += np.outer(pos, neg)"),),
+        _coupling_disagreement_is_tv),
     "block accumulator not carried": Mutant(
         mc, "_column_sums",
         (("block[0] = sums", "block[0] = 0.0"),),
@@ -226,3 +239,12 @@ def test_acceptance_criterion_12_fails_under_the_mutant(monkeypatch, name):
     assert quantized_mean_ties_and_chain_rule()
     apply(monkeypatch, MUTANTS[name])
     assert not quantized_mean_ties_and_chain_rule()
+
+
+def test_shipped_verify_lemmas_fails_under_the_mutant(monkeypatch, tmp_path, capsys):
+    # the wrapper types no longer catch an undivided residual; the shipped
+    # coupling_matches_tv report does
+    config = Path(__file__).resolve().parents[1] / "configs" / "verify-lemmas.ini"
+    apply(monkeypatch, MUTANTS["coupling residual not divided by TV"])
+    assert run(config, out=str(tmp_path), verify=True) == 2
+    assert capsys.readouterr().out == "verification failed: coupling_matches_tv\n"

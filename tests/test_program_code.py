@@ -87,6 +87,21 @@ def test_no_test_only_code_in_src():
     assert not unused, f"no program caller; move to tests/oracles.py or delete: {unused}"
 
 
+def test_infotheory_takes_plain_arrays():
+    """``infotheory`` defines no class: its functions take and return numpy
+    arrays, and the pmf wrapper types, their validation and its tolerance
+    are gone from ``src/``."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not [node.name for node in ast.walk(trees["infotheory.py"])
+                if isinstance(node, ast.ClassDef)]
+    gone = {"FinitePmf", "JointPmf", "PmfValidationError", "_as_prob_array", "STRUCT_TOL"}
+    found = [f"{filename}:{name}" for filename, tree in trees.items()
+             for name in (*(n for n, _ in _definitions(tree)), *_names_used(tree))
+             if name in gone]
+    assert not found, f"pmf wrapper names in the program: {found}"
+
+
 def test_learners_have_one_fit_path():
     """Learners compute outputs only through ``learners.fit``: no learner
     class defines ``fit`` or ``coord_outputs``."""
