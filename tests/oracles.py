@@ -594,9 +594,15 @@ def count_statistic_per_sample(learner, counts: np.ndarray, m: int,
 
 def sign_space_probs_elementwise(inst: HardInstance, counts: np.ndarray, m: int) -> np.ndarray:
     """``learners.sign_space_probs`` with q^C (1 - q)^(m - C) evaluated for
-    each of the (n, d) plus-counts, not gathered from the (m+1, d) table."""
-    q = (1.0 + inst.p) / 2.0
-    return np.prod(q[None, :] ** counts * (1.0 - q)[None, :] ** (m - counts), axis=1)
+    each of the (n, d) plus-counts, not gathered from the (m+1, d) table.
+
+    The powers run over one flat float vector: numpy raises a one-element
+    array to a one-element integer power by another routine than its
+    vectorized pow (x * x for the square), which can differ in the last bit.
+    """
+    q = np.broadcast_to((1.0 + inst.p) / 2.0, counts.shape).ravel()
+    c = counts.ravel().astype(np.float64)
+    return np.prod((q ** c * (1.0 - q) ** (m - c)).reshape(counts.shape), axis=1)
 
 
 def count_probs_per_coordinate(inst: HardInstance, m: int) -> np.ndarray:
