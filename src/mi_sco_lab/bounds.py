@@ -54,6 +54,7 @@ from .sco import (
     LOSS_RANGE,
     P_MAX,
     HardInstance,
+    _count_dtype,
     counts_of_plus,
     plus_points,
     sample_counts,
@@ -205,13 +206,20 @@ def fingerprint_expectation(estimator: SumEstimator, m: int,
     if mode != "monte_carlo":
         raise ValueError("mode must be 'quadrature' or 'monte_carlo'")
 
-    def chunk(rng, size):
-        p = rng.uniform(-P_MAX, P_MAX, size=size)
-        sums = 2.0 * rng.binomial(m, (1.0 + p) / 2.0) - m
+    def values(counts, p):
+        sums = 2.0 * counts - m
         return _fingerprint_statistic(estimator(sums, m), sums, p, m)
 
-    values = mc.chunked_trials(chunk, trials, seed, 1)
-    est, se = mc.mean_and_se(values)
+    def draw(rng, size):
+        p = rng.uniform(-P_MAX, P_MAX, size=size)
+        counts = rng.binomial(m, (1.0 + p) / 2.0)
+        return counts.astype(_count_dtype(m), copy=False), values(counts, p)
+
+    def redraw(rng, counts):  # a chunk's stream draws its biases first
+        return values(counts, rng.uniform(-P_MAX, P_MAX, size=counts.shape[0]))
+
+    # each trial keeps its plus-count, one byte while m <= 255, and no value
+    est, se = mc.streamed_mean_and_se(draw, redraw, trials, seed, 1)
     return make_report(name, est, FINGERPRINT_FLOOR, tolerance=3.0 * se,
                        m=m, trials=trials, ci_halfwidth=3.0 * se, seed=seed)
 

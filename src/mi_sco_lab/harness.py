@@ -6,9 +6,9 @@ does not read (each ``EXPERIMENTS`` entry lists the keys it reads). README.md
 states the keys, their values and every limit ``load_config`` enforces.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
-file it wrote, the Monte Carlo worker count and the Python and numpy
-versions. Exit codes: 0 ok, 1 config or budget error, 2 when --verify
-sees a failed report.
+file it wrote, the Monte Carlo worker count, the Python and numpy versions
+and numpy's SIMD targets. Exit codes: 0 ok, 1 config or budget error, 2
+when --verify sees a failed report.
 """
 
 from __future__ import annotations
@@ -178,9 +178,10 @@ def load_config(path) -> ExperimentConfig:
     trials = _parse_int(run.get("trials", "100000"), "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    # fingerprint keeps trials values per estimator, theorem1 trials * d, at
-    # most 8 bytes each: theorem1's search keeps one-byte plus-counts for a
-    # learner with no row map while m <= 255, so there the rule is an upper bound
+    # fingerprint keeps trials plus-counts per estimator, theorem1 trials * d
+    # values, at most 8 bytes each: the fingerprint keeps one-byte counts while
+    # m <= 255, and so does theorem1's search for a learner with no row map,
+    # so for both the rule is an upper bound
     kept = 8 * trials * (d if name == "theorem1" else 1)
     if kept > MC_KEPT_BYTES:
         raise ConfigError(f"trials={trials} keeps {kept} Monte Carlo bytes, above {MC_KEPT_BYTES}")
@@ -497,6 +498,18 @@ EXPERIMENTS = {
 }
 
 
+def numpy_cpu_features() -> list:
+    """The SIMD targets numpy runs on: its baseline and each dispatched
+    target this CPU has, as ``numpy.show_runtime`` lists them. A data file
+    whose bytes come from a SIMD kernel can differ on another set."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [*umath.__cpu_baseline__,
+            *(name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name))]
+
+
 def run(config_path, experiment: str | None = None, seed: int | None = None,
         out: str | None = None, verify: bool = False) -> int:
     """Execute one experiment; returns the process exit code."""
@@ -541,6 +554,7 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
             "threads": mc.worker_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_cpu_features": numpy_cpu_features(),
             "files": {name: _sha256(outdir.path / name) for name in sorted(outdir.names)},
         }
         (outdir.path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -4,26 +4,32 @@ Every stochastic routine derives its generator from a master seed plus an
 integer path, so results are reproducible bit-for-bit. Long trial loops are
 split into fixed-size chunks whose streams depend only on (seed, chunk index);
 worker count changes scheduling but never the reduction order, so parallel
-and serial runs agree byte-for-byte. Each trial's values are held once: the
-chunks are written, in chunk order, into one result array, and
-``mean_and_se`` takes its standard error in place, consuming that array.
-Where every value is an entry of a small table read at an integer count
-(a learner whose outputs are its levels, read at plus-counts), the array
-holds the counts, and ``mean_and_se`` reads the table at them block by
-block in numpy's own summation order, so no value array is built and no
-byte moves.
+and serial runs agree byte-for-byte. Workers run at most two chunks each
+ahead of the one the main thread takes next, so finished chunks do not pile
+up. ``chunked_trials`` writes the chunks, in chunk order, into one result
+array, and ``mean_and_se`` takes its standard error in place, consuming
+that array. Where every value is an entry of a small table read at an
+integer count (a learner whose outputs are its levels, read at
+plus-counts), the array holds the counts, and ``mean_and_se`` reads the
+table at them block by block in numpy's own summation order. Where each
+trial keeps a count and its one value can be drawn again from it,
+``streamed_mean_and_se`` holds no value at all: ``PairwiseSum`` adds the
+values, fed in order, in numpy's pairwise order, once for the mean and once
+more, redrawn, for the squared deviations. No route moves a byte.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 CHUNK = 1 << 14
 GATHER_ROWS = 1 << 12  # rows of counts read per block of a counts-plus-table reduction
+PAIRWISE_LEAF = 128  # numpy's pairwise summation adds at most this many values in one loop
 
 THREADS_ENV = "MI_SCO_THREADS"
 
@@ -35,7 +41,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 def worker_count() -> int:
     """``MI_SCO_THREADS`` (1 if not an integer) within 1 and the CPUs this
-    process may use: ``chunked_trials`` starts a thread per worker."""
+    process may use: a chunked loop starts a thread per worker."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
         n = int(raw)
@@ -43,6 +49,30 @@ def worker_count() -> int:
         n = 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(n, cpus or 1))
+
+
+def _in_order(run, items):
+    """``run(item)`` for each item, yielded in order. With more than one
+    worker, at most two results per worker wait, done or running, beyond
+    the one yielded, however long the consumer takes with each."""
+    workers = worker_count()
+    if workers == 1 or len(items) < 2:
+        yield from map(run, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(run, item))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunks(n_trials: int, chunk: int) -> list:
+    """(index, first trial, size) of each chunk of n_trials."""
+    return [(c, start, min(chunk, n_trials - start))
+            for c, start in enumerate(range(0, n_trials, chunk))]
 
 
 def chunked_trials(fn, n_trials: int, master_seed: int, *path: int,
@@ -56,29 +86,143 @@ def chunked_trials(fn, n_trials: int, master_seed: int, *path: int,
     parts is kept and nothing is concatenated.
     """
     n_trials = int(n_trials)
-    bounds = [(c, min(chunk, n_trials - c * chunk))
-              for c in range((n_trials + chunk - 1) // chunk)]
-    if not bounds:
+    chunks = _chunks(n_trials, chunk)
+    if not chunks:
         return np.empty(0)
+    out = None
+    for part, (_, start, size) in zip(_in_order(
+            lambda cb: fn(substream(master_seed, *path, cb[0]), cb[2]), chunks), chunks):
+        k = part.shape[0] // size
+        if out is None:
+            out = np.empty(n_trials * k, dtype=part.dtype)
+        out[start * k:(start + size) * k] = part
+    return out
 
-    def run(cb):
-        c, size = cb
-        return fn(substream(master_seed, *path, c), size)
 
-    def write(parts):
-        out, at = None, 0
-        for (_, size), part in zip(bounds, parts):
-            if out is None:
-                out = np.empty(n_trials * (part.shape[0] // size), dtype=part.dtype)
-            out[at:at + part.shape[0]] = part
-            at += part.shape[0]
-        return out
+def _pairwise_split(k: int) -> int:
+    """How many of k > PAIRWISE_LEAF values numpy's pairwise sum adds up
+    first: half of them, rounded down to a multiple of 8."""
+    return k // 2 - k // 2 % 8
 
-    workers = worker_count()
-    if workers == 1 or len(bounds) == 1:
-        return write(map(run, bounds))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return write(pool.map(run, bounds))
+
+class PairwiseSum:
+    """``np.add.reduce`` of n float64 values fed in order, in parts of any
+    size, with the bytes numpy gives when it sums them in one contiguous
+    array: 0.0 + T(0, n), where T of at most PAIRWISE_LEAF values (a leaf)
+    is numpy's own loop and T of k more values is T(first h) + T(the other
+    k - h), h = ``_pairwise_split(k)``. The tree's nodes depend on n alone,
+    and numpy's sum of a node's values alone is 0.0 + T(node). That differs
+    from T(node) at most in the sign of a zero, so every sum above it
+    differs at most so too, and the final 0.0 + drops the sign. So
+    ``node_sums`` lets numpy sum each largest node that lies whole in a
+    part, in any thread; ``add`` takes the parts in order and has numpy sum
+    each leaf that crosses a part's edge once its values are in; ``total``
+    adds the nodes above, in Python floats."""
+
+    def __init__(self, n: int):
+        self.n = int(n)
+        self.sums = {}  # (first value, size) of a node summed -> its sum
+        self.head = np.empty(PAIRWISE_LEAF)  # values of the leaf fed in parts
+        self.fed = 0  # values fed so far
+
+    def node_sums(self, part: np.ndarray, start: int) -> list:
+        """(first value, size, sum) of each largest node that lies whole in
+        part, values start to start + len(part), in order."""
+        end, found, todo = start + part.shape[0], [], [(0, self.n)]
+        while todo:
+            lo, k = todo.pop()
+            if start <= lo and lo + k <= end:
+                found.append((lo, k, float(np.add.reduce(part[lo - start:lo - start + k]))))
+            elif k > PAIRWISE_LEAF and lo < end and start < lo + k:
+                h = _pairwise_split(k)
+                todo += [(lo + h, k - h), (lo, h)]
+        return found
+
+    def add(self, part: np.ndarray, nodes: list) -> None:
+        """Feed the next values with ``nodes``, their ``node_sums``."""
+        start = self.fed
+        end = start + part.shape[0]
+        self.sums.update(((lo, k), total) for lo, k, total in nodes)
+        # the nodes cover every leaf the part holds whole; the values before
+        # and after them lie in leaves that cross the part's edges
+        begin = nodes[0][0] if nodes else end
+        stop = nodes[-1][0] + nodes[-1][1] if nodes else end
+        self._carry(part[:begin - start], start)
+        self._carry(part[stop - start:], stop)
+        self.fed = end
+
+    def _carry(self, piece: np.ndarray, at: int) -> None:
+        """Copy the values of leaves that no part holds whole into
+        ``head``, summing each leaf when its last value arrives."""
+        while piece.shape[0]:
+            lo, k = 0, self.n  # the leaf that holds value ``at``
+            while k > PAIRWISE_LEAF:
+                h = _pairwise_split(k)
+                lo, k = (lo, h) if at < lo + h else (lo + h, k - h)
+            take = min(lo + k - at, piece.shape[0])
+            self.head[at - lo:at - lo + take] = piece[:take]
+            if at + take == lo + k:
+                self.sums[lo, k] = float(np.add.reduce(self.head[:k]))
+            piece, at = piece[take:], at + take
+
+    def total(self) -> float:
+        """The sum of the n values, once all are fed."""
+        if self.fed != self.n:
+            raise ValueError(f"{self.fed} of {self.n} values fed")
+
+        def node(lo, k):
+            if (lo, k) in self.sums:
+                return self.sums[lo, k]
+            h = _pairwise_split(k)
+            return node(lo, h) + node(lo + h, k - h)
+
+        return 0.0 + node(0, self.n)
+
+
+def streamed_mean_and_se(draw, redraw, n_trials: int, master_seed: int, *path: int):
+    """``mean_and_se`` of one value per trial, as floats with its bytes,
+    holding what each trial keeps and no value.
+
+    ``draw(rng, size) -> (kept, values)`` draws a chunk's trials from its
+    stream (master_seed, *path, c), as in ``chunked_trials``, and returns
+    one entry to keep per trial, say its count, and one float64 value per
+    trial. ``redraw(rng, kept)`` rebuilds the same values from chunk c's
+    stream, fresh again, and the chunk's kept entries. Pass 1 keeps the
+    entries in one array and sums the values; pass 2 sums the squared
+    deviations from the mean, each by a ``PairwiseSum`` whose whole nodes in
+    a chunk the workers sum.
+    """
+    n = int(n_trials)
+    if n < 1:
+        raise ValueError("n_trials must be >= 1")
+    chunks = _chunks(n, CHUNK)
+    values_sum, kept = PairwiseSum(n), None
+
+    def pass_one(cb):
+        c, start, size = cb
+        keep, values = draw(substream(master_seed, *path, c), size)
+        return keep, values, values_sum.node_sums(values, start)
+
+    for (keep, values, nodes), (_, start, size) in zip(_in_order(pass_one, chunks), chunks):
+        if kept is None:
+            kept = np.empty(n, dtype=keep.dtype)
+        kept[start:start + size] = keep
+        values_sum.add(values, nodes)
+    mean = values_sum.total() / n
+    if n < 2:
+        return mean, 0.0
+    squares_sum = PairwiseSum(n)
+
+    def pass_two(cb):
+        c, start, size = cb
+        dev = redraw(substream(master_seed, *path, c), kept[start:start + size])
+        dev -= mean
+        dev *= dev
+        return dev, squares_sum.node_sums(dev, start)
+
+    for dev, nodes in _in_order(pass_two, chunks):
+        squares_sum.add(dev, nodes)
+    return mean, math.sqrt(squares_sum.total() / (n - 1)) / math.sqrt(n)
 
 
 def _column_sums(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -109,7 +253,9 @@ def _column_sums(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
 def mean_and_se(values: np.ndarray, table: np.ndarray | None = None):
     """Sample mean and its standard error (ddof=1; SE=0 for a single value)
     of (n,) values, as floats, or of each column of (n, d) values, as (d,)
-    arrays.
+    arrays. This route holds the values or their counts; where each trial's
+    one value can be drawn again from a count it keeps,
+    ``streamed_mean_and_se`` gives the same bytes and holds no value.
 
     A float64 array is taken as the function's own: the standard error is
     computed in place, in the steps of numpy's ``std(ddof=1)`` (deviations

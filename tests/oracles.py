@@ -1,12 +1,13 @@
 """Literal reference forms that tests check the program's closed forms against.
 
-The program computes risks, entropies, the fingerprinting expectation, the
-pattern order of the exact channels, SGD's pass and its outputs on every
-pattern, exact channels, the per-coordinate MI, the supersample CMI, the
-Monte Carlo estimators, the random coupling search, the sub-Gaussian joint
-construction and the MI-bound check in closed, vectorized, lattice-indexed,
-count-only, blocked, lockstep or reweighted form; each function here writes
-one of them out the long way, with no caller in the program. The learners' sign route (``fit_signs``,
+The program computes risks, entropies, the fingerprinting expectation and
+its Monte Carlo estimate, the pattern order of the exact channels, SGD's
+pass and its outputs on every pattern, exact channels, the per-coordinate
+MI, the supersample CMI, the Monte Carlo estimators, the random coupling
+search, the sub-Gaussian joint construction and the MI-bound check in
+closed, vectorized, lattice-indexed, count-only, blocked, streamed, lockstep
+or reweighted form; each function here writes one of them out the long
+way, with no caller in the program. The learners' sign route (``fit_signs``,
 ``codebook_signs``) fits int8 sign tensors, where the program fits plus
 booleans through ``learners.fit``. ``sample_signs`` draws sign tensors, where
 the program draws plus booleans; ``Sample``, ``sample`` and
@@ -37,6 +38,7 @@ from mi_sco_lab.bounds import (
     SECOND_MOMENT_INNER,
     GoodSetResult,
     _legendre_nodes,
+    _fingerprint_statistic,
     _random_pmf_pair,
     attack_prefactor,
     make_report,
@@ -252,6 +254,18 @@ def fingerprint_quadrature_table(f_table: np.ndarray, m: int) -> float:
         stat = attack_prefactor(p) * delta * (patterns - p).sum(axis=1) + delta ** 2
         total += w * float(pattern_probs @ stat)
     return total
+
+
+def fingerprint_monte_carlo_values(estimator, m: int, trials: int, seed: int):
+    """``bounds.fingerprint_expectation``'s Monte Carlo (mean, SE) from every
+    trial's value, held in one array and reduced by ``mc.mean_and_se``,
+    where the program keeps each trial's plus-count and streams the sums."""
+    def chunk(rng, size):
+        p = rng.uniform(-P_MAX, P_MAX, size=size)
+        sums = 2.0 * rng.binomial(m, (1.0 + p) / 2.0) - m
+        return _fingerprint_statistic(estimator(sums, m), sums, p, m)
+
+    return mc.mean_and_se(mc.chunked_trials(chunk, trials, seed, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from mi_sco_lab.harness import (
     _OutputDir,
     _xu_learner_menu,
     load_config,
+    numpy_cpu_features,
     run,
 )
 from mi_sco_lab.learners import (FULL_ENUM_BUDGET, NET_BLOCK_CELLS, MeanLearner,
@@ -473,7 +474,8 @@ class TestSchemas:
         assert set(manifest["files"]) == names
 
     def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
-        # outside the checksummed files: the worker count, Python and numpy
+        # outside the checksummed files: the worker count, Python, numpy and
+        # numpy's SIMD targets
         monkeypatch.setenv(mc.THREADS_ENV, "1")
         path, out = write_config(tmp_path)
         assert run(path) == 0
@@ -481,6 +483,9 @@ class TestSchemas:
         assert manifest["threads"] == 1
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
+        # numpy's baseline first, then the dispatched targets found
+        features = manifest["numpy_cpu_features"]
+        assert features == numpy_cpu_features() and features and set(map(type, features)) == {str}
         assert "manifest.json" not in manifest["files"]
 
     def test_manifest_skips_stale_files(self, tmp_path):

@@ -2,13 +2,15 @@
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mi_sco_lab import mc
+from mi_sco_lab import bounds, mc
+from oracles import fingerprint_monte_carlo_values
 
 
 def _concatenated(fn, n_trials, seed, path, chunk):
@@ -90,6 +92,116 @@ class TestMeanAndSe:
         got_mean, got_se = mc.mean_and_se(counts, table)
         assert got_mean.tobytes() == want_mean.tobytes()
         assert got_se.tobytes() == want_se.tobytes()
+
+
+def _mixed_values(rng, n):
+    """n values over one magnitude or up to 60 decades, some near a large
+    offset where sums cancel, and signed zeros: none, a few or all of the
+    values."""
+    span = rng.choice([0.0, 8.0, 30.0])
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-span, span, size=n)
+    values[rng.random(n) < 0.3] += rng.uniform(-1e6, 1e6)
+    zeros = np.flatnonzero(rng.random(n) < rng.choice([0.0, 0.01, 0.1, 1.0],
+                                                      p=[0.4, 0.25, 0.25, 0.1]))
+    values[zeros] = np.where(rng.random(zeros.shape[0]) < 0.5, -0.0, 0.0)
+    return values
+
+
+def _part_sizes(rng, n, kind):
+    """Sizes of consecutive parts of n values: single values (the first few
+    hundred), parts that end inside a leaf, parts over several leaves, or a
+    mix of all three."""
+    leaf = mc.PAIRWISE_LEAF
+    ranges = {"ones": [(1, 1)], "inside": [(1, leaf - 1)],
+              "across": [(leaf + 1, 10 * leaf)],
+              "mixed": [(1, 1), (1, leaf - 1), (leaf + 1, 10 * leaf)]}[kind]
+    sizes, fed = [], 0
+    while fed < n:
+        if kind == "ones" and fed >= 300:
+            size = n - fed
+        else:
+            low, high = ranges[rng.integers(len(ranges))]
+            size = min(int(rng.integers(low, high + 1)), n - fed)
+        sizes.append(size)
+        fed += size
+    return sizes
+
+
+def _streamed(values, sizes):
+    total, at = mc.PairwiseSum(values.shape[0]), 0
+    for size in sizes:
+        part = values[at:at + size]
+        total.add(part, total.node_sums(part, at))
+        at += size
+    return np.float64(total.total())
+
+
+class TestPairwiseSum:
+    @given(n=st.one_of(st.integers(1, 3 * mc.CHUNK), st.sampled_from([7, 8, 9, 127, 128, 129, 136])),
+           kind=st.sampled_from(["ones", "inside", "across", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_byte_for_byte(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        values = _mixed_values(rng, n)
+        got = _streamed(values, _part_sizes(rng, n, kind))
+        assert got.tobytes() == np.add.reduce(values).tobytes()
+
+    def test_four_million_values_with_nodes_summed_out_of_order(self):
+        # as workers do: the whole nodes of each chunk-sized part are summed
+        # first, last chunk first, and the parts fed in order after
+        n = 4 * 10 ** 6
+        values = _mixed_values(np.random.default_rng(36), n)
+        total = mc.PairwiseSum(n)
+        starts = range(0, n, mc.CHUNK)
+        inner = {s: total.node_sums(values[s:s + mc.CHUNK], s) for s in reversed(starts)}
+        for s in starts:
+            total.add(values[s:s + mc.CHUNK], inner[s])
+        assert np.float64(total.total()).tobytes() == np.add.reduce(values).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zeros(self, sign):
+        values = np.full(300, sign * 0.0)
+        assert _streamed(values, [1] * 300).tobytes() == np.add.reduce(values).tobytes()
+
+    def test_total_refuses_a_short_feed(self):
+        total = mc.PairwiseSum(10)
+        total.add(np.ones(9), total.node_sums(np.ones(9), 0))
+        with pytest.raises(ValueError, match="9 of 10"):
+            total.total()
+
+
+class TestStreamedFingerprint:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("trials", [1, 2, mc.CHUNK, mc.CHUNK + 1])
+    @pytest.mark.parametrize("m", [4, 100, 300])
+    def test_matches_the_value_array(self, monkeypatch, threads, trials, m):
+        # m = 300 keeps int64 counts, m <= 255 one byte per trial
+        monkeypatch.setenv(mc.THREADS_ENV, threads)
+        rep = bounds.fingerprint_expectation(bounds.EST_CLIPPED_MEAN, m, mode="monte_carlo",
+                                             trials=trials, seed=7)
+        mean, se = fingerprint_monte_carlo_values(bounds.EST_CLIPPED_MEAN, m, trials, 7)
+        assert np.float64(rep.lhs).tobytes() == np.float64(mean).tobytes()
+        assert np.float64(rep.ci_halfwidth).tobytes() == np.float64(3.0 * se).tobytes()
+
+    def test_many_chunks_under_a_short_switch_interval(self, monkeypatch):
+        # two workers swapped every microsecond: each result still lands at
+        # its chunk's place
+        monkeypatch.setenv(mc.THREADS_ENV, "2")
+        trials = 9 * mc.CHUNK + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = bounds.fingerprint_expectation(bounds.EST_SIGN, 30, mode="monte_carlo",
+                                                 trials=trials, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        mean, se = fingerprint_monte_carlo_values(bounds.EST_SIGN, 30, trials, 8)
+        assert (rep.lhs, rep.ci_halfwidth) == (mean, 3.0 * se)
+
+    def test_refuses_no_trials(self):
+        with pytest.raises(ValueError, match="n_trials"):
+            mc.streamed_mean_and_se(None, None, 0, 1)
 
 
 class TestWorkerCount:

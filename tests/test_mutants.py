@@ -36,8 +36,15 @@ from mi_sco_lab.learners import (
     grid_step,
 )
 from mi_sco_lab.sco import HardInstance, sample_plus
-from oracles import count_mean, fit_signs, good_coordinates_signs, signs_of_plus
+from oracles import (
+    count_mean,
+    fingerprint_monte_carlo_values,
+    fit_signs,
+    good_coordinates_signs,
+    signs_of_plus,
+)
 from test_acceptance import quantized_mean_ties_and_chain_rule
+from test_mc import _streamed
 
 
 @dataclass(frozen=True)
@@ -165,6 +172,23 @@ def _coupling_disagreement_is_tv():
     assert match.holds
 
 
+def _streamed_sum_matches_numpy():
+    # 1000 values split after 496, not 500: numpy's leaves hold other values
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(1000) * 10.0 ** rng.uniform(-8, 8, size=1000)
+    assert _streamed(values, [100] * 10).tobytes() == np.add.reduce(values).tobytes()
+
+
+def _streamed_fingerprint_matches_the_value_array():
+    # two chunks: the second pass rebuilds each chunk's values from its own
+    # bias draws
+    trials = mc.CHUNK + 1
+    rep = bounds.fingerprint_expectation(bounds.EST_CLIPPED_MEAN, 100, mode="monte_carlo",
+                                         trials=trials, seed=7)
+    mean, se = fingerprint_monte_carlo_values(bounds.EST_CLIPPED_MEAN, 100, trials, 7)
+    assert (rep.lhs, rep.ci_halfwidth) == (mean, 3.0 * se)
+
+
 MUTANTS = {
     "rho ignored": Mutant(
         RandomizedResponse, "mix",
@@ -214,6 +238,15 @@ MUTANTS = {
         infotheory, "optimal_coupling",
         (("table += np.outer(pos, neg) / tv", "table += np.outer(pos, neg)"),),
         _coupling_disagreement_is_tv),
+    "leaf split not rounded down to a multiple of 8": Mutant(
+        mc, "_pairwise_split",
+        (("return k // 2 - k // 2 % 8", "return k // 2"),),
+        _streamed_sum_matches_numpy),
+    "pass 2 redraws chunk c+1's bias": Mutant(
+        mc, "streamed_mean_and_se",
+        (("dev = redraw(substream(master_seed, *path, c),",
+          "dev = redraw(substream(master_seed, *path, c + 1),"),),
+        _streamed_fingerprint_matches_the_value_array),
     "block accumulator not carried": Mutant(
         mc, "_column_sums",
         (("block[0] = sums", "block[0] = 0.0"),),
