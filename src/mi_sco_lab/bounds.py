@@ -39,6 +39,7 @@ from .learners import (
     FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
+    code_radix,
     count_statistic,
     exact_mutual_information,
     fit,
@@ -379,12 +380,14 @@ def good_coordinates(inst: HardInstance, learner, m: int,
                          excluded=excluded, normalizers=norms)
 
 
-def _joint_table(x_labels, y_labels, weights, width: int) -> np.ndarray:
-    """The (x label) x (y label) table of ``weights``, y labels below
-    ``width``: each cell sums its weights in input order."""
-    rows = int(x_labels.max()) + 1
-    return np.bincount((x_labels * width + y_labels).ravel(), weights.ravel(),
-                       rows * width).reshape(rows, width)
+def _joint_table(x_labels, y_labels, weights, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) table of ``weights``, x labels below ``rows`` and y
+    labels below ``width``: each cell sums its weights in input order. The
+    int64 array ``x_labels``, of the weights' shape, is overwritten with the
+    cell labels x * width + y."""
+    x_labels *= width
+    x_labels += y_labels
+    return np.bincount(x_labels.ravel(), weights.ravel(), rows * width).reshape(rows, width)
 
 
 @dataclass(frozen=True)
@@ -398,21 +401,28 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated.
 
     A coordinate sum is 2 C_t - m, so the lattice code labels the sum vector
-    and the plus-count C_t labels sum t, both in the order of the sums. The
-    channel must be deterministic."""
+    and the plus-count C_t, digit t of the code in base m+1, labels sum t,
+    both in the order of the sums. One int64 label array per pattern is
+    filled in place for each table in turn, and the (L, K) joint table is
+    released before the per-coordinate tables are built. The channel must be
+    deterministic."""
     if not ch.deterministic:
         raise ValueError("the chain rule takes a deterministic learner's channel")
     big_k = ch.codebook.shape[0]
-    full = _joint_table(ch.codes, ch.output_index, ch.sample_probs, big_k)
-    total = max(0.0, mi_of_table(full))
     counts, m, d = ch.counts, ch.m, ch.counts.shape[1]  # (L, d) plus-counts
+    labels = ch.codes.copy()
+    total = max(0.0, mi_of_table(_joint_table(labels, ch.output_index, ch.sample_probs,
+                                              counts.shape[0], big_k)))
     per_coord = []
+    radix = code_radix(m + 1, d)
     for t in range(d):
-        table_t = _joint_table(counts[:, t][ch.codes], ch.output_index, ch.sample_probs, big_k)
+        np.floor_divide(ch.codes, radix[t], out=labels)
+        np.remainder(labels, m + 1, out=labels)
+        table_t = _joint_table(labels, ch.output_index, ch.sample_probs, m + 1, big_k)
         # collapse codebook columns to the t-th output coordinate
         col_labels = np.unique(ch.codebook[:, t], return_inverse=True)[1]
-        collapsed = _joint_table(np.arange(table_t.shape[0])[:, None], col_labels, table_t,
-                                 int(col_labels.max()) + 1)
+        collapsed = _joint_table(np.repeat(np.arange(m + 1)[:, None], big_k, axis=1),
+                                 col_labels, table_t, m + 1, int(col_labels.max()) + 1)
         per_coord.append(max(0.0, mi_of_table(collapsed)))
     rhs = float(sum(per_coord))
     report = make_report("chain_rule", total, rhs, tolerance=1e-9, d=d, m=m)

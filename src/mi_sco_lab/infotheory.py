@@ -9,6 +9,13 @@ pair (i, j). Nothing here validates its input: callers pass pmfs that are
 valid by construction, and the two pmfs of a pair over one alphabet (arrays
 of one length).
 
+Entropy, KL divergence and mutual information share one kernel,
+``_relative_entropy``: the sum of q log(q / b) over the cells where the first
+measure is positive, each caller passing q and b at those cells only. Mutual
+information takes the product of its marginals at the table's nonzero cells,
+row sums times column sums in row-major order, so it builds no second
+table of the joint's size.
+
 Conventions:
   * 0 * log 0 := 0 everywhere.
   * KL divergence with an absolute-continuity violation returns math.inf
@@ -34,18 +41,17 @@ __all__ = [
 ]
 
 
-def _relative_entropy(a: np.ndarray, b) -> float:
-    """sum of a log(a / b) over the support of ``a``, in nats: the one kernel
-    of KL divergence, mutual information (b the product of the marginals) and
-    entropy (b = 1, the negated entropy). ``b`` broadcasts against ``a``."""
-    support = a > 0.0
-    q = a[support]
-    return float((q * np.log(q / np.broadcast_to(b, a.shape)[support])).sum())
+def _relative_entropy(q: np.ndarray, b) -> float:
+    """sum of q log(q / b) in nats, q a measure's positive values and b the
+    reference measure's values at the same cells: the one kernel of entropy
+    (b = 1, the negated entropy), KL divergence and mutual information (b
+    the product of the marginals)."""
+    return float((q * np.log(q / b)).sum())
 
 
 def entropy_of(probs: np.ndarray) -> float:
     """Entropy in nats of a 1-D probability array; zeros are dropped first."""
-    return -_relative_entropy(probs, 1.0)
+    return -_relative_entropy(probs[probs > 0.0], 1.0)
 
 
 def row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -59,8 +65,12 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
 
 
 def mi_of_table(table: np.ndarray) -> float:
-    """Mutual information in nats of a 2-D joint table, unclamped."""
-    return _relative_entropy(table, np.outer(table.sum(axis=1), table.sum(axis=0)))
+    """Mutual information in nats of a 2-D joint table, unclamped. The
+    product of the marginals is taken at the support cells only, in
+    row-major order, so nothing of the table's size is built."""
+    rows, cols = np.nonzero(table)
+    return _relative_entropy(table[rows, cols],
+                             table.sum(axis=1)[rows] * table.sum(axis=0)[cols])
 
 
 def kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -68,9 +78,10 @@ def kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
 
     Returns math.inf when ``a`` places mass where ``b`` has none.
     """
-    if np.any(b[a > 0.0] == 0.0):
+    support = a > 0.0
+    if np.any(b[support] == 0.0):
         return math.inf
-    return _relative_entropy(a, b)
+    return _relative_entropy(a[support], b[support])
 
 
 def total_variation(a: np.ndarray, b: np.ndarray) -> float:

@@ -224,7 +224,9 @@ class SgdLearner:
             z = points(t)
             w = project(((1.0 - 1.0 / t) * w[None] + z / t).reshape(-1, d))
             acc = (acc[None] + w.reshape(z.shape[0], -1, d)).reshape(-1, d)
-        return round_half_down(acc / m, grid_step(self.delta, m))
+        del w  # so the rounding holds only the running sum and its quotient
+        acc /= m
+        return round_half_down(acc, grid_step(self.delta, m))
 
     def fit_batch(self, plus: np.ndarray) -> np.ndarray:
         _, m, d = plus.shape
@@ -542,11 +544,16 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     base = learner if learner.deterministic else learner.base
     codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
-    idx = atom[codes if base.reads_counts else sample_codes(scale, radix)]
+    if base.reads_counts:
+        code_atom, idx = atom, atom[codes]
+    else:  # each sample code turns into its atom in place; mode "raise" buffers a copy
+        code_atom, idx = None, sample_codes(scale, radix)
+        np.take(atom, idx, out=idx, mode="clip")
+    del atom  # SGD's 2^(d m) per-code atoms go before the samples are weighed
     counts = lattice_counts(m, inst.d)
     if learner.deterministic:
         return Channel(codes, counts, m, None, codebook, output_index=idx,
-                       code_atom=atom if base.reads_counts else None).reweighted(inst)
+                       code_atom=code_atom).reweighted(inst)
     n, big_k = codes.shape[0], codebook.shape[0]
     # per cell the law and the two temporaries of its size that the MI (with a
     # one-byte mask) and the gap build; per sample the gap's two d-float

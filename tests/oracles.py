@@ -47,7 +47,6 @@ from mi_sco_lab.bounds import (
 from mi_sco_lab.infotheory import (
     coupling_disagreement,
     entropy_of,
-    mi_of_table,
     optimal_coupling,
     row_entropies,
     total_variation,
@@ -386,7 +385,7 @@ def full_chain_rule(ch: FullChannel):
     coordinate sums, grouped by a row dedup over all patterns: (report,
     total MI, per-coordinate MIs) of a deterministic learner's channel."""
     sums = ch.signs.sum(axis=1, dtype=np.int64)  # (n, d)
-    total = max(0.0, mi_of_table(_joint_sums_output(ch, sums)))
+    total = max(0.0, mi_of_table_dense(_joint_sums_output(ch, sums)))
     _, m, d = ch.signs.shape
     per_coord = []
     for t in range(d):
@@ -394,7 +393,7 @@ def full_chain_rule(ch: FullChannel):
         col_labels = _group_labels(ch.codebook[:, t])
         collapsed = np.zeros((table_t.shape[0], int(col_labels.max()) + 1))
         np.add.at(collapsed.T, col_labels, table_t.T)
-        per_coord.append(max(0.0, mi_of_table(collapsed)))
+        per_coord.append(max(0.0, mi_of_table_dense(collapsed)))
     report = make_report("chain_rule", total, float(sum(per_coord)), tolerance=1e-9, d=d, m=m)
     return report, total, tuple(per_coord)
 
@@ -497,6 +496,16 @@ def entropy(p: np.ndarray) -> float:
 def marginal(table: np.ndarray, axis: int) -> np.ndarray:
     """The marginal pmf of axis 0 or 1 of a two-variable joint table."""
     return table.sum(axis=1 - axis)
+
+
+def mi_of_table_dense(table: np.ndarray) -> float:
+    """``infotheory.mi_of_table`` through a dense table of the marginal
+    products: the sum of q log(q / b) over the cells where the joint is
+    positive, b the outer product of its row and column sums there."""
+    support = table > 0.0
+    q = table[support]
+    b = np.outer(table.sum(axis=1), table.sum(axis=0))[support]
+    return float((q * np.log(q / b)).sum())
 
 
 # ---------------------------------------------------------------------------

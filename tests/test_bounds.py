@@ -392,6 +392,23 @@ class TestChainRule:
         with pytest.raises(ValueError, match="deterministic"):
             chain_rule_decomposition(ch)
 
+    def test_peak_memory_counted_in_patterns(self):
+        # above the channel it holds the dense (L, K) joint table and one
+        # int64 label per pattern; two labels and a dense table of marginal
+        # products read 2.02 labels per pattern here
+        inst = HardInstance(4, np.array([0.1, -0.2, 0.3, 0.0]))
+        chain_rule_decomposition(exact_channel(QuantizedMeanLearner(), inst, 2))  # warm up
+        ch = exact_channel(QuantizedMeanLearner(), inst, 5)
+        label = 8 * ch.codes.shape[0]  # 8 * 2^20 bytes
+        joint = 8 * ch.counts.shape[0] * ch.codebook.shape[0]
+        tracemalloc.start()
+        try:
+            chain_rule_decomposition(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= joint + 1.25 * label, (peak - joint) / label
+
 
 def _cmi_exact_axis0(learner, inst, m):
     """cmi_exact as written with numpy's row sort, a dict codebook lookup and

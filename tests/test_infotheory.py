@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mi_sco_lab.bounds import (
@@ -16,12 +16,13 @@ from mi_sco_lab.infotheory import (
     coupling_disagreement,
     entropy_of,
     kl_divergence,
+    mi_of_table,
     mutual_information,
     optimal_coupling,
     pinsker_slack,
     total_variation,
 )
-from oracles import entropy, marginal
+from oracles import entropy, marginal, mi_of_table_dense
 
 LN2 = math.log(2.0)
 
@@ -101,7 +102,35 @@ class TestKlAndTv:
             assert total_variation(a, b) == pytest.approx(best_event, abs=1e-12)
 
 
+@st.composite
+def sparse_tables(draw, max_side=12):
+    """A normalized joint table of 1..max_side rows and columns whose cells
+    are each zero or a positive weight, so whole rows and columns may be
+    empty and a row may hold one nonzero."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cell = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    table = np.array(draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols)))
+    total = table.sum()
+    return (table / total if total > 0.0 else table).reshape(rows, cols)
+
+
+def float_bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestMutualInformation:
+    @given(sparse_tables())
+    @example(np.array([[0.2, 0.0, 0.3], [0.0, 0.0, 0.0], [0.1, 0.0, 0.4]]))  # empty row, column
+    @example(np.array([[0.0, 0.5, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, 0.25]]))  # one per row
+    @example(np.array([[0.1, 0.0, 0.6, 0.3]]))  # 1 x k
+    @example(np.array([[0.3], [0.0], [0.7]]))  # k x 1
+    @settings(max_examples=400, deadline=None)
+    def test_support_products_match_the_dense_outer(self, table):
+        # the product of the marginals at the support cells against a dense
+        # table of all of them, read at the support mask: the same products,
+        # in the same row-major order, summed alike
+        assert float_bytes(mi_of_table(table)) == float_bytes(mi_of_table_dense(table))
+
     def test_independent_is_zero(self):
         j = np.outer([0.3, 0.7], [0.6, 0.4])
         assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)

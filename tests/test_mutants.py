@@ -41,6 +41,7 @@ from oracles import (
     fingerprint_monte_carlo_values,
     fit_signs,
     good_coordinates_signs,
+    mi_of_table_dense,
     signs_of_plus,
 )
 from test_acceptance import quantized_mean_ties_and_chain_rule
@@ -121,6 +122,13 @@ def _chain_rule_tight_for_factorized():
     inst = HardInstance(2, np.array([0.3, -0.2]))
     result = bounds.chain_rule_decomposition(exact_channel(QuantizedMeanLearner(), inst, 3))
     assert math.fsum(result.per_coordinate) == pytest.approx(result.total_mi, rel=1e-9)
+
+
+def _mi_kernel_matches_the_dense_outer():
+    # a table with an empty row and unequal column sums
+    table = np.array([[0.1, 0.15, 0.2, 0.05], [0.0, 0.0, 0.0, 0.0], [0.3, 0.1, 0.05, 0.05]])
+    assert np.float64(infotheory.mi_of_table(table)).tobytes() == \
+        np.float64(mi_of_table_dense(table)).tobytes()
 
 
 def _mean_cmi_closed_form():
@@ -216,6 +224,10 @@ MUTANTS = {
         bounds, "chain_rule_decomposition",
         (("for t in range(d):", "for t in [0, *range(d)]:"),),
         _chain_rule_tight_for_factorized),
+    "MI support cell paired with the next column's marginal": Mutant(
+        infotheory, "mi_of_table",
+        (("table.sum(axis=0)[cols]", "np.roll(table.sum(axis=0), 1)[cols]"),),
+        _mi_kernel_matches_the_dense_outer),
     "CMI selector bit ignored": Mutant(
         bounds, "_selection_counts",
         (("(points[:, m:] - points[:, :m]) * scale", "0 * points[:, :m] * scale"),),
@@ -266,9 +278,11 @@ def test_check_fails_under_the_mutant(monkeypatch, name):
         MUTANTS[name].check()
 
 
-@pytest.mark.parametrize("name", ["ties rounded up", "chain-rule coordinate counted twice"])
+@pytest.mark.parametrize("name", ["ties rounded up", "chain-rule coordinate counted twice",
+                                  "MI support cell paired with the next column's marginal"])
 def test_acceptance_criterion_12_fails_under_the_mutant(monkeypatch, name):
-    # neither mutant moves a shipped byte or fails a shipped --verify report
+    # none of these mutants fails a shipped --verify report; the MI mutant
+    # moves verify-lemmas' pinned bytes, the other two no shipped byte
     assert quantized_mean_ties_and_chain_rule()
     apply(monkeypatch, MUTANTS[name])
     assert not quantized_mean_ties_and_chain_rule()
