@@ -39,7 +39,6 @@ from .learners import (
     FULL_ENUM_BUDGET,
     BudgetExceededError,
     Channel,
-    code_radix,
     count_statistic,
     exact_mutual_information,
     fit,
@@ -401,8 +400,8 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     """I(w_S; coordinate sums) >= sum_t I(w_S(t); sum_t), exactly evaluated.
 
     A coordinate sum is 2 C_t - m, so the lattice code labels the sum vector
-    and the plus-count C_t, digit t of the code in base m+1, labels sum t,
-    both in the order of the sums. One int64 label array per pattern is
+    and the plus-count C_t, read from the channel, labels sum t, both in the
+    order of the sums. One int64 label array per pattern is
     filled in place for each table in turn, and the (L, K) joint table is
     released before the per-coordinate tables are built. The channel must be
     deterministic."""
@@ -414,10 +413,8 @@ def chain_rule_decomposition(ch: Channel) -> ChainRuleResult:
     total = max(0.0, mi_of_table(_joint_table(labels, ch.output_index, ch.sample_probs,
                                               counts.shape[0], big_k)))
     per_coord = []
-    radix = code_radix(m + 1, d)
     for t in range(d):
-        np.floor_divide(ch.codes, radix[t], out=labels)
-        np.remainder(labels, m + 1, out=labels)
+        ch.plus_counts(t, labels)
         table_t = _joint_table(labels, ch.output_index, ch.sample_probs, m + 1, big_k)
         # collapse codebook columns to the t-th output coordinate
         col_labels = np.unique(ch.codebook[:, t], return_inverse=True)[1]

@@ -45,8 +45,11 @@ def _relative_entropy(q: np.ndarray, b) -> float:
     """sum of q log(q / b) in nats, q a measure's positive values and b the
     reference measure's values at the same cells: the one kernel of entropy
     (b = 1, the negated entropy), KL divergence and mutual information (b
-    the product of the marginals)."""
-    return float((q * np.log(q / b)).sum())
+    the product of the marginals). The quotient is the one fresh array; its
+    log and the product by q are taken in place."""
+    r = q / b
+    np.log(r, out=r)
+    return float(np.multiply(r, q, out=r).sum())
 
 
 def entropy_of(probs: np.ndarray) -> float:

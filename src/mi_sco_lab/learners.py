@@ -440,6 +440,11 @@ class Channel:
         """This channel with each sample weighed by its probability under D(p)^m."""
         return replace(self, sample_probs=sign_space_probs(inst, self.counts, self.m)[self.codes])
 
+    def plus_counts(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Each pattern's plus-count in coordinate t, written into the int64
+        array ``out``; codes are in range, so "clip" copies no ``out``."""
+        return np.take(self.counts[:, t], self.codes, out=out, mode="clip")
+
     def output_marginal(self) -> np.ndarray:
         if self.deterministic:
             return np.bincount(self.output_index, self.sample_probs, self.codebook.shape[0])

@@ -2,15 +2,17 @@
 
 Every stochastic routine derives its generator from a master seed plus an
 integer path, so results are reproducible bit-for-bit. Long trial loops are
-split into fixed-size chunks whose streams depend only on (seed, chunk index);
-worker count changes scheduling but never the reduction order, so parallel
-and serial runs agree byte-for-byte. Workers run at most two chunks each
-ahead of the one the main thread takes next, so finished chunks do not pile
-up. ``chunked_trials`` writes the chunks, in chunk order, into one result
-array, and ``mean_and_se`` takes its standard error in place, consuming
-that array. Where every value is an entry of a small table read at an
-integer count (a learner whose outputs are its levels, read at
-plus-counts), the array holds the counts, and ``mean_and_se`` reads the
+split into fixed-size chunks whose streams depend only on (seed, chunk index).
+One rule holds for every routine here: the workers run a chunk's draw, from
+its stream to its values, and the main thread takes the chunks in chunk order
+and does every reduction. So the worker count changes scheduling but never
+the reduction order, and parallel and serial runs agree byte-for-byte.
+Workers run at most two chunks each ahead of the one the main thread takes
+next, so finished chunks do not pile up. ``chunked_trials`` writes the
+chunks into one result array, and ``mean_and_se`` takes its standard error
+in place, consuming that array. Where every value is an entry of a small
+table read at an integer count (a learner whose outputs are its levels, read
+at plus-counts), the array holds the counts, and ``mean_and_se`` reads the
 table at them block by block in numpy's own summation order. Where each
 trial keeps a count and its one value can be drawn again from it,
 ``streamed_mean_and_se`` holds no value at all: ``PairwiseSum`` adds the
@@ -113,11 +115,10 @@ class PairwiseSum:
     k - h), h = ``_pairwise_split(k)``. The tree's nodes depend on n alone,
     and numpy's sum of a node's values alone is 0.0 + T(node). That differs
     from T(node) at most in the sign of a zero, so every sum above it
-    differs at most so too, and the final 0.0 + drops the sign. So
-    ``node_sums`` lets numpy sum each largest node that lies whole in a
-    part, in any thread; ``add`` takes the parts in order and has numpy sum
-    each leaf that crosses a part's edge once its values are in; ``total``
-    adds the nodes above, in Python floats."""
+    differs at most so too, and the final 0.0 + drops the sign. So ``add``
+    has numpy sum each largest node that lies whole in a part, and each leaf
+    that crosses a part's edge once its last value is in; ``total`` adds the
+    nodes above, in Python floats."""
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -125,45 +126,24 @@ class PairwiseSum:
         self.head = np.empty(PAIRWISE_LEAF)  # values of the leaf fed in parts
         self.fed = 0  # values fed so far
 
-    def node_sums(self, part: np.ndarray, start: int) -> list:
-        """(first value, size, sum) of each largest node that lies whole in
-        part, values start to start + len(part), in order."""
-        end, found, todo = start + part.shape[0], [], [(0, self.n)]
+    def add(self, part: np.ndarray) -> None:
+        """Feed the next values: one walk down the tree to the nodes that
+        part, values fed to fed + len(part), holds whole or in part."""
+        start, end = self.fed, self.fed + part.shape[0]
+        todo = [(0, self.n)]
         while todo:
             lo, k = todo.pop()
             if start <= lo and lo + k <= end:
-                found.append((lo, k, float(np.add.reduce(part[lo - start:lo - start + k]))))
-            elif k > PAIRWISE_LEAF and lo < end and start < lo + k:
+                self.sums[lo, k] = float(np.add.reduce(part[lo - start:lo - start + k]))
+            elif k > PAIRWISE_LEAF:  # the children that hold some of the part's values
                 h = _pairwise_split(k)
-                todo += [(lo + h, k - h), (lo, h)]
-        return found
-
-    def add(self, part: np.ndarray, nodes: list) -> None:
-        """Feed the next values with ``nodes``, their ``node_sums``."""
-        start = self.fed
-        end = start + part.shape[0]
-        self.sums.update(((lo, k), total) for lo, k, total in nodes)
-        # the nodes cover every leaf the part holds whole; the values before
-        # and after them lie in leaves that cross the part's edges
-        begin = nodes[0][0] if nodes else end
-        stop = nodes[-1][0] + nodes[-1][1] if nodes else end
-        self._carry(part[:begin - start], start)
-        self._carry(part[stop - start:], stop)
+                todo += [(c, j) for c, j in ((lo + h, k - h), (lo, h)) if c < end and start < c + j]
+            elif start < end:  # a leaf that crosses the part's edge: copy its values in
+                a, b = max(lo, start), min(lo + k, end)
+                self.head[a - lo:b - lo] = part[a - start:b - start]
+                if b == lo + k:
+                    self.sums[lo, k] = float(np.add.reduce(self.head[:k]))
         self.fed = end
-
-    def _carry(self, piece: np.ndarray, at: int) -> None:
-        """Copy the values of leaves that no part holds whole into
-        ``head``, summing each leaf when its last value arrives."""
-        while piece.shape[0]:
-            lo, k = 0, self.n  # the leaf that holds value ``at``
-            while k > PAIRWISE_LEAF:
-                h = _pairwise_split(k)
-                lo, k = (lo, h) if at < lo + h else (lo + h, k - h)
-            take = min(lo + k - at, piece.shape[0])
-            self.head[at - lo:at - lo + take] = piece[:take]
-            if at + take == lo + k:
-                self.sums[lo, k] = float(np.add.reduce(self.head[:k]))
-            piece, at = piece[take:], at + take
 
     def total(self) -> float:
         """The sum of the n values, once all are fed."""
@@ -189,25 +169,19 @@ def streamed_mean_and_se(draw, redraw, n_trials: int, master_seed: int, *path: i
     trial. ``redraw(rng, kept)`` rebuilds the same values from chunk c's
     stream, fresh again, and the chunk's kept entries. Pass 1 keeps the
     entries in one array and sums the values; pass 2 sums the squared
-    deviations from the mean, each by a ``PairwiseSum`` whose whole nodes in
-    a chunk the workers sum.
+    deviations from the mean, each by a ``PairwiseSum`` fed in chunk order.
     """
     n = int(n_trials)
     if n < 1:
         raise ValueError("n_trials must be >= 1")
     chunks = _chunks(n, CHUNK)
     values_sum, kept = PairwiseSum(n), None
-
-    def pass_one(cb):
-        c, start, size = cb
-        keep, values = draw(substream(master_seed, *path, c), size)
-        return keep, values, values_sum.node_sums(values, start)
-
-    for (keep, values, nodes), (_, start, size) in zip(_in_order(pass_one, chunks), chunks):
+    for (keep, values), (_, start, size) in zip(_in_order(
+            lambda cb: draw(substream(master_seed, *path, cb[0]), cb[2]), chunks), chunks):
         if kept is None:
             kept = np.empty(n, dtype=keep.dtype)
         kept[start:start + size] = keep
-        values_sum.add(values, nodes)
+        values_sum.add(values)
     mean = values_sum.total() / n
     if n < 2:
         return mean, 0.0
@@ -218,10 +192,10 @@ def streamed_mean_and_se(draw, redraw, n_trials: int, master_seed: int, *path: i
         dev = redraw(substream(master_seed, *path, c), kept[start:start + size])
         dev -= mean
         dev *= dev
-        return dev, squares_sum.node_sums(dev, start)
+        return dev
 
-    for dev, nodes in _in_order(pass_two, chunks):
-        squares_sum.add(dev, nodes)
+    for dev in _in_order(pass_two, chunks):
+        squares_sum.add(dev)
     return mean, math.sqrt(squares_sum.total() / (n - 1)) / math.sqrt(n)
 
 

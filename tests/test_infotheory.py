@@ -1,6 +1,7 @@
 """Exact-value and property tests for the finite information-theory core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,32 @@ class TestEntropy:
         p, _ = pair
         h = entropy_of(p)
         assert -1e-12 <= h <= math.log(p.shape[0]) + 1e-12
+
+    def test_bytes_of_the_plain_product(self):
+        # the log and the product taken in place: q log q in one expression,
+        # the sum in the same order
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            p = rng.random(int(rng.integers(1, 400))) ** rng.uniform(0.1, 5.0)
+            p[1:][rng.random(p.shape[0] - 1) < 0.2] = 0.0
+            p /= p.sum()
+            q = p[p > 0.0]
+            assert np.float64(entropy_of(p)).tobytes() == np.float64(-(q * np.log(q)).sum()).tobytes()
+
+    def test_peak_memory_counted_in_atoms(self):
+        # the positive values and one array of their size: 2 units of 8 K
+        # bytes plus the one-byte mask, where the plain product held 3
+        k = 1 << 18
+        p = np.random.default_rng(45).random(k)
+        p /= p.sum()
+        entropy_of(p)  # warm up
+        tracemalloc.start()
+        try:
+            entropy_of(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * k, peak / (8 * k)
 
 
 class TestKlAndTv:

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -130,8 +131,7 @@ def _part_sizes(rng, n, kind):
 def _streamed(values, sizes):
     total, at = mc.PairwiseSum(values.shape[0]), 0
     for size in sizes:
-        part = values[at:at + size]
-        total.add(part, total.node_sums(part, at))
+        total.add(values[at:at + size])
         at += size
     return np.float64(total.total())
 
@@ -147,17 +147,11 @@ class TestPairwiseSum:
         got = _streamed(values, _part_sizes(rng, n, kind))
         assert got.tobytes() == np.add.reduce(values).tobytes()
 
-    def test_four_million_values_with_nodes_summed_out_of_order(self):
-        # as workers do: the whole nodes of each chunk-sized part are summed
-        # first, last chunk first, and the parts fed in order after
+    def test_four_million_values_in_chunk_sized_parts(self):
         n = 4 * 10 ** 6
         values = _mixed_values(np.random.default_rng(36), n)
-        total = mc.PairwiseSum(n)
-        starts = range(0, n, mc.CHUNK)
-        inner = {s: total.node_sums(values[s:s + mc.CHUNK], s) for s in reversed(starts)}
-        for s in starts:
-            total.add(values[s:s + mc.CHUNK], inner[s])
-        assert np.float64(total.total()).tobytes() == np.add.reduce(values).tobytes()
+        got = _streamed(values, [mc.CHUNK] * -(-n // mc.CHUNK))
+        assert got.tobytes() == np.add.reduce(values).tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zeros(self, sign):
@@ -166,7 +160,7 @@ class TestPairwiseSum:
 
     def test_total_refuses_a_short_feed(self):
         total = mc.PairwiseSum(10)
-        total.add(np.ones(9), total.node_sums(np.ones(9), 0))
+        total.add(np.ones(9))
         with pytest.raises(ValueError, match="9 of 10"):
             total.total()
 
@@ -198,6 +192,25 @@ class TestStreamedFingerprint:
             sys.setswitchinterval(interval)
         mean, se = fingerprint_monte_carlo_values(bounds.EST_SIGN, 30, trials, 8)
         assert (rep.lhs, rep.ci_halfwidth) == (mean, 3.0 * se)
+
+    def test_sums_run_on_the_main_thread(self, monkeypatch):
+        # the workers only draw: every PairwiseSum call, in both passes,
+        # comes from the thread that takes the chunks in order
+        monkeypatch.setenv(mc.THREADS_ENV, "2")
+        if mc.worker_count() < 2:
+            pytest.skip("needs two usable CPUs")
+        calls = []
+        for name, method in list(vars(mc.PairwiseSum).items()):
+            if callable(method):
+                def spy(*args, _name=name, _method=method, **kwargs):
+                    calls.append((_name, threading.current_thread() is threading.main_thread()))
+                    return _method(*args, **kwargs)
+                monkeypatch.setattr(mc.PairwiseSum, name, spy)
+        trials = 9 * mc.CHUNK + 5
+        bounds.fingerprint_expectation(bounds.EST_SIGN, 30, mode="monte_carlo",
+                                       trials=trials, seed=8)
+        assert [name for name, _ in calls].count("add") == 2 * 10
+        assert [name for name, main in calls if not main] == []
 
     def test_refuses_no_trials(self):
         with pytest.raises(ValueError, match="n_trials"):

@@ -224,6 +224,10 @@ MUTANTS = {
         bounds, "chain_rule_decomposition",
         (("for t in range(d):", "for t in [0, *range(d)]:"),),
         _chain_rule_tight_for_factorized),
+    "plus-counts read at the next coordinate": Mutant(
+        Channel, "plus_counts",
+        (("self.counts[:, t]", "self.counts[:, (t + 1) % self.counts.shape[1]]"),),
+        _chain_rule_tight_for_factorized),
     "MI support cell paired with the next column's marginal": Mutant(
         infotheory, "mi_of_table",
         (("table.sum(axis=0)[cols]", "np.roll(table.sum(axis=0), 1)[cols]"),),
@@ -279,10 +283,11 @@ def test_check_fails_under_the_mutant(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["ties rounded up", "chain-rule coordinate counted twice",
+                                  "plus-counts read at the next coordinate",
                                   "MI support cell paired with the next column's marginal"])
 def test_acceptance_criterion_12_fails_under_the_mutant(monkeypatch, name):
     # none of these mutants fails a shipped --verify report; the MI mutant
-    # moves verify-lemmas' pinned bytes, the other two no shipped byte
+    # moves verify-lemmas' pinned bytes, the other three no shipped byte
     assert quantized_mean_ties_and_chain_rule()
     apply(monkeypatch, MUTANTS[name])
     assert not quantized_mean_ties_and_chain_rule()
