@@ -1,13 +1,15 @@
 """Experiment runner: config parsing, registry, seeding, CSV/plot emission.
 
-Config files are INI text checked against a strict schema (``_SCHEMA``): a
+Config files are INI text checked against one table of keys (``_KEYS``): a
 section or key outside it is rejected, and so is one the named experiment
 does not read (each ``EXPERIMENTS`` entry lists the keys it reads). README.md
 states the keys, their values and every limit ``load_config`` enforces.
 Every run writes results.csv (the BoundReport table), experiment-specific
 CSVs, two-column .xy plot data, and manifest.json with the checksum of each
-file it wrote, the Monte Carlo worker count, the Python and numpy versions
-and numpy's SIMD targets. Exit codes: 0 ok, 1 config or budget error, 2
+file it wrote, the resolved config (each key the experiment reads, after
+defaults and CLI overrides) and the bias ``p`` of the experiments that take
+one, the Monte Carlo worker count, the Python and numpy versions and numpy's
+SIMD targets. Exit codes: 0 ok, 1 config or budget error, 2
 when --verify sees a failed report.
 """
 
@@ -20,7 +22,8 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +58,18 @@ class ConfigError(ValueError):
     """Config file missing, malformed, or out of documented ranges."""
 
 
-_SCHEMA = {
-    "experiment": {"name"},
-    "instance": {"d", "p_mode", "p_values"},
-    "learner": {"kind", "delta", "lam", "k", "base"},
-    "run": {"m", "epsilon", "trials", "master_seed", "output_dir"},
+# each config key: its section, its default as config text (None for a key
+# that counts only when given) and, for a bounded integer, its least value
+_KEYS = {
+    "name": ("experiment", None, None), "d": ("instance", "2", 1),
+    "p_mode": ("instance", "uniform", None), "p_values": ("instance", None, None),
+    "kind": ("learner", "quantized_mean", None), "delta": ("learner", None, None),
+    "lam": ("learner", None, None), "k": ("learner", None, None), "base": ("learner", None, None),
+    "m": ("run", "4", 1), "epsilon": ("run", "measured", None), "trials": ("run", "100000", 1),
+    "master_seed": ("run", "12345", 0), "output_dir": ("run", "out", None),
 }
+_SECTIONS = {section: {key for key, spec in _KEYS.items() if spec[0] == section}
+             for section, _, _ in _KEYS.values()}
 
 
 @dataclass(frozen=True)
@@ -94,14 +103,62 @@ def _parse_float(raw: str, key: str) -> float:
     raise ConfigError(f"{key} must be finite, got {raw!r}")
 
 
-def _parse_int(raw: str, key: str) -> int:
+def _parse_int(raw, key: str, least: int | None = None) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}")
+    return value
+
+
+def _parse_delta(raw: str, key: str) -> float | None:
+    if raw.strip().lower() == "auto":
+        return None
+    if (delta := _parse_float(raw, key)) <= 0:
+        raise ConfigError("delta must be positive")
+    if math.isinf(1.0 / delta):  # each grid quotient x / delta, |x| <= 1, stays finite
+        raise ConfigError(f"1/delta must be finite, got {raw!r}")
+    return delta
+
+
+# how each learner key given in [learner] becomes make_learner's parameter
+_LEARNER_PARAMS = {"delta": _parse_delta, "lam": _parse_float, "k": _parse_int,
+                   "base": lambda raw, key: raw.strip().lower()}
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse the INI file at ``path`` into an ``ExperimentConfig``, or raise
+    ``ConfigError`` with a one-line message at the first check that fails.
+
+    ``_KEYS`` is the one table of keys: each key's section, its default, and
+    the least value of ``d``, ``m``, ``trials`` and ``master_seed``. The
+    checks run in this order:
+
+    1. the file: present, UTF-8, INI text;
+    2. ``[experiment] name``: present and an ``EXPERIMENTS`` entry;
+    3. each section, then each key in it, in file order: a section of
+       ``_KEYS``, a key of that section, a key the experiment reads, and a
+       section holding at least one key it reads;
+    4. [instance]: ``d`` an integer >= 1; ``p_mode`` uniform or fixed;
+       ``p_values`` present only under fixed, where it lists ``d`` finite
+       biases in [-1/3, 1/3];
+    5. [learner]: ``delta`` auto or a finite positive number whose
+       reciprocal is finite; ``lam`` finite; ``k`` an integer;
+    6. [run]: ``m`` an integer >= 1; ``epsilon`` measured or in (0, 1/54);
+       ``trials`` an integer >= 1; the kept Monte Carlo values (8 bytes per
+       trial, times ``d`` for theorem1) and the uniforms of one theorem1 or
+       verify-lemmas chunk each within ``MC_KEPT_BYTES``; ``master_seed`` an
+       integer >= 0;
+    7. the learner: built by ``make_learner`` (a kind it knows, only the
+       parameters that kind takes, a subsample's ``k`` in 1..m), with an
+       epsilon-net grid of at most ``NET_BLOCK_CELLS`` floats;
+    8. theorem1 needs ``trials >= 2``; net-erm needs ``d <= m`` and
+       ``d*m <= NET_ERM_MAX_CELLS``.
+
+    README.md lists the same limits for users.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -118,66 +175,47 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment name: {name!r}")
     reads = EXPERIMENTS[name][1]
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             if key != "name" and key not in reads:
                 raise ConfigError(f"experiment {name!r} does not read {key!r} in [{section}]")
-        if section != "experiment" and not reads & _SCHEMA[section]:
+        if section != "experiment" and not reads & _SECTIONS[section]:
             raise ConfigError(f"experiment {name!r} reads no key of [{section}]")
+    # each key's text, given or else its default; a given value is read, and
+    # interpolated, only where a check below reads it
+    raw = ChainMap(*map(parser.__getitem__, parser.sections()),
+                   {key: spec[1] for key, spec in _KEYS.items() if spec[1] is not None})
 
-    inst = parser["instance"] if parser.has_section("instance") else {}
-    d = _parse_int(inst.get("d", "2"), "d")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
-    p_mode = inst.get("p_mode", "uniform").strip().lower()
+    def integer(key):
+        return _parse_int(raw[key], key, _KEYS[key][2])
+
+    d = integer("d")
+    p_mode = raw["p_mode"].strip().lower()
     if p_mode not in ("uniform", "fixed"):
         raise ConfigError("p_mode must be uniform or fixed")
     p_values = ()
-    if p_mode == "uniform" and "p_values" in inst:
+    if p_mode == "uniform" and "p_values" in raw:
         raise ConfigError("p_values needs p_mode = fixed")
     if p_mode == "fixed":
-        raw = inst.get("p_values", "")
-        if not raw.strip():
+        if not raw.get("p_values", "").strip():
             raise ConfigError("p_mode=fixed requires p_values")
-        p_values = tuple(_parse_float(v.strip(), "p_values") for v in raw.split(","))
+        p_values = tuple(_parse_float(v.strip(), "p_values") for v in raw["p_values"].split(","))
         if len(p_values) != d:
             raise ConfigError("p_values must list d entries")
         if any(abs(v) > P_MAX + 1e-12 for v in p_values):
             raise ConfigError("p_values must lie in [-1/3, 1/3]")
 
-    lrn = parser["learner"] if parser.has_section("learner") else {}
-    kind = lrn.get("kind", "quantized_mean").strip().lower()
-    params = {}
-    if "delta" in lrn:
-        params["delta"] = None
-        if lrn["delta"].strip().lower() != "auto":
-            params["delta"] = _parse_float(lrn["delta"], "delta")
-            if params["delta"] <= 0:
-                raise ConfigError("delta must be positive")
-    if "lam" in lrn:
-        params["lam"] = _parse_float(lrn["lam"], "lam")
-    if "k" in lrn:
-        params["k"] = _parse_int(lrn["k"], "k")
-    if "base" in lrn:
-        params["base"] = lrn["base"].strip().lower()
+    params = {key: parse(raw[key], key) for key, parse in _LEARNER_PARAMS.items() if key in raw}
 
-    run = parser["run"] if parser.has_section("run") else {}
-    m = _parse_int(run.get("m", "4"), "m")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    eps_raw = run.get("epsilon", "measured").strip().lower()
-    if eps_raw == "measured":
-        epsilon = None
-    else:
-        epsilon = _parse_float(eps_raw, "epsilon")
-        if not 0.0 < epsilon < EPSILON_MAX:
-            raise ConfigError(f"epsilon must lie in (0, 1/54), got {epsilon}")
-    trials = _parse_int(run.get("trials", "100000"), "trials")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    m = integer("m")
+    eps_raw = raw["epsilon"].strip().lower()
+    epsilon = None if eps_raw == "measured" else _parse_float(eps_raw, "epsilon")
+    if epsilon is not None and not 0.0 < epsilon < EPSILON_MAX:
+        raise ConfigError(f"epsilon must lie in (0, 1/54), got {epsilon}")
+    trials = integer("trials")
     # fingerprint keeps trials plus-counts per estimator, theorem1 trials * d
     # values, at most 8 bytes each: the fingerprint keeps one-byte counts while
     # m <= 255, and so does theorem1's search for a learner with no row map,
@@ -191,15 +229,12 @@ def load_config(path) -> ExperimentConfig:
     if 8 * chunk * m * d > MC_KEPT_BYTES:
         raise ConfigError(f"m={m}, d={d} draws {8 * chunk * m * d} uniform bytes per "
                           f"Monte Carlo chunk, above {MC_KEPT_BYTES}")
-    master_seed = _parse_int(run.get("master_seed", "12345"), "master_seed")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be >= 0")
-    output_dir = run.get("output_dir", "out")
+    master_seed = integer("master_seed")
 
     learner = None
     if "kind" in reads:
         try:
-            learner = make_learner(kind, **params)
+            learner = make_learner(raw["kind"].strip().lower(), **params)
             base, n = reduce_subsample(learner, m)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid learner block: {exc}") from exc
@@ -215,7 +250,7 @@ def load_config(path) -> ExperimentConfig:
                           f"got d={d}, m={m}")
     return ExperimentConfig(name=name, d=d, p_mode=p_mode, p_values=p_values,
                             learner=learner, m=m, epsilon=epsilon, trials=trials,
-                            master_seed=master_seed, output_dir=output_dir)
+                            master_seed=master_seed, output_dir=raw["output_dir"])
 
 
 def _write_xy(path: Path, xs, ys) -> None:
@@ -254,10 +289,20 @@ class _OutputDir:
         return self.path / name
 
 
+def resolved_config(cfg: ExperimentConfig) -> dict:
+    """Each key ``cfg``'s experiment reads, in ``_KEYS`` order, with its value
+    after defaults and CLI overrides. JSON null stands for ``epsilon =
+    measured``, ``delta = auto`` and a learner key the kind does not take;
+    ``kind`` and a subsample's ``base`` are kind names, as a config gives them."""
+    values = {key: getattr(cfg.learner if _KEYS[key][0] == "learner" else cfg, key, None)
+              for key in _KEYS if key in EXPERIMENTS[cfg.name][1]}
+    if values.get("base") is not None:  # a subsample: its config kind and its base's
+        values.update(kind="subsample", base=values["base"].kind)
+    return values
+
+
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _exp_verify_lemmas(cfg: ExperimentConfig, outdir: _OutputDir) -> list:
@@ -525,11 +570,9 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
         if seed is not None:
             if "master_seed" not in EXPERIMENTS[cfg.name][1]:
                 raise ConfigError(f"experiment {cfg.name!r} does not read --seed")
-            if seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
+            cfg = replace(cfg, master_seed=_parse_int(seed, "--seed", _KEYS["master_seed"][2]))
         if out is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "output_dir": out})
+            cfg = replace(cfg, output_dir=out)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
@@ -541,7 +584,7 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
     except OSError as exc:  # say, a file at output_dir or above it
         print(f"config error: cannot create output_dir {cfg.output_dir!r}: {exc.strerror}")
         return 1
-    config_sha256 = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+    config_sha256 = _sha256(Path(config_path))
     try:
         reports = body(cfg, outdir)
         _write_table(outdir / "results.csv", REPORT_COLUMNS,
@@ -550,6 +593,8 @@ def run(config_path, experiment: str | None = None, seed: int | None = None,
             "artifact_version": __version__,
             "config_sha256": config_sha256,
             "master_seed": cfg.master_seed if "master_seed" in reads else None,
+            "config": resolved_config(cfg),
+            "p": cfg.instance().p.tolist() if "p_mode" in reads else None,  # drawn or fixed
             "wall_clock_seconds": round(time.monotonic() - start, 3),
             "threads": mc.worker_count(),
             "python": platform.python_version(),

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from mi_sco_lab.harness import (
     _xu_learner_menu,
     load_config,
     numpy_cpu_features,
+    resolved_config,
     run,
 )
 from mi_sco_lab.learners import (FULL_ENUM_BUDGET, NET_BLOCK_CELLS, MeanLearner,
@@ -241,6 +243,25 @@ class TestFailClosed:
             tmp_path, name="theorem1",
             extra=f"\n[learner]\nkind = quantized_mean\ndelta = {value}")
         self.assert_rejected(capsys, path, out, "delta must be finite")
+
+    @pytest.mark.parametrize("kind", ["quantized_mean", "sgd", "regularized_erm"])
+    def test_delta_without_finite_reciprocal(self, tmp_path, capsys, kind):
+        # below 1/DBL_MAX a grid quotient x / delta overflows: SGD and ridge
+        # ERM wrote nan and the quantized mean sent each nonzero mean to the
+        # clip; the least delta with a finite 1/delta runs clean
+        learner = f"\n[learner]\nkind = {kind}\ndelta = "
+        path, out = write_config(tmp_path, name="theorem1", d=2, m=3, extra=learner + "1e-320")
+        self.assert_rejected(capsys, path, out, "1/delta must be finite, got '1e-320'")
+        path, out = write_config(tmp_path, name="theorem1", d=2, m=3, extra=learner + "5.6e-309")
+        assert run(path) == 0
+        assert capsys.readouterr().out == ""
+        assert "nan" not in (out / "results.csv").read_text()
+
+    def test_value_read_only_where_checked(self, tmp_path, capsys):
+        # an output_dir configparser cannot interpolate is read after m's
+        # check, so the bad m is the one line printed
+        path, out = write_config(tmp_path, name="cmi", m="x", out=tmp_path / "a%b")
+        self.assert_rejected(capsys, path, out, "m must be an integer, got 'x'")
 
     def test_non_finite_lam(self, tmp_path, capsys):
         path, out = write_config(
@@ -488,6 +509,50 @@ class TestSchemas:
         assert features == numpy_cpu_features() and features and set(map(type, features)) == {str}
         assert "manifest.json" not in manifest["files"]
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_resolved_config_holds_the_keys_read(self, tmp_path, name):
+        path, _ = write_config(tmp_path, name=name)
+        assert set(resolved_config(load_config(path))) == EXPERIMENTS[name][1]
+
+    def test_resolved_config_fills_in_the_defaults(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text("[experiment]\nname = theorem1\n")
+        assert resolved_config(load_config(path)) == {
+            "d": 2, "kind": "quantized_mean", "delta": None, "lam": None, "k": None,
+            "base": None, "m": 4, "epsilon": None, "trials": 100000, "master_seed": 12345,
+            "output_dir": "out"}
+
+    def test_manifest_records_the_resolved_config(self, tmp_path):
+        # after the --seed and --out overrides; theorem1 takes no single bias
+        path, _ = write_config(tmp_path, name="theorem1", d=1, m=3, trials=100,
+                               extra="\n[learner]\nkind = subsample\nk = 2\nbase = mean")
+        other = tmp_path / "elsewhere"
+        assert run(path, seed=5, out=str(other)) == 0
+        manifest = json.loads((other / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "d": 1, "kind": "subsample", "delta": None, "lam": None, "k": 2, "base": "mean",
+            "m": 3, "epsilon": None, "trials": 100, "master_seed": 5, "output_dir": str(other)}
+        assert manifest["p"] is None
+
+    def test_tradeoff_reruns_from_the_manifest(self, tmp_path):
+        # the recorded config, and the recorded bias as p_mode = fixed, each
+        # reproduce every data file of a run that drew its bias
+        path, out = write_config(tmp_path, d=2, m=3, p_mode="uniform", seed=11)
+        assert run(path) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rec = manifest["config"]
+        assert set(rec) == EXPERIMENTS["tradeoff"][1] and rec["p_values"] == []
+        p_values = ", ".join(map(repr, manifest["p"]))
+        for tag, instance in (("recorded", f"p_mode = {rec['p_mode']}"),
+                              ("fixed", f"p_mode = fixed\np_values = {p_values}")):
+            again = tmp_path / tag
+            path.write_text(f"[experiment]\nname = tradeoff\n[instance]\nd = {rec['d']}\n"
+                            f"{instance}\n[run]\nm = {rec['m']}\n"
+                            f"master_seed = {rec['master_seed']}\noutput_dir = {again}\n")
+            assert run(path) == 0
+            rerun = json.loads((again / "manifest.json").read_text())
+            assert rerun["files"] == manifest["files"] and rerun["p"] == manifest["p"]
+
     def test_manifest_skips_stale_files(self, tmp_path):
         path, out = write_config(tmp_path, name="fingerprint", trials=1000)
         out.mkdir()
@@ -548,6 +613,15 @@ output_dir = {out}
             assert run(path) == 0
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] != outs[1]
+
+
+def test_readme_key_table_matches_the_registry():
+    """README's experiment-to-keys table lists, row for row and key for key,
+    the keys each ``EXPERIMENTS`` entry reads."""
+    rows = re.findall(r"^\| `([\w-]+)` \| (.+) \|$", (REPO / "README.md").read_text(), re.M)
+    assert len(rows) == len(EXPERIMENTS)
+    assert {name: set(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == {
+        name: reads for name, (_, reads) in EXPERIMENTS.items()}
 
 
 # the config field built from several keys
