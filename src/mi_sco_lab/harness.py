@@ -136,7 +136,8 @@ def load_config(path) -> ExperimentConfig:
     the least value of ``d``, ``m``, ``trials`` and ``master_seed``. The
     checks run in this order:
 
-    1. the file: present, UTF-8, INI text;
+    1. the file: present, UTF-8, INI text, each value literal (``%`` is
+       no interpolation);
     2. ``[experiment] name``: present and an ``EXPERIMENTS`` entry;
     3. each section, then each key in it, in file order: a section of
        ``_KEYS``, a key of that section, a key the experiment reads, and a
@@ -162,7 +163,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:  # one line: a parse error spans several
@@ -184,8 +185,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"experiment {name!r} does not read {key!r} in [{section}]")
         if section != "experiment" and not reads & _SECTIONS[section]:
             raise ConfigError(f"experiment {name!r} reads no key of [{section}]")
-    # each key's text, given or else its default; a given value is read, and
-    # interpolated, only where a check below reads it
+    # each key's text, given or else its default; a given value is read only
+    # where a check below reads it
     raw = ChainMap(*map(parser.__getitem__, parser.sections()),
                    {key: spec[1] for key, spec in _KEYS.items() if spec[1] is not None})
 

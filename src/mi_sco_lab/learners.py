@@ -50,7 +50,7 @@ from .sco import HardInstance, counts_of_plus
 FULL_ENUM_BUDGET = 1 << 24
 DENSE_LAW_BYTES = 1 << 30  # a dense (samples x codebook) law with its MI's and gap's temporaries
 NET_BLOCK_CELLS = 1 << 18  # floats in one distance block of EpsilonNetErm
-GAP_BLOCK_ROWS = 1 << 14  # patterns per block of a deterministic pattern channel's gap
+GAP_BLOCK_ROWS = 1 << 14  # patterns per block of a pattern channel's atom gather and gap
 CODE_LIMIT = 1 << 62  # lexicographic row codes stay below this, so int64 never wraps
 
 
@@ -71,9 +71,13 @@ def grid_step(delta: float | None, m: int) -> float:
 
 
 def product_grid(axes) -> np.ndarray:
-    """All points of the product of 1-D ``axes``, one per row, last axis fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=1)
+    """All points of the product of 1-D ``axes``, one per row, last axis
+    fastest: each axis is written once, broadcast, into its column."""
+    axes = [np.asarray(axis) for axis in axes]
+    grid = np.empty([axis.shape[0] for axis in axes] + [len(axes)], dtype=np.result_type(*axes))
+    for t, axis in enumerate(axes):
+        grid[..., t] = axis.reshape([-1] + [1] * (len(axes) - 1 - t))
+    return grid.reshape(-1, len(axes))
 
 
 def round_half_down(x, delta: float) -> np.ndarray:
@@ -101,22 +105,28 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code = np.zeros(rows.shape[0], dtype=np.int64)
     bound = 1  # every code is below bound
     for column in rows.T:
-        levels = np.unique(column)
+        # with no inverse, np.unique's first call imports numpy.ma (about 9 ms)
+        levels, rank = np.unique(column, return_inverse=True)
         if bound * levels.shape[0] > CODE_LIMIT:
             seen, code = np.unique(code, return_inverse=True)
             bound = seen.shape[0]
-        code = code * levels.shape[0] + np.searchsorted(levels, column)
+        code = code * levels.shape[0] + rank
         bound *= levels.shape[0]
     first, inverse = np.unique(code, return_index=True, return_inverse=True)[1:]
     return rows[first], inverse
 
 
 def _project_rows(w: np.ndarray) -> np.ndarray:
-    """Project each row of an (n, d) array onto the unit ball, in place."""
-    norms = np.linalg.norm(w, axis=1)
+    """Project each row of an (n, d) array onto the unit ball, in place.
+
+    A row whose sum of squares is at most 1 - 1e-9, a margin far above the
+    rounding of any d the budget admits, has norm below 1; every other row
+    gets numpy's norm, test and division, on the same values as a norm of
+    every row."""
+    near = np.flatnonzero(np.einsum("ij,ij->i", w, w) > 1.0 - 1e-9)
+    norms = np.linalg.norm(w[near], axis=1)
     over = norms > 1.0
-    if np.any(over):
-        w[over] /= norms[over, None]
+    w[near[over]] /= norms[over, None]
     return w
 
 
@@ -489,6 +499,43 @@ class Channel:
         return float(self.sample_probs @ (self.cond @ sub))
 
 
+def _merge_shell(out: np.ndarray, grid: np.ndarray):
+    """The codebook and atom per tuple of ``unique_rows(out)``, ``out`` the
+    row map's outputs on the tuple grid of the K sorted distinct ``grid``
+    levels, last axis fastest, ranking only the tuples the map moves.
+
+    The grid is distinct and lexicographic, so a tuple the map leaves at its
+    value keeps its rank. The moved tuples (the shell; each column compared
+    with its level by broadcasting) are ranked among themselves. A distinct
+    moved value's grid code reads its per-column ranks among the levels in
+    base K, up to its first column that is no level, and counts the grid
+    tuples below it: where the value is an unmoved tuple it joins that
+    atom, and otherwise it is a new atom, placed before the unmoved tuples
+    above it. Each atom keeps the bytes of its first tuple."""
+    k, d = grid.shape[0], out.shape[1]
+    moved = np.zeros((k,) * d, dtype=bool)
+    for t in range(d):
+        moved |= out[:, t].reshape(moved.shape) != grid.reshape([-1] + [1] * (d - 1 - t))
+    shell = np.flatnonzero(moved)
+    values, value_atom = unique_rows(out[shell])
+    # the grid tuples below each value, and whether its columns so far are levels
+    at, equal = np.zeros(values.shape[0], dtype=np.int64), np.ones(values.shape[0], dtype=bool)
+    for column in values.T:
+        rank = np.searchsorted(grid, column)
+        at = at * k + np.where(equal, rank, 0)
+        equal &= np.take(grid, rank, mode="clip") == column
+    new = ~equal | np.take(moved.reshape(-1), at, mode="clip")
+    below = at - np.searchsorted(shell, at)  # unmoved tuples below each value
+    atom = below + np.cumsum(new) - new
+    value_first = shell[np.unique(value_atom, return_index=True)[1]]
+    first = np.insert(np.flatnonzero(~moved), below[new], value_first[new])
+    tuple_atom = np.empty(k ** d, dtype=np.int32)
+    tuple_atom[first] = np.arange(first.shape[0], dtype=np.int32)
+    tuple_atom[shell] = atom[value_atom]
+    first[atom] = np.minimum(first[atom], value_first)
+    return np.take(out, first, axis=0), tuple_atom
+
+
 def _column_atoms(learner, m: int, d: int):
     """(codebook, atom per level-tuple code) of a deterministic base learner:
     its outputs (``finish``) on each pattern's d ``levels``, the level-tuple
@@ -499,18 +546,24 @@ def _column_atoms(learner, m: int, d: int):
     the bytes of its first index) are finished and grouped. A count
     learner's levels never fall as the count grows, and SGD's pattern index
     interleaves the column bits, so a tuple of first indices is its atom's
-    first pattern, and the bytes are those of a fit per pattern. Each code
-    takes the atom of its level ranks read in base K, built by d - 1 outer
-    sums; K^d <= FULL_ENUM_BUDGET fits int32."""
+    first pattern, and the bytes are those of a fit per pattern. The levels
+    are sorted, so the tuples, last axis fastest, are distinct and in
+    lexicographic order: with no row map they are the atoms, and otherwise
+    only the tuples the map moves are ranked (``_merge_shell``). Each code
+    takes the atom of its level ranks read in base K: d - 1 outer sums read
+    the leading d - 1 ranks, and one (n^(d-1), n) gather the last, so no
+    code of all d is built; K^d <= FULL_ENUM_BUDGET fits the int32 atoms."""
     levels = learner.levels(m, d)
     _, first, level = np.unique(levels, return_index=True, return_inverse=True)
-    k = first.shape[0]
-    rows = product_grid([levels[first]] * d)
-    codebook, tuple_atom = unique_rows(rows if learner.finish is None else learner.finish(rows, m))
-    level = code = level.astype(np.int32)
+    k, grid = first.shape[0], levels[first]
+    if learner.finish is None:
+        codebook, tuple_atom = product_grid([grid] * d), np.arange(k ** d, dtype=np.int32)
+    else:
+        codebook, tuple_atom = _merge_shell(learner.finish(product_grid([grid] * d), m), grid)
+    lead = np.zeros(1, dtype=np.intp)
     for _ in range(d - 1):
-        code = np.add.outer(code * k, level).reshape(-1)
-    return codebook, tuple_atom[code]
+        lead = np.add.outer(lead * k, level).reshape(-1)
+    return codebook, tuple_atom.reshape(-1, k)[lead[:, None], level].reshape(-1)
 
 
 def output_atoms(learner, m: int, d: int):
@@ -549,11 +602,13 @@ def exact_channel(learner, inst: HardInstance, m: int) -> Channel:
     base = learner if learner.deterministic else learner.base
     codebook, atom, scale, radix = output_atoms(base, m, inst.d)  # fit first: lower peak
     codes = lattice_codes(m, inst.d)
-    if base.reads_counts:
-        code_atom, idx = atom, atom[codes]
-    else:  # each sample code turns into its atom in place; mode "raise" buffers a copy
-        code_atom, idx = None, sample_codes(scale, radix)
-        np.take(atom, idx, out=idx, mode="clip")
+    # each sample code turns into its int32 atom in place, a block at a time,
+    # since numpy's take writes no int32 atoms into int64 codes
+    idx = codes.copy() if base.reads_counts else sample_codes(scale, radix)
+    for start in range(0, idx.shape[0], GAP_BLOCK_ROWS):
+        block = idx[start:start + GAP_BLOCK_ROWS]
+        block[...] = atom[block]
+    code_atom = atom if base.reads_counts else None
     del atom  # SGD's 2^(d m) per-code atoms go before the samples are weighed
     counts = lattice_counts(m, inst.d)
     if learner.deterministic:

@@ -18,7 +18,10 @@ program gathers one coordinate's levels and maps whole rows;
 ``count_statistic_per_sample`` evaluates a statistic on those outputs, and
 ``sign_space_probs_elementwise`` and ``count_probs_per_coordinate`` write the
 pattern probability once per sample or per coordinate, where the program
-gathers it from one (m+1, d) table.
+gathers it from one (m+1, d) table. ``column_atoms_every_tuple`` groups every
+finished level tuple, where the program ranks only the tuples a row map
+moves, and ``project_rows_every_norm`` takes every row's norm, where the
+program screens rows by their sum of squares first.
 """
 
 import math
@@ -481,6 +484,35 @@ def codebook_signs(learner, d: int, m: int) -> np.ndarray:
     ``fit_signs`` over all 2^(d*m) sign patterns, each its first pattern's
     row. What ``learners.output_atoms`` gives as its codebook."""
     return unique_rows(fit_signs(learner, enumerate_sign_space_shift_mask(m, d)))[0]
+
+
+def column_atoms_every_tuple(learner, m: int, d: int):
+    """(codebook, atom per level-tuple code) of a deterministic base
+    learner, its K^d level tuples built by ``np.meshgrid`` and every
+    finished tuple grouped by ``unique_rows``. What ``learners.output_atoms``
+    gives, ranking only the tuples ``finish`` moves."""
+    levels = learner.levels(m, d)
+    _, first, level = np.unique(levels, return_index=True, return_inverse=True)
+    k = first.shape[0]
+    mesh = np.meshgrid(*[levels[first]] * d, indexing="ij")
+    rows = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    codebook, tuple_atom = unique_rows(rows if learner.finish is None
+                                       else learner.finish(rows, m))
+    code = level
+    for _ in range(d - 1):
+        code = np.add.outer(code * k, level).reshape(-1)
+    return codebook, tuple_atom[code]
+
+
+def project_rows_every_norm(w: np.ndarray) -> np.ndarray:
+    """Each row of an (n, d) array projected onto the unit ball, in place,
+    from numpy's norm of every row. What ``learners._project_rows`` gives,
+    taking norms only past its screen."""
+    norms = np.linalg.norm(w, axis=1)
+    over = norms > 1.0
+    if np.any(over):
+        w[over] /= norms[over, None]
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -258,10 +258,21 @@ class TestFailClosed:
         assert "nan" not in (out / "results.csv").read_text()
 
     def test_value_read_only_where_checked(self, tmp_path, capsys):
-        # an output_dir configparser cannot interpolate is read after m's
-        # check, so the bad m is the one line printed
+        # an output_dir holding % is read after m's check, so the bad m is
+        # the one line printed
         path, out = write_config(tmp_path, name="cmi", m="x", out=tmp_path / "a%b")
         self.assert_rejected(capsys, path, out, "m must be an integer, got 'x'")
+
+    def test_percent_is_literal(self, tmp_path, capsys):
+        # configparser's default interpolation raised InterpolationSyntaxError
+        # as a traceback on the single %, and read %% as one %
+        path, out = write_config(tmp_path, name="cmi", m=2, out=tmp_path / "pct%out")
+        assert load_config(path).output_dir == str(out)
+        assert run(path) == 0
+        assert capsys.readouterr().out == ""
+        assert (out / "results.csv").is_file()
+        path, out = write_config(tmp_path, name="cmi", m=2, out=tmp_path / "two%%out")
+        assert load_config(path).output_dir.endswith("two%%out")
 
     def test_non_finite_lam(self, tmp_path, capsys):
         path, out = write_config(

@@ -6,12 +6,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mi_sco_lab import bounds, learners
@@ -53,6 +53,7 @@ import oracles
 from oracles import (
     Sample,
     codebook_signs,
+    column_atoms_every_tuple,
     count_mean,
     count_probs_per_coordinate,
     count_statistic_per_sample,
@@ -70,6 +71,7 @@ from oracles import (
     marginal,
     plus_counts,
     population_risk,
+    project_rows_every_norm,
     sample,
     sample_signs,
     sgd_full_copy,
@@ -1091,7 +1093,8 @@ class TestLatticeRoute:
             want, inverse = unique_rows(
                 fit_counts_per_sample(learner, lattice_counts(m, d)[order], m))
             assert codebook.tobytes() == want.tobytes(), (d, m)
-            assert atom.tobytes() == inverse[np.argsort(order)].tobytes(), (d, m)
+            assert atom.dtype == np.int32, (d, m)
+            assert np.array_equal(atom, inverse[np.argsort(order)]), (d, m)
 
     def test_budget_bounds_the_lattice_of_a_count_learner(self):
         # 2^32 sign patterns but 9^4 lattice points: randomized response
@@ -1116,7 +1119,7 @@ class TestLatticeRoute:
 
 def pattern_atoms(learner, m, d):
     """(codebook, atom per sign pattern, in pattern order) of
-    ``output_atoms``: each pattern reads its atom by its sample code."""
+    ``output_atoms``: each pattern reads its int32 atom by its sample code."""
     codebook, atom, scale, radix = learners.output_atoms(learner, m, d)
     return codebook, atom[sample_codes(scale, radix)]
 
@@ -1147,8 +1150,8 @@ class TestPrefixRoutes:
                                           else fit_signs(learner, signs))
             got, atom = pattern_atoms(learner, m, d)
             assert got.tobytes() == want.tobytes(), (delta, d, m)
-            assert atom.dtype == want_atom.dtype, (delta, d, m)
-            assert atom.tobytes() == want_atom.tobytes(), (delta, d, m)
+            assert atom.dtype == np.int32, (delta, d, m)
+            assert np.array_equal(atom, want_atom), (delta, d, m)
 
     @pytest.mark.parametrize("d,m", [(1, 16), (2, 9), (3, 6), (4, 4), (8, 2), (13, 1)])
     def test_sgd_monte_carlo_fit_matches_sign_route(self, d, m):
@@ -1172,7 +1175,8 @@ class TestPrefixRoutes:
                     want, want_atom = unique_rows(fit_signs(learner, signs))
                     got, atom = pattern_atoms(learner, m, d)
                     assert got.tobytes() == want.tobytes(), (d, m, k, base)
-                    assert atom.tobytes() == want_atom.tobytes(), (d, m, k, base)
+                    assert atom.dtype == np.int32, (d, m, k, base)
+                    assert np.array_equal(atom, want_atom), (d, m, k, base)
 
     @pytest.mark.parametrize("learner", COUNT_LEARNERS, ids=repr)
     def test_count_gap_and_risk_match_full_channel(self, learner):
@@ -1415,6 +1419,186 @@ class TestColumnRoute:
             assert ch.expected_generalization_gap(inst) == want, learner.kind
 
 
+@dataclass(frozen=True)
+class _MovingMap:
+    """A count learner whose levels are ``values`` (m + 1 of them) and whose
+    row map moves each listed tuple, by grid code: to the row of another
+    code, to its own row with each zero's sign flipped ("flip"), or to a
+    given row."""
+
+    values: tuple
+    moves: tuple = ()
+
+    kind = "moving_map"
+    deterministic = True
+    reads_counts = True
+
+    def levels(self, m, d):
+        return np.array(self.values)
+
+    def finish(self, rows, m):
+        out = rows.copy()
+        for code, target in self.moves:
+            if target == "flip":
+                out[code] = np.where(rows[code] == 0.0, -rows[code], rows[code])
+            else:
+                out[code] = rows[target] if isinstance(target, int) else target
+        return out
+
+
+@st.composite
+def _moving_maps(draw):
+    """(map, d): two to five levels drawn with repeats and both zeros, and
+    moves onto grid rows, zero flips and rows off the grid or on it."""
+    d = draw(st.integers(1, 3))
+    cell = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, 1.0])
+    values = tuple(draw(st.lists(cell, min_size=2, max_size=5)))
+    n = np.unique(values).shape[0] ** d
+    target = (st.integers(0, n - 1) | st.just("flip")
+              | st.lists(cell, min_size=d, max_size=d).map(tuple))
+    return _MovingMap(values, tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), target),
+                                                  max_size=n)))), d
+
+
+@st.composite
+def _base_learners(draw):
+    """(learner, d, m) at d m <= 16: every base learner, the net ERM at
+    d <= 6 (its net grows as (ceil(sqrt(m)) + 1)^d), and the quantized
+    mean, SGD and RERM at drawn steps, RERM at a drawn lam."""
+    kind = draw(st.sampled_from(["mean", "quantized_mean", "epsilon_net_erm", "sgd",
+                                 "regularized_erm"]))
+    d = draw(st.integers(1, 6 if kind == "epsilon_net_erm" else 16))
+    m = draw(st.integers(1, 16 // d))
+    delta = draw(st.none() | st.sampled_from([0.05, 0.3]) | st.floats(1e-3, 1.0))
+    params = {"quantized_mean": {"delta": delta}, "sgd": {"delta": delta},
+              "regularized_erm": {"delta": delta,
+                                  "lam": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))}}
+    return make_learner(kind, **params.get(kind, {})), d, m
+
+
+class TestShellRanking:
+    """A base learner's atoms rank only the tuples its row map moves (the
+    shell): against ``unique_rows`` over every finished tuple
+    (``column_atoms_every_tuple``), codebook bytes and atoms; the tuples
+    ranked; the screen of ``_project_rows``; and RERM's empty-shell rule."""
+
+    @staticmethod
+    def _spy_on_unique_rows(monkeypatch):
+        seen, real = [], learners.unique_rows
+
+        def spy(rows):
+            seen.append(rows.shape[0])
+            return real(rows)
+
+        monkeypatch.setattr(learners, "unique_rows", spy)
+        return seen
+
+    @staticmethod
+    def _assert_matches_every_tuple(learner, m, d):
+        codebook, atom = output_atoms(learner, m, d)[:2]
+        want, want_atom = column_atoms_every_tuple(learner, m, d)
+        assert codebook.tobytes() == want.tobytes(), (learner, d, m)
+        assert atom.dtype == np.int32 and np.array_equal(atom, want_atom), (learner, d, m)
+
+    @given(case=_base_learners())
+    @settings(max_examples=150, deadline=None)
+    def test_base_learners_match_every_tuple(self, case):
+        learner, d, m = case
+        self._assert_matches_every_tuple(learner, m, d)
+
+    @pytest.mark.parametrize("d,m,shell", [(6, 3, 1792), (4, 5, 19), (3, 8, 8), (4, 6, 0)])
+    def test_sgd_ranks_its_shell_only(self, monkeypatch, d, m, shell):
+        seen = self._spy_on_unique_rows(monkeypatch)
+        self._assert_matches_every_tuple(SgdLearner(), m, d)
+        assert seen[0] == shell
+
+    def test_exact_routes_import_no_masked_arrays(self):
+        """A plain np.unique imports numpy.ma on its first call, about 9 ms
+        and 1.2 MB of every fresh process; no exact route makes that call."""
+        script = (
+            "import sys\n"
+            "from mi_sco_lab import bounds, learners\n"
+            "from mi_sco_lab.sco import HardInstance\n"
+            "inst = HardInstance.zero(2)\n"
+            "for kind in sorted(learners.LEARNER_KINDS):\n"
+            "    ch = learners.exact_channel(learners.make_learner(kind, **({'k': 1} if kind == "
+            "'subsample' else {})), inst, 3)\n"
+            "    ch.mutual_information(), ch.expected_generalization_gap(inst)\n"
+            "bounds.chain_rule_decomposition(ch), bounds.cmi_exact(learners.SgdLearner(), inst, 2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "False"
+
+    def test_no_row_map_ranks_nothing(self, monkeypatch):
+        seen = self._spy_on_unique_rows(monkeypatch)
+        for learner in (MeanLearner(), QuantizedMeanLearner(), QuantizedMeanLearner(delta=0.3)):
+            output_atoms(learner, 5, 4)
+        assert seen == []
+
+    def test_moved_rows_merge_keeping_the_first_bytes(self):
+        """Levels 0.5, -0.0, -0.5, 0.0 at d = 2: the grid of -0.5, -0.0 (the
+        zero's first index) and 0.5 has 9 tuples. Tuple 0 moves onto the
+        later unmoved tuple 4's value with +0.0 zeros, so that atom keeps
+        tuple 0's bytes; tuple 8 moves onto the earlier unmoved tuple 2;
+        tuple 7 only flips its zero; tuples 1 and 5 move off the grid to one
+        new atom. Six atoms remain."""
+        stub = _MovingMap((0.5, -0.0, -0.5, 0.0),
+                          ((0, (0.0, 0.0)), (8, 2), (7, "flip"), (1, (0.25, 0.25)),
+                           (5, (0.25, 0.25))))
+        codebook, atom = output_atoms(stub, 3, 2)[:2]
+        want, want_atom = column_atoms_every_tuple(stub, 3, 2)
+        assert codebook.tobytes() == want.tobytes()
+        assert np.array_equal(atom, want_atom)
+        level = [2, 1, 0]  # grid index to the index of its level among the four
+
+        def atom_of(tuple_code):
+            return atom[level[tuple_code // 3] * 4 + level[tuple_code % 3]]
+
+        assert codebook.shape[0] == 6
+        assert atom_of(0) == atom_of(4) and codebook[atom_of(0)].tobytes() == \
+            np.array([0.0, 0.0]).tobytes()
+        assert atom_of(8) == atom_of(2)
+        assert codebook[atom_of(7)].tobytes() == np.array([0.5, 0.0]).tobytes()
+        assert atom_of(1) == atom_of(5) and codebook[atom_of(1)].tolist() == [0.25, 0.25]
+        assert atom[3 * 4 + 3] == atom_of(4)  # level 3, +0.0, reads the zero's tuple
+
+    @given(case=_moving_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_any_moves_match_every_tuple(self, case):
+        stub, d = case
+        self._assert_matches_every_tuple(stub, len(stub.values) - 1, d)
+
+    @given(d=st.sampled_from([1, 2, 3, 4, 8, 24]), k=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_screen_keeps_every_byte(self, d, k, seed):
+        """Rows of squared norm 1 within k ulps, and corners of the sign
+        cube at 1/sqrt(d), projected bit for bit as by a norm of every row."""
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(64, d))
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        w *= 1.0 + np.finfo(float).eps * rng.integers(-k, k + 1, size=(64, 1))
+        w[:8] = np.where(rng.random((8, d)) < 0.5, 1.0, -1.0) / math.sqrt(d)
+        want = project_rows_every_norm(w.copy())
+        assert learners._project_rows(w).tobytes() == want.tobytes()
+
+    @given(d=st.integers(1, 14), m=st.integers(1, 40), lam=st.floats(1e-3, 10.0),
+           frac=st.floats(1e-3, 1.0), free=st.none() | st.floats(1e-3, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rerm_shell_empty_under_its_rule(self, d, m, lam, frac, free):
+        """Whenever lam/(1 + lam) > sqrt(d) delta/2, RERM's row map projects
+        no tuple of its levels: the rule ROADMAP item 4 reads as an empty
+        shell. delta is drawn free or as a fraction of the rule's edge."""
+        m = max(1, min(m, round(LATTICE_CAP ** (1.0 / d)) - 1))
+        delta = free if free is not None else frac * 2.0 * lam / ((1.0 + lam) * math.sqrt(d))
+        assume(delta > 0.0 and lam / (1.0 + lam) > math.sqrt(d) * delta / 2.0)
+        learner = RegularizedErm(lam, delta)
+        grid = product_grid([np.unique(learner.levels(m, d))] * d)
+        assert learner.finish(grid.copy(), m).tobytes() == grid.tobytes()
+
+
 class TestMakeLearner:
     def test_registry_round_trip(self):
         assert make_learner("mean").kind == "mean"
@@ -1523,7 +1707,7 @@ class TestOneCountRoute:
             codebook, atom = output_atoms(learner, m, d)[:2]
             want_codebook, want_atom = unique_rows(want)
             assert codebook.tobytes() == want_codebook.tobytes()
-            assert atom.tobytes() == want_atom.tobytes()
+            assert atom.dtype == np.int32 and np.array_equal(atom, want_atom)
             assert fit(learner, plus).tobytes() == \
                 fit_counts_per_sample(learner, counts_of_plus(plus), m).tobytes()
 
@@ -1544,7 +1728,7 @@ class TestOneCountRoute:
         want_codebook, want_atom = unique_rows(
             count_statistic_per_sample(learner, lattice_counts(m, d), m))
         assert codebook.tobytes() == want_codebook.tobytes()
-        assert atom.tobytes() == want_atom.tobytes()
+        assert atom.dtype == np.int32 and np.array_equal(atom, want_atom)
 
     @given(d=st.integers(1, 6), m=st.integers(1, 40), n=st.integers(0, 60),
            biases=st.lists(st.sampled_from([0.0, P_MAX, -P_MAX]) | st.floats(-P_MAX, P_MAX),
